@@ -389,6 +389,12 @@ def hetero_image_participation(
     u_in = x* - 1/4 + rho/4 with x* = min(r + 1/2, 1).  The verdict reduces
     to min(r + 1/2, 1) - r >= gamma/4 when the others are all truth- or
     image-driven, so low-quality agents (r <= 1/2) always join.
+
+    The closed form is exact only when every image-driven quality is at most
+    1/2.  Above that the report is capped at 1 and the own expected tax is
+    (1 - r)^2, not 1/4, and the closed u_in departs from the simulated one
+    (0.8125 closed against 0.9947 simulated in one configuration).  The rule
+    is kept as the paper states it; ``method="mc"`` gives the simulated value.
     """
     if method not in ("auto", "closed", "mc"):
         raise ValueError(f"unknown method {method!r}")

@@ -65,6 +65,7 @@ from .simulator import (
 from .strategies import (
     aggregate_sigma_prime,
     deviation_report,
+    draw_profile,
     expected_pr_reputation,
     pr_optimal_self_report,
     solve_y,
@@ -876,21 +877,17 @@ def cmd_check_equilibrium(config_path, seed, trials, grid_points):
     cross_channel = isinstance(mechanism, SimpleAveraging)
 
     any_profitable = False
+    draw = None  # sampled once, at the first audited agent; every agent replays it
     click.echo("agent  claimed    best       gain         stderr       verdict")
     for i, agent in enumerate(env.agents):
         if isinstance(agent.agent_type, (MaliciousRandom, Colluder)):
             click.echo(f"{i:<6d} skipped (randomized/colluding reporter)")
             continue
         claimed = None if cross_channel else profile.get(agent.id)
+        if draw is None:
+            draw = draw_profile(env, mechanism, profile, trials, parsed.seed)
         report = deviation_report(
-            i,
-            mechanism,
-            env,
-            others_strategy=profile,
-            trials=trials,
-            grid=grid_points,
-            seed=parsed.seed,
-            claimed=claimed,
+            i, mechanism, env, grid=grid_points, claimed=claimed, draw=draw
         )
         verdict = "DEVIATES" if report.profitable else "ok"
         any_profitable = any_profitable or report.profitable

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "run_direct_observation",
     "run_mechanism",
     "run_batch",
+    "deviation_terms",
 ]
 
 
@@ -129,24 +130,36 @@ def _validation_layer(discrepancy: np.ndarray, succ: np.ndarray, k: int) -> np.n
     return discrepancy - (total - discrepancy - discrepancy[:, succ]) / (k - 2)
 
 
+def _extended_as_rings(spec: ExtendedAS, k: int) -> tuple[tuple, tuple]:
+    """(pred, succ) maps of the first ring and of the second-layer ring."""
+    ring = spec.ring if spec.ring is not None else tuple(range(k))
+    ring2 = spec.second_ring if spec.second_ring is not None else ring
+    return _ring_maps(ring), _ring_maps(ring2)
+
+
+def _first_layer_discrepancy(selfs: np.ndarray, cross: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    # Layer 1: each self-report is checked against the ring-predecessor's
+    # cross-report about the same subject.
+    return np.abs(selfs - cross[:, pred, np.arange(selfs.shape[1])])
+
+
+def _second_layer_taxes(cross: np.ndarray, pred2: np.ndarray, succ2: np.ndarray) -> np.ndarray:
+    # Layer 2: each agent's report about its successor is checked against
+    # the report the successor's other neighbor made about that subject.
+    # It reads cross-reports only.
+    k = cross.shape[1]
+    d2 = np.abs(cross[:, np.arange(k), succ2] - cross[:, pred2, succ2])
+    return _validation_layer(d2, succ2, k)
+
+
 def _extended_as_kernel(
     selfs: np.ndarray, cross: np.ndarray, spec: ExtendedAS
 ) -> tuple[np.ndarray, np.ndarray]:
-    batch, k = selfs.shape
-    ring = spec.ring if spec.ring is not None else tuple(range(k))
-    pred, succ = _ring_maps(ring)
-    idx = np.arange(k)
-    # Layer 1: each self-report is checked against the ring-predecessor's
-    # cross-report about the same subject.
-    d1 = np.abs(selfs - cross[:, pred, idx])
-    taxes = _validation_layer(d1, succ, k)
+    k = selfs.shape[1]
+    (pred, succ), (pred2, succ2) = _extended_as_rings(spec, k)
+    taxes = _validation_layer(_first_layer_discrepancy(selfs, cross, pred), succ, k)
     if spec.layers == 2:
-        ring2 = spec.second_ring if spec.second_ring is not None else ring
-        pred2, succ2 = _ring_maps(ring2)
-        # Layer 2: each agent's report about its successor is checked against
-        # the report the successor's other neighbor made about that subject.
-        d2 = np.abs(cross[:, idx, succ2] - cross[:, pred2, succ2])
-        taxes = taxes + _validation_layer(d2, succ2, k)
+        taxes = taxes + _second_layer_taxes(cross, pred2, succ2)
     return selfs.copy(), taxes
 
 
@@ -201,17 +214,26 @@ def _extended_as_per_trial_rings(
     return selfs.copy(), taxes
 
 
+def _shares(selfs: np.ndarray, totals: np.ndarray, k: int) -> np.ndarray:
+    """Each self-report over its round's total; a zero total gives 1/K to all."""
+    zero = totals == 0.0
+    if not zero.any():
+        return selfs / totals
+    return np.where(zero, 1.0 / k, selfs / np.where(zero, 1.0, totals))
+
+
 def _fr_kernel(selfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = selfs.shape[1]
-    totals = selfs.sum(axis=1, keepdims=True)
-    safe = np.where(totals == 0.0, 1.0, totals)
-    reps = np.where(totals == 0.0, 1.0 / k, selfs / safe)
-    return reps, np.zeros_like(selfs)
+    return _shares(selfs, selfs.sum(axis=1, keepdims=True), k), np.zeros_like(selfs)
+
+
+def _peer_numerators(cross: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """K times the averaging aggregate: the K-1 peer reports plus the prior."""
+    return _colsum_excl_diag(cross) + r0
 
 
 def _simple_avg_kernel(cross: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = r0.shape[1]
-    reps = (_colsum_excl_diag(cross) + r0) / k
+    reps = _peer_numerators(cross, r0) / r0.shape[1]
     return reps, np.zeros_like(r0)
 
 
@@ -223,18 +245,21 @@ def _pr_branch(selfs: np.ndarray, aggregate: np.ndarray, eps: float) -> np.ndarr
 def _pr_kernel(
     selfs: np.ndarray, cross: np.ndarray, r0: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    k = selfs.shape[1]
-    aggregate = (_colsum_excl_diag(cross) + r0) / k
+    aggregate = _peer_numerators(cross, r0) / selfs.shape[1]
     return _pr_branch(selfs, aggregate, eps), np.zeros_like(selfs)
+
+
+def _weighted_aggregate(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    weighted_cols = np.einsum("j,bji->bi", weights, cross)
+    own = weights[None, :] * np.diagonal(cross, axis1=1, axis2=2)
+    denom = weights.sum() - weights
+    return (weighted_cols - own) / denom[None, :]
 
 
 def _weighted_pr_kernel(
     selfs: np.ndarray, cross: np.ndarray, weights: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    weighted_cols = np.einsum("j,bji->bi", weights, cross)
-    own = weights[None, :] * np.diagonal(cross, axis1=1, axis2=2)
-    denom = weights.sum() - weights
-    aggregate = (weighted_cols - own) / denom[None, :]
+    aggregate = _weighted_aggregate(cross, weights)
     return _pr_branch(selfs, aggregate, eps), np.zeros_like(selfs)
 
 
@@ -316,6 +341,96 @@ def run_batch(
         obs = need("system_obs", system_obs)
         return obs.copy(), np.zeros_like(obs)
     raise TypeError(f"unknown mechanism spec {spec!r}")
+
+
+# ---------------------------------------------------------------------------
+# One agent's deviation against a fixed profile
+# ---------------------------------------------------------------------------
+
+
+def deviation_terms(
+    spec: MechanismSpec,
+    self_reports: np.ndarray | None,
+    cross_reports: np.ndarray | None,
+    system_obs: np.ndarray | None,
+    sigma_prime: float,
+    agent: int,
+) -> tuple[np.ndarray, Callable[[np.ndarray, slice], tuple]]:
+    """The reputations of a base profile and the terms one agent's report moves.
+
+    Evaluates the mechanism once with :func:`run_batch` and returns
+    ``(reps, move)``.  ``move(values, rows)`` takes a (G, 1) column of
+    deviation values and a slice of the trials, and returns ``(own_rep,
+    own_tax, moved)`` on those trials: the deviator's reputation and tax,
+    each broadcastable to (G, rows), and the reputations of all subjects,
+    subjects first as (K, G, rows), when the deviation moves other subjects'
+    reputations, or None when those stay at ``reps``.
+
+    The deviated channel is the self-report, except under simple averaging,
+    where value c adds c - 1/2 to the deviator's cross-reports.  Each
+    family's terms mirror its kernel:
+
+    - scoring, ring-validated scoring and both punish-reward mechanisms:
+      only the deviator's own reputation and tax move (ring validation's
+      second layer reads no self-report);
+    - share-of-total: every share rescales by 1/(S' + x), S' the sum of the
+      other self-reports;
+    - simple averaging: every other subject's aggregate shifts by
+      (c - 1/2)/K, while the deviator's own does not move.
+    """
+    reps, _ = run_batch(spec, self_reports, cross_reports, system_obs, sigma_prime)
+    k = reps.shape[1]
+    i = agent
+    if isinstance(spec, AS):
+        d = (self_reports - system_obs) ** 2
+        rest = (d.sum(axis=1) - d[:, i]) / (k - 1)
+        prior = system_obs[:, i]
+        return reps, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
+    if isinstance(spec, ExtendedAS):
+        (pred, succ), (pred2, succ2) = _extended_as_rings(spec, k)
+        d1 = _first_layer_discrepancy(self_reports, cross_reports, pred)
+        rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
+        peer = cross_reports[:, pred[i], i]
+        layer2 = np.zeros(reps.shape[0])
+        if spec.layers == 2:
+            layer2 = _second_layer_taxes(cross_reports, pred2, succ2)[:, i]
+
+        def move_validated(x: np.ndarray, rows: slice) -> tuple:
+            return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None
+
+        return reps, move_validated
+    # Subjects-first blocks keep every elementwise pass and the sum over
+    # subjects on contiguous runs of trials.
+    if isinstance(spec, FR):
+        others = self_reports.sum(axis=1) - self_reports[:, i]
+        by_subject = np.ascontiguousarray(self_reports.T)[:, None, :]
+
+        def move_share(x: np.ndarray, rows: slice) -> tuple:
+            selfs = np.repeat(by_subject[..., rows], x.shape[0], axis=1)
+            selfs[i] = x
+            shares = _shares(selfs, others[rows] + x, k)
+            return shares[i], 0.0, shares
+
+        return reps, move_share
+    if isinstance(spec, SimpleAveraging):
+        numerators = np.ascontiguousarray(_peer_numerators(cross_reports, system_obs).T)[:, None, :]
+        own = reps[:, i]
+
+        def move_average(c: np.ndarray, rows: slice) -> tuple:
+            moved = (numerators[..., rows] + (c - 0.5)) / k
+            moved[i] = own[rows]
+            return own[rows], 0.0, moved
+
+        return reps, move_average
+    if isinstance(spec, (PR, WeightedPR)):
+        if isinstance(spec, PR):
+            aggregate = _peer_numerators(cross_reports, system_obs)[:, i] / k
+        else:
+            weights = np.asarray(spec.weights, dtype=float)
+            aggregate = _weighted_aggregate(cross_reports, weights)[:, i]
+        eps = spec.a * sigma_prime
+        return reps, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)
+    raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
 
 
 # ---------------------------------------------------------------------------

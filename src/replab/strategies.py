@@ -28,6 +28,7 @@ channel), which reduces to sigma/sqrt(K) in the homogeneous case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -56,7 +57,7 @@ from .core import (
     WeightedPR,
     centralized_solution,
 )
-from .mechanisms import run_batch
+from .mechanisms import deviation_terms, run_batch
 from .numerics import (
     TAIL_SIGMAS,
     NoRoot,
@@ -80,6 +81,8 @@ __all__ = [
     "equilibrium_self_reports",
     "sample_observations",
     "build_messages",
+    "ProfileDraw",
+    "draw_profile",
     "best_response_numeric",
     "deviation_report",
     "bayesian_ic_violation",
@@ -140,9 +143,16 @@ def solve_y(a: float) -> float:
     Scans for a sign change, polishes it with the safeguarded root finder, and
     verifies the residual; raises :class:`NoRoot` if the equation has no
     bracketed root in the open unit interval (it does for all moderate ``a``).
+    The root depends on ``a`` alone, so solved roots are memoized; failures
+    are not, and raise again on every call.
     """
     if a <= 0.0:
         raise ValueError(f"band multiplier must be positive, got {a!r}")
+    return _solve_y(float(a))
+
+
+@functools.lru_cache(maxsize=1024)
+def _solve_y(a: float) -> float:
     ys = np.linspace(1e-9, 1.0 - 1e-9, 257)
     res = np.asarray(_y_residual(ys, a))
     sign_change = np.nonzero(np.diff(np.signbit(res)))[0]
@@ -353,12 +363,13 @@ def sample_observations(
     """
     truths = env.qualities
     k = env.k
-    r0 = truths[None, :] + env.system_obs.mean + rng.normal(0.0, 1.0, size=(trials, k)) * env.system_obs.std
-    cross = (
-        truths[None, None, :]
-        + env.cross_biases[None, :, None]
-        + rng.normal(0.0, 1.0, size=(trials, k, k)) * env.cross_stds[None, :, None]
-    )
+    # Scaled and shifted in place, so no second (trials, K, K) array is live.
+    r0 = rng.normal(0.0, 1.0, size=(trials, k))
+    r0 *= env.system_obs.std
+    r0 += truths[None, :] + env.system_obs.mean
+    cross = rng.normal(0.0, 1.0, size=(trials, k, k))
+    cross *= env.cross_stds[None, :, None]
+    cross += truths[None, None, :] + env.cross_biases[None, :, None]
     if env.clamp_observations:
         np.clip(r0, 0.0, 1.0, out=r0)
         np.clip(cross, 0.0, 1.0, out=cross)
@@ -476,14 +487,123 @@ def _resolve_profile(
             return build_messages(env, spec, cross_obs, rng, sigma_prime)
         if others_strategy == "truthful":
             trials = cross_obs.shape[0]
-            selfs = np.tile(env.qualities, (trials, 1))
-            return selfs, cross_obs.copy()
+            return np.tile(env.qualities, (trials, 1)), cross_obs
         raise ValueError(
             f"others_strategy must be 'truthful', 'equilibrium' or a mapping, got {others_strategy!r}"
         )
     return build_messages(
         env, spec, cross_obs, rng, sigma_prime, self_overrides=dict(others_strategy)
     )
+
+
+@dataclass(frozen=True)
+class ProfileDraw:
+    """The sampled rounds a deviation audit replays at every grid point.
+
+    ``r0`` holds the system priors and ``selfs`` the self-reports, both
+    (trials, K); ``cross`` holds the cross-reports, (trials, K, K).  The
+    arrays are read-only, so one draw can serve every agent's scan.
+    """
+
+    r0: np.ndarray
+    selfs: np.ndarray
+    cross: np.ndarray
+
+
+def draw_profile(
+    env: Environment,
+    mechanism: MechanismSpec,
+    others_strategy: str | Mapping[int, float] = "truthful",
+    trials: int = 20_000,
+    seed: int = 0,
+) -> ProfileDraw:
+    """Sample the observations and messages of a deviation audit.
+
+    The draw comes from the Philox substream ``(seed, spawn_key=(0,))`` and
+    does not depend on the deviating agent, so the audits of all agents of
+    one profile can share it.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    sigma_prime = aggregate_sigma_prime(env)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    r0, cross_obs = sample_observations(env, rng, trials)
+    selfs, cross = _resolve_profile(env, mechanism, others_strategy, cross_obs, rng, sigma_prime)
+    for arr in (r0, selfs, cross):
+        arr.setflags(write=False)
+    return ProfileDraw(r0=r0, selfs=selfs, cross=cross)
+
+
+# Bytes per block of the incremental scan.  A block's (K, points, trials)
+# arrays stay near cache size instead of streaming through memory, and the
+# scan's working set does not grow with the grid or the trial count.
+_SCAN_BLOCK_BYTES = 1 << 19
+
+
+def _grid_means(
+    agent: Agent,
+    mechanism: MechanismSpec,
+    draw: ProfileDraw,
+    sigma_prime: float,
+    targets: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Mean utility of ``agent`` at every deviation value, scanned incrementally.
+
+    Runs the mechanism once on the base profile, then moves only what the
+    deviation changes (:func:`replab.mechanisms.deviation_terms`) over
+    blocks of grid points, summing each block over the trials at once.  A
+    block holds as many grid points as the byte budget fits at trials x K;
+    when a single point does not fit, the trials are split as well.
+    """
+    i = agent.id
+    lam = agent.utility.truth_weight
+    f, g = agent.utility.f, agent.utility.g
+    reps, move = deviation_terms(mechanism, draw.selfs, draw.cross, draw.r0, sigma_prime, i)
+    trials, k = reps.shape
+    base_floss = f(np.abs(reps - targets[None, :]))
+    base_accuracy = base_floss.sum(axis=1) - base_floss[:, i]
+    points = max(1, _SCAN_BLOCK_BYTES // (8 * trials * k))
+    span = trials if points > 1 else max(1, _SCAN_BLOCK_BYTES // (8 * k))
+    sums = np.zeros(values.size)
+    for start in range(0, values.size, points):
+        xs = values[start : start + points, None]
+        for first in range(0, trials, span):
+            rows = slice(first, first + span)
+            own_rep, own_tax, moved = move(xs, rows)
+            if moved is None:
+                accuracy = base_accuracy[rows]
+            else:
+                floss = f(np.abs(moved - targets[:, None, None]))
+                accuracy = floss.sum(axis=0) - floss[i]
+            utils = -lam * accuracy + (1.0 - lam) * g(own_rep) - own_tax
+            sums[start : start + points] += utils.sum(axis=1)
+    return sums / trials
+
+
+def _deviation_utilities(
+    agent: Agent,
+    mechanism: MechanismSpec,
+    draw: ProfileDraw,
+    sigma_prime: float,
+    targets: np.ndarray,
+    value: float,
+) -> np.ndarray:
+    """Per-trial utilities with the deviator's report at ``value``.
+
+    Runs the whole mechanism on a copy of the deviated channel, leaving the
+    shared draw untouched.
+    """
+    i = agent.id
+    selfs, cross = draw.selfs, draw.cross
+    if isinstance(mechanism, SimpleAveraging):
+        cross = cross.copy()
+        cross[:, i, :] = draw.cross[:, i, :] + (value - 0.5)
+    else:
+        selfs = selfs.copy()
+        selfs[:, i] = value
+    reps, taxes = run_batch(mechanism, selfs, cross, draw.r0, sigma_prime)
+    return _deviator_utility(agent, reps, taxes, targets)
 
 
 def deviation_report(
@@ -495,6 +615,7 @@ def deviation_report(
     grid: int = 201,
     seed: int = 0,
     claimed: float | None = None,
+    draw: ProfileDraw | None = None,
 ) -> DeviationReport:
     """Grid the deviator's report and measure the best deviation's payoff.
 
@@ -504,6 +625,13 @@ def deviation_report(
     where the self-report is outcome-irrelevant and the strategic channel is
     the cross-report: grid value c is applied as an additive bias c - 1/2 on
     the deviator's cross-reports (truthful play sits at c = 1/2).
+
+    The grid is scanned incrementally (see :func:`_grid_means`); the best
+    and the claimed report are then evaluated with the full mechanism, and
+    the means, gain and its standard error come from those two runs.  A
+    ``draw`` from :func:`draw_profile` replaces sampling; it then fixes the
+    profile and the trial count in place of ``others_strategy``, ``trials``
+    and ``seed``.
     """
     if not (0 <= agent_index < env.k):
         raise DimensionMismatch(f"agent_index {agent_index} outside 0..{env.k - 1}")
@@ -513,34 +641,20 @@ def deviation_report(
         raise ValueError("grid must have at least 3 points")
     if isinstance(mechanism, DirectObservation):
         raise UnsupportedCombination("direct observation consumes no reports to deviate on")
+    if draw is None:
+        draw = draw_profile(env, mechanism, others_strategy, trials, seed)
+    trials = draw.r0.shape[0]
     sigma_prime = aggregate_sigma_prime(env)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    r0, cross_obs = sample_observations(env, rng, trials)
-    selfs, cross = _resolve_profile(env, mechanism, others_strategy, cross_obs, rng, sigma_prime)
     targets = centralized_solution(env)
     agent = env.agents[agent_index]
-    cross_channel = isinstance(mechanism, SimpleAveraging)
     if claimed is None:
-        claimed = 0.5 if cross_channel else float(selfs[0, agent_index])
+        claimed = 0.5 if isinstance(mechanism, SimpleAveraging) else float(draw.selfs[0, agent_index])
 
-    base_cross_row = cross[:, agent_index, :].copy()
     grid_values = np.linspace(0.0, 1.0, grid)
-
-    def evaluate(value: float) -> np.ndarray:
-        if cross_channel:
-            cross[:, agent_index, :] = base_cross_row + (value - 0.5)
-        else:
-            selfs[:, agent_index] = value
-        reps, taxes = run_batch(mechanism, selfs, cross, r0, sigma_prime)
-        return _deviator_utility(agent, reps, taxes, targets)
-
-    means = np.empty(grid)
-    for idx, value in enumerate(grid_values):
-        means[idx] = evaluate(float(value)).mean()
-    best_idx = int(np.argmax(means))
-    best = float(grid_values[best_idx])
-    best_utils = evaluate(best)
-    claimed_utils = evaluate(float(claimed))
+    means = _grid_means(agent, mechanism, draw, sigma_prime, targets, grid_values)
+    best = float(grid_values[int(np.argmax(means))])
+    best_utils = _deviation_utilities(agent, mechanism, draw, sigma_prime, targets, best)
+    claimed_utils = _deviation_utilities(agent, mechanism, draw, sigma_prime, targets, float(claimed))
     diff = best_utils - claimed_utils
     gain = float(diff.mean())
     gain_stderr = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

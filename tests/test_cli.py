@@ -432,6 +432,49 @@ def test_check_equilibrium_skips_randomized_reporters(runner, tmp_path):
     assert "skipped" in result.output
 
 
+def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeypatch):
+    from replab import strategies
+    from replab.cli import _fmt, parse_config
+    from replab.simulator import _resolve_strategy_overrides
+
+    config = _write(
+        tmp_path,
+        "shared.ini",
+        "[agents]\nagent0 = quality=0.5 type=truth\nagent1 = quality=0.3 type=image\n"
+        "agent2 = quality=0.4 type=malicious\nagent3 = quality=0.6 type=truth\n\n"
+        "[mechanism]\nkind = as\n\n[simulation]\nseed = 11\n",
+    )
+    sample = strategies.sample_observations
+    draws = []
+
+    def counting_sample(*args):
+        draws.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(strategies, "sample_observations", counting_sample)
+    result = runner.invoke(
+        main, ["check-equilibrium", str(config), "--trials", "2000", "--grid", "41"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(draws) == 1
+    # Every row equals an audit of that agent alone on its own fresh draw.
+    parsed = parse_config(str(config))
+    env, mechanism = parsed.env, parsed.mechanism
+    profile = _resolve_strategy_overrides(
+        env, mechanism, strategies.aggregate_sigma_prime(env), parsed.strategy_mode
+    )
+    rows = result.output.splitlines()
+    for i in (0, 1, 3):
+        rep = strategies.deviation_report(
+            i, mechanism, env, profile, trials=2000, grid=41, seed=parsed.seed, claimed=profile[i]
+        )
+        assert rows[1 + i] == (
+            f"{i:<6d} {_fmt(rep.claimed):<10s} {_fmt(rep.best):<10s} "
+            f"{_fmt(rep.gain):<12s} {_fmt(rep.gain_stderr):<12s} ok"
+        )
+    assert len(draws) == 4
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

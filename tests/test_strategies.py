@@ -32,10 +32,14 @@ from replab.core import (
     SimpleAveraging,
     Truth,
     UtilitySpec,
+    WeightedPR,
+    batch_true_utilities,
+    centralized_solution,
     true_utility,
 )
-from replab.mechanisms import MechanismContext, run_fr
-from replab.numerics import NormalParams
+from replab import strategies
+from replab.mechanisms import MechanismContext, run_batch, run_fr
+from replab.numerics import NoRoot, NormalParams, find_root
 from replab.strategies import (
     DeviationReport,
     PrEquilibrium,
@@ -45,6 +49,7 @@ from replab.strategies import (
     best_response_numeric,
     build_messages,
     deviation_report,
+    draw_profile,
     equilibrium_self_reports,
     expected_pr_reputation,
     expected_pr_reputation_grid,
@@ -56,7 +61,7 @@ from replab.strategies import (
     solve_y,
     proportional_deviation_profit,
 )
-from replab.strategies import _y_residual
+from replab.strategies import _grid_means, _y_residual
 
 
 def _agent(i, r, kind, lam, p=2.0, g=None, obs=NormalParams(0.0, 0.1)):
@@ -96,6 +101,28 @@ def test_solve_y_residual_and_range():
 def test_solve_y_rejects_nonpositive_band():
     with pytest.raises(ValueError):
         solve_y(0.0)
+
+
+def test_solve_y_memoizes_roots_but_not_failures(monkeypatch):
+    calls = []
+
+    def counting_find_root(fn, lo, hi, **kwargs):
+        calls.append((lo, hi))
+        return find_root(fn, lo, hi, **kwargs)
+
+    monkeypatch.setattr(strategies, "find_root", counting_find_root)
+    a = 1.2345678  # a band multiplier no other test solves
+    first = solve_y(a)
+    assert calls, "the first solve must run the root finder"
+    solved = len(calls)
+    assert solve_y(a) == first and solve_y(np.float64(a)) == first
+    assert len(calls) == solved
+    # Failures are raised again on every call, never served from the memo.
+    for _ in range(2):
+        with pytest.raises(NoRoot):
+            solve_y(1e-5)
+        with pytest.raises(ValueError):
+            solve_y(-1.0)
 
 
 def test_expected_pr_reputation_against_monte_carlo():
@@ -437,3 +464,197 @@ def test_proportional_deviation_profit_signs_and_case_one():
             assert img <= 0.0
     with pytest.raises(ValueError):
         proportional_deviation_profit(0, 0.7, env, tax="vcg")
+
+
+# ---------------------------------------------------------------------------
+# Incremental deviation scan against the dense per-point oracle
+# ---------------------------------------------------------------------------
+
+# Deviators scanned in every case: a truth, an image and a mixed sender.
+DEVIATORS = (0, 1, 2)
+CUSTOM_RING = (2, 0, 4, 1, 3)
+
+
+def _scan_env(scheme, p, g):
+    agents = (
+        _agent(0, 0.45, Truth(), 1.0, p=p, g=g, obs=NormalParams(0.0, 0.12)),
+        _agent(1, 0.3, Image(), 0.0, p=p, g=g, obs=NormalParams(0.02, 0.1)),
+        _agent(2, 0.6, Mixed(), 0.4, p=p, g=g, obs=NormalParams(-0.01, 0.15)),
+        _agent(3, 0.7, Truth(), 1.0, p=p, g=g, obs=NormalParams(0.0, 0.1)),
+        Agent(
+            id=4,
+            quality=Quality(0.5),
+            agent_type=MaliciousRandom(0.1, 0.9),
+            utility=UtilitySpec(f=AbsPower(p), g=g, truth_weight=1.0),
+            cross_obs=NormalParams(0.0, 0.1),
+        ),
+    )
+    return Environment(agents=agents, system_obs=NormalParams(0.0, 0.1), index_scheme=scheme)
+
+
+MAPPING = {0: 0.4, 1: 0.85, 2: 0.65, 3: 0.72}
+
+# (mechanism, index scheme, others' profile, accuracy exponent p, image payoff g)
+SCAN_CASES = {
+    "as": (AS(), "absolute", "equilibrium", 2.0, Linear()),
+    "as-power": (AS(), "absolute", "truthful", 3.0, Power(0.5)),
+    "extended_as-1": (ExtendedAS(), "absolute", MAPPING, 1.0, Linear()),
+    "extended_as-2-ring": (
+        ExtendedAS(ring=CUSTOM_RING, layers=2, second_ring=(4, 3, 2, 1, 0)),
+        "absolute",
+        MAPPING,
+        2.0,
+        Power(0.5),
+    ),
+    "extended_as-2": (ExtendedAS(ring=CUSTOM_RING, layers=2), "absolute", "truthful", 3.0, Linear()),
+    "fr": (FR(), "relative", "truthful", 2.0, Linear()),
+    "fr-mapping": (FR(), "relative", MAPPING, 1.0, Power(0.7)),
+    "simple_averaging": (SimpleAveraging(), "absolute", "equilibrium", 2.0, Linear()),
+    "simple_averaging-p3": (SimpleAveraging(), "absolute", "truthful", 3.0, Power(0.5)),
+    "pr": (PR(a=2.0), "absolute", "equilibrium", 2.0, Linear()),
+    "pr-mapping": (PR(a=1.0), "absolute", MAPPING, 1.0, Power(0.5)),
+    "weighted_pr": (
+        WeightedPR(a=1.5, weights=(1.0, 2.0, 0.5, 1.0, 3.0)),
+        "absolute",
+        "equilibrium",
+        3.0,
+        Linear(),
+    ),
+}
+
+
+def _dense_profile(env, mechanism, profile, trials, seed):
+    """The sampling the audit always used: one Philox substream per seed."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    r0, cross_obs = sample_observations(env, rng, trials)
+    if profile == "truthful":
+        return r0, np.tile(env.qualities, (trials, 1)), cross_obs.copy()
+    overrides = None if profile == "equilibrium" else dict(profile)
+    selfs, cross = build_messages(env, mechanism, cross_obs, rng, self_overrides=overrides)
+    return r0, selfs, cross
+
+
+def _dense_utilities(i, mechanism, env, arrays, value):
+    """Deviator i's per-trial utility with the whole mechanism run at ``value``."""
+    r0, selfs, cross = (arr.copy() for arr in arrays)
+    if isinstance(mechanism, SimpleAveraging):
+        cross[:, i, :] += value - 0.5
+    else:
+        selfs[:, i] = value
+    reps, taxes = run_batch(mechanism, selfs, cross, r0, aggregate_sigma_prime(env))
+    return batch_true_utilities(reps, taxes, env)[:, i]
+
+
+def _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index=None):
+    """Grid means and report from re-running the mechanism at every grid point."""
+    arrays = _dense_profile(env, mechanism, profile, trials, seed)
+    values = np.linspace(0.0, 1.0, grid)
+    means = np.array([_dense_utilities(i, mechanism, env, arrays, v).mean() for v in values])
+    if best_index is None:
+        best_index = int(np.argmax(means))
+    claimed = 0.5 if isinstance(mechanism, SimpleAveraging) else float(arrays[1][0, i])
+    best_utils = _dense_utilities(i, mechanism, env, arrays, float(values[best_index]))
+    claimed_utils = _dense_utilities(i, mechanism, env, arrays, claimed)
+    diff = best_utils - claimed_utils
+    report = DeviationReport(
+        agent_index=i,
+        claimed=claimed,
+        best=float(values[best_index]),
+        claimed_mean=float(claimed_utils.mean()),
+        best_mean=float(best_utils.mean()),
+        gain=float(diff.mean()),
+        gain_stderr=float(diff.std(ddof=1) / math.sqrt(trials)),
+        grid_step=float(values[1] - values[0]),
+    )
+    return means, report
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8 * 5 * 97], ids=["default-blocks", "split-trials"])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
+    if block_bytes is not None:
+        # One grid point per block and 97 trials per slice, the last slice short.
+        monkeypatch.setattr(strategies, "_SCAN_BLOCK_BYTES", block_bytes)
+    mechanism, scheme, profile, p, g = SCAN_CASES[case]
+    env = _scan_env(scheme, p, g)
+    trials, grid, seed = 1500, 41, 23
+    draw = draw_profile(env, mechanism, profile, trials, seed)
+    values = np.linspace(0.0, 1.0, grid)
+    for i in DEVIATORS:
+        means = _grid_means(
+            env.agents[i], mechanism, draw, aggregate_sigma_prime(env), centralized_solution(env), values
+        )
+        dense, oracle = _dense_oracle(i, mechanism, env, profile, trials, grid, seed)
+        np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
+        report = deviation_report(i, mechanism, env, profile, trials, grid, seed)
+        ties = np.flatnonzero(dense >= dense.max() - 1e-12)
+        if ties.size == 1:
+            assert int(np.argmax(means)) == ties[0], (case, i)
+            assert report == oracle, (case, i)
+        else:
+            # Several grid points share the maximum up to rounding: the
+            # report moves nothing the deviator values there (a truth
+            # sender's self-report under punish-reward, an image sender's
+            # cross-reports under averaging, or a linear image gain cancelled
+            # by a ring-validation charge).  The dense argmax among them is
+            # rounding noise; the scan must land on one of them, and the
+            # report must equal the dense one at that point.
+            best_index = int(np.argmax(means))
+            assert best_index in ties, (case, i)
+            _, at_best = _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index)
+            assert report == at_best, (case, i)
+
+
+def test_incremental_scan_share_of_total_with_zero_total():
+    # Everyone else reports 0, so a zero self-report leaves a zero total and
+    # the shares fall back to 1/K at the first grid point.
+    env = _truth_env([0.5, 0.3, 0.2], scheme="relative", p=1.0)
+    profile = {1: 0.0, 2: 0.0}
+    draw = draw_profile(env, FR(), profile, trials=200, seed=4)
+    values = np.linspace(0.0, 1.0, 11)
+    means = _grid_means(
+        env.agents[0], FR(), draw, aggregate_sigma_prime(env), centralized_solution(env), values
+    )
+    dense, _ = _dense_oracle(0, FR(), env, profile, 200, 11, 4)
+    np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
+    # At x = 0 every share is 1/3; above it the deviator takes the whole total.
+    assert means[0] == pytest.approx(-(abs(1 / 3 - 0.3) + abs(1 / 3 - 0.2)))
+    assert means[1] == pytest.approx(-0.5)
+
+
+def test_draw_profile_is_shared_across_agents_and_read_only():
+    env = _scan_env("absolute", 2.0, Linear())
+    draw = draw_profile(env, AS(), MAPPING, trials=500, seed=3)
+    for arr in (draw.r0, draw.selfs, draw.cross):
+        assert not arr.flags.writeable
+    before = [arr.copy() for arr in (draw.r0, draw.selfs, draw.cross)]
+    for i in DEVIATORS:
+        shared = deviation_report(i, AS(), env, grid=21, draw=draw)
+        fresh = deviation_report(i, AS(), env, MAPPING, trials=500, grid=21, seed=3)
+        assert shared == fresh
+    for old, arr in zip(before, (draw.r0, draw.selfs, draw.cross)):
+        assert np.array_equal(old, arr)
+    with pytest.raises(ValueError):
+        draw_profile(env, AS(), trials=0)
+
+
+@pytest.mark.parametrize(
+    "mechanism", [AS(), ExtendedAS(layers=2), FR(), SimpleAveraging()], ids=lambda m: type(m).__name__
+)
+def test_audit_memory_stays_within_its_profile(mechanism):
+    # The audit must never hold a (grid, trials) or (grid, trials, K) array:
+    # at 50k trials and 201 grid points one of those alone is 80 MB, while
+    # the profile it replays (priors, self- and cross-reports) is 14 MB.
+    import tracemalloc
+
+    scheme = "relative" if isinstance(mechanism, FR) else "absolute"
+    env = _truth_env([0.3, 0.5, 0.7, 0.4, 0.6], scheme=scheme)
+    draw = draw_profile(env, mechanism, trials=50_000, seed=1)
+    profile_bytes = draw.r0.nbytes + draw.selfs.nbytes + draw.cross.nbytes
+    tracemalloc.start()
+    try:
+        deviation_report(0, mechanism, env, grid=201, draw=draw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * profile_bytes, f"peak {peak / 1e6:.1f} MB, profile {profile_bytes / 1e6:.1f} MB"
