@@ -4,11 +4,11 @@ The package is organized in layers; each layer only imports from the ones
 below it:
 
 - :mod:`replab.numerics` -- special functions, root finding, quadrature
-- :mod:`replab.core` -- agents, environments, messages, outcomes, utilities
-- :mod:`replab.mechanisms` -- reputation/tax rules mapping messages to outcomes
-- :mod:`replab.strategies` -- best responses and equilibrium self-reports
+- :mod:`replab.core` -- agents, environments, outcomes, the utility formula
+- :mod:`replab.mechanisms` -- batched reputation/tax rules mapping reports to outcomes
+- :mod:`replab.strategies` -- best responses, equilibrium self-reports, band error
+- :mod:`replab.simulator` -- the seeded Monte Carlo engine and its scenarios
 - :mod:`replab.analysis` -- closed-form accuracy and participation results
-- :mod:`replab.simulator` -- seeded Monte Carlo scenario runner
 - :mod:`replab.cli` -- the ``replab`` command line front end
 """
 

@@ -30,22 +30,19 @@ from .core import (
     MaliciousRandom,
     Outcome,
     Truth,
-    batch_true_utilities,
     centralized_solution,
 )
-from .mechanisms import run_batch
 from .numerics import (
     TAIL_SIGMAS,
     folded_normal_mean,
     integrate,
-    normal_cdf,
     normal_pdf,
 )
+from .simulator import ScenarioConfig, run_trials
 from .strategies import (
-    build_messages,
     expected_pr_reputation,
+    pr_mae,
     pr_optimal_self_report,
-    sample_observations,
 )
 
 __all__ = [
@@ -118,49 +115,6 @@ def mae_total(outcome: Outcome, env: Environment) -> float:
 # ---------------------------------------------------------------------------
 # Punish-reward error curve
 # ---------------------------------------------------------------------------
-
-
-def pr_mae(a: float, sigma_prime: float) -> float:
-    """Expected |published - true| under the punish-reward rule at the
-    sender's optimal self-report.
-
-    Integrates the exact piecewise published reputation against the Normal
-    aggregate density.  The value is independent of the true quality level
-    and scales linearly in ``sigma_prime``, so it is computed in centered
-    coordinates: the aggregate is N(0, sigma_prime^2) and the optimal
-    self-report sits at ``x* = a * sigma_prime * y`` with ``y`` from the
-    band-offset equation.
-    """
-    if sigma_prime <= 0.0:
-        raise ValueError(f"sigma_prime must be positive, got {sigma_prime}")
-    eq = pr_optimal_self_report(0.0, sigma_prime, a)
-    x_star = eq.x_star
-    eps = a * sigma_prime
-    lo, hi = x_star - eps, x_star + eps
-
-    # Below the band the published value is 2*xbar - x*, which stays below
-    # zero there (x* < 2*eps), so the error is x* - 2*xbar.  Against the
-    # Normal density this integrates in closed form.
-    below = x_star * normal_cdf(lo, 0.0, sigma_prime) + 2.0 * sigma_prime**2 * normal_pdf(
-        lo, 0.0, sigma_prime
-    )
-    # Above the band the gap is refunded exactly: published = x*, error x*.
-    above = x_star * (1.0 - normal_cdf(hi, 0.0, sigma_prime))
-
-    # Inside the band the published value is the midpoint (xbar + x*)/2, so
-    # the error |xbar + x*|/2 has a kink at xbar = -x* whenever the band
-    # reaches that far (offset y <= 1/2).
-    def band_error(t: float) -> float:
-        return 0.5 * abs(t + x_star) * normal_pdf(t, 0.0, sigma_prime)
-
-    tol = 1e-11 * sigma_prime
-    if lo < -x_star < hi:
-        band = integrate(band_error, lo, -x_star, tol=tol) + integrate(
-            band_error, -x_star, hi, tol=tol
-        )
-    else:
-        band = integrate(band_error, lo, hi, tol=tol)
-    return below + above + band
 
 
 def pr_mutual_benefit_region(sigma_prime: float, a_grid) -> set:
@@ -255,31 +209,6 @@ def _closed_forms_apply(env: Environment, focal: Agent) -> bool:
 _MC_CHUNK = 1024
 
 
-def _mc_equilibrium_utility(
-    env: Environment, focal_index: int, trials: int, seed: int
-) -> float:
-    """Mean realized utility of one agent under equilibrium play of the
-    scoring mechanism.
-
-    Trials are processed in fixed-size chunks from one substream so memory
-    stays bounded in K and the result is independent of chunk scheduling.
-    """
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    )
-    partials = []
-    done = 0
-    while done < trials:
-        chunk = min(_MC_CHUNK, trials - done)
-        system_obs, cross_obs = sample_observations(env, rng, chunk)
-        selfs, cross = build_messages(env, AS(), cross_obs, rng)
-        reps, taxes = run_batch(AS(), selfs, None, system_obs)
-        utilities = batch_true_utilities(reps, taxes, env)
-        partials.append(float(utilities[:, focal_index].sum()))
-        done += chunk
-    return math.fsum(partials) / trials
-
-
 def _mc_stay_out_utility(
     env: Environment, focal_index: int, trials: int, seed: int
 ) -> float:
@@ -367,7 +296,8 @@ def hetero_truth_participation(
         inflation_sq = math.fsum(_equilibrium_inflation(ag) ** 2 for ag in image_driven)
         u_in = -inflation_sq * (1.0 - 1.0 / (env.k - 1))
     else:
-        u_in = _mc_equilibrium_utility(env, focal_index, trials, seed)
+        stats = run_trials(ScenarioConfig(env, AS(), "equilibrium", trials, seed))
+        u_in = float(stats.per_agent_utility_mean[focal_index])
         u_out = _mc_stay_out_utility(env, focal_index, trials, seed)
     return ParticipationReport(
         u_in=u_in, u_out=u_out, participates=u_in >= u_out, rho=rho, gamma=gamma
@@ -426,7 +356,8 @@ def hetero_image_participation(
         u_out = r
         u_in = x_star - 0.25 + 0.25 * rho
     else:
-        u_in = _mc_equilibrium_utility(env, focal_index, trials, seed)
+        stats = run_trials(ScenarioConfig(env, AS(), "equilibrium", trials, seed))
+        u_in = float(stats.per_agent_utility_mean[focal_index])
         u_out = _mc_stay_out_utility(env, focal_index, trials, seed)
     return ParticipationReport(
         u_in=u_in, u_out=u_out, participates=u_in >= u_out, rho=rho, gamma=gamma

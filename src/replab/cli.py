@@ -667,7 +667,9 @@ def main() -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--trials", type=int, default=None, help="Override the config trial count.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker threads.")
+@click.option(
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads."
+)
 @_guarded
 def cmd_run(config_path, out_dir, seed, trials, workers):
     """Simulate one scenario; write stats.json and per_agent.csv."""
@@ -732,7 +734,7 @@ def cmd_run(config_path, out_dir, seed, trials, workers):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--trials", type=int, default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @_guarded
 def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers):
     """Run a scenario across a parameter grid; write sweep.csv."""

@@ -1,4 +1,4 @@
-"""Domain types: agents, environments, messages, outcomes, mechanism specs.
+"""Domain types: agents, environments, outcomes, mechanism specs, utilities.
 
 The modeling conventions used across the package are fixed here:
 
@@ -26,8 +26,8 @@ The modeling conventions used across the package are fixed here:
   types lambda = 0, mixed types sit strictly between.  f is an even power of
   the absolute error with f(0) = 0; g is concave increasing.
 
-Message profiles, outcomes and mechanism specifications are passive value
-types; the mechanisms that map one to the other live in
+Outcomes and mechanism specifications are passive value types; the
+mechanisms that map batches of reports to outcomes live in
 :mod:`replab.mechanisms`.
 """
 
@@ -57,7 +57,6 @@ __all__ = [
     "AgentType",
     "Agent",
     "Environment",
-    "MessageProfile",
     "Outcome",
     "AS",
     "ExtendedAS",
@@ -67,7 +66,7 @@ __all__ = [
     "WeightedPR",
     "DirectObservation",
     "MechanismSpec",
-    "true_utility",
+    "agent_utility",
     "batch_true_utilities",
     "centralized_solution",
 ]
@@ -114,7 +113,7 @@ class AbsPower:
         if self.p == 1.0:
             return np.abs(d) if isinstance(d, np.ndarray) else abs(d)
         if self.p == 2.0:
-            return d * d if isinstance(d, np.ndarray) else d * d
+            return d * d
         return np.abs(d) ** self.p if isinstance(d, np.ndarray) else abs(d) ** self.p
 
 
@@ -322,54 +321,8 @@ class Environment:
 
 
 # ---------------------------------------------------------------------------
-# Messages and outcomes
+# Outcomes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MessageProfile:
-    """All reports submitted in one round.
-
-    ``self_reports[i]`` is agent i's claim about itself; ``cross_reports[j, i]``
-    is agent j's claim about agent i (row = reporter, column = subject).
-    Mechanisms that ignore peer reports accept ``cross_reports=None``.
-
-    Entries are intentionally *not* forced into [0, 1] here: truthful
-    cross-reports relay raw (unclamped) observations.  Externally supplied
-    profiles can be checked with :meth:`validate_unit_range`.
-    """
-
-    self_reports: np.ndarray
-    cross_reports: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        selfs = np.asarray(self.self_reports, dtype=float)
-        if selfs.ndim != 1 or selfs.shape[0] < 2:
-            raise DimensionMismatch(
-                f"self_reports must be a vector of length >= 2, got shape {selfs.shape}"
-            )
-        object.__setattr__(self, "self_reports", selfs)
-        if self.cross_reports is not None:
-            cross = np.asarray(self.cross_reports, dtype=float)
-            k = selfs.shape[0]
-            if cross.shape != (k, k):
-                raise DimensionMismatch(
-                    f"cross_reports must have shape ({k}, {k}), got {cross.shape}"
-                )
-            object.__setattr__(self, "cross_reports", cross)
-
-    @property
-    def k(self) -> int:
-        return int(self.self_reports.shape[0])
-
-    def validate_unit_range(self) -> None:
-        """Raise ValueError unless every report lies in [0, 1]."""
-        if np.any(self.self_reports < 0.0) or np.any(self.self_reports > 1.0):
-            raise ValueError("self reports outside [0, 1]")
-        if self.cross_reports is not None and (
-            np.any(self.cross_reports < 0.0) or np.any(self.cross_reports > 1.0)
-        ):
-            raise ValueError("cross reports outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -508,30 +461,26 @@ def centralized_solution(env: Environment) -> np.ndarray:
     return qualities / total
 
 
-def true_utility(agent: Agent, outcome: Outcome, env: Environment) -> float:
-    """Realized utility of ``agent`` under ``outcome``.
+def agent_utility(
+    agent: Agent,
+    accuracy: float | np.ndarray,
+    own_reputation: float | np.ndarray,
+    own_tax: float | np.ndarray,
+) -> float | np.ndarray:
+    """The utility formula of the module docstring for one agent.
 
-    Combines the accuracy element (errors of *others'* published reputations
-    against the centralized targets), the image element (own published
-    reputation), and the tax, weighted by the agent's truth weight.
+    ``accuracy`` is the agent's summed accuracy loss over the *other*
+    agents, sum_{j != i} f(|rep_j - target_j|); the arguments may be arrays
+    of any common shape.
     """
-    if outcome.reputations.shape[0] != env.k:
-        raise DimensionMismatch(
-            f"outcome has {outcome.reputations.shape[0]} entries for {env.k} agents"
-        )
-    targets = centralized_solution(env)
-    i = agent.id
     lam = agent.utility.truth_weight
-    errors = np.abs(outcome.reputations - targets)
-    accuracy = float(np.sum(agent.utility.f(errors))) - float(agent.utility.f(errors[i]))
-    image = float(agent.utility.g(float(outcome.reputations[i])))
-    return -lam * accuracy + (1.0 - lam) * image - float(outcome.taxes[i])
+    return -lam * accuracy + (1.0 - lam) * agent.utility.g(own_reputation) - own_tax
 
 
 def batch_true_utilities(
     reputations: np.ndarray, taxes: np.ndarray, env: Environment
 ) -> np.ndarray:
-    """Vectorized :func:`true_utility` over a batch of outcomes.
+    """Realized utilities over a batch of outcomes.
 
     ``reputations`` and ``taxes`` have shape (trials, K); returns (trials, K)
     utilities computed per agent with that agent's own f, g and truth weight.
@@ -544,9 +493,8 @@ def batch_true_utilities(
     errors = np.abs(reputations - targets[None, :])
     out = np.empty_like(reputations)
     for i, agent in enumerate(env.agents):
-        lam = agent.utility.truth_weight
         floss = agent.utility.f(errors)
-        accuracy = floss.sum(axis=1) - floss[:, i]
-        image = agent.utility.g(reputations[:, i])
-        out[:, i] = -lam * accuracy + (1.0 - lam) * image - taxes[:, i]
+        out[:, i] = agent_utility(
+            agent, floss.sum(axis=1) - floss[:, i], reputations[:, i], taxes[:, i]
+        )
     return out

@@ -1,10 +1,9 @@
 """Outcome functions: map one round of messages to reputations and taxes.
 
-Every mechanism here is a deterministic pure function of a message profile and
-a :class:`MechanismContext`.  The context carries the system's own noisy
-observations ``R_0`` (used by the scoring taxes and the averaging aggregates),
-the mechanism parameters, and the aggregate-noise scale ``sigma_prime`` that
-calibrates punish-reward acceptance bands.
+Every mechanism here is a deterministic pure function of the reports, the
+system's own noisy observations ``R_0`` (used by the scoring taxes and the
+averaging aggregates), the mechanism parameters, and the aggregate-noise
+scale ``sigma_prime`` that calibrates punish-reward acceptance bands.
 
 Report-matrix convention: ``cross_reports[j, i]`` is reporter j's claim about
 subject i.  The diagonal is ignored everywhere -- an agent's claim about
@@ -16,14 +15,13 @@ the agents whose own charges do not involve it, so the taxes sum to zero for
 every input.  This identity is the backbone of the test suite.
 
 All kernels are written against batched arrays (a leading trials axis) so the
-Monte Carlo driver can evaluate many rounds in one call; the public
-``run_*`` operations wrap the kernels for a single profile.
+Monte Carlo engine can evaluate many rounds in one call; :func:`run_batch`
+dispatches on the mechanism spec, and a single round is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,8 +33,6 @@ from .core import (
     ExtendedAS,
     FR,
     MechanismSpec,
-    MessageProfile,
-    Outcome,
     PR,
     SimpleAveraging,
     WeightedPR,
@@ -45,15 +41,6 @@ from .core import (
 __all__ = [
     "TooFewAgents",
     "ZeroWeightSum",
-    "MechanismContext",
-    "run_as",
-    "run_extended_as",
-    "run_fr",
-    "run_simple_avg",
-    "run_pr",
-    "run_weighted_pr",
-    "run_direct_observation",
-    "run_mechanism",
     "run_batch",
     "deviation_terms",
 ]
@@ -67,31 +54,6 @@ class ZeroWeightSum(ValueError):
     """Weighted aggregation is undefined because the relevant weights sum to zero."""
 
 
-@dataclass(frozen=True)
-class MechanismContext:
-    """Everything a mechanism needs besides the messages.
-
-    ``system_observations[i]`` is the system's own noisy prior R_0i of agent
-    i's quality.  ``sigma_prime`` is the standard deviation of the averaging
-    aggregate (sigma / sqrt(K) in the homogeneous-noise model) and scales the
-    punish-reward band; mechanisms without a band ignore it.
-    """
-
-    system_observations: np.ndarray
-    spec: MechanismSpec
-    sigma_prime: float = 0.0
-
-    def __post_init__(self) -> None:
-        obs = np.asarray(self.system_observations, dtype=float)
-        if obs.ndim != 1:
-            raise DimensionMismatch(
-                f"system_observations must be a vector, got shape {obs.shape}"
-            )
-        object.__setattr__(self, "system_observations", obs)
-        if not math.isfinite(self.sigma_prime) or self.sigma_prime < 0.0:
-            raise ValueError(f"sigma_prime must be >= 0, got {self.sigma_prime!r}")
-
-
 # ---------------------------------------------------------------------------
 # Batched kernels (trials axis first)
 # ---------------------------------------------------------------------------
@@ -102,15 +64,22 @@ def _colsum_excl_diag(cross: np.ndarray) -> np.ndarray:
     return cross.sum(axis=1) - np.diagonal(cross, axis1=1, axis2=2)
 
 
-def _ring_maps(ring: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Predecessor/successor lookup arrays for a cyclic order."""
-    k = len(ring)
-    pred = np.empty(k, dtype=int)
-    succ = np.empty(k, dtype=int)
-    for pos, agent in enumerate(ring):
-        pred[agent] = ring[(pos - 1) % k]
-        succ[agent] = ring[(pos + 1) % k]
-    return pred, succ
+def _ring_maps(rings: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+    """Trials index and predecessor/successor maps for one cyclic order per row.
+
+    ``rings`` is (B, K) with one visit order per trial, or (1, K) for a
+    fixed ring shared by all trials.  Gathers index the trials axis with the
+    returned index and the agent axes with the maps: a fixed ring gives a
+    slice and (K,) maps, so its gathers stay plain column selections.
+    """
+    rows = np.arange(rings.shape[0])[:, None]
+    pred = np.empty_like(rings)
+    succ = np.empty_like(rings)
+    succ[rows, rings] = np.roll(rings, -1, axis=1)
+    pred[rows, rings] = np.roll(rings, 1, axis=1)
+    if rings.shape[0] == 1:
+        return slice(None), pred[0], succ[0]
+    return rows, pred, succ
 
 
 def _as_kernel(selfs: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,97 +89,64 @@ def _as_kernel(selfs: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return selfs.copy(), taxes
 
 
-def _validation_layer(discrepancy: np.ndarray, succ: np.ndarray, k: int) -> np.ndarray:
+def _validation_layer(
+    discrepancy: np.ndarray, rows: slice | np.ndarray, succ: np.ndarray
+) -> np.ndarray:
     """Charge each agent its discrepancy, redistribute everyone else's.
 
     Agent i receives a 1/(K-2) share of every charge except its own and its
     ring-successor's, which makes the layer sum to zero for any inputs.
     """
+    k = discrepancy.shape[1]
     total = discrepancy.sum(axis=1, keepdims=True)
-    return discrepancy - (total - discrepancy - discrepancy[:, succ]) / (k - 2)
+    return discrepancy - (total - discrepancy - discrepancy[rows, succ]) / (k - 2)
 
 
-def _extended_as_rings(spec: ExtendedAS, k: int) -> tuple[tuple, tuple]:
-    """(pred, succ) maps of the first ring and of the second-layer ring."""
+def _spec_rings(spec: ExtendedAS, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spec's first and second-layer rings as (1, K) rows."""
     ring = spec.ring if spec.ring is not None else tuple(range(k))
     ring2 = spec.second_ring if spec.second_ring is not None else ring
-    return _ring_maps(ring), _ring_maps(ring2)
+    return np.array([ring]), np.array([ring2])
 
 
-def _first_layer_discrepancy(selfs: np.ndarray, cross: np.ndarray, pred: np.ndarray) -> np.ndarray:
+def _first_layer_discrepancy(
+    selfs: np.ndarray, cross: np.ndarray, rows: slice | np.ndarray, pred: np.ndarray
+) -> np.ndarray:
     # Layer 1: each self-report is checked against the ring-predecessor's
     # cross-report about the same subject.
-    return np.abs(selfs - cross[:, pred, np.arange(selfs.shape[1])])
+    return np.abs(selfs - cross[rows, pred, np.arange(selfs.shape[1])])
 
 
-def _second_layer_taxes(cross: np.ndarray, pred2: np.ndarray, succ2: np.ndarray) -> np.ndarray:
+def _second_layer_taxes(cross: np.ndarray, rings2: np.ndarray) -> np.ndarray:
     # Layer 2: each agent's report about its successor is checked against
     # the report the successor's other neighbor made about that subject.
     # It reads cross-reports only.
-    k = cross.shape[1]
-    d2 = np.abs(cross[:, np.arange(k), succ2] - cross[:, pred2, succ2])
-    return _validation_layer(d2, succ2, k)
+    rows, pred2, succ2 = _ring_maps(rings2)
+    reporters = np.arange(cross.shape[1])
+    d2 = np.abs(cross[rows, reporters, succ2] - cross[rows, pred2, succ2])
+    return _validation_layer(d2, rows, succ2)
 
 
 def _extended_as_kernel(
-    selfs: np.ndarray, cross: np.ndarray, spec: ExtendedAS
-) -> tuple[np.ndarray, np.ndarray]:
-    k = selfs.shape[1]
-    (pred, succ), (pred2, succ2) = _extended_as_rings(spec, k)
-    taxes = _validation_layer(_first_layer_discrepancy(selfs, cross, pred), succ, k)
-    if spec.layers == 2:
-        taxes = taxes + _second_layer_taxes(cross, pred2, succ2)
-    return selfs.copy(), taxes
-
-
-def _ring_maps_per_trial(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predecessor/successor matrices for one permutation per trial.
-
-    ``rings`` holds one visit order per row; the returned (B, K) arrays map
-    agent index to its neighbor within that row's cycle.
-    """
-    rows = np.arange(rings.shape[0])[:, None]
-    pred = np.empty_like(rings)
-    succ = np.empty_like(rings)
-    succ[rows, rings] = np.roll(rings, -1, axis=1)
-    pred[rows, rings] = np.roll(rings, 1, axis=1)
-    return pred, succ
-
-
-def _validation_layer_per_trial(
-    discrepancy: np.ndarray, succ: np.ndarray, k: int
-) -> np.ndarray:
-    """`_validation_layer` with a different successor map on every trial."""
-    total = discrepancy.sum(axis=1, keepdims=True)
-    d_succ = np.take_along_axis(discrepancy, succ, axis=1)
-    return discrepancy - (total - discrepancy - d_succ) / (k - 2)
-
-
-def _extended_as_per_trial_rings(
     selfs: np.ndarray,
     cross: np.ndarray,
     rings1: np.ndarray,
     rings2: np.ndarray | None,
     layers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validation taxes when the ring order is redrawn every trial.
+    """Ring-validation taxes for (B, K) per-trial rings or (1, K) fixed ones.
 
-    Same per-trial arithmetic as `_extended_as_kernel`, but the neighbor
-    maps are (B, K) gathers instead of fixed index vectors, so cliques
-    cannot position themselves around a known ring.
+    Rings redrawn every trial keep cliques from positioning themselves
+    around a known ring; ``rings2`` is read only when ``layers == 2``.
     """
-    batch, k = selfs.shape
+    k = selfs.shape[1]
     if k < 3:
         raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
-    rows = np.arange(batch)[:, None]
-    cols = np.arange(k)[None, :]
-    pred1, succ1 = _ring_maps_per_trial(rings1)
-    d1 = np.abs(selfs - cross[rows, pred1, cols])
-    taxes = _validation_layer_per_trial(d1, succ1, k)
+    rows, pred1, succ1 = _ring_maps(rings1)
+    d1 = _first_layer_discrepancy(selfs, cross, rows, pred1)
+    taxes = _validation_layer(d1, rows, succ1)
     if layers == 2:
-        pred2, succ2 = _ring_maps_per_trial(rings1 if rings2 is None else rings2)
-        d2 = np.abs(cross[rows, cols, succ2] - cross[rows, pred2, succ2])
-        taxes = taxes + _validation_layer_per_trial(d2, succ2, k)
+        taxes = taxes + _second_layer_taxes(cross, rings2)
     return selfs.copy(), taxes
 
 
@@ -279,18 +215,23 @@ def run_batch(
 
     Arrays carry a leading trials axis: ``self_reports`` (trials, K),
     ``cross_reports`` (trials, K, K), ``system_obs`` (trials, K).  Arguments a
-    mechanism does not use may be None.  Returns (reputations, taxes), each
-    (trials, K).
+    mechanism does not use may be None; the supplied ones must agree on
+    trials and K, and ``sigma_prime`` must be finite and >= 0.  Returns
+    (reputations, taxes), each (trials, K).
     """
-    k = None
-    for arr in (self_reports, system_obs):
-        if arr is not None:
-            k = arr.shape[1]
-            break
-    if k is None and cross_reports is not None:
-        k = cross_reports.shape[1]
-    if k is None:
-        raise DimensionMismatch("no report arrays supplied")
+    if not math.isfinite(sigma_prime) or sigma_prime < 0.0:
+        raise ValueError(f"sigma_prime must be finite and >= 0, got {sigma_prime!r}")
+    first = next((a for a in (self_reports, system_obs, cross_reports) if a is not None), None)
+    if first is None or first.ndim < 2:
+        raise DimensionMismatch("need report arrays with a leading trials axis")
+    trials, k = first.shape[:2]
+    for name, arr, shape in (
+        ("self_reports", self_reports, (trials, k)),
+        ("cross_reports", cross_reports, (trials, k, k)),
+        ("system_obs", system_obs, (trials, k)),
+    ):
+        if arr is not None and arr.shape != shape:
+            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
 
     def need(name: str, arr: np.ndarray | None) -> np.ndarray:
         if arr is None:
@@ -302,13 +243,14 @@ def run_batch(
             raise TooFewAgents(f"absolute scoring needs K >= 2, got {k}")
         return _as_kernel(need("self_reports", self_reports), need("system_obs", system_obs))
     if isinstance(spec, ExtendedAS):
-        if k < 3:
-            raise TooFewAgents(f"extended scoring needs K >= 3, got {k}")
         for ring in (spec.ring, spec.second_ring):
             if ring is not None and len(ring) != k:
                 raise DimensionMismatch(f"ring covers {len(ring)} agents, profile has {k}")
         return _extended_as_kernel(
-            need("self_reports", self_reports), need("cross_reports", cross_reports), spec
+            need("self_reports", self_reports),
+            need("cross_reports", cross_reports),
+            *_spec_rings(spec, k),
+            spec.layers,
         )
     if isinstance(spec, FR):
         return _fr_kernel(need("self_reports", self_reports))
@@ -387,13 +329,14 @@ def deviation_terms(
         prior = system_obs[:, i]
         return reps, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
     if isinstance(spec, ExtendedAS):
-        (pred, succ), (pred2, succ2) = _extended_as_rings(spec, k)
-        d1 = _first_layer_discrepancy(self_reports, cross_reports, pred)
+        rings1, rings2 = _spec_rings(spec, k)
+        ring_rows, pred, succ = _ring_maps(rings1)
+        d1 = _first_layer_discrepancy(self_reports, cross_reports, ring_rows, pred)
         rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
         peer = cross_reports[:, pred[i], i]
         layer2 = np.zeros(reps.shape[0])
         if spec.layers == 2:
-            layer2 = _second_layer_taxes(cross_reports, pred2, succ2)[:, i]
+            layer2 = _second_layer_taxes(cross_reports, rings2)[:, i]
 
         def move_validated(x: np.ndarray, rows: slice) -> tuple:
             return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None
@@ -431,99 +374,3 @@ def deviation_terms(
         eps = spec.a * sigma_prime
         return reps, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)
     raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
-
-
-# ---------------------------------------------------------------------------
-# Single-profile operations
-# ---------------------------------------------------------------------------
-
-
-def _single(
-    spec: MechanismSpec, msgs: MessageProfile | None, ctx: MechanismContext
-) -> Outcome:
-    selfs = None
-    cross = None
-    if msgs is not None:
-        if msgs.k != ctx.system_observations.shape[0]:
-            raise DimensionMismatch(
-                f"profile has {msgs.k} agents, context observes {ctx.system_observations.shape[0]}"
-            )
-        selfs = msgs.self_reports[None, :]
-        if msgs.cross_reports is not None:
-            cross = msgs.cross_reports[None, :, :]
-    reps, taxes = run_batch(
-        spec, selfs, cross, ctx.system_observations[None, :], ctx.sigma_prime
-    )
-    return Outcome(reputations=reps[0], taxes=taxes[0])
-
-
-def run_as(msgs: MessageProfile, ctx: MechanismContext) -> Outcome:
-    """Absolute scoring: publish self-reports, tax squared gaps to the prior.
-
-    t_i = (x_ii - R_0i)^2 - (1/(K-1)) * sum_{j != i} (x_jj - R_0j)^2; the taxes
-    sum to zero for every profile.
-    """
-    return _single(AS(), msgs, ctx)
-
-
-def run_extended_as(msgs: MessageProfile, ctx: MechanismContext) -> Outcome:
-    """Ring-validated scoring (1 or 2 tax layers); spec comes from the context.
-
-    Layer 1 charges |x_ii - x_{pred(i),i}| and redistributes every charge in
-    equal 1/(K-2) shares to the agents not involved in it; layer 2 repeats the
-    pattern on each agent's report about its ring successor.  Needs K >= 3.
-    """
-    spec = ctx.spec if isinstance(ctx.spec, ExtendedAS) else ExtendedAS()
-    return _single(spec, msgs, ctx)
-
-
-def run_fr(msgs: MessageProfile, ctx: MechanismContext) -> Outcome:
-    """Share-of-total reputations from self-reports alone; no taxes.
-
-    An all-zero profile degenerates to the uniform vector 1/K.
-    """
-    return _single(FR(), msgs, ctx)
-
-
-def run_simple_avg(msgs: MessageProfile, ctx: MechanismContext) -> Outcome:
-    """Average the K-1 peer reports with the system prior; no taxes."""
-    return _single(SimpleAveraging(), msgs, ctx)
-
-
-def run_pr(msgs: MessageProfile, ctx: MechanismContext) -> Outcome:
-    """Punish-reward averaging.
-
-    The aggregate xbar_0i mixes the K-1 peer reports with the system prior.
-    A self-report inside the closed band [xbar-eps, xbar+eps] (eps = a*sigma')
-    is rewarded with the midpoint (xbar + x_ii)/2; outside it the published
-    value is pushed away to xbar - |xbar - x_ii|.  Punishment never rewards:
-    the output never exceeds xbar + eps.
-    """
-    spec = ctx.spec if isinstance(ctx.spec, PR) else PR()
-    return _single(spec, msgs, ctx)
-
-
-def run_weighted_pr(msgs: MessageProfile, ctx: MechanismContext) -> Outcome:
-    """Punish-reward on a weighted peer aggregate (system prior not mixed in).
-
-    Each subject's aggregate is sum_j w_j x_ji / sum_j w_j over the *other*
-    agents j.  Raises :class:`ZeroWeightSum` when a subject's usable weights
-    vanish.
-    """
-    if not isinstance(ctx.spec, WeightedPR):
-        raise TypeError("run_weighted_pr needs a WeightedPR spec in the context")
-    return _single(ctx.spec, msgs, ctx)
-
-
-def run_direct_observation(ctx: MechanismContext) -> Outcome:
-    """Baseline without any reporting: publish the system's own observations."""
-    return _single(DirectObservation(), None, ctx)
-
-
-def run_mechanism(msgs: MessageProfile | None, ctx: MechanismContext) -> Outcome:
-    """Dispatch on the context's mechanism spec."""
-    if isinstance(ctx.spec, DirectObservation):
-        return run_direct_observation(ctx)
-    if msgs is None:
-        raise DimensionMismatch(f"{type(ctx.spec).__name__} requires a message profile")
-    return _single(ctx.spec, msgs, ctx)

@@ -1,12 +1,15 @@
 """Seeded Monte Carlo engine for configured reporting scenarios.
 
-Trials are processed in fixed batches of 1024.  Batch ``b`` draws from
+Every simulated result goes through :func:`simulate`.  Trials are processed
+in fixed batches of 1024.  Batch ``b`` draws from
 ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` and its
-draw order is fixed: system observations, then cross observations, then
-per-agent message randomness in agent order, then any scenario extras
-(validation rings, one layer at a time).  Worker threads may compute
-batches in any order; partial sums are reduced in batch order with
-compensated summation, so results are byte-identical for any worker count.
+draw order is fixed: system observations, then cross observations (both in
+``sample_observations``), then per-agent message randomness in agent order
+(``build_messages``), then the mechanism's own draws (the collusion
+scenario's secret validation rings, one layer at a time); the caller's
+reducer then condenses the batch.  Worker threads may compute batches in
+any order; partial results are reduced in batch order with compensated
+summation, so results are byte-identical for any worker count.
 
 Strategy constants are resolved once per scenario (they depend on the
 observation distributions, not on samples); only uniform-random reporters
@@ -19,13 +22,13 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .analysis import pr_mae
 from .core import (
     AS,
+    Agent,
     Colluder,
     Environment,
     ExtendedAS,
@@ -39,13 +42,14 @@ from .core import (
     centralized_solution,
 )
 from .numerics import NormalParams
-from .mechanisms import TooFewAgents, _extended_as_per_trial_rings, run_batch
+from .mechanisms import _extended_as_kernel, run_batch
 from .strategies import (
     UnsupportedCombination,
     _equilibrium_self_report,
     aggregate_sigma_prime,
     build_messages,
     expected_pr_reputation,
+    pr_mae,
     pr_optimal_self_report,
     sample_observations,
 )
@@ -55,6 +59,7 @@ __all__ = [
     "UnsupportedCombination",
     "ScenarioConfig",
     "SimStats",
+    "simulate",
     "run_trials",
     "sweep",
     "run_collusion_scenario",
@@ -164,14 +169,6 @@ def _map_batches(worker, plan, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def _column_sums(partials: list[dict], key: str) -> np.ndarray:
-    """fsum per component over a list of per-batch vectors, in batch order."""
-    stacked = np.stack([p[key] for p in partials])
-    return np.array(
-        [math.fsum(stacked[:, j].tolist()) for j in range(stacked.shape[1])]
-    )
-
-
 def _resolve_strategy_overrides(
     env: Environment,
     mechanism: MechanismSpec,
@@ -200,59 +197,108 @@ def _resolve_strategy_overrides(
 
 
 # ---------------------------------------------------------------------------
-# Core scenario runner
+# The engine
 # ---------------------------------------------------------------------------
 
 
-def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
-    """Simulate the configured scenario and aggregate outcome statistics.
+class _SecretRings(ExtendedAS):
+    """Ring validation whose rings are redrawn secretly on every trial."""
 
-    Deterministic for a fixed config: the per-batch substream split makes
+
+def _combine(key: str, values: list) -> float | np.ndarray:
+    """Reduce one reducer entry over the batches, in batch order."""
+    if key.endswith("_max"):
+        return max(values)
+    if isinstance(values[0], np.ndarray):
+        return np.array([math.fsum(column) for column in np.stack(values).T.tolist()])
+    return math.fsum(values)
+
+
+def simulate(
+    env: Environment,
+    mechanism: MechanismSpec,
+    trials: int,
+    seed: int,
+    reduce: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], dict],
+    workers: int = 1,
+    *,
+    strategy_mode: str | Mapping[int, float] = "equilibrium",
+) -> dict:
+    """Simulate ``trials`` rounds and total what ``reduce`` extracts from them.
+
+    ``reduce(system_obs, self_reports, reputations, taxes)`` sees one batch,
+    each array (batch, K), and returns a dict of floats and vectors.  Every
+    entry is summed over the batches, vectors per component, in batch order
+    with ``math.fsum``; entries whose key ends in ``_max`` take the maximum
+    instead.  ``strategy_mode`` is as in :class:`ScenarioConfig`.
+    Deterministic for fixed arguments: the per-batch substream split makes
     the worker count irrelevant to the result.
     """
-    env, mechanism = config.env, config.mechanism
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sigma_prime = aggregate_sigma_prime(env)
-    overrides = _resolve_strategy_overrides(
-        env, mechanism, sigma_prime, config.strategy_mode
-    )
-    targets = centralized_solution(env)
+    overrides = _resolve_strategy_overrides(env, mechanism, sigma_prime, strategy_mode)
 
     def one_batch(batch_index: int, size: int) -> dict:
-        rng = _batch_rng(config.seed, batch_index)
+        rng = _batch_rng(seed, batch_index)
         system_obs, cross_obs = sample_observations(env, rng, size)
         selfs, cross = build_messages(
             env, mechanism, cross_obs, rng, sigma_prime, self_overrides=overrides
         )
-        reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
+        if isinstance(mechanism, _SecretRings):
+            base = np.broadcast_to(np.arange(env.k), selfs.shape)
+            rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+            reps, taxes = _extended_as_kernel(selfs, cross, rings[0], rings[-1], mechanism.layers)
+        else:
+            reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
+        return reduce(system_obs, selfs, reps, taxes)
+
+    partials = _map_batches(one_batch, _batch_plan(trials), workers)
+    return {key: _combine(key, [p[key] for p in partials]) for key in partials[0]}
+
+
+def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
+    """Simulate the configured scenario and aggregate outcome statistics."""
+    env = config.env
+    targets = centralized_solution(env)
+
+    def reduce(system_obs, selfs, reps, taxes) -> dict:
         mae = np.abs(reps - targets[None, :]).sum(axis=1)
         budgets = taxes.sum(axis=1)
-        utilities = batch_true_utilities(reps, taxes, env)
         return {
-            "mae_sum": float(mae.sum()),
-            "mae_sq_sum": float((mae * mae).sum()),
-            "rep_sums": reps.sum(axis=0),
-            "util_sums": utilities.sum(axis=0),
-            "budget_sum": float(budgets.sum()),
-            "budget_max_abs": float(np.abs(budgets).max()),
+            "mae": float(mae.sum()),
+            "mae_sq": float((mae * mae).sum()),
+            "reps": reps.sum(axis=0),
+            "utils": batch_true_utilities(reps, taxes, env).sum(axis=0),
+            "budget": float(budgets.sum()),
+            "budget_abs_max": float(np.abs(budgets).max()),
         }
 
-    partials = _map_batches(one_batch, _batch_plan(config.trials), workers)
+    totals = simulate(
+        env,
+        config.mechanism,
+        config.trials,
+        config.seed,
+        reduce,
+        workers,
+        strategy_mode=config.strategy_mode,
+    )
     t = config.trials
-    mae_sum = math.fsum(p["mae_sum"] for p in partials)
-    mae_sq_sum = math.fsum(p["mae_sq_sum"] for p in partials)
-    mae_mean = mae_sum / t
+    mae_mean = totals["mae"] / t
     if t > 1:
-        variance = max(0.0, (mae_sq_sum - t * mae_mean * mae_mean) / (t - 1))
+        variance = max(0.0, (totals["mae_sq"] - t * mae_mean * mae_mean) / (t - 1))
         mae_stderr = math.sqrt(variance / t)
     else:
         mae_stderr = 0.0
     return SimStats(
         mae_mean=mae_mean,
         mae_stderr=mae_stderr,
-        per_agent_reputation_mean=_column_sums(partials, "rep_sums") / t,
-        per_agent_utility_mean=_column_sums(partials, "util_sums") / t,
-        budget_mean=math.fsum(p["budget_sum"] for p in partials) / t,
-        budget_max_abs=max(p["budget_max_abs"] for p in partials),
+        per_agent_reputation_mean=totals["reps"] / t,
+        per_agent_utility_mean=totals["utils"] / t,
+        budget_mean=totals["budget"] / t,
+        budget_max_abs=totals["budget_abs_max"],
         trials=t,
     )
 
@@ -287,6 +333,15 @@ def _with_sigma(config: ScenarioConfig, sigma: float) -> ScenarioConfig:
     return dataclasses.replace(config, env=new_env)
 
 
+def _driven(agent: Agent, truth: bool) -> Agent:
+    """``agent`` as a truth-driven (weight 1) or image-driven (weight 0) type."""
+    return dataclasses.replace(
+        agent,
+        agent_type=Truth() if truth else Image(),
+        utility=dataclasses.replace(agent.utility, truth_weight=1.0 if truth else 0.0),
+    )
+
+
 def _with_rho(config: ScenarioConfig, rho: float) -> ScenarioConfig:
     """Image-driven fraction: the last round(rho*(K-1)) agents become
     image-driven (truth weight 0), everyone else truth-driven."""
@@ -294,24 +349,7 @@ def _with_rho(config: ScenarioConfig, rho: float) -> ScenarioConfig:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     env = config.env
     n_image = round(rho * (env.k - 1))
-    agents = []
-    for i, agent in enumerate(env.agents):
-        if i >= env.k - n_image:
-            agents.append(
-                dataclasses.replace(
-                    agent,
-                    agent_type=Image(),
-                    utility=dataclasses.replace(agent.utility, truth_weight=0.0),
-                )
-            )
-        else:
-            agents.append(
-                dataclasses.replace(
-                    agent,
-                    agent_type=Truth(),
-                    utility=dataclasses.replace(agent.utility, truth_weight=1.0),
-                )
-            )
+    agents = [_driven(agent, i < env.k - n_image) for i, agent in enumerate(env.agents)]
     return dataclasses.replace(
         config, env=dataclasses.replace(env, agents=tuple(agents))
     )
@@ -392,13 +430,7 @@ def _retype_clique(env: Environment, clique: set[int], honest: bool) -> Environm
     for agent in env.agents:
         if agent.id in clique:
             if honest:
-                agents.append(
-                    dataclasses.replace(
-                        agent,
-                        agent_type=Truth(),
-                        utility=dataclasses.replace(agent.utility, truth_weight=1.0),
-                    )
-                )
+                agents.append(_driven(agent, True))
             elif isinstance(agent.agent_type, Colluder):
                 agents.append(agent)
             else:
@@ -410,72 +442,6 @@ def _retype_clique(env: Environment, clique: set[int], honest: bool) -> Environm
         else:
             agents.append(agent)
     return dataclasses.replace(env, agents=tuple(agents))
-
-
-def _run_ring_arm(
-    env: Environment,
-    clique: set[int],
-    layers: int,
-    trials: int,
-    seed: int,
-    workers: int,
-) -> dict:
-    """One treatment arm under ring validation with per-trial secret rings."""
-    mechanism = ExtendedAS(layers=layers)
-    sigma_prime = aggregate_sigma_prime(env)
-    overrides = _resolve_strategy_overrides(env, mechanism, sigma_prime, "equilibrium")
-    targets = centralized_solution(env)
-    outsiders = np.array(
-        [i for i, agent in enumerate(env.agents) if agent.id not in clique], dtype=int
-    )
-    members = np.array(
-        [i for i, agent in enumerate(env.agents) if agent.id in clique], dtype=int
-    )
-    base = np.arange(env.k)
-
-    def one_batch(batch_index: int, size: int) -> dict:
-        rng = _batch_rng(seed, batch_index)
-        _, cross_obs = sample_observations(env, rng, size)
-        selfs, cross = build_messages(
-            env, mechanism, cross_obs, rng, sigma_prime, self_overrides=overrides
-        )
-        rings1 = rng.permuted(np.broadcast_to(base, (size, env.k)), axis=1)
-        rings2 = (
-            rng.permuted(np.broadcast_to(base, (size, env.k)), axis=1)
-            if layers == 2
-            else None
-        )
-        reps, taxes = _extended_as_per_trial_rings(selfs, cross, rings1, rings2, layers)
-        utilities = batch_true_utilities(reps, taxes, env)
-        mae = np.abs(reps - targets[None, :]).sum(axis=1)
-        outsider_mae = np.abs(reps[:, outsiders] - targets[None, outsiders]).sum(axis=1)
-        budgets = taxes.sum(axis=1)
-        return {
-            "mae_sum": float(mae.sum()),
-            "outsider_mae_sum": float(outsider_mae.sum()),
-            "clique_util_sum": float(utilities[:, members].sum()),
-            "clique_tax_sum": float(taxes[:, members].sum()),
-            "budget_max_abs": float(np.abs(budgets).max()),
-        }
-
-    partials = _map_batches(one_batch, _batch_plan(trials), workers)
-    n_members = len(members)
-    return {
-        "layers": layers,
-        "mae": math.fsum(p["mae_sum"] for p in partials) / trials,
-        "outsider_mae": math.fsum(p["outsider_mae_sum"] for p in partials) / trials,
-        "clique_utility": (
-            math.fsum(p["clique_util_sum"] for p in partials) / (trials * n_members)
-            if n_members
-            else None
-        ),
-        "clique_tax": (
-            math.fsum(p["clique_tax_sum"] for p in partials) / (trials * n_members)
-            if n_members
-            else None
-        ),
-        "budget_max_abs": max(p["budget_max_abs"] for p in partials),
-    }
 
 
 def run_collusion_scenario(
@@ -497,8 +463,6 @@ def run_collusion_scenario(
     """
     if layers not in (1, 2):
         raise ValueError(f"layers must be 1 or 2, got {layers}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     ids = {agent.id for agent in env.agents}
     clique = set(clique)
     unknown = clique - ids
@@ -509,8 +473,38 @@ def run_collusion_scenario(
             f"a clique of {len(clique)} in a population of {env.k} leaves "
             "fewer than two honest outsiders to validate against"
         )
-    if env.k < 3:
-        raise TooFewAgents(f"ring validation needs at least 3 agents, got {env.k}")
+
+    targets = centralized_solution(env)
+    members = np.array([i for i, a in enumerate(env.agents) if a.id in clique], dtype=int)
+    outsiders = np.array(
+        [i for i, a in enumerate(env.agents) if a.id not in clique], dtype=int
+    )
+
+    def arm(arm_env: Environment, n_layers: int) -> dict:
+        def reduce(system_obs, selfs, reps, taxes) -> dict:
+            mae = np.abs(reps - targets[None, :]).sum(axis=1)
+            outsider_mae = np.abs(reps[:, outsiders] - targets[None, outsiders]).sum(axis=1)
+            utilities = batch_true_utilities(reps, taxes, arm_env)
+            return {
+                "mae": float(mae.sum()),
+                "outsider_mae": float(outsider_mae.sum()),
+                "clique_utility": float(utilities[:, members].sum()),
+                "clique_tax": float(taxes[:, members].sum()),
+                "budget_abs_max": float(np.abs(taxes.sum(axis=1)).max()),
+            }
+
+        totals = simulate(
+            arm_env, _SecretRings(layers=n_layers), trials, seed, reduce, workers
+        )
+        per_member = trials * members.size
+        return {
+            "layers": n_layers,
+            "mae": totals["mae"] / trials,
+            "outsider_mae": totals["outsider_mae"] / trials,
+            "clique_utility": totals["clique_utility"] / per_member if per_member else None,
+            "clique_tax": totals["clique_tax"] / per_member if per_member else None,
+            "budget_max_abs": totals["budget_abs_max"],
+        }
 
     manipulated = _retype_clique(env, clique, honest=False)
     honest = _retype_clique(env, clique, honest=True)
@@ -521,10 +515,8 @@ def run_collusion_scenario(
         "seed": seed,
     }
     for n_layers, key in ((1, "one_layer"), (2, "two_layer")):
-        record[key] = _run_ring_arm(manipulated, clique, n_layers, trials, seed, workers)
-        record[key + "_honest"] = _run_ring_arm(
-            honest, clique, n_layers, trials, seed, workers
-        )
+        record[key] = arm(manipulated, n_layers)
+        record[key + "_honest"] = arm(honest, n_layers)
     return record
 
 
@@ -546,48 +538,8 @@ def _retype_slots(env: Environment, slots: set[int], kind: str) -> Environment:
                     dataclasses.replace(agent, agent_type=MaliciousRandom(0.0, 1.0))
                 )
         else:
-            agents.append(
-                dataclasses.replace(
-                    agent,
-                    agent_type=Image(),
-                    utility=dataclasses.replace(agent.utility, truth_weight=0.0),
-                )
-            )
+            agents.append(_driven(agent, False))
     return dataclasses.replace(env, agents=tuple(agents))
-
-
-def _run_as_arm(
-    env: Environment, charge_slots: np.ndarray, trials: int, seed: int, workers: int
-) -> tuple[float, float | None]:
-    """Scoring-mechanism arm: (mae_mean, mean own charge over charge_slots)."""
-    mechanism = AS()
-    sigma_prime = aggregate_sigma_prime(env)
-    overrides = _resolve_strategy_overrides(env, mechanism, sigma_prime, "equilibrium")
-    targets = centralized_solution(env)
-
-    def one_batch(batch_index: int, size: int) -> dict:
-        rng = _batch_rng(seed, batch_index)
-        system_obs, cross_obs = sample_observations(env, rng, size)
-        selfs, cross = build_messages(
-            env, mechanism, cross_obs, rng, sigma_prime, self_overrides=overrides
-        )
-        reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
-        mae = np.abs(reps - targets[None, :]).sum(axis=1)
-        charges = (
-            float(((selfs[:, charge_slots] - system_obs[:, charge_slots]) ** 2).sum())
-            if charge_slots.size
-            else 0.0
-        )
-        return {"mae_sum": float(mae.sum()), "charge_sum": charges}
-
-    partials = _map_batches(one_batch, _batch_plan(trials), workers)
-    mae_mean = math.fsum(p["mae_sum"] for p in partials) / trials
-    own_charge = (
-        math.fsum(p["charge_sum"] for p in partials) / (trials * charge_slots.size)
-        if charge_slots.size
-        else None
-    )
-    return mae_mean, own_charge
 
 
 def run_malicious_scenario(
@@ -605,29 +557,41 @@ def run_malicious_scenario(
     also carries the malicious agents' mean own validation charge
     (self-report versus the system observation, before redistribution).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     ids = {agent.id for agent in env.agents}
     malicious = set(malicious)
     unknown = malicious - ids
     if unknown:
         raise ValueError(f"malicious set names unknown agents {sorted(unknown)}")
 
+    targets = centralized_solution(env)
     slot_idx = np.array(
         [i for i, agent in enumerate(env.agents) if agent.id in malicious], dtype=int
     )
-    malicious_env = _retype_slots(env, malicious, "malicious")
-    image_env = _retype_slots(env, malicious, "image")
 
-    malicious_mae, own_charge = _run_as_arm(malicious_env, slot_idx, trials, seed, workers)
-    image_mae, _ = _run_as_arm(image_env, slot_idx, trials, seed, workers)
-    baseline_mae, _ = _run_as_arm(env, np.array([], dtype=int), trials, seed, workers)
+    def arm(arm_env: Environment, charged: bool) -> dict:
+        """Scoring-mechanism arm: summed error, plus the slots' own charges."""
+
+        def reduce(system_obs, selfs, reps, taxes) -> dict:
+            sums = {"mae": float(np.abs(reps - targets[None, :]).sum(axis=1).sum())}
+            if charged:
+                gaps = selfs[:, slot_idx] - system_obs[:, slot_idx]
+                sums["charge"] = float((gaps**2).sum())
+            return sums
+
+        return simulate(arm_env, AS(), trials, seed, reduce, workers)
+
+    charged = slot_idx.size > 0
+    malicious_arm = arm(_retype_slots(env, malicious, "malicious"), charged)
+    image_arm = arm(_retype_slots(env, malicious, "image"), False)
+    baseline_arm = arm(env, False)
     return {
         "malicious": sorted(malicious),
         "trials": trials,
         "seed": seed,
-        "malicious_mae": malicious_mae,
-        "image_mae": image_mae,
-        "baseline_mae": baseline_mae,
-        "malicious_own_charge": own_charge,
+        "malicious_mae": malicious_arm["mae"] / trials,
+        "image_mae": image_arm["mae"] / trials,
+        "baseline_mae": baseline_arm["mae"] / trials,
+        "malicious_own_charge": (
+            malicious_arm["charge"] / (trials * slot_idx.size) if charged else None
+        ),
     }

@@ -55,6 +55,7 @@ from .core import (
     SimpleAveraging,
     Truth,
     WeightedPR,
+    agent_utility,
     centralized_solution,
 )
 from .mechanisms import deviation_terms, run_batch
@@ -65,6 +66,7 @@ from .numerics import (
     find_root,
     integrate,
     normal_cdf,
+    normal_pdf,
 )
 
 __all__ = [
@@ -75,6 +77,7 @@ __all__ = [
     "expected_pr_reputation",
     "expected_pr_reputation_grid",
     "pr_optimal_self_report",
+    "pr_mae",
     "image_best_response_as",
     "mixed_best_response_as",
     "aggregate_sigma_prime",
@@ -238,6 +241,49 @@ def pr_optimal_self_report(mu: float, sigma_prime: float, a: float) -> PrEquilib
         raise ValueError(f"sigma_prime must be positive, got {sigma_prime!r}")
     y = solve_y(a)
     return PrEquilibrium(a=a, y=y, x_star=mu + a * sigma_prime * y)
+
+
+def pr_mae(a: float, sigma_prime: float) -> float:
+    """Expected |published - true| under the punish-reward rule at the
+    sender's optimal self-report.
+
+    Integrates the exact piecewise published reputation against the Normal
+    aggregate density.  The value is independent of the true quality level
+    and scales linearly in ``sigma_prime``, so it is computed in centered
+    coordinates: the aggregate is N(0, sigma_prime^2) and the optimal
+    self-report sits at ``x* = a * sigma_prime * y`` with ``y`` from the
+    band-offset equation.
+    """
+    if sigma_prime <= 0.0:
+        raise ValueError(f"sigma_prime must be positive, got {sigma_prime}")
+    eq = pr_optimal_self_report(0.0, sigma_prime, a)
+    x_star = eq.x_star
+    eps = a * sigma_prime
+    lo, hi = x_star - eps, x_star + eps
+
+    # Below the band the published value is 2*xbar - x*, which stays below
+    # zero there (x* < 2*eps), so the error is x* - 2*xbar.  Against the
+    # Normal density this integrates in closed form.
+    below = x_star * normal_cdf(lo, 0.0, sigma_prime) + 2.0 * sigma_prime**2 * normal_pdf(
+        lo, 0.0, sigma_prime
+    )
+    # Above the band the gap is refunded exactly: published = x*, error x*.
+    above = x_star * (1.0 - normal_cdf(hi, 0.0, sigma_prime))
+
+    # Inside the band the published value is the midpoint (xbar + x*)/2, so
+    # the error |xbar + x*|/2 has a kink at xbar = -x* whenever the band
+    # reaches that far (offset y <= 1/2).
+    def band_error(t: float) -> float:
+        return 0.5 * abs(t + x_star) * normal_pdf(t, 0.0, sigma_prime)
+
+    tol = 1e-11 * sigma_prime
+    if lo < -x_star < hi:
+        band = integrate(band_error, lo, -x_star, tol=tol) + integrate(
+            band_error, -x_star, hi, tol=tol
+        )
+    else:
+        band = integrate(band_error, lo, hi, tol=tol)
+    return below + above + band
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +484,10 @@ class DeviationReport:
     improvement of the best grid point over the claimed report;
     ``gain_stderr`` is the standard error of that paired difference.  The
     deviation counts as profitable only when it clears both the grid
-    resolution and three standard errors.
+    resolution and three standard errors, and exceeds a floor of 1e-12
+    times the larger utility magnitude (at least 1): a report that moves
+    nothing the deviator values leaves only rounding noise in the gain,
+    and that noise can clear three standard errors of itself.
     """
 
     agent_index: int
@@ -452,25 +501,11 @@ class DeviationReport:
 
     @property
     def profitable(self) -> bool:
+        floor = 1e-12 * max(1.0, abs(self.claimed_mean), abs(self.best_mean))
         return (
             abs(self.best - self.claimed) > self.grid_step + 1e-12
-            and self.gain > 3.0 * self.gain_stderr
+            and self.gain > max(3.0 * self.gain_stderr, floor)
         )
-
-
-def _deviator_utility(
-    agent: Agent,
-    reps: np.ndarray,
-    taxes: np.ndarray,
-    targets: np.ndarray,
-) -> np.ndarray:
-    """Per-trial utility of one agent given batched outcomes."""
-    i = agent.id
-    lam = agent.utility.truth_weight
-    floss = agent.utility.f(np.abs(reps - targets[None, :]))
-    accuracy = floss.sum(axis=1) - floss[:, i]
-    image = agent.utility.g(reps[:, i])
-    return -lam * accuracy + (1.0 - lam) * image - taxes[:, i]
 
 
 def _resolve_profile(
@@ -557,8 +592,7 @@ def _grid_means(
     when a single point does not fit, the trials are split as well.
     """
     i = agent.id
-    lam = agent.utility.truth_weight
-    f, g = agent.utility.f, agent.utility.g
+    f = agent.utility.f
     reps, move = deviation_terms(mechanism, draw.selfs, draw.cross, draw.r0, sigma_prime, i)
     trials, k = reps.shape
     base_floss = f(np.abs(reps - targets[None, :]))
@@ -576,7 +610,7 @@ def _grid_means(
             else:
                 floss = f(np.abs(moved - targets[:, None, None]))
                 accuracy = floss.sum(axis=0) - floss[i]
-            utils = -lam * accuracy + (1.0 - lam) * g(own_rep) - own_tax
+            utils = agent_utility(agent, accuracy, own_rep, own_tax)
             sums[start : start + points] += utils.sum(axis=1)
     return sums / trials
 
@@ -603,7 +637,8 @@ def _deviation_utilities(
         selfs = selfs.copy()
         selfs[:, i] = value
     reps, taxes = run_batch(mechanism, selfs, cross, draw.r0, sigma_prime)
-    return _deviator_utility(agent, reps, taxes, targets)
+    floss = agent.utility.f(np.abs(reps - targets[None, :]))
+    return agent_utility(agent, floss.sum(axis=1) - floss[:, i], reps[:, i], taxes[:, i])
 
 
 def deviation_report(

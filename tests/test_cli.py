@@ -156,6 +156,21 @@ def test_worker_count_does_not_change_output_bytes(runner, tmp_path):
     assert _read_bytes(out_a) == _read_bytes(out_b)
 
 
+def test_fewer_than_one_worker_exits_2_naming_the_flag(runner, tmp_path):
+    config = _write(tmp_path, "basic.ini", BASIC_INI)
+    pr_config = _write(tmp_path, "pr.ini", PR_INI)
+    for workers in ("0", "-1"):
+        runs = (
+            ["run", str(config), "--out", str(tmp_path / "r")],
+            ["sweep", str(pr_config), "--parameter", "pr_a", "--grid", "1,2", "--out", str(tmp_path / "s")],
+        )
+        for args in runs:
+            result = runner.invoke(main, args + ["--workers", workers])
+            assert result.exit_code == 2, result.output
+            assert "--workers" in result.output
+    assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
+
+
 def test_seed_and_trials_flags_override_config_and_digest(runner, tmp_path):
     config = _write(tmp_path, "basic.ini", BASIC_INI)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -13,23 +13,24 @@ from replab.core import (
     DimensionMismatch,
     Environment,
     ExtendedAS,
+    FR,
     Image,
     Linear,
     MaliciousRandom,
-    MessageProfile,
     Mixed,
     Outcome,
     PR,
     Power,
     Quality,
+    SimpleAveraging,
     Truth,
     UtilitySpec,
     WeightedPR,
     ZeroTotalQuality,
     batch_true_utilities,
     centralized_solution,
-    true_utility,
 )
+from replab.mechanisms import TooFewAgents, run_batch
 from replab.numerics import NormalParams
 
 
@@ -120,15 +121,15 @@ def test_mechanism_spec_validation():
 
 
 def test_message_profile_shapes():
-    MessageProfile(self_reports=[0.1, 0.2])
+    run_batch(FR(), np.array([[0.1, 0.2]]), None, None)
+    with pytest.raises(TooFewAgents):
+        run_batch(AS(), np.array([[0.1]]), None, np.array([[0.5]]))
+    # Cross reports must be (trials, K, K) against (trials, K) self reports.
     with pytest.raises(DimensionMismatch):
-        MessageProfile(self_reports=[0.1])
+        run_batch(FR(), np.array([[0.1, 0.2]]), np.zeros((1, 3, 3)), None)
     with pytest.raises(DimensionMismatch):
-        MessageProfile(self_reports=[0.1, 0.2], cross_reports=np.zeros((3, 3)))
-    prof = MessageProfile(self_reports=[0.1, 1.2])
-    with pytest.raises(ValueError):
-        prof.validate_unit_range()
-    MessageProfile(self_reports=[0.1, 0.9], cross_reports=np.full((2, 2), 0.5)).validate_unit_range()
+        run_batch(SimpleAveraging(), None, np.zeros((1, 3, 2)), None)
+    run_batch(ExtendedAS(), np.array([[0.1, 0.5, 0.9]]), np.full((1, 3, 3), 0.5), None)
 
 
 def test_outcome_shapes_and_budget():
@@ -177,20 +178,29 @@ def test_true_utility_hand_computed():
         _agent(2, 0.9, Mixed(), lam=0.6),
     )
     env = Environment(agents=agents)
-    out = Outcome(reputations=[0.3, 0.5, 0.8], taxes=[0.01, -0.02, 0.01])
+    reps = np.array([[0.3, 0.5, 0.8]])
+    taxes = np.array([[0.01, -0.02, 0.01]])
+    utils = batch_true_utilities(reps, taxes, env)[0]
     # errors: (0.1, 0.0, 0.1) against targets (0.2, 0.5, 0.9)
-    assert true_utility(agents[0], out, env) == pytest.approx(-(0.0 + 0.01) - 0.01)
-    assert true_utility(agents[1], out, env) == pytest.approx(0.5 + 0.02)
-    assert true_utility(agents[2], out, env) == pytest.approx(
-        -0.6 * (0.01 + 0.0) + 0.4 * 0.8 - 0.01
-    )
+    assert utils[0] == pytest.approx(-(0.0 + 0.01) - 0.01)
+    assert utils[1] == pytest.approx(0.5 + 0.02)
+    assert utils[2] == pytest.approx(-0.6 * (0.01 + 0.0) + 0.4 * 0.8 - 0.01)
 
 
 def test_true_utility_dimension_guard():
     env = _env([0.2, 0.5, 0.9])
-    out = Outcome(reputations=[0.1, 0.2], taxes=[0.0, 0.0])
     with pytest.raises(DimensionMismatch):
-        true_utility(env.agents[0], out, env)
+        batch_true_utilities(np.array([[0.1, 0.2]]), np.zeros((1, 2)), env)
+
+
+def _scalar_utility(agent, reps, taxes, targets):
+    """u_i written out term by term, as in the core module docstring."""
+    i = agent.id
+    lam = agent.utility.truth_weight
+    accuracy = math.fsum(
+        float(agent.utility.f(abs(reps[j] - targets[j]))) for j in range(len(reps)) if j != i
+    )
+    return -lam * accuracy + (1.0 - lam) * float(agent.utility.g(reps[i])) - taxes[i]
 
 
 def test_batch_utilities_match_scalar():
@@ -204,9 +214,10 @@ def test_batch_utilities_match_scalar():
     reps = rng.uniform(-0.2, 1.2, size=(40, 3))
     taxes = rng.normal(0.0, 0.05, size=(40, 3))
     batch = batch_true_utilities(reps, taxes, env)
+    targets = centralized_solution(env)
     for t in (0, 13, 39):
-        out = Outcome(reputations=reps[t], taxes=taxes[t])
         for i, agent in enumerate(env.agents):
-            assert batch[t, i] == pytest.approx(true_utility(agent, out, env), abs=1e-12)
+            expected = _scalar_utility(agent, reps[t], taxes[t], targets)
+            assert batch[t, i] == pytest.approx(expected, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         batch_true_utilities(reps[:, :2], taxes[:, :2], env)

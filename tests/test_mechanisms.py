@@ -17,29 +17,24 @@ from replab.core import (
     DirectObservation,
     ExtendedAS,
     FR,
-    MessageProfile,
+    Outcome,
     PR,
     SimpleAveraging,
     WeightedPR,
 )
 from replab.mechanisms import (
-    MechanismContext,
     TooFewAgents,
     ZeroWeightSum,
-    run_as,
+    _extended_as_kernel,
     run_batch,
-    run_direct_observation,
-    run_extended_as,
-    run_fr,
-    run_mechanism,
-    run_pr,
-    run_simple_avg,
-    run_weighted_pr,
 )
 
 
-def _ctx(r0, spec=AS(), sigma_prime=0.0):
-    return MechanismContext(system_observations=np.asarray(r0, float), spec=spec, sigma_prime=sigma_prime)
+def _one(spec, selfs=None, cross=None, r0=None, sigma_prime=0.0):
+    """One round through ``run_batch``, as a batch with a leading axis of 1."""
+    lead = lambda arr: None if arr is None else np.asarray(arr, dtype=float)[None]
+    reps, taxes = run_batch(spec, lead(selfs), lead(cross), lead(r0), sigma_prime)
+    return Outcome(reputations=reps[0], taxes=taxes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +43,14 @@ def _ctx(r0, spec=AS(), sigma_prime=0.0):
 
 
 def test_as_worked_example():
-    msgs = MessageProfile(self_reports=[0.5, 0.5, 0.5])
-    out = run_as(msgs, _ctx([0.6, 0.5, 0.4]))
+    out = _one(AS(), [0.5, 0.5, 0.5], r0=[0.6, 0.5, 0.4])
     assert out.reputations == pytest.approx([0.5, 0.5, 0.5])
     assert out.taxes == pytest.approx([0.005, -0.01, 0.005], abs=1e-15)
     assert out.budget == pytest.approx(0.0, abs=1e-15)
 
 
 def test_as_zero_discrepancies():
-    msgs = MessageProfile(self_reports=[0.3, 0.7, 0.1, 0.9])
-    out = run_as(msgs, _ctx([0.3, 0.7, 0.1, 0.9]))
+    out = _one(AS(), [0.3, 0.7, 0.1, 0.9], r0=[0.3, 0.7, 0.1, 0.9])
     assert out.taxes == pytest.approx([0.0] * 4, abs=1e-15)
 
 
@@ -70,8 +63,8 @@ def test_as_needs_two_agents():
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
 def test_as_budget_balance_any_profile(seed, k):
     rng = np.random.default_rng(seed)
-    msgs = MessageProfile(self_reports=rng.uniform(-0.5, 1.5, size=k))
-    out = run_as(msgs, _ctx(rng.uniform(-0.5, 1.5, size=k)))
+    selfs = rng.uniform(-0.5, 1.5, size=k)
+    out = _one(AS(), selfs, r0=rng.uniform(-0.5, 1.5, size=k))
     assert abs(out.budget) <= 1e-12
 
 
@@ -96,8 +89,7 @@ def test_extended_as_worked_example():
     # charge minus its predecessor's: t = (0.0, -0.1, 0.1).
     ring = (0, 1, 2)
     cross = _cross_from_predecessors(ring, [0.4, 0.6, 0.8], 3)
-    msgs = MessageProfile(self_reports=[0.5, 0.6, 0.7], cross_reports=cross)
-    out = run_extended_as(msgs, _ctx([0.0, 0.0, 0.0], spec=ExtendedAS(ring=ring)))
+    out = _one(ExtendedAS(ring=ring), [0.5, 0.6, 0.7], cross, [0.0, 0.0, 0.0])
     assert out.reputations == pytest.approx([0.5, 0.6, 0.7])
     assert out.taxes == pytest.approx([0.0, -0.1, 0.1], abs=1e-15)
     assert out.budget == pytest.approx(0.0, abs=1e-15)
@@ -106,33 +98,27 @@ def test_extended_as_worked_example():
 def test_extended_as_truthful_noiseless_is_tax_free():
     truths = np.array([0.2, 0.5, 0.9, 0.4])
     cross = np.tile(truths, (4, 1))
-    msgs = MessageProfile(self_reports=truths, cross_reports=cross)
     for layers in (1, 2):
-        out = run_extended_as(
-            msgs, _ctx(truths, spec=ExtendedAS(ring=(2, 0, 3, 1), layers=layers))
-        )
+        out = _one(ExtendedAS(ring=(2, 0, 3, 1), layers=layers), truths, cross, truths)
         assert out.taxes == pytest.approx([0.0] * 4, abs=1e-15)
 
 
 def test_extended_as_ignores_non_ring_cross_reports():
     ring = (1, 2, 0)
     cross = _cross_from_predecessors(ring, [0.45, 0.55, 0.65], 3, fill=123.0)
-    msgs = MessageProfile(self_reports=[0.5, 0.6, 0.7], cross_reports=cross)
-    out = run_extended_as(msgs, _ctx([0.0, 0.0, 0.0], spec=ExtendedAS(ring=ring)))
+    out = _one(ExtendedAS(ring=ring), [0.5, 0.6, 0.7], cross, [0.0, 0.0, 0.0])
     assert np.all(np.isfinite(out.taxes))
     assert np.max(np.abs(out.taxes)) < 1.0  # junk entries never enter layer 1
 
 
 def test_extended_as_needs_three_agents():
-    msgs = MessageProfile(self_reports=[0.5, 0.5], cross_reports=np.full((2, 2), 0.5))
     with pytest.raises(TooFewAgents):
-        run_extended_as(msgs, _ctx([0.5, 0.5], spec=ExtendedAS()))
+        _one(ExtendedAS(), [0.5, 0.5], np.full((2, 2), 0.5), [0.5, 0.5])
 
 
 def test_extended_as_ring_size_must_match():
-    msgs = MessageProfile(self_reports=[0.5, 0.5, 0.5], cross_reports=np.full((3, 3), 0.5))
     with pytest.raises(DimensionMismatch):
-        run_extended_as(msgs, _ctx([0.5] * 3, spec=ExtendedAS(ring=(0, 1))))
+        _one(ExtendedAS(ring=(0, 1)), [0.5, 0.5, 0.5], np.full((3, 3), 0.5), [0.5] * 3)
 
 
 @settings(max_examples=50)
@@ -141,12 +127,10 @@ def test_extended_as_budget_balance_any_profile(seed, k, layers):
     rng = np.random.default_rng(seed)
     ring = tuple(rng.permutation(k).tolist())
     ring2 = tuple(rng.permutation(k).tolist()) if layers == 2 else None
-    msgs = MessageProfile(
-        self_reports=rng.uniform(-0.5, 1.5, size=k),
-        cross_reports=rng.uniform(-0.5, 1.5, size=(k, k)),
-    )
+    selfs = rng.uniform(-0.5, 1.5, size=k)
+    cross = rng.uniform(-0.5, 1.5, size=(k, k))
     spec = ExtendedAS(ring=ring, layers=layers, second_ring=ring2)
-    out = run_extended_as(msgs, _ctx(np.zeros(k), spec=spec))
+    out = _one(spec, selfs, cross, np.zeros(k))
     assert abs(out.budget) <= 1e-12
 
 
@@ -155,10 +139,9 @@ def test_extended_as_each_layer_balances_separately():
     k = 6
     selfs = rng.uniform(0, 1, size=k)
     cross = rng.uniform(0, 1, size=(k, k))
-    msgs = MessageProfile(self_reports=selfs, cross_reports=cross)
     ring = tuple(rng.permutation(k).tolist())
-    one = run_extended_as(msgs, _ctx(np.zeros(k), spec=ExtendedAS(ring=ring, layers=1)))
-    two = run_extended_as(msgs, _ctx(np.zeros(k), spec=ExtendedAS(ring=ring, layers=2)))
+    one = _one(ExtendedAS(ring=ring, layers=1), selfs, cross, np.zeros(k))
+    two = _one(ExtendedAS(ring=ring, layers=2), selfs, cross, np.zeros(k))
     second_layer = two.taxes - one.taxes
     assert abs(math.fsum(second_layer.tolist())) <= 1e-12
     assert np.max(np.abs(second_layer)) > 0.0  # the layer actually charges something
@@ -170,12 +153,12 @@ def test_extended_as_each_layer_balances_separately():
 
 
 def test_fr_shares_and_degenerate_profile():
-    out = run_fr(MessageProfile(self_reports=[0.2, 0.3, 0.5]), _ctx([0.0] * 3))
+    out = _one(FR(), [0.2, 0.3, 0.5], r0=[0.0] * 3)
     assert out.reputations == pytest.approx([0.2, 0.3, 0.5])
     assert out.taxes == pytest.approx([0.0] * 3)
-    out = run_fr(MessageProfile(self_reports=[0.7] * 5), _ctx([0.0] * 5))
+    out = _one(FR(), [0.7] * 5, r0=[0.0] * 5)
     assert out.reputations == pytest.approx([0.2] * 5)
-    out = run_fr(MessageProfile(self_reports=[0.0, 0.0, 0.0, 0.0]), _ctx([0.0] * 4))
+    out = _one(FR(), [0.0, 0.0, 0.0, 0.0], r0=[0.0] * 4)
     assert out.reputations == pytest.approx([0.25] * 4)
 
 
@@ -183,7 +166,7 @@ def test_fr_shares_and_degenerate_profile():
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
 def test_fr_probability_vector(seed, k):
     rng = np.random.default_rng(seed)
-    out = run_fr(MessageProfile(self_reports=rng.uniform(0, 1, size=k)), _ctx(np.zeros(k)))
+    out = _one(FR(), rng.uniform(0, 1, size=k), r0=np.zeros(k))
     assert np.all(out.reputations >= 0)
     assert math.fsum(out.reputations.tolist()) == pytest.approx(1.0, abs=1e-12)
 
@@ -198,15 +181,14 @@ def test_simple_avg_worked_example():
     cross[1, 0], cross[2, 0] = 0.4, 0.6
     cross[0, 1], cross[2, 1] = 0.7, 0.7
     cross[0, 2], cross[1, 2] = 0.1, 0.3
-    msgs = MessageProfile(self_reports=[9.0, 9.0, 9.0], cross_reports=cross)
-    out = run_simple_avg(msgs, _ctx([0.5, 0.7, 0.2]))
+    out = _one(SimpleAveraging(), [9.0, 9.0, 9.0], cross, [0.5, 0.7, 0.2])
     assert out.reputations == pytest.approx([0.5, 0.7, 0.2])
     assert out.taxes == pytest.approx([0.0] * 3)
 
 
 def test_simple_avg_requires_cross_reports():
     with pytest.raises(DimensionMismatch):
-        run_simple_avg(MessageProfile(self_reports=[0.5, 0.5]), _ctx([0.5, 0.5]))
+        _one(SimpleAveraging(), [0.5, 0.5], r0=[0.5, 0.5])
 
 
 def test_simple_avg_unbiased_monte_carlo():
@@ -231,24 +213,21 @@ def _pr_msgs(self0, aggregate, k=4):
     selfs = np.full(k, aggregate)
     selfs[0] = self0
     r0 = np.full(k, aggregate)
-    return MessageProfile(self_reports=selfs, cross_reports=cross), r0
+    return selfs, cross, r0
 
 
 def test_pr_reward_and_punish_branches():
     a, sigma_prime = 2.0, 0.05
     eps = a * sigma_prime
     xbar = 0.5
-    msgs, r0 = _pr_msgs(xbar, xbar)
-    out = run_pr(msgs, _ctx(r0, spec=PR(a=a), sigma_prime=sigma_prime))
+    out = _one(PR(a=a), *_pr_msgs(xbar, xbar), sigma_prime=sigma_prime)
     assert out.reputations[0] == pytest.approx(xbar)
 
-    msgs, r0 = _pr_msgs(xbar + 2 * eps, xbar)
-    out = run_pr(msgs, _ctx(r0, spec=PR(a=a), sigma_prime=sigma_prime))
+    out = _one(PR(a=a), *_pr_msgs(xbar + 2 * eps, xbar), sigma_prime=sigma_prime)
     assert out.reputations[0] == pytest.approx(xbar - 2 * eps)
 
     # Closed band: the boundary point still lands in the reward branch.
-    msgs, r0 = _pr_msgs(xbar + eps, xbar)
-    out = run_pr(msgs, _ctx(r0, spec=PR(a=a), sigma_prime=sigma_prime))
+    out = _one(PR(a=a), *_pr_msgs(xbar + eps, xbar), sigma_prime=sigma_prime)
     assert out.reputations[0] == pytest.approx(xbar + eps / 2)
 
 
@@ -280,9 +259,8 @@ def test_weighted_pr_uniform_weights_use_cross_only_mean():
     k = 4
     selfs = rng.uniform(0, 1, size=k)
     cross = rng.uniform(0, 1, size=(k, k))
-    msgs = MessageProfile(self_reports=selfs, cross_reports=cross)
     spec = WeightedPR(a=2.0, weights=(1.0,) * k)
-    out = run_weighted_pr(msgs, _ctx(np.zeros(k), spec=spec, sigma_prime=0.05))
+    out = _one(spec, selfs, cross, np.zeros(k), sigma_prime=0.05)
     csum = cross.sum(axis=0) - np.diagonal(cross)
     aggregate = csum / (k - 1)
     eps = 2.0 * 0.05
@@ -294,9 +272,8 @@ def test_weighted_pr_uniform_weights_use_cross_only_mean():
 def test_weighted_pr_degenerate_weights():
     k = 3
     cross = np.array([[0.0, 0.41, 0.62], [0.9, 0.0, 0.9], [0.9, 0.9, 0.0]])
-    msgs = MessageProfile(self_reports=[0.41, 0.41, 0.62], cross_reports=cross)
     spec = WeightedPR(a=2.0, weights=(1.0, 1e-9, 1e-9))
-    out = run_weighted_pr(msgs, _ctx(np.zeros(k), spec=spec, sigma_prime=0.05))
+    out = _one(spec, [0.41, 0.41, 0.62], cross, np.zeros(k), sigma_prime=0.05)
     # Subjects 1 and 2 see (almost) exactly reporter 0's claims.
     assert out.reputations[1] == pytest.approx(0.5 * (0.41 + 0.41), abs=1e-6)
     assert out.reputations[2] == pytest.approx(0.5 * (0.62 + 0.62), abs=1e-6)
@@ -304,13 +281,10 @@ def test_weighted_pr_degenerate_weights():
 
 def test_weighted_pr_zero_weight_errors():
     k = 3
-    msgs = MessageProfile(
-        self_reports=[0.5] * k, cross_reports=np.full((k, k), 0.5)
-    )
     for weights in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)):
         spec = WeightedPR(a=2.0, weights=weights)
         with pytest.raises(ZeroWeightSum):
-            run_weighted_pr(msgs, _ctx(np.zeros(k), spec=spec, sigma_prime=0.05))
+            _one(spec, [0.5] * k, np.full((k, k), 0.5), np.zeros(k), sigma_prime=0.05)
 
 
 def test_weighted_pr_inverse_variance_lowers_aggregate_variance():
@@ -336,7 +310,7 @@ def test_weighted_pr_inverse_variance_lowers_aggregate_variance():
 
 
 def test_direct_observation_identity():
-    out = run_direct_observation(_ctx([0.37, 0.81], spec=DirectObservation()))
+    out = _one(DirectObservation(), r0=[0.37, 0.81])
     assert out.reputations == pytest.approx([0.37, 0.81])
     assert out.taxes == pytest.approx([0.0, 0.0])
 
@@ -352,31 +326,39 @@ def test_direct_observation_mae_scale():
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and context validation
+# Dispatch and input validation
 # ---------------------------------------------------------------------------
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
-        MechanismContext(system_observations=[0.5, 0.5], spec=AS(), sigma_prime=-0.1)
+    r0 = np.full((1, 2), 0.5)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            run_batch(AS(), r0, None, r0, sigma_prime=bad)
+    # Every array needs the leading trials axis.
     with pytest.raises(DimensionMismatch):
-        MechanismContext(system_observations=np.zeros((2, 2)), spec=AS())
+        run_batch(AS(), np.array([0.1, 0.2]), None, np.array([0.5, 0.5]))
+    # System observations must agree with the reports on trials and K.
+    with pytest.raises(DimensionMismatch):
+        run_batch(AS(), np.zeros((2, 3)), None, np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatch):
+        run_batch(AS(), np.zeros((1, 3)), None, np.zeros((1, 2)))
 
 
 def test_profile_context_size_mismatch():
-    msgs = MessageProfile(self_reports=[0.5, 0.5, 0.5])
     with pytest.raises(DimensionMismatch):
-        run_as(msgs, _ctx([0.5, 0.5]))
+        _one(AS(), [0.5, 0.5, 0.5], r0=[0.5, 0.5])
 
 
-def test_run_mechanism_dispatch():
-    msgs = MessageProfile(self_reports=[0.2, 0.3, 0.5])
-    out = run_mechanism(msgs, _ctx([0.0] * 3, spec=FR()))
+def test_run_batch_dispatch():
+    out = _one(FR(), [0.2, 0.3, 0.5], r0=[0.0] * 3)
     assert out.reputations == pytest.approx([0.2, 0.3, 0.5])
-    out = run_mechanism(None, _ctx([0.1, 0.2], spec=DirectObservation()))
+    out = _one(DirectObservation(), r0=[0.1, 0.2])
     assert out.reputations == pytest.approx([0.1, 0.2])
     with pytest.raises(DimensionMismatch):
-        run_mechanism(None, _ctx([0.1, 0.2], spec=AS()))
+        _one(AS(), r0=[0.1, 0.2])
+    with pytest.raises(DimensionMismatch):
+        run_batch(DirectObservation(), None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +367,6 @@ def test_run_mechanism_dispatch():
 
 
 def test_per_trial_rings_match_fixed_ring_kernel():
-    from replab.mechanisms import _extended_as_per_trial_rings
-
     rng = np.random.default_rng(31)
     batch, k = 64, 5
     selfs = rng.uniform(0, 1, size=(batch, k))
@@ -397,17 +377,13 @@ def test_per_trial_rings_match_fixed_ring_kernel():
         spec = ExtendedAS(ring=ring, layers=layers, second_ring=ring2)
         reps_fixed, taxes_fixed = run_batch(spec, selfs, cross, None)
         rings1 = np.tile(np.array(ring), (batch, 1))
-        rings2 = None if ring2 is None else np.tile(np.array(ring2), (batch, 1))
-        reps_pt, taxes_pt = _extended_as_per_trial_rings(
-            selfs, cross, rings1, rings2, layers
-        )
+        rings2 = np.tile(np.array(ring if ring2 is None else ring2), (batch, 1))
+        reps_pt, taxes_pt = _extended_as_kernel(selfs, cross, rings1, rings2, layers)
         assert np.array_equal(reps_fixed, reps_pt)
         assert np.array_equal(taxes_fixed, taxes_pt)
 
 
 def test_per_trial_rings_budget_balance_random_rings():
-    from replab.mechanisms import _extended_as_per_trial_rings
-
     rng = np.random.default_rng(32)
     batch, k = 256, 6
     selfs = rng.uniform(-0.5, 1.5, size=(batch, k))
@@ -415,15 +391,13 @@ def test_per_trial_rings_budget_balance_random_rings():
     base = np.broadcast_to(np.arange(k), (batch, k))
     rings1 = rng.permuted(base, axis=1)
     rings2 = rng.permuted(base, axis=1)
-    _, taxes = _extended_as_per_trial_rings(selfs, cross, rings1, rings2, 2)
+    _, taxes = _extended_as_kernel(selfs, cross, rings1, rings2, 2)
     assert np.max(np.abs(taxes.sum(axis=1))) < 1e-12
 
 
 def test_per_trial_rings_too_few_agents():
-    from replab.mechanisms import _extended_as_per_trial_rings
-
     selfs = np.zeros((4, 2))
     cross = np.zeros((4, 2, 2))
     rings = np.tile(np.arange(2), (4, 1))
     with pytest.raises(TooFewAgents):
-        _extended_as_per_trial_rings(selfs, cross, rings, None, 1)
+        _extended_as_kernel(selfs, cross, rings, None, 1)

@@ -40,6 +40,7 @@ from replab.simulator import (
     run_collusion_scenario,
     run_malicious_scenario,
     run_trials,
+    simulate,
     sweep,
 )
 from replab.strategies import aggregate_sigma_prime, pr_optimal_self_report
@@ -203,6 +204,72 @@ def test_custom_profile_overrides_self_reports():
     assert stats.mae_mean == pytest.approx(0.4)
 
 
+def test_engine_output_bits_are_pinned():
+    # Literals recorded before the trial loops were folded into one engine;
+    # the engine must reproduce them bit for bit.
+    agents = (
+        _agent(0, 0.3),
+        _agent(1, 0.6, Image(), lam=0.0),
+        _agent(2, 0.5),
+        _agent(3, 0.4, MaliciousRandom()),
+    )
+    env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
+    stats = run_trials(ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_500, seed=3))
+    assert stats.mae_mean == 0.4358448981248392
+    assert stats.mae_stderr == 0.004668970049604167
+    assert stats.per_agent_reputation_mean.tolist() == [
+        0.2925417268525755, 0.5289798626742519, 0.45638470286354293, 0.1470674615094853
+    ]
+    assert stats.per_agent_utility_mean.tolist() == [
+        -0.13193871053481315, 0.5289798626742519, -0.12282773280550173, -0.0370922147709451
+    ]
+    assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
+
+    collusion = run_collusion_scenario(
+        _truth_env([0.3, 0.4, 0.5, 0.6, 0.45]), {0, 3}, layers=2, trials=2_500, seed=12
+    )
+    assert collusion == {
+        "clique": [0, 3], "layers": 2, "trials": 2500, "seed": 12,
+        "one_layer": {
+            "layers": 1, "mae": 1.0999999999999999, "outsider_mae": 0.0,
+            "clique_utility": -0.5442623388972575, "clique_tax": 0.21926233889725755,
+            "budget_max_abs": 6.106226635438361e-16,
+        },
+        "one_layer_honest": {
+            "layers": 1, "mae": 0.0, "outsider_mae": 0.0,
+            "clique_utility": 7.386217339501604e-05, "clique_tax": -7.386217339501604e-05,
+            "budget_max_abs": 2.220446049250313e-16,
+        },
+        "two_layer": {
+            "layers": 2, "mae": 1.0999999999999999, "outsider_mae": 0.0,
+            "clique_utility": -0.5807631583120935, "clique_tax": 0.25576315831209356,
+            "budget_max_abs": 8.326672684688674e-16,
+        },
+        "two_layer_honest": {
+            "layers": 2, "mae": 0.0, "outsider_mae": 0.0,
+            "clique_utility": 0.0019123531486439972, "clique_tax": -0.0019123531486439972,
+            "budget_max_abs": 4.996003610813204e-16,
+        },
+    }
+
+    malicious = run_malicious_scenario(_truth_env([0.2, 0.5, 0.8]), {1}, trials=2_500, seed=15)
+    assert malicious == {
+        "malicious": [1], "trials": 2500, "seed": 15,
+        "malicious_mae": 0.2509478521922148, "image_mae": 0.5, "baseline_mae": 0.0,
+        "malicious_own_charge": 0.09301448651626637,
+    }
+
+
+def test_simulate_rejects_fewer_than_one_worker():
+    env = _truth_env([0.2, 0.5, 0.8])
+    reduce = lambda system_obs, selfs, reps, taxes: {"mae": float(reps.sum())}
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            simulate(env, AS(), 100, 0, reduce, workers)
+        with pytest.raises(ValueError, match="workers"):
+            run_trials(ScenarioConfig(env=env, mechanism=AS(), trials=100), workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -313,6 +380,8 @@ def test_collusion_scenario_is_deterministic():
     a = run_collusion_scenario(env, {0, 3}, layers=1, trials=2_000, seed=12)
     b = run_collusion_scenario(env, {0, 3}, layers=1, trials=2_000, seed=12)
     assert a == b
+    two = run_collusion_scenario(env, {0, 3}, layers=1, trials=2_000, seed=12, workers=2)
+    assert two == a
 
 
 def test_collusion_guards():
@@ -366,6 +435,9 @@ def test_malicious_scenario_deterministic_and_guarded():
     a = run_malicious_scenario(env, {1}, trials=1_000, seed=15)
     b = run_malicious_scenario(env, {1}, trials=1_000, seed=15)
     assert a == b
+    assert run_malicious_scenario(env, {1}, trials=2_500, seed=15, workers=1) == (
+        run_malicious_scenario(env, {1}, trials=2_500, seed=15, workers=2)
+    )
     with pytest.raises(ValueError):
         run_malicious_scenario(env, {7}, trials=100, seed=0)
     with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from replab.core import (
     Image,
     Linear,
     MaliciousRandom,
-    MessageProfile,
     Mixed,
     PR,
     Power,
@@ -35,10 +34,9 @@ from replab.core import (
     WeightedPR,
     batch_true_utilities,
     centralized_solution,
-    true_utility,
 )
 from replab import strategies
-from replab.mechanisms import MechanismContext, run_batch, run_fr
+from replab.mechanisms import run_batch
 from replab.numerics import NoRoot, NormalParams, find_root
 from replab.strategies import (
     DeviationReport,
@@ -383,6 +381,19 @@ def test_deviation_report_flags_profitable_deviation():
     assert rep.gain == pytest.approx(0.25, abs=0.02)  # g gain 0.5 minus own tax 0.25
 
 
+def test_rounding_noise_is_not_a_profitable_deviation():
+    # Under weighted punish-reward a truth sender's self-report moves only
+    # its own reputation, which it does not value: the grid points tie, and
+    # the gain left over is rounding noise that clears three of its own
+    # standard errors.
+    env = _truth_env([0.35, 0.55, 0.45])
+    mechanism = WeightedPR(a=2.0, weights=(1.0, 2.0, 3.0))
+    rep = deviation_report(0, mechanism, env, trials=2_000, grid=41, seed=0)
+    assert abs(rep.best - rep.claimed) > rep.grid_step
+    assert 3.0 * rep.gain_stderr < rep.gain < 1e-15
+    assert not rep.profitable
+
+
 def test_best_response_deterministic_and_guards():
     env = _truth_env([0.2, 0.5, 0.9])
     a = best_response_numeric(0, AS(), env, trials=2_000, grid=51, seed=11)
@@ -421,15 +432,16 @@ def test_fr_deviation_loss_worked_example():
 def test_fr_deviation_loss_matches_mechanism_evaluation():
     env = _truth_env([0.5, 0.3, 0.2], scheme="relative", p=1.0)
     truths = env.qualities
-    ctx = MechanismContext(system_observations=np.zeros(3), spec=FR())
-    base = true_utility(
-        env.agents[0], run_fr(MessageProfile(self_reports=truths), ctx), env
-    )
+
+    def utility(selfs):
+        reps, taxes = run_batch(FR(), selfs[None, :], None, np.zeros((1, 3)))
+        return batch_true_utilities(reps, taxes, env)[0, 0]
+
+    base = utility(truths)
     for x in np.linspace(0.0, 1.0, 21):
         selfs = truths.copy()
         selfs[0] = x
-        out = run_fr(MessageProfile(self_reports=selfs), ctx)
-        direct = true_utility(env.agents[0], out, env) - base
+        direct = utility(selfs) - base
         assert fr_deviation_loss(0, float(x), env) == pytest.approx(direct, abs=1e-12)
         assert fr_deviation_loss(0, float(x), env) <= 0.0
 
