@@ -58,16 +58,15 @@ from .numerics import NormalParams
 from .simulator import (
     ScenarioConfig,
     SWEEP_PARAMETERS,
-    _resolve_strategy_overrides,
     run_trials,
     sweep as run_sweep,
 )
 from .strategies import (
-    aggregate_sigma_prime,
     deviation_report,
     draw_profile,
     expected_pr_reputation,
     pr_optimal_self_report,
+    resolve_self_reports,
     solve_y,
 )
 
@@ -666,7 +665,9 @@ def main() -> None:
 @click.argument("config_path", type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--trials", type=int, default=None, help="Override the config trial count.")
+@click.option(
+    "--trials", type=click.IntRange(min=1), default=None, help="Override the config trial count."
+)
 @click.option(
     "--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads."
 )
@@ -733,7 +734,7 @@ def cmd_run(config_path, out_dir, seed, trials, workers):
 @click.option("--grid", "grid_text", required=True, help="lo:hi:count or comma list.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=None)
+@click.option("--trials", type=click.IntRange(min=1), default=None)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @_guarded
 def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers):
@@ -860,8 +861,8 @@ def cmd_figures(out_dir, sigma_prime, r_value, points):
 @main.command("check-equilibrium")
 @click.argument("config_path", type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--grid", "grid_points", type=int, default=201, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
+@click.option("--grid", "grid_points", type=click.IntRange(min=3), default=201, show_default=True)
 @_guarded
 def cmd_check_equilibrium(config_path, seed, trials, grid_points):
     """Audit the configured strategy profile for profitable deviations.
@@ -872,10 +873,7 @@ def cmd_check_equilibrium(config_path, seed, trials, grid_points):
     """
     parsed = parse_config(config_path, seed=seed)
     env, mechanism = parsed.env, parsed.mechanism
-    sigma_prime = aggregate_sigma_prime(env)
-    profile = _resolve_strategy_overrides(
-        env, mechanism, sigma_prime, parsed.strategy_mode
-    )
+    profile = resolve_self_reports(env, mechanism, parsed.strategy_mode)
     cross_channel = isinstance(mechanism, SimpleAveraging)
 
     any_profitable = False
@@ -906,7 +904,7 @@ def cmd_check_equilibrium(config_path, seed, trials, grid_points):
 @main.command("report")
 @click.argument("config_path", type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=20_000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=20_000, show_default=True)
 @_guarded
 def cmd_report(config_path, seed, trials):
     """Participation thresholds per agent plus the system-gain verdict."""

@@ -146,10 +146,7 @@ def normal_cdf(x: float | np.ndarray, mean: float = 0.0, std: float = 1.0) -> fl
     if std <= 0.0:
         raise ValueError(f"std must be positive, got {std!r}")
     z = (np.asarray(x, dtype=float) - mean) / (std * _SQRT2)
-    res = erf(z)
-    if isinstance(res, float):
-        return 0.5 * (1.0 + res)
-    return 0.5 * (1.0 + res)
+    return 0.5 * (1.0 + erf(z))
 
 
 def folded_normal_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> float | np.ndarray:

@@ -45,12 +45,12 @@ from .numerics import NormalParams
 from .mechanisms import _extended_as_kernel, run_batch
 from .strategies import (
     UnsupportedCombination,
-    _equilibrium_self_report,
     aggregate_sigma_prime,
     build_messages,
     expected_pr_reputation,
     pr_mae,
     pr_optimal_self_report,
+    resolve_self_reports,
     sample_observations,
 )
 
@@ -169,33 +169,6 @@ def _map_batches(worker, plan, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def _resolve_strategy_overrides(
-    env: Environment,
-    mechanism: MechanismSpec,
-    sigma_prime: float,
-    strategy_mode: str | Mapping[int, float],
-) -> dict[int, float]:
-    """Constant self-reports for every non-random agent, resolved up front.
-
-    Raises UnsupportedCombination immediately when an agent's equilibrium
-    strategy is undefined under the mechanism and no custom constant covers
-    that agent.  Uniform-random reporters stay unlisted; they draw fresh
-    reports every trial.
-    """
-    custom: dict[int, float] = (
-        {} if isinstance(strategy_mode, str) else dict(strategy_mode)
-    )
-    overrides: dict[int, float] = {}
-    for agent in env.agents:
-        if agent.id in custom:
-            overrides[agent.id] = float(custom[agent.id])
-            continue
-        value = _equilibrium_self_report(agent, mechanism, sigma_prime)
-        if value is not None:
-            overrides[agent.id] = float(value)
-    return overrides
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -239,14 +212,12 @@ def simulate(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     sigma_prime = aggregate_sigma_prime(env)
-    overrides = _resolve_strategy_overrides(env, mechanism, sigma_prime, strategy_mode)
+    self_reports = resolve_self_reports(env, mechanism, strategy_mode)
 
     def one_batch(batch_index: int, size: int) -> dict:
         rng = _batch_rng(seed, batch_index)
         system_obs, cross_obs = sample_observations(env, rng, size)
-        selfs, cross = build_messages(
-            env, mechanism, cross_obs, rng, sigma_prime, self_overrides=overrides
-        )
+        selfs, cross = build_messages(env, cross_obs, rng, self_reports)
         if isinstance(mechanism, _SecretRings):
             base = np.broadcast_to(np.arange(env.k), selfs.shape)
             rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]

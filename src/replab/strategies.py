@@ -9,9 +9,9 @@ Three kinds of results live here:
    (``fr_deviation_loss``, ``proportional_deviation_profit``).
 2. The strategy map used by the Monte Carlo driver: which self- and
    cross-reports each agent type submits under each mechanism in equilibrium
-   (``equilibrium_self_reports`` / ``build_messages``).  Pairs without an
-   analytical best response raise :class:`UnsupportedCombination` rather than
-   inventing behavior.
+   (``equilibrium_self_reports`` / ``resolve_self_reports`` /
+   ``build_messages``).  Pairs without an analytical best response raise
+   :class:`UnsupportedCombination` rather than inventing behavior.
 3. A brute-force numerical oracle (``best_response_numeric`` /
    ``deviation_report``) that grids a deviator's report, replays the same
    sampled observations at every grid point (common random numbers), and
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -42,13 +42,9 @@ from .core import (
     DimensionMismatch,
     DirectObservation,
     Environment,
-    ExtendedAS,
-    FR,
-    Image,
     Linear,
     MaliciousRandom,
     MechanismSpec,
-    Mixed,
     PR,
     Power,
     Quality,
@@ -59,15 +55,7 @@ from .core import (
     centralized_solution,
 )
 from .mechanisms import deviation_terms, run_batch
-from .numerics import (
-    TAIL_SIGMAS,
-    NoRoot,
-    erf,
-    find_root,
-    integrate,
-    normal_cdf,
-    normal_pdf,
-)
+from .numerics import NoRoot, erf, find_root, normal_cdf, normal_pdf
 
 __all__ = [
     "UnsupportedCombination",
@@ -75,13 +63,13 @@ __all__ = [
     "DeviationReport",
     "solve_y",
     "expected_pr_reputation",
-    "expected_pr_reputation_grid",
     "pr_optimal_self_report",
     "pr_mae",
     "image_best_response_as",
     "mixed_best_response_as",
     "aggregate_sigma_prime",
     "equilibrium_self_reports",
+    "resolve_self_reports",
     "sample_observations",
     "build_messages",
     "ProfileDraw",
@@ -169,16 +157,17 @@ def _solve_y(a: float) -> float:
     return y
 
 
-def _cdf_integral(c: float | np.ndarray, mu: float, sigma_prime: float) -> float | np.ndarray:
+def _cdf_integral(c: np.ndarray, mu: float, sigma_prime: float) -> np.ndarray:
     """Antiderivative of the Normal cdf: integral of F from -inf to c."""
-    w = (np.asarray(c, dtype=float) - mu) / sigma_prime
+    w = (c - mu) / sigma_prime
     phi = np.exp(-0.5 * w * w) / _SQRT_2PI
     big_phi = 0.5 * (1.0 + erf(w / _SQRT2))
-    out = sigma_prime * (w * big_phi + phi)
-    return float(out) if out.ndim == 0 else out
+    return sigma_prime * (w * big_phi + phi)
 
 
-def expected_pr_reputation(x: float, mu: float, sigma_prime: float, eps: float) -> float:
+def expected_pr_reputation(
+    x: float | np.ndarray, mu: float, sigma_prime: float, eps: float
+) -> float | np.ndarray:
     """Expected published reputation of a sender reporting ``x`` under punish-reward.
 
     The aggregate is Normal with mean ``mu`` and std ``sigma_prime``; ``eps``
@@ -187,48 +176,20 @@ def expected_pr_reputation(x: float, mu: float, sigma_prime: float, eps: float) 
         x + (eps/2) F(x+eps) - (3 eps/2) F(x-eps)
           - 1/2 * int_{x-eps}^{x+eps} F - 2 * int_{-inf}^{x-eps} F
 
-    by adaptive quadrature on the cdf F, truncating the left tail at
-    ``TAIL_SIGMAS`` standard deviations (the cdf integrand is below 1e-14
-    there).  Absolute accuracy about 1e-8.
+    in closed form through the antiderivative of the cdf F.  A float ``x``
+    gives a float; an array gives the elementwise array.
     """
     if sigma_prime <= 0.0:
         raise ValueError(f"sigma_prime must be positive, got {sigma_prime!r}")
     if eps <= 0.0:
         raise ValueError(f"band half-width must be positive, got {eps!r}")
-    cdf = lambda t: float(normal_cdf(t, mu, sigma_prime))
-    lo_tail = mu - TAIL_SIGMAS * sigma_prime
-    band = integrate(cdf, x - eps, x + eps, tol=1e-10)
-    tail = 0.0
-    if x - eps > lo_tail:
-        tail = integrate(cdf, lo_tail, x - eps, tol=1e-10)
-    return (
-        x
-        + 0.5 * eps * cdf(x + eps)
-        - 1.5 * eps * cdf(x - eps)
-        - 0.5 * band
-        - 2.0 * tail
-    )
-
-
-def expected_pr_reputation_grid(
-    xs: np.ndarray, mu: float, sigma_prime: float, eps: float
-) -> np.ndarray:
-    """Vectorized closed form of :func:`expected_pr_reputation`.
-
-    Uses the analytical antiderivative of the Normal cdf instead of
-    quadrature, so dense grids are cheap; the two routes agree to ~1e-8 and
-    are cross-checked in the test suite.
-    """
-    if sigma_prime <= 0.0:
-        raise ValueError(f"sigma_prime must be positive, got {sigma_prime!r}")
-    if eps <= 0.0:
-        raise ValueError(f"band half-width must be positive, got {eps!r}")
-    xs = np.asarray(xs, dtype=float)
+    xs = np.asarray(x, dtype=float)
     f_hi = normal_cdf(xs + eps, mu, sigma_prime)
     f_lo = normal_cdf(xs - eps, mu, sigma_prime)
     a_hi = _cdf_integral(xs + eps, mu, sigma_prime)
     a_lo = _cdf_integral(xs - eps, mu, sigma_prime)
-    return xs + 0.5 * eps * f_hi - 1.5 * eps * f_lo - 0.5 * a_hi - 1.5 * a_lo
+    out = xs + 0.5 * eps * f_hi - 1.5 * eps * f_lo - 0.5 * a_hi - 1.5 * a_lo
+    return float(out) if out.ndim == 0 else out
 
 
 def pr_optimal_self_report(mu: float, sigma_prime: float, a: float) -> PrEquilibrium:
@@ -248,11 +209,11 @@ def pr_mae(a: float, sigma_prime: float) -> float:
     sender's optimal self-report.
 
     Integrates the exact piecewise published reputation against the Normal
-    aggregate density.  The value is independent of the true quality level
-    and scales linearly in ``sigma_prime``, so it is computed in centered
-    coordinates: the aggregate is N(0, sigma_prime^2) and the optimal
-    self-report sits at ``x* = a * sigma_prime * y`` with ``y`` from the
-    band-offset equation.
+    aggregate density in closed form.  The value is independent of the true
+    quality level and scales linearly in ``sigma_prime``, so it is computed
+    in centered coordinates: the aggregate is N(0, sigma_prime^2) and the
+    optimal self-report sits at ``x* = a * sigma_prime * y`` with ``y`` from
+    the band-offset equation.
     """
     if sigma_prime <= 0.0:
         raise ValueError(f"sigma_prime must be positive, got {sigma_prime}")
@@ -262,8 +223,8 @@ def pr_mae(a: float, sigma_prime: float) -> float:
     lo, hi = x_star - eps, x_star + eps
 
     # Below the band the published value is 2*xbar - x*, which stays below
-    # zero there (x* < 2*eps), so the error is x* - 2*xbar.  Against the
-    # Normal density this integrates in closed form.
+    # zero there (x* < 2*eps), so the error is x* - 2*xbar, whose expectation
+    # over that tail has a closed form.
     below = x_star * normal_cdf(lo, 0.0, sigma_prime) + 2.0 * sigma_prime**2 * normal_pdf(
         lo, 0.0, sigma_prime
     )
@@ -271,19 +232,18 @@ def pr_mae(a: float, sigma_prime: float) -> float:
     above = x_star * (1.0 - normal_cdf(hi, 0.0, sigma_prime))
 
     # Inside the band the published value is the midpoint (xbar + x*)/2, so
-    # the error |xbar + x*|/2 has a kink at xbar = -x* whenever the band
-    # reaches that far (offset y <= 1/2).
-    def band_error(t: float) -> float:
-        return 0.5 * abs(t + x_star) * normal_pdf(t, 0.0, sigma_prime)
-
-    tol = 1e-11 * sigma_prime
-    if lo < -x_star < hi:
-        band = integrate(band_error, lo, -x_star, tol=tol) + integrate(
-            band_error, -x_star, hi, tol=tol
+    # the error is |xbar + x*|/2.  (t + x*) * pdf(t) has the antiderivative
+    # -sigma'^2 * pdf(t) + x* * cdf(t).  The kink at t = -x* lies inside the
+    # band only when lo < -x*, i.e. y < 1/2; -x* < hi always holds.
+    def antiderivative(t: float) -> float:
+        return -(sigma_prime**2) * normal_pdf(t, 0.0, sigma_prime) + x_star * normal_cdf(
+            t, 0.0, sigma_prime
         )
-    else:
-        band = integrate(band_error, lo, hi, tol=tol)
-    return below + above + band
+
+    band = antiderivative(hi) - antiderivative(lo)
+    if lo < -x_star:
+        band += 2.0 * (antiderivative(lo) - antiderivative(-x_star))
+    return below + above + 0.5 * band
 
 
 # ---------------------------------------------------------------------------
@@ -422,26 +382,50 @@ def sample_observations(
     return r0, cross
 
 
+def resolve_self_reports(
+    env: Environment,
+    mechanism: MechanismSpec,
+    strategy_mode: str | Mapping[int, float] = "equilibrium",
+) -> dict[int, float]:
+    """Constant self-reports of a strategy profile, keyed by agent id.
+
+    ``strategy_mode`` is ``"equilibrium"`` or a mapping of agent ids to
+    custom constants; every agent the mapping does not cover plays its
+    equilibrium report.  Raises :class:`UnsupportedCombination` at once
+    when an uncovered agent has no equilibrium report under the mechanism.
+    Uniform-random reporters stay unlisted: they draw fresh reports every
+    trial.
+    """
+    custom = {} if isinstance(strategy_mode, str) else dict(strategy_mode)
+    sigma_prime = aggregate_sigma_prime(env)
+    reports: dict[int, float] = {}
+    for agent in env.agents:
+        if agent.id in custom:
+            reports[agent.id] = float(custom[agent.id])
+            continue
+        value = _equilibrium_self_report(agent, mechanism, sigma_prime)
+        if value is not None:
+            reports[agent.id] = float(value)
+    return reports
+
+
 def build_messages(
     env: Environment,
-    spec: MechanismSpec,
     cross_obs: np.ndarray,
     rng: np.random.Generator,
-    sigma_prime: float | None = None,
-    self_overrides: Mapping[int, float] | None = None,
+    self_reports: Mapping[int, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrium-mode messages for a batch of trials.
+    """Messages of a strategy profile for a batch of trials.
 
-    Truthful senders relay their observations; image/mixed senders use their
-    analytical self-reports; malicious senders draw uniform reports (self and
-    cross) per trial; colluders substitute inflate/bash constants.
-    ``self_overrides`` replaces individual agents' constant self-reports
-    (used for custom strategy profiles).  Returns (self_reports, cross_reports)
-    shaped (trials, K) and (trials, K, K).
+    ``self_reports`` holds the constant self-reports
+    (:func:`resolve_self_reports`); agents it does not list are
+    uniform-random reporters and draw their self-reports per trial.
+    Truthful senders relay their observations; malicious senders draw
+    uniform cross-reports per trial; colluders substitute inflate/bash
+    constants.  Returns the self-reports, shaped (trials, K), and the
+    cross-reports, shaped (trials, K, K).
     """
     trials, k = cross_obs.shape[0], env.k
-    if sigma_prime is None:
-        sigma_prime = aggregate_sigma_prime(env)
     cross = cross_obs.copy()
     selfs = np.empty((trials, k))
     clique_members: dict[int, list[int]] = {}
@@ -449,16 +433,11 @@ def build_messages(
         if isinstance(agent.agent_type, Colluder):
             clique_members.setdefault(agent.agent_type.clique_id, []).append(i)
     for i, agent in enumerate(env.agents):
-        if self_overrides is not None and i in self_overrides:
-            selfs[:, i] = self_overrides[i]
-        else:
-            const = _equilibrium_self_report(agent, spec, sigma_prime)
-            if const is None:
-                kind = agent.agent_type
-                selfs[:, i] = rng.uniform(kind.low, kind.high, size=trials)
-            else:
-                selfs[:, i] = const
         kind = agent.agent_type
+        if i in self_reports:
+            selfs[:, i] = self_reports[i]
+        else:
+            selfs[:, i] = rng.uniform(kind.low, kind.high, size=trials)
         if isinstance(kind, MaliciousRandom):
             cross[:, i, :] = rng.uniform(kind.low, kind.high, size=(trials, k))
         elif isinstance(kind, Colluder):
@@ -514,21 +493,16 @@ def _resolve_profile(
     others_strategy: str | Mapping[int, float],
     cross_obs: np.ndarray,
     rng: np.random.Generator,
-    sigma_prime: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Message batches for a named or explicit strategy profile."""
-    if isinstance(others_strategy, str):
-        if others_strategy == "equilibrium":
-            return build_messages(env, spec, cross_obs, rng, sigma_prime)
-        if others_strategy == "truthful":
-            trials = cross_obs.shape[0]
-            return np.tile(env.qualities, (trials, 1)), cross_obs
+    if others_strategy == "truthful":
+        trials = cross_obs.shape[0]
+        return np.tile(env.qualities, (trials, 1)), cross_obs
+    if isinstance(others_strategy, str) and others_strategy != "equilibrium":
         raise ValueError(
             f"others_strategy must be 'truthful', 'equilibrium' or a mapping, got {others_strategy!r}"
         )
-    return build_messages(
-        env, spec, cross_obs, rng, sigma_prime, self_overrides=dict(others_strategy)
-    )
+    return build_messages(env, cross_obs, rng, resolve_self_reports(env, spec, others_strategy))
 
 
 @dataclass(frozen=True)
@@ -560,10 +534,9 @@ def draw_profile(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    sigma_prime = aggregate_sigma_prime(env)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     r0, cross_obs = sample_observations(env, rng, trials)
-    selfs, cross = _resolve_profile(env, mechanism, others_strategy, cross_obs, rng, sigma_prime)
+    selfs, cross = _resolve_profile(env, mechanism, others_strategy, cross_obs, rng)
     for arr in (r0, selfs, cross):
         arr.setflags(write=False)
     return ProfileDraw(r0=r0, selfs=selfs, cross=cross)

@@ -50,7 +50,6 @@ from replab.strategies import (
     _y_residual,
     deviation_report,
     expected_pr_reputation,
-    expected_pr_reputation_grid,
     pr_optimal_self_report,
     proportional_deviation_profit,
     solve_y,
@@ -200,7 +199,7 @@ def test_criterion_02_band_offset_roots():
             )
             eps = a * sigma_prime
             xs = np.linspace(mu, mu + eps, 5001)
-            values = expected_pr_reputation_grid(xs, mu, sigma_prime, eps)
+            values = expected_pr_reputation(xs, mu, sigma_prime, eps)
             y_oracle = (float(xs[int(np.argmax(values))]) - mu) / eps
             _check(
                 failures,

@@ -171,6 +171,31 @@ def test_fewer_than_one_worker_exits_2_naming_the_flag(runner, tmp_path):
     assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("run", "--trials", "0"),
+        ("sweep", "--trials", "0"),
+        ("check-equilibrium", "--trials", "0"),
+        ("check-equilibrium", "--grid", "2"),
+        ("report", "--trials", "-1"),
+    ],
+)
+def test_bad_count_flag_exits_2_naming_the_flag(runner, tmp_path, command, flag, value):
+    config = _write(tmp_path, "basic.ini", BASIC_INI)
+    args = {
+        "run": ["run", str(config), "--out", str(tmp_path / "out")],
+        "sweep": ["sweep", str(config), "--parameter", "sigma", "--grid", "0.1", "--out", str(tmp_path / "out")],
+        "check-equilibrium": ["check-equilibrium", str(config)],
+        "report": ["report", str(config)],
+    }[command]
+    result = runner.invoke(main, args + [flag, value])
+    assert result.exit_code == 2, result.output
+    assert flag in result.output
+    assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_and_trials_flags_override_config_and_digest(runner, tmp_path):
     config = _write(tmp_path, "basic.ini", BASIC_INI)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -450,7 +475,6 @@ def test_check_equilibrium_skips_randomized_reporters(runner, tmp_path):
 def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeypatch):
     from replab import strategies
     from replab.cli import _fmt, parse_config
-    from replab.simulator import _resolve_strategy_overrides
 
     config = _write(
         tmp_path,
@@ -475,9 +499,7 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
     # Every row equals an audit of that agent alone on its own fresh draw.
     parsed = parse_config(str(config))
     env, mechanism = parsed.env, parsed.mechanism
-    profile = _resolve_strategy_overrides(
-        env, mechanism, strategies.aggregate_sigma_prime(env), parsed.strategy_mode
-    )
+    profile = strategies.resolve_self_reports(env, mechanism, parsed.strategy_mode)
     rows = result.output.splitlines()
     for i in (0, 1, 3):
         rep = strategies.deviation_report(

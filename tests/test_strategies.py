@@ -37,7 +37,7 @@ from replab.core import (
 )
 from replab import strategies
 from replab.mechanisms import run_batch
-from replab.numerics import NoRoot, NormalParams, find_root
+from replab.numerics import NoRoot, NormalParams, find_root, integrate, normal_cdf
 from replab.strategies import (
     DeviationReport,
     PrEquilibrium,
@@ -50,11 +50,12 @@ from replab.strategies import (
     draw_profile,
     equilibrium_self_reports,
     expected_pr_reputation,
-    expected_pr_reputation_grid,
     fr_deviation_loss,
     image_best_response_as,
     mixed_best_response_as,
+    pr_mae,
     pr_optimal_self_report,
+    resolve_self_reports,
     sample_observations,
     solve_y,
     proportional_deviation_profit,
@@ -141,12 +142,48 @@ def test_expected_pr_reputation_against_monte_carlo():
 
 
 def test_expected_pr_reputation_quadrature_matches_closed_grid():
+    # Quadrature oracle: the same formula with both cdf integrals taken by
+    # adaptive Simpson, the left tail truncated at 8 standard deviations.
+    mu, sp, eps = 0.5, 0.07, 0.2
+    cdf = lambda t: float(normal_cdf(t, mu, sp))
+    lo_tail = mu - 8.0 * sp
     xs = np.linspace(0.3, 0.8, 41)
-    closed = expected_pr_reputation_grid(xs, 0.5, 0.07, 0.2)
-    for x, ref in zip(xs, closed):
-        assert expected_pr_reputation(float(x), 0.5, 0.07, 0.2) == pytest.approx(
-            float(ref), abs=5e-8
-        )
+    closed = expected_pr_reputation(xs, mu, sp, eps)
+    for x, value in zip(xs.tolist(), closed):
+        band = integrate(cdf, x - eps, x + eps, tol=1e-10)
+        tail = integrate(cdf, lo_tail, x - eps, tol=1e-10) if x - eps > lo_tail else 0.0
+        oracle = x + 0.5 * eps * cdf(x + eps) - 1.5 * eps * cdf(x - eps) - 0.5 * band - 2.0 * tail
+        assert float(value) == pytest.approx(oracle, abs=5e-8)
+
+
+def test_expected_pr_reputation_scalar_and_array_calls_agree():
+    xs = np.linspace(0.2, 0.9, 29)
+    values = expected_pr_reputation(xs, 0.5, 0.07, 0.2)
+    assert isinstance(values, np.ndarray) and values.shape == xs.shape
+    for x, value in zip(xs.tolist(), values):
+        scalar = expected_pr_reputation(x, 0.5, 0.07, 0.2)
+        assert type(scalar) is float
+        assert scalar == value
+
+
+@pytest.mark.parametrize("sp", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("a", [1.0, 1.7, 4.0, 5.0])
+def test_pr_mae_matches_quadrature_oracle(a, sp):
+    # |published| against the N(0, sp^2) aggregate density, integrated piece
+    # by piece between the kinks: the band edges, and -x* when the band
+    # reaches it (offset y < 1/2).
+    x_star = pr_optimal_self_report(0.0, sp, a).x_star
+    eps = a * sp
+
+    def error(t):
+        gap = abs(x_star - t)
+        published = 0.5 * (t + x_star) if gap <= eps else t - gap
+        return abs(published) * math.exp(-0.5 * (t / sp) ** 2) / (sp * math.sqrt(2.0 * math.pi))
+
+    lo, hi = x_star - eps, x_star + eps
+    knots = [-12.0 * sp, lo] + ([-x_star] if lo < -x_star else []) + [hi, 12.0 * sp]
+    oracle = sum(integrate(error, u, v, tol=1e-13) for u, v in zip(knots, knots[1:]))
+    assert pr_mae(a, sp) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_expected_pr_reputation_wide_band_limit():
@@ -174,7 +211,7 @@ def test_pr_optimal_self_report_bounds_and_grid_oracle():
     eq = pr_optimal_self_report(mu, sp, a)
     assert mu < eq.x_star < mu + a * sp
     xs = np.linspace(mu, mu + a * sp, 100_001)
-    curve = expected_pr_reputation_grid(xs, mu, sp, a * sp)
+    curve = expected_pr_reputation(xs, mu, sp, a * sp)
     oracle = float(xs[np.argmax(curve)])
     assert eq.x_star == pytest.approx(oracle, abs=1e-4)
     assert eq.y == pytest.approx((oracle - mu) / (a * sp), abs=1e-3)
@@ -313,7 +350,7 @@ def test_build_messages_colluders_and_malicious():
     env = Environment(agents=agents)
     rng = np.random.default_rng(9)
     r0, cross_obs = sample_observations(env, rng, 200)
-    selfs, cross = build_messages(env, AS(), cross_obs, rng)
+    selfs, cross = build_messages(env, cross_obs, rng, resolve_self_reports(env, AS()))
     assert np.all(selfs[:, 0] == 0.9) and np.all(selfs[:, 1] == 0.9)
     assert np.all(selfs[:, 2] == 0.5)
     assert np.all((selfs[:, 3] >= 0.2) & (selfs[:, 3] <= 0.4))
@@ -330,7 +367,7 @@ def test_build_messages_self_overrides():
     env = _truth_env([0.2, 0.8])
     rng = np.random.default_rng(1)
     _, cross_obs = sample_observations(env, rng, 10)
-    selfs, _ = build_messages(env, AS(), cross_obs, rng, self_overrides={1: 0.33})
+    selfs, _ = build_messages(env, cross_obs, rng, resolve_self_reports(env, AS(), {1: 0.33}))
     assert np.all(selfs[:, 0] == 0.2) and np.all(selfs[:, 1] == 0.33)
 
 
@@ -541,8 +578,7 @@ def _dense_profile(env, mechanism, profile, trials, seed):
     r0, cross_obs = sample_observations(env, rng, trials)
     if profile == "truthful":
         return r0, np.tile(env.qualities, (trials, 1)), cross_obs.copy()
-    overrides = None if profile == "equilibrium" else dict(profile)
-    selfs, cross = build_messages(env, mechanism, cross_obs, rng, self_overrides=overrides)
+    selfs, cross = build_messages(env, cross_obs, rng, resolve_self_reports(env, mechanism, profile))
     return r0, selfs, cross
 
 
