@@ -53,6 +53,7 @@ __all__ = [
     "as_ir_gain",
     "hetero_truth_participation",
     "hetero_image_participation",
+    "image_participation_rule",
     "hetero_system_gain",
     "collusion_expected_tax",
     "weighted_variance_check",
@@ -304,6 +305,17 @@ def hetero_truth_participation(
     )
 
 
+def image_participation_rule(r: float, rho: float) -> tuple[float, float]:
+    """The paper's closed (u_in, u_out) for an image-driven agent of quality ``r``.
+
+    u_in = x* - 1/4 + rho/4 with x* = min(r + 1/2, 1), and u_out = r;
+    ``rho`` is the image-driven fraction of the other participants.  The
+    agent joins when u_in >= u_out, computed in exactly this arithmetic.
+    """
+    x_star = min(r + 0.5, 1.0)
+    return x_star - 0.25 + 0.25 * rho, r
+
+
 def hetero_image_participation(
     agent: Agent,
     env: Environment,
@@ -351,10 +363,7 @@ def hetero_image_participation(
     )
     use_closed = method == "closed" or (method == "auto" and closed_ok)
     if use_closed:
-        r = float(agent.quality)
-        x_star = min(r + 0.5, 1.0)
-        u_out = r
-        u_in = x_star - 0.25 + 0.25 * rho
+        u_in, u_out = image_participation_rule(float(agent.quality), rho)
     else:
         stats = run_trials(ScenarioConfig(env, AS(), "equilibrium", trials, seed))
         u_in = float(stats.per_agent_utility_mean[focal_index])

@@ -30,6 +30,7 @@ from .analysis import (
     hetero_image_participation,
     hetero_system_gain,
     hetero_truth_participation,
+    image_participation_rule,
     pr_mae,
 )
 from .core import (
@@ -56,6 +57,7 @@ from .core import (
 )
 from .numerics import NormalParams
 from .simulator import (
+    STREAM,
     ScenarioConfig,
     SWEEP_PARAMETERS,
     run_trials,
@@ -140,13 +142,18 @@ def _write_schema(csv_path: Path, columns: dict[str, str]) -> Path:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record written beside every file-producing command."""
+    """Provenance record written beside every file-producing command.
+
+    ``stream`` is the simulator's draw-order version (``simulator.STREAM``):
+    equal configs, seeds and streams give equal outputs.
+    """
 
     command: str
     config_digest: str
     seed: int
     tool_version: str
     output_paths: list[str]
+    stream: int
 
 
 def _digest(canonical: dict) -> str:
@@ -163,6 +170,7 @@ def _write_manifest(
         seed=seed,
         tool_version=__version__,
         output_paths=sorted(p.name for p in paths),
+        stream=STREAM,
     )
     _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
 
@@ -937,10 +945,13 @@ def cmd_report(config_path, seed, trials):
             mc = hetero_image_participation(
                 agent, env, trials=trials, seed=parsed.seed, method="mc"
             )
-            bound = 4.0 * (1.0 - r)
+            # gamma <= 4(1-r) is the paper's rule u_in >= u_out rearranged;
+            # deciding it in the rule's own arithmetic keeps the two verdicts
+            # equal where 4(1-r) rounds below gamma.
+            rule_in, rule_out = image_participation_rule(r, closed.rho)
             threshold = (
-                f"gamma {_fmt(closed.gamma)} <= 4(1-r) {_fmt(bound)}: "
-                f"{'yes' if closed.gamma <= bound else 'no'}"
+                f"gamma {_fmt(closed.gamma)} <= 4(1-r) {_fmt(4.0 * (1.0 - r))}: "
+                f"{'yes' if rule_in >= rule_out else 'no'}"
             )
         else:
             click.echo(f"{i:<6d} {kind:<10s} {_fmt(r):<8s} randomized reporter, no participation model")

@@ -484,6 +484,8 @@ def batch_true_utilities(
 
     ``reputations`` and ``taxes`` have shape (trials, K); returns (trials, K)
     utilities computed per agent with that agent's own f, g and truth weight.
+    f(errors) and its row sums are computed once per distinct loss: equal
+    (frozen) losses give equal arrays.
     """
     if reputations.shape != taxes.shape or reputations.shape[1] != env.k:
         raise DimensionMismatch(
@@ -491,10 +493,13 @@ def batch_true_utilities(
         )
     targets = centralized_solution(env)
     errors = np.abs(reputations - targets[None, :])
+    losses: dict[AbsPower, tuple[np.ndarray, np.ndarray]] = {}
     out = np.empty_like(reputations)
     for i, agent in enumerate(env.agents):
-        floss = agent.utility.f(errors)
-        out[:, i] = agent_utility(
-            agent, floss.sum(axis=1) - floss[:, i], reputations[:, i], taxes[:, i]
-        )
+        f = agent.utility.f
+        if f not in losses:
+            floss = f(errors)
+            losses[f] = (floss, floss.sum(axis=1))
+        floss, total = losses[f]
+        out[:, i] = agent_utility(agent, total - floss[:, i], reputations[:, i], taxes[:, i])
     return out

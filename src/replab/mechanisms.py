@@ -41,6 +41,11 @@ from .core import (
 __all__ = [
     "TooFewAgents",
     "ZeroWeightSum",
+    "NO_CROSS",
+    "PEER_SUMS",
+    "DENSE",
+    "cross_reads",
+    "peer_weights",
     "run_batch",
     "deviation_terms",
 ]
@@ -55,13 +60,72 @@ class ZeroWeightSum(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (trials axis first)
+# What each family reads of the cross-report matrix
 # ---------------------------------------------------------------------------
+
+NO_CROSS = "none"
+PEER_SUMS = "peer_sums"
+DENSE = "dense"
+
+
+def cross_reads(spec: MechanismSpec) -> str:
+    """What ``spec`` reads of the cross reports.
+
+    :data:`NO_CROSS`: scoring, share-of-total and direct observation read
+    none.  :data:`PEER_SUMS`: the averaging and punish-reward families read
+    each subject's peer reports only through one (weighted) sum,
+    ``sum_{j != i} w_j R_ji`` with :func:`peer_weights`.  :data:`DENSE`:
+    ring validation reads individual entries.
+    """
+    if isinstance(spec, (AS, FR, DirectObservation)):
+        return NO_CROSS
+    if isinstance(spec, (SimpleAveraging, PR, WeightedPR)):
+        return PEER_SUMS
+    return DENSE
+
+
+def peer_weights(spec: MechanismSpec, k: int) -> np.ndarray:
+    """The reporter weights of a :data:`PEER_SUMS` family's peer sums.
+
+    Raises :class:`~replab.core.DimensionMismatch` or :class:`ZeroWeightSum`
+    when weighted punish-reward's weights cannot form an aggregate over K
+    agents.
+    """
+    if not isinstance(spec, WeightedPR):
+        return np.ones(k)
+    weights = np.asarray(spec.weights, dtype=float)
+    if weights.shape[0] != k:
+        raise DimensionMismatch(f"{weights.shape[0]} weights for {k} agents")
+    if weights.sum() <= 0.0:
+        raise ZeroWeightSum("weights sum to zero")
+    if np.any(weights.sum() - weights <= 0.0):
+        raise ZeroWeightSum(
+            "some subject is left with zero total weight once its own is excluded"
+        )
+    return weights
 
 
 def _colsum_excl_diag(cross: np.ndarray) -> np.ndarray:
     """Sum of each column of the report matrices, excluding the diagonal."""
     return cross.sum(axis=1) - np.diagonal(cross, axis1=1, axis2=2)
+
+
+def _weighted_colsum_excl_diag(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Reporter-weighted column sums of the report matrices, excluding the diagonal."""
+    own = weights[None, :] * np.diagonal(cross, axis1=1, axis2=2)
+    return np.einsum("j,bji->bi", weights, cross) - own
+
+
+def _peer_sums(spec: MechanismSpec, cross: np.ndarray) -> np.ndarray:
+    """Reduce dense (B, K, K) reports to the (B, K) peer sums ``spec`` reads."""
+    if isinstance(spec, WeightedPR):
+        return _weighted_colsum_excl_diag(cross, peer_weights(spec, cross.shape[1]))
+    return _colsum_excl_diag(cross)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels (trials axis first)
+# ---------------------------------------------------------------------------
 
 
 def _ring_maps(rings: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
@@ -163,13 +227,9 @@ def _fr_kernel(selfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _shares(selfs, selfs.sum(axis=1, keepdims=True), k), np.zeros_like(selfs)
 
 
-def _peer_numerators(cross: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """K times the averaging aggregate: the K-1 peer reports plus the prior."""
-    return _colsum_excl_diag(cross) + r0
-
-
-def _simple_avg_kernel(cross: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    reps = _peer_numerators(cross, r0) / r0.shape[1]
+def _simple_avg_kernel(sums: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # K times the aggregate is the K-1 peer reports plus the prior.
+    reps = (sums + r0) / r0.shape[1]
     return reps, np.zeros_like(r0)
 
 
@@ -179,23 +239,21 @@ def _pr_branch(selfs: np.ndarray, aggregate: np.ndarray, eps: float) -> np.ndarr
 
 
 def _pr_kernel(
-    selfs: np.ndarray, cross: np.ndarray, r0: np.ndarray, eps: float
+    selfs: np.ndarray, sums: np.ndarray, r0: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    aggregate = _peer_numerators(cross, r0) / selfs.shape[1]
+    aggregate = (sums + r0) / selfs.shape[1]
     return _pr_branch(selfs, aggregate, eps), np.zeros_like(selfs)
 
 
-def _weighted_aggregate(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    weighted_cols = np.einsum("j,bji->bi", weights, cross)
-    own = weights[None, :] * np.diagonal(cross, axis1=1, axis2=2)
+def _weighted_aggregate(sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
     denom = weights.sum() - weights
-    return (weighted_cols - own) / denom[None, :]
+    return sums / denom[None, :]
 
 
 def _weighted_pr_kernel(
-    selfs: np.ndarray, cross: np.ndarray, weights: np.ndarray, eps: float
+    selfs: np.ndarray, sums: np.ndarray, weights: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    aggregate = _weighted_aggregate(cross, weights)
+    aggregate = _weighted_aggregate(sums, weights)
     return _pr_branch(selfs, aggregate, eps), np.zeros_like(selfs)
 
 
@@ -210,18 +268,23 @@ def run_batch(
     cross_reports: np.ndarray | None,
     system_obs: np.ndarray | None,
     sigma_prime: float = 0.0,
+    *,
+    peer_sums: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a mechanism over a batch of rounds.
 
     Arrays carry a leading trials axis: ``self_reports`` (trials, K),
     ``cross_reports`` (trials, K, K), ``system_obs`` (trials, K).  Arguments a
     mechanism does not use may be None; the supplied ones must agree on
-    trials and K, and ``sigma_prime`` must be finite and >= 0.  Returns
-    (reputations, taxes), each (trials, K).
+    trials and K, and ``sigma_prime`` must be finite and >= 0.  A
+    :data:`PEER_SUMS` family reads ``peer_sums`` (trials, K) when given and
+    otherwise reduces ``cross_reports`` to them; both feed one kernel.
+    Returns (reputations, taxes), each (trials, K).
     """
     if not math.isfinite(sigma_prime) or sigma_prime < 0.0:
         raise ValueError(f"sigma_prime must be finite and >= 0, got {sigma_prime!r}")
-    first = next((a for a in (self_reports, system_obs, cross_reports) if a is not None), None)
+    supplied = (self_reports, system_obs, peer_sums, cross_reports)
+    first = next((a for a in supplied if a is not None), None)
     if first is None or first.ndim < 2:
         raise DimensionMismatch("need report arrays with a leading trials axis")
     trials, k = first.shape[:2]
@@ -229,6 +292,7 @@ def run_batch(
         ("self_reports", self_reports, (trials, k)),
         ("cross_reports", cross_reports, (trials, k, k)),
         ("system_obs", system_obs, (trials, k)),
+        ("peer_sums", peer_sums, (trials, k)),
     ):
         if arr is not None and arr.shape != shape:
             raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
@@ -237,6 +301,11 @@ def run_batch(
         if arr is None:
             raise DimensionMismatch(f"{type(spec).__name__} requires {name}")
         return arr
+
+    def sums() -> np.ndarray:
+        if peer_sums is not None:
+            return peer_sums
+        return _peer_sums(spec, need("cross_reports", cross_reports))
 
     if isinstance(spec, AS):
         if k < 2:
@@ -255,29 +324,18 @@ def run_batch(
     if isinstance(spec, FR):
         return _fr_kernel(need("self_reports", self_reports))
     if isinstance(spec, SimpleAveraging):
-        return _simple_avg_kernel(need("cross_reports", cross_reports), need("system_obs", system_obs))
+        return _simple_avg_kernel(sums(), need("system_obs", system_obs))
     if isinstance(spec, PR):
         return _pr_kernel(
             need("self_reports", self_reports),
-            need("cross_reports", cross_reports),
+            sums(),
             need("system_obs", system_obs),
             spec.a * sigma_prime,
         )
     if isinstance(spec, WeightedPR):
-        weights = np.asarray(spec.weights, dtype=float)
-        if weights.shape[0] != k:
-            raise DimensionMismatch(f"{weights.shape[0]} weights for {k} agents")
-        if weights.sum() <= 0.0:
-            raise ZeroWeightSum("weights sum to zero")
-        if np.any(weights.sum() - weights <= 0.0):
-            raise ZeroWeightSum(
-                "some subject is left with zero total weight once its own is excluded"
-            )
+        weights = peer_weights(spec, k)
         return _weighted_pr_kernel(
-            need("self_reports", self_reports),
-            need("cross_reports", cross_reports),
-            weights,
-            spec.a * sigma_prime,
+            need("self_reports", self_reports), sums(), weights, spec.a * sigma_prime
         )
     if isinstance(spec, DirectObservation):
         obs = need("system_obs", system_obs)
@@ -356,7 +414,8 @@ def deviation_terms(
 
         return reps, move_share
     if isinstance(spec, SimpleAveraging):
-        numerators = np.ascontiguousarray(_peer_numerators(cross_reports, system_obs).T)[:, None, :]
+        numerators = _peer_sums(spec, cross_reports) + system_obs
+        numerators = np.ascontiguousarray(numerators.T)[:, None, :]
         own = reps[:, i]
 
         def move_average(c: np.ndarray, rows: slice) -> tuple:
@@ -366,11 +425,11 @@ def deviation_terms(
 
         return reps, move_average
     if isinstance(spec, (PR, WeightedPR)):
+        sums = _peer_sums(spec, cross_reports)
         if isinstance(spec, PR):
-            aggregate = _peer_numerators(cross_reports, system_obs)[:, i] / k
+            aggregate = (sums + system_obs)[:, i] / k
         else:
-            weights = np.asarray(spec.weights, dtype=float)
-            aggregate = _weighted_aggregate(cross_reports, weights)[:, i]
+            aggregate = _weighted_aggregate(sums, peer_weights(spec, k))[:, i]
         eps = spec.a * sigma_prime
         return reps, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)
     raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")

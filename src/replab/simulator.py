@@ -2,14 +2,30 @@
 
 Every simulated result goes through :func:`simulate`.  Trials are processed
 in fixed batches of 1024.  Batch ``b`` draws from
-``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` and its
-draw order is fixed: system observations, then cross observations (both in
-``sample_observations``), then per-agent message randomness in agent order
-(``build_messages``), then the mechanism's own draws (the collusion
-scenario's secret validation rings, one layer at a time); the caller's
-reducer then condenses the batch.  Worker threads may compute batches in
-any order; partial results are reduced in batch order with compensated
-summation, so results are byte-identical for any worker count.
+``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` in one of
+two fixed orders, which together make draw stream :data:`STREAM` = 2:
+
+- Compact, O(batch * K): when no agent is a uniform-random or colluding
+  reporter, observations are not clamped, and the mechanism reads no cross
+  report or only each subject's peer sum (``mechanisms.cross_reads``).  The
+  batch draws the system observations, then, for the peer-sum families,
+  each subject's (weighted) peer sum as one Normal
+  (``strategies.sample_compact``); self-reports are the resolved
+  constants.
+- Dense, O(batch * K^2): every other case.  The batch draws the system
+  observations, then the cross observations (both in
+  ``sample_observations``), then per-agent message randomness in agent
+  order (``build_messages``), then the mechanism's own draws (the collusion
+  scenario's secret validation rings, one layer at a time).  A batch's
+  (batch, K, K) cross array may hold at most :data:`MAX_CROSS_BYTES`;
+  above that ``simulate`` raises :class:`CrossDrawTooLarge` before drawing.
+
+Both orders start with the same system draw, so mechanisms that read no
+cross report give the same numbers on either.  Stream 1 drew every batch
+densely.  The caller's reducer then condenses the batch.  Worker threads
+may compute batches in any order; partial results are reduced in batch
+order with compensated summation, so results are byte-identical for any
+worker count.
 
 Strategy constants are resolved once per scenario (they depend on the
 observation distributions, not on samples); only uniform-random reporters
@@ -42,7 +58,14 @@ from .core import (
     centralized_solution,
 )
 from .numerics import NormalParams
-from .mechanisms import _extended_as_kernel, run_batch
+from .mechanisms import (
+    DENSE,
+    PEER_SUMS,
+    _extended_as_kernel,
+    cross_reads,
+    peer_weights,
+    run_batch,
+)
 from .strategies import (
     UnsupportedCombination,
     aggregate_sigma_prime,
@@ -51,10 +74,14 @@ from .strategies import (
     pr_mae,
     pr_optimal_self_report,
     resolve_self_reports,
+    sample_compact,
     sample_observations,
 )
 
 __all__ = [
+    "STREAM",
+    "MAX_CROSS_BYTES",
+    "CrossDrawTooLarge",
     "CliqueTooLarge",
     "UnsupportedCombination",
     "ScenarioConfig",
@@ -68,11 +95,21 @@ __all__ = [
 
 BATCH_TRIALS = 1024
 
+# Version of the draw order documented above; output manifests record it.
+STREAM = 2
+
+# Largest (batch, K, K) cross array one dense batch may hold.
+MAX_CROSS_BYTES = 1 << 30
+
 SWEEP_PARAMETERS = ("pr_a", "sigma", "rho")
 
 
 class CliqueTooLarge(ValueError):
     """Raised when a clique leaves fewer than two honest outsiders."""
+
+
+class CrossDrawTooLarge(RuntimeError):
+    """A dense batch's cross array would exceed :data:`MAX_CROSS_BYTES`."""
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +250,50 @@ def simulate(
         raise ValueError(f"workers must be >= 1, got {workers}")
     sigma_prime = aggregate_sigma_prime(env)
     self_reports = resolve_self_reports(env, mechanism, strategy_mode)
+    reads = cross_reads(mechanism)
+    # Peer sums are Normal only while every reporter relays its own
+    # unclamped observation: malicious and colluding reporters replace their
+    # rows, and clamping bends the distribution.
+    compact = (
+        reads != DENSE
+        and not env.clamp_observations
+        and not any(isinstance(a.agent_type, (MaliciousRandom, Colluder)) for a in env.agents)
+    )
+
+    if compact:
+        selfs_row = np.array([self_reports[agent.id] for agent in env.agents])
+        weights = peer_weights(mechanism, env.k) if reads == PEER_SUMS else None
+
+        def draw_batch(rng: np.random.Generator, size: int) -> tuple:
+            system_obs, sums = sample_compact(env, rng, size, weights)
+            selfs = np.tile(selfs_row, (size, 1))
+            reps, taxes = run_batch(mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums)
+            return system_obs, selfs, reps, taxes
+
+    else:
+        largest = min(trials, BATCH_TRIALS)
+        requested = largest * env.k * env.k * 8
+        if requested > MAX_CROSS_BYTES:
+            raise CrossDrawTooLarge(
+                f"a batch of {largest} trials of K={env.k} cross observations needs "
+                f"{requested} bytes, above the {MAX_CROSS_BYTES}-byte cap on one dense batch"
+            )
+
+        def draw_batch(rng: np.random.Generator, size: int) -> tuple:
+            system_obs, cross_obs = sample_observations(env, rng, size)
+            selfs, cross = build_messages(env, cross_obs, rng, self_reports)
+            if isinstance(mechanism, _SecretRings):
+                base = np.broadcast_to(np.arange(env.k), selfs.shape)
+                rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+                reps, taxes = _extended_as_kernel(
+                    selfs, cross, rings[0], rings[-1], mechanism.layers
+                )
+            else:
+                reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
+            return system_obs, selfs, reps, taxes
 
     def one_batch(batch_index: int, size: int) -> dict:
-        rng = _batch_rng(seed, batch_index)
-        system_obs, cross_obs = sample_observations(env, rng, size)
-        selfs, cross = build_messages(env, cross_obs, rng, self_reports)
-        if isinstance(mechanism, _SecretRings):
-            base = np.broadcast_to(np.arange(env.k), selfs.shape)
-            rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-            reps, taxes = _extended_as_kernel(selfs, cross, rings[0], rings[-1], mechanism.layers)
-        else:
-            reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
-        return reduce(system_obs, selfs, reps, taxes)
+        return reduce(*draw_batch(_batch_rng(seed, batch_index), size))
 
     partials = _map_batches(one_batch, _batch_plan(trials), workers)
     return {key: _combine(key, [p[key] for p in partials]) for key in partials[0]}

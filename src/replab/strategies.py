@@ -10,7 +10,10 @@ Three kinds of results live here:
 2. The strategy map used by the Monte Carlo driver: which self- and
    cross-reports each agent type submits under each mechanism in equilibrium
    (``equilibrium_self_reports`` / ``resolve_self_reports`` /
-   ``build_messages``).  Pairs without an analytical best response raise
+   ``build_messages``), and the observation samplers it draws from in its
+   two orders (the dense ``sample_observations`` and the O(K)
+   ``sample_compact``, which draws peer sums with ``sample_peer_sums``).
+   Pairs without an analytical best response raise
    :class:`UnsupportedCombination` rather than inventing behavior.
 3. A brute-force numerical oracle (``best_response_numeric`` /
    ``deviation_report``) that grids a deviator's report, replays the same
@@ -71,6 +74,8 @@ __all__ = [
     "equilibrium_self_reports",
     "resolve_self_reports",
     "sample_observations",
+    "sample_peer_sums",
+    "sample_compact",
     "build_messages",
     "ProfileDraw",
     "draw_profile",
@@ -356,6 +361,14 @@ def equilibrium_self_reports(
     return out
 
 
+def _sample_system(env: Environment, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """System priors (trials, K): the first draw of every batch, unclamped."""
+    r0 = rng.normal(0.0, 1.0, size=(trials, env.k))
+    r0 *= env.system_obs.std
+    r0 += env.qualities[None, :] + env.system_obs.mean
+    return r0
+
+
 def sample_observations(
     env: Environment, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -367,19 +380,52 @@ def sample_observations(
     reproducible.  Observations are clamped to [0, 1] only when the
     environment opts in.
     """
-    truths = env.qualities
     k = env.k
+    r0 = _sample_system(env, rng, trials)
     # Scaled and shifted in place, so no second (trials, K, K) array is live.
-    r0 = rng.normal(0.0, 1.0, size=(trials, k))
-    r0 *= env.system_obs.std
-    r0 += truths[None, :] + env.system_obs.mean
     cross = rng.normal(0.0, 1.0, size=(trials, k, k))
     cross *= env.cross_stds[None, :, None]
-    cross += truths[None, None, :] + env.cross_biases[None, :, None]
+    cross += env.qualities[None, None, :] + env.cross_biases[None, :, None]
     if env.clamp_observations:
         np.clip(r0, 0.0, 1.0, out=r0)
         np.clip(cross, 0.0, 1.0, out=cross)
     return r0, cross
+
+
+def sample_peer_sums(
+    env: Environment, rng: np.random.Generator, trials: int, weights: np.ndarray
+) -> np.ndarray:
+    """Draw each subject's weighted peer-observation sum directly, (trials, K).
+
+    With unclamped Normal observations, ``sum_{j != i} w_j R_ji`` is Normal
+    with mean ``sum_{j != i} w_j (r_i + b_j)`` and standard deviation
+    ``sqrt(sum_{j != i} w_j^2 sigma_j^2)``, so the sums cost O(trials * K)
+    where the dense matrix costs O(trials * K^2).  Valid only when every
+    reporter relays its own unclamped observation.
+    """
+    weights = np.asarray(weights, dtype=float)
+    biases = env.cross_biases
+    w_var = weights * weights * env.cross_stds**2
+    mean = env.qualities * (weights.sum() - weights) + (weights @ biases - weights * biases)
+    std = np.sqrt(np.maximum(w_var.sum() - w_var, 0.0))
+    sums = rng.normal(0.0, 1.0, size=(trials, env.k))
+    sums *= std[None, :]
+    sums += mean[None, :]
+    return sums
+
+
+def sample_compact(
+    env: Environment, rng: np.random.Generator, trials: int, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The compact counterpart of :func:`sample_observations`.
+
+    Draws the system observations, then, when ``weights`` is given, each
+    subject's weighted peer sum (:func:`sample_peer_sums`); ``None`` in
+    place of the sums means the mechanism reads no cross report.  Valid
+    only for unclamped observations relayed by every reporter.
+    """
+    r0 = _sample_system(env, rng, trials)
+    return r0, None if weights is None else sample_peer_sums(env, rng, trials, weights)
 
 
 def resolve_self_reports(
@@ -423,10 +469,12 @@ def build_messages(
     Truthful senders relay their observations; malicious senders draw
     uniform cross-reports per trial; colluders substitute inflate/bash
     constants.  Returns the self-reports, shaped (trials, K), and the
-    cross-reports, shaped (trials, K, K).
+    cross-reports, shaped (trials, K, K): ``cross_obs`` itself, with the
+    malicious and colluding rows overwritten in place, so a batch holds one
+    (trials, K, K) array rather than two.
     """
     trials, k = cross_obs.shape[0], env.k
-    cross = cross_obs.copy()
+    cross = cross_obs
     selfs = np.empty((trials, k))
     clique_members: dict[int, list[int]] = {}
     for i, agent in enumerate(env.agents):
@@ -444,8 +492,6 @@ def build_messages(
             mates = clique_members[kind.clique_id]
             if kind.bash is not None:
                 cross[:, i, :] = kind.bash
-            else:
-                cross[:, i, :] = cross_obs[:, i, :]
             cross[:, i, mates] = kind.inflate
     return selfs, cross
 

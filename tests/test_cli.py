@@ -2,12 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from replab.cli import main
+from replab import simulator
+from replab.simulator import MAX_CROSS_BYTES
 
 # ---------------------------------------------------------------------------
 # Config fixtures
@@ -113,7 +116,9 @@ def test_run_writes_stats_csv_schema_and_manifest(runner, tmp_path):
         "seed",
         "tool_version",
         "output_paths",
+        "stream",
     }
+    assert manifest["stream"] == 2
     assert manifest["command"] == "run"
     assert manifest["seed"] == 7
     assert len(manifest["config_digest"]) == 64
@@ -306,6 +311,47 @@ def test_unsupported_strategy_combination_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
     assert result.exit_code == 3
     assert "Image" in result.stderr and "FR" in result.stderr
+
+
+def _spread_truth_config(tmp_path, kind, k):
+    agents = "\n".join(
+        f"agent{i} = quality={0.2 + 0.6 * i / (k - 1):.6f} type=truth" for i in range(k)
+    )
+    body = f"[agents]\n{agents}\n\n[mechanism]\nkind = {kind}\n"
+    return _write(tmp_path, f"{kind}_{k}.ini", body)
+
+
+def test_oversized_dense_batch_exits_3_before_allocating(runner, tmp_path):
+    k, trials = 1200, 1024
+    config = _spread_truth_config(tmp_path, "extended_as", k)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(
+            main, ["run", str(config), "--trials", str(trials), "--out", str(tmp_path / "o")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 3, result.output
+    requested = trials * k * k * 8
+    assert str(MAX_CROSS_BYTES) in result.stderr and str(requested) in result.stderr
+    assert peak < 64 * 2**20, peak
+
+
+def test_audit_draw_is_not_held_to_the_batch_cap(runner, tmp_path, monkeypatch):
+    # The audit draws all its trials at once; the cap bounds one simulate
+    # batch only.  A cap below this audit's draw must not refuse it.
+    k, trials = 37, 200
+    monkeypatch.setattr(simulator, "MAX_CROSS_BYTES", trials * k * k * 8 - 1)
+    config = _spread_truth_config(tmp_path, "as", k)
+    result = runner.invoke(main, ["check-equilibrium", str(config), "--trials", str(trials)])
+    assert result.exit_code in (0, 4), result.output
+    # The same cap does refuse a dense run batch of that size.
+    dense = _spread_truth_config(tmp_path, "extended_as", k)
+    result = runner.invoke(
+        main, ["run", str(dense), "--trials", str(trials), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 3, result.output
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +585,21 @@ def test_report_closed_and_mc_columns_agree(runner, tmp_path):
     u_in_mc, u_out_mc = float(cells[6]), float(cells[7])
     assert u_in_mc == pytest.approx(u_in_closed, abs=0.02)
     assert u_out_mc == pytest.approx(u_out_closed, abs=0.02)
+
+
+def test_report_threshold_decides_like_the_closed_verdict(runner, tmp_path):
+    # Agent 0 (r = 0.8) sees one image-driven peer among five: gamma = 0.8
+    # equals 4(1 - r) exactly, while 4 * (1 - 0.8) rounds to 0.7999999999999998.
+    config = _write(
+        tmp_path,
+        "boundary.ini",
+        "[agents]\nagent0 = quality=0.8 type=image\nagent1 = quality=0.3 type=truth\n"
+        "agent2 = quality=0.5 type=truth\nagent3 = quality=0.7 type=truth\n"
+        "agent4 = quality=0.6 type=truth\nagent5 = quality=0.4 type=image\n\n"
+        "[mechanism]\nkind = as\n",
+    )
+    result = runner.invoke(main, ["report", str(config), "--trials", "2000"])
+    assert result.exit_code == 0, result.output
+    row = next(l for l in result.output.splitlines() if l.startswith("0 "))
+    assert row.split()[5] == "yes"
+    assert row.endswith("gamma 0.8 <= 4(1-r) 0.8: yes")

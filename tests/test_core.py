@@ -221,3 +221,25 @@ def test_batch_utilities_match_scalar():
             assert batch[t, i] == pytest.approx(expected, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         batch_true_utilities(reps[:, :2], taxes[:, :2], env)
+
+
+def test_batch_true_utilities_equals_a_per_agent_loop_bit_for_bit():
+    kinds = [Truth(), Image(), Mixed(), Truth(), Mixed(), Image(), Truth()]
+    powers = [1.0, 2.0, 3.0, 2.0, 1.0, 3.0, 2.0]
+    env = Environment(
+        agents=tuple(
+            _agent(i, 0.1 + 0.12 * i, kind, p=p)
+            for i, (kind, p) in enumerate(zip(kinds, powers))
+        )
+    )
+    rng = np.random.default_rng(29)
+    reps = rng.uniform(-0.2, 1.2, size=(300, env.k))
+    taxes = rng.normal(0.0, 0.1, size=(300, env.k))
+    errors = np.abs(reps - centralized_solution(env)[None, :])
+    expected = np.empty_like(reps)
+    for i, agent in enumerate(env.agents):
+        floss = agent.utility.f(errors)
+        lam = agent.utility.truth_weight
+        accuracy = floss.sum(axis=1) - floss[:, i]
+        expected[:, i] = -lam * accuracy + (1.0 - lam) * agent.utility.g(reps[:, i]) - taxes[:, i]
+    assert (batch_true_utilities(reps, taxes, env) == expected).all()

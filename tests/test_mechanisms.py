@@ -23,9 +23,14 @@ from replab.core import (
     WeightedPR,
 )
 from replab.mechanisms import (
+    DENSE,
+    NO_CROSS,
+    PEER_SUMS,
     TooFewAgents,
     ZeroWeightSum,
     _extended_as_kernel,
+    _peer_sums,
+    cross_reads,
     run_batch,
 )
 
@@ -359,6 +364,29 @@ def test_run_batch_dispatch():
         _one(AS(), r0=[0.1, 0.2])
     with pytest.raises(DimensionMismatch):
         run_batch(DirectObservation(), None, None, None)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SimpleAveraging(), PR(a=1.5), WeightedPR(a=1.5, weights=(0.5, 2.0, 1.0, 1.25))],
+)
+def test_peer_sum_kernels_read_the_dense_reduction(spec):
+    rng = np.random.default_rng(17)
+    selfs, r0 = rng.uniform(size=(50, 4)), rng.uniform(size=(50, 4))
+    cross = rng.uniform(size=(50, 4, 4))
+    dense = run_batch(spec, selfs, cross, r0, 0.1)
+    summed = run_batch(spec, selfs, None, r0, 0.1, peer_sums=_peer_sums(spec, cross))
+    assert all((a == b).all() for a, b in zip(dense, summed))
+    with pytest.raises(DimensionMismatch, match="peer_sums"):
+        run_batch(spec, selfs, None, r0, 0.1, peer_sums=np.zeros((50, 3)))
+
+
+def test_each_family_declares_what_it_reads():
+    for spec in (AS(), FR(), DirectObservation()):
+        assert cross_reads(spec) == NO_CROSS
+    for spec in (SimpleAveraging(), PR(), WeightedPR(weights=(1.0, 1.0))):
+        assert cross_reads(spec) == PEER_SUMS
+    assert cross_reads(ExtendedAS()) == DENSE
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ errors.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from replab.core import (
     AbsPower,
     Agent,
     Colluder,
+    DimensionMismatch,
     DirectObservation,
     Environment,
     FR,
@@ -29,21 +31,31 @@ from replab.core import (
     SimpleAveraging,
     Truth,
     UtilitySpec,
+    WeightedPR,
+    centralized_solution,
 )
-from replab.mechanisms import TooFewAgents
+from replab.mechanisms import TooFewAgents, run_batch
 from replab.numerics import NormalParams
 from replab.simulator import (
     CliqueTooLarge,
     ScenarioConfig,
     SimStats,
     UnsupportedCombination,
+    _batch_plan,
+    _batch_rng,
     run_collusion_scenario,
     run_malicious_scenario,
     run_trials,
     simulate,
     sweep,
 )
-from replab.strategies import aggregate_sigma_prime, pr_optimal_self_report
+from replab.strategies import (
+    aggregate_sigma_prime,
+    build_messages,
+    pr_optimal_self_report,
+    resolve_self_reports,
+    sample_observations,
+)
 from replab.strategies import expected_pr_reputation
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -258,6 +270,132 @@ def test_engine_output_bits_are_pinned():
         "malicious_mae": 0.2509478521922148, "image_mae": 0.5, "baseline_mae": 0.0,
         "malicious_own_charge": 0.09301448651626637,
     }
+
+
+def _hetero_env():
+    """Five agents of every supported kind with their own biases and noise."""
+    specs = [
+        (0.3, Truth(), 1.0, 0.02, 0.08),
+        (0.6, Image(), 0.0, -0.05, 0.15),
+        (0.45, Mixed(), 0.5, 0.0, 0.1),
+        (0.7, Truth(), 1.0, 0.04, 0.2),
+        (0.2, Image(), 0.0, -0.02, 0.12),
+    ]
+    agents = tuple(
+        Agent(
+            id=i,
+            quality=Quality(r),
+            agent_type=kind,
+            utility=UtilitySpec(f=AbsPower(2.0), g=Linear(), truth_weight=lam),
+            cross_obs=NormalParams(bias, sd),
+        )
+        for i, (r, kind, lam, bias, sd) in enumerate(specs)
+    )
+    return Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
+
+
+def _dense_reference(env, mechanism, mode, trials, seed):
+    """Per-trial MAE and reputations, and run_trials' budget totals, from the
+    dense draw: sample_observations, build_messages, run_batch per batch."""
+    sigma_prime = aggregate_sigma_prime(env)
+    profile = resolve_self_reports(env, mechanism, mode)
+    targets = centralized_solution(env)
+    maes, reps_all, budget_sums, budget_maxes = [], [], [], []
+    for b, size in _batch_plan(trials):
+        rng = _batch_rng(seed, b)
+        r0, cross_obs = sample_observations(env, rng, size)
+        selfs, cross = build_messages(env, cross_obs, rng, profile)
+        reps, taxes = run_batch(mechanism, selfs, cross, r0, sigma_prime)
+        maes.append(np.abs(reps - targets[None, :]).sum(axis=1))
+        reps_all.append(reps)
+        budgets = taxes.sum(axis=1)
+        budget_sums.append(float(budgets.sum()))
+        budget_maxes.append(float(np.abs(budgets).max()))
+    budget_mean = math.fsum(budget_sums) / trials
+    return np.concatenate(maes), np.concatenate(reps_all), budget_mean, max(budget_maxes)
+
+
+@pytest.mark.parametrize(
+    "mechanism, mode",
+    [
+        (AS(), "equilibrium"),
+        (FR(), {1: 0.8, 2: 0.5, 4: 0.3}),
+        (SimpleAveraging(), "equilibrium"),
+        (PR(a=1.7), "equilibrium"),
+        (WeightedPR(a=1.7, weights=(0.5, 1.5, 1.0, 2.0, 0.8)), "equilibrium"),
+        (DirectObservation(), "equilibrium"),
+    ],
+)
+def test_compact_path_agrees_with_the_dense_oracle(mechanism, mode):
+    env = _hetero_env()
+    trials, seed = 6_000, 71
+    stats = run_trials(ScenarioConfig(env, mechanism, mode, trials, seed))
+    maes, reps, budget_mean, budget_max = _dense_reference(env, mechanism, mode, trials, seed)
+    root_n = math.sqrt(trials)
+    mae_se = math.hypot(stats.mae_stderr, maes.std(ddof=1) / root_n)
+    assert abs(stats.mae_mean - maes.mean()) <= 4.0 * mae_se + 1e-12
+    # The two sides draw the same distribution, so the difference of two
+    # independent means has sqrt(2) times one side's stderr.
+    rep_se = math.sqrt(2.0) * reps.std(axis=0, ddof=1) / root_n
+    gaps = np.abs(stats.per_agent_reputation_mean - reps.mean(axis=0))
+    assert (gaps <= 4.0 * rep_se + 1e-12).all(), (gaps, rep_se)
+    assert (stats.budget_mean, stats.budget_max_abs) == (budget_mean, budget_max)
+
+
+def test_compact_path_checks_weights_before_sampling():
+    env = _truth_env([0.2, 0.5, 0.8])
+    with pytest.raises(DimensionMismatch, match="2 weights for 3 agents"):
+        run_trials(ScenarioConfig(env=env, mechanism=WeightedPR(weights=(1.0, 1.0)), trials=10))
+
+
+def test_compact_stream_bits_are_pinned():
+    # Literals of stream 2's compact draw: system observations, then the
+    # Normal peer sums.
+    agents = (
+        _agent(0, 0.3),
+        _agent(1, 0.6, Image(), lam=0.0),
+        _agent(2, 0.5),
+        _agent(3, 0.4),
+    )
+    env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
+    stats = run_trials(ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_500, seed=3))
+    assert stats.mae_mean == 0.10825121547081405
+    assert stats.mae_stderr == 0.00179831567990781
+    assert stats.per_agent_reputation_mean.tolist() == [
+        0.28924254306831965, 0.5948013987194944, 0.4922143143938167, 0.3909862405329587
+    ]
+    assert stats.per_agent_utility_mean.tolist() == [
+        -0.008416973220175185, 0.5948013987194944, -0.009191266880360774, -0.008772954686725423
+    ]
+    assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
+
+    stats = run_trials(ScenarioConfig(env=env, mechanism=AS(), trials=2_500, seed=4))
+    assert stats.mae_mean == 0.4000000000000001
+    assert stats.per_agent_reputation_mean.tolist() == [
+        0.3000000000000045, 1.0, 0.5, 0.39999999999999564
+    ]
+    assert stats.per_agent_utility_mean.tolist() == [
+        -0.10712873822570543, 0.8399232644278661, -0.10590539860922156, -0.10688912759293939
+    ]
+    assert (stats.budget_mean, stats.budget_max_abs) == (9.87751547221194e-19, 1.1102230246251565e-16)
+
+
+def test_compact_path_memory_stays_bounded_at_k_2000():
+    k = 2_000
+    agents = tuple(
+        _agent(i, 0.2 + 0.1 * (i % 7), Image() if i % 2 else Truth(), lam=1.0 - i % 2)
+        for i in range(k)
+    )
+    env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
+    tracemalloc.start()
+    try:
+        stats = run_trials(ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_048, seed=9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.trials == 2_048 and stats.budget_max_abs == 0.0
+    # The dense path would allocate trials * K^2 * 8 bytes (32 GB) per batch.
+    assert peak < 256 * 2**20, peak
 
 
 def test_simulate_rejects_fewer_than_one_worker():

@@ -57,6 +57,7 @@ from replab.strategies import (
     pr_optimal_self_report,
     resolve_self_reports,
     sample_observations,
+    sample_peer_sums,
     solve_y,
     proportional_deviation_profit,
 )
@@ -331,6 +332,28 @@ def test_sample_observations_shapes_bias_and_clamp():
     )
     r0, cross = sample_observations(clamped_env, np.random.default_rng(4), 1000)
     assert r0.min() >= 0.0 and r0.max() <= 1.0
+
+
+def test_sample_peer_sums_match_the_normal_moments():
+    biases = [0.05, -0.1, 0.0, 0.2, -0.03]
+    stds = [0.1, 0.3, 0.05, 0.2, 0.15]
+    qualities = [0.2, 0.9, 0.5, 0.35, 0.7]
+    weights = np.array([0.5, 1.5, 1.0, 2.0, 0.8])
+    agents = tuple(
+        _agent(i, r, Truth(), 1.0, obs=NormalParams(b, sd))
+        for i, (r, b, sd) in enumerate(zip(qualities, biases, stds))
+    )
+    env = Environment(agents=agents)
+    n = 200_000
+    sums = sample_peer_sums(env, np.random.default_rng(61), n, weights)
+    assert sums.shape == (n, 5)
+    for i in range(5):
+        others = [j for j in range(5) if j != i]
+        mean = math.fsum(weights[j] * (qualities[i] + biases[j]) for j in others)
+        std = math.sqrt(math.fsum((weights[j] * stds[j]) ** 2 for j in others))
+        # The sample std's stderr is about std / sqrt(2n).
+        assert abs(sums[:, i].mean() - mean) <= 5.0 * std / math.sqrt(n)
+        assert abs(sums[:, i].std() - std) <= 5.0 * std / math.sqrt(2.0 * n)
 
 
 def test_sample_observations_deterministic():
