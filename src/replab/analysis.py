@@ -28,9 +28,7 @@ from .core import (
     Environment,
     Linear,
     MaliciousRandom,
-    Outcome,
     Truth,
-    centralized_solution,
 )
 from .numerics import (
     TAIL_SIGMAS,
@@ -38,7 +36,7 @@ from .numerics import (
     integrate,
     normal_pdf,
 )
-from .simulator import ScenarioConfig, run_trials
+from .simulator import BATCH_TRIALS, ScenarioConfig, run_trials
 from .strategies import (
     expected_pr_reputation,
     pr_mae,
@@ -47,7 +45,6 @@ from .strategies import (
 
 __all__ = [
     "ParticipationReport",
-    "mae_total",
     "pr_mae",
     "pr_mutual_benefit_region",
     "as_ir_gain",
@@ -91,26 +88,6 @@ class ParticipationReport:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-# ---------------------------------------------------------------------------
-# Aggregate error
-# ---------------------------------------------------------------------------
-
-
-def mae_total(outcome: Outcome, env: Environment) -> float:
-    """Total absolute deviation of published reputations from the target.
-
-    The target is the centralized solution for ``env`` (true qualities under
-    absolute indexing, quality shares under relative indexing).
-    """
-    targets = centralized_solution(env)
-    if outcome.reputations.shape != targets.shape:
-        raise DimensionMismatch(
-            f"outcome has {outcome.reputations.shape[0]} reputations, "
-            f"environment has {targets.shape[0]} agents"
-        )
-    return math.fsum(np.abs(outcome.reputations - targets).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +184,6 @@ def _closed_forms_apply(env: Environment, focal: Agent) -> bool:
     return isinstance(f, AbsPower) and f.p == 2.0
 
 
-_MC_CHUNK = 1024
-
-
 def _mc_stay_out_utility(
     env: Environment, focal_index: int, trials: int, seed: int
 ) -> float:
@@ -223,7 +197,7 @@ def _mc_stay_out_utility(
     partials = []
     done = 0
     while done < trials:
-        chunk = min(_MC_CHUNK, trials - done)
+        chunk = min(BATCH_TRIALS, trials - done)
         obs = rng.normal(
             focal.cross_obs.mean, focal.cross_obs.std, size=(chunk, env.k)
         ) + env.qualities[None, :]

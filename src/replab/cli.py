@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -55,6 +55,7 @@ from .core import (
     UtilitySpec,
     WeightedPR,
 )
+from .mechanisms import peer_weights
 from .numerics import NormalParams
 from .simulator import (
     STREAM,
@@ -180,25 +181,13 @@ def _write_manifest(
 # ---------------------------------------------------------------------------
 
 _AGENT_TYPES = ("truth", "image", "mixed", "malicious", "colluder")
-_MECHANISMS = (
-    "as",
-    "extended_as",
-    "fr",
-    "simple_averaging",
-    "pr",
-    "weighted_pr",
-    "direct",
-)
 
 
 @dataclass(frozen=True)
-class ParsedConfig:
-    env: Environment
-    mechanism: MechanismSpec
-    strategy_mode: str | dict[int, float]
-    trials: int
-    seed: int
-    canonical: dict
+class ParsedConfig(ScenarioConfig):
+    """A parsed scenario plus its canonical form, from which the digest is taken."""
+
+    canonical: dict = field(default_factory=dict, compare=False)
 
 
 def _coerce(section: str, key: str, raw: str, kind):
@@ -279,30 +268,21 @@ def _build_payoff(section: str, key: str, g_text: str):
 
 
 def _build_agent(index: int, spec: dict) -> Agent:
+    """An agent from a spec that :func:`_parse_agent_spec` has completed."""
     section, key = "agents", f"agent{index}"
     kind_name = spec["type"]
-    if kind_name == "truth":
-        agent_type, weight = Truth(), 1.0
-    elif kind_name == "image":
-        agent_type, weight = Image(), 0.0
-    elif kind_name == "mixed":
-        if "weight" not in spec or not 0.0 < spec["weight"] < 1.0:
-            raise ConfigError(
-                f"[{section}] {key}: mixed agents need weight strictly between 0 and 1"
-            )
-        agent_type, weight = Mixed(), spec["weight"]
-    elif kind_name == "malicious":
-        agent_type = MaliciousRandom(
-            low=spec.get("low", 0.0), high=spec.get("high", 1.0)
+    if kind_name == "mixed" and not 0.0 < spec["weight"] < 1.0:
+        raise ConfigError(
+            f"[{section}] {key}: mixed agents need weight strictly between 0 and 1"
         )
-        weight = spec.get("weight", 1.0)
-    else:
+    if kind_name == "malicious":
+        agent_type = MaliciousRandom(low=spec["low"], high=spec["high"])
+    elif kind_name == "colluder":
         agent_type = Colluder(
-            clique_id=spec.get("clique", 0),
-            inflate=spec.get("inflate", 1.0),
-            bash=spec.get("bash"),
+            clique_id=spec["clique"], inflate=spec["inflate"], bash=spec.get("bash")
         )
-        weight = spec.get("weight", 1.0)
+    else:
+        agent_type = {"truth": Truth, "image": Image, "mixed": Mixed}[kind_name]()
     try:
         return Agent(
             id=index,
@@ -311,7 +291,7 @@ def _build_agent(index: int, spec: dict) -> Agent:
             utility=UtilitySpec(
                 f=AbsPower(spec["p"]),
                 g=_build_payoff(section, key, spec["g"]),
-                truth_weight=weight,
+                truth_weight=spec["weight"],
             ),
             cross_obs=NormalParams(spec["bias"], spec["sigma"]),
         )
@@ -328,6 +308,7 @@ _MECHANISM_FIELDS = {
     "weighted_pr": {"a", "weights"},
     "direct": set(),
 }
+_MECHANISMS = tuple(_MECHANISM_FIELDS)
 
 
 def _build_mechanism(spec: dict) -> MechanismSpec:
@@ -368,6 +349,24 @@ def _build_mechanism(spec: dict) -> MechanismSpec:
         raise
     except ValueError as exc:
         raise ConfigError(f"[mechanism]: {exc}") from None
+
+
+def _check_mechanism_size(mechanism: MechanismSpec, k: int) -> None:
+    """Check the mechanism keys whose valid values depend on the agent count K."""
+    if isinstance(mechanism, ExtendedAS):
+        if k < 3:
+            raise ConfigError(f"[mechanism] kind: extended_as needs at least 3 agents, got {k}")
+        for key in ("ring", "second_ring"):
+            ring = getattr(mechanism, key)
+            if ring is not None and len(ring) != k:
+                raise ConfigError(
+                    f"[mechanism] {key}: ring covers {len(ring)} agents, profile has {k}"
+                )
+    elif isinstance(mechanism, WeightedPR):
+        try:
+            peer_weights(mechanism, k)
+        except ValueError as exc:
+            raise ConfigError(f"[mechanism] weights: {exc}") from None
 
 
 def _int_list(section: str, key: str, raw: str) -> list[int]:
@@ -531,6 +530,12 @@ def parse_config(
             else _coerce("environment", "clamp", str(env_sec.get("clamp", "false")), bool)
         ),
     }
+    system_obs = NormalParams()
+    for key, attr in (("system_mean", "mean"), ("system_std", "std")):
+        try:
+            system_obs = dataclasses.replace(system_obs, **{attr: env_defaults[key]})
+        except ValueError as exc:
+            raise ConfigError(f"[environment] {key}: {exc}") from None
 
     raw_agents = sections["agents"]
     if not raw_agents:
@@ -544,9 +549,7 @@ def parse_config(
     try:
         env = Environment(
             agents=agents,
-            system_obs=NormalParams(
-                env_defaults["system_mean"], env_defaults["system_std"]
-            ),
+            system_obs=system_obs,
             index_scheme=env_defaults["index_scheme"],
             clamp_observations=env_defaults["clamp"],
         )
@@ -554,6 +557,7 @@ def parse_config(
         raise ConfigError(f"[agents]: {exc}") from None
 
     mechanism = _build_mechanism(sections["mechanism"])
+    _check_mechanism_size(mechanism, env.k)
 
     sim = sections["simulation"]
     unknown = set(sim) - {"trials", "seed", "strategy", "overrides"}
@@ -596,23 +600,16 @@ def parse_config(
     }
 
     try:
-        scenario = ScenarioConfig(
+        return ParsedConfig(
             env=env,
             mechanism=mechanism,
             strategy_mode=strategy_mode,
             trials=resolved_trials,
             seed=resolved_seed,
+            canonical=canonical,
         )
     except ValueError as exc:
         raise ConfigError(f"[simulation]: {exc}") from None
-    return ParsedConfig(
-        env=scenario.env,
-        mechanism=scenario.mechanism,
-        strategy_mode=scenario.strategy_mode,
-        trials=scenario.trials,
-        seed=scenario.seed,
-        canonical=canonical,
-    )
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -683,14 +680,7 @@ def main() -> None:
 def cmd_run(config_path, out_dir, seed, trials, workers):
     """Simulate one scenario; write stats.json and per_agent.csv."""
     parsed = parse_config(config_path, seed=seed, trials=trials)
-    config = ScenarioConfig(
-        env=parsed.env,
-        mechanism=parsed.mechanism,
-        strategy_mode=parsed.strategy_mode,
-        trials=parsed.trials,
-        seed=parsed.seed,
-    )
-    stats = run_trials(config, workers=workers)
+    stats = run_trials(parsed, workers=workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -749,14 +739,7 @@ def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers)
     """Run a scenario across a parameter grid; write sweep.csv."""
     parsed = parse_config(config_path, seed=seed, trials=trials)
     grid = _parse_grid(grid_text)
-    config = ScenarioConfig(
-        env=parsed.env,
-        mechanism=parsed.mechanism,
-        strategy_mode=parsed.strategy_mode,
-        trials=parsed.trials,
-        seed=parsed.seed,
-    )
-    rows = run_sweep(config, parameter, grid, workers=workers)
+    rows = run_sweep(parsed, parameter, grid, workers=workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -794,8 +777,8 @@ def cmd_figures(out_dir, sigma_prime, r_value, points):
     fig2: expected mechanism error versus a, against plain averaging.
     fig3: expected published reputation versus a, against the true quality.
     """
-    if sigma_prime <= 0.0:
-        raise ConfigError(f"--sigma-prime must be positive, got {sigma_prime}")
+    if not (math.isfinite(sigma_prime) and sigma_prime > 0.0):
+        raise ConfigError(f"--sigma-prime must be finite and positive, got {sigma_prime}")
     if not 0.0 <= r_value <= 1.0:
         raise ConfigError(f"--quality must lie in [0, 1], got {r_value}")
     if points < 2:

@@ -1,4 +1,4 @@
-"""Domain types: agents, environments, outcomes, mechanism specs, utilities.
+"""Domain types: agents, environments, mechanism specs, utilities.
 
 The modeling conventions used across the package are fixed here:
 
@@ -26,9 +26,8 @@ The modeling conventions used across the package are fixed here:
   types lambda = 0, mixed types sit strictly between.  f is an even power of
   the absolute error with f(0) = 0; g is concave increasing.
 
-Outcomes and mechanism specifications are passive value types; the
-mechanisms that map batches of reports to outcomes live in
-:mod:`replab.mechanisms`.
+Mechanism specifications are passive value types; the mechanisms that map
+batches of reports to reputations and taxes live in :mod:`replab.mechanisms`.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "AgentType",
     "Agent",
     "Environment",
-    "Outcome",
     "AS",
     "ExtendedAS",
     "FR",
@@ -318,34 +316,6 @@ class Environment:
     @property
     def cross_stds(self) -> np.ndarray:
         return np.array([a.cross_obs.std for a in self.agents])
-
-
-# ---------------------------------------------------------------------------
-# Outcomes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Published reputations and charged taxes, one entry per agent."""
-
-    reputations: np.ndarray
-    taxes: np.ndarray
-
-    def __post_init__(self) -> None:
-        reps = np.asarray(self.reputations, dtype=float)
-        taxes = np.asarray(self.taxes, dtype=float)
-        if reps.ndim != 1 or reps.shape != taxes.shape:
-            raise DimensionMismatch(
-                f"reputations {reps.shape} and taxes {taxes.shape} must be equal-length vectors"
-            )
-        object.__setattr__(self, "reputations", reps)
-        object.__setattr__(self, "taxes", taxes)
-
-    @property
-    def budget(self) -> float:
-        """Sum of all taxes (0 for budget-balanced mechanisms)."""
-        return float(math.fsum(self.taxes.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -105,22 +105,34 @@ def peer_weights(spec: MechanismSpec, k: int) -> np.ndarray:
     return weights
 
 
-def _colsum_excl_diag(cross: np.ndarray) -> np.ndarray:
-    """Sum of each column of the report matrices, excluding the diagonal."""
-    return cross.sum(axis=1) - np.diagonal(cross, axis1=1, axis2=2)
-
-
-def _weighted_colsum_excl_diag(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Reporter-weighted column sums of the report matrices, excluding the diagonal."""
-    own = weights[None, :] * np.diagonal(cross, axis1=1, axis2=2)
-    return np.einsum("j,bji->bi", weights, cross) - own
-
-
 def _peer_sums(spec: MechanismSpec, cross: np.ndarray) -> np.ndarray:
-    """Reduce dense (B, K, K) reports to the (B, K) peer sums ``spec`` reads."""
+    """Reduce dense (B, K, K) reports to the (B, K) peer sums ``spec`` reads.
+
+    Each column of the report matrices is summed without its diagonal,
+    weighted by reporter under weighted punish-reward.
+    """
+    own = np.diagonal(cross, axis1=1, axis2=2)
     if isinstance(spec, WeightedPR):
-        return _weighted_colsum_excl_diag(cross, peer_weights(spec, cross.shape[1]))
-    return _colsum_excl_diag(cross)
+        weights = peer_weights(spec, cross.shape[1])
+        return np.einsum("j,bji->bi", weights, cross) - weights[None, :] * own
+    return cross.sum(axis=1) - own
+
+
+def _aggregate(
+    spec: MechanismSpec, sums: np.ndarray, r0: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """Numerator and divisor of each subject's averaging aggregate.
+
+    Simple averaging and punish-reward: K times the aggregate is the K-1
+    peer reports plus the system prior ``r0``.  Weighted punish-reward: the
+    weighted mean of the peer reports only, so ``r0`` is not read.  The
+    aggregate is ``numerator / divisor``; the parts are returned apart
+    because the simple-averaging deviation scan shifts the numerator.
+    """
+    if isinstance(spec, WeightedPR):
+        weights = peer_weights(spec, sums.shape[1])
+        return sums, (weights.sum() - weights)[None, :]
+    return sums + r0, sums.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -227,34 +239,9 @@ def _fr_kernel(selfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _shares(selfs, selfs.sum(axis=1, keepdims=True), k), np.zeros_like(selfs)
 
 
-def _simple_avg_kernel(sums: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # K times the aggregate is the K-1 peer reports plus the prior.
-    reps = (sums + r0) / r0.shape[1]
-    return reps, np.zeros_like(r0)
-
-
 def _pr_branch(selfs: np.ndarray, aggregate: np.ndarray, eps: float) -> np.ndarray:
     gap = np.abs(selfs - aggregate)
     return np.where(gap <= eps, 0.5 * (selfs + aggregate), aggregate - gap)
-
-
-def _pr_kernel(
-    selfs: np.ndarray, sums: np.ndarray, r0: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    aggregate = (sums + r0) / selfs.shape[1]
-    return _pr_branch(selfs, aggregate, eps), np.zeros_like(selfs)
-
-
-def _weighted_aggregate(sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    denom = weights.sum() - weights
-    return sums / denom[None, :]
-
-
-def _weighted_pr_kernel(
-    selfs: np.ndarray, sums: np.ndarray, weights: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    aggregate = _weighted_aggregate(sums, weights)
-    return _pr_branch(selfs, aggregate, eps), np.zeros_like(selfs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +289,6 @@ def run_batch(
             raise DimensionMismatch(f"{type(spec).__name__} requires {name}")
         return arr
 
-    def sums() -> np.ndarray:
-        if peer_sums is not None:
-            return peer_sums
-        return _peer_sums(spec, need("cross_reports", cross_reports))
-
     if isinstance(spec, AS):
         if k < 2:
             raise TooFewAgents(f"absolute scoring needs K >= 2, got {k}")
@@ -323,20 +305,16 @@ def run_batch(
         )
     if isinstance(spec, FR):
         return _fr_kernel(need("self_reports", self_reports))
-    if isinstance(spec, SimpleAveraging):
-        return _simple_avg_kernel(sums(), need("system_obs", system_obs))
-    if isinstance(spec, PR):
-        return _pr_kernel(
-            need("self_reports", self_reports),
-            sums(),
-            need("system_obs", system_obs),
-            spec.a * sigma_prime,
-        )
-    if isinstance(spec, WeightedPR):
-        weights = peer_weights(spec, k)
-        return _weighted_pr_kernel(
-            need("self_reports", self_reports), sums(), weights, spec.a * sigma_prime
-        )
+    if cross_reads(spec) == PEER_SUMS:
+        r0 = None if isinstance(spec, WeightedPR) else need("system_obs", system_obs)
+        if peer_sums is None:
+            peer_sums = _peer_sums(spec, need("cross_reports", cross_reports))
+        # Divided at once, so the numerator is freed before the outputs are made.
+        aggregate = np.divide(*_aggregate(spec, peer_sums, r0))
+        if isinstance(spec, SimpleAveraging):
+            return aggregate, np.zeros_like(aggregate)
+        selfs = need("self_reports", self_reports)
+        return _pr_branch(selfs, aggregate, spec.a * sigma_prime), np.zeros_like(selfs)
     if isinstance(spec, DirectObservation):
         obs = need("system_obs", system_obs)
         return obs.copy(), np.zeros_like(obs)
@@ -413,9 +391,11 @@ def deviation_terms(
             return shares[i], 0.0, shares
 
         return reps, move_share
+    if cross_reads(spec) != PEER_SUMS:
+        raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
+    numerator, divisor = _aggregate(spec, _peer_sums(spec, cross_reports), system_obs)
     if isinstance(spec, SimpleAveraging):
-        numerators = _peer_sums(spec, cross_reports) + system_obs
-        numerators = np.ascontiguousarray(numerators.T)[:, None, :]
+        numerators = np.ascontiguousarray(numerator.T)[:, None, :]
         own = reps[:, i]
 
         def move_average(c: np.ndarray, rows: slice) -> tuple:
@@ -424,12 +404,6 @@ def deviation_terms(
             return own[rows], 0.0, moved
 
         return reps, move_average
-    if isinstance(spec, (PR, WeightedPR)):
-        sums = _peer_sums(spec, cross_reports)
-        if isinstance(spec, PR):
-            aggregate = (sums + system_obs)[:, i] / k
-        else:
-            aggregate = _weighted_aggregate(sums, peer_weights(spec, k))[:, i]
-        eps = spec.a * sigma_prime
-        return reps, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)
-    raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
+    aggregate = (numerator / divisor)[:, i]
+    eps = spec.a * sigma_prime
+    return reps, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)

@@ -4,22 +4,22 @@ Three kinds of results live here:
 
 1. Closed-form best responses: the punish-reward equilibrium self-report
    (``solve_y`` / ``pr_optimal_self_report``), the scoring-mechanism first-order
-   condition for image-motivated agents (``image_best_response_as``), and the
-   deterministic deviation payoffs under share-of-total allocation
-   (``fr_deviation_loss``, ``proportional_deviation_profit``).
+   condition for image-motivated and mixed agents (``mixed_best_response_as``;
+   a weight of 1 on the image element gives the purely image-motivated
+   report), and the deterministic deviation payoffs under share-of-total
+   allocation (``proportional_deviation_profit``).
 2. The strategy map used by the Monte Carlo driver: which self- and
    cross-reports each agent type submits under each mechanism in equilibrium
-   (``equilibrium_self_reports`` / ``resolve_self_reports`` /
-   ``build_messages``), and the observation samplers it draws from in its
-   two orders (the dense ``sample_observations`` and the O(K)
-   ``sample_compact``, which draws peer sums with ``sample_peer_sums``).
-   Pairs without an analytical best response raise
-   :class:`UnsupportedCombination` rather than inventing behavior.
-3. A brute-force numerical oracle (``best_response_numeric`` /
-   ``deviation_report``) that grids a deviator's report, replays the same
-   sampled observations at every grid point (common random numbers), and
-   returns the empirical best response; equilibrium checks compare it against
-   the claimed strategy.
+   (``resolve_self_reports`` / ``build_messages``), and the observation
+   samplers it draws from in its two orders (the dense
+   ``sample_observations`` and the O(K) ``sample_compact``, which draws peer
+   sums with ``sample_peer_sums``).  Pairs without an analytical best
+   response raise :class:`UnsupportedCombination` rather than inventing
+   behavior.
+3. A brute-force numerical oracle (``deviation_report``) that grids a
+   deviator's report, replays the same sampled observations at every grid
+   point (common random numbers), and returns the empirical best response
+   and its gain; equilibrium checks compare it against the claimed strategy.
 
 Aggregate noise convention: the punish-reward band is calibrated to
 ``sigma_prime``, the standard deviation of the averaging aggregate.  With a
@@ -50,7 +50,6 @@ from .core import (
     MechanismSpec,
     PR,
     Power,
-    Quality,
     SimpleAveraging,
     Truth,
     WeightedPR,
@@ -68,10 +67,8 @@ __all__ = [
     "expected_pr_reputation",
     "pr_optimal_self_report",
     "pr_mae",
-    "image_best_response_as",
     "mixed_best_response_as",
     "aggregate_sigma_prime",
-    "equilibrium_self_reports",
     "resolve_self_reports",
     "sample_observations",
     "sample_peer_sums",
@@ -79,10 +76,8 @@ __all__ = [
     "build_messages",
     "ProfileDraw",
     "draw_profile",
-    "best_response_numeric",
     "deviation_report",
     "bayesian_ic_violation",
-    "fr_deviation_loss",
     "proportional_deviation_profit",
 ]
 
@@ -278,20 +273,6 @@ def mixed_best_response_as(
     return find_root(foc, 1e-12, 1.0, tol=1e-13)
 
 
-def image_best_response_as(
-    g: Union[Linear, Power], r: Quality | float, sigma0: float = 0.0
-) -> float:
-    """Best self-report of a purely image-motivated agent under scoring taxes.
-
-    Solves g'(x) = 2 (x - r) clamped to [0, 1]; linear g gives min(r + 1/2, 1)
-    exactly.  ``sigma0`` (the prior noise) shifts the expected tax by an
-    additive constant only, so it does not move the optimum; the parameter is
-    accepted to mirror the objective's definition.
-    """
-    del sigma0
-    return mixed_best_response_as(g, float(r), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Equilibrium strategy map
 # ---------------------------------------------------------------------------
@@ -327,7 +308,7 @@ def _equilibrium_self_report(
         return kind.inflate
     # Image or mixed sender.
     image_weight = 1.0 - agent.utility.truth_weight
-    if isinstance(spec, (AS,)):
+    if isinstance(spec, AS):
         return mixed_best_response_as(agent.utility.g, r, image_weight)
     if isinstance(spec, SimpleAveraging):
         # The self-report never enters the averaging outcome; an
@@ -346,19 +327,6 @@ def _equilibrium_self_report(
     raise UnsupportedCombination(
         f"no equilibrium self-report for {type(kind).__name__} under {type(spec).__name__}"
     )
-
-
-def equilibrium_self_reports(
-    env: Environment, spec: MechanismSpec, sigma_prime: float | None = None
-) -> np.ndarray:
-    """Per-agent equilibrium self-reports (NaN marks per-trial random senders)."""
-    if sigma_prime is None:
-        sigma_prime = aggregate_sigma_prime(env)
-    out = np.empty(env.k)
-    for i, agent in enumerate(env.agents):
-        val = _equilibrium_self_report(agent, spec, sigma_prime)
-        out[i] = math.nan if val is None else val
-    return out
 
 
 def _sample_system(env: Environment, rng: np.random.Generator, trials: int) -> np.ndarray:
@@ -724,25 +692,6 @@ def deviation_report(
     )
 
 
-def best_response_numeric(
-    agent_index: int,
-    mechanism: MechanismSpec,
-    env: Environment,
-    others_strategy: str | Mapping[int, float] = "truthful",
-    trials: int = 20_000,
-    grid: int = 201,
-    seed: int = 0,
-) -> float:
-    """Grid point on [0, 1] maximizing the agent's Monte Carlo expected utility.
-
-    See :func:`deviation_report` for the sampling scheme and the meaning of
-    the gridded channel per mechanism.  Deterministic given ``seed``.
-    """
-    return deviation_report(
-        agent_index, mechanism, env, others_strategy, trials, grid, seed
-    ).best
-
-
 # ---------------------------------------------------------------------------
 # Implementability results under the share-of-total allocation
 # ---------------------------------------------------------------------------
@@ -770,35 +719,6 @@ def bayesian_ic_violation(
         return 0.0
     g = agent.utility.g
     return float(g(r_prime)) - float(g(r))
-
-
-def fr_deviation_loss(deviator: int, x: float, env: Environment) -> float:
-    """Utility change of a truth-motivated sender deviating under share-of-total.
-
-    Others report truthfully, the deviator reports ``x``; reputations are the
-    shares of the reported total.  The loss is
-
-        - sum_{j != deviator} f(r_j |x - r_i| / ((x + S') S))
-
-    with S' the others' total and S the full total -- never positive, zero
-    only at the truthful report (when some co-truth is positive).
-    """
-    if env.index_scheme != "relative":
-        raise ValueError("share-of-total deviations need the relative scheme")
-    r = env.qualities
-    i = deviator
-    s_total = float(r.sum())
-    s_others = s_total - r[i]
-    f = env.agents[i].utility.f
-    denom = (x + s_others) * s_total
-    if denom <= 0.0:
-        raise ValueError("degenerate report total: shares undefined")
-    loss = 0.0
-    for j in range(env.k):
-        if j == i or r[j] == 0.0:
-            continue
-        loss -= float(f(r[j] * abs(x - r[i]) / denom))
-    return loss
 
 
 def proportional_deviation_profit(

@@ -19,7 +19,6 @@ from replab.analysis import (
     hetero_image_participation,
     hetero_system_gain,
     hetero_truth_participation,
-    mae_total,
     pr_mae,
     pr_mutual_benefit_region,
     weighted_variance_check,
@@ -32,12 +31,10 @@ from replab.core import (
     Environment,
     Image,
     Linear,
-    Outcome,
     Power,
     Quality,
     Truth,
     UtilitySpec,
-    centralized_solution,
 )
 from replab.mechanisms import run_batch
 from replab.numerics import NormalParams, folded_normal_mean, minimize_1d
@@ -69,31 +66,6 @@ def _mixed_population(n_truth, n_image, image_r=0.25, sigma=0.3, sigma0=0.1):
 # ---------------------------------------------------------------------------
 # Total error
 # ---------------------------------------------------------------------------
-
-
-def test_mae_total_zero_at_centralized_solution():
-    for scheme in ("absolute", "relative"):
-        env = Environment(
-            agents=tuple(_agent(i, r, Truth(), 1.0) for i, r in enumerate([0.2, 0.5, 0.3])),
-            index_scheme=scheme,
-        )
-        out = Outcome(reputations=centralized_solution(env), taxes=np.zeros(3))
-        assert mae_total(out, env) == 0.0
-
-
-def test_mae_total_direct_substitution():
-    env = Environment(
-        agents=tuple(_agent(i, 0.5, Truth(), 1.0) for i in range(2))
-    )
-    out = Outcome(reputations=np.array([0.6, 0.4]), taxes=np.zeros(2))
-    assert mae_total(out, env) == pytest.approx(0.2)
-
-
-def test_mae_total_dimension_guard():
-    env = Environment(agents=tuple(_agent(i, 0.5, Truth(), 1.0) for i in range(2)))
-    out = Outcome(reputations=np.array([0.6, 0.4, 0.5]), taxes=np.zeros(3))
-    with pytest.raises(DimensionMismatch):
-        mae_total(out, env)
 
 
 def test_mae_total_direct_observation_baseline():

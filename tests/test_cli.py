@@ -300,6 +300,46 @@ def test_missing_config_file_exits_2(runner, tmp_path):
     assert "not found" in result.stderr
 
 
+def _truth_agents(k):
+    return "[agents]\n" + "".join(
+        f"agent{i} = quality={0.3 + 0.1 * i:.1f} type=truth\n" for i in range(k)
+    )
+
+
+@pytest.mark.parametrize(
+    "k,mechanism,key,message",
+    [
+        (3, "kind = weighted_pr\nweights = 1 2", "[mechanism] weights", "2 weights for 3 agents"),
+        (3, "kind = weighted_pr\nweights = 0 0 1", "[mechanism] weights", "zero total weight"),
+        (3, "kind = weighted_pr\nweights = 0 0 0", "[mechanism] weights", "sum to zero"),
+        (3, "kind = extended_as\nring = 1 0", "[mechanism] ring", "covers 2 agents"),
+        (
+            3,
+            "kind = extended_as\nlayers = 2\nsecond_ring = 0 1",
+            "[mechanism] second_ring",
+            "covers 2 agents",
+        ),
+        (2, "kind = extended_as", "[mechanism] kind", "at least 3 agents"),
+    ],
+)
+def test_agent_count_dependent_mechanism_keys_are_checked_at_parse(
+    runner, tmp_path, k, mechanism, key, message
+):
+    config = _write(tmp_path, "bad.ini", _truth_agents(k) + f"\n[mechanism]\n{mechanism}\n")
+    result = runner.invoke(main, ["check-equilibrium", str(config), "--trials", "50"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert key in result.stderr and message in result.stderr
+
+
+@pytest.mark.parametrize("key", ["system_std", "system_mean"])
+def test_bad_system_channel_names_its_environment_key(runner, tmp_path, key):
+    config = _write(tmp_path, "bad.ini", f"[environment]\n{key} = nan\n\n" + _truth_agents(3))
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"[environment] {key}:" in result.stderr
+
+
 def test_unsupported_strategy_combination_exits_3(runner, tmp_path):
     config = _write(
         tmp_path,
@@ -468,6 +508,15 @@ def test_figures_rejects_bad_sigma(runner, tmp_path):
         main, ["figures", "--out", str(tmp_path / "f"), "--sigma-prime", "-0.1"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_figures_rejects_nonfinite_sigma_at_the_flag(runner, tmp_path, value):
+    out = tmp_path / "f"
+    result = runner.invoke(main, ["figures", "--out", str(out), "--sigma-prime", value])
+    assert result.exit_code == 2, result.output
+    assert "--sigma-prime" in result.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

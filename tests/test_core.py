@@ -18,7 +18,6 @@ from replab.core import (
     Linear,
     MaliciousRandom,
     Mixed,
-    Outcome,
     PR,
     Power,
     Quality,
@@ -130,13 +129,6 @@ def test_message_profile_shapes():
     with pytest.raises(DimensionMismatch):
         run_batch(SimpleAveraging(), None, np.zeros((1, 3, 2)), None)
     run_batch(ExtendedAS(), np.array([[0.1, 0.5, 0.9]]), np.full((1, 3, 3), 0.5), None)
-
-
-def test_outcome_shapes_and_budget():
-    with pytest.raises(DimensionMismatch):
-        Outcome(reputations=[0.1, 0.2], taxes=[0.0])
-    out = Outcome(reputations=[0.1, 0.2, 0.3], taxes=[0.25, -0.15, -0.1])
-    assert out.budget == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,10 @@ from replab.strategies import (
     UnsupportedCombination,
     aggregate_sigma_prime,
     bayesian_ic_violation,
-    best_response_numeric,
     build_messages,
     deviation_report,
     draw_profile,
-    equilibrium_self_reports,
     expected_pr_reputation,
-    fr_deviation_loss,
-    image_best_response_as,
     mixed_best_response_as,
     pr_mae,
     pr_optimal_self_report,
@@ -237,9 +233,10 @@ def test_pr_equilibrium_validation():
 
 
 def test_image_best_response_linear_exact():
-    assert image_best_response_as(Linear(), 0.2) == 0.7
-    assert image_best_response_as(Linear(), Quality(0.8)) == 1.0
-    assert image_best_response_as(Linear(), 0.5, sigma0=0.35) == 1.0
+    # A weight of 1 on the image element is the purely image-motivated sender.
+    assert mixed_best_response_as(Linear(), 0.2, 1.0) == 0.7
+    assert mixed_best_response_as(Linear(), 0.8, 1.0) == 1.0
+    assert mixed_best_response_as(Linear(), 0.5, 1.0) == 1.0
 
 
 def test_image_best_response_power_matches_grid():
@@ -247,7 +244,7 @@ def test_image_best_response_power_matches_grid():
     xs = np.linspace(1e-9, 1.0, 1_000_001)
     objective = g(xs) - (xs - r) ** 2  # E[(x-R_0)^2] minus the constant sigma0^2
     oracle = float(xs[np.argmax(objective)])
-    assert image_best_response_as(g, r, sigma0=0.2) == pytest.approx(oracle, abs=2e-6)
+    assert mixed_best_response_as(g, r, 1.0) == pytest.approx(oracle, abs=2e-6)
 
 
 def test_mixed_best_response_interpolates():
@@ -279,18 +276,18 @@ def test_equilibrium_self_reports_per_type():
         _agent(4, 0.6, Colluder(clique_id=0, inflate=0.95), 1.0),
     )
     env = Environment(agents=agents)
-    reports = equilibrium_self_reports(env, AS())
+    reports = resolve_self_reports(env, AS())
     assert reports[0] == 0.2
     assert reports[1] == pytest.approx(0.8)  # r + 1/2
     assert reports[2] == pytest.approx(0.75)  # r + (1-lambda)/2
-    assert math.isnan(reports[3])
+    assert 3 not in reports  # uniform-random reporters draw per trial
     assert reports[4] == 0.95
 
-    reports = equilibrium_self_reports(env, SimpleAveraging())
+    reports = resolve_self_reports(env, SimpleAveraging())
     assert reports[1] == 1.0 and reports[2] == 1.0
 
     sp = aggregate_sigma_prime(env)
-    reports = equilibrium_self_reports(env, PR(a=2.0))
+    reports = resolve_self_reports(env, PR(a=2.0))
     eq = pr_optimal_self_report(0.3, sp, 2.0)
     assert reports[1] == pytest.approx(min(eq.x_star, 1.0))
 
@@ -304,7 +301,7 @@ def test_equilibrium_unsupported_pairs():
     env = Environment(agents=agents)
     for spec in (FR(), ExtendedAS()):
         with pytest.raises(UnsupportedCombination):
-            equilibrium_self_reports(env, spec)
+            resolve_self_reports(env, spec)
     # Band mechanisms need a linear image payoff for the offset solution.
     curved = (
         _agent(0, 0.2, Truth(), 1.0),
@@ -312,7 +309,7 @@ def test_equilibrium_unsupported_pairs():
         _agent(2, 0.5, Truth(), 1.0),
     )
     with pytest.raises(UnsupportedCombination):
-        equilibrium_self_reports(Environment(agents=curved), PR(a=2.0))
+        resolve_self_reports(Environment(agents=curved), PR(a=2.0))
 
 
 def test_sample_observations_shapes_bias_and_clamp():
@@ -401,13 +398,13 @@ def test_build_messages_self_overrides():
 
 def test_truth_agent_as_best_response_is_truthful():
     env = _truth_env([0.2, 0.5, 0.9], sigma=0.1)
-    best = best_response_numeric(1, AS(), env, "truthful", trials=10_000, grid=101, seed=5)
+    best = deviation_report(1, AS(), env, "truthful", trials=10_000, grid=101, seed=5).best
     assert abs(best - 0.5) <= 0.01 + 1e-12
 
 
 def test_truth_agent_fr_best_response_is_truthful():
     env = _truth_env([0.2, 0.5, 0.3], scheme="relative")
-    best = best_response_numeric(1, FR(), env, "truthful", trials=10_000, grid=101, seed=6)
+    best = deviation_report(1, FR(), env, "truthful", trials=10_000, grid=101, seed=6).best
     assert abs(best - 0.5) <= 0.01 + 1e-12
 
 
@@ -456,11 +453,11 @@ def test_rounding_noise_is_not_a_profitable_deviation():
 
 def test_best_response_deterministic_and_guards():
     env = _truth_env([0.2, 0.5, 0.9])
-    a = best_response_numeric(0, AS(), env, trials=2_000, grid=51, seed=11)
-    b = best_response_numeric(0, AS(), env, trials=2_000, grid=51, seed=11)
+    a = deviation_report(0, AS(), env, trials=2_000, grid=51, seed=11).best
+    b = deviation_report(0, AS(), env, trials=2_000, grid=51, seed=11).best
     assert a == b
     with pytest.raises(UnsupportedCombination):
-        best_response_numeric(0, DirectObservation(), env, trials=2_000, grid=51)
+        deviation_report(0, DirectObservation(), env, trials=2_000, grid=51)
     with pytest.raises(ValueError):
         deviation_report(0, AS(), env, "bogus", trials=100, grid=11)
 
@@ -484,9 +481,9 @@ def test_bayesian_ic_violation_cases():
 
 def test_fr_deviation_loss_worked_example():
     env = _truth_env([0.5, 0.3, 0.2], scheme="relative", p=1.0)
-    assert fr_deviation_loss(0, 0.5, env) == 0.0
+    assert proportional_deviation_profit(0, 0.5, env)[0] == 0.0
     # Direct substitution: -(0.3 + 0.2) * 0.1 / ((0.6 + 0.5) * 1.0)
-    assert fr_deviation_loss(0, 0.6, env) == pytest.approx(-0.05 / 1.1)
+    assert proportional_deviation_profit(0, 0.6, env)[0] == pytest.approx(-0.05 / 1.1)
 
 
 def test_fr_deviation_loss_matches_mechanism_evaluation():
@@ -502,14 +499,15 @@ def test_fr_deviation_loss_matches_mechanism_evaluation():
         selfs = truths.copy()
         selfs[0] = x
         direct = utility(selfs) - base
-        assert fr_deviation_loss(0, float(x), env) == pytest.approx(direct, abs=1e-12)
-        assert fr_deviation_loss(0, float(x), env) <= 0.0
+        loss = proportional_deviation_profit(0, float(x), env)[0]
+        assert loss == pytest.approx(direct, abs=1e-12)
+        assert loss <= 0.0
 
 
 def test_fr_deviation_loss_requires_relative_scheme():
     env = _truth_env([0.5, 0.3, 0.2])
     with pytest.raises(ValueError):
-        fr_deviation_loss(0, 0.6, env)
+        proportional_deviation_profit(0, 0.6, env)
 
 
 def test_proportional_deviation_profit_signs_and_case_one():
