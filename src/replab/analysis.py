@@ -7,9 +7,9 @@ image-driven users volunteer to participate, and what a manipulated
 cross-report costs its sender in validation taxes.
 
 Closed forms are used exactly where the derivations hold (quadratic
-accuracy loss, linear image payoff, unbiased observation channels); every
-other configuration falls back to Monte Carlo utility comparison under
-equilibrium play.
+accuracy loss, linear image payoff, unbiased unclamped channels); every
+other configuration compares the utilities of :func:`participation_utilities`,
+which come from one call of the Monte Carlo engine ``simulator.simulate``.
 """
 
 from __future__ import annotations
@@ -29,14 +29,16 @@ from .core import (
     Linear,
     MaliciousRandom,
     Truth,
+    batch_true_utilities,
 )
 from .numerics import (
     TAIL_SIGMAS,
     folded_normal_mean,
     integrate,
+    normal_cdf,
     normal_pdf,
 )
-from .simulator import BATCH_TRIALS, ScenarioConfig, run_trials
+from .simulator import simulate
 from .strategies import (
     expected_pr_reputation,
     pr_mae,
@@ -48,6 +50,8 @@ __all__ = [
     "pr_mae",
     "pr_mutual_benefit_region",
     "as_ir_gain",
+    "closed_forms_apply",
+    "participation_utilities",
     "hetero_truth_participation",
     "hetero_image_participation",
     "image_participation_rule",
@@ -123,6 +127,41 @@ def pr_mutual_benefit_region(sigma_prime: float, a_grid) -> set:
 # ---------------------------------------------------------------------------
 
 
+def _clipped_loss(f: AbsPower, bias: float, sd: float, lo: float, hi: float) -> float:
+    """E f(|clip(e, lo, hi)|) for an observation error e ~ N(bias, sd^2), lo <= 0 <= hi.
+
+    Unclipped (infinite bounds) at p = 1 and p = 2 the moments are closed.
+    Otherwise quadrature covers the interval between the clip points, cut at
+    TAIL_SIGMAS, and the mass beyond a finite clip point sits on it.
+    """
+    if sd == 0.0:
+        return float(f(abs(min(max(bias, lo), hi))))
+    if math.isinf(lo) and f.p in (1.0, 2.0):
+        return float(folded_normal_mean(bias, sd)) if f.p == 1.0 else bias * bias + sd * sd
+    a, b = max(lo, bias - TAIL_SIGMAS * sd), min(hi, bias + TAIL_SIGMAS * sd)
+    total = integrate(lambda t: abs(t) ** f.p * normal_pdf(t, bias, sd), a, max(a, b), tol=1e-12)
+    if math.isfinite(lo):
+        total += f(-lo) * normal_cdf(lo, bias, sd) + f(hi) * (1.0 - normal_cdf(hi, bias, sd))
+    return total
+
+
+def _stay_out_loss(agent: Agent, env: Environment) -> float:
+    """sum_{j != i} E f(|R_ij - r_j|), the accuracy loss of agent i's own observations.
+
+    Clamping clips R_ij to [0, 1], so the error is clipped to [-r_j, 1 - r_j]
+    and its expectation differs from peer to peer.
+    """
+    f = agent.utility.f
+    bias, sd = agent.cross_obs.mean, agent.cross_obs.std
+    if not env.clamp_observations:
+        return (env.k - 1) * _clipped_loss(f, bias, sd, -math.inf, math.inf)
+    return math.fsum(
+        _clipped_loss(f, bias, sd, -r, 1.0 - r)
+        for j, r in enumerate(env.qualities.tolist())
+        if j != agent.id
+    )
+
+
 def as_ir_gain(agent: Agent, env: Environment) -> float:
     """Expected accuracy gain a truth-driven agent gets from participating.
 
@@ -130,26 +169,12 @@ def as_ir_gain(agent: Agent, env: Environment) -> float:
     the other K-1 participants; inside, scoring taxes support everyone
     reporting truthfully and the accuracy loss vanishes.  The gain
     sum_{j != i} E[f(|R_ij - r_jj|)] is therefore nonnegative for any
-    convex increasing f with f(0) = 0.
+    convex increasing f with f(0) = 0.  Clamped environments clip R_ij to
+    [0, 1].
     """
     if not isinstance(agent.agent_type, Truth):
         raise ValueError("individual-rationality gain is defined for truth-driven agents")
-    f = agent.utility.f
-    bias, sd = agent.cross_obs.mean, agent.cross_obs.std
-    if f.p == 1.0:
-        per_peer = float(folded_normal_mean(bias, sd))
-    elif f.p == 2.0:
-        per_peer = bias * bias + sd * sd
-    elif sd == 0.0:
-        per_peer = abs(bias) ** f.p
-    else:
-        per_peer = integrate(
-            lambda t: abs(t) ** f.p * normal_pdf(t, bias, sd),
-            bias - TAIL_SIGMAS * sd,
-            bias + TAIL_SIGMAS * sd,
-            tol=1e-12,
-        )
-    return (env.k - 1) * per_peer
+    return _stay_out_loss(agent, env)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +182,11 @@ def as_ir_gain(agent: Agent, env: Environment) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _census(env: Environment, focal_id: int) -> tuple[list[Agent], list[Agent], float, float]:
+def _census(env: Environment, focal_id: int) -> tuple[list[Agent], float, float]:
     others = [ag for ag in env.agents if ag.id != focal_id]
     image_driven = [ag for ag in others if ag.utility.truth_weight < 1.0]
-    truth_driven = [ag for ag in others if isinstance(ag.agent_type, Truth)]
-    denom = env.k - 1
-    return image_driven, truth_driven, len(image_driven) / denom, len(truth_driven) / denom
+    n_truth = sum(isinstance(ag.agent_type, Truth) for ag in others)
+    return image_driven, len(image_driven) / (env.k - 1), n_truth / (env.k - 1)
 
 
 def _equilibrium_inflation(agent: Agent) -> float:
@@ -172,54 +196,62 @@ def _equilibrium_inflation(agent: Agent) -> float:
     return min(r + 0.5 * w, 1.0) - r
 
 
-def _closed_forms_apply(env: Environment, focal: Agent) -> bool:
-    if env.index_scheme != "absolute" or env.system_obs.mean != 0.0:
+def closed_forms_apply(env: Environment, agent: Agent) -> bool:
+    """Whether the closed participation rule decides for ``agent`` under ``method="auto"``.
+
+    The rules assume absolute targets, an unbiased and unclamped system
+    channel, no uniform-random or colluding reporter and linear image
+    payoffs.  A truth-driven focal agent also needs quadratic accuracy loss,
+    an image-driven one truth weight 0.
+    """
+    if env.clamp_observations or env.index_scheme != "absolute" or env.system_obs.mean != 0.0:
         return False
     for ag in env.agents:
         if isinstance(ag.agent_type, (MaliciousRandom, Colluder)):
             return False
         if ag.utility.truth_weight < 1.0 and not isinstance(ag.utility.g, Linear):
             return False
-    f = focal.utility.f
-    return isinstance(f, AbsPower) and f.p == 2.0
+    if isinstance(agent.agent_type, Truth):
+        return agent.utility.f.p == 2.0
+    return agent.utility.truth_weight == 0.0
 
 
-def _mc_stay_out_utility(
-    env: Environment, focal_index: int, trials: int, seed: int
-) -> float:
-    """Mean utility from staying outside: accuracy from own observations of
-    the others plus the image value of the platform's direct estimate."""
-    focal = env.agents[focal_index]
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    )
-    lam = focal.utility.truth_weight
-    partials = []
-    done = 0
-    while done < trials:
-        chunk = min(BATCH_TRIALS, trials - done)
-        obs = rng.normal(
-            focal.cross_obs.mean, focal.cross_obs.std, size=(chunk, env.k)
-        ) + env.qualities[None, :]
-        own_estimate = rng.normal(
-            float(focal.quality) + env.system_obs.mean, env.system_obs.std, size=chunk
-        )
-        if env.clamp_observations:
-            obs = np.clip(obs, 0.0, 1.0)
-            own_estimate = np.clip(own_estimate, 0.0, 1.0)
-        total = 0.0
-        if lam > 0.0:
-            errors = np.abs(obs - env.qualities[None, :])
-            per_peer = focal.utility.f(errors).sum(axis=0)
-            accuracy = -math.fsum(
-                float(per_peer[j]) for j in range(env.k) if j != focal_index
-            )
-            total += lam * accuracy
-        if lam < 1.0:
-            total += (1.0 - lam) * float(focal.utility.g(own_estimate).sum())
-        partials.append(total)
-        done += chunk
-    return math.fsum(partials) / trials
+def participation_utilities(
+    env: Environment, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's (u_in, u_out) under scoring at equilibrium play, two (K,) arrays.
+
+    Both come from one ``simulate(env, AS(), trials, seed, ...)`` call.
+    ``u_in`` is the mean realized utility inside the system, as
+    ``run_trials`` reports it.  ``u_out`` is the utility of staying out,
+    -lambda_i * sum_{j != i} E f_i(|R_ij - r_j|) + (1 - lambda_i) * E g_i(R_i):
+    the accuracy half reads no report and is exact, and the image half
+    averages g_i over the engine's system observation of agent i, which is
+    clamped exactly when the environment clamps.
+    """
+    lam = np.array([ag.utility.truth_weight for ag in env.agents])
+
+    def reduce(system_obs, selfs, reps, taxes) -> dict:
+        return {
+            "utils": batch_true_utilities(reps, taxes, env).sum(axis=0),
+            "image": np.array(
+                [ag.utility.g(system_obs[:, i]).sum() for i, ag in enumerate(env.agents)]
+            ),
+        }
+
+    totals = simulate(env, AS(), trials, seed, reduce)
+    accuracy = np.array([_stay_out_loss(ag, env) for ag in env.agents])
+    return totals["utils"] / trials, -lam * accuracy + (1.0 - lam) * (totals["image"] / trials)
+
+
+def _focal(env: Environment, agent_id: int, method: str) -> tuple[Agent, bool]:
+    """The focal agent, and whether the closed rule decides its verdict."""
+    if method not in ("auto", "closed", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    if not 0 <= agent_id < env.k:
+        raise ValueError(f"agent {agent_id} is not part of the environment")
+    agent = env.agents[agent_id]
+    return agent, method == "closed" or (method == "auto" and closed_forms_apply(env, agent))
 
 
 def hetero_truth_participation(
@@ -239,41 +271,25 @@ def hetero_truth_participation(
     -(K-1) * E[(R_ij - r_jj)^2], while joining costs only the equilibrium
     inflation of the image-driven participants,
     -sum_j delta_j^2 * (1 - 1/(K-1)) (the system-observation noise cancels
-    against the tax redistribution).  Other utility families are compared
-    by Monte Carlo under equilibrium play.
+    against the tax redistribution).  Where :func:`closed_forms_apply` says
+    no, ``method="auto"`` compares :func:`participation_utilities`.
     """
-    if method not in ("auto", "closed", "mc"):
-        raise ValueError(f"unknown method {method!r}")
     if focal is None:
-        focal_index = next(
-            (i for i, ag in enumerate(env.agents) if isinstance(ag.agent_type, Truth)),
-            None,
-        )
-        if focal_index is None:
+        focal = next((ag.id for ag in env.agents if isinstance(ag.agent_type, Truth)), None)
+        if focal is None:
             raise ValueError("environment has no truth-driven agent")
-    else:
-        focal_index = next(
-            (i for i, ag in enumerate(env.agents) if ag.id == focal), None
-        )
-        if focal_index is None:
-            raise ValueError(f"agent {focal} is not part of the environment")
-        if not isinstance(env.agents[focal_index].agent_type, Truth):
-            raise ValueError(f"agent {focal} is not truth-driven")
-    focal_agent = env.agents[focal_index]
-    image_driven, _, rho, gamma = _census(env, focal_agent.id)
+    agent, use_closed = _focal(env, focal, method)
+    if not isinstance(agent.agent_type, Truth):
+        raise ValueError(f"agent {focal} is not truth-driven")
+    image_driven, rho, gamma = _census(env, focal)
 
-    use_closed = method == "closed" or (
-        method == "auto" and _closed_forms_apply(env, focal_agent)
-    )
     if use_closed:
-        bias, sd = focal_agent.cross_obs.mean, focal_agent.cross_obs.std
+        bias, sd = agent.cross_obs.mean, agent.cross_obs.std
         u_out = -(env.k - 1) * (bias * bias + sd * sd)
         inflation_sq = math.fsum(_equilibrium_inflation(ag) ** 2 for ag in image_driven)
         u_in = -inflation_sq * (1.0 - 1.0 / (env.k - 1))
     else:
-        stats = run_trials(ScenarioConfig(env, AS(), "equilibrium", trials, seed))
-        u_in = float(stats.per_agent_utility_mean[focal_index])
-        u_out = _mc_stay_out_utility(env, focal_index, trials, seed)
+        u_in, u_out = (float(u[focal]) for u in participation_utilities(env, trials, seed))
     return ParticipationReport(
         u_in=u_in, u_out=u_out, participates=u_in >= u_out, rho=rho, gamma=gamma
     )
@@ -312,36 +328,17 @@ def hetero_image_participation(
     (0.8125 closed against 0.9947 simulated in one configuration).  The rule
     is kept as the paper states it; ``method="mc"`` gives the simulated value.
     """
-    if method not in ("auto", "closed", "mc"):
-        raise ValueError(f"unknown method {method!r}")
     if agent.utility.truth_weight >= 1.0 or isinstance(
         agent.agent_type, (MaliciousRandom, Colluder)
     ):
         raise ValueError("participation comparison is for image-driven agents")
-    focal_index = next(
-        (i for i, ag in enumerate(env.agents) if ag.id == agent.id), None
-    )
-    if focal_index is None:
-        raise ValueError(f"agent {agent.id} is not part of the environment")
-    image_driven, _, rho, gamma = _census(env, agent.id)
+    _, use_closed = _focal(env, agent.id, method)
+    _, rho, gamma = _census(env, agent.id)
 
-    closed_ok = (
-        agent.utility.truth_weight == 0.0
-        and isinstance(agent.utility.g, Linear)
-        and env.index_scheme == "absolute"
-        and env.system_obs.mean == 0.0
-        and all(isinstance(ag.utility.g, Linear) for ag in image_driven)
-        and not any(
-            isinstance(ag.agent_type, (MaliciousRandom, Colluder)) for ag in env.agents
-        )
-    )
-    use_closed = method == "closed" or (method == "auto" and closed_ok)
     if use_closed:
         u_in, u_out = image_participation_rule(float(agent.quality), rho)
     else:
-        stats = run_trials(ScenarioConfig(env, AS(), "equilibrium", trials, seed))
-        u_in = float(stats.per_agent_utility_mean[focal_index])
-        u_out = _mc_stay_out_utility(env, focal_index, trials, seed)
+        u_in, u_out = (float(u[agent.id]) for u in participation_utilities(env, trials, seed))
     return ParticipationReport(
         u_in=u_in, u_out=u_out, participates=u_in >= u_out, rho=rho, gamma=gamma
     )

@@ -27,10 +27,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    closed_forms_apply,
     hetero_image_participation,
     hetero_system_gain,
     hetero_truth_participation,
     image_participation_rule,
+    participation_utilities,
     pr_mae,
 )
 from .core import (
@@ -530,12 +532,16 @@ def parse_config(
             else _coerce("environment", "clamp", str(env_sec.get("clamp", "false")), bool)
         ),
     }
-    system_obs = NormalParams()
-    for key, attr in (("system_mean", "mean"), ("system_std", "std")):
+    # Checked here so a bad channel default names its key, not the first
+    # agent that inherits it.
+    channels = {"system": NormalParams(), "cross": NormalParams()}
+    for key in ("system_mean", "system_std", "cross_mean", "cross_std"):
+        channel, attr = key.split("_")
         try:
-            system_obs = dataclasses.replace(system_obs, **{attr: env_defaults[key]})
+            channels[channel] = dataclasses.replace(channels[channel], **{attr: env_defaults[key]})
         except ValueError as exc:
             raise ConfigError(f"[environment] {key}: {exc}") from None
+    system_obs = channels["system"]
 
     raw_agents = sections["agents"]
     if not raw_agents:
@@ -565,6 +571,9 @@ def parse_config(
         raise ConfigError(f"[simulation]: unknown keys {sorted(unknown)}")
     strategy = str(sim.get("strategy", "equilibrium")).lower()
     overrides = sim.get("overrides", {})
+    for agent_id, value in overrides.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"[simulation] override{agent_id}: expected a finite report, got {value}")
     if strategy == "equilibrium":
         if overrides:
             raise ConfigError(
@@ -902,18 +911,16 @@ def cmd_report(config_path, seed, trials):
     parsed = parse_config(config_path, seed=seed)
     env = parsed.env
     k = env.k
+    # One engine pass gives every agent's Monte Carlo columns; the closed
+    # columns repeat them wherever the closed rules do not apply.
+    mc_in, mc_out = participation_utilities(env, trials, parsed.seed)
 
     click.echo("agent  type       quality  u_in(closed)  u_out(closed)  joins  u_in(mc)     u_out(mc)    joins  threshold")
     for i, agent in enumerate(env.agents):
         kind = type(agent.agent_type).__name__
         r = float(agent.quality)
         if isinstance(agent.agent_type, Truth):
-            closed = hetero_truth_participation(
-                env, focal=agent.id, trials=trials, seed=parsed.seed, method="auto"
-            )
-            mc = hetero_truth_participation(
-                env, focal=agent.id, trials=trials, seed=parsed.seed, method="mc"
-            )
+            closed = hetero_truth_participation(env, focal=agent.id, method="closed")
             sigma = agent.cross_obs.std
             threshold = (
                 f"rho {_fmt(closed.rho)} <= 4*sigma^2 {_fmt(4 * sigma * sigma)}: "
@@ -922,12 +929,7 @@ def cmd_report(config_path, seed, trials):
         elif agent.utility.truth_weight < 1.0 and not isinstance(
             agent.agent_type, (MaliciousRandom, Colluder)
         ):
-            closed = hetero_image_participation(
-                agent, env, trials=trials, seed=parsed.seed, method="auto"
-            )
-            mc = hetero_image_participation(
-                agent, env, trials=trials, seed=parsed.seed, method="mc"
-            )
+            closed = hetero_image_participation(agent, env, method="closed")
             # gamma <= 4(1-r) is the paper's rule u_in >= u_out rearranged;
             # deciding it in the rule's own arithmetic keeps the two verdicts
             # equal where 4(1-r) rounds below gamma.
@@ -939,12 +941,17 @@ def cmd_report(config_path, seed, trials):
         else:
             click.echo(f"{i:<6d} {kind:<10s} {_fmt(r):<8s} randomized reporter, no participation model")
             continue
+        u_in, u_out = mc_in[i], mc_out[i]
+        if closed_forms_apply(env, agent):
+            u_in_closed, u_out_closed = closed.u_in, closed.u_out
+        else:
+            u_in_closed, u_out_closed = u_in, u_out
         click.echo(
             f"{i:<6d} {kind:<10s} {_fmt(r):<8s} "
-            f"{_fmt(closed.u_in):<13s} {_fmt(closed.u_out):<14s} "
-            f"{'yes' if closed.participates else 'no':<6s} "
-            f"{_fmt(mc.u_in):<12s} {_fmt(mc.u_out):<12s} "
-            f"{'yes' if mc.participates else 'no':<6s} {threshold}"
+            f"{_fmt(u_in_closed):<13s} {_fmt(u_out_closed):<14s} "
+            f"{'yes' if u_in_closed >= u_out_closed else 'no':<6s} "
+            f"{_fmt(u_in):<12s} {_fmt(u_out):<12s} "
+            f"{'yes' if u_in >= u_out else 'no':<6s} {threshold}"
         )
 
     gains = hetero_system_gain(env)

@@ -15,10 +15,12 @@ import pytest
 from replab.analysis import (
     ParticipationReport,
     as_ir_gain,
+    closed_forms_apply,
     collusion_expected_tax,
     hetero_image_participation,
     hetero_system_gain,
     hetero_truth_participation,
+    participation_utilities,
     pr_mae,
     pr_mutual_benefit_region,
     weighted_variance_check,
@@ -29,8 +31,10 @@ from replab.core import (
     DimensionMismatch,
     DirectObservation,
     Environment,
+    AS,
     Image,
     Linear,
+    Mixed,
     Power,
     Quality,
     Truth,
@@ -38,6 +42,7 @@ from replab.core import (
 )
 from replab.mechanisms import run_batch
 from replab.numerics import NormalParams, folded_normal_mean, minimize_1d
+from replab.simulator import ScenarioConfig, run_trials
 from replab.strategies import pr_optimal_self_report
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -279,6 +284,92 @@ def test_image_participation_guards():
     stranger = _agent(7, 0.3, Image(), 0.0)
     with pytest.raises(ValueError):
         hetero_image_participation(stranger, env)
+
+
+def _clamped_extremes(clamp=True):
+    """Truth agents near the clip points and a high-quality image agent, sigma 0.3."""
+    agents = [
+        _agent(i, r, Truth(), 1.0, sigma=0.3) for i, r in enumerate([0.5, 0.05, 0.95, 0.02])
+    ]
+    agents.append(_agent(4, 0.9, Image(), 0.0, sigma=0.3))
+    return Environment(
+        agents=tuple(agents), system_obs=NormalParams(0.0, 0.3), clamp_observations=clamp
+    )
+
+
+def test_auto_method_declines_the_closed_rules_under_clamping():
+    # The closed rules assume unclamped noise: they give the truth agent
+    # u_out = -4 * 0.3^2 = -0.36 and the image agent u_out = r = 0.9, where
+    # clipped observations cost about -0.19 and earn about 0.83.
+    env = _clamped_extremes()
+    assert not closed_forms_apply(env, env.agents[0])
+    assert not closed_forms_apply(env, env.agents[4])
+    assert closed_forms_apply(_clamped_extremes(clamp=False), env.agents[0])
+
+    truth = hetero_truth_participation(env, trials=4096, seed=2)
+    assert truth == hetero_truth_participation(env, trials=4096, seed=2, method="mc")
+    assert truth.u_out == pytest.approx(-0.186, abs=0.005)
+    image = hetero_image_participation(env.agents[4], env, trials=4096, seed=2)
+    assert image == hetero_image_participation(
+        env.agents[4], env, trials=4096, seed=2, method="mc"
+    )
+    assert image.u_out < 0.85
+
+
+def _stay_out_oracle(env, i, trials, seed):
+    """Dense sampling of agent i's stay-out utility: its own observations of
+    every other agent and the platform's direct estimate of it, clipped to
+    [0, 1] when the environment clamps.  Returns the mean, its standard
+    error, and the standard deviation of the image term g(estimate)."""
+    agent = env.agents[i]
+    rng = np.random.Generator(np.random.Philox(seed))
+    obs = rng.normal(agent.cross_obs.mean, agent.cross_obs.std, size=(trials, env.k))
+    obs += env.qualities[None, :]
+    estimate = rng.normal(
+        float(agent.quality) + env.system_obs.mean, env.system_obs.std, size=trials
+    )
+    if env.clamp_observations:
+        obs = np.clip(obs, 0.0, 1.0)
+        estimate = np.clip(estimate, 0.0, 1.0)
+    loss = agent.utility.f(np.abs(obs - env.qualities[None, :]))
+    loss[:, i] = 0.0
+    lam = agent.utility.truth_weight
+    image = agent.utility.g(estimate)
+    values = -lam * loss.sum(axis=1) + (1.0 - lam) * image
+    return values.mean(), values.std(ddof=1) / math.sqrt(trials), image.std(ddof=1)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+def test_participation_utilities_match_a_dense_oracle(clamp, p):
+    agents = (
+        Agent(0, Quality(0.5), Truth(), UtilitySpec(f=AbsPower(p)), NormalParams(0.05, 0.3)),
+        _agent(1, 0.04, Truth(), 1.0, p=p, sigma=0.25),
+        _agent(2, 0.93, Image(), 0.0, p=p, sigma=0.3),
+        _agent(3, 0.7, Mixed(), 0.4, p=p, g=Power(0.5), sigma=0.2),
+        _agent(4, 0.97, Mixed(), 0.7, p=p, sigma=0.35),
+    )
+    env = Environment(
+        agents=agents, system_obs=NormalParams(0.02, 0.25), clamp_observations=clamp
+    )
+    trials, seed = 20_000, 17
+    u_in, u_out = participation_utilities(env, trials, seed)
+
+    # u_in is run_trials' per-agent utility, to the bit.
+    stats = run_trials(ScenarioConfig(env, AS(), "equilibrium", trials, seed))
+    np.testing.assert_array_equal(u_in, stats.per_agent_utility_mean)
+    for i, agent in enumerate(env.agents):
+        mean, stderr, image_sd = _stay_out_oracle(env, i, 200_000, 100 + i)
+        engine_stderr = (1.0 - agent.utility.truth_weight) * image_sd / math.sqrt(trials)
+        tol = 4.0 * math.hypot(stderr, engine_stderr)
+        assert abs(u_out[i] - mean) <= tol, (i, u_out[i], mean, tol)
+
+
+def test_truth_stay_out_utility_is_the_closed_value_unclamped():
+    env = _mixed_population(n_truth=3, n_image=2, sigma=0.3)
+    _, u_out = participation_utilities(env, 2048, 4)
+    closed = hetero_truth_participation(env, method="closed")
+    assert u_out[0] == pytest.approx(closed.u_out, abs=1e-12)
 
 
 def test_system_gain_linear_fractions():

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from replab.cli import main
-from replab import simulator
+from replab import analysis, simulator
 from replab.simulator import MAX_CROSS_BYTES
 
 # ---------------------------------------------------------------------------
@@ -332,12 +332,26 @@ def test_agent_count_dependent_mechanism_keys_are_checked_at_parse(
     assert key in result.stderr and message in result.stderr
 
 
-@pytest.mark.parametrize("key", ["system_std", "system_mean"])
+@pytest.mark.parametrize("key", ["system_std", "system_mean", "cross_std", "cross_mean"])
 def test_bad_system_channel_names_its_environment_key(runner, tmp_path, key):
     config = _write(tmp_path, "bad.ini", f"[environment]\n{key} = nan\n\n" + _truth_agents(3))
     result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert f"[environment] {key}:" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("suffix", [".ini", ".json"])
+def test_nonfinite_override_exits_2_naming_its_key(runner, tmp_path, suffix, value):
+    if suffix == ".ini":
+        text = _truth_agents(3) + f"\n[simulation]\nstrategy = custom\noverride0 = {value}\n"
+    else:
+        payload = dict(BASIC_JSON, simulation={"strategy": "custom", "overrides": {"0": float(value)}})
+        text = json.dumps(payload)
+    config = _write(tmp_path, "bad" + suffix, text)
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "[simulation] override0:" in result.stderr
 
 
 def test_unsupported_strategy_combination_exits_3(runner, tmp_path):
@@ -652,3 +666,41 @@ def test_report_threshold_decides_like_the_closed_verdict(runner, tmp_path):
     row = next(l for l in result.output.splitlines() if l.startswith("0 "))
     assert row.split()[5] == "yes"
     assert row.endswith("gamma 0.8 <= 4(1-r) 0.8: yes")
+
+
+MIXED_INI = """\
+[environment]
+system_std = 0.2
+cross_std = 0.2
+
+[agents]
+agent0 = quality=0.3 type=truth
+agent1 = quality=0.8 type=image
+agent2 = quality=0.6 type=mixed weight=0.5
+agent3 = quality=0.5 type=malicious
+agent4 = quality=0.45 type=truth p=1
+
+[mechanism]
+kind = as
+"""
+
+
+@pytest.mark.parametrize("text", [BASIC_INI, MIXED_INI], ids=["basic", "mixed"])
+def test_report_makes_one_engine_call(runner, tmp_path, monkeypatch, text):
+    calls = []
+    engine = analysis.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "simulate", counting)
+    config = _write(tmp_path, "report.ini", text)
+    result = runner.invoke(main, ["report", str(config), "--trials", "3000"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    # A truth agent's stay-out utility reads no report, so it is exact.
+    for row in result.output.splitlines()[1:]:
+        cells = row.split()
+        if cells[1] == "Truth":
+            assert cells[7] == cells[4]

@@ -1,8 +1,11 @@
-"""Each module's ``__all__`` matches the public names it defines."""
+"""Each module's ``__all__`` matches the public names it defines, and only
+the engine and the audit seed random streams."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +43,42 @@ def test_all_lists_exactly_the_public_definitions(module):
     }
     unlisted = sorted(defined - set(module.__all__))
     assert not unlisted, f"{module.__name__} defines public names missing from __all__: {unlisted}"
+
+
+# NumPy names that build a random generator, a bit generator or a seed.
+RNG_CONSTRUCTORS = {
+    "Generator",
+    "default_rng",
+    "RandomState",
+    "SeedSequence",
+    "Philox",
+    "PCG64",
+    "PCG64DXSM",
+    "MT19937",
+    "SFC64",
+}
+
+
+def _rng_constructions(path: Path) -> set[tuple[str, str]]:
+    """(module, top-level definition) pairs whose code calls an RNG constructor."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in RNG_CONSTRUCTORS:
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_only_the_engine_and_the_audit_construct_random_streams():
+    # The determinism contract: simulated numbers come from the engine's
+    # per-batch substreams (seed, b) and audits from draw_profile's
+    # (seed, 0); no other code seeds a stream of its own.
+    found = set().union(
+        *(_rng_constructions(path) for path in Path(replab.__file__).parent.glob("*.py"))
+    )
+    assert ("simulator", "_batch_rng") in found
+    assert found <= {("simulator", "_batch_rng"), ("strategies", "draw_profile")}, found
