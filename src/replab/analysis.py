@@ -127,20 +127,49 @@ def pr_mutual_benefit_region(sigma_prime: float, a_grid) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _clipped_loss(f: AbsPower, bias: float, sd: float, lo: float, hi: float) -> float:
+def _truncated_moment(p: float, mu: float, sd: float, lo, hi):
+    """int_lo^hi |t|^p N(t; mu, sd^2) dt for p in {1, 2} and finite lo <= 0 <= hi.
+
+    ``lo`` and ``hi`` may be floats or arrays of clip windows.
+
+    With F and P the Normal cdf and density, int_c^d t P = mu (F(d) - F(c))
+    + sd^2 (P(c) - P(d)) and int_c^d t^2 P = (mu^2 + sd^2)(F(d) - F(c)) +
+    sd^2 ((mu + c) P(c) - (mu + d) P(d)); at p = 1 the part below 0 counts
+    with its sign flipped.
+    """
+    var = sd * sd
+
+    def moment(c, d):
+        mass = normal_cdf(d, mu, sd) - normal_cdf(c, mu, sd)
+        pc, pd = normal_pdf(c, mu, sd), normal_pdf(d, mu, sd)
+        if p == 1.0:
+            return mu * mass + var * (pc - pd)
+        return (mu * mu + var) * mass + var * ((mu + c) * pc - (mu + d) * pd)
+
+    return moment(0.0, hi) - moment(lo, 0.0) if p == 1.0 else moment(lo, hi)
+
+
+def _clipped_loss(f: AbsPower, bias: float, sd: float, lo, hi):
     """E f(|clip(e, lo, hi)|) for an observation error e ~ N(bias, sd^2), lo <= 0 <= hi.
 
-    Unclipped (infinite bounds) at p = 1 and p = 2 the moments are closed.
-    Otherwise quadrature covers the interval between the clip points, cut at
-    TAIL_SIGMAS, and the mass beyond a finite clip point sits on it.
+    At p = 1 and p = 2 the moments are closed, and ``lo`` and ``hi`` may be
+    arrays of clip windows: unclipped (infinite bounds) they are the
+    folded-Normal mean and bias^2 + sd^2, clipped the truncated-Normal
+    moments between the clip points (:func:`_truncated_moment`).  Other p
+    take scalar bounds and integrate between the clip points by quadrature,
+    cut at TAIL_SIGMAS.  The mass beyond a finite clip point sits on it.
     """
     if sd == 0.0:
-        return float(f(abs(min(max(bias, lo), hi))))
-    if math.isinf(lo) and f.p in (1.0, 2.0):
+        return f(np.abs(np.clip(bias, lo, hi)))
+    closed = f.p in (1.0, 2.0)
+    if closed and np.isinf(lo).all():
         return float(folded_normal_mean(bias, sd)) if f.p == 1.0 else bias * bias + sd * sd
-    a, b = max(lo, bias - TAIL_SIGMAS * sd), min(hi, bias + TAIL_SIGMAS * sd)
-    total = integrate(lambda t: abs(t) ** f.p * normal_pdf(t, bias, sd), a, max(a, b), tol=1e-12)
-    if math.isfinite(lo):
+    if closed:
+        total = _truncated_moment(f.p, bias, sd, lo, hi)
+    else:
+        a, b = max(lo, bias - TAIL_SIGMAS * sd), min(hi, bias + TAIL_SIGMAS * sd)
+        total = integrate(lambda t: abs(t) ** f.p * normal_pdf(t, bias, sd), a, max(a, b), tol=1e-12)
+    if np.isfinite(lo).all():
         total += f(-lo) * normal_cdf(lo, bias, sd) + f(hi) * (1.0 - normal_cdf(hi, bias, sd))
     return total
 
@@ -154,12 +183,12 @@ def _stay_out_loss(agent: Agent, env: Environment) -> float:
     f = agent.utility.f
     bias, sd = agent.cross_obs.mean, agent.cross_obs.std
     if not env.clamp_observations:
-        return (env.k - 1) * _clipped_loss(f, bias, sd, -math.inf, math.inf)
-    return math.fsum(
-        _clipped_loss(f, bias, sd, -r, 1.0 - r)
-        for j, r in enumerate(env.qualities.tolist())
-        if j != agent.id
-    )
+        return (env.k - 1) * float(_clipped_loss(f, bias, sd, -math.inf, math.inf))
+    peers = np.delete(env.qualities, agent.id)
+    if f.p in (1.0, 2.0) or sd == 0.0:
+        # The closed forms take every peer's clip window at once.
+        return math.fsum(_clipped_loss(f, bias, sd, -peers, 1.0 - peers).tolist())
+    return math.fsum(_clipped_loss(f, bias, sd, -r, 1.0 - r) for r in peers.tolist())
 
 
 def as_ir_gain(agent: Agent, env: Environment) -> float:

@@ -43,9 +43,10 @@ __all__ = [
     "ZeroWeightSum",
     "NO_CROSS",
     "PEER_SUMS",
-    "DENSE",
+    "RING",
     "cross_reads",
     "peer_weights",
+    "ring_batch",
     "run_batch",
     "deviation_terms",
 ]
@@ -65,7 +66,7 @@ class ZeroWeightSum(ValueError):
 
 NO_CROSS = "none"
 PEER_SUMS = "peer_sums"
-DENSE = "dense"
+RING = "ring"
 
 
 def cross_reads(spec: MechanismSpec) -> str:
@@ -74,14 +75,15 @@ def cross_reads(spec: MechanismSpec) -> str:
     :data:`NO_CROSS`: scoring, share-of-total and direct observation read
     none.  :data:`PEER_SUMS`: the averaging and punish-reward families read
     each subject's peer reports only through one (weighted) sum,
-    ``sum_{j != i} w_j R_ji`` with :func:`peer_weights`.  :data:`DENSE`:
-    ring validation reads individual entries.
+    ``sum_{j != i} w_j R_ji`` with :func:`peer_weights`.  :data:`RING`:
+    ring validation reads at most three entries per subject, its ring reads
+    (:func:`ring_batch`).
     """
     if isinstance(spec, (AS, FR, DirectObservation)):
         return NO_CROSS
     if isinstance(spec, (SimpleAveraging, PR, WeightedPR)):
         return PEER_SUMS
-    return DENSE
+    return RING
 
 
 def peer_weights(spec: MechanismSpec, k: int) -> np.ndarray:
@@ -178,52 +180,83 @@ def _validation_layer(
     return discrepancy - (total - discrepancy - discrepancy[rows, succ]) / (k - 2)
 
 
-def _spec_rings(spec: ExtendedAS, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spec's first and second-layer rings as (1, K) rows."""
+def _spec_rings(spec: ExtendedAS, k: int) -> list[np.ndarray]:
+    """The spec's fixed rings as (1, K) rows, one per layer."""
     ring = spec.ring if spec.ring is not None else tuple(range(k))
     ring2 = spec.second_ring if spec.second_ring is not None else ring
-    return np.array([ring]), np.array([ring2])
+    for order in (ring, ring2):
+        if len(order) != k:
+            raise DimensionMismatch(f"ring covers {len(order)} agents, profile has {k}")
+    return [np.array([ring]), np.array([ring2])][: spec.layers]
 
 
-def _first_layer_discrepancy(
-    selfs: np.ndarray, cross: np.ndarray, rows: slice | np.ndarray, pred: np.ndarray
-) -> np.ndarray:
-    # Layer 1: each self-report is checked against the ring-predecessor's
-    # cross-report about the same subject.
-    return np.abs(selfs - cross[rows, pred, np.arange(selfs.shape[1])])
+def _ring_layers(rings: list[np.ndarray]) -> tuple[list[tuple], list[np.ndarray]]:
+    """The maps of each validation layer and the reporters of its ring reads.
 
-
-def _second_layer_taxes(cross: np.ndarray, rings2: np.ndarray) -> np.ndarray:
-    # Layer 2: each agent's report about its successor is checked against
-    # the report the successor's other neighbor made about that subject.
-    # It reads cross-reports only.
-    rows, pred2, succ2 = _ring_maps(rings2)
-    reporters = np.arange(cross.shape[1])
-    d2 = np.abs(cross[rows, reporters, succ2] - cross[rows, pred2, succ2])
-    return _validation_layer(d2, rows, succ2)
-
-
-def _extended_as_kernel(
-    selfs: np.ndarray,
-    cross: np.ndarray,
-    rings1: np.ndarray,
-    rings2: np.ndarray | None,
-    layers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ring-validation taxes for (B, K) per-trial rings or (1, K) fixed ones.
-
-    Rings redrawn every trial keep cliques from positioning themselves
-    around a known ring; ``rings2`` is read only when ``layers == 2``.
+    The reporters of subject i are pred1(i) for layer 1, then pred2(i) and
+    pred2(pred2(i)) for layer 2, as (K,) maps for a fixed ring or (B, K)
+    maps for per-trial rings.
     """
-    k = selfs.shape[1]
+    maps = [_ring_maps(r) for r in rings]
+    readers = [maps[0][1]]
+    if len(maps) == 2:
+        pred2 = maps[1][1]
+        readers += [pred2, np.take_along_axis(pred2, pred2, axis=-1)]
+    return maps, readers
+
+
+def _gather(cross: np.ndarray, readers: list[np.ndarray]) -> list[np.ndarray]:
+    """The ring reads of dense (B, K, K) reports: reader[., i]'s report about i."""
+    batch, k = cross.shape[:2]
+    subjects = np.arange(k)
+    return [
+        cross[slice(None) if r.ndim == 1 else np.arange(batch)[:, None], r, subjects]
+        for r in readers
+    ]
+
+
+def _ring_charges(
+    selfs: np.ndarray, reads: list[np.ndarray], maps: list[tuple]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Layer-1 discrepancies and the layer-2 taxes (None for one layer).
+
+    Layer 1 checks each self-report against the ring-predecessor's report
+    about the same subject, v1.  Layer 2 checks each reporter j's report
+    about its successor s = succ2(j), which is v2 at s, against pred2(j)'s
+    report about s, which is v3 at s; it reads cross-reports only.
+    """
+    d1 = np.abs(selfs - reads[0])
+    if len(maps) == 1:
+        return d1, None
+    rows, _, succ = maps[1]
+    return d1, _validation_layer(np.abs(reads[1] - reads[2])[rows, succ], rows, succ)
+
+
+def ring_batch(
+    spec: ExtendedAS,
+    self_reports: np.ndarray,
+    read: Callable[[list[np.ndarray]], list[np.ndarray]],
+    rings: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ring-validated scoring on only the cross reports it reads.
+
+    ``rings`` holds one (B, K) visit order per trial for each layer, or is
+    None for the spec's fixed rings; rings redrawn every trial keep cliques
+    from positioning themselves around a known ring.  ``read(readers)``
+    gets one reporter map per ring read, (K,) or (B, K), and returns the
+    (B, K) reports of ``readers[m][., i]`` about each subject i: v1 for
+    layer 1, then v2 and v3 for layer 2.  Returns (reputations, taxes).
+    """
+    k = self_reports.shape[1]
     if k < 3:
         raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
-    rows, pred1, succ1 = _ring_maps(rings1)
-    d1 = _first_layer_discrepancy(selfs, cross, rows, pred1)
-    taxes = _validation_layer(d1, rows, succ1)
-    if layers == 2:
-        taxes = taxes + _second_layer_taxes(cross, rings2)
-    return selfs.copy(), taxes
+    maps, readers = _ring_layers(_spec_rings(spec, k) if rings is None else rings)
+    d1, layer2 = _ring_charges(self_reports, read(readers), maps)
+    rows, _, succ = maps[0]
+    taxes = _validation_layer(d1, rows, succ)
+    if layer2 is not None:
+        taxes = taxes + layer2
+    return self_reports.copy(), taxes
 
 
 def _shares(selfs: np.ndarray, totals: np.ndarray, k: int) -> np.ndarray:
@@ -294,15 +327,8 @@ def run_batch(
             raise TooFewAgents(f"absolute scoring needs K >= 2, got {k}")
         return _as_kernel(need("self_reports", self_reports), need("system_obs", system_obs))
     if isinstance(spec, ExtendedAS):
-        for ring in (spec.ring, spec.second_ring):
-            if ring is not None and len(ring) != k:
-                raise DimensionMismatch(f"ring covers {len(ring)} agents, profile has {k}")
-        return _extended_as_kernel(
-            need("self_reports", self_reports),
-            need("cross_reports", cross_reports),
-            *_spec_rings(spec, k),
-            spec.layers,
-        )
+        cross = need("cross_reports", cross_reports)
+        return ring_batch(spec, need("self_reports", self_reports), lambda r: _gather(cross, r))
     if isinstance(spec, FR):
         return _fr_kernel(need("self_reports", self_reports))
     if cross_reads(spec) == PEER_SUMS:
@@ -365,14 +391,13 @@ def deviation_terms(
         prior = system_obs[:, i]
         return reps, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
     if isinstance(spec, ExtendedAS):
-        rings1, rings2 = _spec_rings(spec, k)
-        ring_rows, pred, succ = _ring_maps(rings1)
-        d1 = _first_layer_discrepancy(self_reports, cross_reports, ring_rows, pred)
+        maps, readers = _ring_layers(_spec_rings(spec, k))
+        reads = _gather(cross_reports, readers)
+        d1, layer2 = _ring_charges(self_reports, reads, maps)
+        succ = maps[0][2]
         rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
-        peer = cross_reports[:, pred[i], i]
-        layer2 = np.zeros(reps.shape[0])
-        if spec.layers == 2:
-            layer2 = _second_layer_taxes(cross_reports, rings2)[:, i]
+        peer = reads[0][:, i]
+        layer2 = np.zeros(reps.shape[0]) if layer2 is None else layer2[:, i]
 
         def move_validated(x: np.ndarray, rows: slice) -> tuple:
             return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None

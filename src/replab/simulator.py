@@ -3,29 +3,42 @@
 Every simulated result goes through :func:`simulate`.  Trials are processed
 in fixed batches of 1024.  Batch ``b`` draws from
 ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` in one of
-two fixed orders, which together make draw stream :data:`STREAM` = 2:
+two fixed orders, which together make draw stream :data:`STREAM` = 3.  Each
+batch draws only what its mechanism reads (``mechanisms.cross_reads``):
 
-- Compact, O(batch * K): when no agent is a uniform-random or colluding
-  reporter, observations are not clamped, and the mechanism reads no cross
-  report or only each subject's peer sum (``mechanisms.cross_reads``).  The
-  batch draws the system observations, then, for the peer-sum families,
-  each subject's (weighted) peer sum as one Normal
-  (``strategies.sample_compact``); self-reports are the resolved
-  constants.
-- Dense, O(batch * K^2): every other case.  The batch draws the system
+- Sparse, O(batch * K): every batch but the dense ones below.  The batch
+  draws the system observations (clamped to [0, 1] when the environment
+  clamps), then the uniform self-reports of random senders in agent order
+  (both in ``strategies.sample_sparse``); the other self-reports are the
+  resolved constants.  Then by family:
+
+  - scoring, share-of-total and direct observation draw nothing more;
+  - the peer-sum families (simple averaging, punish-reward, weighted
+    punish-reward) draw each subject's (weighted) peer sum as one Normal
+    (``strategies.sample_peer_sums``);
+  - ring validation draws the collusion scenario's secret rings, one
+    permutation per layer (fixed rings draw nothing), then only the cross
+    reports the rings read, at most 3 per subject
+    (``strategies.sample_ring_reads``): one Normal per distinct (reporter,
+    subject) entry, then one uniform per entry of a uniform-random
+    reporter; colluders' constants enter exactly.
+
+- Dense, O(batch * K^2): the peer-sum families when some agent is a
+  uniform-random or colluding reporter or observations are clamped, since
+  their peer sums are then not Normal.  The batch draws the system
   observations, then the cross observations (both in
   ``sample_observations``), then per-agent message randomness in agent
-  order (``build_messages``), then the mechanism's own draws (the collusion
-  scenario's secret validation rings, one layer at a time).  A batch's
-  (batch, K, K) cross array may hold at most :data:`MAX_CROSS_BYTES`;
-  above that ``simulate`` raises :class:`CrossDrawTooLarge` before drawing.
+  order (``build_messages``).  A batch's (batch, K, K) cross array may
+  hold at most :data:`MAX_CROSS_BYTES`; above that ``simulate`` raises
+  :class:`CrossDrawTooLarge` before drawing.
 
-Both orders start with the same system draw, so mechanisms that read no
-cross report give the same numbers on either.  Stream 1 drew every batch
-densely.  The caller's reducer then condenses the batch.  Worker threads
-may compute batches in any order; partial results are reduced in batch
-order with compensated summation, so results are byte-identical for any
-worker count.
+Both orders start with the same system draw, so mechanisms that read only
+system observations and constant self-reports give the same numbers on
+either.  Stream 1 drew every batch densely; stream 2 drew ring validation,
+and every batch with a uniform-random or colluding reporter, densely.  The
+caller's reducer then condenses the batch.  Worker threads may compute
+batches in any order; partial results are reduced in batch order with
+compensated summation, so results are byte-identical for any worker count.
 
 Strategy constants are resolved once per scenario (they depend on the
 observation distributions, not on samples); only uniform-random reporters
@@ -59,11 +72,11 @@ from .core import (
 )
 from .numerics import NormalParams
 from .mechanisms import (
-    DENSE,
     PEER_SUMS,
-    _extended_as_kernel,
+    RING,
     cross_reads,
     peer_weights,
+    ring_batch,
     run_batch,
 )
 from .strategies import (
@@ -74,8 +87,10 @@ from .strategies import (
     pr_mae,
     pr_optimal_self_report,
     resolve_self_reports,
-    sample_compact,
     sample_observations,
+    sample_peer_sums,
+    sample_ring_reads,
+    sample_sparse,
 )
 
 __all__ = [
@@ -96,7 +111,7 @@ __all__ = [
 BATCH_TRIALS = 1024
 
 # Version of the draw order documented above; output manifests record it.
-STREAM = 2
+STREAM = 3
 
 # Largest (batch, K, K) cross array one dense batch may hold.
 MAX_CROSS_BYTES = 1 << 30
@@ -254,23 +269,12 @@ def simulate(
     # Peer sums are Normal only while every reporter relays its own
     # unclamped observation: malicious and colluding reporters replace their
     # rows, and clamping bends the distribution.
-    compact = (
-        reads != DENSE
-        and not env.clamp_observations
-        and not any(isinstance(a.agent_type, (MaliciousRandom, Colluder)) for a in env.agents)
+    dense = reads == PEER_SUMS and (
+        env.clamp_observations
+        or any(isinstance(a.agent_type, (MaliciousRandom, Colluder)) for a in env.agents)
     )
 
-    if compact:
-        selfs_row = np.array([self_reports[agent.id] for agent in env.agents])
-        weights = peer_weights(mechanism, env.k) if reads == PEER_SUMS else None
-
-        def draw_batch(rng: np.random.Generator, size: int) -> tuple:
-            system_obs, sums = sample_compact(env, rng, size, weights)
-            selfs = np.tile(selfs_row, (size, 1))
-            reps, taxes = run_batch(mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums)
-            return system_obs, selfs, reps, taxes
-
-    else:
+    if dense:
         largest = min(trials, BATCH_TRIALS)
         requested = largest * env.k * env.k * 8
         if requested > MAX_CROSS_BYTES:
@@ -282,14 +286,25 @@ def simulate(
         def draw_batch(rng: np.random.Generator, size: int) -> tuple:
             system_obs, cross_obs = sample_observations(env, rng, size)
             selfs, cross = build_messages(env, cross_obs, rng, self_reports)
-            if isinstance(mechanism, _SecretRings):
-                base = np.broadcast_to(np.arange(env.k), selfs.shape)
-                rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-                reps, taxes = _extended_as_kernel(
-                    selfs, cross, rings[0], rings[-1], mechanism.layers
-                )
+            reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
+            return system_obs, selfs, reps, taxes
+
+    else:
+        weights = peer_weights(mechanism, env.k) if reads == PEER_SUMS else None
+        secret = isinstance(mechanism, _SecretRings)
+
+        def draw_batch(rng: np.random.Generator, size: int) -> tuple:
+            system_obs, selfs = sample_sparse(env, rng, size, self_reports)
+            if reads == RING:
+                rings = None
+                if secret:
+                    base = np.broadcast_to(np.arange(env.k), selfs.shape)
+                    rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+                read = lambda readers: sample_ring_reads(env, rng, size, readers)
+                reps, taxes = ring_batch(mechanism, selfs, read, rings)
             else:
-                reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
+                sums = None if weights is None else sample_peer_sums(env, rng, size, weights)
+                reps, taxes = run_batch(mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums)
             return system_obs, selfs, reps, taxes
 
     def one_batch(batch_index: int, size: int) -> dict:

@@ -12,8 +12,9 @@ Three kinds of results live here:
    cross-reports each agent type submits under each mechanism in equilibrium
    (``resolve_self_reports`` / ``build_messages``), and the observation
    samplers it draws from in its two orders (the dense
-   ``sample_observations`` and the O(K) ``sample_compact``, which draws peer
-   sums with ``sample_peer_sums``).  Pairs without an analytical best
+   ``sample_observations``, and the sparse ``sample_sparse`` followed by
+   ``sample_peer_sums`` or ``sample_ring_reads``, which draw only the cross
+   reports a mechanism reads).  Pairs without an analytical best
    response raise :class:`UnsupportedCombination` rather than inventing
    behavior.
 3. A brute-force numerical oracle (``deviation_report``) that grids a
@@ -72,7 +73,8 @@ __all__ = [
     "resolve_self_reports",
     "sample_observations",
     "sample_peer_sums",
-    "sample_compact",
+    "sample_sparse",
+    "sample_ring_reads",
     "build_messages",
     "ProfileDraw",
     "draw_profile",
@@ -382,18 +384,118 @@ def sample_peer_sums(
     return sums
 
 
-def sample_compact(
-    env: Environment, rng: np.random.Generator, trials: int, weights: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The compact counterpart of :func:`sample_observations`.
+def sample_sparse(
+    env: Environment,
+    rng: np.random.Generator,
+    trials: int,
+    self_reports: Mapping[int, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """System observations and self-reports (trials, K) without cross reports.
 
-    Draws the system observations, then, when ``weights`` is given, each
-    subject's weighted peer sum (:func:`sample_peer_sums`); ``None`` in
-    place of the sums means the mechanism reads no cross report.  Valid
-    only for unclamped observations relayed by every reporter.
+    The sparse counterpart of :func:`sample_observations` and
+    :func:`build_messages`: draws the system observations (clamped to
+    [0, 1] when the environment clamps), then, in agent order, the uniform
+    self-reports of the agents ``self_reports`` does not list.  When it
+    lists every agent, the self-reports are a read-only view of one row,
+    so a batch of constants allocates nothing.  A mechanism that reads
+    cross reports draws them afterwards, as peer sums
+    (:func:`sample_peer_sums`) or as ring reads (:func:`sample_ring_reads`).
     """
     r0 = _sample_system(env, rng, trials)
-    return r0, None if weights is None else sample_peer_sums(env, rng, trials, weights)
+    if env.clamp_observations:
+        np.clip(r0, 0.0, 1.0, out=r0)
+    row = np.array([self_reports.get(i, np.nan) for i in range(env.k)])
+    if len(self_reports) == env.k:
+        return r0, np.broadcast_to(row, (trials, env.k))
+    selfs = np.tile(row, (trials, 1))
+    for i, agent in enumerate(env.agents):
+        if i not in self_reports:
+            kind = agent.agent_type
+            selfs[:, i] = rng.uniform(kind.low, kind.high, size=trials)
+    return r0, selfs
+
+
+def _sent_constants(env: Environment) -> np.ndarray | None:
+    """(K, K) table of the constant each colluder sends about each subject:
+    ``inflate`` about a clique-mate, ``bash`` (when set) about an outsider,
+    NaN where the reporter relays its observation.  None without colluders."""
+    kinds = [agent.agent_type for agent in env.agents]
+    colluder = np.array([isinstance(t, Colluder) for t in kinds])
+    if not colluder.any():
+        return None
+    clique = np.array([t.clique_id if isinstance(t, Colluder) else 0 for t in kinds])
+    inflate = np.array([t.inflate if isinstance(t, Colluder) else np.nan for t in kinds])
+    bash = np.array(
+        [t.bash if isinstance(t, Colluder) and t.bash is not None else np.nan for t in kinds]
+    )
+    table = np.full((env.k, env.k), np.nan)
+    table[colluder] = bash[colluder, None]
+    mates = np.outer(colluder, colluder) & (clique[:, None] == clique[None, :])
+    table[mates] = np.broadcast_to(inflate[:, None], table.shape)[mates]
+    return table
+
+
+def sample_ring_reads(
+    env: Environment,
+    rng: np.random.Generator,
+    trials: int,
+    readers: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Draw only the cross reports a validation ring reads.
+
+    ``readers[m][., i]`` is the reporter of read m about subject i, as a
+    (K,) map shared by all trials or a (trials, K) one.  Returns one
+    (trials, K) array per map.  An entry whose reporter an earlier map
+    already names is the same report and is drawn once.  The entries drawn
+    take one N(0, 1) each, map by map in (trial, subject) order, scaled and
+    shifted by the reporter's noise and bias around the subject's quality
+    and clamped when the environment clamps.  Then the messages apply, as
+    in :func:`build_messages`: a uniform-random reporter sends one uniform
+    draw per entry drawn, again map by map, and a colluder sends
+    ``inflate`` about a clique-mate and ``bash`` (when set) about an
+    outsider.
+    """
+    k = env.k
+    shape = (trials, k)
+    subjects = np.arange(k)
+    stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
+    sent = _sent_constants(env)
+    kinds = [agent.agent_type for agent in env.agents]
+    random_ = np.array([isinstance(t, MaliciousRandom) for t in kinds])
+    # same[m]: where each earlier map names the same reporter as map m.
+    same = [
+        [np.broadcast_to(reader == earlier, shape) for earlier in readers[:m]]
+        for m, reader in enumerate(readers)
+    ]
+    fresh = [~np.logical_or.reduce(masks) if masks else None for masks in same]
+    reads = []
+    for reader, new in zip(readers, fresh):
+        if new is None:
+            values = rng.normal(0.0, 1.0, size=shape)
+        else:
+            values = np.zeros(shape)
+            values[new] = rng.normal(0.0, 1.0, size=int(np.count_nonzero(new)))
+        values *= stds[reader]
+        values += qualities + biases[reader]
+        if env.clamp_observations:
+            np.clip(values, 0.0, 1.0, out=values)
+        if sent is not None:
+            message = sent[reader, subjects]
+            np.copyto(values, message, where=~np.isnan(message))
+        reads.append(values)
+    if random_.any():
+        low = np.array([t.low if isinstance(t, MaliciousRandom) else 0.0 for t in kinds])
+        high = np.array([t.high if isinstance(t, MaliciousRandom) else 0.0 for t in kinds])
+        for reader, new, values in zip(readers, fresh, reads):
+            hit = np.broadcast_to(random_[reader], shape)
+            if new is not None:
+                hit = hit & new
+            who = np.broadcast_to(reader, shape)[hit]
+            values[hit] = rng.uniform(low[who], high[who])
+    for values, masks in zip(reads, same):
+        for earlier, where in zip(reads, masks):
+            np.copyto(values, earlier, where=where)
+    return reads
 
 
 def resolve_self_reports(
@@ -444,10 +546,7 @@ def build_messages(
     trials, k = cross_obs.shape[0], env.k
     cross = cross_obs
     selfs = np.empty((trials, k))
-    clique_members: dict[int, list[int]] = {}
-    for i, agent in enumerate(env.agents):
-        if isinstance(agent.agent_type, Colluder):
-            clique_members.setdefault(agent.agent_type.clique_id, []).append(i)
+    sent = _sent_constants(env)
     for i, agent in enumerate(env.agents):
         kind = agent.agent_type
         if i in self_reports:
@@ -457,10 +556,7 @@ def build_messages(
         if isinstance(kind, MaliciousRandom):
             cross[:, i, :] = rng.uniform(kind.low, kind.high, size=(trials, k))
         elif isinstance(kind, Colluder):
-            mates = clique_members[kind.clique_id]
-            if kind.bash is not None:
-                cross[:, i, :] = kind.bash
-            cross[:, i, mates] = kind.inflate
+            np.copyto(cross[:, i, :], sent[i], where=~np.isnan(sent[i]))
     return selfs, cross
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from replab.analysis import (
     ParticipationReport,
+    _clipped_loss,
     as_ir_gain,
     closed_forms_apply,
     collusion_expected_tax,
@@ -41,7 +42,15 @@ from replab.core import (
     UtilitySpec,
 )
 from replab.mechanisms import run_batch
-from replab.numerics import NormalParams, folded_normal_mean, minimize_1d
+from replab.numerics import (
+    TAIL_SIGMAS,
+    NormalParams,
+    folded_normal_mean,
+    integrate,
+    minimize_1d,
+    normal_cdf,
+    normal_pdf,
+)
 from replab.simulator import ScenarioConfig, run_trials
 from replab.strategies import pr_optimal_self_report
 
@@ -314,6 +323,31 @@ def test_auto_method_declines_the_closed_rules_under_clamping():
         env.agents[4], env, trials=4096, seed=2, method="mc"
     )
     assert image.u_out < 0.85
+
+
+def _quadrature_clipped_loss(p, bias, sd, lo, hi):
+    """E |clip(e, lo, hi)|^p by adaptive quadrature on each side of 0, plus
+    the point masses on the clip points."""
+    total = 0.0
+    for c, d in ((lo, 0.0), (0.0, hi)):
+        a, b = max(c, bias - TAIL_SIGMAS * sd), min(d, bias + TAIL_SIGMAS * sd)
+        if b > a:
+            total += integrate(lambda t: abs(t) ** p * normal_pdf(t, bias, sd), a, b, tol=1e-13)
+    tails = normal_cdf(lo, bias, sd), 1.0 - normal_cdf(hi, bias, sd)
+    return total + abs(lo) ** p * tails[0] + hi**p * tails[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("sd", [0.01, 0.1, 0.3])
+def test_clipped_loss_closed_form_matches_quadrature(p, sd):
+    # Clip windows [-r, 1 - r] for qualities at, near and away from the ends.
+    qualities = np.array([0.0, 0.02, 0.3, 0.5, 0.97, 1.0])
+    for bias in (-0.2, -0.05, 0.0, 0.03, 0.15):
+        closed = _clipped_loss(AbsPower(p), bias, sd, -qualities, 1.0 - qualities)
+        for r, value in zip(qualities.tolist(), closed.tolist()):
+            assert value == _clipped_loss(AbsPower(p), bias, sd, -r, 1.0 - r)
+            want = _quadrature_clipped_loss(p, bias, sd, -r, 1.0 - r)
+            assert abs(value - want) <= 1e-10, (p, bias, sd, r, value, want)
 
 
 def _stay_out_oracle(env, i, trials, seed):

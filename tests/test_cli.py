@@ -118,7 +118,7 @@ def test_run_writes_stats_csv_schema_and_manifest(runner, tmp_path):
         "output_paths",
         "stream",
     }
-    assert manifest["stream"] == 2
+    assert manifest["stream"] == 3
     assert manifest["command"] == "run"
     assert manifest["seed"] == 7
     assert len(manifest["config_digest"]) == 64
@@ -367,17 +367,22 @@ def test_unsupported_strategy_combination_exits_3(runner, tmp_path):
     assert "Image" in result.stderr and "FR" in result.stderr
 
 
-def _spread_truth_config(tmp_path, kind, k):
+def _spread_truth_config(tmp_path, kind, k, extra=""):
     agents = "\n".join(
         f"agent{i} = quality={0.2 + 0.6 * i / (k - 1):.6f} type=truth" for i in range(k)
     )
-    body = f"[agents]\n{agents}\n\n[mechanism]\nkind = {kind}\n"
+    body = f"[agents]\n{agents}\n\n[mechanism]\nkind = {kind}\n{extra}"
     return _write(tmp_path, f"{kind}_{k}.ini", body)
+
+
+# Clamped observations bend the peer sums away from Normal, so this config
+# still draws each batch's (trials, K, K) cross matrix.
+_CLAMPED = "\n[environment]\nclamp = true\n"
 
 
 def test_oversized_dense_batch_exits_3_before_allocating(runner, tmp_path):
     k, trials = 1200, 1024
-    config = _spread_truth_config(tmp_path, "extended_as", k)
+    config = _spread_truth_config(tmp_path, "simple_averaging", k, _CLAMPED)
     tracemalloc.start()
     try:
         result = runner.invoke(
@@ -392,6 +397,26 @@ def test_oversized_dense_batch_exits_3_before_allocating(runner, tmp_path):
     assert peak < 64 * 2**20, peak
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+def test_ring_validation_run_at_k_2000_stays_in_bounded_memory(runner, tmp_path, layers):
+    # Ring validation draws only its ring reads, so no batch meets the
+    # dense cap: the (1024, 2000, 2000) cross matrix would take 32 GB.
+    k, trials = 2000, 2048
+    config = _spread_truth_config(tmp_path, "extended_as", k, f"layers = {layers}\n")
+    tracemalloc.start()
+    try:
+        result = runner.invoke(
+            main, ["run", str(config), "--trials", str(trials), "--out", str(tmp_path / "o")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    stats = json.loads((tmp_path / "o" / "stats.json").read_text())
+    assert stats["trials"] == trials and stats["budget_max_abs"] <= 1e-9
+    assert peak < 256 * 2**20, peak
+
+
 def test_audit_draw_is_not_held_to_the_batch_cap(runner, tmp_path, monkeypatch):
     # The audit draws all its trials at once; the cap bounds one simulate
     # batch only.  A cap below this audit's draw must not refuse it.
@@ -401,7 +426,7 @@ def test_audit_draw_is_not_held_to_the_batch_cap(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["check-equilibrium", str(config), "--trials", str(trials)])
     assert result.exit_code in (0, 4), result.output
     # The same cap does refuse a dense run batch of that size.
-    dense = _spread_truth_config(tmp_path, "extended_as", k)
+    dense = _spread_truth_config(tmp_path, "simple_averaging", k, _CLAMPED)
     result = runner.invoke(
         main, ["run", str(dense), "--trials", str(trials), "--out", str(tmp_path / "o")]
     )

@@ -23,14 +23,18 @@ from replab.core import (
     WeightedPR,
 )
 from replab.mechanisms import (
-    DENSE,
     NO_CROSS,
     PEER_SUMS,
+    RING,
     TooFewAgents,
     ZeroWeightSum,
-    _extended_as_kernel,
+    _gather,
     _peer_sums,
+    _ring_maps,
+    _validation_layer,
     cross_reads,
+    deviation_terms,
+    ring_batch,
     run_batch,
 )
 
@@ -386,12 +390,18 @@ def test_each_family_declares_what_it_reads():
         assert cross_reads(spec) == NO_CROSS
     for spec in (SimpleAveraging(), PR(), WeightedPR(weights=(1.0, 1.0))):
         assert cross_reads(spec) == PEER_SUMS
-    assert cross_reads(ExtendedAS()) == DENSE
+    assert cross_reads(ExtendedAS()) == RING
 
 
 # ---------------------------------------------------------------------------
 # Per-trial secret rings
 # ---------------------------------------------------------------------------
+
+
+def _per_trial(selfs, cross, rings1, rings2, layers):
+    """Ring validation of dense reports over per-trial rings."""
+    rings = [rings1, rings2][:layers]
+    return ring_batch(ExtendedAS(layers=layers), selfs, lambda r: _gather(cross, r), rings)
 
 
 def test_per_trial_rings_match_fixed_ring_kernel():
@@ -406,7 +416,7 @@ def test_per_trial_rings_match_fixed_ring_kernel():
         reps_fixed, taxes_fixed = run_batch(spec, selfs, cross, None)
         rings1 = np.tile(np.array(ring), (batch, 1))
         rings2 = np.tile(np.array(ring if ring2 is None else ring2), (batch, 1))
-        reps_pt, taxes_pt = _extended_as_kernel(selfs, cross, rings1, rings2, layers)
+        reps_pt, taxes_pt = _per_trial(selfs, cross, rings1, rings2, layers)
         assert np.array_equal(reps_fixed, reps_pt)
         assert np.array_equal(taxes_fixed, taxes_pt)
 
@@ -419,7 +429,7 @@ def test_per_trial_rings_budget_balance_random_rings():
     base = np.broadcast_to(np.arange(k), (batch, k))
     rings1 = rng.permuted(base, axis=1)
     rings2 = rng.permuted(base, axis=1)
-    _, taxes = _extended_as_kernel(selfs, cross, rings1, rings2, 2)
+    _, taxes = _per_trial(selfs, cross, rings1, rings2, 2)
     assert np.max(np.abs(taxes.sum(axis=1))) < 1e-12
 
 
@@ -428,4 +438,77 @@ def test_per_trial_rings_too_few_agents():
     cross = np.zeros((4, 2, 2))
     rings = np.tile(np.arange(2), (4, 1))
     with pytest.raises(TooFewAgents):
-        _extended_as_kernel(selfs, cross, rings, None, 1)
+        _per_trial(selfs, cross, rings, None, 1)
+
+
+# ---------------------------------------------------------------------------
+# Ring reads: the dense gathers they replaced, as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _gathered_kernel(selfs, cross, rings1, rings2, layers):
+    """Ring validation as it read the dense reports before the ring reads:
+    layer 1 gathers the predecessor's report about each subject, layer 2
+    each reporter's report about its successor and its predecessor's."""
+    k = selfs.shape[1]
+    rows, pred1, succ1 = _ring_maps(rings1)
+    d1 = np.abs(selfs - cross[rows, pred1, np.arange(k)])
+    taxes = _validation_layer(d1, rows, succ1)
+    if layers == 2:
+        rows2, pred2, succ2 = _ring_maps(rings2)
+        reporters = np.arange(k)
+        d2 = np.abs(cross[rows2, reporters, succ2] - cross[rows2, pred2, succ2])
+        taxes = taxes + _validation_layer(d2, rows2, succ2)
+    return d1, taxes
+
+
+def _gathered_own_tax(selfs, cross, rings1, rings2, layers, i, x):
+    """The deviator's tax at report x, from the same dense gathers."""
+    k = selfs.shape[1]
+    rows, pred, succ = _ring_maps(rings1)
+    d1 = np.abs(selfs - cross[rows, pred, np.arange(k)])
+    rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
+    layer2 = np.zeros(selfs.shape[0])
+    if layers == 2:
+        rows2, pred2, succ2 = _ring_maps(rings2)
+        d2 = np.abs(cross[rows2, np.arange(k), succ2] - cross[rows2, pred2, succ2])
+        layer2 = _validation_layer(d2, rows2, succ2)[:, i]
+    return (np.abs(x - cross[:, pred[i], i]) - rest) + layer2
+
+
+@pytest.mark.parametrize("k", [3, 5, 12])
+@pytest.mark.parametrize(
+    "layers, rings",
+    [(1, "default"), (1, "custom"), (2, "default"), (2, "custom"), (2, "custom_second")],
+)
+def test_ring_reads_keep_the_dense_kernel_bit_for_bit(k, layers, rings):
+    rng = np.random.default_rng(100 + k)
+    batch = 300
+    selfs = rng.normal(0.5, 0.2, size=(batch, k))
+    cross = rng.normal(0.5, 0.2, size=(batch, k, k))
+    ring = None if rings == "default" else tuple(rng.permutation(k).tolist())
+    second = tuple(rng.permutation(k).tolist()) if rings == "custom_second" else None
+    spec = ExtendedAS(ring=ring, layers=layers, second_ring=second)
+    order = np.array([ring or tuple(range(k))])
+    order2 = order if second is None else np.array([second])
+    _, taxes = run_batch(spec, selfs, cross, None)
+    assert (taxes == _gathered_kernel(selfs, cross, order, order2, layers)[1]).all()
+    for i in range(k):
+        _, move = deviation_terms(spec, selfs, cross, None, 0.0, i)
+        xs = np.linspace(0.0, 1.0, 7)[:, None]
+        _, own_tax, moved = move(xs, slice(None))
+        want = _gathered_own_tax(selfs, cross, order, order2, layers, i, xs)
+        assert moved is None and (own_tax == want).all()
+
+
+@pytest.mark.parametrize("k", [3, 5, 12, 40])
+def test_ring_reads_keep_per_trial_rings_bit_for_bit(k):
+    rng = np.random.default_rng(200 + k)
+    batch = 256
+    selfs = rng.normal(0.5, 0.2, size=(batch, k))
+    cross = rng.normal(0.5, 0.2, size=(batch, k, k))
+    base = np.broadcast_to(np.arange(k), (batch, k))
+    rings1, rings2 = rng.permuted(base, axis=1), rng.permuted(base, axis=1)
+    for layers in (1, 2):
+        _, taxes = _per_trial(selfs, cross, rings1, rings2, layers)
+        assert (taxes == _gathered_kernel(selfs, cross, rings1, rings2, layers)[1]).all()

@@ -21,6 +21,7 @@ from replab.core import (
     DimensionMismatch,
     DirectObservation,
     Environment,
+    ExtendedAS,
     FR,
     Image,
     Linear,
@@ -34,13 +35,14 @@ from replab.core import (
     WeightedPR,
     centralized_solution,
 )
-from replab.mechanisms import TooFewAgents, run_batch
+from replab.mechanisms import TooFewAgents, _gather, ring_batch, run_batch
 from replab.numerics import NormalParams
 from replab.simulator import (
     CliqueTooLarge,
     ScenarioConfig,
     SimStats,
     UnsupportedCombination,
+    _SecretRings,
     _batch_plan,
     _batch_rng,
     run_collusion_scenario,
@@ -237,6 +239,9 @@ def test_engine_output_bits_are_pinned():
     ]
     assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
 
+    # The collusion and malicious records were re-captured under draw
+    # stream 3, which draws only the ring reads and no cross report for
+    # scoring; the PR run above is still a dense batch.
     collusion = run_collusion_scenario(
         _truth_env([0.3, 0.4, 0.5, 0.6, 0.45]), {0, 3}, layers=2, trials=2_500, seed=12
     )
@@ -244,31 +249,31 @@ def test_engine_output_bits_are_pinned():
         "clique": [0, 3], "layers": 2, "trials": 2500, "seed": 12,
         "one_layer": {
             "layers": 1, "mae": 1.0999999999999999, "outsider_mae": 0.0,
-            "clique_utility": -0.5442623388972575, "clique_tax": 0.21926233889725755,
-            "budget_max_abs": 6.106226635438361e-16,
+            "clique_utility": -0.5418194297724691, "clique_tax": 0.2168194297724691,
+            "budget_max_abs": 5.551115123125783e-16,
         },
         "one_layer_honest": {
             "layers": 1, "mae": 0.0, "outsider_mae": 0.0,
-            "clique_utility": 7.386217339501604e-05, "clique_tax": -7.386217339501604e-05,
-            "budget_max_abs": 2.220446049250313e-16,
+            "clique_utility": 0.0008986363805740251, "clique_tax": -0.0008986363805740251,
+            "budget_max_abs": 2.3592239273284576e-16,
         },
         "two_layer": {
             "layers": 2, "mae": 1.0999999999999999, "outsider_mae": 0.0,
-            "clique_utility": -0.5807631583120935, "clique_tax": 0.25576315831209356,
+            "clique_utility": -0.5813784513193304, "clique_tax": 0.2563784513193305,
             "budget_max_abs": 8.326672684688674e-16,
         },
         "two_layer_honest": {
             "layers": 2, "mae": 0.0, "outsider_mae": 0.0,
-            "clique_utility": 0.0019123531486439972, "clique_tax": -0.0019123531486439972,
-            "budget_max_abs": 4.996003610813204e-16,
+            "clique_utility": -0.001227129171995062, "clique_tax": 0.001227129171995062,
+            "budget_max_abs": 4.163336342344337e-16,
         },
     }
 
     malicious = run_malicious_scenario(_truth_env([0.2, 0.5, 0.8]), {1}, trials=2_500, seed=15)
     assert malicious == {
         "malicious": [1], "trials": 2500, "seed": 15,
-        "malicious_mae": 0.2509478521922148, "image_mae": 0.5, "baseline_mae": 0.0,
-        "malicious_own_charge": 0.09301448651626637,
+        "malicious_mae": 0.25114612613077814, "image_mae": 0.5, "baseline_mae": 0.0,
+        "malicious_own_charge": 0.09440957070278469,
     }
 
 
@@ -396,6 +401,117 @@ def test_compact_path_memory_stays_bounded_at_k_2000():
     assert stats.trials == 2_048 and stats.budget_max_abs == 0.0
     # The dense path would allocate trials * K^2 * 8 bytes (32 GB) per batch.
     assert peak < 256 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# Ring reads and no-cross draws against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _adversarial_env(population, clamp):
+    """Six reporters with their own biases and noise; agents 1 and 4 collude
+    (optionally bashing outsiders) or send uniform noise."""
+    specs = [
+        (0.3, 0.02, 0.08),
+        (0.6, -0.05, 0.15),
+        (0.45, 0.0, 0.1),
+        (0.7, 0.04, 0.2),
+        (0.2, -0.02, 0.12),
+        (0.55, 0.03, 0.3),
+    ]
+    kinds = {
+        "truthful": {},
+        "colluders": {1: Colluder(0, 0.9), 4: Colluder(0, 0.9)},
+        "bashing": {1: Colluder(0, 0.9, bash=0.1), 4: Colluder(0, 0.9, bash=0.1)},
+        "malicious": {1: MaliciousRandom(), 4: MaliciousRandom(0.2, 0.8)},
+    }[population]
+    agents = tuple(
+        Agent(
+            id=i,
+            quality=Quality(r),
+            agent_type=kinds.get(i, Truth()),
+            utility=UtilitySpec(f=AbsPower(2.0), g=Linear(), truth_weight=1.0),
+            cross_obs=NormalParams(bias, sd),
+        )
+        for i, (r, bias, sd) in enumerate(specs)
+    )
+    return Environment(
+        agents=agents, system_obs=NormalParams(0.0, 0.1), clamp_observations=clamp
+    )
+
+
+def _moments(system_obs, selfs, reps, taxes):
+    return {
+        "tax": taxes.sum(axis=0),
+        "tax_sq": (taxes**2).sum(axis=0),
+        "tax_4": (taxes**4).sum(axis=0),
+        "rep": reps.sum(axis=0),
+        "rep_sq": (reps**2).sum(axis=0),
+        "budget_max": float(np.abs(taxes.sum(axis=1)).max()),
+    }
+
+
+def _dense_moments(env, mechanism, trials, seed):
+    """The moments of the dense draw over the engine's batch plan:
+    sample_observations, build_messages, then the dense kernel, with secret
+    rings drawn after the messages."""
+    profile = resolve_self_reports(env, mechanism)
+    totals = []
+    for b, size in _batch_plan(trials):
+        rng = _batch_rng(seed, b)
+        r0, cross_obs = sample_observations(env, rng, size)
+        selfs, cross = build_messages(env, cross_obs, rng, profile)
+        if isinstance(mechanism, _SecretRings):
+            base = np.broadcast_to(np.arange(env.k), selfs.shape)
+            rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+            reps, taxes = ring_batch(mechanism, selfs, lambda r: _gather(cross, r), rings)
+        else:
+            reps, taxes = run_batch(mechanism, selfs, cross, r0, aggregate_sigma_prime(env))
+        totals.append(_moments(r0, selfs, reps, taxes))
+    return {
+        key: max(t[key] for t in totals) if key == "budget_max" else sum(t[key] for t in totals)
+        for key in totals[0]
+    }
+
+
+def _assert_moments_agree(env, mechanism, trials=20_000, seed=23):
+    """Each agent's mean tax, mean squared tax and mean reputation agree
+    with the dense oracle within 4 stderr of the difference."""
+    sparse = simulate(env, mechanism, trials, seed, _moments)
+    dense = _dense_moments(env, mechanism, trials, seed)
+    for key, square in (("tax", "tax_sq"), ("tax_sq", "tax_4"), ("rep", "rep_sq")):
+        means, variances = [], []
+        for side in (sparse, dense):
+            mean = side[key] / trials
+            means.append(mean)
+            variances.append(np.maximum(side[square] / trials - mean * mean, 0.0))
+        se = np.sqrt((variances[0] + variances[1]) / trials)
+        gaps = np.abs(means[0] - means[1])
+        assert (gaps <= 4.0 * se + 1e-12).all(), (key, gaps, se)
+    assert sparse["budget_max"] <= 1e-12 and dense["budget_max"] <= 1e-12
+
+
+_RINGS = {
+    "fixed": lambda layers: ExtendedAS(layers=layers),
+    "custom": lambda layers: ExtendedAS(
+        ring=(3, 0, 5, 1, 4, 2), layers=layers, second_ring=(1, 3, 0, 2, 5, 4) if layers == 2 else None
+    ),
+    "secret": lambda layers: _SecretRings(layers=layers),
+}
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+@pytest.mark.parametrize("population", ["truthful", "colluders", "bashing", "malicious"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("rings", sorted(_RINGS))
+def test_ring_reads_agree_with_the_dense_oracle(rings, layers, population, clamp):
+    _assert_moments_agree(_adversarial_env(population, clamp), _RINGS[rings](layers))
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+@pytest.mark.parametrize("mechanism", [AS(), FR()], ids=["as", "fr"])
+def test_random_senders_without_cross_reads_agree_with_the_dense_oracle(mechanism, clamp):
+    _assert_moments_agree(_adversarial_env("malicious", clamp), mechanism)
 
 
 def test_simulate_rejects_fewer_than_one_worker():
