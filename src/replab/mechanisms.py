@@ -259,12 +259,13 @@ def ring_batch(
     return self_reports.copy(), taxes
 
 
-def _shares(selfs: np.ndarray, totals: np.ndarray, k: int) -> np.ndarray:
-    """Each self-report over its round's total; a zero total gives 1/K to all."""
+def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarray:
+    """Each self-report over its round's total, into ``out`` when given; a
+    zero total gives 1/K to all."""
     zero = totals == 0.0
-    if not zero.any():
-        return selfs / totals
-    return np.where(zero, 1.0 / k, selfs / np.where(zero, 1.0, totals))
+    shares = np.divide(selfs, np.where(zero, 1.0, totals), out=out)
+    np.copyto(shares, 1.0 / k, where=np.broadcast_to(zero, shares.shape))
+    return shares
 
 
 def _fr_kernel(selfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,20 +356,25 @@ def run_batch(
 def deviation_terms(
     spec: MechanismSpec,
     self_reports: np.ndarray | None,
-    cross_reports: np.ndarray | None,
     system_obs: np.ndarray | None,
     sigma_prime: float,
     agent: int,
+    *,
+    peer_sums: np.ndarray | None = None,
+    read: Callable[[list[np.ndarray]], list[np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, Callable[[np.ndarray, slice], tuple]]:
     """The reputations of a base profile and the terms one agent's report moves.
 
-    Evaluates the mechanism once with :func:`run_batch` and returns
+    Cross reports come as the engine samples them: ``peer_sums`` as in
+    :func:`run_batch`, and ``read`` for the spec's fixed rings as in
+    :func:`ring_batch`.  Evaluates the mechanism once and returns
     ``(reps, move)``.  ``move(values, rows)`` takes a (G, 1) column of
     deviation values and a slice of the trials, and returns ``(own_rep,
     own_tax, moved)`` on those trials: the deviator's reputation and tax,
     each broadcastable to (G, rows), and the reputations of all subjects,
-    subjects first as (K, G, rows), when the deviation moves other subjects'
-    reputations, or None when those stay at ``reps``.
+    subjects first as a fresh (K, G, rows) array the caller may overwrite,
+    when the deviation moves other subjects' reputations, or None when
+    those stay at ``reps``.
 
     The deviated channel is the self-report, except under simple averaging,
     where value c adds c - 1/2 to the deviator's cross-reports.  Each
@@ -382,7 +388,10 @@ def deviation_terms(
     - simple averaging: every other subject's aggregate shifts by
       (c - 1/2)/K, while the deviator's own does not move.
     """
-    reps, _ = run_batch(spec, self_reports, cross_reports, system_obs, sigma_prime)
+    if isinstance(spec, ExtendedAS):
+        reps, _ = ring_batch(spec, self_reports, read)
+    else:
+        reps, _ = run_batch(spec, self_reports, None, system_obs, sigma_prime, peer_sums=peer_sums)
     k = reps.shape[1]
     i = agent
     if isinstance(spec, AS):
@@ -392,7 +401,7 @@ def deviation_terms(
         return reps, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
     if isinstance(spec, ExtendedAS):
         maps, readers = _ring_layers(_spec_rings(spec, k))
-        reads = _gather(cross_reports, readers)
+        reads = read(readers)
         d1, layer2 = _ring_charges(self_reports, reads, maps)
         succ = maps[0][2]
         rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
@@ -412,19 +421,20 @@ def deviation_terms(
         def move_share(x: np.ndarray, rows: slice) -> tuple:
             selfs = np.repeat(by_subject[..., rows], x.shape[0], axis=1)
             selfs[i] = x
-            shares = _shares(selfs, others[rows] + x, k)
-            return shares[i], 0.0, shares
+            shares = _shares(selfs, others[rows] + x, k, out=selfs)
+            return shares[i].copy(), 0.0, shares
 
         return reps, move_share
     if cross_reads(spec) != PEER_SUMS:
         raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
-    numerator, divisor = _aggregate(spec, _peer_sums(spec, cross_reports), system_obs)
+    numerator, divisor = _aggregate(spec, peer_sums, system_obs)
     if isinstance(spec, SimpleAveraging):
         numerators = np.ascontiguousarray(numerator.T)[:, None, :]
         own = reps[:, i]
 
         def move_average(c: np.ndarray, rows: slice) -> tuple:
-            moved = (numerators[..., rows] + (c - 0.5)) / k
+            moved = numerators[..., rows] + (c - 0.5)
+            moved /= k
             moved[i] = own[rows]
             return own[rows], 0.0, moved
 

@@ -2,47 +2,24 @@
 
 Every simulated result goes through :func:`simulate`.  Trials are processed
 in fixed batches of 1024.  Batch ``b`` draws from
-``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` in one of
-two fixed orders, which together make draw stream :data:`STREAM` = 3.  Each
-batch draws only what its mechanism reads (``mechanisms.cross_reads``):
+``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` in one
+fixed order, draw stream :data:`STREAM` = 4, taking only what its mechanism
+reads (``mechanisms.cross_reads``), so a batch holds O(batch * K) numbers.
+It draws the system observations, then the uniform self-reports of random
+senders (``strategies.sample_sparse``); the other self-reports are the
+resolved constants.  Scoring, share-of-total and direct observation draw
+nothing more.  The peer-sum families draw each subject's peer sum
+(``strategies.sample_peer_sums``).  Ring validation draws the collusion
+scenario's secret rings, one permutation per layer, then the at most 3
+reports per subject the rings read (``strategies.sample_ring_reads``).
+Deviation audits draw through the same samplers.  Streams 1 to 3 drew some
+or all batches as a dense (batch, K, K) cross matrix.
 
-- Sparse, O(batch * K): every batch but the dense ones below.  The batch
-  draws the system observations (clamped to [0, 1] when the environment
-  clamps), then the uniform self-reports of random senders in agent order
-  (both in ``strategies.sample_sparse``); the other self-reports are the
-  resolved constants.  Then by family:
-
-  - scoring, share-of-total and direct observation draw nothing more;
-  - the peer-sum families (simple averaging, punish-reward, weighted
-    punish-reward) draw each subject's (weighted) peer sum as one Normal
-    (``strategies.sample_peer_sums``);
-  - ring validation draws the collusion scenario's secret rings, one
-    permutation per layer (fixed rings draw nothing), then only the cross
-    reports the rings read, at most 3 per subject
-    (``strategies.sample_ring_reads``): one Normal per distinct (reporter,
-    subject) entry, then one uniform per entry of a uniform-random
-    reporter; colluders' constants enter exactly.
-
-- Dense, O(batch * K^2): the peer-sum families when some agent is a
-  uniform-random or colluding reporter or observations are clamped, since
-  their peer sums are then not Normal.  The batch draws the system
-  observations, then the cross observations (both in
-  ``sample_observations``), then per-agent message randomness in agent
-  order (``build_messages``).  A batch's (batch, K, K) cross array may
-  hold at most :data:`MAX_CROSS_BYTES`; above that ``simulate`` raises
-  :class:`CrossDrawTooLarge` before drawing.
-
-Both orders start with the same system draw, so mechanisms that read only
-system observations and constant self-reports give the same numbers on
-either.  Stream 1 drew every batch densely; stream 2 drew ring validation,
-and every batch with a uniform-random or colluding reporter, densely.  The
-caller's reducer then condenses the batch.  Worker threads may compute
+The caller's reducer condenses each batch.  Worker threads may compute
 batches in any order; partial results are reduced in batch order with
 compensated summation, so results are byte-identical for any worker count.
-
-Strategy constants are resolved once per scenario (they depend on the
-observation distributions, not on samples); only uniform-random reporters
-draw fresh messages each trial.
+Strategy constants are resolved once per scenario; only uniform-random
+reporters draw fresh messages.
 """
 
 from __future__ import annotations
@@ -82,12 +59,10 @@ from .mechanisms import (
 from .strategies import (
     UnsupportedCombination,
     aggregate_sigma_prime,
-    build_messages,
     expected_pr_reputation,
     pr_mae,
     pr_optimal_self_report,
     resolve_self_reports,
-    sample_observations,
     sample_peer_sums,
     sample_ring_reads,
     sample_sparse,
@@ -95,8 +70,6 @@ from .strategies import (
 
 __all__ = [
     "STREAM",
-    "MAX_CROSS_BYTES",
-    "CrossDrawTooLarge",
     "CliqueTooLarge",
     "UnsupportedCombination",
     "ScenarioConfig",
@@ -111,20 +84,13 @@ __all__ = [
 BATCH_TRIALS = 1024
 
 # Version of the draw order documented above; output manifests record it.
-STREAM = 3
-
-# Largest (batch, K, K) cross array one dense batch may hold.
-MAX_CROSS_BYTES = 1 << 30
+STREAM = 4
 
 SWEEP_PARAMETERS = ("pr_a", "sigma", "rho")
 
 
 class CliqueTooLarge(ValueError):
     """Raised when a clique leaves fewer than two honest outsiders."""
-
-
-class CrossDrawTooLarge(RuntimeError):
-    """A dense batch's cross array would exceed :data:`MAX_CROSS_BYTES`."""
 
 
 # ---------------------------------------------------------------------------
@@ -266,46 +232,21 @@ def simulate(
     sigma_prime = aggregate_sigma_prime(env)
     self_reports = resolve_self_reports(env, mechanism, strategy_mode)
     reads = cross_reads(mechanism)
-    # Peer sums are Normal only while every reporter relays its own
-    # unclamped observation: malicious and colluding reporters replace their
-    # rows, and clamping bends the distribution.
-    dense = reads == PEER_SUMS and (
-        env.clamp_observations
-        or any(isinstance(a.agent_type, (MaliciousRandom, Colluder)) for a in env.agents)
-    )
+    weights = peer_weights(mechanism, env.k) if reads == PEER_SUMS else None
 
-    if dense:
-        largest = min(trials, BATCH_TRIALS)
-        requested = largest * env.k * env.k * 8
-        if requested > MAX_CROSS_BYTES:
-            raise CrossDrawTooLarge(
-                f"a batch of {largest} trials of K={env.k} cross observations needs "
-                f"{requested} bytes, above the {MAX_CROSS_BYTES}-byte cap on one dense batch"
-            )
-
-        def draw_batch(rng: np.random.Generator, size: int) -> tuple:
-            system_obs, cross_obs = sample_observations(env, rng, size)
-            selfs, cross = build_messages(env, cross_obs, rng, self_reports)
-            reps, taxes = run_batch(mechanism, selfs, cross, system_obs, sigma_prime)
-            return system_obs, selfs, reps, taxes
-
-    else:
-        weights = peer_weights(mechanism, env.k) if reads == PEER_SUMS else None
-        secret = isinstance(mechanism, _SecretRings)
-
-        def draw_batch(rng: np.random.Generator, size: int) -> tuple:
-            system_obs, selfs = sample_sparse(env, rng, size, self_reports)
-            if reads == RING:
-                rings = None
-                if secret:
-                    base = np.broadcast_to(np.arange(env.k), selfs.shape)
-                    rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-                read = lambda readers: sample_ring_reads(env, rng, size, readers)
-                reps, taxes = ring_batch(mechanism, selfs, read, rings)
-            else:
-                sums = None if weights is None else sample_peer_sums(env, rng, size, weights)
-                reps, taxes = run_batch(mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums)
-            return system_obs, selfs, reps, taxes
+    def draw_batch(rng: np.random.Generator, size: int) -> tuple:
+        system_obs, selfs = sample_sparse(env, rng, size, self_reports)
+        if reads == RING:
+            rings = None
+            if isinstance(mechanism, _SecretRings):
+                base = np.broadcast_to(np.arange(env.k), selfs.shape)
+                rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+            read = lambda readers: sample_ring_reads(env, rng, size, readers)
+            reps, taxes = ring_batch(mechanism, selfs, read, rings)
+        else:
+            sums = None if weights is None else sample_peer_sums(env, rng, size, weights)
+            reps, taxes = run_batch(mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums)
+        return system_obs, selfs, reps, taxes
 
     def one_batch(batch_index: int, size: int) -> dict:
         return reduce(*draw_batch(_batch_rng(seed, batch_index), size))

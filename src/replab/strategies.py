@@ -8,15 +8,12 @@ Three kinds of results live here:
    a weight of 1 on the image element gives the purely image-motivated
    report), and the deterministic deviation payoffs under share-of-total
    allocation (``proportional_deviation_profit``).
-2. The strategy map used by the Monte Carlo driver: which self- and
-   cross-reports each agent type submits under each mechanism in equilibrium
-   (``resolve_self_reports`` / ``build_messages``), and the observation
-   samplers it draws from in its two orders (the dense
-   ``sample_observations``, and the sparse ``sample_sparse`` followed by
-   ``sample_peer_sums`` or ``sample_ring_reads``, which draw only the cross
-   reports a mechanism reads).  Pairs without an analytical best
-   response raise :class:`UnsupportedCombination` rather than inventing
-   behavior.
+2. The strategy map used by the Monte Carlo driver and the audits: each
+   agent type's constant equilibrium self-report (``resolve_self_reports``),
+   and the samplers, which draw only what a mechanism reads
+   (``sample_sparse``, then ``sample_peer_sums`` or ``sample_ring_reads``).
+   Pairs without an analytical best response raise
+   :class:`UnsupportedCombination` rather than inventing behavior.
 3. A brute-force numerical oracle (``deviation_report``) that grids a
    deviator's report, replays the same sampled observations at every grid
    point (common random numbers), and returns the empirical best response
@@ -32,6 +29,7 @@ channel), which reduces to sigma/sqrt(K) in the homogeneous case.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -46,6 +44,7 @@ from .core import (
     DimensionMismatch,
     DirectObservation,
     Environment,
+    ExtendedAS,
     Linear,
     MaliciousRandom,
     MechanismSpec,
@@ -57,7 +56,17 @@ from .core import (
     agent_utility,
     centralized_solution,
 )
-from .mechanisms import deviation_terms, run_batch
+from .mechanisms import (
+    PEER_SUMS,
+    RING,
+    _ring_layers,
+    _spec_rings,
+    cross_reads,
+    deviation_terms,
+    peer_weights,
+    ring_batch,
+    run_batch,
+)
 from .numerics import NoRoot, erf, find_root, normal_cdf, normal_pdf
 
 __all__ = [
@@ -71,11 +80,9 @@ __all__ = [
     "mixed_best_response_as",
     "aggregate_sigma_prime",
     "resolve_self_reports",
-    "sample_observations",
     "sample_peer_sums",
     "sample_sparse",
     "sample_ring_reads",
-    "build_messages",
     "ProfileDraw",
     "draw_profile",
     "deviation_report",
@@ -331,59 +338,6 @@ def _equilibrium_self_report(
     )
 
 
-def _sample_system(env: Environment, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """System priors (trials, K): the first draw of every batch, unclamped."""
-    r0 = rng.normal(0.0, 1.0, size=(trials, env.k))
-    r0 *= env.system_obs.std
-    r0 += env.qualities[None, :] + env.system_obs.mean
-    return r0
-
-
-def sample_observations(
-    env: Environment, rng: np.random.Generator, trials: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw system priors (trials, K) and cross observations (trials, K, K).
-
-    ``cross[t, j, i]`` is agent j's observation of agent i in trial t, drawn
-    with agent j's bias and noise level around agent i's true quality.  Draw
-    order is fixed (system first, then the cross matrix) so substreams are
-    reproducible.  Observations are clamped to [0, 1] only when the
-    environment opts in.
-    """
-    k = env.k
-    r0 = _sample_system(env, rng, trials)
-    # Scaled and shifted in place, so no second (trials, K, K) array is live.
-    cross = rng.normal(0.0, 1.0, size=(trials, k, k))
-    cross *= env.cross_stds[None, :, None]
-    cross += env.qualities[None, None, :] + env.cross_biases[None, :, None]
-    if env.clamp_observations:
-        np.clip(r0, 0.0, 1.0, out=r0)
-        np.clip(cross, 0.0, 1.0, out=cross)
-    return r0, cross
-
-
-def sample_peer_sums(
-    env: Environment, rng: np.random.Generator, trials: int, weights: np.ndarray
-) -> np.ndarray:
-    """Draw each subject's weighted peer-observation sum directly, (trials, K).
-
-    With unclamped Normal observations, ``sum_{j != i} w_j R_ji`` is Normal
-    with mean ``sum_{j != i} w_j (r_i + b_j)`` and standard deviation
-    ``sqrt(sum_{j != i} w_j^2 sigma_j^2)``, so the sums cost O(trials * K)
-    where the dense matrix costs O(trials * K^2).  Valid only when every
-    reporter relays its own unclamped observation.
-    """
-    weights = np.asarray(weights, dtype=float)
-    biases = env.cross_biases
-    w_var = weights * weights * env.cross_stds**2
-    mean = env.qualities * (weights.sum() - weights) + (weights @ biases - weights * biases)
-    std = np.sqrt(np.maximum(w_var.sum() - w_var, 0.0))
-    sums = rng.normal(0.0, 1.0, size=(trials, env.k))
-    sums *= std[None, :]
-    sums += mean[None, :]
-    return sums
-
-
 def sample_sparse(
     env: Environment,
     rng: np.random.Generator,
@@ -392,16 +346,17 @@ def sample_sparse(
 ) -> tuple[np.ndarray, np.ndarray]:
     """System observations and self-reports (trials, K) without cross reports.
 
-    The sparse counterpart of :func:`sample_observations` and
-    :func:`build_messages`: draws the system observations (clamped to
-    [0, 1] when the environment clamps), then, in agent order, the uniform
-    self-reports of the agents ``self_reports`` does not list.  When it
-    lists every agent, the self-reports are a read-only view of one row,
-    so a batch of constants allocates nothing.  A mechanism that reads
-    cross reports draws them afterwards, as peer sums
-    (:func:`sample_peer_sums`) or as ring reads (:func:`sample_ring_reads`).
+    Draws the system observations (clamped to [0, 1] when the environment
+    clamps), then, in agent order, the uniform self-reports of the agents
+    ``self_reports`` does not list.  When it lists every agent, the
+    self-reports are a read-only view of one row, so a batch of constants
+    allocates nothing.  A mechanism that reads cross reports draws them
+    afterwards, as peer sums (:func:`sample_peer_sums`) or as ring reads
+    (:func:`sample_ring_reads`).
     """
-    r0 = _sample_system(env, rng, trials)
+    r0 = rng.normal(0.0, 1.0, size=(trials, env.k))
+    r0 *= env.system_obs.std
+    r0 += env.qualities[None, :] + env.system_obs.mean
     if env.clamp_observations:
         np.clip(r0, 0.0, 1.0, out=r0)
     row = np.array([self_reports.get(i, np.nan) for i in range(env.k)])
@@ -435,6 +390,63 @@ def _sent_constants(env: Environment) -> np.ndarray | None:
     return table
 
 
+def sample_peer_sums(
+    env: Environment, rng: np.random.Generator, trials: int, weights: np.ndarray
+) -> np.ndarray:
+    """Draw each subject's weighted peer-report sum ``sum_{j != i} w_j R_ji``.
+
+    Returns (trials, K).  The reports relayed by the pairs (j, i) in which
+    j sends its own observation of i come first: unclamped, they sum to one
+    Normal per entry, with mean ``sum w_j (r_i + b_j)`` and variance ``sum
+    w_j^2 sigma_j^2`` over those pairs only; clamped, each relaying reporter
+    draws one (trials, K) block, clipped and weighted, in agent order.  The
+    colluders' constants (:func:`_sent_constants`) are added exactly, then
+    each uniform-random reporter, in agent order, draws one uniform per
+    entry.  No (trials, K, K) array is made.
+    """
+    k = env.k
+    stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
+    sent = _sent_constants(env)
+    random_ = np.array([isinstance(agent.agent_type, MaliciousRandom) for agent in env.agents])
+    # relays[j, i]: reporter j sends its own observation of subject i.
+    relays = ~np.eye(k, dtype=bool) & ~random_[:, None]
+    if sent is not None:
+        relays &= np.isnan(sent)
+    if env.clamp_observations:
+        sums = np.zeros((trials, k))
+        for j in np.flatnonzero(relays.any(axis=1)):
+            block = rng.normal(0.0, 1.0, size=(trials, k))
+            block *= stds[j]
+            block += qualities + biases[j]
+            np.clip(block, 0.0, 1.0, out=block)
+            block *= weights[j] * relays[j]
+            sums += block
+    else:
+        # Totals over every reporter but the subject, less the pairs that do
+        # not relay: when all relay, this is exactly the all-relay arithmetic.
+        lost = ~(relays | np.eye(k, dtype=bool))
+        senders = lost.any(axis=1)
+        w_var = weights * weights * stds**2
+        w_bias = weights * biases
+        w_lost, b_lost, v_lost = np.stack([weights, w_bias, w_var])[:, senders] @ lost[senders]
+        mean = qualities * (weights.sum() - weights - w_lost) + (weights @ biases - w_bias - b_lost)
+        std = np.sqrt(np.maximum(w_var.sum() - w_var - v_lost, 0.0))
+        sums = rng.normal(0.0, 1.0, size=(trials, k))
+        sums *= std[None, :]
+        sums += mean[None, :]
+    if sent is not None:
+        constants = np.nan_to_num(sent, nan=0.0)
+        np.fill_diagonal(constants, 0.0)
+        sums += weights @ constants
+    for j in np.flatnonzero(random_):
+        kind = env.agents[j].agent_type
+        noise = rng.uniform(kind.low, kind.high, size=(trials, k))
+        noise *= weights[j]
+        noise[:, j] = 0.0
+        sums += noise
+    return sums
+
+
 def sample_ring_reads(
     env: Environment,
     rng: np.random.Generator,
@@ -449,11 +461,10 @@ def sample_ring_reads(
     already names is the same report and is drawn once.  The entries drawn
     take one N(0, 1) each, map by map in (trial, subject) order, scaled and
     shifted by the reporter's noise and bias around the subject's quality
-    and clamped when the environment clamps.  Then the messages apply, as
-    in :func:`build_messages`: a uniform-random reporter sends one uniform
-    draw per entry drawn, again map by map, and a colluder sends
-    ``inflate`` about a clique-mate and ``bash`` (when set) about an
-    outsider.
+    and clamped when the environment clamps.  Then the messages apply: a
+    uniform-random reporter sends one uniform draw per entry drawn, again
+    map by map, and a colluder sends ``inflate`` about a clique-mate and
+    ``bash`` (when set) about an outsider.
     """
     k = env.k
     shape = (trials, k)
@@ -525,41 +536,6 @@ def resolve_self_reports(
     return reports
 
 
-def build_messages(
-    env: Environment,
-    cross_obs: np.ndarray,
-    rng: np.random.Generator,
-    self_reports: Mapping[int, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Messages of a strategy profile for a batch of trials.
-
-    ``self_reports`` holds the constant self-reports
-    (:func:`resolve_self_reports`); agents it does not list are
-    uniform-random reporters and draw their self-reports per trial.
-    Truthful senders relay their observations; malicious senders draw
-    uniform cross-reports per trial; colluders substitute inflate/bash
-    constants.  Returns the self-reports, shaped (trials, K), and the
-    cross-reports, shaped (trials, K, K): ``cross_obs`` itself, with the
-    malicious and colluding rows overwritten in place, so a batch holds one
-    (trials, K, K) array rather than two.
-    """
-    trials, k = cross_obs.shape[0], env.k
-    cross = cross_obs
-    selfs = np.empty((trials, k))
-    sent = _sent_constants(env)
-    for i, agent in enumerate(env.agents):
-        kind = agent.agent_type
-        if i in self_reports:
-            selfs[:, i] = self_reports[i]
-        else:
-            selfs[:, i] = rng.uniform(kind.low, kind.high, size=trials)
-        if isinstance(kind, MaliciousRandom):
-            cross[:, i, :] = rng.uniform(kind.low, kind.high, size=(trials, k))
-        elif isinstance(kind, Colluder):
-            np.copyto(cross[:, i, :], sent[i], where=~np.isnan(sent[i]))
-    return selfs, cross
-
-
 # ---------------------------------------------------------------------------
 # Numerical best-response oracle
 # ---------------------------------------------------------------------------
@@ -597,36 +573,22 @@ class DeviationReport:
         )
 
 
-def _resolve_profile(
-    env: Environment,
-    spec: MechanismSpec,
-    others_strategy: str | Mapping[int, float],
-    cross_obs: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Message batches for a named or explicit strategy profile."""
-    if others_strategy == "truthful":
-        trials = cross_obs.shape[0]
-        return np.tile(env.qualities, (trials, 1)), cross_obs
-    if isinstance(others_strategy, str) and others_strategy != "equilibrium":
-        raise ValueError(
-            f"others_strategy must be 'truthful', 'equilibrium' or a mapping, got {others_strategy!r}"
-        )
-    return build_messages(env, cross_obs, rng, resolve_self_reports(env, spec, others_strategy))
-
-
 @dataclass(frozen=True)
 class ProfileDraw:
     """The sampled rounds a deviation audit replays at every grid point.
 
     ``r0`` holds the system priors and ``selfs`` the self-reports, both
-    (trials, K); ``cross`` holds the cross-reports, (trials, K, K).  The
-    arrays are read-only, so one draw can serve every agent's scan.
+    (trials, K).  The cross reports are held as the mechanism reads them:
+    ``peer_sums``, (trials, K), for the peer-sum families, or
+    ``ring_reads``, the (trials, K) reads of the spec's fixed rings, for
+    ring validation.  The arrays are read-only, so one draw can serve every
+    agent's scan.
     """
 
     r0: np.ndarray
     selfs: np.ndarray
-    cross: np.ndarray
+    peer_sums: np.ndarray | None = None
+    ring_reads: tuple[np.ndarray, ...] | None = None
 
 
 def draw_profile(
@@ -638,18 +600,40 @@ def draw_profile(
 ) -> ProfileDraw:
     """Sample the observations and messages of a deviation audit.
 
-    The draw comes from the Philox substream ``(seed, spawn_key=(0,))`` and
-    does not depend on the deviating agent, so the audits of all agents of
-    one profile can share it.
+    ``others_strategy`` is ``"truthful"`` (every agent relays its
+    observations and reports its quality), ``"equilibrium"`` or a mapping
+    of constant self-reports (:func:`resolve_self_reports`).  The engine's
+    samplers draw from the Philox substream ``(seed, spawn_key=(0,))``;
+    the draw does not depend on the deviator, so all agents' audits of one
+    profile can share it.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if others_strategy == "truthful":
+        # Drawn from truth-tellers; the utilities still use the real agents.
+        truthful = lambda a: dataclasses.replace(
+            a, agent_type=Truth(), utility=dataclasses.replace(a.utility, truth_weight=1.0)
+        )
+        env = dataclasses.replace(env, agents=tuple(truthful(a) for a in env.agents))
+        others_strategy = "equilibrium"
+    elif isinstance(others_strategy, str) and others_strategy != "equilibrium":
+        raise ValueError(
+            f"others_strategy must be 'truthful', 'equilibrium' or a mapping, got {others_strategy!r}"
+        )
+    self_reports = resolve_self_reports(env, mechanism, others_strategy)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    r0, cross_obs = sample_observations(env, rng, trials)
-    selfs, cross = _resolve_profile(env, mechanism, others_strategy, cross_obs, rng)
-    for arr in (r0, selfs, cross):
-        arr.setflags(write=False)
-    return ProfileDraw(r0=r0, selfs=selfs, cross=cross)
+    r0, selfs = sample_sparse(env, rng, trials, self_reports)
+    peer_sums = ring_reads = None
+    reads = cross_reads(mechanism)
+    if reads == PEER_SUMS:
+        peer_sums = sample_peer_sums(env, rng, trials, peer_weights(mechanism, env.k))
+    elif reads == RING:
+        _, readers = _ring_layers(_spec_rings(mechanism, env.k))
+        ring_reads = tuple(sample_ring_reads(env, rng, trials, readers))
+    for arr in (r0, selfs, peer_sums, *(ring_reads or ())):
+        if arr is not None:
+            arr.setflags(write=False)
+    return ProfileDraw(r0=r0, selfs=selfs, peer_sums=peer_sums, ring_reads=ring_reads)
 
 
 # Bytes per block of the incremental scan.  A block's (K, points, trials)
@@ -676,7 +660,10 @@ def _grid_means(
     """
     i = agent.id
     f = agent.utility.f
-    reps, move = deviation_terms(mechanism, draw.selfs, draw.cross, draw.r0, sigma_prime, i)
+    reps, move = deviation_terms(
+        mechanism, draw.selfs, draw.r0, sigma_prime, i,
+        peer_sums=draw.peer_sums, read=lambda readers: draw.ring_reads,
+    )
     trials, k = reps.shape
     base_floss = f(np.abs(reps - targets[None, :]))
     base_accuracy = base_floss.sum(axis=1) - base_floss[:, i]
@@ -691,7 +678,9 @@ def _grid_means(
             if moved is None:
                 accuracy = base_accuracy[rows]
             else:
-                floss = f(np.abs(moved - targets[:, None, None]))
+                # In place, so few block-sized arrays are freed and re-faulted.
+                np.subtract(moved, targets[:, None, None], out=moved)
+                floss = f(np.abs(moved, out=moved))
                 accuracy = floss.sum(axis=0) - floss[i]
             utils = agent_utility(agent, accuracy, own_rep, own_tax)
             sums[start : start + points] += utils.sum(axis=1)
@@ -706,20 +695,22 @@ def _deviation_utilities(
     targets: np.ndarray,
     value: float,
 ) -> np.ndarray:
-    """Per-trial utilities with the deviator's report at ``value``.
-
-    Runs the whole mechanism on a copy of the deviated channel, leaving the
-    shared draw untouched.
+    """Per-trial utilities with the deviator's report at ``value``, from the
+    engine's kernel on a copy of the deviated channel.  Under simple
+    averaging, value c adds c - 1/2 to every other subject's peer sum.
     """
     i = agent.id
-    selfs, cross = draw.selfs, draw.cross
+    selfs, sums = draw.selfs, draw.peer_sums
     if isinstance(mechanism, SimpleAveraging):
-        cross = cross.copy()
-        cross[:, i, :] = draw.cross[:, i, :] + (value - 0.5)
+        sums = sums + (value - 0.5)
+        sums[:, i] = draw.peer_sums[:, i]
     else:
         selfs = selfs.copy()
         selfs[:, i] = value
-    reps, taxes = run_batch(mechanism, selfs, cross, draw.r0, sigma_prime)
+    if isinstance(mechanism, ExtendedAS):
+        reps, taxes = ring_batch(mechanism, selfs, lambda readers: draw.ring_reads)
+    else:
+        reps, taxes = run_batch(mechanism, selfs, None, draw.r0, sigma_prime, peer_sums=sums)
     floss = agent.utility.f(np.abs(reps - targets[None, :]))
     return agent_utility(agent, floss.sum(axis=1) - floss[:, i], reps[:, i], taxes[:, i])
 
@@ -745,7 +736,7 @@ def deviation_report(
     the deviator's cross-reports (truthful play sits at c = 1/2).
 
     The grid is scanned incrementally (see :func:`_grid_means`); the best
-    and the claimed report are then evaluated with the full mechanism, and
+    and the claimed report are then evaluated with the engine's kernels, and
     the means, gain and its standard error come from those two runs.  A
     ``draw`` from :func:`draw_profile` replaces sampling; it then fixes the
     profile and the trial count in place of ``others_strategy``, ``trials``

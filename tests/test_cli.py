@@ -9,8 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from replab.cli import main
-from replab import analysis, simulator
-from replab.simulator import MAX_CROSS_BYTES
+from replab import analysis
 
 # ---------------------------------------------------------------------------
 # Config fixtures
@@ -118,7 +117,7 @@ def test_run_writes_stats_csv_schema_and_manifest(runner, tmp_path):
         "output_paths",
         "stream",
     }
-    assert manifest["stream"] == 3
+    assert manifest["stream"] == 4
     assert manifest["command"] == "run"
     assert manifest["seed"] == 7
     assert len(manifest["config_digest"]) == 64
@@ -375,14 +374,8 @@ def _spread_truth_config(tmp_path, kind, k, extra=""):
     return _write(tmp_path, f"{kind}_{k}.ini", body)
 
 
-# Clamped observations bend the peer sums away from Normal, so this config
-# still draws each batch's (trials, K, K) cross matrix.
-_CLAMPED = "\n[environment]\nclamp = true\n"
-
-
-def test_oversized_dense_batch_exits_3_before_allocating(runner, tmp_path):
-    k, trials = 1200, 1024
-    config = _spread_truth_config(tmp_path, "simple_averaging", k, _CLAMPED)
+def _run_peak(runner, tmp_path, config, trials):
+    """Exit code and tracemalloc peak of one ``run``."""
     tracemalloc.start()
     try:
         result = runner.invoke(
@@ -391,46 +384,62 @@ def test_oversized_dense_batch_exits_3_before_allocating(runner, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.exit_code == 3, result.output
-    requested = trials * k * k * 8
-    assert str(MAX_CROSS_BYTES) in result.stderr and str(requested) in result.stderr
-    assert peak < 64 * 2**20, peak
+    return result, peak
+
+
+def test_clamped_peer_sum_run_draws_no_cross_matrix(runner, tmp_path):
+    # Clamped observations are drawn as one (trials, K) block per relaying
+    # reporter; the (1024, 200, 200) cross matrix alone would take 328 MB.
+    k, trials = 200, 1024
+    config = _spread_truth_config(tmp_path, "simple_averaging", k, "\n[environment]\nclamp = true\n")
+    result, peak = _run_peak(runner, tmp_path, config, trials)
+    assert result.exit_code == 0, result.output
+    assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("simple_averaging", ""),
+        ("pr", ""),
+        ("weighted_pr", "weights = " + " ".join(["1.0", "2.0"] * 1000) + "\n"),
+    ],
+    ids=["simple_averaging", "pr", "weighted_pr"],
+)
+def test_adversarial_peer_sum_run_at_k_2000_stays_in_bounded_memory(runner, tmp_path, kind, extra):
+    # Two colluders and two uniform-random senders among 2000 agents: their
+    # constants and uniforms enter the peer sums directly, so no batch
+    # holds the (1024, 2000, 2000) cross matrix (32 GB).
+    k, trials = 2000, 2048
+    types = {
+        3: "type=colluder inflate=0.9",
+        500: "type=colluder inflate=0.9 bash=0.1",
+        7: "type=malicious",
+        1500: "type=malicious low=0.2 high=0.8",
+    }
+    agents = "\n".join(
+        f"agent{i} = quality={0.2 + 0.6 * i / (k - 1):.6f} {types.get(i, 'type=truth')}"
+        for i in range(k)
+    )
+    config = _write(tmp_path, f"{kind}.ini", f"[agents]\n{agents}\n\n[mechanism]\nkind = {kind}\n{extra}")
+    result, peak = _run_peak(runner, tmp_path, config, trials)
+    assert result.exit_code == 0, result.output
+    stats = json.loads((tmp_path / "o" / "stats.json").read_text())
+    assert stats["trials"] == trials and stats["budget_max_abs"] == 0.0
+    assert peak < 256 * 2**20, peak
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_ring_validation_run_at_k_2000_stays_in_bounded_memory(runner, tmp_path, layers):
-    # Ring validation draws only its ring reads, so no batch meets the
-    # dense cap: the (1024, 2000, 2000) cross matrix would take 32 GB.
+    # Ring validation draws only its ring reads, so no batch holds the
+    # (1024, 2000, 2000) cross matrix (32 GB).
     k, trials = 2000, 2048
     config = _spread_truth_config(tmp_path, "extended_as", k, f"layers = {layers}\n")
-    tracemalloc.start()
-    try:
-        result = runner.invoke(
-            main, ["run", str(config), "--trials", str(trials), "--out", str(tmp_path / "o")]
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = _run_peak(runner, tmp_path, config, trials)
     assert result.exit_code == 0, result.output
     stats = json.loads((tmp_path / "o" / "stats.json").read_text())
     assert stats["trials"] == trials and stats["budget_max_abs"] <= 1e-9
     assert peak < 256 * 2**20, peak
-
-
-def test_audit_draw_is_not_held_to_the_batch_cap(runner, tmp_path, monkeypatch):
-    # The audit draws all its trials at once; the cap bounds one simulate
-    # batch only.  A cap below this audit's draw must not refuse it.
-    k, trials = 37, 200
-    monkeypatch.setattr(simulator, "MAX_CROSS_BYTES", trials * k * k * 8 - 1)
-    config = _spread_truth_config(tmp_path, "as", k)
-    result = runner.invoke(main, ["check-equilibrium", str(config), "--trials", str(trials)])
-    assert result.exit_code in (0, 4), result.output
-    # The same cap does refuse a dense run batch of that size.
-    dense = _spread_truth_config(tmp_path, "simple_averaging", k, _CLAMPED)
-    result = runner.invoke(
-        main, ["run", str(dense), "--trials", str(trials), "--out", str(tmp_path / "o")]
-    )
-    assert result.exit_code == 3, result.output
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +626,14 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
         "agent2 = quality=0.4 type=malicious\nagent3 = quality=0.6 type=truth\n\n"
         "[mechanism]\nkind = as\n\n[simulation]\nseed = 11\n",
     )
-    sample = strategies.sample_observations
+    sample = strategies.sample_sparse
     draws = []
 
     def counting_sample(*args):
         draws.append(args)
         return sample(*args)
 
-    monkeypatch.setattr(strategies, "sample_observations", counting_sample)
+    monkeypatch.setattr(strategies, "sample_sparse", counting_sample)
     result = runner.invoke(
         main, ["check-equilibrium", str(config), "--trials", "2000", "--grid", "41"]
     )

@@ -35,7 +35,8 @@ from replab.core import (
     WeightedPR,
     centralized_solution,
 )
-from replab.mechanisms import TooFewAgents, _gather, ring_batch, run_batch
+from replab import simulator
+from replab.mechanisms import TooFewAgents, run_batch
 from replab.numerics import NormalParams
 from replab.simulator import (
     CliqueTooLarge,
@@ -53,12 +54,12 @@ from replab.simulator import (
 )
 from replab.strategies import (
     aggregate_sigma_prime,
-    build_messages,
     pr_optimal_self_report,
     resolve_self_reports,
-    sample_observations,
 )
 from replab.strategies import expected_pr_reputation
+
+from dense_oracle import build_messages, dense_simulate, sample_observations
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -218,9 +219,10 @@ def test_custom_profile_overrides_self_reports():
     assert stats.mae_mean == pytest.approx(0.4)
 
 
-def test_engine_output_bits_are_pinned():
-    # Literals recorded before the trial loops were folded into one engine;
-    # the engine must reproduce them bit for bit.
+def test_engine_output_bits_are_pinned(monkeypatch):
+    # Literals recorded before the trial loops were folded into one engine,
+    # when this PR run was a dense batch; the test-side dense reference
+    # must reproduce them bit for bit.
     agents = (
         _agent(0, 0.3),
         _agent(1, 0.6, Image(), lam=0.0),
@@ -228,7 +230,10 @@ def test_engine_output_bits_are_pinned():
         _agent(3, 0.4, MaliciousRandom()),
     )
     env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
-    stats = run_trials(ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_500, seed=3))
+    config = ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_500, seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "simulate", dense_simulate)
+        stats = run_trials(config)
     assert stats.mae_mean == 0.4358448981248392
     assert stats.mae_stderr == 0.004668970049604167
     assert stats.per_agent_reputation_mean.tolist() == [
@@ -239,9 +244,22 @@ def test_engine_output_bits_are_pinned():
     ]
     assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
 
+    # The same run under draw stream 4: the random sender's uniforms are
+    # added to the relayed reports' Normal peer sums.
+    stats = run_trials(config)
+    assert stats.mae_mean == 0.4444273000601958
+    assert stats.mae_stderr == 0.004763017512621471
+    assert stats.per_agent_reputation_mean.tolist() == [
+        0.29220590916476297, 0.5217773200583433, 0.46031056886393934, 0.14140357579909882
+    ]
+    assert stats.per_agent_utility_mean.tolist() == [
+        -0.1372929232088201, 0.5217773200583433, -0.1290891386387423, -0.037980242234001045
+    ]
+    assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
+
     # The collusion and malicious records were re-captured under draw
     # stream 3, which draws only the ring reads and no cross report for
-    # scoring; the PR run above is still a dense batch.
+    # scoring.
     collusion = run_collusion_scenario(
         _truth_env([0.3, 0.4, 0.5, 0.6, 0.45]), {0, 3}, layers=2, trials=2_500, seed=12
     )
@@ -404,13 +422,14 @@ def test_compact_path_memory_stays_bounded_at_k_2000():
 
 
 # ---------------------------------------------------------------------------
-# Ring reads and no-cross draws against the dense oracle
+# Sparse draws with adversarial reporters against the dense oracle
 # ---------------------------------------------------------------------------
 
 
 def _adversarial_env(population, clamp):
     """Six reporters with their own biases and noise; agents 1 and 4 collude
-    (optionally bashing outsiders) or send uniform noise."""
+    (optionally bashing outsiders) or send uniform noise, or, in the mixed
+    population, collude while agent 2 sends uniform noise."""
     specs = [
         (0.3, 0.02, 0.08),
         (0.6, -0.05, 0.15),
@@ -424,6 +443,7 @@ def _adversarial_env(population, clamp):
         "colluders": {1: Colluder(0, 0.9), 4: Colluder(0, 0.9)},
         "bashing": {1: Colluder(0, 0.9, bash=0.1), 4: Colluder(0, 0.9, bash=0.1)},
         "malicious": {1: MaliciousRandom(), 4: MaliciousRandom(0.2, 0.8)},
+        "mixed": {1: Colluder(0, 0.9), 4: Colluder(0, 0.9), 2: MaliciousRandom(0.2, 0.8)},
     }[population]
     agents = tuple(
         Agent(
@@ -451,35 +471,37 @@ def _moments(system_obs, selfs, reps, taxes):
     }
 
 
-def _dense_moments(env, mechanism, trials, seed):
-    """The moments of the dense draw over the engine's batch plan:
-    sample_observations, build_messages, then the dense kernel, with secret
-    rings drawn after the messages."""
-    profile = resolve_self_reports(env, mechanism)
-    totals = []
-    for b, size in _batch_plan(trials):
-        rng = _batch_rng(seed, b)
-        r0, cross_obs = sample_observations(env, rng, size)
-        selfs, cross = build_messages(env, cross_obs, rng, profile)
-        if isinstance(mechanism, _SecretRings):
-            base = np.broadcast_to(np.arange(env.k), selfs.shape)
-            rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-            reps, taxes = ring_batch(mechanism, selfs, lambda r: _gather(cross, r), rings)
-        else:
-            reps, taxes = run_batch(mechanism, selfs, cross, r0, aggregate_sigma_prime(env))
-        totals.append(_moments(r0, selfs, reps, taxes))
-    return {
-        key: max(t[key] for t in totals) if key == "budget_max" else sum(t[key] for t in totals)
-        for key in totals[0]
-    }
+def _peer_sum_moments(targets):
+    def reduce(system_obs, selfs, reps, taxes):
+        mae = np.abs(reps - targets[None, :]).sum(axis=1)
+        return {
+            "rep": reps.sum(axis=0),
+            "rep_sq": (reps**2).sum(axis=0),
+            "rep_4": (reps**4).sum(axis=0),
+            "mae": float(mae.sum()),
+            "mae_sq": float((mae * mae).sum()),
+            "tax_abs_max": float(np.abs(taxes).max()),
+            "budget_max": float(np.abs(taxes.sum(axis=1)).max()),
+        }
+
+    return reduce
 
 
-def _assert_moments_agree(env, mechanism, trials=20_000, seed=23):
-    """Each agent's mean tax, mean squared tax and mean reputation agree
-    with the dense oracle within 4 stderr of the difference."""
-    sparse = simulate(env, mechanism, trials, seed, _moments)
-    dense = _dense_moments(env, mechanism, trials, seed)
-    for key, square in (("tax", "tax_sq"), ("tax_sq", "tax_4"), ("rep", "rep_sq")):
+def _assert_moments_agree(
+    env,
+    mechanism,
+    reduce=_moments,
+    pairs=(("tax", "tax_sq"), ("tax_sq", "tax_4"), ("rep", "rep_sq")),
+    trials=20_000,
+    seed=23,
+):
+    """Each moment ``key`` of ``pairs`` (by default each agent's mean tax,
+    mean squared tax and mean reputation) agrees with the dense oracle over
+    the same batch plan within 4 stderr of the difference, the stderr taken
+    from ``square``.  Returns both sides' totals."""
+    sparse = simulate(env, mechanism, trials, seed, reduce)
+    dense = dense_simulate(env, mechanism, trials, seed, reduce)
+    for key, square in pairs:
         means, variances = [], []
         for side in (sparse, dense):
             mean = side[key] / trials
@@ -489,6 +511,7 @@ def _assert_moments_agree(env, mechanism, trials=20_000, seed=23):
         gaps = np.abs(means[0] - means[1])
         assert (gaps <= 4.0 * se + 1e-12).all(), (key, gaps, se)
     assert sparse["budget_max"] <= 1e-12 and dense["budget_max"] <= 1e-12
+    return sparse, dense
 
 
 _RINGS = {
@@ -512,6 +535,26 @@ def test_ring_reads_agree_with_the_dense_oracle(rings, layers, population, clamp
 @pytest.mark.parametrize("mechanism", [AS(), FR()], ids=["as", "fr"])
 def test_random_senders_without_cross_reads_agree_with_the_dense_oracle(mechanism, clamp):
     _assert_moments_agree(_adversarial_env("malicious", clamp), mechanism)
+
+
+_PEER_SUM_FAMILIES = {
+    "simple_averaging": SimpleAveraging(),
+    "pr": PR(a=1.7),
+    "weighted_pr": WeightedPR(a=1.7, weights=(0.5, 1.5, 1.0, 2.0, 0.8, 1.2)),
+}
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+@pytest.mark.parametrize("population", ["truthful", "colluders", "bashing", "malicious", "mixed"])
+@pytest.mark.parametrize("family", sorted(_PEER_SUM_FAMILIES))
+def test_peer_sums_agree_with_the_dense_oracle(family, population, clamp):
+    # Each agent's mean and mean squared reputation, and the MAE.
+    env = _adversarial_env(population, clamp)
+    reduce = _peer_sum_moments(centralized_solution(env))
+    pairs = (("rep", "rep_sq"), ("rep_sq", "rep_4"), ("mae", "mae_sq"))
+    sparse, dense = _assert_moments_agree(env, _PEER_SUM_FAMILIES[family], reduce, pairs)
+    for side in (sparse, dense):
+        assert (side["tax_abs_max"], side["budget_max"]) == (0.0, 0.0)
 
 
 def test_simulate_rejects_fewer_than_one_worker():

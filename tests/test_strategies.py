@@ -36,15 +36,24 @@ from replab.core import (
     centralized_solution,
 )
 from replab import strategies
-from replab.mechanisms import run_batch
+from replab.mechanisms import (
+    PEER_SUMS,
+    RING,
+    _gather,
+    _peer_sums,
+    _ring_layers,
+    _spec_rings,
+    cross_reads,
+    run_batch,
+)
 from replab.numerics import NoRoot, NormalParams, find_root, integrate, normal_cdf
 from replab.strategies import (
     DeviationReport,
     PrEquilibrium,
+    ProfileDraw,
     UnsupportedCombination,
     aggregate_sigma_prime,
     bayesian_ic_violation,
-    build_messages,
     deviation_report,
     draw_profile,
     expected_pr_reputation,
@@ -52,12 +61,13 @@ from replab.strategies import (
     pr_mae,
     pr_optimal_self_report,
     resolve_self_reports,
-    sample_observations,
     sample_peer_sums,
     solve_y,
     proportional_deviation_profit,
 )
 from replab.strategies import _grid_means, _y_residual
+
+from dense_oracle import build_messages, sample_observations
 
 
 def _agent(i, r, kind, lam, p=2.0, g=None, obs=NormalParams(0.0, 0.1)):
@@ -445,7 +455,7 @@ def test_rounding_noise_is_not_a_profitable_deviation():
     # standard errors.
     env = _truth_env([0.35, 0.55, 0.45])
     mechanism = WeightedPR(a=2.0, weights=(1.0, 2.0, 3.0))
-    rep = deviation_report(0, mechanism, env, trials=2_000, grid=41, seed=0)
+    rep = deviation_report(0, mechanism, env, trials=2_000, grid=41, seed=1)
     assert abs(rep.best - rep.claimed) > rep.grid_step
     assert 3.0 * rep.gain_stderr < rep.gain < 1e-15
     assert not rep.profitable
@@ -614,6 +624,28 @@ def _dense_utilities(i, mechanism, env, arrays, value):
     return batch_true_utilities(reps, taxes, env)[:, i]
 
 
+def _sparse_draw(mechanism, env, arrays):
+    """The audit draw holding what ``mechanism`` reads of the dense arrays."""
+    r0, selfs, cross = arrays
+    reads = cross_reads(mechanism)
+    peer_sums = _peer_sums(mechanism, cross) if reads == PEER_SUMS else None
+    ring_reads = None
+    if reads == RING:
+        ring_reads = tuple(_gather(cross, _ring_layers(_spec_rings(mechanism, env.k))[1]))
+    return ProfileDraw(r0=r0, selfs=selfs, peer_sums=peer_sums, ring_reads=ring_reads)
+
+
+def _assert_same_report(report, oracle, mechanism):
+    if not isinstance(mechanism, SimpleAveraging):
+        assert report == oracle
+        return
+    # The c - 1/2 shift rounds on each peer sum here and on each
+    # cross-report in the oracle.
+    assert (report.best, report.claimed) == (oracle.best, oracle.claimed)
+    for name in ("claimed_mean", "best_mean", "gain", "gain_stderr"):
+        assert abs(getattr(report, name) - getattr(oracle, name)) <= 1e-12, name
+
+
 def _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index=None):
     """Grid means and report from re-running the mechanism at every grid point."""
     arrays = _dense_profile(env, mechanism, profile, trials, seed)
@@ -647,7 +679,7 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
     mechanism, scheme, profile, p, g = SCAN_CASES[case]
     env = _scan_env(scheme, p, g)
     trials, grid, seed = 1500, 41, 23
-    draw = draw_profile(env, mechanism, profile, trials, seed)
+    draw = _sparse_draw(mechanism, env, _dense_profile(env, mechanism, profile, trials, seed))
     values = np.linspace(0.0, 1.0, grid)
     for i in DEVIATORS:
         means = _grid_means(
@@ -655,11 +687,11 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
         )
         dense, oracle = _dense_oracle(i, mechanism, env, profile, trials, grid, seed)
         np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
-        report = deviation_report(i, mechanism, env, profile, trials, grid, seed)
+        report = deviation_report(i, mechanism, env, grid=grid, draw=draw)
         ties = np.flatnonzero(dense >= dense.max() - 1e-12)
         if ties.size == 1:
             assert int(np.argmax(means)) == ties[0], (case, i)
-            assert report == oracle, (case, i)
+            _assert_same_report(report, oracle, mechanism)
         else:
             # Several grid points share the maximum up to rounding: the
             # report moves nothing the deviator values there (a truth
@@ -671,7 +703,7 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
             best_index = int(np.argmax(means))
             assert best_index in ties, (case, i)
             _, at_best = _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index)
-            assert report == at_best, (case, i)
+            _assert_same_report(report, at_best, mechanism)
 
 
 def test_incremental_scan_share_of_total_with_zero_total():
@@ -691,18 +723,30 @@ def test_incremental_scan_share_of_total_with_zero_total():
     assert means[1] == pytest.approx(-0.5)
 
 
+def _held(draw):
+    """The arrays a profile draw holds."""
+    extra = () if draw.peer_sums is None else (draw.peer_sums,)
+    return (draw.r0, draw.selfs, *extra, *(draw.ring_reads or ()))
+
+
 def test_draw_profile_is_shared_across_agents_and_read_only():
     env = _scan_env("absolute", 2.0, Linear())
-    draw = draw_profile(env, AS(), MAPPING, trials=500, seed=3)
-    for arr in (draw.r0, draw.selfs, draw.cross):
-        assert not arr.flags.writeable
-    before = [arr.copy() for arr in (draw.r0, draw.selfs, draw.cross)]
-    for i in DEVIATORS:
-        shared = deviation_report(i, AS(), env, grid=21, draw=draw)
-        fresh = deviation_report(i, AS(), env, MAPPING, trials=500, grid=21, seed=3)
-        assert shared == fresh
-    for old, arr in zip(before, (draw.r0, draw.selfs, draw.cross)):
-        assert np.array_equal(old, arr)
+    for mechanism in (AS(), PR(a=2.0), ExtendedAS(layers=2)):
+        draw = draw_profile(env, mechanism, MAPPING, trials=500, seed=3)
+        # Only what the mechanism reads of the cross reports is drawn.
+        assert (draw.peer_sums is None, draw.ring_reads is None) == (
+            not isinstance(mechanism, PR),
+            not isinstance(mechanism, ExtendedAS),
+        )
+        for arr in _held(draw):
+            assert not arr.flags.writeable
+        before = [arr.copy() for arr in _held(draw)]
+        for i in DEVIATORS:
+            shared = deviation_report(i, mechanism, env, grid=21, draw=draw)
+            fresh = deviation_report(i, mechanism, env, MAPPING, trials=500, grid=21, seed=3)
+            assert shared == fresh
+        for old, arr in zip(before, _held(draw)):
+            assert np.array_equal(old, arr)
     with pytest.raises(ValueError):
         draw_profile(env, AS(), trials=0)
 
@@ -713,17 +757,37 @@ def test_draw_profile_is_shared_across_agents_and_read_only():
 def test_audit_memory_stays_within_its_profile(mechanism):
     # The audit must never hold a (grid, trials) or (grid, trials, K) array:
     # at 50k trials and 201 grid points one of those alone is 80 MB, while
-    # the profile it replays (priors, self- and cross-reports) is 14 MB.
+    # one (trials, K) array is 2 MB.  Beyond what the draw holds, the audit
+    # keeps a few (trials, K) arrays.
     import tracemalloc
 
     scheme = "relative" if isinstance(mechanism, FR) else "absolute"
     env = _truth_env([0.3, 0.5, 0.7, 0.4, 0.6], scheme=scheme)
-    draw = draw_profile(env, mechanism, trials=50_000, seed=1)
-    profile_bytes = draw.r0.nbytes + draw.selfs.nbytes + draw.cross.nbytes
+    trials = 50_000
     tracemalloc.start()
     try:
+        draw = draw_profile(env, mechanism, trials=trials, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         deviation_report(0, mechanism, env, grid=201, draw=draw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * profile_bytes, f"peak {peak / 1e6:.1f} MB, profile {profile_bytes / 1e6:.1f} MB"
+    block = trials * env.k * 8
+    assert peak - held < 8 * block, f"peak {peak / 1e6:.1f} MB, draw {held / 1e6:.1f} MB"
+
+
+def test_all_truth_scoring_audit_at_k_37_draws_no_cross_reports():
+    # Scoring reads no cross report, so the audit draws none: the dense
+    # (5000, 37, 37) draw alone took 55 MB.
+    import tracemalloc
+
+    env = _truth_env([0.2 + 0.6 * i / 36 for i in range(37)])
+    tracemalloc.start()
+    try:
+        report = deviation_report(0, AS(), env, trials=5_000, grid=201, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.profitable
+    assert peak < 16 * 2**20, peak
