@@ -262,7 +262,9 @@ def ring_batch(
 def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarray:
     """Each self-report over its round's total, into ``out`` when given; a
     zero total gives 1/K to all."""
-    zero = totals == 0.0
+    zero = np.equal(totals, 0.0)
+    if not zero.any():
+        return np.divide(selfs, totals, out=out)
     shares = np.divide(selfs, np.where(zero, 1.0, totals), out=out)
     np.copyto(shares, 1.0 / k, where=np.broadcast_to(zero, shares.shape))
     return shares
@@ -362,19 +364,22 @@ def deviation_terms(
     *,
     peer_sums: np.ndarray | None = None,
     read: Callable[[list[np.ndarray]], list[np.ndarray]] | None = None,
-) -> tuple[np.ndarray, Callable[[np.ndarray, slice], tuple]]:
+) -> tuple[np.ndarray, np.ndarray | None, Callable[[np.ndarray, slice], tuple]]:
     """The reputations of a base profile and the terms one agent's report moves.
 
     Cross reports come as the engine samples them: ``peer_sums`` as in
     :func:`run_batch`, and ``read`` for the spec's fixed rings as in
     :func:`ring_batch`.  Evaluates the mechanism once and returns
-    ``(reps, move)``.  ``move(values, rows)`` takes a (G, 1) column of
-    deviation values and a slice of the trials, and returns ``(own_rep,
-    own_tax, moved)`` on those trials: the deviator's reputation and tax,
-    each broadcastable to (G, rows), and the reputations of all subjects,
-    subjects first as a fresh (K, G, rows) array the caller may overwrite,
-    when the deviation moves other subjects' reputations, or None when
-    those stay at ``reps``.
+    ``(reps, base, move)``.  ``move(values, rows)`` takes a (G, 1) column
+    of deviation values and a slice of the trials, and returns ``(own_rep,
+    own_tax, others)`` on those trials: the deviator's reputation and tax,
+    each broadcastable to (G, rows), and how the other subjects'
+    reputations move.  ``others`` is None, and ``base`` is None, when those
+    stay at ``reps``.  Otherwise they are an affine map of per-trial base
+    values: ``others`` is ``(add, div)``, each broadcastable to (G, rows),
+    and subject j's reputation is ``(base[j] + add) / div``, or 1/K where
+    ``div`` is 0, with ``base`` the (K, trials) base values, subjects first
+    (the deviator's row is not read).
 
     The deviated channel is the self-report, except under simple averaging,
     where value c adds c - 1/2 to the deviator's cross-reports.  Each
@@ -383,10 +388,12 @@ def deviation_terms(
     - scoring, ring-validated scoring and both punish-reward mechanisms:
       only the deviator's own reputation and tax move (ring validation's
       second layer reads no self-report);
-    - share-of-total: every share rescales by 1/(S' + x), S' the sum of the
-      other self-reports;
-    - simple averaging: every other subject's aggregate shifts by
-      (c - 1/2)/K, while the deviator's own does not move.
+    - share-of-total: the base is the self-reports and every share is its
+      self-report over S' + x, S' the sum of the other self-reports, or 1/K
+      at a zero total;
+    - simple averaging: the base is the aggregates' numerators, and every
+      other subject's aggregate shifts by (c - 1/2)/K, while the
+      deviator's own does not move.
     """
     if isinstance(spec, ExtendedAS):
         reps, _ = ring_batch(spec, self_reports, read)
@@ -398,7 +405,7 @@ def deviation_terms(
         d = (self_reports - system_obs) ** 2
         rest = (d.sum(axis=1) - d[:, i]) / (k - 1)
         prior = system_obs[:, i]
-        return reps, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
+        return reps, None, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
     if isinstance(spec, ExtendedAS):
         maps, readers = _ring_layers(_spec_rings(spec, k))
         reads = read(readers)
@@ -411,34 +418,26 @@ def deviation_terms(
         def move_validated(x: np.ndarray, rows: slice) -> tuple:
             return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None
 
-        return reps, move_validated
-    # Subjects-first blocks keep every elementwise pass and the sum over
-    # subjects on contiguous runs of trials.
+        return reps, None, move_validated
+    # Subjects first, so every pass over a base row runs on contiguous trials.
     if isinstance(spec, FR):
         others = self_reports.sum(axis=1) - self_reports[:, i]
-        by_subject = np.ascontiguousarray(self_reports.T)[:, None, :]
 
         def move_share(x: np.ndarray, rows: slice) -> tuple:
-            selfs = np.repeat(by_subject[..., rows], x.shape[0], axis=1)
-            selfs[i] = x
-            shares = _shares(selfs, others[rows] + x, k, out=selfs)
-            return shares[i].copy(), 0.0, shares
+            totals = others[rows] + x
+            return _shares(x, totals, k), 0.0, (0.0, totals)
 
-        return reps, move_share
+        return reps, np.ascontiguousarray(self_reports.T), move_share
     if cross_reads(spec) != PEER_SUMS:
         raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
     numerator, divisor = _aggregate(spec, peer_sums, system_obs)
     if isinstance(spec, SimpleAveraging):
-        numerators = np.ascontiguousarray(numerator.T)[:, None, :]
         own = reps[:, i]
 
         def move_average(c: np.ndarray, rows: slice) -> tuple:
-            moved = numerators[..., rows] + (c - 0.5)
-            moved /= k
-            moved[i] = own[rows]
-            return own[rows], 0.0, moved
+            return own[rows], 0.0, (c - 0.5, k)
 
-        return reps, move_average
+        return reps, np.ascontiguousarray(numerator.T), move_average
     aggregate = (numerator / divisor)[:, i]
     eps = spec.a * sigma_prime
-    return reps, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)
+    return reps, None, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)

@@ -58,6 +58,7 @@ from .mechanisms import (
 )
 from .strategies import (
     UnsupportedCombination,
+    _peer_sum_tables,
     aggregate_sigma_prime,
     expected_pr_reputation,
     pr_mae,
@@ -232,7 +233,7 @@ def simulate(
     sigma_prime = aggregate_sigma_prime(env)
     self_reports = resolve_self_reports(env, mechanism, strategy_mode)
     reads = cross_reads(mechanism)
-    weights = peer_weights(mechanism, env.k) if reads == PEER_SUMS else None
+    tables = _peer_sum_tables(env, peer_weights(mechanism, env.k)) if reads == PEER_SUMS else None
 
     def draw_batch(rng: np.random.Generator, size: int) -> tuple:
         system_obs, selfs = sample_sparse(env, rng, size, self_reports)
@@ -244,7 +245,7 @@ def simulate(
             read = lambda readers: sample_ring_reads(env, rng, size, readers)
             reps, taxes = ring_batch(mechanism, selfs, read, rings)
         else:
-            sums = None if weights is None else sample_peer_sums(env, rng, size, weights)
+            sums = None if tables is None else sample_peer_sums(env, rng, size, tables)
             reps, taxes = run_batch(mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums)
         return system_obs, selfs, reps, taxes
 

@@ -33,12 +33,13 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
 from .core import (
     AS,
+    AbsPower,
     Agent,
     Colluder,
     DimensionMismatch,
@@ -60,6 +61,7 @@ from .mechanisms import (
     PEER_SUMS,
     RING,
     _ring_layers,
+    _shares,
     _spec_rings,
     cross_reads,
     deviation_terms,
@@ -390,20 +392,26 @@ def _sent_constants(env: Environment) -> np.ndarray | None:
     return table
 
 
-def sample_peer_sums(
-    env: Environment, rng: np.random.Generator, trials: int, weights: np.ndarray
-) -> np.ndarray:
-    """Draw each subject's weighted peer-report sum ``sum_{j != i} w_j R_ji``.
+@dataclass(frozen=True)
+class _PeerSumTables:
+    """What :func:`sample_peer_sums` draws with, resolved once per scenario.
 
-    Returns (trials, K).  The reports relayed by the pairs (j, i) in which
-    j sends its own observation of i come first: unclamped, they sum to one
-    Normal per entry, with mean ``sum w_j (r_i + b_j)`` and variance ``sum
-    w_j^2 sigma_j^2`` over those pairs only; clamped, each relaying reporter
-    draws one (trials, K) block, clipped and weighted, in agent order.  The
-    colluders' constants (:func:`_sent_constants`) are added exactly, then
-    each uniform-random reporter, in agent order, draws one uniform per
-    entry.  No (trials, K, K) array is made.
+    ``normal`` is each subject's (mean, std) of the relayed sum when the
+    environment does not clamp; ``relayers`` holds, when it clamps, each
+    relaying reporter's noise scale, its (K,) centres and its (K,) weights
+    over the subjects it relays.  ``constants`` is the colluders' weighted
+    constants per subject, and ``randoms`` the uniform-random reporters.
     """
+
+    weights: np.ndarray
+    normal: tuple[np.ndarray, np.ndarray] | None
+    relayers: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    constants: np.ndarray | None
+    randoms: tuple[int, ...]
+
+
+def _peer_sum_tables(env: Environment, weights: np.ndarray) -> _PeerSumTables:
+    """Resolve the reporter mix of :func:`sample_peer_sums` for ``env``."""
     k = env.k
     stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
     sent = _sent_constants(env)
@@ -412,15 +420,12 @@ def sample_peer_sums(
     relays = ~np.eye(k, dtype=bool) & ~random_[:, None]
     if sent is not None:
         relays &= np.isnan(sent)
+    normal, relayers = None, ()
     if env.clamp_observations:
-        sums = np.zeros((trials, k))
-        for j in np.flatnonzero(relays.any(axis=1)):
-            block = rng.normal(0.0, 1.0, size=(trials, k))
-            block *= stds[j]
-            block += qualities + biases[j]
-            np.clip(block, 0.0, 1.0, out=block)
-            block *= weights[j] * relays[j]
-            sums += block
+        relayers = tuple(
+            (stds[j], qualities + biases[j], weights[j] * relays[j])
+            for j in np.flatnonzero(relays.any(axis=1))
+        )
     else:
         # Totals over every reporter but the subject, less the pairs that do
         # not relay: when all relay, this is exactly the all-relay arithmetic.
@@ -431,17 +436,51 @@ def sample_peer_sums(
         w_lost, b_lost, v_lost = np.stack([weights, w_bias, w_var])[:, senders] @ lost[senders]
         mean = qualities * (weights.sum() - weights - w_lost) + (weights @ biases - w_bias - b_lost)
         std = np.sqrt(np.maximum(w_var.sum() - w_var - v_lost, 0.0))
-        sums = rng.normal(0.0, 1.0, size=(trials, k))
-        sums *= std[None, :]
-        sums += mean[None, :]
+        normal = (mean[None, :], std[None, :])
+    constants = None
     if sent is not None:
         constants = np.nan_to_num(sent, nan=0.0)
         np.fill_diagonal(constants, 0.0)
-        sums += weights @ constants
-    for j in np.flatnonzero(random_):
+        constants = weights @ constants
+    return _PeerSumTables(weights, normal, relayers, constants, tuple(np.flatnonzero(random_)))
+
+
+def sample_peer_sums(
+    env: Environment, rng: np.random.Generator, trials: int, tables: _PeerSumTables
+) -> np.ndarray:
+    """Draw each subject's weighted peer-report sum ``sum_{j != i} w_j R_ji``.
+
+    Returns (trials, K).  ``tables`` is :func:`_peer_sum_tables` of ``env``
+    and the weights.  The reports relayed by the pairs (j, i) in which j
+    sends its own observation of i come first: unclamped, they sum to one
+    Normal per entry, with mean ``sum w_j (r_i + b_j)`` and variance ``sum
+    w_j^2 sigma_j^2`` over those pairs only; clamped, each relaying reporter
+    draws one (trials, K) block, clipped and weighted, in agent order.  The
+    colluders' constants (:func:`_sent_constants`) are added exactly, then
+    each uniform-random reporter, in agent order, draws one uniform per
+    entry.  No (trials, K, K) array is made.
+    """
+    k = env.k
+    if tables.normal is None:
+        sums = np.zeros((trials, k))
+        for std, centre, weight in tables.relayers:
+            block = rng.normal(0.0, 1.0, size=(trials, k))
+            block *= std
+            block += centre
+            np.clip(block, 0.0, 1.0, out=block)
+            block *= weight
+            sums += block
+    else:
+        mean, std = tables.normal
+        sums = rng.normal(0.0, 1.0, size=(trials, k))
+        sums *= std
+        sums += mean
+    if tables.constants is not None:
+        sums += tables.constants
+    for j in tables.randoms:
         kind = env.agents[j].agent_type
         noise = rng.uniform(kind.low, kind.high, size=(trials, k))
-        noise *= weights[j]
+        noise *= tables.weights[j]
         noise[:, j] = 0.0
         sums += noise
     return sums
@@ -626,7 +665,8 @@ def draw_profile(
     peer_sums = ring_reads = None
     reads = cross_reads(mechanism)
     if reads == PEER_SUMS:
-        peer_sums = sample_peer_sums(env, rng, trials, peer_weights(mechanism, env.k))
+        tables = _peer_sum_tables(env, peer_weights(mechanism, env.k))
+        peer_sums = sample_peer_sums(env, rng, trials, tables)
     elif reads == RING:
         _, readers = _ring_layers(_spec_rings(mechanism, env.k))
         ring_reads = tuple(sample_ring_reads(env, rng, trials, readers))
@@ -637,9 +677,89 @@ def draw_profile(
 
 
 # Bytes per block of the incremental scan.  A block's (K, points, trials)
-# arrays stay near cache size instead of streaming through memory, and the
-# scan's working set does not grow with the grid or the trial count.
+# arrays, or the (points, trials) arrays of the moment sums, stay near cache
+# size instead of streaming through memory, and the scan's working set does
+# not grow with the grid or the trial count.
 _SCAN_BLOCK_BYTES = 1 << 19
+
+
+def _trial_sum(a: float | np.ndarray, n: int) -> float | np.ndarray:
+    """The sum over n trials of ``a``, which broadcasts to (G, n)."""
+    a = np.asarray(a)
+    if a.shape[-1:] == (n,):
+        return a.sum(axis=-1)
+    return n * (a[..., 0] if a.ndim else a)
+
+
+def _trial_dot(a: float | np.ndarray, moment: np.ndarray) -> float | np.ndarray:
+    """The sum over the trials of ``a * moment``, ``a`` broadcasting to
+    (G, n) and ``moment`` (n,): one matrix-vector product when ``a`` varies
+    by trial, one product with the summed moment when it does not."""
+    a = np.asarray(a)
+    if a.shape[-1:] == moment.shape:
+        return a @ moment
+    return (a[..., 0] if a.ndim else a) * moment.sum()
+
+
+def _quadratic_sums(
+    agent: Agent,
+    base: np.ndarray,
+    move: Callable[[np.ndarray, slice], tuple],
+    targets: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Utility sums over the trials at every deviation value, under f(d) = d^2,
+    for a deviation that moves the other subjects' reputations to ``(base_j +
+    add) / div`` (:func:`replab.mechanisms.deviation_terms`).
+
+    Subject j's reputation is scale * b_j + shift, with scale = 1/div and
+    shift = add/div, or scale = 0 and shift = 1/K where div is 0.  A
+    trial's accuracy loss sum_{j != i} (scale b_j + shift - t_j)^2 is then
+    a quadratic in the trial's sums of b_j, b_j^2 and b_j t_j over j != i.
+    Simple averaging's scale and shift are the same in every trial, so its
+    moments are summed over the trials first, at O(trials + G) cost;
+    share-of-total's scale varies by trial and costs a few flops per grid
+    point and trial, in slices of trials whose (G, rows) arrays fit the
+    scan's byte budget.  The image term is left out at truth weight 1,
+    where it is exactly 0.
+    """
+    i = agent.id
+    lam = agent.utility.truth_weight
+    k, trials = base.shape
+    others = np.delete(base, i, axis=0)
+    t = np.delete(targets, i)
+    b1, b2, bt = others.sum(axis=0), np.einsum("jt,jt->t", others, others), t @ others
+    t1, t2 = t.sum(), t @ t
+    xs = values[:, None]
+    # As the block scan's tiles: K (G, rows) arrays fit the byte budget.  A
+    # map that is the same in every trial makes no (G, rows) array, so it
+    # takes all the trials at once.
+    span = max(1, _SCAN_BLOCK_BYTES // (8 * k * values.size))
+    if np.broadcast(*move(xs, slice(0, 2))[2]).shape[-1:] in ((), (1,)):
+        span = trials
+    sums = np.zeros(values.size)
+    for first in range(0, trials, span):
+        rows = slice(first, first + span)
+        n = min(span, trials - first)
+        own_rep, own_tax, (add, div) = move(xs, rows)
+        zero = np.equal(div, 0.0)
+        if zero.any():
+            scale = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, div))
+            shift = np.where(zero, 1.0 / k, add * scale)
+        else:
+            scale = np.divide(1.0, div)
+            shift = add * scale if np.any(add) else 0.0
+        accuracy = n * t2 - 2.0 * _trial_dot(scale, bt[rows])
+        if np.any(shift):
+            accuracy = accuracy + 2.0 * _trial_dot(scale * shift, b1[rows])
+            accuracy = accuracy + _trial_sum(shift * ((k - 1) * shift - 2.0 * t1), n)
+        scale *= scale
+        accuracy = accuracy + _trial_dot(scale, b2[rows])
+        utils = -lam * accuracy
+        if lam != 1.0:
+            utils = utils + (1.0 - lam) * _trial_sum(agent.utility.g(own_rep), n)
+        sums += utils - _trial_sum(own_tax, n)
+    return sums
 
 
 def _grid_means(
@@ -656,15 +776,22 @@ def _grid_means(
     deviation changes (:func:`replab.mechanisms.deviation_terms`) over
     blocks of grid points, summing each block over the trials at once.  A
     block holds as many grid points as the byte budget fits at trials x K;
-    when a single point does not fit, the trials are split as well.
+    when a single point does not fit, the trials are split as well.  Under
+    the quadratic loss f(d) = d^2, a deviation that moves the other
+    subjects' reputations (share-of-total, simple averaging) is summed
+    from per-trial moments instead (:func:`_quadratic_sums`), with no
+    (K, points, trials) block; those means can differ from the block
+    scan's in the last bits.
     """
     i = agent.id
     f = agent.utility.f
-    reps, move = deviation_terms(
+    reps, base, move = deviation_terms(
         mechanism, draw.selfs, draw.r0, sigma_prime, i,
         peer_sums=draw.peer_sums, read=lambda readers: draw.ring_reads,
     )
     trials, k = reps.shape
+    if base is not None and f == AbsPower(2.0):
+        return _quadratic_sums(agent, base, move, targets, values) / trials
     base_floss = f(np.abs(reps - targets[None, :]))
     base_accuracy = base_floss.sum(axis=1) - base_floss[:, i]
     points = max(1, _SCAN_BLOCK_BYTES // (8 * trials * k))
@@ -674,10 +801,18 @@ def _grid_means(
         xs = values[start : start + points, None]
         for first in range(0, trials, span):
             rows = slice(first, first + span)
-            own_rep, own_tax, moved = move(xs, rows)
-            if moved is None:
+            own_rep, own_tax, others = move(xs, rows)
+            if others is None:
                 accuracy = base_accuracy[rows]
             else:
+                add, div = others
+                by_subject = base[:, None, rows]
+                block = np.broadcast(by_subject, add, div).shape
+                moved = np.add(by_subject, add, out=np.empty(block))
+                _shares(moved, div, k, out=moved)
+                # The deviator's entry as the kernel has it, so the sum over
+                # subjects less that entry rounds as the dense kernel's.
+                moved[i] = own_rep
                 # In place, so few block-sized arrays are freed and re-faulted.
                 np.subtract(moved, targets[:, None, None], out=moved)
                 floss = f(np.abs(moved, out=moved))

@@ -494,11 +494,11 @@ def test_ring_reads_keep_the_dense_kernel_bit_for_bit(k, layers, rings):
     _, taxes = run_batch(spec, selfs, cross, None)
     assert (taxes == _gathered_kernel(selfs, cross, order, order2, layers)[1]).all()
     for i in range(k):
-        _, move = deviation_terms(spec, selfs, None, 0.0, i, read=lambda r: _gather(cross, r))
+        _, base, move = deviation_terms(spec, selfs, None, 0.0, i, read=lambda r: _gather(cross, r))
         xs = np.linspace(0.0, 1.0, 7)[:, None]
         _, own_tax, moved = move(xs, slice(None))
         want = _gathered_own_tax(selfs, cross, order, order2, layers, i, xs)
-        assert moved is None and (own_tax == want).all()
+        assert base is None and moved is None and (own_tax == want).all()
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 40])

@@ -65,7 +65,7 @@ from replab.strategies import (
     solve_y,
     proportional_deviation_profit,
 )
-from replab.strategies import _grid_means, _y_residual
+from replab.strategies import _grid_means, _peer_sum_tables, _y_residual
 
 from dense_oracle import build_messages, sample_observations
 
@@ -352,7 +352,7 @@ def test_sample_peer_sums_match_the_normal_moments():
     )
     env = Environment(agents=agents)
     n = 200_000
-    sums = sample_peer_sums(env, np.random.default_rng(61), n, weights)
+    sums = sample_peer_sums(env, np.random.default_rng(61), n, _peer_sum_tables(env, weights))
     assert sums.shape == (n, 5)
     for i in range(5):
         others = [j for j in range(5) if j != i]
@@ -589,7 +589,9 @@ SCAN_CASES = {
     "extended_as-2": (ExtendedAS(ring=CUSTOM_RING, layers=2), "absolute", "truthful", 3.0, Linear()),
     "fr": (FR(), "relative", "truthful", 2.0, Linear()),
     "fr-mapping": (FR(), "relative", MAPPING, 1.0, Power(0.7)),
+    "fr-p2-power": (FR(), "relative", MAPPING, 2.0, Power(0.7)),
     "simple_averaging": (SimpleAveraging(), "absolute", "equilibrium", 2.0, Linear()),
+    "simple_averaging-p2-power": (SimpleAveraging(), "absolute", "truthful", 2.0, Power(0.5)),
     "simple_averaging-p3": (SimpleAveraging(), "absolute", "truthful", 3.0, Power(0.5)),
     "pr": (PR(a=2.0), "absolute", "equilibrium", 2.0, Linear()),
     "pr-mapping": (PR(a=1.0), "absolute", MAPPING, 1.0, Power(0.5)),
@@ -706,10 +708,10 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
             _assert_same_report(report, at_best, mechanism)
 
 
-def test_incremental_scan_share_of_total_with_zero_total():
+def _zero_total_scan(p):
     # Everyone else reports 0, so a zero self-report leaves a zero total and
     # the shares fall back to 1/K at the first grid point.
-    env = _truth_env([0.5, 0.3, 0.2], scheme="relative", p=1.0)
+    env = _truth_env([0.5, 0.3, 0.2], scheme="relative", p=p)
     profile = {1: 0.0, 2: 0.0}
     draw = draw_profile(env, FR(), profile, trials=200, seed=4)
     values = np.linspace(0.0, 1.0, 11)
@@ -719,8 +721,17 @@ def test_incremental_scan_share_of_total_with_zero_total():
     dense, _ = _dense_oracle(0, FR(), env, profile, 200, 11, 4)
     np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
     # At x = 0 every share is 1/3; above it the deviator takes the whole total.
-    assert means[0] == pytest.approx(-(abs(1 / 3 - 0.3) + abs(1 / 3 - 0.2)))
-    assert means[1] == pytest.approx(-0.5)
+    assert means[0] == pytest.approx(-(abs(1 / 3 - 0.3) ** p + abs(1 / 3 - 0.2) ** p))
+    assert means[1] == pytest.approx(-(0.3**p + 0.2**p))
+
+
+def test_incremental_scan_share_of_total_with_zero_total():
+    _zero_total_scan(1.0)
+
+
+def test_incremental_scan_share_of_total_with_zero_total_quadratic():
+    # f(d) = d^2: the moment sums take the zero total's 1/K shares.
+    _zero_total_scan(2.0)
 
 
 def _held(draw):
