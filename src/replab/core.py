@@ -280,6 +280,11 @@ class Environment:
     system_obs: NormalParams = field(default_factory=lambda: NormalParams(0.0, 0.1))
     index_scheme: str = "absolute"
     clamp_observations: bool = False
+    # Per-agent arrays, built once from ``agents`` and read-only, since
+    # every Monte Carlo batch reads them.
+    qualities: np.ndarray = field(init=False, repr=False, compare=False)
+    cross_biases: np.ndarray = field(init=False, repr=False, compare=False)
+    cross_stds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -296,26 +301,22 @@ class Environment:
             raise ZeroTotalQuality(
                 "relative index scheme needs a positive total quality"
             )
+        for name, values in (
+            ("qualities", [a.quality.value for a in self.agents]),
+            ("cross_biases", [a.cross_obs.mean for a in self.agents]),
+            ("cross_stds", [a.cross_obs.std for a in self.agents]),
+        ):
+            array = np.array(values)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def k(self) -> int:
         return len(self.agents)
 
     @property
-    def qualities(self) -> np.ndarray:
-        return np.array([a.quality.value for a in self.agents])
-
-    @property
     def total_quality(self) -> float:
         return float(math.fsum(a.quality.value for a in self.agents))
-
-    @property
-    def cross_biases(self) -> np.ndarray:
-        return np.array([a.cross_obs.mean for a in self.agents])
-
-    @property
-    def cross_stds(self) -> np.ndarray:
-        return np.array([a.cross_obs.std for a in self.agents])
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +456,36 @@ def batch_true_utilities(
     ``reputations`` and ``taxes`` have shape (trials, K); returns (trials, K)
     utilities computed per agent with that agent's own f, g and truth weight.
     f(errors) and its row sums are computed once per distinct loss: equal
-    (frozen) losses give equal arrays.
+    (frozen) losses give equal arrays.  Each run of adjacent agents that
+    share (f, g) is computed in one pass over its columns, in the order of
+    :func:`agent_utility`, so every entry rounds as that formula does.
     """
     if reputations.shape != taxes.shape or reputations.shape[1] != env.k:
         raise DimensionMismatch(
             f"expected (trials, {env.k}) arrays, got {reputations.shape} and {taxes.shape}"
         )
-    targets = centralized_solution(env)
-    errors = np.abs(reputations - targets[None, :])
+    errors = np.subtract(reputations, centralized_solution(env)[None, :])
+    np.abs(errors, out=errors)
+    payoffs = [(agent.utility.f, agent.utility.g) for agent in env.agents]
     losses: dict[AbsPower, tuple[np.ndarray, np.ndarray]] = {}
-    out = np.empty_like(reputations)
-    for i, agent in enumerate(env.agents):
-        f = agent.utility.f
+    for f, _ in payoffs:
         if f not in losses:
             floss = f(errors)
-            losses[f] = (floss, floss.sum(axis=1))
+            losses[f] = (floss, floss.sum(axis=1, keepdims=True))
+    del errors
+    lam = np.array([agent.utility.truth_weight for agent in env.agents])
+    out = np.empty_like(reputations)
+    start = 0
+    for stop in range(1, env.k + 1):
+        if stop < env.k and payoffs[stop] == payoffs[start]:
+            continue
+        f, g = payoffs[start]
+        cols = slice(start, stop)
         floss, total = losses[f]
-        out[:, i] = agent_utility(agent, total - floss[:, i], reputations[:, i], taxes[:, i])
+        block = out[:, cols]
+        np.subtract(total, floss[:, cols], out=block)
+        block *= -lam[cols]
+        block += (1.0 - lam[cols]) * g(reputations[:, cols])
+        block -= taxes[:, cols]
+        start = stop
     return out

@@ -247,11 +247,25 @@ def ring_batch(
     (B, K) reports of ``readers[m][., i]`` about each subject i: v1 for
     layer 1, then v2 and v3 for layer 2.  Returns (reputations, taxes).
     """
-    k = self_reports.shape[1]
+    maps, readers = _ring_setup(spec, self_reports.shape[1], rings)
+    return _ring_outcome(self_reports, read(readers), maps)
+
+
+def _ring_setup(
+    spec: ExtendedAS, k: int, rings: list[np.ndarray] | None = None
+) -> tuple[list[tuple], list[np.ndarray]]:
+    """:func:`_ring_layers` of ``rings``, or of the spec's fixed rings when
+    None, for a population of K agents."""
     if k < 3:
         raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
-    maps, readers = _ring_layers(_spec_rings(spec, k) if rings is None else rings)
-    d1, layer2 = _ring_charges(self_reports, read(readers), maps)
+    return _ring_layers(_spec_rings(spec, k) if rings is None else rings)
+
+
+def _ring_outcome(
+    self_reports: np.ndarray, reads: list[np.ndarray], maps: list[tuple]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reputations and taxes of ring validation on its ring reads."""
+    d1, layer2 = _ring_charges(self_reports, reads, maps)
     rows, _, succ = maps[0]
     taxes = _validation_layer(d1, rows, succ)
     if layer2 is not None:
@@ -379,7 +393,9 @@ def deviation_terms(
     values: ``others`` is ``(add, div)``, each broadcastable to (G, rows),
     and subject j's reputation is ``(base[j] + add) / div``, or 1/K where
     ``div`` is 0, with ``base`` the (K, trials) base values, subjects first
-    (the deviator's row is not read).
+    (the deviator's row is not read).  Such a ``move`` also takes ``own=False``,
+    which may return None for the deviator's reputation when the caller does
+    not read it.
 
     The deviated channel is the self-report, except under simple averaging,
     where value c adds c - 1/2 to the deviator's cross-reports.  Each
@@ -407,7 +423,7 @@ def deviation_terms(
         prior = system_obs[:, i]
         return reps, None, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
     if isinstance(spec, ExtendedAS):
-        maps, readers = _ring_layers(_spec_rings(spec, k))
+        maps, readers = _ring_setup(spec, k)
         reads = read(readers)
         d1, layer2 = _ring_charges(self_reports, reads, maps)
         succ = maps[0][2]
@@ -423,19 +439,19 @@ def deviation_terms(
     if isinstance(spec, FR):
         others = self_reports.sum(axis=1) - self_reports[:, i]
 
-        def move_share(x: np.ndarray, rows: slice) -> tuple:
+        def move_share(x: np.ndarray, rows: slice, own: bool = True) -> tuple:
             totals = others[rows] + x
-            return _shares(x, totals, k), 0.0, (0.0, totals)
+            return _shares(x, totals, k) if own else None, 0.0, (0.0, totals)
 
         return reps, np.ascontiguousarray(self_reports.T), move_share
     if cross_reads(spec) != PEER_SUMS:
         raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
     numerator, divisor = _aggregate(spec, peer_sums, system_obs)
     if isinstance(spec, SimpleAveraging):
-        own = reps[:, i]
+        own_reps = reps[:, i]
 
-        def move_average(c: np.ndarray, rows: slice) -> tuple:
-            return own[rows], 0.0, (c - 0.5, k)
+        def move_average(c: np.ndarray, rows: slice, own: bool = True) -> tuple:
+            return own_reps[rows], 0.0, (c - 0.5, k)
 
         return reps, np.ascontiguousarray(numerator.T), move_average
     aggregate = (numerator / divisor)[:, i]

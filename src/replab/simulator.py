@@ -20,6 +20,18 @@ batches in any order; partial results are reduced in batch order with
 compensated summation, so results are byte-identical for any worker count.
 Strategy constants are resolved once per scenario; only uniform-random
 reporters draw fresh messages.
+
+Several arms, each an (environment, reducer) pair, can share every batch's
+draw (common random numbers).  Arms may share a draw when they differ only
+in what their agents send: constant self-reports (truth, image or mixed
+constants) and, except under the peer-sum families, colluders' messages.
+Their qualities, noise levels, clamping and uniform-random reporters must
+match.  The batch is drawn once, then each arm in turn applies its own
+self-reports and colluder messages (``strategies.ring_messages``), runs the
+mechanism and its reducer.  Every arm's totals equal, bit for bit, those of
+the arm simulated alone.  The collusion scenario compares its manipulated
+and honest arms this way, and the malicious scenario its image-driven and
+baseline arms.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,19 +63,23 @@ from .numerics import NormalParams
 from .mechanisms import (
     PEER_SUMS,
     RING,
+    _ring_layers,
+    _ring_outcome,
+    _ring_setup,
     cross_reads,
     peer_weights,
-    ring_batch,
     run_batch,
 )
 from .strategies import (
     UnsupportedCombination,
     _peer_sum_tables,
+    _sent_constants,
     aggregate_sigma_prime,
     expected_pr_reputation,
     pr_mae,
     pr_optimal_self_report,
     resolve_self_reports,
+    ring_messages,
     sample_peer_sums,
     sample_ring_reads,
     sample_sparse,
@@ -197,6 +213,9 @@ class _SecretRings(ExtendedAS):
     """Ring validation whose rings are redrawn secretly on every trial."""
 
 
+Reducer = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], dict]
+
+
 def _combine(key: str, values: list) -> float | np.ndarray:
     """Reduce one reducer entry over the batches, in batch order."""
     if key.endswith("_max"):
@@ -206,16 +225,57 @@ def _combine(key: str, values: list) -> float | np.ndarray:
     return math.fsum(values)
 
 
+def _random_ranges(env: Environment) -> list[tuple[float, float] | None]:
+    """Each uniform-random reporter's range, None for everyone else."""
+    kinds = [agent.agent_type for agent in env.agents]
+    return [(t.low, t.high) if isinstance(t, MaliciousRandom) else None for t in kinds]
+
+
+def _same_sent(env: Environment, other: Environment) -> bool:
+    """Whether the colluders of both environments send the same constants."""
+    sent, other_sent = _sent_constants(env), _sent_constants(other)
+    if sent is None or other_sent is None:
+        return sent is other_sent
+    return np.array_equal(sent, other_sent, equal_nan=True)
+
+
+def _draw_difference(env: Environment, other: Environment, reads: str) -> str | None:
+    """What ``other`` would draw differently from ``env`` under a mechanism
+    that reads ``reads`` of the cross reports, or None when they draw alike.
+
+    Constant self-reports and the colluders' ring messages draw nothing.
+    Under the peer-sum families a colluder's constants take the place of
+    relayed reports inside the drawn sums, so colluders must match there.
+    """
+    checks = (
+        ("their agent counts differ", env.k == other.k),
+        ("their qualities differ", np.array_equal(env.qualities, other.qualities)),
+        (
+            "their noise levels differ",
+            env.system_obs == other.system_obs
+            and np.array_equal(env.cross_stds, other.cross_stds)
+            and np.array_equal(env.cross_biases, other.cross_biases),
+        ),
+        ("their clamping differs", env.clamp_observations == other.clamp_observations),
+        ("their uniform-random reporters differ", _random_ranges(env) == _random_ranges(other)),
+        (
+            "their colluders differ, and colluders' constants enter the drawn peer sums",
+            reads != PEER_SUMS or _same_sent(env, other),
+        ),
+    )
+    return next((name for name, alike in checks if not alike), None)
+
+
 def simulate(
-    env: Environment,
+    env: Environment | Sequence[Environment],
     mechanism: MechanismSpec,
     trials: int,
     seed: int,
-    reduce: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], dict],
+    reduce: Reducer | Sequence[Reducer],
     workers: int = 1,
     *,
     strategy_mode: str | Mapping[int, float] = "equilibrium",
-) -> dict:
+) -> dict | list[dict]:
     """Simulate ``trials`` rounds and total what ``reduce`` extracts from them.
 
     ``reduce(system_obs, self_reports, reputations, taxes)`` sees one batch,
@@ -225,35 +285,85 @@ def simulate(
     instead.  ``strategy_mode`` is as in :class:`ScenarioConfig`.
     Deterministic for fixed arguments: the per-batch substream split makes
     the worker count irrelevant to the result.
+
+    Several arms can share each batch's draw (common random numbers):
+    ``env`` and ``reduce`` are then equal-length sequences, arm m being
+    ``(env[m], reduce[m])``, and one dict of totals is returned per arm,
+    each equal bit for bit to that arm simulated alone.  Arms may differ
+    only in what their agents send, that is their constant self-reports
+    and colluders; a :class:`ValueError` names the first difference that
+    would make two arms draw differently.  Reducers see arrays the later
+    arms reuse and must not write into them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    sigma_prime = aggregate_sigma_prime(env)
-    self_reports = resolve_self_reports(env, mechanism, strategy_mode)
+    single = isinstance(env, Environment)
+    envs = [env] if single else list(env)
+    reduces = [reduce] if single else list(reduce)
+    if not envs or len(envs) != len(reduces):
+        raise ValueError(f"need one reducer per arm, got {len(envs)} arms and {len(reduces)} reducers")
+    first = envs[0]
     reads = cross_reads(mechanism)
-    tables = _peer_sum_tables(env, peer_weights(mechanism, env.k)) if reads == PEER_SUMS else None
+    for m, arm_env in enumerate(envs[1:], 1):
+        difference = _draw_difference(first, arm_env, reads)
+        if difference is not None:
+            raise ValueError(f"arm {m} would draw differently from arm 0: {difference}")
+    k = first.k
+    sigma_prime = aggregate_sigma_prime(first)
+    reports = [resolve_self_reports(e, mechanism, strategy_mode) for e in envs]
+    rows = [np.array([r.get(i, np.nan) for i in range(k)]) for r in reports]
+    tables = sent = ring = None
+    if reads == PEER_SUMS:
+        tables = _peer_sum_tables(first, peer_weights(mechanism, k))
+    elif reads == RING:
+        sent = [_sent_constants(e) for e in envs]
+        ring = _ring_setup(mechanism, k)
+    last = len(envs) - 1
 
-    def draw_batch(rng: np.random.Generator, size: int) -> tuple:
-        system_obs, selfs = sample_sparse(env, rng, size, self_reports)
+    def one_batch(batch_index: int, size: int) -> list[dict]:
+        rng = _batch_rng(seed, batch_index)
+        system_obs, selfs = sample_sparse(first, rng, size, reports[0])
+        system_obs.setflags(write=False)
         if reads == RING:
-            rings = None
+            maps, readers = ring
             if isinstance(mechanism, _SecretRings):
-                base = np.broadcast_to(np.arange(env.k), selfs.shape)
-                rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-            read = lambda readers: sample_ring_reads(env, rng, size, readers)
-            reps, taxes = ring_batch(mechanism, selfs, read, rings)
-        else:
-            sums = None if tables is None else sample_peer_sums(env, rng, size, tables)
-            reps, taxes = run_batch(mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums)
-        return system_obs, selfs, reps, taxes
-
-    def one_batch(batch_index: int, size: int) -> dict:
-        return reduce(*draw_batch(_batch_rng(seed, batch_index), size))
+                base = np.broadcast_to(np.arange(k), selfs.shape)
+                maps, readers = _ring_layers(
+                    [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+                )
+            drawn = sample_ring_reads(first, rng, size, readers)
+        sums = None if tables is None else sample_peer_sums(first, rng, size, tables)
+        totals = []
+        for m, arm_reduce in enumerate(reduces):
+            if m:
+                selfs = _with_row(selfs, rows[m])
+            if reads == RING:
+                arm_reads = ring_messages(drawn, readers, sent[m], in_place=m == last)
+                reps, taxes = _ring_outcome(selfs, arm_reads, maps)
+            else:
+                reps, taxes = run_batch(
+                    mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums
+                )
+            totals.append(arm_reduce(system_obs, selfs, reps, taxes))
+        return totals
 
     partials = _map_batches(one_batch, _batch_plan(trials), workers)
-    return {key: _combine(key, [p[key] for p in partials]) for key in partials[0]}
+    totals = [
+        {key: _combine(key, [p[m][key] for p in partials]) for key in partials[0][m]}
+        for m in range(len(envs))
+    ]
+    return totals[0] if single else totals
+
+
+def _with_row(selfs: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The batch's self-reports with an arm's constants ``row`` (NaN where
+    the reports are drawn) in place of the previous arm's."""
+    if not np.isnan(row).any():
+        return np.broadcast_to(row, selfs.shape)
+    np.copyto(selfs, row, where=~np.isnan(row))
+    return selfs
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
@@ -456,7 +566,10 @@ def run_collusion_scenario(
     truth-tellers under the same seed, so every difference is attributable
     to the manipulation.  Rings are redrawn secretly every trial.  The
     record carries both the 1-layer and 2-layer arms regardless of
-    ``layers``, which only selects the headline arm.
+    ``layers``, which only selects the headline arm.  The honest and the
+    manipulated arm of a layer count differ only in the clique's messages,
+    so they share one engine call and each batch's draw (rings, ring reads
+    and observations).
     """
     if layers not in (1, 2):
         raise ValueError(f"layers must be 1 or 2, got {layers}")
@@ -477,7 +590,7 @@ def run_collusion_scenario(
         [i for i, a in enumerate(env.agents) if a.id not in clique], dtype=int
     )
 
-    def arm(arm_env: Environment, n_layers: int) -> dict:
+    def reducer(arm_env: Environment) -> Reducer:
         def reduce(system_obs, selfs, reps, taxes) -> dict:
             mae = np.abs(reps - targets[None, :]).sum(axis=1)
             outsider_mae = np.abs(reps[:, outsiders] - targets[None, outsiders]).sum(axis=1)
@@ -490,9 +603,9 @@ def run_collusion_scenario(
                 "budget_abs_max": float(np.abs(taxes.sum(axis=1)).max()),
             }
 
-        totals = simulate(
-            arm_env, _SecretRings(layers=n_layers), trials, seed, reduce, workers
-        )
+        return reduce
+
+    def summary(totals: dict, n_layers: int) -> dict:
         per_member = trials * members.size
         return {
             "layers": n_layers,
@@ -503,8 +616,10 @@ def run_collusion_scenario(
             "budget_max_abs": totals["budget_abs_max"],
         }
 
-    manipulated = _retype_clique(env, clique, honest=False)
-    honest = _retype_clique(env, clique, honest=True)
+    # The honest arm goes first, so the manipulated arm, last, writes its
+    # messages into the shared draw instead of a copy.
+    arms = (_retype_clique(env, clique, honest=True), _retype_clique(env, clique, honest=False))
+    reducers = [reducer(arm_env) for arm_env in arms]
     record = {
         "clique": sorted(clique),
         "layers": layers,
@@ -512,8 +627,11 @@ def run_collusion_scenario(
         "seed": seed,
     }
     for n_layers, key in ((1, "one_layer"), (2, "two_layer")):
-        record[key] = arm(manipulated, n_layers)
-        record[key + "_honest"] = arm(honest, n_layers)
+        honest, manipulated = simulate(
+            arms, _SecretRings(layers=n_layers), trials, seed, reducers, workers
+        )
+        record[key] = summary(manipulated, n_layers)
+        record[key + "_honest"] = summary(honest, n_layers)
     return record
 
 
@@ -553,6 +671,10 @@ def run_malicious_scenario(
     mechanism); the baseline runs the environment as given.  The record
     also carries the malicious agents' mean own validation charge
     (self-report versus the system observation, before redistribution).
+    Arms that draw alike share one engine call and each batch's draw: the
+    image-driven and baseline arms, whose agents differ only in constant
+    self-reports, unless the slots already hold uniform-random reporters.
+    The malicious arm draws uniforms for its slots, so it runs alone.
     """
     ids = {agent.id for agent in env.agents}
     malicious = set(malicious)
@@ -565,22 +687,36 @@ def run_malicious_scenario(
         [i for i, agent in enumerate(env.agents) if agent.id in malicious], dtype=int
     )
 
-    def arm(arm_env: Environment, charged: bool) -> dict:
-        """Scoring-mechanism arm: summed error, plus the slots' own charges."""
+    def reduce(system_obs, selfs, reps, taxes) -> dict:
+        return {"mae": float(np.abs(reps - targets[None, :]).sum(axis=1).sum())}
 
-        def reduce(system_obs, selfs, reps, taxes) -> dict:
-            sums = {"mae": float(np.abs(reps - targets[None, :]).sum(axis=1).sum())}
-            if charged:
-                gaps = selfs[:, slot_idx] - system_obs[:, slot_idx]
-                sums["charge"] = float((gaps**2).sum())
-            return sums
-
-        return simulate(arm_env, AS(), trials, seed, reduce, workers)
+    def reduce_charged(system_obs, selfs, reps, taxes) -> dict:
+        gaps = selfs[:, slot_idx] - system_obs[:, slot_idx]
+        return {**reduce(system_obs, selfs, reps, taxes), "charge": float((gaps**2).sum())}
 
     charged = slot_idx.size > 0
-    malicious_arm = arm(_retype_slots(env, malicious, "malicious"), charged)
-    image_arm = arm(_retype_slots(env, malicious, "image"), False)
-    baseline_arm = arm(env, False)
+    mechanism = AS()
+    envs = (
+        _retype_slots(env, malicious, "malicious"),
+        _retype_slots(env, malicious, "image"),
+        env,
+    )
+    reducers = (reduce_charged if charged else reduce, reduce, reduce)
+    calls: list[list[int]] = []
+    for m, arm_env in enumerate(envs):
+        for call in calls:
+            if _draw_difference(envs[call[0]], arm_env, cross_reads(mechanism)) is None:
+                call.append(m)
+                break
+        else:
+            calls.append([m])
+    totals = {}
+    for call in calls:
+        results = simulate(
+            [envs[m] for m in call], mechanism, trials, seed, [reducers[m] for m in call], workers
+        )
+        totals.update(zip(call, results))
+    malicious_arm, image_arm, baseline_arm = totals[0], totals[1], totals[2]
     return {
         "malicious": sorted(malicious),
         "trials": trials,

@@ -11,7 +11,8 @@ Three kinds of results live here:
 2. The strategy map used by the Monte Carlo driver and the audits: each
    agent type's constant equilibrium self-report (``resolve_self_reports``),
    and the samplers, which draw only what a mechanism reads
-   (``sample_sparse``, then ``sample_peer_sums`` or ``sample_ring_reads``).
+   (``sample_sparse``, then ``sample_peer_sums``, or ``sample_ring_reads``
+   and the colluders' ``ring_messages``).
    Pairs without an analytical best response raise
    :class:`UnsupportedCombination` rather than inventing behavior.
 3. A brute-force numerical oracle (``deviation_report``) that grids a
@@ -60,9 +61,8 @@ from .core import (
 from .mechanisms import (
     PEER_SUMS,
     RING,
-    _ring_layers,
+    _ring_setup,
     _shares,
-    _spec_rings,
     cross_reads,
     deviation_terms,
     peer_weights,
@@ -85,6 +85,7 @@ __all__ = [
     "sample_peer_sums",
     "sample_sparse",
     "sample_ring_reads",
+    "ring_messages",
     "ProfileDraw",
     "draw_profile",
     "deviation_report",
@@ -500,16 +501,15 @@ def sample_ring_reads(
     already names is the same report and is drawn once.  The entries drawn
     take one N(0, 1) each, map by map in (trial, subject) order, scaled and
     shifted by the reporter's noise and bias around the subject's quality
-    and clamped when the environment clamps.  Then the messages apply: a
-    uniform-random reporter sends one uniform draw per entry drawn, again
-    map by map, and a colluder sends ``inflate`` about a clique-mate and
-    ``bash`` (when set) about an outsider.
+    and clamped when the environment clamps.  Then a uniform-random
+    reporter sends one uniform draw per entry drawn, again map by map.
+    Colluders' entries hold their observations: their messages
+    (:func:`ring_messages`) draw nothing, so arms that differ only in them
+    can share one draw.
     """
     k = env.k
     shape = (trials, k)
-    subjects = np.arange(k)
     stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
-    sent = _sent_constants(env)
     kinds = [agent.agent_type for agent in env.agents]
     random_ = np.array([isinstance(t, MaliciousRandom) for t in kinds])
     # same[m]: where each earlier map names the same reporter as map m.
@@ -529,9 +529,6 @@ def sample_ring_reads(
         values += qualities + biases[reader]
         if env.clamp_observations:
             np.clip(values, 0.0, 1.0, out=values)
-        if sent is not None:
-            message = sent[reader, subjects]
-            np.copyto(values, message, where=~np.isnan(message))
         reads.append(values)
     if random_.any():
         low = np.array([t.low if isinstance(t, MaliciousRandom) else 0.0 for t in kinds])
@@ -546,6 +543,35 @@ def sample_ring_reads(
         for earlier, where in zip(reads, masks):
             np.copyto(values, earlier, where=where)
     return reads
+
+
+def ring_messages(
+    reads: list[np.ndarray],
+    readers: list[np.ndarray],
+    sent: np.ndarray | None,
+    in_place: bool,
+) -> list[np.ndarray]:
+    """The ring reads of :func:`sample_ring_reads` as the colluders send them.
+
+    ``sent`` is the colluders' table (:func:`_sent_constants`), or None when
+    nobody colludes: a colluder sends ``inflate`` about a clique-mate and
+    ``bash`` (when set) about an outsider.  Writes into ``reads`` when
+    ``in_place``, and otherwise returns new arrays, leaving the draw for
+    other arms.
+    """
+    if sent is None:
+        return reads
+    subjects = np.arange(sent.shape[0])
+    sent_reads = []
+    for reader, values in zip(readers, reads):
+        message = sent[reader, subjects]
+        relayed = np.isnan(message)
+        if in_place:
+            np.copyto(values, message, where=~relayed)
+        else:
+            values = np.where(relayed, values, message)
+        sent_reads.append(values)
+    return sent_reads
 
 
 def resolve_self_reports(
@@ -668,8 +694,9 @@ def draw_profile(
         tables = _peer_sum_tables(env, peer_weights(mechanism, env.k))
         peer_sums = sample_peer_sums(env, rng, trials, tables)
     elif reads == RING:
-        _, readers = _ring_layers(_spec_rings(mechanism, env.k))
-        ring_reads = tuple(sample_ring_reads(env, rng, trials, readers))
+        _, readers = _ring_setup(mechanism, env.k)
+        reads = sample_ring_reads(env, rng, trials, readers)
+        ring_reads = tuple(ring_messages(reads, readers, _sent_constants(env), in_place=True))
     for arr in (r0, selfs, peer_sums, *(ring_reads or ())):
         if arr is not None:
             arr.setflags(write=False)
@@ -721,7 +748,7 @@ def _quadratic_sums(
     share-of-total's scale varies by trial and costs a few flops per grid
     point and trial, in slices of trials whose (G, rows) arrays fit the
     scan's byte budget.  The image term is left out at truth weight 1,
-    where it is exactly 0.
+    where it is exactly 0, and so is the deviator's own reputation.
     """
     i = agent.id
     lam = agent.utility.truth_weight
@@ -735,13 +762,13 @@ def _quadratic_sums(
     # map that is the same in every trial makes no (G, rows) array, so it
     # takes all the trials at once.
     span = max(1, _SCAN_BLOCK_BYTES // (8 * k * values.size))
-    if np.broadcast(*move(xs, slice(0, 2))[2]).shape[-1:] in ((), (1,)):
+    if np.broadcast(*move(xs, slice(0, 2), own=False)[2]).shape[-1:] in ((), (1,)):
         span = trials
     sums = np.zeros(values.size)
     for first in range(0, trials, span):
         rows = slice(first, first + span)
         n = min(span, trials - first)
-        own_rep, own_tax, (add, div) = move(xs, rows)
+        own_rep, own_tax, (add, div) = move(xs, rows, own=lam != 1.0)
         zero = np.equal(div, 0.0)
         if zero.any():
             scale = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, div))

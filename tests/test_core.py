@@ -1,5 +1,6 @@
 """Domain-type construction rules and hand-computed utility values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from replab.core import (
     UtilitySpec,
     WeightedPR,
     ZeroTotalQuality,
+    agent_utility,
     batch_true_utilities,
     centralized_solution,
 )
@@ -101,6 +103,26 @@ def test_environment_validation():
         Environment(agents=(_agent(0, 0.2, Truth()), _agent(1, 0.4, Truth())), index_scheme="ranked")
     with pytest.raises(ZeroTotalQuality):
         _env([0.0, 0.0], scheme="relative")
+
+
+def test_environment_arrays_are_built_once_and_read_only():
+    agents = (
+        _agent(0, 0.2, Truth(), obs=NormalParams(0.05, 0.1)),
+        _agent(1, 0.4, Truth(), obs=NormalParams(-0.02, 0.3)),
+    )
+    env = Environment(agents=agents)
+    assert env.qualities.tolist() == [0.2, 0.4]
+    assert env.cross_biases.tolist() == [0.05, -0.02]
+    assert env.cross_stds.tolist() == [0.1, 0.3]
+    for name in ("qualities", "cross_biases", "cross_stds"):
+        array = getattr(env, name)
+        assert getattr(env, name) is array
+        assert not array.flags.writeable
+        assert name not in repr(env)
+    assert env == Environment(agents=agents)
+    assert hash(env) == hash(Environment(agents=agents))
+    moved = dataclasses.replace(env, agents=(agents[0], _agent(1, 0.9, Truth())))
+    assert moved.qualities.tolist() == [0.2, 0.9]
 
 
 def test_mechanism_spec_validation():
@@ -235,3 +257,36 @@ def test_batch_true_utilities_equals_a_per_agent_loop_bit_for_bit():
         accuracy = floss.sum(axis=1) - floss[:, i]
         expected[:, i] = -lam * accuracy + (1.0 - lam) * agent.utility.g(reps[:, i]) - taxes[:, i]
     assert (batch_true_utilities(reps, taxes, env) == expected).all()
+
+
+def test_batch_true_utilities_runs_of_shared_payoffs_round_as_agent_utility():
+    # Adjacent agents with the same (f, g) but their own truth weights are
+    # computed as one block; every entry, signed zeros included, must be
+    # agent_utility's.
+    specs = [
+        (Truth(), 1.0, 2.0, None),
+        (Mixed(), 0.3, 2.0, None),
+        (Image(), 0.0, 2.0, None),
+        (Mixed(), 0.6, 2.0, Power(0.5)),
+        (Image(), 0.0, 2.0, Power(0.5)),
+        (Truth(), 1.0, 1.0, None),
+        (Truth(), 1.0, 1.0, None),
+    ]
+    env = Environment(
+        agents=tuple(
+            _agent(i, 0.1 + 0.1 * i, kind, lam=lam, p=p, g=g)
+            for i, (kind, lam, p, g) in enumerate(specs)
+        )
+    )
+    rng = np.random.default_rng(31)
+    reps = rng.uniform(-0.2, 1.2, size=(200, env.k))
+    reps[::7] = centralized_solution(env)
+    taxes = rng.normal(0.0, 0.1, size=(200, env.k))
+    taxes[::5] = 0.0
+    errors = np.abs(reps - centralized_solution(env)[None, :])
+    expected = np.empty_like(reps)
+    for i, agent in enumerate(env.agents):
+        floss = agent.utility.f(errors)
+        accuracy = floss.sum(axis=1) - floss[:, i]
+        expected[:, i] = agent_utility(agent, accuracy, reps[:, i], taxes[:, i])
+    assert batch_true_utilities(reps, taxes, env).tobytes() == expected.tobytes()

@@ -6,6 +6,7 @@ compare against the closed forms from the analysis layer at 3-4 standard
 errors.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -555,6 +556,86 @@ def test_peer_sums_agree_with_the_dense_oracle(family, population, clamp):
     sparse, dense = _assert_moments_agree(env, _PEER_SUM_FAMILIES[family], reduce, pairs)
     for side in (sparse, dense):
         assert (side["tax_abs_max"], side["budget_max"]) == (0.0, 0.0)
+
+
+def _retyped(population, clamp, kinds):
+    """An _adversarial_env population with the agents of ``kinds`` retyped
+    (image agents get truth weight 0)."""
+    env = _adversarial_env(population, clamp)
+    agents = list(env.agents)
+    for i, kind in kinds.items():
+        utility = agents[i].utility
+        if isinstance(kind, Image):
+            utility = dataclasses.replace(utility, truth_weight=0.0)
+        agents[i] = dataclasses.replace(agents[i], agent_type=kind, utility=utility)
+    return dataclasses.replace(env, agents=tuple(agents))
+
+
+def _arm_moments(system_obs, selfs, reps, taxes):
+    return {
+        **_moments(system_obs, selfs, reps, taxes),
+        "self": selfs.sum(axis=0),
+        "obs": system_obs.sum(axis=0),
+    }
+
+
+_NARROW = MaliciousRandom(0.2, 0.8)
+
+# Each case: the mechanism and its arms, as (population, retyped agents).
+_SHARED_ARMS = {
+    "secret-1-layer": (
+        _SecretRings(layers=1), [("truthful", {}), ("colluders", {}), ("bashing", {})]
+    ),
+    "secret-2-layers": (
+        _SecretRings(layers=2), [("colluders", {}), ("truthful", {}), ("bashing", {})]
+    ),
+    "secret-random": (_SecretRings(layers=2), [("mixed", {}), ("truthful", {2: _NARROW})]),
+    "fixed-ring-random": (ExtendedAS(layers=2), [("truthful", {2: _NARROW}), ("mixed", {})]),
+    "as-image-baseline": (AS(), [("truthful", {0: Image(), 3: Image()}), ("truthful", {})]),
+    "as-random": (AS(), [("truthful", {0: Image(), 4: _NARROW}), ("truthful", {4: _NARROW})]),
+    "pr-colluders": (PR(a=1.7), [("mixed", {}), ("mixed", {0: Image()})]),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+@pytest.mark.parametrize("case", sorted(_SHARED_ARMS))
+def test_shared_arms_equal_their_one_arm_runs_bit_for_bit(case, clamp, workers):
+    mechanism, arms = _SHARED_ARMS[case]
+    envs = [_retyped(population, clamp, kinds) for population, kinds in arms]
+    shared = simulate(envs, mechanism, 2_500, 41, [_arm_moments] * len(envs), workers)
+    assert len(shared) == len(envs)
+    for env, totals in zip(envs, shared):
+        alone = simulate(env, mechanism, 2_500, 41, _arm_moments, workers)
+        assert totals.keys() == alone.keys()
+        for key, value in alone.items():
+            assert np.asarray(totals[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+def test_arms_that_would_draw_differently_are_refused():
+    truthful = _adversarial_env("truthful", False)
+    moved = dataclasses.replace(
+        truthful,
+        agents=(dataclasses.replace(truthful.agents[0], quality=Quality(0.35)),)
+        + truthful.agents[1:],
+    )
+    cases = [
+        (AS(), [truthful, moved], "qualities"),
+        (_SecretRings(layers=1), [truthful, _adversarial_env("malicious", False)], "uniform-random"),
+        # The same random reporters, but agent 1 draws from another range.
+        (
+            AS(),
+            [_adversarial_env("malicious", False), _retyped("malicious", False, {1: _NARROW})],
+            "uniform-random",
+        ),
+        (PR(a=1.7), [truthful, _adversarial_env("colluders", False)], "colluders"),
+        (AS(), [truthful, _adversarial_env("truthful", True)], "clamping"),
+    ]
+    for mechanism, envs, named in cases:
+        with pytest.raises(ValueError, match=f"arm 1 would draw differently from arm 0: .*{named}"):
+            simulate(envs, mechanism, 100, 0, [_arm_moments] * 2)
+    with pytest.raises(ValueError, match="one reducer per arm"):
+        simulate([truthful, truthful], AS(), 100, 0, [_arm_moments])
 
 
 def test_simulate_rejects_fewer_than_one_worker():
