@@ -2,10 +2,11 @@
 
 Configs are sectioned key-value files ([environment], [agents],
 [mechanism], [simulation]); a JSON mirror with the same section names is
-accepted for programmatic use.  Every file-writing command also emits a
-manifest recording the canonical-config digest, so identical manifests
-imply identical outputs.  Numeric output uses 12 significant digits, '.'
-decimals, and LF line endings regardless of locale.
+accepted for programmatic use, and one table of keys types both.  Every
+file-writing command also emits a manifest recording the canonical-config
+digest, so identical manifests imply identical outputs.  Numeric output
+uses 12 significant digits, '.' decimals, and LF line endings regardless
+of locale.
 
 Exit codes: 0 success, 2 invalid config, 3 runtime/solver failure,
 4 profitable deviation found by check-equilibrium.
@@ -19,6 +20,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,6 +186,61 @@ def _write_manifest(
 
 _AGENT_TYPES = ("truth", "image", "mixed", "malicious", "colluder")
 
+# Every config key and its type.  The readers hand over raw values, INI text
+# or JSON values, and _coerce types both alike, so a config and its JSON
+# mirror give one canonical form and the same errors.  The overrides object
+# maps agent ids to reports and is typed entry by entry.
+_KEYS = {
+    "environment": {
+        "index_scheme": str,
+        "system_mean": float,
+        "system_std": float,
+        "cross_mean": float,
+        "cross_std": float,
+        "clamp": bool,
+    },
+    "agents": {
+        "type": str,
+        "quality": float,
+        "weight": float,
+        "sigma": float,
+        "bias": float,
+        "p": float,
+        "g": str,
+        "low": float,
+        "high": float,
+        "clique": int,
+        "inflate": float,
+        "bash": float,
+    },
+    "mechanism": {
+        "kind": str,
+        "a": float,
+        "weights": list[float],
+        "ring": list[int],
+        "second_ring": list[int],
+        "layers": int,
+    },
+    "simulation": {"trials": int, "seed": int, "strategy": str, "overrides": dict},
+}
+_ENVIRONMENT_DEFAULTS = {
+    "index_scheme": "absolute",
+    "system_mean": 0.0,
+    "system_std": 0.1,
+    "cross_mean": 0.0,
+    "cross_std": 0.1,
+    "clamp": False,
+}
+_MECHANISMS = {
+    "as": AS,
+    "extended_as": ExtendedAS,
+    "fr": FR,
+    "simple_averaging": SimpleAveraging,
+    "pr": PR,
+    "weighted_pr": WeightedPR,
+    "direct": DirectObservation,
+}
+
 
 @dataclass(frozen=True)
 class ParsedConfig(ScenarioConfig):
@@ -192,52 +249,81 @@ class ParsedConfig(ScenarioConfig):
     canonical: dict = field(default_factory=dict, compare=False)
 
 
-def _coerce(section: str, key: str, raw: str, kind):
+def _from_text(kind, text: str):
+    """INI text as a ``kind``; strings are lower-cased."""
+    if kind is bool:
+        lowered = text.strip().lower()
+        if lowered in ("true", "yes", "1", "on"):
+            return True
+        if lowered in ("false", "no", "0", "off"):
+            return False
+    elif kind is str:
+        return text.strip().lower()
+    elif kind is not dict:
+        return kind(text)
+    raise ValueError(text)
+
+
+def _from_json(kind, value):
+    """A JSON value that already has ``kind``; an integer stands for a float."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError(value)
+    return value
+
+
+def _coerce(section: str, key: str, raw, kind):
+    """``raw``, INI text or a JSON value, as a ``kind``; failures name the key.
+
+    A string is read as INI text, and a list key splits it on commas and
+    whitespace.  Any other value must already have the key's type: no bool
+    stands for a number, no non-integral number for an int, and a list key
+    takes an array.
+    """
+    item = typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"[{section}] {key}: expected {kind.__name__}, got {raw!r}"
-        ) from None
+        if item is None:
+            return _from_text(kind, raw) if isinstance(raw, str) else _from_json(kind, raw)
+        if isinstance(raw, str):
+            return [_from_text(item, token) for token in raw.replace(",", " ").split()]
+        if isinstance(raw, list):
+            return [_from_json(item, value) for value in raw]
+        raise TypeError(raw)
+    except (TypeError, ValueError, OverflowError):
+        name = kind.__name__ if isinstance(kind, type) else str(kind)
+        raise ConfigError(f"[{section}] {key}: expected {name}, got {raw!r}") from None
 
 
-def _parse_agent_spec(
-    section: str, key: str, tokens: dict[str, str], defaults: dict
-) -> dict:
-    """Normalize one agent's key=value tokens into a canonical dict."""
-    where = f"[{section}] {key}"
-    if "quality" not in tokens:
+def _typed(section: str, raw: dict, prefix: str = "") -> dict:
+    """The values of a raw section typed by :data:`_KEYS`; unknown keys fail."""
+    keys = _KEYS[section]
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"[{section}]: unknown keys {sorted(unknown)}")
+    return {key: _coerce(section, prefix + key, value, keys[key]) for key, value in raw.items()}
+
+
+def _parse_agent_spec(key: str, raw: dict, defaults: dict) -> dict:
+    """Type one agent's raw fields and complete them into a canonical dict."""
+    where = f"[agents] {key}"
+    if "quality" not in raw:
         raise ConfigError(f"{where}: missing required field 'quality'")
-    kind = tokens.pop("type", "truth").lower()
+    kind = _coerce("agents", f"{key}.type", raw.get("type", "truth"), str)
     if kind not in _AGENT_TYPES:
         raise ConfigError(
             f"{where}: unknown type {kind!r}; expected one of {_AGENT_TYPES}"
         )
-    out = {"type": kind}
-    common = {"quality", "weight", "sigma", "bias", "p", "g"}
-    extras = {
+    allowed = {"type", "quality", "weight", "sigma", "bias", "p", "g"} | {
         "malicious": {"low", "high"},
         "colluder": {"clique", "inflate", "bash"},
     }.get(kind, set())
-    int_fields = {"clique"}
-    for field, raw in tokens.items():
-        if field not in common | extras:
+    for field in raw:
+        if field not in allowed:
             raise ConfigError(
                 f"{where}: field {field!r} not valid for type {kind!r}"
             )
-        if field == "g":
-            out[field] = raw.strip().lower()
-        elif field in int_fields:
-            out[field] = _coerce(section, f"{key}.{field}", raw, int)
-        else:
-            out[field] = _coerce(section, f"{key}.{field}", raw, float)
+    out = {**_typed("agents", raw, f"{key}."), "type": kind}
     out.setdefault("sigma", defaults["cross_std"])
     out.setdefault("bias", defaults["cross_mean"])
     out.setdefault("p", 2.0)
@@ -259,23 +345,23 @@ def _parse_agent_spec(
     return out
 
 
-def _build_payoff(section: str, key: str, g_text: str):
+def _build_payoff(key: str, g_text: str):
     if g_text == "linear":
         return Linear()
     if g_text.startswith("power:"):
-        return Power(q=_coerce(section, f"{key}.g", g_text.split(":", 1)[1], float))
+        return Power(q=_coerce("agents", f"{key}.g", g_text.split(":", 1)[1], float))
     raise ConfigError(
-        f"[{section}] {key}: image payoff must be 'linear' or 'power:<q>', got {g_text!r}"
+        f"[agents] {key}: image payoff must be 'linear' or 'power:<q>', got {g_text!r}"
     )
 
 
 def _build_agent(index: int, spec: dict) -> Agent:
     """An agent from a spec that :func:`_parse_agent_spec` has completed."""
-    section, key = "agents", f"agent{index}"
+    key = f"agent{index}"
     kind_name = spec["type"]
     if kind_name == "mixed" and not 0.0 < spec["weight"] < 1.0:
         raise ConfigError(
-            f"[{section}] {key}: mixed agents need weight strictly between 0 and 1"
+            f"[agents] {key}: mixed agents need weight strictly between 0 and 1"
         )
     if kind_name == "malicious":
         agent_type = MaliciousRandom(low=spec["low"], high=spec["high"])
@@ -292,65 +378,44 @@ def _build_agent(index: int, spec: dict) -> Agent:
             agent_type=agent_type,
             utility=UtilitySpec(
                 f=AbsPower(spec["p"]),
-                g=_build_payoff(section, key, spec["g"]),
+                g=_build_payoff(key, spec["g"]),
                 truth_weight=spec["weight"],
             ),
             cross_obs=NormalParams(spec["bias"], spec["sigma"]),
         )
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
+        raise ConfigError(f"[agents] {key}: {exc}") from None
 
 
-_MECHANISM_FIELDS = {
-    "as": set(),
-    "extended_as": {"ring", "layers", "second_ring"},
-    "fr": set(),
-    "simple_averaging": set(),
-    "pr": {"a"},
-    "weighted_pr": {"a", "weights"},
-    "direct": set(),
-}
-_MECHANISMS = tuple(_MECHANISM_FIELDS)
+def _build_mechanism(raw: dict) -> tuple[MechanismSpec, dict]:
+    """The mechanism of a raw [mechanism] section, and the section typed.
 
-
-def _build_mechanism(spec: dict) -> MechanismSpec:
-    kind = str(spec.get("kind", "as")).lower()
+    The keys are the fields of the spec class that ``kind`` names, and the
+    spec's own checks are the value checks.
+    """
+    typed = {"kind": "as", **_typed("mechanism", raw)}
+    kind = typed["kind"]
     if kind not in _MECHANISMS:
         raise ConfigError(
-            f"[mechanism] kind: unknown mechanism {kind!r}; expected one of {_MECHANISMS}"
+            f"[mechanism] kind: unknown mechanism {kind!r}; expected one of {tuple(_MECHANISMS)}"
         )
-    unknown = set(spec) - {"kind"} - _MECHANISM_FIELDS[kind]
+    cls = _MECHANISMS[kind]
+    fields = [f.name for f in dataclasses.fields(cls)]
+    unknown = set(typed) - {"kind", *fields}
     if unknown:
         raise ConfigError(
             f"[mechanism]: keys {sorted(unknown)} not valid for kind {kind!r}"
         )
-    try:
-        if kind == "as":
-            return AS()
-        if kind == "fr":
-            return FR()
-        if kind == "simple_averaging":
-            return SimpleAveraging()
-        if kind == "direct":
-            return DirectObservation()
-        if kind == "pr":
-            return PR(a=float(spec.get("a", 2.0)))
-        if kind == "weighted_pr":
-            weights = spec.get("weights")
-            if weights is None:
-                raise ConfigError("[mechanism] weights: required for weighted_pr")
-            return WeightedPR(a=float(spec.get("a", 2.0)), weights=tuple(weights))
-        ring = tuple(spec["ring"]) if spec.get("ring") is not None else None
-        second = (
-            tuple(spec["second_ring"]) if spec.get("second_ring") is not None else None
-        )
-        return ExtendedAS(
-            ring=ring, layers=int(spec.get("layers", 1)), second_ring=second
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[mechanism]: {exc}") from None
+    # Built up one key at a time in field order, so a failed check names its key.
+    spec, given = cls(), {}
+    for name in fields:
+        if name in typed:
+            given[name] = typed[name]
+            try:
+                spec = cls(**given)
+            except ValueError as exc:
+                raise ConfigError(f"[mechanism] {name}: {exc}") from None
+    return spec, typed
 
 
 def _check_mechanism_size(mechanism: MechanismSpec, k: int) -> None:
@@ -371,21 +436,8 @@ def _check_mechanism_size(mechanism: MechanismSpec, k: int) -> None:
             raise ConfigError(f"[mechanism] weights: {exc}") from None
 
 
-def _int_list(section: str, key: str, raw: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected integers, got {raw!r}") from None
-
-
-def _float_list(section: str, key: str, raw: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected numbers, got {raw!r}") from None
-
-
 def _sections_from_ini(path: Path) -> dict:
+    """The sections of an INI config, their values kept as raw text."""
     parser = configparser.ConfigParser()
     try:
         with path.open(encoding="utf-8") as handle:
@@ -393,9 +445,10 @@ def _sections_from_ini(path: Path) -> dict:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    env_sec = dict(parser.items("environment")) if parser.has_section("environment") else {}
-    sections: dict = {"environment": env_sec}
-
+    sections = {
+        name: dict(parser.items(name)) if parser.has_section(name) else {}
+        for name in ("environment", "mechanism", "simulation")
+    }
     agents = []
     if parser.has_section("agents"):
         keys = sorted(
@@ -420,43 +473,17 @@ def _sections_from_ini(path: Path) -> dict:
             agents.append(tokens)
     sections["agents"] = agents
 
-    mech: dict = {}
-    if parser.has_section("mechanism"):
-        for key, raw in parser.items("mechanism"):
-            if key in ("ring", "second_ring"):
-                mech[key] = _int_list("mechanism", key, raw)
-            elif key == "weights":
-                mech[key] = _float_list("mechanism", key, raw)
-            elif key == "layers":
-                mech[key] = _coerce("mechanism", key, raw, int)
-            elif key == "a":
-                mech[key] = _coerce("mechanism", key, raw, float)
-            else:
-                mech[key] = raw.strip()
-    sections["mechanism"] = mech
-
-    sim: dict = {}
-    if parser.has_section("simulation"):
-        overrides = {}
-        for key, raw in parser.items("simulation"):
-            if key.startswith("override"):
-                suffix = key[len("override") :]
-                if not suffix.isdigit():
-                    raise ConfigError(
-                        f"[simulation] {key}: overrides must be named override<agent-id>"
-                    )
-                overrides[int(suffix)] = _coerce("simulation", key, raw, float)
-            elif key in ("trials", "seed"):
-                sim[key] = _coerce("simulation", key, raw, int)
-            else:
-                sim[key] = raw.strip()
-        if overrides:
-            sim["overrides"] = overrides
-    sections["simulation"] = sim
+    sim = sections["simulation"]
+    overrides = {
+        key[len("override") :]: sim.pop(key) for key in list(sim) if key.startswith("override")
+    }
+    if overrides:
+        sim["overrides"] = overrides
     return sections
 
 
 def _sections_from_json(path: Path) -> dict:
+    """The sections of a JSON config, their values kept as JSON values."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -466,23 +493,19 @@ def _sections_from_json(path: Path) -> dict:
     agents = payload.get("agents", [])
     if not isinstance(agents, list):
         raise ConfigError("[agents]: must be a list of agent objects")
-    sim = dict(payload.get("simulation", {}))
-    overrides = sim.get("overrides")
-    if overrides is not None:
-        try:
-            sim["overrides"] = {int(k): float(v) for k, v in dict(overrides).items()}
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "[simulation] overrides: expected an object of agent-id -> report"
-            ) from None
-    return {
-        "environment": dict(payload.get("environment", {})),
-        "agents": [
-            {str(k).lower(): v for k, v in dict(entry).items()} for entry in agents
-        ],
-        "mechanism": dict(payload.get("mechanism", {})),
-        "simulation": sim,
+
+    def keys(where: str, section) -> dict:
+        if not isinstance(section, dict):
+            raise ConfigError(f"{where}: expected an object of keys, got {section!r}")
+        # Case-blind, as configparser makes the keys of an INI file.
+        return {key.lower(): value for key, value in section.items()}
+
+    sections = {
+        name: keys(f"[{name}]", payload.get(name, {}))
+        for name in ("environment", "mechanism", "simulation")
     }
+    sections["agents"] = [keys(f"[agents] agent{i}", entry) for i, entry in enumerate(agents)]
+    return sections
 
 
 def parse_config(
@@ -502,36 +525,7 @@ def parse_config(
         else _sections_from_ini(path)
     )
 
-    env_sec = sections["environment"]
-    unknown = set(env_sec) - {
-        "index_scheme",
-        "system_mean",
-        "system_std",
-        "cross_mean",
-        "cross_std",
-        "clamp",
-    }
-    if unknown:
-        raise ConfigError(f"[environment]: unknown keys {sorted(unknown)}")
-
-    def env_float(key: str, default: float) -> float:
-        raw = env_sec.get(key, default)
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return float(raw)
-        return _coerce("environment", key, str(raw), float)
-
-    env_defaults = {
-        "index_scheme": str(env_sec.get("index_scheme", "absolute")).lower(),
-        "system_mean": env_float("system_mean", 0.0),
-        "system_std": env_float("system_std", 0.1),
-        "cross_mean": env_float("cross_mean", 0.0),
-        "cross_std": env_float("cross_std", 0.1),
-        "clamp": (
-            env_sec["clamp"]
-            if isinstance(env_sec.get("clamp"), bool)
-            else _coerce("environment", "clamp", str(env_sec.get("clamp", "false")), bool)
-        ),
-    }
+    env_defaults = {**_ENVIRONMENT_DEFAULTS, **_typed("environment", sections["environment"])}
     # Checked here so a bad channel default names its key, not the first
     # agent that inherits it.
     channels = {"system": NormalParams(), "cross": NormalParams()}
@@ -541,39 +535,39 @@ def parse_config(
             channels[channel] = dataclasses.replace(channels[channel], **{attr: env_defaults[key]})
         except ValueError as exc:
             raise ConfigError(f"[environment] {key}: {exc}") from None
-    system_obs = channels["system"]
 
     raw_agents = sections["agents"]
-    if not raw_agents:
-        raise ConfigError("[agents]: at least two agents are required (K >= 2)")
-    agent_specs = []
-    for i, entry in enumerate(raw_agents):
-        tokens = {k: str(v) for k, v in entry.items()}
-        agent_specs.append(_parse_agent_spec("agents", f"agent{i}", tokens, env_defaults))
+    if len(raw_agents) < 2:
+        raise ConfigError(f"[agents]: need at least 2 agents, got {len(raw_agents)}")
+    agent_specs = [
+        _parse_agent_spec(f"agent{i}", entry, env_defaults) for i, entry in enumerate(raw_agents)
+    ]
     agents = tuple(_build_agent(i, spec) for i, spec in enumerate(agent_specs))
-
     try:
         env = Environment(
             agents=agents,
-            system_obs=system_obs,
+            system_obs=channels["system"],
             index_scheme=env_defaults["index_scheme"],
             clamp_observations=env_defaults["clamp"],
         )
     except ValueError as exc:
-        raise ConfigError(f"[agents]: {exc}") from None
+        # The agent count and ids are settled above; what fails is the scheme.
+        raise ConfigError(f"[environment] index_scheme: {exc}") from None
 
-    mechanism = _build_mechanism(sections["mechanism"])
+    mechanism, mechanism_keys = _build_mechanism(sections["mechanism"])
     _check_mechanism_size(mechanism, env.k)
 
-    sim = sections["simulation"]
-    unknown = set(sim) - {"trials", "seed", "strategy", "overrides"}
-    if unknown:
-        raise ConfigError(f"[simulation]: unknown keys {sorted(unknown)}")
-    strategy = str(sim.get("strategy", "equilibrium")).lower()
-    overrides = sim.get("overrides", {})
-    for agent_id, value in overrides.items():
+    sim = _typed("simulation", sections["simulation"])
+    overrides = {}
+    for agent_id, raw in sim.get("overrides", {}).items():
+        key = f"override{agent_id}"
+        if not agent_id.isdecimal():
+            raise ConfigError(f"[simulation] {key}: overrides must be named override<agent-id>")
+        value = _coerce("simulation", key, raw, float)
         if not math.isfinite(value):
-            raise ConfigError(f"[simulation] override{agent_id}: expected a finite report, got {value}")
+            raise ConfigError(f"[simulation] {key}: expected a finite report, got {value}")
+        overrides[int(agent_id)] = value
+    strategy = sim.get("strategy", "equilibrium")
     if strategy == "equilibrium":
         if overrides:
             raise ConfigError(
@@ -581,25 +575,18 @@ def parse_config(
             )
         strategy_mode: str | dict[int, float] = "equilibrium"
     elif strategy == "custom":
-        strategy_mode = dict(overrides)
+        strategy_mode = overrides
     else:
         raise ConfigError(
             f"[simulation] strategy: expected 'equilibrium' or 'custom', got {strategy!r}"
         )
-    resolved_trials = trials if trials is not None else int(sim.get("trials", 10_000))
-    resolved_seed = seed if seed is not None else int(sim.get("seed", 0))
+    resolved_trials = trials if trials is not None else sim.get("trials", 10_000)
+    resolved_seed = seed if seed is not None else sim.get("seed", 0)
 
     canonical = {
         "environment": env_defaults,
         "agents": agent_specs,
-        "mechanism": {
-            "kind": str(sections["mechanism"].get("kind", "as")).lower(),
-            **{
-                k: (list(v) if isinstance(v, (list, tuple)) else v)
-                for k, v in sections["mechanism"].items()
-                if k != "kind"
-            },
-        },
+        "mechanism": mechanism_keys,
         "simulation": {
             "trials": resolved_trials,
             "seed": resolved_seed,

@@ -46,7 +46,6 @@ __all__ = [
     "RING",
     "cross_reads",
     "peer_weights",
-    "ring_batch",
     "run_batch",
     "deviation_terms",
 ]
@@ -77,7 +76,7 @@ def cross_reads(spec: MechanismSpec) -> str:
     each subject's peer reports only through one (weighted) sum,
     ``sum_{j != i} w_j R_ji`` with :func:`peer_weights`.  :data:`RING`:
     ring validation reads at most three entries per subject, its ring reads
-    (:func:`ring_batch`).
+    (:func:`run_batch`'s ``ring_reads``).
     """
     if isinstance(spec, (AS, FR, DirectObservation)):
         return NO_CROSS
@@ -232,39 +231,27 @@ def _ring_charges(
     return d1, _validation_layer(np.abs(reads[1] - reads[2])[rows, succ], rows, succ)
 
 
-def ring_batch(
-    spec: ExtendedAS,
-    self_reports: np.ndarray,
-    read: Callable[[list[np.ndarray]], list[np.ndarray]],
-    rings: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ring-validated scoring on only the cross reports it reads.
+def _ring_setup(spec: ExtendedAS, k: int) -> tuple[list[tuple], list[np.ndarray]]:
+    """:func:`_ring_layers` of the spec's fixed rings for K agents.
 
-    ``rings`` holds one (B, K) visit order per trial for each layer, or is
-    None for the spec's fixed rings; rings redrawn every trial keep cliques
-    from positioning themselves around a known ring.  ``read(readers)``
-    gets one reporter map per ring read, (K,) or (B, K), and returns the
-    (B, K) reports of ``readers[m][., i]`` about each subject i: v1 for
-    layer 1, then v2 and v3 for layer 2.  Returns (reputations, taxes).
+    Rings redrawn every trial, which keep cliques from positioning
+    themselves around a known ring, go to :func:`_ring_layers` directly
+    once this has checked K.
     """
-    maps, readers = _ring_setup(spec, self_reports.shape[1], rings)
-    return _ring_outcome(self_reports, read(readers), maps)
-
-
-def _ring_setup(
-    spec: ExtendedAS, k: int, rings: list[np.ndarray] | None = None
-) -> tuple[list[tuple], list[np.ndarray]]:
-    """:func:`_ring_layers` of ``rings``, or of the spec's fixed rings when
-    None, for a population of K agents."""
     if k < 3:
         raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
-    return _ring_layers(_spec_rings(spec, k) if rings is None else rings)
+    return _ring_layers(_spec_rings(spec, k))
 
 
 def _ring_outcome(
     self_reports: np.ndarray, reads: list[np.ndarray], maps: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reputations and taxes of ring validation on its ring reads."""
+    """Reputations and taxes of ring validation on its ring reads.
+
+    ``reads`` holds the (B, K) reports of ``readers[m][., i]`` about each
+    subject i (:func:`_ring_layers`): v1 for layer 1, then v2 and v3 for
+    layer 2.
+    """
     d1, layer2 = _ring_charges(self_reports, reads, maps)
     rows, _, succ = maps[0]
     taxes = _validation_layer(d1, rows, succ)
@@ -307,6 +294,7 @@ def run_batch(
     sigma_prime: float = 0.0,
     *,
     peer_sums: np.ndarray | None = None,
+    ring_reads: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a mechanism over a batch of rounds.
 
@@ -315,8 +303,10 @@ def run_batch(
     mechanism does not use may be None; the supplied ones must agree on
     trials and K, and ``sigma_prime`` must be finite and >= 0.  A
     :data:`PEER_SUMS` family reads ``peer_sums`` (trials, K) when given and
-    otherwise reduces ``cross_reports`` to them; both feed one kernel.
-    Returns (reputations, taxes), each (trials, K).
+    otherwise reduces ``cross_reports`` to them; ring validation reads
+    ``ring_reads``, the (trials, K) reads of the spec's fixed rings
+    (:func:`_ring_outcome`), when given and otherwise gathers them from
+    ``cross_reports``.  Returns (reputations, taxes), each (trials, K).
     """
     if not math.isfinite(sigma_prime) or sigma_prime < 0.0:
         raise ValueError(f"sigma_prime must be finite and >= 0, got {sigma_prime!r}")
@@ -330,6 +320,7 @@ def run_batch(
         ("cross_reports", cross_reports, (trials, k, k)),
         ("system_obs", system_obs, (trials, k)),
         ("peer_sums", peer_sums, (trials, k)),
+        *(("ring_reads", read, (trials, k)) for read in ring_reads or ()),
     ):
         if arr is not None and arr.shape != shape:
             raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
@@ -344,8 +335,10 @@ def run_batch(
             raise TooFewAgents(f"absolute scoring needs K >= 2, got {k}")
         return _as_kernel(need("self_reports", self_reports), need("system_obs", system_obs))
     if isinstance(spec, ExtendedAS):
-        cross = need("cross_reports", cross_reports)
-        return ring_batch(spec, need("self_reports", self_reports), lambda r: _gather(cross, r))
+        maps, readers = _ring_setup(spec, k)
+        if ring_reads is None:
+            ring_reads = _gather(need("cross_reports", cross_reports), readers)
+        return _ring_outcome(need("self_reports", self_reports), ring_reads, maps)
     if isinstance(spec, FR):
         return _fr_kernel(need("self_reports", self_reports))
     if cross_reads(spec) == PEER_SUMS:
@@ -377,16 +370,15 @@ def deviation_terms(
     agent: int,
     *,
     peer_sums: np.ndarray | None = None,
-    read: Callable[[list[np.ndarray]], list[np.ndarray]] | None = None,
+    ring_reads: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, Callable[[np.ndarray, slice], tuple]]:
     """The reputations of a base profile and the terms one agent's report moves.
 
-    Cross reports come as the engine samples them: ``peer_sums`` as in
-    :func:`run_batch`, and ``read`` for the spec's fixed rings as in
-    :func:`ring_batch`.  Evaluates the mechanism once and returns
-    ``(reps, base, move)``.  ``move(values, rows)`` takes a (G, 1) column
-    of deviation values and a slice of the trials, and returns ``(own_rep,
-    own_tax, others)`` on those trials: the deviator's reputation and tax,
+    Cross reports come as the engine samples them, ``peer_sums`` or
+    ``ring_reads`` as in :func:`run_batch`.  Evaluates the mechanism once
+    and returns ``(reps, base, move)``.  ``move(values, rows)`` takes a
+    (G, 1) column of deviation values and a slice of the trials, and
+    returns ``(own_rep, own_tax, others)`` on those trials: the deviator's reputation and tax,
     each broadcastable to (G, rows), and how the other subjects'
     reputations move.  ``others`` is None, and ``base`` is None, when those
     stay at ``reps``.  Otherwise they are an affine map of per-trial base
@@ -411,30 +403,27 @@ def deviation_terms(
       other subject's aggregate shifts by (c - 1/2)/K, while the
       deviator's own does not move.
     """
-    if isinstance(spec, ExtendedAS):
-        reps, _ = ring_batch(spec, self_reports, read)
-    else:
-        reps, _ = run_batch(spec, self_reports, None, system_obs, sigma_prime, peer_sums=peer_sums)
-    k = reps.shape[1]
     i = agent
+    if isinstance(spec, ExtendedAS):
+        k = self_reports.shape[1]
+        maps, _ = _ring_setup(spec, k)
+        d1, layer2 = _ring_charges(self_reports, ring_reads, maps)
+        succ = maps[0][2]
+        rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
+        peer = ring_reads[0][:, i]
+        layer2 = np.zeros(self_reports.shape[0]) if layer2 is None else layer2[:, i]
+
+        def move_validated(x: np.ndarray, rows: slice) -> tuple:
+            return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None
+
+        return self_reports.copy(), None, move_validated
+    reps, _ = run_batch(spec, self_reports, None, system_obs, sigma_prime, peer_sums=peer_sums)
+    k = reps.shape[1]
     if isinstance(spec, AS):
         d = (self_reports - system_obs) ** 2
         rest = (d.sum(axis=1) - d[:, i]) / (k - 1)
         prior = system_obs[:, i]
         return reps, None, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
-    if isinstance(spec, ExtendedAS):
-        maps, readers = _ring_setup(spec, k)
-        reads = read(readers)
-        d1, layer2 = _ring_charges(self_reports, reads, maps)
-        succ = maps[0][2]
-        rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
-        peer = reads[0][:, i]
-        layer2 = np.zeros(reps.shape[0]) if layer2 is None else layer2[:, i]
-
-        def move_validated(x: np.ndarray, rows: slice) -> tuple:
-            return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None
-
-        return reps, None, move_validated
     # Subjects first, so every pass over a base row runs on contiguous trials.
     if isinstance(spec, FR):
         others = self_reports.sum(axis=1) - self_reports[:, i]

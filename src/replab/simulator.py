@@ -46,15 +46,12 @@ import numpy as np
 
 from .core import (
     AS,
-    Agent,
     Colluder,
     Environment,
     ExtendedAS,
-    Image,
     MaliciousRandom,
     MechanismSpec,
     PR,
-    Truth,
     WeightedPR,
     batch_true_utilities,
     centralized_solution,
@@ -72,6 +69,8 @@ from .mechanisms import (
 )
 from .strategies import (
     UnsupportedCombination,
+    _batch_rng,
+    _driven,
     _peer_sum_tables,
     _sent_constants,
     aggregate_sigma_prime,
@@ -183,12 +182,6 @@ def _batch_plan(trials: int) -> list[tuple[int, int]]:
         done += size
         index += 1
     return plan
-
-
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-    )
 
 
 def _map_batches(worker, plan, workers: int) -> list:
@@ -438,15 +431,6 @@ def _with_sigma(config: ScenarioConfig, sigma: float) -> ScenarioConfig:
         system_obs=NormalParams(env.system_obs.mean, sigma),
     )
     return dataclasses.replace(config, env=new_env)
-
-
-def _driven(agent: Agent, truth: bool) -> Agent:
-    """``agent`` as a truth-driven (weight 1) or image-driven (weight 0) type."""
-    return dataclasses.replace(
-        agent,
-        agent_type=Truth() if truth else Image(),
-        utility=dataclasses.replace(agent.utility, truth_weight=1.0 if truth else 0.0),
-    )
 
 
 def _with_rho(config: ScenarioConfig, rho: float) -> ScenarioConfig:

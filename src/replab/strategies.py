@@ -46,7 +46,7 @@ from .core import (
     DimensionMismatch,
     DirectObservation,
     Environment,
-    ExtendedAS,
+    Image,
     Linear,
     MaliciousRandom,
     MechanismSpec,
@@ -66,7 +66,6 @@ from .mechanisms import (
     cross_reads,
     deviation_terms,
     peer_weights,
-    ring_batch,
     run_batch,
 )
 from .numerics import NoRoot, erf, find_root, normal_cdf, normal_pdf
@@ -338,6 +337,22 @@ def _equilibrium_self_report(
         return r  # no message is consumed; report truthfully as a placeholder
     raise UnsupportedCombination(
         f"no equilibrium self-report for {type(kind).__name__} under {type(spec).__name__}"
+    )
+
+
+def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """The Philox substream ``(seed, spawn_key=(batch_index,))`` of one batch."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+    )
+
+
+def _driven(agent: Agent, truth: bool) -> Agent:
+    """``agent`` as a truth-driven (weight 1) or image-driven (weight 0) type."""
+    return dataclasses.replace(
+        agent,
+        agent_type=Truth() if truth else Image(),
+        utility=dataclasses.replace(agent.utility, truth_weight=1.0 if truth else 0.0),
     )
 
 
@@ -676,17 +691,14 @@ def draw_profile(
         raise ValueError("trials must be positive")
     if others_strategy == "truthful":
         # Drawn from truth-tellers; the utilities still use the real agents.
-        truthful = lambda a: dataclasses.replace(
-            a, agent_type=Truth(), utility=dataclasses.replace(a.utility, truth_weight=1.0)
-        )
-        env = dataclasses.replace(env, agents=tuple(truthful(a) for a in env.agents))
+        env = dataclasses.replace(env, agents=tuple(_driven(a, True) for a in env.agents))
         others_strategy = "equilibrium"
     elif isinstance(others_strategy, str) and others_strategy != "equilibrium":
         raise ValueError(
             f"others_strategy must be 'truthful', 'equilibrium' or a mapping, got {others_strategy!r}"
         )
     self_reports = resolve_self_reports(env, mechanism, others_strategy)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    rng = _batch_rng(seed, 0)
     r0, selfs = sample_sparse(env, rng, trials, self_reports)
     peer_sums = ring_reads = None
     reads = cross_reads(mechanism)
@@ -814,7 +826,7 @@ def _grid_means(
     f = agent.utility.f
     reps, base, move = deviation_terms(
         mechanism, draw.selfs, draw.r0, sigma_prime, i,
-        peer_sums=draw.peer_sums, read=lambda readers: draw.ring_reads,
+        peer_sums=draw.peer_sums, ring_reads=draw.ring_reads,
     )
     trials, k = reps.shape
     if base is not None and f == AbsPower(2.0):
@@ -869,10 +881,9 @@ def _deviation_utilities(
     else:
         selfs = selfs.copy()
         selfs[:, i] = value
-    if isinstance(mechanism, ExtendedAS):
-        reps, taxes = ring_batch(mechanism, selfs, lambda readers: draw.ring_reads)
-    else:
-        reps, taxes = run_batch(mechanism, selfs, None, draw.r0, sigma_prime, peer_sums=sums)
+    reps, taxes = run_batch(
+        mechanism, selfs, None, draw.r0, sigma_prime, peer_sums=sums, ring_reads=draw.ring_reads
+    )
     floss = agent.utility.f(np.abs(reps - targets[None, :]))
     return agent_utility(agent, floss.sum(axis=1) - floss[:, i], reps[:, i], taxes[:, i])
 

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from replab.core import Colluder, Environment, MaliciousRandom
-from replab.mechanisms import _gather, ring_batch, run_batch
+from replab.mechanisms import _gather, _ring_layers, _ring_outcome, run_batch
 from replab.simulator import _SecretRings, _batch_plan, _batch_rng, _combine
 from replab.strategies import _sent_constants, aggregate_sigma_prime, resolve_self_reports
 
@@ -97,8 +97,10 @@ def dense_simulate(
         selfs, cross = build_messages(env, cross_obs, rng, profile)
         if isinstance(mechanism, _SecretRings):
             base = np.broadcast_to(np.arange(env.k), selfs.shape)
-            rings = [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-            reps, taxes = ring_batch(mechanism, selfs, lambda r: _gather(cross, r), rings)
+            maps, readers = _ring_layers(
+                [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+            )
+            reps, taxes = _ring_outcome(selfs, _gather(cross, readers), maps)
         else:
             reps, taxes = run_batch(mechanism, selfs, cross, r0, sigma_prime)
         partials.append(reduce(r0, selfs, reps, taxes))

@@ -134,9 +134,30 @@ def test_run_image_agent_inflates_reputation(runner, tmp_path):
     assert stats["mae_mean"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_ini_and_json_configs_are_equivalent(runner, tmp_path):
-    ini = _write(tmp_path, "basic.ini", BASIC_INI)
-    jsn = _write(tmp_path, "basic.json", json.dumps(BASIC_JSON))
+@pytest.mark.parametrize(
+    "mechanism_ini, mechanism_json",
+    [
+        ("kind = as", {"kind": "as"}),
+        ("KIND = as", {"Kind": "as"}),
+        ("kind = pr\na = 2", {"kind": "pr", "a": 2}),
+        ("kind = weighted_pr\nweights = 1, 2 3 1 1", {"kind": "weighted_pr", "weights": [1, 2, 3, 1, 1]}),
+        (
+            "kind = extended_as\nring = 3 1 4 0 2\nlayers = 2\nsecond_ring = 2 4 1 3 0",
+            {"kind": "extended_as", "ring": [3, 1, 4, 0, 2], "layers": 2, "second_ring": [2, 4, 1, 3, 0]},
+        ),
+    ],
+    ids=["as", "as_key_case", "pr", "weighted_pr", "extended_as"],
+)
+def test_ini_and_json_configs_are_equivalent(runner, tmp_path, mechanism_ini, mechanism_json):
+    # Ring validation has no equilibrium for image agents, so its mirror
+    # makes the image agent truthful in both formats.
+    ini_text = BASIC_INI.replace("kind = as", mechanism_ini)
+    payload = dict(BASIC_JSON, mechanism=mechanism_json)
+    if "extended_as" in mechanism_ini:
+        ini_text = ini_text.replace("type=image", "type=truth")
+        payload["agents"] = [dict(agent, type="truth") for agent in payload["agents"]]
+    ini = _write(tmp_path, "basic.ini", ini_text)
+    jsn = _write(tmp_path, "basic.json", json.dumps(payload))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert runner.invoke(main, ["run", str(ini), "--out", str(out_a)]).exit_code == 0
     assert runner.invoke(main, ["run", str(jsn), "--out", str(out_b)]).exit_code == 0
@@ -351,6 +372,52 @@ def test_nonfinite_override_exits_2_naming_its_key(runner, tmp_path, suffix, val
     result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert "[simulation] override0:" in result.stderr
+
+
+THREE_TRUTH_JSON = {
+    "agents": [{"quality": q, "type": "truth"} for q in (0.3, 0.5, 0.7)],
+    "simulation": {"trials": 200, "seed": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "section, value, where",
+    [
+        ("mechanism", {"kind": "weighted_pr", "weights": 5}, "[mechanism] weights:"),
+        ("environment", 5, "[environment]:"),
+        ("simulation", [1], "[simulation]:"),
+        ("agents", [5, 6], "[agents] agent0:"),
+        ("simulation", {"trials": "abc"}, "[simulation] trials:"),
+        ("mechanism", "pr", "[mechanism]:"),
+        ("mechanism", {"kind": "pr", "a": "x"}, "[mechanism] a:"),
+        ("simulation", {"seed": 1.5}, "[simulation] seed:"),
+        ("mechanism", {"kind": "extended_as", "layers": 2.0}, "[mechanism] layers:"),
+        ("mechanism", {"kind": "pr", "a": True}, "[mechanism] a:"),
+        ("mechanism", {"kind": "extended_as", "ring": "201"}, "[mechanism] ring:"),
+        ("environment", {"index_scheme": "bogus"}, "[environment] index_scheme:"),
+    ],
+    ids=[
+        "weights_number",
+        "environment_number",
+        "simulation_array",
+        "agents_numbers",
+        "trials_text",
+        "mechanism_string",
+        "a_text",
+        "seed_fraction",
+        "layers_float",
+        "a_bool",
+        "ring_text",
+        "index_scheme",
+    ],
+)
+def test_bad_json_value_exits_2_naming_its_section_and_key(runner, tmp_path, section, value, where):
+    # A JSON value is typed as its INI text would be: strings parse as INI
+    # text, and any other value must already have the key's type.
+    config = _write(tmp_path, "bad.json", json.dumps(dict(THREE_TRUTH_JSON, **{section: value})))
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {where}"), result.stderr
 
 
 def test_unsupported_strategy_combination_exits_3(runner, tmp_path):

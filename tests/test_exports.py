@@ -76,9 +76,8 @@ def _rng_constructions(path: Path) -> set[tuple[str, str]]:
 def test_only_the_engine_and_the_audit_construct_random_streams():
     # The determinism contract: simulated numbers come from the engine's
     # per-batch substreams (seed, b) and audits from draw_profile's
-    # (seed, 0); no other code seeds a stream of its own.
+    # (seed, 0), both built by _batch_rng; no other code seeds a stream.
     found = set().union(
         *(_rng_constructions(path) for path in Path(replab.__file__).parent.glob("*.py"))
     )
-    assert ("simulator", "_batch_rng") in found
-    assert found <= {("simulator", "_batch_rng"), ("strategies", "draw_profile")}, found
+    assert found == {("strategies", "_batch_rng")}, found

@@ -14,12 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from replab.core import (
     AS,
+    Agent,
     DimensionMismatch,
     DirectObservation,
+    Environment,
     ExtendedAS,
     FR,
     PR,
+    Quality,
     SimpleAveraging,
+    Truth,
     WeightedPR,
 )
 from replab.mechanisms import (
@@ -30,13 +34,16 @@ from replab.mechanisms import (
     ZeroWeightSum,
     _gather,
     _peer_sums,
+    _ring_layers,
     _ring_maps,
+    _ring_outcome,
+    _ring_setup,
     _validation_layer,
     cross_reads,
     deviation_terms,
-    ring_batch,
     run_batch,
 )
+from replab.simulator import _SecretRings, simulate
 
 
 def _one(spec, selfs=None, cross=None, r0=None, sigma_prime=0.0):
@@ -400,8 +407,8 @@ def test_each_family_declares_what_it_reads():
 
 def _per_trial(selfs, cross, rings1, rings2, layers):
     """Ring validation of dense reports over per-trial rings."""
-    rings = [rings1, rings2][:layers]
-    return ring_batch(ExtendedAS(layers=layers), selfs, lambda r: _gather(cross, r), rings)
+    maps, readers = _ring_layers([rings1, rings2][:layers])
+    return _ring_outcome(selfs, _gather(cross, readers), maps)
 
 
 def test_per_trial_rings_match_fixed_ring_kernel():
@@ -434,11 +441,9 @@ def test_per_trial_rings_budget_balance_random_rings():
 
 
 def test_per_trial_rings_too_few_agents():
-    selfs = np.zeros((4, 2))
-    cross = np.zeros((4, 2, 2))
-    rings = np.tile(np.arange(2), (4, 1))
+    agents = tuple(Agent(id=i, quality=Quality(0.5), agent_type=Truth()) for i in range(2))
     with pytest.raises(TooFewAgents):
-        _per_trial(selfs, cross, rings, None, 1)
+        simulate(Environment(agents=agents), _SecretRings(layers=1), 4, 0, lambda *arrays: {})
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +499,8 @@ def test_ring_reads_keep_the_dense_kernel_bit_for_bit(k, layers, rings):
     _, taxes = run_batch(spec, selfs, cross, None)
     assert (taxes == _gathered_kernel(selfs, cross, order, order2, layers)[1]).all()
     for i in range(k):
-        _, base, move = deviation_terms(spec, selfs, None, 0.0, i, read=lambda r: _gather(cross, r))
+        reads = _gather(cross, _ring_setup(spec, k)[1])
+        _, base, move = deviation_terms(spec, selfs, None, 0.0, i, ring_reads=reads)
         xs = np.linspace(0.0, 1.0, 7)[:, None]
         _, own_tax, moved = move(xs, slice(None))
         want = _gathered_own_tax(selfs, cross, order, order2, layers, i, xs)
