@@ -73,7 +73,6 @@ from .strategies import (
     draw_profile,
     expected_pr_reputation,
     pr_optimal_self_report,
-    resolve_self_reports,
     solve_y,
 )
 
@@ -436,6 +435,13 @@ def _check_mechanism_size(mechanism: MechanismSpec, k: int) -> None:
             raise ConfigError(f"[mechanism] weights: {exc}") from None
 
 
+def _check_sections(names) -> None:
+    """Fail on a section outside ``_KEYS``: a misspelt one would be ignored."""
+    unknown = [name for name in names if name not in _KEYS]
+    if unknown:
+        raise ConfigError(f"[{unknown[0]}]: unknown section; expected one of {', '.join(_KEYS)}")
+
+
 def _sections_from_ini(path: Path) -> dict:
     """The sections of an INI config, their values kept as raw text."""
     parser = configparser.ConfigParser()
@@ -444,6 +450,7 @@ def _sections_from_ini(path: Path) -> dict:
             parser.read_file(handle, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
+    _check_sections(parser.sections())
 
     sections = {
         name: dict(parser.items(name)) if parser.has_section(name) else {}
@@ -490,6 +497,7 @@ def _sections_from_json(path: Path) -> dict:
         raise ConfigError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path.name}: top level must be an object of sections")
+    _check_sections(payload)
     agents = payload.get("agents", [])
     if not isinstance(agents, list):
         raise ConfigError("[agents]: must be a list of agent objects")
@@ -605,7 +613,11 @@ def parse_config(
             canonical=canonical,
         )
     except ValueError as exc:
-        raise ConfigError(f"[simulation]: {exc}") from None
+        # ScenarioConfig's messages open with the field that fails.
+        name = str(exc).partition(" ")[0]
+        from_flag = {"seed": seed, "trials": trials}.get(name) is not None
+        where = f"--{name}" if from_flag else f"[simulation] {name}"
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -644,8 +656,6 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ConfigError as exc:
-            _fail(EXIT_CONFIG, str(exc))
         except ValueError as exc:
             _fail(EXIT_CONFIG, str(exc))
         except RuntimeError as exc:
@@ -860,22 +870,16 @@ def cmd_check_equilibrium(config_path, seed, trials, grid_points):
     """
     parsed = parse_config(config_path, seed=seed)
     env, mechanism = parsed.env, parsed.mechanism
-    profile = resolve_self_reports(env, mechanism, parsed.strategy_mode)
-    cross_channel = isinstance(mechanism, SimpleAveraging)
+    # One draw; every agent's audit replays it.
+    draw = draw_profile(env, mechanism, parsed.strategy_mode, trials, parsed.seed)
 
     any_profitable = False
-    draw = None  # sampled once, at the first audited agent; every agent replays it
     click.echo("agent  claimed    best       gain         stderr       verdict")
     for i, agent in enumerate(env.agents):
         if isinstance(agent.agent_type, (MaliciousRandom, Colluder)):
             click.echo(f"{i:<6d} skipped (randomized/colluding reporter)")
             continue
-        claimed = None if cross_channel else profile.get(agent.id)
-        if draw is None:
-            draw = draw_profile(env, mechanism, profile, trials, parsed.seed)
-        report = deviation_report(
-            i, mechanism, env, grid=grid_points, claimed=claimed, draw=draw
-        )
+        report = deviation_report(i, mechanism, env, grid=grid_points, draw=draw)
         verdict = "DEVIATES" if report.profitable else "ok"
         any_profitable = any_profitable or report.profitable
         click.echo(

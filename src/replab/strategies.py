@@ -34,7 +34,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from .mechanisms import (
     cross_reads,
     deviation_terms,
     peer_weights,
-    run_batch,
 )
 from .numerics import NoRoot, erf, find_root, normal_cdf, normal_pdf
 
@@ -801,43 +800,32 @@ def _quadratic_sums(
     return sums
 
 
-def _grid_means(
+def _scan_blocks(
     agent: Agent,
-    mechanism: MechanismSpec,
-    draw: ProfileDraw,
-    sigma_prime: float,
+    terms: tuple,
     targets: np.ndarray,
     values: np.ndarray,
-) -> np.ndarray:
-    """Mean utility of ``agent`` at every deviation value, scanned incrementally.
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Per-trial utilities of ``agent`` at each of ``values``, block by block.
 
-    Runs the mechanism once on the base profile, then moves only what the
-    deviation changes (:func:`replab.mechanisms.deviation_terms`) over
-    blocks of grid points, summing each block over the trials at once.  A
-    block holds as many grid points as the byte budget fits at trials x K;
-    when a single point does not fit, the trials are split as well.  Under
-    the quadratic loss f(d) = d^2, a deviation that moves the other
-    subjects' reputations (share-of-total, simple averaging) is summed
-    from per-trial moments instead (:func:`_quadratic_sums`), with no
-    (K, points, trials) block; those means can differ from the block
-    scan's in the last bits.
+    ``terms`` is the agent's ``(reps, base, move)`` from
+    :func:`replab.mechanisms.deviation_terms`.  Yields ``(points, rows,
+    utils)``: slices of ``values`` and of the trials, and the (points, rows)
+    utilities there.  A block holds as many points as the byte budget fits
+    at trials x K; when one point does not fit, the trials are split too.
     """
+    reps, base, move = terms
     i = agent.id
     f = agent.utility.f
-    reps, base, move = deviation_terms(
-        mechanism, draw.selfs, draw.r0, sigma_prime, i,
-        peer_sums=draw.peer_sums, ring_reads=draw.ring_reads,
-    )
     trials, k = reps.shape
-    if base is not None and f == AbsPower(2.0):
-        return _quadratic_sums(agent, base, move, targets, values) / trials
-    base_floss = f(np.abs(reps - targets[None, :]))
-    base_accuracy = base_floss.sum(axis=1) - base_floss[:, i]
+    if base is None:
+        base_floss = f(np.abs(reps - targets[None, :]))
+        base_accuracy = base_floss.sum(axis=1) - base_floss[:, i]
     points = max(1, _SCAN_BLOCK_BYTES // (8 * trials * k))
     span = trials if points > 1 else max(1, _SCAN_BLOCK_BYTES // (8 * k))
-    sums = np.zeros(values.size)
     for start in range(0, values.size, points):
-        xs = values[start : start + points, None]
+        cols = slice(start, start + points)
+        xs = values[cols, None]
         for first in range(0, trials, span):
             rows = slice(first, first + span)
             own_rep, own_tax, others = move(xs, rows)
@@ -856,36 +844,31 @@ def _grid_means(
                 np.subtract(moved, targets[:, None, None], out=moved)
                 floss = f(np.abs(moved, out=moved))
                 accuracy = floss.sum(axis=0) - floss[i]
-            utils = agent_utility(agent, accuracy, own_rep, own_tax)
-            sums[start : start + points] += utils.sum(axis=1)
-    return sums / trials
+            yield cols, rows, agent_utility(agent, accuracy, own_rep, own_tax)
 
 
-def _deviation_utilities(
+def _grid_means(
     agent: Agent,
-    mechanism: MechanismSpec,
-    draw: ProfileDraw,
-    sigma_prime: float,
+    terms: tuple,
     targets: np.ndarray,
-    value: float,
+    values: np.ndarray,
 ) -> np.ndarray:
-    """Per-trial utilities with the deviator's report at ``value``, from the
-    engine's kernel on a copy of the deviated channel.  Under simple
-    averaging, value c adds c - 1/2 to every other subject's peer sum.
+    """Mean utility of ``agent`` at every deviation value.
+
+    Sums the blocks of :func:`_scan_blocks` over the trials.  Under the
+    quadratic loss f(d) = d^2, a deviation that moves the other subjects'
+    reputations (share-of-total, simple averaging) is summed from per-trial
+    moments instead (:func:`_quadratic_sums`), with no (K, points, trials)
+    block; those means can differ from the block scan's in the last bits.
     """
-    i = agent.id
-    selfs, sums = draw.selfs, draw.peer_sums
-    if isinstance(mechanism, SimpleAveraging):
-        sums = sums + (value - 0.5)
-        sums[:, i] = draw.peer_sums[:, i]
-    else:
-        selfs = selfs.copy()
-        selfs[:, i] = value
-    reps, taxes = run_batch(
-        mechanism, selfs, None, draw.r0, sigma_prime, peer_sums=sums, ring_reads=draw.ring_reads
-    )
-    floss = agent.utility.f(np.abs(reps - targets[None, :]))
-    return agent_utility(agent, floss.sum(axis=1) - floss[:, i], reps[:, i], taxes[:, i])
+    reps, base, move = terms
+    trials = reps.shape[0]
+    if base is not None and agent.utility.f == AbsPower(2.0):
+        return _quadratic_sums(agent, base, move, targets, values) / trials
+    sums = np.zeros(values.size)
+    for points, _, utils in _scan_blocks(agent, terms, targets, values):
+        sums[points] += utils.sum(axis=1)
+    return sums / trials
 
 
 def deviation_report(
@@ -908,12 +891,14 @@ def deviation_report(
     the cross-report: grid value c is applied as an additive bias c - 1/2 on
     the deviator's cross-reports (truthful play sits at c = 1/2).
 
-    The grid is scanned incrementally (see :func:`_grid_means`); the best
-    and the claimed report are then evaluated with the engine's kernels, and
-    the means, gain and its standard error come from those two runs.  A
-    ``draw`` from :func:`draw_profile` replaces sampling; it then fixes the
-    profile and the trial count in place of ``others_strategy``, ``trials``
-    and ``seed``.
+    The mechanism runs once on the base profile
+    (:func:`replab.mechanisms.deviation_terms`), and :func:`_scan_blocks`
+    turns what the deviation moves into utilities: for the grid's means
+    (see :func:`_grid_means`), then per trial at the best and the claimed
+    report, whose paired difference gives the gain and its standard error.
+    A ``draw`` from :func:`draw_profile` replaces sampling; it then fixes
+    the profile and the trial count in place of ``others_strategy``,
+    ``trials`` and ``seed``.
     """
     if not (0 <= agent_index < env.k):
         raise DimensionMismatch(f"agent_index {agent_index} outside 0..{env.k - 1}")
@@ -926,26 +911,34 @@ def deviation_report(
     if draw is None:
         draw = draw_profile(env, mechanism, others_strategy, trials, seed)
     trials = draw.r0.shape[0]
-    sigma_prime = aggregate_sigma_prime(env)
     targets = centralized_solution(env)
     agent = env.agents[agent_index]
     if claimed is None:
         claimed = 0.5 if isinstance(mechanism, SimpleAveraging) else float(draw.selfs[0, agent_index])
+    terms = deviation_terms(
+        mechanism, draw.selfs, draw.r0, aggregate_sigma_prime(env), agent.id,
+        peer_sums=draw.peer_sums, ring_reads=draw.ring_reads,
+    )
 
     grid_values = np.linspace(0.0, 1.0, grid)
-    means = _grid_means(agent, mechanism, draw, sigma_prime, targets, grid_values)
+    means = _grid_means(agent, terms, targets, grid_values)
     best = float(grid_values[int(np.argmax(means))])
-    best_utils = _deviation_utilities(agent, mechanism, draw, sigma_prime, targets, best)
-    claimed_utils = _deviation_utilities(agent, mechanism, draw, sigma_prime, targets, float(claimed))
-    diff = best_utils - claimed_utils
+    # The best and the claimed report are two more points of the scan, kept
+    # per trial; their means are summed as the grid's are.
+    utils = np.empty((2, trials))
+    sums = np.zeros(2)
+    for points, rows, block in _scan_blocks(agent, terms, targets, np.array([best, claimed])):
+        utils[points, rows] = block
+        sums[points] += block.sum(axis=1)
+    diff = utils[0] - utils[1]
     gain = float(diff.mean())
     gain_stderr = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return DeviationReport(
         agent_index=agent_index,
         claimed=float(claimed),
         best=best,
-        claimed_mean=float(claimed_utils.mean()),
-        best_mean=float(best_utils.mean()),
+        claimed_mean=float(sums[1] / trials),
+        best_mean=float(sums[0] / trials),
         gain=gain,
         gain_stderr=gain_stderr,
         grid_step=float(grid_values[1] - grid_values[0]),

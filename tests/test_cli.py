@@ -420,6 +420,40 @@ def test_bad_json_value_exits_2_naming_its_section_and_key(runner, tmp_path, sec
     assert result.stderr.startswith(f"error: {where}"), result.stderr
 
 
+@pytest.mark.parametrize("suffix", [".ini", ".json"])
+def test_unknown_section_exits_2_naming_it(runner, tmp_path, suffix):
+    # A misspelt section would otherwise leave its keys at their defaults.
+    if suffix == ".ini":
+        text = _truth_agents(3) + "\n[simulaton]\ntrials = 5\n"
+    else:
+        text = json.dumps(dict(THREE_TRUTH_JSON, simulaton={"trials": 5}))
+    config = _write(tmp_path, "bad" + suffix, text)
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: [simulaton]:"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "suffix, simulation, flags, where",
+    [
+        (".ini", "trials = 0", [], "[simulation] trials:"),
+        (".ini", "seed = -1", [], "[simulation] seed:"),
+        (".json", {"seed": -1}, [], "[simulation] seed:"),
+        (".ini", "seed = 1", ["--seed", "-1"], "--seed:"),
+    ],
+    ids=["ini_trials", "ini_seed", "json_seed", "seed_flag"],
+)
+def test_bad_trials_or_seed_names_its_key_or_flag(runner, tmp_path, suffix, simulation, flags, where):
+    if suffix == ".ini":
+        text = _truth_agents(3) + f"\n[simulation]\n{simulation}\n"
+    else:
+        text = json.dumps(dict(THREE_TRUTH_JSON, simulation=simulation))
+    config = _write(tmp_path, "bad" + suffix, text)
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o"), *flags])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {where}"), result.stderr
+
+
 def test_unsupported_strategy_combination_exits_3(runner, tmp_path):
     config = _write(
         tmp_path,

@@ -1,5 +1,6 @@
 """Each module's ``__all__`` matches the public names it defines, and only
-the engine and the audit seed random streams."""
+the engine and the audit seed random streams, and only the engine and
+the deviation terms run the mechanism kernels."""
 
 import ast
 import importlib
@@ -59,8 +60,8 @@ RNG_CONSTRUCTORS = {
 }
 
 
-def _rng_constructions(path: Path) -> set[tuple[str, str]]:
-    """(module, top-level definition) pairs whose code calls an RNG constructor."""
+def _callers(path: Path, names: set[str]) -> set[tuple[str, str]]:
+    """(module, top-level definition) pairs whose code calls one of ``names``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = set()
     for top in tree.body:
@@ -68,16 +69,25 @@ def _rng_constructions(path: Path) -> set[tuple[str, str]]:
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in RNG_CONSTRUCTORS:
+                if name in names:
                     found.add((path.stem, getattr(top, "name", "<module>")))
     return found
+
+
+def _callers_in_src(names: set[str]) -> set[tuple[str, str]]:
+    return set().union(*(_callers(path, names) for path in Path(replab.__file__).parent.glob("*.py")))
 
 
 def test_only_the_engine_and_the_audit_construct_random_streams():
     # The determinism contract: simulated numbers come from the engine's
     # per-batch substreams (seed, b) and audits from draw_profile's
     # (seed, 0), both built by _batch_rng; no other code seeds a stream.
-    found = set().union(
-        *(_rng_constructions(path) for path in Path(replab.__file__).parent.glob("*.py"))
-    )
+    found = _callers_in_src(RNG_CONSTRUCTORS)
     assert found == {("strategies", "_batch_rng")}, found
+
+
+def test_only_the_engine_and_the_deviation_terms_run_the_kernels():
+    # One evaluation path: a deviation audit runs the mechanism once on the
+    # base profile and scans what the deviation moves, never the kernel again.
+    found = _callers_in_src({"run_batch"})
+    assert found == {("simulator", "simulate"), ("mechanisms", "deviation_terms")}, found

@@ -44,6 +44,7 @@ from replab.mechanisms import (
     _ring_layers,
     _spec_rings,
     cross_reads,
+    deviation_terms,
     run_batch,
 )
 from replab.numerics import NoRoot, NormalParams, find_root, integrate, normal_cdf
@@ -450,14 +451,32 @@ def test_deviation_report_flags_profitable_deviation():
 
 def test_rounding_noise_is_not_a_profitable_deviation():
     # Under weighted punish-reward a truth sender's self-report moves only
-    # its own reputation, which it does not value: the grid points tie, and
-    # the gain left over is rounding noise that clears three of its own
-    # standard errors.
+    # its own reputation, which it does not value: every grid point and the
+    # claimed report take the same accuracy from the one base run, so the
+    # paired gain is exactly 0.
     env = _truth_env([0.35, 0.55, 0.45])
     mechanism = WeightedPR(a=2.0, weights=(1.0, 2.0, 3.0))
     rep = deviation_report(0, mechanism, env, trials=2_000, grid=41, seed=1)
     assert abs(rep.best - rep.claimed) > rep.grid_step
-    assert 3.0 * rep.gain_stderr < rep.gain < 1e-15
+    assert (rep.gain, rep.gain_stderr) == (0.0, 0.0)
+    assert not rep.profitable
+
+
+def test_noise_sized_gain_under_the_floor_is_not_profitable():
+    # A gain of rounding size can clear three of its own standard errors
+    # and the grid step; the 1e-12 floor still rejects it.
+    rep = DeviationReport(
+        agent_index=0,
+        claimed=0.35,
+        best=0.0,
+        claimed_mean=-0.0136,
+        best_mean=-0.0136,
+        gain=7.1e-19,
+        gain_stderr=2.0e-19,
+        grid_step=0.025,
+    )
+    assert abs(rep.best - rep.claimed) > rep.grid_step
+    assert rep.gain > 3.0 * rep.gain_stderr
     assert not rep.profitable
 
 
@@ -637,15 +656,22 @@ def _sparse_draw(mechanism, env, arrays):
     return ProfileDraw(r0=r0, selfs=selfs, peer_sums=peer_sums, ring_reads=ring_reads)
 
 
-def _assert_same_report(report, oracle, mechanism):
-    if not isinstance(mechanism, SimpleAveraging):
-        assert report == oracle
-        return
-    # The c - 1/2 shift rounds on each peer sum here and on each
-    # cross-report in the oracle.
+def _assert_same_report(report, oracle):
+    # The report comes from the scan's blocks and the oracle from re-running
+    # the whole kernel: the reports agree exactly, the utilities up to
+    # rounding.
     assert (report.best, report.claimed) == (oracle.best, oracle.claimed)
     for name in ("claimed_mean", "best_mean", "gain", "gain_stderr"):
         assert abs(getattr(report, name) - getattr(oracle, name)) <= 1e-12, name
+
+
+def _scan_means(mechanism, env, draw, i, values):
+    """Deviator i's grid means, scanned from one run of the mechanism."""
+    terms = deviation_terms(
+        mechanism, draw.selfs, draw.r0, aggregate_sigma_prime(env), i,
+        peer_sums=draw.peer_sums, ring_reads=draw.ring_reads,
+    )
+    return _grid_means(env.agents[i], terms, centralized_solution(env), values)
 
 
 def _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index=None):
@@ -683,17 +709,23 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
     trials, grid, seed = 1500, 41, 23
     draw = _sparse_draw(mechanism, env, _dense_profile(env, mechanism, profile, trials, seed))
     values = np.linspace(0.0, 1.0, grid)
+    # Quadratic-loss deviations that move the others' reputations take the
+    # moment sums, which round differently from the block scan.
+    moments = isinstance(mechanism, (FR, SimpleAveraging)) and p == 2.0
     for i in DEVIATORS:
-        means = _grid_means(
-            env.agents[i], mechanism, draw, aggregate_sigma_prime(env), centralized_solution(env), values
-        )
+        means = _scan_means(mechanism, env, draw, i, values)
         dense, oracle = _dense_oracle(i, mechanism, env, profile, trials, grid, seed)
         np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
         report = deviation_report(i, mechanism, env, grid=grid, draw=draw)
+        at_best = means[int(np.argmax(means))]
+        if moments:
+            assert abs(report.best_mean - at_best) <= 1e-12, (case, i)
+        else:
+            assert report.best_mean == at_best, (case, i)
         ties = np.flatnonzero(dense >= dense.max() - 1e-12)
         if ties.size == 1:
             assert int(np.argmax(means)) == ties[0], (case, i)
-            _assert_same_report(report, oracle, mechanism)
+            _assert_same_report(report, oracle)
         else:
             # Several grid points share the maximum up to rounding: the
             # report moves nothing the deviator values there (a truth
@@ -701,11 +733,11 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
             # cross-reports under averaging, or a linear image gain cancelled
             # by a ring-validation charge).  The dense argmax among them is
             # rounding noise; the scan must land on one of them, and the
-            # report must equal the dense one at that point.
+            # report must agree with the dense one at that point.
             best_index = int(np.argmax(means))
             assert best_index in ties, (case, i)
-            _, at_best = _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index)
-            _assert_same_report(report, at_best, mechanism)
+            _, tied = _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index)
+            _assert_same_report(report, tied)
 
 
 def _zero_total_scan(p):
@@ -715,9 +747,7 @@ def _zero_total_scan(p):
     profile = {1: 0.0, 2: 0.0}
     draw = draw_profile(env, FR(), profile, trials=200, seed=4)
     values = np.linspace(0.0, 1.0, 11)
-    means = _grid_means(
-        env.agents[0], FR(), draw, aggregate_sigma_prime(env), centralized_solution(env), values
-    )
+    means = _scan_means(FR(), env, draw, 0, values)
     dense, _ = _dense_oracle(0, FR(), env, profile, 200, 11, 4)
     np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
     # At x = 0 every share is 1/3; above it the deviator takes the whole total.
