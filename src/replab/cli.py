@@ -35,7 +35,6 @@ from .analysis import (
     hetero_truth_participation,
     image_participation_rule,
     participation_utilities,
-    pr_mae,
 )
 from .core import (
     AS,
@@ -68,13 +67,7 @@ from .simulator import (
     run_trials,
     sweep as run_sweep,
 )
-from .strategies import (
-    deviation_report,
-    draw_profile,
-    expected_pr_reputation,
-    pr_optimal_self_report,
-    solve_y,
-)
+from .strategies import _band_curves, deviation_report, draw_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -327,14 +320,8 @@ def _parse_agent_spec(key: str, raw: dict, defaults: dict) -> dict:
     out.setdefault("bias", defaults["cross_mean"])
     out.setdefault("p", 2.0)
     out.setdefault("g", "linear")
-    if kind == "truth":
-        if out.setdefault("weight", 1.0) != 1.0:
-            raise ConfigError(f"{where}: truth agents fix weight = 1")
-    elif kind == "image":
-        if out.setdefault("weight", 0.0) != 0.0:
-            raise ConfigError(f"{where}: image agents fix weight = 0")
-    else:
-        out.setdefault("weight", 1.0)
+    # Agent checks the weight against the type.
+    out.setdefault("weight", 0.0 if kind == "image" else 1.0)
     if kind == "malicious":
         out.setdefault("low", 0.0)
         out.setdefault("high", 1.0)
@@ -358,19 +345,15 @@ def _build_agent(index: int, spec: dict) -> Agent:
     """An agent from a spec that :func:`_parse_agent_spec` has completed."""
     key = f"agent{index}"
     kind_name = spec["type"]
-    if kind_name == "mixed" and not 0.0 < spec["weight"] < 1.0:
-        raise ConfigError(
-            f"[agents] {key}: mixed agents need weight strictly between 0 and 1"
-        )
-    if kind_name == "malicious":
-        agent_type = MaliciousRandom(low=spec["low"], high=spec["high"])
-    elif kind_name == "colluder":
-        agent_type = Colluder(
-            clique_id=spec["clique"], inflate=spec["inflate"], bash=spec.get("bash")
-        )
-    else:
-        agent_type = {"truth": Truth, "image": Image, "mixed": Mixed}[kind_name]()
     try:
+        if kind_name == "malicious":
+            agent_type = MaliciousRandom(low=spec["low"], high=spec["high"])
+        elif kind_name == "colluder":
+            agent_type = Colluder(
+                clique_id=spec["clique"], inflate=spec["inflate"], bash=spec.get("bash")
+            )
+        else:
+            agent_type = {"truth": Truth, "image": Image, "mixed": Mixed}[kind_name]()
         return Agent(
             id=index,
             quality=Quality(spec["quality"]),
@@ -382,6 +365,8 @@ def _build_agent(index: int, spec: dict) -> Agent:
             ),
             cross_obs=NormalParams(spec["bias"], spec["sigma"]),
         )
+    except ConfigError:
+        raise  # _build_payoff's errors already name the agent
     except ValueError as exc:
         raise ConfigError(f"[agents] {key}: {exc}") from None
 
@@ -571,6 +556,8 @@ def parse_config(
         key = f"override{agent_id}"
         if not agent_id.isdecimal():
             raise ConfigError(f"[simulation] {key}: overrides must be named override<agent-id>")
+        if int(agent_id) >= env.k:
+            raise ConfigError(f"[simulation] {key}: no such agent; the agents are 0 to {env.k - 1}")
         value = _coerce("simulation", key, raw, float)
         if not math.isfinite(value):
             raise ConfigError(f"[simulation] {key}: expected a finite report, got {value}")
@@ -578,9 +565,7 @@ def parse_config(
     strategy = sim.get("strategy", "equilibrium")
     if strategy == "equilibrium":
         if overrides:
-            raise ConfigError(
-                "[simulation]: overrides require strategy = custom"
-            )
+            raise ConfigError("[simulation] strategy: overrides require strategy = custom")
         strategy_mode: str | dict[int, float] = "equilibrium"
     elif strategy == "custom":
         strategy_mode = overrides
@@ -770,6 +755,25 @@ def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers)
     click.echo(f"wrote {csv_path} ({len(rows)} grid points)")
 
 
+# The design curves of ``figures``: each table's columns and their descriptions.
+_FIGURES = {
+    "fig1": {
+        "a": "Band multiplier (tolerance = a * sigma')",
+        "y": "Equilibrium band offset in units of a * sigma'",
+    },
+    "fig2": {
+        "a": "Band multiplier",
+        "e_m": "Expected mechanism error per agent at the optimal self-report",
+        "averaging_mae": "Simple-averaging error sqrt(2/pi) * sigma'",
+    },
+    "fig3": {
+        "a": "Band multiplier",
+        "expected_reputation": "Mean published reputation at the optimal self-report",
+        "baseline_r": "True quality of the representative sender",
+    },
+}
+
+
 @main.command("figures")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--sigma-prime", type=float, default=0.1, show_default=True)
@@ -794,60 +798,24 @@ def cmd_figures(out_dir, sigma_prime, r_value, points):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    fig1_rows, fig2_rows, fig3_rows = [], [], []
+    table = []
     for a in grid:
-        y = solve_y(a)
-        fig1_rows.append([a, y])
-        fig2_rows.append([a, pr_mae(a, sigma_prime), averaging])
-        eq = pr_optimal_self_report(r_value, sigma_prime, a)
-        fig3_rows.append(
-            [
-                a,
-                expected_pr_reputation(eq.x_star, r_value, sigma_prime, a * sigma_prime),
-                r_value,
-            ]
-        )
-
-    fig1 = out / "fig1.csv"
-    _write_csv(fig1, ["a", "y"], fig1_rows)
-    paths.append(fig1)
-    paths.append(
-        _write_schema(
-            fig1,
+        y, e_m, reputation = _band_curves(a, r_value, sigma_prime)
+        table.append(
             {
-                "a": "Band multiplier (tolerance = a * sigma')",
-                "y": "Equilibrium band offset in units of a * sigma'",
-            },
+                "a": a,
+                "y": y,
+                "e_m": e_m,
+                "averaging_mae": averaging,
+                "expected_reputation": reputation,
+                "baseline_r": r_value,
+            }
         )
-    )
-    fig2 = out / "fig2.csv"
-    _write_csv(fig2, ["a", "e_m", "averaging_mae"], fig2_rows)
-    paths.append(fig2)
-    paths.append(
-        _write_schema(
-            fig2,
-            {
-                "a": "Band multiplier",
-                "e_m": "Expected mechanism error per agent at the optimal self-report",
-                "averaging_mae": "Simple-averaging error sqrt(2/pi) * sigma'",
-            },
-        )
-    )
-    fig3 = out / "fig3.csv"
-    _write_csv(fig3, ["a", "expected_reputation", "baseline_r"], fig3_rows)
-    paths.append(fig3)
-    paths.append(
-        _write_schema(
-            fig3,
-            {
-                "a": "Band multiplier",
-                "expected_reputation": "Mean published reputation at the optimal self-report",
-                "baseline_r": "True quality of the representative sender",
-            },
-        )
-    )
+    paths = []
+    for name, columns in _FIGURES.items():
+        path = out / f"{name}.csv"
+        _write_csv(path, list(columns), [[row[c] for c in columns] for row in table])
+        paths += [path, _write_schema(path, columns)]
     canonical = {
         "figures": {"sigma_prime": sigma_prime, "quality": r_value, "grid": grid}
     }

@@ -364,19 +364,16 @@ def run_batch(
 
 def deviation_terms(
     spec: MechanismSpec,
-    self_reports: np.ndarray | None,
-    system_obs: np.ndarray | None,
+    draw,
     sigma_prime: float,
     agent: int,
-    *,
-    peer_sums: np.ndarray | None = None,
-    ring_reads: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, Callable[[np.ndarray, slice], tuple]]:
     """The reputations of a base profile and the terms one agent's report moves.
 
-    Cross reports come as the engine samples them, ``peer_sums`` or
-    ``ring_reads`` as in :func:`run_batch`.  Evaluates the mechanism once
-    and returns ``(reps, base, move)``.  ``move(values, rows)`` takes a
+    ``draw`` is a :class:`replab.strategies.ProfileDraw`: one batch of
+    rounds, with the cross reports as the engine samples them and the
+    mechanism's outcome on them.  Runs no kernel and returns ``(reps, base,
+    move)``, where ``reps`` is ``draw.reps``.  ``move(values, rows)`` takes a
     (G, 1) column of deviation values and a slice of the trials, and
     returns ``(own_rep, own_tax, others)`` on those trials: the deviator's reputation and tax,
     each broadcastable to (G, rows), and how the other subjects'
@@ -404,21 +401,20 @@ def deviation_terms(
       deviator's own does not move.
     """
     i = agent
+    self_reports, system_obs, reps = draw.selfs, draw.r0, draw.reps
+    k = reps.shape[1]
     if isinstance(spec, ExtendedAS):
-        k = self_reports.shape[1]
         maps, _ = _ring_setup(spec, k)
-        d1, layer2 = _ring_charges(self_reports, ring_reads, maps)
+        d1, layer2 = _ring_charges(self_reports, draw.ring_reads, maps)
         succ = maps[0][2]
         rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
-        peer = ring_reads[0][:, i]
+        peer = draw.ring_reads[0][:, i]
         layer2 = np.zeros(self_reports.shape[0]) if layer2 is None else layer2[:, i]
 
         def move_validated(x: np.ndarray, rows: slice) -> tuple:
             return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None
 
-        return self_reports.copy(), None, move_validated
-    reps, _ = run_batch(spec, self_reports, None, system_obs, sigma_prime, peer_sums=peer_sums)
-    k = reps.shape[1]
+        return reps, None, move_validated
     if isinstance(spec, AS):
         d = (self_reports - system_obs) ** 2
         rest = (d.sum(axis=1) - d[:, i]) / (k - 1)
@@ -435,7 +431,7 @@ def deviation_terms(
         return reps, np.ascontiguousarray(self_reports.T), move_share
     if cross_reads(spec) != PEER_SUMS:
         raise TypeError(f"{type(spec).__name__} consumes no report to deviate on")
-    numerator, divisor = _aggregate(spec, peer_sums, system_obs)
+    numerator, divisor = _aggregate(spec, draw.peer_sums, system_obs)
     if isinstance(spec, SimpleAveraging):
         own_reps = reps[:, i]
 

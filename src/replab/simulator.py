@@ -12,7 +12,9 @@ nothing more.  The peer-sum families draw each subject's peer sum
 (``strategies.sample_peer_sums``).  Ring validation draws the collusion
 scenario's secret rings, one permutation per layer, then the at most 3
 reports per subject the rings read (``strategies.sample_ring_reads``).
-Deviation audits draw through the same samplers.  Streams 1 to 3 drew some
+That order, and the mechanism's run on the batch, live in one batch source,
+``strategies._batch_source``; a deviation audit's draw
+(``strategies.draw_profile``) is one batch of it.  Streams 1 to 3 drew some
 or all batches as a dense (batch, K, K) cross matrix.
 
 The caller's reducer condenses each batch.  Worker threads may compute
@@ -27,11 +29,11 @@ in what their agents send: constant self-reports (truth, image or mixed
 constants) and, except under the peer-sum families, colluders' messages.
 Their qualities, noise levels, clamping and uniform-random reporters must
 match.  The batch is drawn once, then each arm in turn applies its own
-self-reports and colluder messages (``strategies.ring_messages``), runs the
-mechanism and its reducer.  Every arm's totals equal, bit for bit, those of
-the arm simulated alone.  The collusion scenario compares its manipulated
-and honest arms this way, and the malicious scenario its image-driven and
-baseline arms.
+self-reports and colluder messages (``strategies.ring_messages``) and runs
+the mechanism, and its reducer runs before the next arm is made.  Every
+arm's totals equal, bit for bit, those of the arm simulated alone.  The
+collusion scenario compares its manipulated and honest arms this way, and
+the malicious scenario its image-driven and baseline arms.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .core import (
     AS,
     Colluder,
     Environment,
-    ExtendedAS,
     MaliciousRandom,
     MechanismSpec,
     PR,
@@ -57,31 +58,16 @@ from .core import (
     centralized_solution,
 )
 from .numerics import NormalParams
-from .mechanisms import (
-    PEER_SUMS,
-    RING,
-    _ring_layers,
-    _ring_outcome,
-    _ring_setup,
-    cross_reads,
-    peer_weights,
-    run_batch,
-)
+from .mechanisms import PEER_SUMS, cross_reads
 from .strategies import (
     UnsupportedCombination,
+    _band_curves,
     _batch_rng,
+    _batch_source,
     _driven,
-    _peer_sum_tables,
+    _SecretRings,
     _sent_constants,
     aggregate_sigma_prime,
-    expected_pr_reputation,
-    pr_mae,
-    pr_optimal_self_report,
-    resolve_self_reports,
-    ring_messages,
-    sample_peer_sums,
-    sample_ring_reads,
-    sample_sparse,
 )
 
 __all__ = [
@@ -202,10 +188,6 @@ def _map_batches(worker, plan, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-class _SecretRings(ExtendedAS):
-    """Ring validation whose rings are redrawn secretly on every trial."""
-
-
 Reducer = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], dict]
 
 
@@ -303,44 +285,16 @@ def simulate(
         difference = _draw_difference(first, arm_env, reads)
         if difference is not None:
             raise ValueError(f"arm {m} would draw differently from arm 0: {difference}")
-    k = first.k
-    sigma_prime = aggregate_sigma_prime(first)
-    reports = [resolve_self_reports(e, mechanism, strategy_mode) for e in envs]
-    rows = [np.array([r.get(i, np.nan) for i in range(k)]) for r in reports]
-    tables = sent = ring = None
-    if reads == PEER_SUMS:
-        tables = _peer_sum_tables(first, peer_weights(mechanism, k))
-    elif reads == RING:
-        sent = [_sent_constants(e) for e in envs]
-        ring = _ring_setup(mechanism, k)
-    last = len(envs) - 1
+    source = _batch_source(envs, mechanism, strategy_mode)
 
     def one_batch(batch_index: int, size: int) -> list[dict]:
-        rng = _batch_rng(seed, batch_index)
-        system_obs, selfs = sample_sparse(first, rng, size, reports[0])
-        system_obs.setflags(write=False)
-        if reads == RING:
-            maps, readers = ring
-            if isinstance(mechanism, _SecretRings):
-                base = np.broadcast_to(np.arange(k), selfs.shape)
-                maps, readers = _ring_layers(
-                    [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-                )
-            drawn = sample_ring_reads(first, rng, size, readers)
-        sums = None if tables is None else sample_peer_sums(first, rng, size, tables)
-        totals = []
-        for m, arm_reduce in enumerate(reduces):
-            if m:
-                selfs = _with_row(selfs, rows[m])
-            if reads == RING:
-                arm_reads = ring_messages(drawn, readers, sent[m], in_place=m == last)
-                reps, taxes = _ring_outcome(selfs, arm_reads, maps)
-            else:
-                reps, taxes = run_batch(
-                    mechanism, selfs, None, system_obs, sigma_prime, peer_sums=sums
-                )
-            totals.append(arm_reduce(system_obs, selfs, reps, taxes))
-        return totals
+        # zip takes each arm from the source only after the previous arm's
+        # reducer has run, as the shared draw requires.
+        arms = source(_batch_rng(seed, batch_index), size)
+        return [
+            arm_reduce(arm.r0, arm.selfs, arm.reps, arm.taxes)
+            for arm_reduce, arm in zip(reduces, arms)
+        ]
 
     partials = _map_batches(one_batch, _batch_plan(trials), workers)
     totals = [
@@ -348,15 +302,6 @@ def simulate(
         for m in range(len(envs))
     ]
     return totals[0] if single else totals
-
-
-def _with_row(selfs: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The batch's self-reports with an arm's constants ``row`` (NaN where
-    the reports are drawn) in place of the previous arm's."""
-    if not np.isnan(row).any():
-        return np.broadcast_to(row, selfs.shape)
-    np.copyto(selfs, row, where=~np.isnan(row))
-    return selfs
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
@@ -489,11 +434,8 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
         }
         if parameter == "pr_a":
             r_bar = float(point.env.qualities.mean())
-            eq = pr_optimal_self_report(r_bar, sigma_prime, value)
-            row["y"] = eq.y
-            row["e_m"] = pr_mae(value, sigma_prime)
-            row["expected_reputation"] = expected_pr_reputation(
-                eq.x_star, r_bar, sigma_prime, value * sigma_prime
+            row["y"], row["e_m"], row["expected_reputation"] = _band_curves(
+                value, r_bar, sigma_prime
             )
         rows.append(row)
     return rows

@@ -10,9 +10,11 @@ Three kinds of results live here:
    allocation (``proportional_deviation_profit``).
 2. The strategy map used by the Monte Carlo driver and the audits: each
    agent type's constant equilibrium self-report (``resolve_self_reports``),
-   and the samplers, which draw only what a mechanism reads
+   the samplers, which draw only what a mechanism reads
    (``sample_sparse``, then ``sample_peer_sums``, or ``sample_ring_reads``
-   and the colluders' ``ring_messages``).
+   and the colluders' ``ring_messages``), and the one batch source that
+   calls them in the engine's order and runs the mechanism on each batch
+   (``_batch_source``), for the engine and the audits' ``draw_profile``.
    Pairs without an analytical best response raise
    :class:`UnsupportedCombination` rather than inventing behavior.
 3. A brute-force numerical oracle (``deviation_report``) that grids a
@@ -46,6 +48,7 @@ from .core import (
     DimensionMismatch,
     DirectObservation,
     Environment,
+    ExtendedAS,
     Image,
     Linear,
     MaliciousRandom,
@@ -61,11 +64,14 @@ from .core import (
 from .mechanisms import (
     PEER_SUMS,
     RING,
+    _ring_layers,
+    _ring_outcome,
     _ring_setup,
     _shares,
     cross_reads,
     deviation_terms,
     peer_weights,
+    run_batch,
 )
 from .numerics import NoRoot, erf, find_root, normal_cdf, normal_pdf
 
@@ -254,6 +260,15 @@ def pr_mae(a: float, sigma_prime: float) -> float:
     if lo < -x_star:
         band += 2.0 * (antiderivative(lo) - antiderivative(-x_star))
     return below + above + 0.5 * band
+
+
+def _band_curves(a: float, r: float, sigma_prime: float) -> tuple[float, float, float]:
+    """The band curves at multiplier ``a``: the offset ``y``, the expected
+    mechanism error :func:`pr_mae`, and the expected published reputation of
+    a sender of quality ``r`` at its optimal self-report."""
+    eq = pr_optimal_self_report(r, sigma_prime, a)
+    reputation = expected_pr_reputation(eq.x_star, r, sigma_prime, a * sigma_prime)
+    return eq.y, pr_mae(a, sigma_prime), reputation
 
 
 # ---------------------------------------------------------------------------
@@ -654,20 +669,95 @@ class DeviationReport:
 
 @dataclass(frozen=True)
 class ProfileDraw:
-    """The sampled rounds a deviation audit replays at every grid point.
+    """One batch of sampled rounds and the mechanism's outcome on them.
 
     ``r0`` holds the system priors and ``selfs`` the self-reports, both
     (trials, K).  The cross reports are held as the mechanism reads them:
     ``peer_sums``, (trials, K), for the peer-sum families, or
-    ``ring_reads``, the (trials, K) reads of the spec's fixed rings, for
-    ring validation.  The arrays are read-only, so one draw can serve every
-    agent's scan.
+    ``ring_reads``, the (trials, K) ring reads, for ring validation.
+    ``reps`` and ``taxes`` are the mechanism's (trials, K) outcome.  The
+    engine reduces these per batch; a deviation audit replays them at every
+    grid point.
     """
 
     r0: np.ndarray
     selfs: np.ndarray
+    reps: np.ndarray
+    taxes: np.ndarray
     peer_sums: np.ndarray | None = None
     ring_reads: tuple[np.ndarray, ...] | None = None
+
+
+class _SecretRings(ExtendedAS):
+    """Ring validation whose rings are redrawn secretly on every trial."""
+
+
+def _with_row(selfs: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The batch's self-reports with an arm's constants ``row`` (NaN where
+    the reports are drawn) in place of the previous arm's."""
+    if not np.isnan(row).any():
+        return np.broadcast_to(row, selfs.shape)
+    np.copyto(selfs, row, where=~np.isnan(row))
+    return selfs
+
+
+def _batch_source(
+    envs: list[Environment],
+    mechanism: MechanismSpec,
+    strategy_mode: str | Mapping[int, float],
+) -> Callable[[np.random.Generator, int], Iterator[ProfileDraw]]:
+    """The draw of one batch and the mechanism's outcome on it, per arm.
+
+    Resolves the arms' constant self-reports and what ``mechanism`` reads
+    once.  The returned ``draw(rng, size)`` draws ``size`` rounds from
+    ``rng`` in the order of draw stream 4: the system observations and
+    uniform self-reports (:func:`sample_sparse`), then the peer sums
+    (:func:`sample_peer_sums`), or the secret rings of :class:`_SecretRings`
+    and the ring reads (:func:`sample_ring_reads`).  It then yields one
+    :class:`ProfileDraw` per arm, in order: the arm's constants in place of
+    the previous arm's (:func:`_with_row`), its colluders' ring messages
+    (:func:`ring_messages`) and the mechanism's outcome.  The arms share the
+    draw, and a later arm writes into the arrays an earlier one was given,
+    so each arm must be consumed before the next is produced.
+    """
+    first = envs[0]
+    k = first.k
+    reads = cross_reads(mechanism)
+    sigma_prime = aggregate_sigma_prime(first)
+    reports = [resolve_self_reports(e, mechanism, strategy_mode) for e in envs]
+    rows = [np.array([r.get(i, np.nan) for i in range(k)]) for r in reports]
+    tables = sent = ring = None
+    if reads == PEER_SUMS:
+        tables = _peer_sum_tables(first, peer_weights(mechanism, k))
+    elif reads == RING:
+        sent = [_sent_constants(e) for e in envs]
+        ring = _ring_setup(mechanism, k)
+    last = len(envs) - 1
+
+    def draw(rng: np.random.Generator, size: int) -> Iterator[ProfileDraw]:
+        r0, selfs = sample_sparse(first, rng, size, reports[0])
+        r0.setflags(write=False)
+        if reads == RING:
+            maps, readers = ring
+            if isinstance(mechanism, _SecretRings):
+                base = np.broadcast_to(np.arange(k), selfs.shape)
+                maps, readers = _ring_layers(
+                    [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+                )
+            drawn = sample_ring_reads(first, rng, size, readers)
+        sums = None if tables is None else sample_peer_sums(first, rng, size, tables)
+        ring_reads = None
+        for m in range(len(envs)):
+            if m:
+                selfs = _with_row(selfs, rows[m])
+            if reads == RING:
+                ring_reads = tuple(ring_messages(drawn, readers, sent[m], in_place=m == last))
+                reps, taxes = _ring_outcome(selfs, ring_reads, maps)
+            else:
+                reps, taxes = run_batch(mechanism, selfs, None, r0, sigma_prime, peer_sums=sums)
+            yield ProfileDraw(r0, selfs, reps, taxes, sums, ring_reads)
+
+    return draw
 
 
 def draw_profile(
@@ -677,14 +767,15 @@ def draw_profile(
     trials: int = 20_000,
     seed: int = 0,
 ) -> ProfileDraw:
-    """Sample the observations and messages of a deviation audit.
+    """Sample the rounds of a deviation audit and run the mechanism on them.
 
     ``others_strategy`` is ``"truthful"`` (every agent relays its
     observations and reports its quality), ``"equilibrium"`` or a mapping
-    of constant self-reports (:func:`resolve_self_reports`).  The engine's
-    samplers draw from the Philox substream ``(seed, spawn_key=(0,))``;
-    the draw does not depend on the deviator, so all agents' audits of one
-    profile can share it.
+    of constant self-reports (:func:`resolve_self_reports`).  The draw is
+    one engine batch (:func:`_batch_source`) of ``trials`` rounds from the
+    Philox substream ``(seed, spawn_key=(0,))``, so the mechanism runs once
+    per draw.  The draw does not depend on the deviator, so all agents'
+    audits of one profile share it; its arrays are read-only.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -696,22 +787,13 @@ def draw_profile(
         raise ValueError(
             f"others_strategy must be 'truthful', 'equilibrium' or a mapping, got {others_strategy!r}"
         )
-    self_reports = resolve_self_reports(env, mechanism, others_strategy)
-    rng = _batch_rng(seed, 0)
-    r0, selfs = sample_sparse(env, rng, trials, self_reports)
-    peer_sums = ring_reads = None
-    reads = cross_reads(mechanism)
-    if reads == PEER_SUMS:
-        tables = _peer_sum_tables(env, peer_weights(mechanism, env.k))
-        peer_sums = sample_peer_sums(env, rng, trials, tables)
-    elif reads == RING:
-        _, readers = _ring_setup(mechanism, env.k)
-        reads = sample_ring_reads(env, rng, trials, readers)
-        ring_reads = tuple(ring_messages(reads, readers, _sent_constants(env), in_place=True))
-    for arr in (r0, selfs, peer_sums, *(ring_reads or ())):
+    source = _batch_source([env], mechanism, others_strategy)
+    draw = next(source(_batch_rng(seed, 0), trials))
+    held = (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ()))
+    for arr in held:
         if arr is not None:
             arr.setflags(write=False)
-    return ProfileDraw(r0=r0, selfs=selfs, peer_sums=peer_sums, ring_reads=ring_reads)
+    return draw
 
 
 # Bytes per block of the incremental scan.  A block's (K, points, trials)
@@ -891,9 +973,10 @@ def deviation_report(
     the cross-report: grid value c is applied as an additive bias c - 1/2 on
     the deviator's cross-reports (truthful play sits at c = 1/2).
 
-    The mechanism runs once on the base profile
-    (:func:`replab.mechanisms.deviation_terms`), and :func:`_scan_blocks`
-    turns what the deviation moves into utilities: for the grid's means
+    The mechanism ran once, on the draw (:func:`draw_profile`);
+    :func:`replab.mechanisms.deviation_terms` reads its reputations as the
+    base, and :func:`_scan_blocks` turns what the deviation moves into
+    utilities: for the grid's means
     (see :func:`_grid_means`), then per trial at the best and the claimed
     report, whose paired difference gives the gain and its standard error.
     A ``draw`` from :func:`draw_profile` replaces sampling; it then fixes
@@ -915,10 +998,7 @@ def deviation_report(
     agent = env.agents[agent_index]
     if claimed is None:
         claimed = 0.5 if isinstance(mechanism, SimpleAveraging) else float(draw.selfs[0, agent_index])
-    terms = deviation_terms(
-        mechanism, draw.selfs, draw.r0, aggregate_sigma_prime(env), agent.id,
-        peer_sums=draw.peer_sums, ring_reads=draw.ring_reads,
-    )
+    terms = deviation_terms(mechanism, draw, aggregate_sigma_prime(env), agent.id)
 
     grid_values = np.linspace(0.0, 1.0, grid)
     means = _grid_means(agent, terms, targets, grid_values)

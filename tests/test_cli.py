@@ -301,6 +301,54 @@ def test_overrides_without_custom_strategy_exit_2(runner, tmp_path):
     assert "custom" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ("type=truth weight=0.5", "truth agents need truth_weight 1, got 0.5"),
+        ("type=image weight=0.5", "image agents need truth_weight 0, got 0.5"),
+        ("type=mixed weight=1", "mixed agents need truth_weight strictly inside (0, 1), got 1.0"),
+        ("type=mixed", "mixed agents need truth_weight strictly inside (0, 1), got 1.0"),
+        ("type=malicious low=0.9 high=0.2", "need 0 <= low < high <= 1"),
+        ("type=colluder inflate=2", "inflate level must lie in [0, 1]"),
+        ("type=truth g=bogus", "image payoff must be 'linear' or 'power:<q>'"),
+    ],
+    ids=[
+        "truth_weight",
+        "image_weight",
+        "mixed_weight_1",
+        "mixed_default",
+        "malicious_range",
+        "inflate",
+        "payoff",
+    ],
+)
+def test_bad_agent_exits_2_naming_the_agent_once(runner, tmp_path, fields, message):
+    # The agent's own checks judge its fields; the error names the agent once.
+    config = _write(tmp_path, "bad.ini", _truth_agents(2) + f"agent2 = quality=0.5 {fields}\n")
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: [agents] agent2: {message}"), result.stderr
+    assert result.stderr.count("[agents]") == 1, result.stderr
+
+
+@pytest.mark.parametrize("suffix", [".ini", ".json"])
+@pytest.mark.parametrize(
+    "strategy, agent, where",
+    [("custom", 7, "[simulation] override7:"), ("equilibrium", 0, "[simulation] strategy:")],
+    ids=["unknown_agent", "not_custom"],
+)
+def test_bad_override_names_its_key(runner, tmp_path, suffix, strategy, agent, where):
+    if suffix == ".ini":
+        text = _truth_agents(2) + f"\n[simulation]\nstrategy = {strategy}\noverride{agent} = 0.4\n"
+    else:
+        simulation = {"strategy": strategy, "overrides": {str(agent): 0.4}}
+        text = json.dumps(dict(THREE_TRUTH_JSON, simulation=simulation))
+    config = _write(tmp_path, "bad" + suffix, text)
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {where}"), result.stderr
+
+
 def test_malformed_quality_exits_2_with_anchor(runner, tmp_path):
     config = _write(
         tmp_path,
@@ -717,7 +765,7 @@ def test_check_equilibrium_skips_randomized_reporters(runner, tmp_path):
 
 
 def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeypatch):
-    from replab import strategies
+    from replab import mechanisms, strategies
     from replab.cli import _fmt, parse_config
 
     config = _write(
@@ -735,11 +783,20 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
         return sample(*args)
 
     monkeypatch.setattr(strategies, "sample_sparse", counting_sample)
+    # The scoring kernel runs once per draw, however many agents are audited.
+    kernel = mechanisms._as_kernel
+    kernels = []
+
+    def counting_kernel(*args):
+        kernels.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(mechanisms, "_as_kernel", counting_kernel)
     result = runner.invoke(
         main, ["check-equilibrium", str(config), "--trials", "2000", "--grid", "41"]
     )
     assert result.exit_code == 0, result.output
-    assert len(draws) == 1
+    assert (len(draws), len(kernels)) == (1, 1)
     # Every row equals an audit of that agent alone on its own fresh draw.
     parsed = parse_config(str(config))
     env, mechanism = parsed.env, parsed.mechanism
@@ -753,7 +810,7 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
             f"{i:<6d} {_fmt(rep.claimed):<10s} {_fmt(rep.best):<10s} "
             f"{_fmt(rep.gain):<12s} {_fmt(rep.gain_stderr):<12s} ok"
         )
-    assert len(draws) == 4
+    assert (len(draws), len(kernels)) == (4, 4)
 
 
 # ---------------------------------------------------------------------------

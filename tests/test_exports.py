@@ -1,6 +1,6 @@
-"""Each module's ``__all__`` matches the public names it defines, and only
-the engine and the audit seed random streams, and only the engine and
-the deviation terms run the mechanism kernels."""
+"""Each module's ``__all__`` matches the public names it defines, only the
+engine and the audit seed random streams, and only the one batch source
+runs the mechanism kernels."""
 
 import ast
 import importlib
@@ -86,8 +86,16 @@ def test_only_the_engine_and_the_audit_construct_random_streams():
     assert found == {("strategies", "_batch_rng")}, found
 
 
-def test_only_the_engine_and_the_deviation_terms_run_the_kernels():
-    # One evaluation path: a deviation audit runs the mechanism once on the
-    # base profile and scans what the deviation moves, never the kernel again.
-    found = _callers_in_src({"run_batch"})
-    assert found == {("simulator", "simulate"), ("mechanisms", "deviation_terms")}, found
+def test_only_the_batch_source_runs_the_kernels():
+    # One batch source: the engine and the audit take each batch's draw and
+    # the mechanism's outcome from strategies._batch_source, and a deviation
+    # audit scans what the deviation moves, never running the kernel again.
+    # run_batch dispatches ring validation to _ring_outcome itself.
+    assert _callers_in_src({"run_batch"}) == {("strategies", "_batch_source")}
+    found = _callers_in_src({"_ring_outcome"})
+    assert found == {("strategies", "_batch_source"), ("mechanisms", "run_batch")}, found
+
+
+def test_only_the_engine_and_the_audit_draw_batches():
+    found = _callers_in_src({"_batch_rng"})
+    assert found == {("simulator", "simulate"), ("strategies", "draw_profile")}, found

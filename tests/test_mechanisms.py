@@ -44,6 +44,7 @@ from replab.mechanisms import (
     run_batch,
 )
 from replab.simulator import _SecretRings, simulate
+from replab.strategies import ProfileDraw
 
 
 def _one(spec, selfs=None, cross=None, r0=None, sigma_prime=0.0):
@@ -496,11 +497,12 @@ def test_ring_reads_keep_the_dense_kernel_bit_for_bit(k, layers, rings):
     spec = ExtendedAS(ring=ring, layers=layers, second_ring=second)
     order = np.array([ring or tuple(range(k))])
     order2 = order if second is None else np.array([second])
-    _, taxes = run_batch(spec, selfs, cross, None)
+    reps, taxes = run_batch(spec, selfs, cross, None)
     assert (taxes == _gathered_kernel(selfs, cross, order, order2, layers)[1]).all()
+    reads = _gather(cross, _ring_setup(spec, k)[1])
+    draw = ProfileDraw(r0=None, selfs=selfs, reps=reps, taxes=taxes, ring_reads=reads)
     for i in range(k):
-        reads = _gather(cross, _ring_setup(spec, k)[1])
-        _, base, move = deviation_terms(spec, selfs, None, 0.0, i, ring_reads=reads)
+        _, base, move = deviation_terms(spec, draw, 0.0, i)
         xs = np.linspace(0.0, 1.0, 7)[:, None]
         _, own_tax, moved = move(xs, slice(None))
         want = _gathered_own_tax(selfs, cross, order, order2, layers, i, xs)

@@ -646,14 +646,16 @@ def _dense_utilities(i, mechanism, env, arrays, value):
 
 
 def _sparse_draw(mechanism, env, arrays):
-    """The audit draw holding what ``mechanism`` reads of the dense arrays."""
+    """The audit draw holding what ``mechanism`` reads of the dense arrays,
+    and the dense kernel's outcome on them."""
     r0, selfs, cross = arrays
     reads = cross_reads(mechanism)
     peer_sums = _peer_sums(mechanism, cross) if reads == PEER_SUMS else None
     ring_reads = None
     if reads == RING:
         ring_reads = tuple(_gather(cross, _ring_layers(_spec_rings(mechanism, env.k))[1]))
-    return ProfileDraw(r0=r0, selfs=selfs, peer_sums=peer_sums, ring_reads=ring_reads)
+    reps, taxes = run_batch(mechanism, selfs, cross, r0, aggregate_sigma_prime(env))
+    return ProfileDraw(r0, selfs, reps, taxes, peer_sums=peer_sums, ring_reads=ring_reads)
 
 
 def _assert_same_report(report, oracle):
@@ -667,10 +669,7 @@ def _assert_same_report(report, oracle):
 
 def _scan_means(mechanism, env, draw, i, values):
     """Deviator i's grid means, scanned from one run of the mechanism."""
-    terms = deviation_terms(
-        mechanism, draw.selfs, draw.r0, aggregate_sigma_prime(env), i,
-        peer_sums=draw.peer_sums, ring_reads=draw.ring_reads,
-    )
+    terms = deviation_terms(mechanism, draw, aggregate_sigma_prime(env), i)
     return _grid_means(env.agents[i], terms, centralized_solution(env), values)
 
 
@@ -767,7 +766,7 @@ def test_incremental_scan_share_of_total_with_zero_total_quadratic():
 def _held(draw):
     """The arrays a profile draw holds."""
     extra = () if draw.peer_sums is None else (draw.peer_sums,)
-    return (draw.r0, draw.selfs, *extra, *(draw.ring_reads or ()))
+    return (draw.r0, draw.selfs, draw.reps, draw.taxes, *extra, *(draw.ring_reads or ()))
 
 
 def test_draw_profile_is_shared_across_agents_and_read_only():
