@@ -54,7 +54,6 @@ __all__ = [
     "participation_utilities",
     "hetero_truth_participation",
     "hetero_image_participation",
-    "image_participation_rule",
     "hetero_system_gain",
     "collusion_expected_tax",
     "weighted_variance_check",
@@ -324,17 +323,6 @@ def hetero_truth_participation(
     )
 
 
-def image_participation_rule(r: float, rho: float) -> tuple[float, float]:
-    """The paper's closed (u_in, u_out) for an image-driven agent of quality ``r``.
-
-    u_in = x* - 1/4 + rho/4 with x* = min(r + 1/2, 1), and u_out = r;
-    ``rho`` is the image-driven fraction of the other participants.  The
-    agent joins when u_in >= u_out, computed in exactly this arithmetic.
-    """
-    x_star = min(r + 0.5, 1.0)
-    return x_star - 0.25 + 0.25 * rho, r
-
-
 def hetero_image_participation(
     agent: Agent,
     env: Environment,
@@ -365,7 +353,8 @@ def hetero_image_participation(
     _, rho, gamma = _census(env, agent.id)
 
     if use_closed:
-        u_in, u_out = image_participation_rule(float(agent.quality), rho)
+        r = float(agent.quality)
+        u_in, u_out = min(r + 0.5, 1.0) - 0.25 + 0.25 * rho, r
     else:
         u_in, u_out = (float(u[agent.id]) for u in participation_utilities(env, trials, seed))
     return ParticipationReport(

@@ -33,7 +33,6 @@ from .analysis import (
     hetero_image_participation,
     hetero_system_gain,
     hetero_truth_participation,
-    image_participation_rule,
     participation_utilities,
 )
 from .core import (
@@ -890,12 +889,11 @@ def cmd_report(config_path, seed, trials):
         ):
             closed = hetero_image_participation(agent, env, method="closed")
             # gamma <= 4(1-r) is the paper's rule u_in >= u_out rearranged;
-            # deciding it in the rule's own arithmetic keeps the two verdicts
-            # equal where 4(1-r) rounds below gamma.
-            rule_in, rule_out = image_participation_rule(r, closed.rho)
+            # the closed verdict decides it in the rule's own arithmetic,
+            # which keeps the two equal where 4(1-r) rounds below gamma.
             threshold = (
                 f"gamma {_fmt(closed.gamma)} <= 4(1-r) {_fmt(4.0 * (1.0 - r))}: "
-                f"{'yes' if rule_in >= rule_out else 'no'}"
+                f"{'yes' if closed.participates else 'no'}"
             )
         else:
             click.echo(f"{i:<6d} {kind:<10s} {_fmt(r):<8s} randomized reporter, no participation model")

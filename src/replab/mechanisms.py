@@ -214,23 +214,6 @@ def _gather(cross: np.ndarray, readers: list[np.ndarray]) -> list[np.ndarray]:
     ]
 
 
-def _ring_charges(
-    selfs: np.ndarray, reads: list[np.ndarray], maps: list[tuple]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Layer-1 discrepancies and the layer-2 taxes (None for one layer).
-
-    Layer 1 checks each self-report against the ring-predecessor's report
-    about the same subject, v1.  Layer 2 checks each reporter j's report
-    about its successor s = succ2(j), which is v2 at s, against pred2(j)'s
-    report about s, which is v3 at s; it reads cross-reports only.
-    """
-    d1 = np.abs(selfs - reads[0])
-    if len(maps) == 1:
-        return d1, None
-    rows, _, succ = maps[1]
-    return d1, _validation_layer(np.abs(reads[1] - reads[2])[rows, succ], rows, succ)
-
-
 def _ring_setup(spec: ExtendedAS, k: int) -> tuple[list[tuple], list[np.ndarray]]:
     """:func:`_ring_layers` of the spec's fixed rings for K agents.
 
@@ -249,14 +232,17 @@ def _ring_outcome(
     """Reputations and taxes of ring validation on its ring reads.
 
     ``reads`` holds the (B, K) reports of ``readers[m][., i]`` about each
-    subject i (:func:`_ring_layers`): v1 for layer 1, then v2 and v3 for
-    layer 2.
+    subject i (:func:`_ring_layers`).  Layer 1 checks each self-report
+    against the ring-predecessor's report about the same subject, v1.
+    Layer 2 checks each reporter j's report about its successor s =
+    succ2(j), which is v2 at s, against pred2(j)'s report about s, which is
+    v3 at s; it reads cross-reports only.
     """
-    d1, layer2 = _ring_charges(self_reports, reads, maps)
     rows, _, succ = maps[0]
-    taxes = _validation_layer(d1, rows, succ)
-    if layer2 is not None:
-        taxes = taxes + layer2
+    taxes = _validation_layer(np.abs(self_reports - reads[0]), rows, succ)
+    if len(maps) == 2:
+        rows, _, succ = maps[1]
+        taxes = taxes + _validation_layer(np.abs(reads[1] - reads[2])[rows, succ], rows, succ)
     return self_reports.copy(), taxes
 
 
@@ -388,11 +374,17 @@ def deviation_terms(
 
     The deviated channel is the self-report, except under simple averaging,
     where value c adds c - 1/2 to the deviator's cross-reports.  Each
-    family's terms mirror its kernel:
+    family's terms follow from its kernel:
 
-    - scoring, ring-validated scoring and both punish-reward mechanisms:
-      only the deviator's own reputation and tax move (ring validation's
-      second layer reads no self-report);
+    - scoring and ring-validated scoring: only the deviator's own
+      reputation and tax move, and its report enters the tax only through
+      its own charge c, (x - r0_i)^2 or |x - v1_i|, since every other charge
+      reads other reports and ring validation's second layer reads no
+      self-report.  The tax at x is the draw's tax plus c(x) - c(s_i), s_i
+      the drawn self-report, so only the kernels hold the redistribution
+      rules;
+    - both punish-reward mechanisms: only the deviator's own reputation
+      moves;
     - share-of-total: the base is the self-reports and every share is its
       self-report over S' + x, S' the sum of the other self-reports, or 1/K
       at a zero total;
@@ -403,23 +395,21 @@ def deviation_terms(
     i = agent
     self_reports, system_obs, reps = draw.selfs, draw.r0, draw.reps
     k = reps.shape[1]
-    if isinstance(spec, ExtendedAS):
-        maps, _ = _ring_setup(spec, k)
-        d1, layer2 = _ring_charges(self_reports, draw.ring_reads, maps)
-        succ = maps[0][2]
-        rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
-        peer = draw.ring_reads[0][:, i]
-        layer2 = np.zeros(self_reports.shape[0]) if layer2 is None else layer2[:, i]
+    if isinstance(spec, (AS, ExtendedAS)):
+        ring = isinstance(spec, ExtendedAS)
+        ref = draw.ring_reads[0][:, i] if ring else system_obs[:, i]
+        charge = np.abs if ring else np.square
+        tax, drawn = draw.taxes[:, i], charge(self_reports[:, i] - ref)
 
-        def move_validated(x: np.ndarray, rows: slice) -> tuple:
-            return x, (np.abs(x - peer[rows]) - rest[rows]) + layer2[rows], None
+        def move_scored(x: np.ndarray, rows: slice) -> tuple:
+            # tax + (c(x) - c(s)), in place in one (G, rows) array.
+            own_tax = x - ref[rows]
+            charge(own_tax, out=own_tax)
+            own_tax -= drawn[rows]
+            own_tax += tax[rows]
+            return x, own_tax, None
 
-        return reps, None, move_validated
-    if isinstance(spec, AS):
-        d = (self_reports - system_obs) ** 2
-        rest = (d.sum(axis=1) - d[:, i]) / (k - 1)
-        prior = system_obs[:, i]
-        return reps, None, lambda x, rows: (x, (x - prior[rows]) ** 2 - rest[rows], None)
+        return reps, None, move_scored
     # Subjects first, so every pass over a base row runs on contiguous trials.
     if isinstance(spec, FR):
         others = self_reports.sum(axis=1) - self_reports[:, i]

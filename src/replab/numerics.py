@@ -182,12 +182,16 @@ def folded_normal_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> flo
 # ---------------------------------------------------------------------------
 
 
+# Secant-or-bisection steps before find_root settles for its bracket's
+# midpoint; every step shrinks the bracket by at least 1%.
+_ROOT_STEPS = 200
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Locate a root of ``f`` inside ``[lo, hi]`` with a bisection-safeguarded secant.
 
@@ -207,7 +211,7 @@ def find_root(
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise NoBracket(f"f({lo:g})={fa:g} and f({hi:g})={fb:g} have the same sign")
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(_ROOT_STEPS):
         if (b - a) <= tol:
             break
         # Secant proposal, demoted to bisection when degenerate or out of bracket.
@@ -289,6 +293,11 @@ def minimize_1d(
 # ---------------------------------------------------------------------------
 
 
+# Bisections of one interval before integrate takes its Richardson estimate
+# whatever the error.
+_SIMPSON_DEPTH = 48
+
+
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -325,7 +334,6 @@ def integrate(
     lo: float,
     hi: float,
     tol: float = 1e-9,
-    max_depth: int = 48,
 ) -> float:
     """Adaptive Simpson quadrature of ``f`` over ``[lo, hi]``.
 
@@ -337,10 +345,10 @@ def integrate(
     if lo == hi:
         return 0.0
     if hi < lo:
-        return -integrate(f, hi, lo, tol=tol, max_depth=max_depth)
+        return -integrate(f, hi, lo, tol=tol)
     fa = f(lo)
     fb = f(hi)
     m = 0.5 * (lo + hi)
     fm = f(m)
     whole = _simpson(fa, fm, fb, lo, hi)
-    return _adaptive(f, lo, hi, fa, fm, fb, whole, tol, max_depth)
+    return _adaptive(f, lo, hi, fa, fm, fb, whole, tol, _SIMPSON_DEPTH)

@@ -612,11 +612,13 @@ def resolve_self_reports(
 
     ``strategy_mode`` is ``"equilibrium"`` or a mapping of agent ids to
     custom constants; every agent the mapping does not cover plays its
-    equilibrium report.  Raises :class:`UnsupportedCombination` at once
-    when an uncovered agent has no equilibrium report under the mechanism.
-    Uniform-random reporters stay unlisted: they draw fresh reports every
-    trial.
+    equilibrium report.  Any other string raises :class:`ValueError`.
+    Raises :class:`UnsupportedCombination` at once when an uncovered agent
+    has no equilibrium report under the mechanism.  Uniform-random
+    reporters stay unlisted: they draw fresh reports every trial.
     """
+    if isinstance(strategy_mode, str) and strategy_mode != "equilibrium":
+        raise ValueError(f"strategy_mode must be 'equilibrium' or a mapping, got {strategy_mode!r}")
     custom = {} if isinstance(strategy_mode, str) else dict(strategy_mode)
     sigma_prime = aggregate_sigma_prime(env)
     reports: dict[int, float] = {}
@@ -783,10 +785,6 @@ def draw_profile(
         # Drawn from truth-tellers; the utilities still use the real agents.
         env = dataclasses.replace(env, agents=tuple(_driven(a, True) for a in env.agents))
         others_strategy = "equilibrium"
-    elif isinstance(others_strategy, str) and others_strategy != "equilibrium":
-        raise ValueError(
-            f"others_strategy must be 'truthful', 'equilibrium' or a mapping, got {others_strategy!r}"
-        )
     source = _batch_source([env], mechanism, others_strategy)
     draw = next(source(_batch_rng(seed, 0), trials))
     held = (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ()))

@@ -1,6 +1,6 @@
 """Each module's ``__all__`` matches the public names it defines, only the
-engine and the audit seed random streams, and only the one batch source
-runs the mechanism kernels."""
+engine and the audit seed random streams, only the one batch source runs
+the mechanism kernels, and only the kernels redistribute charges."""
 
 import ast
 import importlib
@@ -94,6 +94,15 @@ def test_only_the_batch_source_runs_the_kernels():
     assert _callers_in_src({"run_batch"}) == {("strategies", "_batch_source")}
     found = _callers_in_src({"_ring_outcome"})
     assert found == {("strategies", "_batch_source"), ("mechanisms", "run_batch")}, found
+
+
+def test_the_kernels_alone_hold_the_redistribution_rules():
+    # Ring validation's redistribution lives in _validation_layer, run by
+    # _ring_outcome alone, and its rings are set up only where a batch's
+    # kernel runs.  A deviation audit reads the draw's taxes instead.
+    assert _callers_in_src({"_validation_layer"}) == {("mechanisms", "_ring_outcome")}
+    found = _callers_in_src({"_ring_setup"})
+    assert found == {("mechanisms", "run_batch"), ("strategies", "_batch_source")}, found
 
 
 def test_only_the_engine_and_the_audit_draw_batches():

@@ -468,18 +468,23 @@ def _gathered_kernel(selfs, cross, rings1, rings2, layers):
     return d1, taxes
 
 
-def _gathered_own_tax(selfs, cross, rings1, rings2, layers, i, x):
-    """The deviator's tax at report x, from the same dense gathers."""
-    k = selfs.shape[1]
-    rows, pred, succ = _ring_maps(rings1)
-    d1 = np.abs(selfs - cross[rows, pred, np.arange(k)])
-    rest = (d1.sum(axis=1) - d1[:, i] - d1[:, succ[i]]) / (k - 2)
-    layer2 = np.zeros(selfs.shape[0])
-    if layers == 2:
-        rows2, pred2, succ2 = _ring_maps(rings2)
-        d2 = np.abs(cross[rows2, np.arange(k), succ2] - cross[rows2, pred2, succ2])
-        layer2 = _validation_layer(d2, rows2, succ2)[:, i]
-    return (np.abs(x - cross[:, pred[i], i]) - rest) + layer2
+def _assert_own_tax_is_the_rerun(spec, draw, cross):
+    """Each deviator's tax from ``deviation_terms``: the draw's own at its
+    drawn self-report, bit for bit, and the dense kernel rerun with its
+    self-report set to x at every other x, up to rounding."""
+    selfs = draw.selfs
+    xs = np.linspace(0.0, 1.0, 7)
+    for i in range(selfs.shape[1]):
+        _, base, move = deviation_terms(spec, draw, 0.0, i)
+        _, at_drawn, moved = move(selfs[None, :, i], slice(None))
+        assert base is None and moved is None
+        assert (at_drawn[0] == draw.taxes[:, i]).all()
+        _, own_tax, _ = move(xs[:, None], slice(None))
+        for x, got in zip(xs, own_tax):
+            deviated = selfs.copy()
+            deviated[:, i] = x
+            _, want = run_batch(spec, deviated, cross, draw.r0)
+            assert np.max(np.abs(got - want[:, i])) <= 1e-15, (i, x)
 
 
 @pytest.mark.parametrize("k", [3, 5, 12])
@@ -501,12 +506,18 @@ def test_ring_reads_keep_the_dense_kernel_bit_for_bit(k, layers, rings):
     assert (taxes == _gathered_kernel(selfs, cross, order, order2, layers)[1]).all()
     reads = _gather(cross, _ring_setup(spec, k)[1])
     draw = ProfileDraw(r0=None, selfs=selfs, reps=reps, taxes=taxes, ring_reads=reads)
-    for i in range(k):
-        _, base, move = deviation_terms(spec, draw, 0.0, i)
-        xs = np.linspace(0.0, 1.0, 7)[:, None]
-        _, own_tax, moved = move(xs, slice(None))
-        want = _gathered_own_tax(selfs, cross, order, order2, layers, i, xs)
-        assert base is None and moved is None and (own_tax == want).all()
+    _assert_own_tax_is_the_rerun(spec, draw, cross)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 12])
+def test_scoring_own_tax_is_the_dense_kernel_rerun(k):
+    rng = np.random.default_rng(300 + k)
+    batch = 300
+    selfs = rng.normal(0.5, 0.2, size=(batch, k))
+    r0 = rng.normal(0.5, 0.2, size=(batch, k))
+    reps, taxes = run_batch(AS(), selfs, None, r0)
+    draw = ProfileDraw(r0=r0, selfs=selfs, reps=reps, taxes=taxes)
+    _assert_own_tax_is_the_rerun(AS(), draw, None)
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 40])

@@ -48,6 +48,7 @@ from replab.mechanisms import (
     run_batch,
 )
 from replab.numerics import NoRoot, NormalParams, find_root, integrate, normal_cdf
+from replab.simulator import simulate
 from replab.strategies import (
     DeviationReport,
     PrEquilibrium,
@@ -301,6 +302,16 @@ def test_equilibrium_self_reports_per_type():
     reports = resolve_self_reports(env, PR(a=2.0))
     eq = pr_optimal_self_report(0.3, sp, 2.0)
     assert reports[1] == pytest.approx(min(eq.x_star, 1.0))
+
+
+def test_unknown_strategy_strings_raise():
+    # "truthful" names a profile only to draw_profile; the engine must not
+    # read it, or any other string, as the equilibrium profile.
+    env = Environment(agents=(_agent(0, 0.2, Truth(), 1.0), _agent(1, 0.3, Image(), 0.0)))
+    with pytest.raises(ValueError, match="'truthful'"):
+        simulate(env, AS(), 10, 0, lambda *arrays: {}, strategy_mode="truthful")
+    with pytest.raises(ValueError, match="'bogus'"):
+        resolve_self_reports(env, AS(), "bogus")
 
 
 def test_equilibrium_unsupported_pairs():
