@@ -33,8 +33,9 @@ batches of reports to reputations and taxes live in :mod:`replab.mechanisms`.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -64,6 +65,8 @@ __all__ = [
     "WeightedPR",
     "DirectObservation",
     "MechanismSpec",
+    "Workspace",
+    "FRESH",
     "agent_utility",
     "batch_true_utilities",
     "centralized_solution",
@@ -107,12 +110,14 @@ class AbsPower:
         if not math.isfinite(self.p) or self.p < 1.0:
             raise ValueError(f"accuracy-loss exponent must be >= 1, got {self.p!r}")
 
-    def __call__(self, d: float | np.ndarray) -> float | np.ndarray:
+    def __call__(self, d: float | np.ndarray, out: np.ndarray | None = None):
+        """f(d), written into ``out`` (which may be ``d``) when ``d`` is an array."""
+        array = isinstance(d, np.ndarray)
         if self.p == 1.0:
-            return np.abs(d) if isinstance(d, np.ndarray) else abs(d)
+            return np.abs(d, out=out) if array else abs(d)
         if self.p == 2.0:
-            return d * d
-        return np.abs(d) ** self.p if isinstance(d, np.ndarray) else abs(d) ** self.p
+            return np.multiply(d, d, out=out) if array else d * d
+        return np.power(np.abs(d, out=out), self.p, out=out) if array else abs(d) ** self.p
 
 
 @dataclass(frozen=True)
@@ -413,6 +418,90 @@ MechanismSpec = Union[AS, ExtendedAS, FR, SimpleAveraging, PR, WeightedPR, Direc
 
 
 # ---------------------------------------------------------------------------
+# Batch buffers
+# ---------------------------------------------------------------------------
+
+
+class Workspace:
+    """Arrays that one thread reuses from batch to batch, kept by name.
+
+    Each method hands out a view of the buffer kept under ``name``: its
+    first ``shape[0]`` rows, or one zero row broadcast read-only.  A buffer
+    is made on first use and made again only when a request does not fit
+    it, so a Monte Carlo batch after the first allocates no batch-sized
+    array.  A name's next request overwrites what it held: a view handed
+    out for one batch is valid until the same name is asked for again.
+    Buffers are C-ordered; the engine's arrays are, too, so sums over them
+    round as over new arrays.
+
+    ``Workspace(keep=False)`` (:data:`FRESH`) keeps nothing: ``out`` gives
+    None, so a ufunc allocates its result in numpy's own layout, and the
+    other methods return new arrays.  Functions that take a workspace use
+    it when given none, and then compute exactly as without buffers.
+    """
+
+    def __init__(self, keep: bool = True) -> None:
+        self._keep = keep
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _rows(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        buffer = self._buffers.get(name)
+        if (
+            buffer is None
+            or buffer.dtype != dtype
+            or buffer.shape[1:] != shape[1:]
+            or buffer.shape[0] < shape[0]
+        ):
+            buffer = self._buffers[name] = np.empty(shape, dtype)
+        return buffer[: shape[0]]
+
+    def out(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray | None:
+        """An ``out=`` for a ufunc: uninitialised rows, or None."""
+        return self._rows(name, shape, dtype) if self._keep else None
+
+    def empty_like(self, name: str, array: np.ndarray) -> np.ndarray:
+        """Uninitialised rows of ``array``'s shape and type."""
+        if not self._keep:
+            return np.empty_like(array)
+        return self._rows(name, array.shape, array.dtype)
+
+    def copy(self, name: str, array: np.ndarray) -> np.ndarray:
+        """A C-ordered copy of ``array``."""
+        if not self._keep:
+            return array.copy()
+        rows = self._rows(name, array.shape, array.dtype)
+        np.copyto(rows, array)
+        return rows
+
+    def zeros(self, name: str, shape: tuple[int, ...], writable: bool = False) -> np.ndarray:
+        """Zeros.  When kept: a buffer cleared on every request if
+        ``writable``, else one zero row broadcast read-only to ``shape``."""
+        if not self._keep:
+            return np.zeros(shape)
+        rows = self._rows(name, shape if writable else (1, *shape[1:]), float)
+        rows.fill(0.0)
+        return rows if writable else np.broadcast_to(rows, shape)
+
+    @staticmethod
+    def per_thread() -> Callable[[], "Workspace"]:
+        """A function returning the calling thread's workspace, one per thread
+        that calls it, all freed with the function."""
+        local = threading.local()
+
+        def current() -> Workspace:
+            workspace = getattr(local, "workspace", None)
+            if workspace is None:
+                workspace = local.workspace = Workspace()
+            return workspace
+
+        return current
+
+
+# The workspace of calls given none: it keeps nothing, so threads share it.
+FRESH = Workspace(keep=False)
+
+
+# ---------------------------------------------------------------------------
 # Targets and utilities
 # ---------------------------------------------------------------------------
 
@@ -449,7 +538,11 @@ def agent_utility(
 
 
 def batch_true_utilities(
-    reputations: np.ndarray, taxes: np.ndarray, env: Environment
+    reputations: np.ndarray,
+    taxes: np.ndarray,
+    env: Environment,
+    *,
+    workspace: Workspace = FRESH,
 ) -> np.ndarray:
     """Realized utilities over a batch of outcomes.
 
@@ -458,23 +551,28 @@ def batch_true_utilities(
     f(errors) and its row sums are computed once per distinct loss: equal
     (frozen) losses give equal arrays.  Each run of adjacent agents that
     share (f, g) is computed in one pass over its columns, in the order of
-    :func:`agent_utility`, so every entry rounds as that formula does.
+    :func:`agent_utility`, so every entry rounds as that formula does.  The
+    result and the temporaries are ``workspace`` buffers.
     """
     if reputations.shape != taxes.shape or reputations.shape[1] != env.k:
         raise DimensionMismatch(
             f"expected (trials, {env.k}) arrays, got {reputations.shape} and {taxes.shape}"
         )
-    errors = np.subtract(reputations, centralized_solution(env)[None, :])
+    shape = reputations.shape
+    errors = np.subtract(
+        reputations, centralized_solution(env)[None, :], out=workspace.out("errors", shape)
+    )
     np.abs(errors, out=errors)
     payoffs = [(agent.utility.f, agent.utility.g) for agent in env.agents]
+    distinct = list(dict.fromkeys(f for f, _ in payoffs))
     losses: dict[AbsPower, tuple[np.ndarray, np.ndarray]] = {}
-    for f, _ in payoffs:
-        if f not in losses:
-            floss = f(errors)
-            losses[f] = (floss, floss.sum(axis=1, keepdims=True))
-    del errors
+    for n, f in enumerate(distinct):
+        # The last loss overwrites the errors, which nothing reads after it.
+        last = n == len(distinct) - 1
+        floss = f(errors, out=errors if last else workspace.out(f"loss{n}", shape))
+        losses[f] = (floss, floss.sum(axis=1, keepdims=True))
     lam = np.array([agent.utility.truth_weight for agent in env.agents])
-    out = np.empty_like(reputations)
+    out = workspace.empty_like("utilities", reputations)
     start = 0
     for stop in range(1, env.k + 1):
         if stop < env.k and payoffs[stop] == payoffs[start]:
@@ -485,7 +583,8 @@ def batch_true_utilities(
         block = out[:, cols]
         np.subtract(total, floss[:, cols], out=block)
         block *= -lam[cols]
-        block += (1.0 - lam[cols]) * g(reputations[:, cols])
+        # Only these columns read these losses, so they take the image term.
+        block += np.multiply(1.0 - lam[cols], g(reputations[:, cols]), out=floss[:, cols])
         block -= taxes[:, cols]
         start = stop
     return out

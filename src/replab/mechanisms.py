@@ -32,10 +32,12 @@ from .core import (
     DirectObservation,
     ExtendedAS,
     FR,
+    FRESH,
     MechanismSpec,
     PR,
     SimpleAveraging,
     WeightedPR,
+    Workspace,
 )
 
 __all__ = [
@@ -120,20 +122,21 @@ def _peer_sums(spec: MechanismSpec, cross: np.ndarray) -> np.ndarray:
 
 
 def _aggregate(
-    spec: MechanismSpec, sums: np.ndarray, r0: np.ndarray | None
+    spec: MechanismSpec, sums: np.ndarray, r0: np.ndarray | None, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | int]:
     """Numerator and divisor of each subject's averaging aggregate.
 
     Simple averaging and punish-reward: K times the aggregate is the K-1
-    peer reports plus the system prior ``r0``.  Weighted punish-reward: the
-    weighted mean of the peer reports only, so ``r0`` is not read.  The
+    peer reports plus the system prior ``r0``, summed into ``out`` when
+    given.  Weighted punish-reward: the weighted mean of the peer reports
+    only, so ``r0`` is not read and the numerator is ``sums`` itself.  The
     aggregate is ``numerator / divisor``; the parts are returned apart
     because the simple-averaging deviation scan shifts the numerator.
     """
     if isinstance(spec, WeightedPR):
         weights = peer_weights(spec, sums.shape[1])
         return sums, (weights.sum() - weights)[None, :]
-    return sums + r0, sums.shape[1]
+    return np.add(sums, r0, out=out), sums.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -159,24 +162,37 @@ def _ring_maps(rings: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray, np.nd
     return rows, pred, succ
 
 
-def _as_kernel(selfs: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = selfs.shape[1]
-    d = (selfs - r0) ** 2
-    taxes = d - (d.sum(axis=1, keepdims=True) - d) / (k - 1)
-    return selfs.copy(), taxes
+def _as_kernel(
+    selfs: np.ndarray, r0: np.ndarray, workspace: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    shape = selfs.shape
+    d = np.subtract(selfs, r0, out=workspace.out("charges", shape))
+    np.square(d, out=d)
+    taxes = np.subtract(d.sum(axis=1, keepdims=True), d, out=workspace.out("taxes", shape))
+    taxes /= shape[1] - 1
+    np.subtract(d, taxes, out=taxes)
+    return workspace.copy("reputations", selfs), taxes
 
 
 def _validation_layer(
-    discrepancy: np.ndarray, rows: slice | np.ndarray, succ: np.ndarray
+    discrepancy: np.ndarray,
+    rows: slice | np.ndarray,
+    succ: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Charge each agent its discrepancy, redistribute everyone else's.
 
     Agent i receives a 1/(K-2) share of every charge except its own and its
     ring-successor's, which makes the layer sum to zero for any inputs.
+    Writes into ``out`` when given, which must not be ``discrepancy``.
+    The row totals add in ``discrepancy``'s memory order, so its layout
+    fixes their rounding.
     """
     k = discrepancy.shape[1]
-    total = discrepancy.sum(axis=1, keepdims=True)
-    return discrepancy - (total - discrepancy - discrepancy[rows, succ]) / (k - 2)
+    shares = np.subtract(discrepancy.sum(axis=1, keepdims=True), discrepancy, out=out)
+    shares -= discrepancy[rows, succ]
+    shares /= k - 2
+    return np.subtract(discrepancy, shares, out=shares)
 
 
 def _spec_rings(spec: ExtendedAS, k: int) -> list[np.ndarray]:
@@ -227,7 +243,10 @@ def _ring_setup(spec: ExtendedAS, k: int) -> tuple[list[tuple], list[np.ndarray]
 
 
 def _ring_outcome(
-    self_reports: np.ndarray, reads: list[np.ndarray], maps: list[tuple]
+    self_reports: np.ndarray,
+    reads: list[np.ndarray],
+    maps: list[tuple],
+    workspace: Workspace = FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reputations and taxes of ring validation on its ring reads.
 
@@ -238,12 +257,19 @@ def _ring_outcome(
     succ2(j), which is v2 at s, against pred2(j)'s report about s, which is
     v3 at s; it reads cross-reports only.
     """
+    shape = self_reports.shape
     rows, _, succ = maps[0]
-    taxes = _validation_layer(np.abs(self_reports - reads[0]), rows, succ)
+    charges = np.subtract(self_reports, reads[0], out=workspace.out("charges", shape))
+    np.abs(charges, out=charges)
+    taxes = _validation_layer(charges, rows, succ, workspace.out("taxes", shape))
     if len(maps) == 2:
         rows, _, succ = maps[1]
-        taxes = taxes + _validation_layer(np.abs(reads[1] - reads[2])[rows, succ], rows, succ)
-    return self_reports.copy(), taxes
+        gaps = np.subtract(reads[1], reads[2], out=charges)
+        np.abs(gaps, out=gaps)
+        # The gather is a new array in the order of the maps: per-trial rings
+        # make it F-ordered, and its row totals add in that order.
+        taxes += _validation_layer(gaps[rows, succ], rows, succ, charges)
+    return workspace.copy("reputations", self_reports), taxes
 
 
 def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarray:
@@ -257,14 +283,34 @@ def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarr
     return shares
 
 
-def _fr_kernel(selfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = selfs.shape[1]
-    return _shares(selfs, selfs.sum(axis=1, keepdims=True), k), np.zeros_like(selfs)
+def _fr_kernel(selfs: np.ndarray, workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    shape = selfs.shape
+    totals = selfs.sum(axis=1, keepdims=True)
+    shares = _shares(selfs, totals, shape[1], out=workspace.out("reputations", shape))
+    return shares, workspace.zeros("no taxes", shape)
 
 
-def _pr_branch(selfs: np.ndarray, aggregate: np.ndarray, eps: float) -> np.ndarray:
-    gap = np.abs(selfs - aggregate)
-    return np.where(gap <= eps, 0.5 * (selfs + aggregate), aggregate - gap)
+def _pr_branch(
+    selfs: np.ndarray,
+    aggregate: np.ndarray,
+    eps: float,
+    workspace: Workspace = FRESH,
+    midpoints: np.ndarray | None = None,
+) -> np.ndarray:
+    """Punish-reward's published reputations: the midpoint of self-report
+    and aggregate where they lie within ``eps``, else the aggregate less
+    their gap.  The midpoints go into ``midpoints`` when given, which may be
+    ``aggregate`` itself: it is read for the last time before they are
+    written."""
+    shape = np.broadcast_shapes(selfs.shape, aggregate.shape)
+    reps = np.subtract(selfs, aggregate, out=workspace.out("reputations", shape))
+    gap = np.abs(reps, out=reps)
+    inside = np.less_equal(gap, eps, out=workspace.out("band", shape, bool))
+    np.subtract(aggregate, gap, out=reps)
+    mid = np.add(selfs, aggregate, out=midpoints)
+    mid *= 0.5
+    np.copyto(reps, mid, where=inside)
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +327,7 @@ def run_batch(
     *,
     peer_sums: np.ndarray | None = None,
     ring_reads: list[np.ndarray] | None = None,
+    workspace: Workspace = FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a mechanism over a batch of rounds.
 
@@ -293,6 +340,9 @@ def run_batch(
     ``ring_reads``, the (trials, K) reads of the spec's fixed rings
     (:func:`_ring_outcome`), when given and otherwise gathers them from
     ``cross_reports``.  Returns (reputations, taxes), each (trials, K).
+    They and the kernel's temporaries are ``workspace`` buffers, which the
+    workspace's next batch overwrites; zero taxes are a read-only view.
+    Without a workspace every call returns new arrays.
     """
     if not math.isfinite(sigma_prime) or sigma_prime < 0.0:
         raise ValueError(f"sigma_prime must be finite and >= 0, got {sigma_prime!r}")
@@ -316,30 +366,34 @@ def run_batch(
             raise DimensionMismatch(f"{type(spec).__name__} requires {name}")
         return arr
 
+    shape = (trials, k)
     if isinstance(spec, AS):
         if k < 2:
             raise TooFewAgents(f"absolute scoring needs K >= 2, got {k}")
-        return _as_kernel(need("self_reports", self_reports), need("system_obs", system_obs))
+        selfs, r0 = need("self_reports", self_reports), need("system_obs", system_obs)
+        return _as_kernel(selfs, r0, workspace)
     if isinstance(spec, ExtendedAS):
         maps, readers = _ring_setup(spec, k)
         if ring_reads is None:
             ring_reads = _gather(need("cross_reports", cross_reports), readers)
-        return _ring_outcome(need("self_reports", self_reports), ring_reads, maps)
+        return _ring_outcome(need("self_reports", self_reports), ring_reads, maps, workspace)
     if isinstance(spec, FR):
-        return _fr_kernel(need("self_reports", self_reports))
+        return _fr_kernel(need("self_reports", self_reports), workspace)
     if cross_reads(spec) == PEER_SUMS:
         r0 = None if isinstance(spec, WeightedPR) else need("system_obs", system_obs)
         if peer_sums is None:
             peer_sums = _peer_sums(spec, need("cross_reports", cross_reports))
-        # Divided at once, so the numerator is freed before the outputs are made.
-        aggregate = np.divide(*_aggregate(spec, peer_sums, r0))
+        # The drawn peer sums stay as they are: later arms read them.
+        aggregate = workspace.out("aggregate", shape)
+        aggregate = np.divide(*_aggregate(spec, peer_sums, r0, out=aggregate), out=aggregate)
         if isinstance(spec, SimpleAveraging):
-            return aggregate, np.zeros_like(aggregate)
+            return aggregate, workspace.zeros("no taxes", shape)
         selfs = need("self_reports", self_reports)
-        return _pr_branch(selfs, aggregate, spec.a * sigma_prime), np.zeros_like(selfs)
+        reps = _pr_branch(selfs, aggregate, spec.a * sigma_prime, workspace, midpoints=aggregate)
+        return reps, workspace.zeros("no taxes", shape)
     if isinstance(spec, DirectObservation):
         obs = need("system_obs", system_obs)
-        return obs.copy(), np.zeros_like(obs)
+        return workspace.copy("reputations", obs), workspace.zeros("no taxes", shape)
     raise TypeError(f"unknown mechanism spec {spec!r}")
 
 

@@ -20,6 +20,12 @@ or all batches as a dense (batch, K, K) cross matrix.
 The caller's reducer condenses each batch.  Worker threads may compute
 batches in any order; partial results are reduced in batch order with
 compensated summation, so results are byte-identical for any worker count.
+Each worker thread draws and runs its batches in a workspace of (batch, K)
+buffers (``core.Workspace``) that lives as long as the ``simulate`` call,
+so after its first batch a worker allocates no batch-sized array.  The
+arrays a reducer sees belong to that workspace and are overwritten by the
+worker's next batch: a reducer copies anything it keeps, and it may not
+write into them.
 Strategy constants are resolved once per scenario; only uniform-random
 reporters draw fresh messages.
 
@@ -54,6 +60,7 @@ from .core import (
     MechanismSpec,
     PR,
     WeightedPR,
+    Workspace,
     batch_true_utilities,
     centralized_solution,
 )
@@ -267,8 +274,11 @@ def simulate(
     each equal bit for bit to that arm simulated alone.  Arms may differ
     only in what their agents send, that is their constant self-reports
     and colluders; a :class:`ValueError` names the first difference that
-    would make two arms draw differently.  Reducers see arrays the later
-    arms reuse and must not write into them.
+    would make two arms draw differently.
+
+    A reducer's arrays belong to its worker thread's workspace: the later
+    arms and the worker's next batch overwrite them.  A reducer must copy
+    anything it keeps, and it must not write into them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -286,11 +296,12 @@ def simulate(
         if difference is not None:
             raise ValueError(f"arm {m} would draw differently from arm 0: {difference}")
     source = _batch_source(envs, mechanism, strategy_mode)
+    workspace = Workspace.per_thread()
 
     def one_batch(batch_index: int, size: int) -> list[dict]:
         # zip takes each arm from the source only after the previous arm's
         # reducer has run, as the shared draw requires.
-        arms = source(_batch_rng(seed, batch_index), size)
+        arms = source(_batch_rng(seed, batch_index), size, workspace())
         return [
             arm_reduce(arm.r0, arm.selfs, arm.reps, arm.taxes)
             for arm_reduce, arm in zip(reduces, arms)
@@ -308,15 +319,19 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
     """Simulate the configured scenario and aggregate outcome statistics."""
     env = config.env
     targets = centralized_solution(env)
+    # The reducer's temporaries, one workspace per worker thread.
+    scratch = Workspace.per_thread()
 
     def reduce(system_obs, selfs, reps, taxes) -> dict:
-        mae = np.abs(reps - targets[None, :]).sum(axis=1)
+        workspace = scratch()
+        errors = np.subtract(reps, targets[None, :], out=workspace.out("errors", reps.shape))
+        mae = np.abs(errors, out=errors).sum(axis=1)
         budgets = taxes.sum(axis=1)
         return {
             "mae": float(mae.sum()),
             "mae_sq": float((mae * mae).sum()),
             "reps": reps.sum(axis=0),
-            "utils": batch_true_utilities(reps, taxes, env).sum(axis=0),
+            "utils": batch_true_utilities(reps, taxes, env, workspace=workspace).sum(axis=0),
             "budget": float(budgets.sum()),
             "budget_abs_max": float(np.abs(budgets).max()),
         }
@@ -515,7 +530,6 @@ def run_collusion_scenario(
     outsiders = np.array(
         [i for i, a in enumerate(env.agents) if a.id not in clique], dtype=int
     )
-
     def reducer(arm_env: Environment) -> Reducer:
         def reduce(system_obs, selfs, reps, taxes) -> dict:
             mae = np.abs(reps - targets[None, :]).sum(axis=1)

@@ -49,6 +49,7 @@ from .core import (
     DirectObservation,
     Environment,
     ExtendedAS,
+    FRESH,
     Image,
     Linear,
     MaliciousRandom,
@@ -58,6 +59,7 @@ from .core import (
     SimpleAveraging,
     Truth,
     WeightedPR,
+    Workspace,
     agent_utility,
     centralized_solution,
 )
@@ -375,6 +377,7 @@ def sample_sparse(
     rng: np.random.Generator,
     trials: int,
     self_reports: Mapping[int, float],
+    workspace: Workspace = FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """System observations and self-reports (trials, K) without cross reports.
 
@@ -384,17 +387,19 @@ def sample_sparse(
     self-reports are a read-only view of one row, so a batch of constants
     allocates nothing.  A mechanism that reads cross reports draws them
     afterwards, as peer sums (:func:`sample_peer_sums`) or as ring reads
-    (:func:`sample_ring_reads`).
+    (:func:`sample_ring_reads`).  The drawn arrays are ``workspace``
+    buffers.
     """
-    r0 = rng.normal(0.0, 1.0, size=(trials, env.k))
+    shape = (trials, env.k)
+    r0 = rng.standard_normal(shape, out=workspace.out("system observations", shape))
     r0 *= env.system_obs.std
     r0 += env.qualities[None, :] + env.system_obs.mean
     if env.clamp_observations:
         np.clip(r0, 0.0, 1.0, out=r0)
     row = np.array([self_reports.get(i, np.nan) for i in range(env.k)])
     if len(self_reports) == env.k:
-        return r0, np.broadcast_to(row, (trials, env.k))
-    selfs = np.tile(row, (trials, 1))
+        return r0, np.broadcast_to(row, shape)
+    selfs = workspace.copy("self-reports", np.broadcast_to(row, shape))
     for i, agent in enumerate(env.agents):
         if i not in self_reports:
             kind = agent.agent_type
@@ -476,7 +481,11 @@ def _peer_sum_tables(env: Environment, weights: np.ndarray) -> _PeerSumTables:
 
 
 def sample_peer_sums(
-    env: Environment, rng: np.random.Generator, trials: int, tables: _PeerSumTables
+    env: Environment,
+    rng: np.random.Generator,
+    trials: int,
+    tables: _PeerSumTables,
+    workspace: Workspace = FRESH,
 ) -> np.ndarray:
     """Draw each subject's weighted peer-report sum ``sum_{j != i} w_j R_ji``.
 
@@ -488,13 +497,14 @@ def sample_peer_sums(
     draws one (trials, K) block, clipped and weighted, in agent order.  The
     colluders' constants (:func:`_sent_constants`) are added exactly, then
     each uniform-random reporter, in agent order, draws one uniform per
-    entry.  No (trials, K, K) array is made.
+    entry.  No (trials, K, K) array is made, and every reporter's (trials,
+    K) block is drawn into one ``workspace`` buffer.
     """
-    k = env.k
+    shape = (trials, env.k)
     if tables.normal is None:
-        sums = np.zeros((trials, k))
+        sums = workspace.zeros("peer sums", shape, writable=True)
         for std, centre, weight in tables.relayers:
-            block = rng.normal(0.0, 1.0, size=(trials, k))
+            block = rng.standard_normal(shape, out=workspace.out("reporter block", shape))
             block *= std
             block += centre
             np.clip(block, 0.0, 1.0, out=block)
@@ -502,14 +512,17 @@ def sample_peer_sums(
             sums += block
     else:
         mean, std = tables.normal
-        sums = rng.normal(0.0, 1.0, size=(trials, k))
+        sums = rng.standard_normal(shape, out=workspace.out("peer sums", shape))
         sums *= std
         sums += mean
     if tables.constants is not None:
         sums += tables.constants
     for j in tables.randoms:
         kind = env.agents[j].agent_type
-        noise = rng.uniform(kind.low, kind.high, size=(trials, k))
+        # low + (high - low) u, as Generator.uniform computes it.
+        noise = rng.random(shape, out=workspace.out("reporter block", shape))
+        noise *= kind.high - kind.low
+        noise += kind.low
         noise *= tables.weights[j]
         noise[:, j] = 0.0
         sums += noise
@@ -521,6 +534,7 @@ def sample_ring_reads(
     rng: np.random.Generator,
     trials: int,
     readers: list[np.ndarray],
+    workspace: Workspace = FRESH,
 ) -> list[np.ndarray]:
     """Draw only the cross reports a validation ring reads.
 
@@ -534,7 +548,7 @@ def sample_ring_reads(
     reporter sends one uniform draw per entry drawn, again map by map.
     Colluders' entries hold their observations: their messages
     (:func:`ring_messages`) draw nothing, so arms that differ only in them
-    can share one draw.
+    can share one draw.  The reads are ``workspace`` buffers.
     """
     k = env.k
     shape = (trials, k)
@@ -548,12 +562,12 @@ def sample_ring_reads(
     ]
     fresh = [~np.logical_or.reduce(masks) if masks else None for masks in same]
     reads = []
-    for reader, new in zip(readers, fresh):
+    for m, (reader, new) in enumerate(zip(readers, fresh)):
         if new is None:
-            values = rng.normal(0.0, 1.0, size=shape)
+            values = rng.standard_normal(shape, out=workspace.out(f"ring read {m}", shape))
         else:
-            values = np.zeros(shape)
-            values[new] = rng.normal(0.0, 1.0, size=int(np.count_nonzero(new)))
+            values = workspace.zeros(f"ring read {m}", shape, writable=True)
+            values[new] = rng.standard_normal(int(np.count_nonzero(new)))
         values *= stds[reader]
         values += qualities + biases[reader]
         if env.clamp_observations:
@@ -707,20 +721,23 @@ def _batch_source(
     envs: list[Environment],
     mechanism: MechanismSpec,
     strategy_mode: str | Mapping[int, float],
-) -> Callable[[np.random.Generator, int], Iterator[ProfileDraw]]:
+) -> Callable[..., Iterator[ProfileDraw]]:
     """The draw of one batch and the mechanism's outcome on it, per arm.
 
     Resolves the arms' constant self-reports and what ``mechanism`` reads
-    once.  The returned ``draw(rng, size)`` draws ``size`` rounds from
-    ``rng`` in the order of draw stream 4: the system observations and
-    uniform self-reports (:func:`sample_sparse`), then the peer sums
-    (:func:`sample_peer_sums`), or the secret rings of :class:`_SecretRings`
-    and the ring reads (:func:`sample_ring_reads`).  It then yields one
-    :class:`ProfileDraw` per arm, in order: the arm's constants in place of
-    the previous arm's (:func:`_with_row`), its colluders' ring messages
-    (:func:`ring_messages`) and the mechanism's outcome.  The arms share the
-    draw, and a later arm writes into the arrays an earlier one was given,
-    so each arm must be consumed before the next is produced.
+    once.  The returned ``draw(rng, size, workspace=FRESH)`` draws ``size``
+    rounds from ``rng`` in the order of draw stream 4: the system
+    observations and uniform self-reports (:func:`sample_sparse`), then the
+    peer sums (:func:`sample_peer_sums`), or the secret rings of
+    :class:`_SecretRings` and the ring reads (:func:`sample_ring_reads`).
+    It then yields one :class:`ProfileDraw` per arm, in order: the arm's
+    constants in place of the previous arm's (:func:`_with_row`), its
+    colluders' ring messages (:func:`ring_messages`) and the mechanism's
+    outcome.  The arms share the draw, and a later arm writes into the
+    arrays an earlier one was given, so each arm must be consumed before
+    the next is produced.  The arrays are ``workspace`` buffers, which the
+    workspace's next batch overwrites; with no workspace they are new, and
+    the draw owns them.
     """
     first = envs[0]
     k = first.k
@@ -736,8 +753,12 @@ def _batch_source(
         ring = _ring_setup(mechanism, k)
     last = len(envs) - 1
 
-    def draw(rng: np.random.Generator, size: int) -> Iterator[ProfileDraw]:
-        r0, selfs = sample_sparse(first, rng, size, reports[0])
+    def draw(
+        rng: np.random.Generator, size: int, workspace: Workspace = FRESH
+    ) -> Iterator[ProfileDraw]:
+        r0, selfs = sample_sparse(first, rng, size, reports[0], workspace)
+        # A workspace hands out a new view per batch, so the buffer itself
+        # stays writable for the next batch's draw.
         r0.setflags(write=False)
         if reads == RING:
             maps, readers = ring
@@ -746,17 +767,19 @@ def _batch_source(
                 maps, readers = _ring_layers(
                     [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
                 )
-            drawn = sample_ring_reads(first, rng, size, readers)
-        sums = None if tables is None else sample_peer_sums(first, rng, size, tables)
+            drawn = sample_ring_reads(first, rng, size, readers, workspace)
+        sums = None if tables is None else sample_peer_sums(first, rng, size, tables, workspace)
         ring_reads = None
         for m in range(len(envs)):
             if m:
                 selfs = _with_row(selfs, rows[m])
             if reads == RING:
                 ring_reads = tuple(ring_messages(drawn, readers, sent[m], in_place=m == last))
-                reps, taxes = _ring_outcome(selfs, ring_reads, maps)
+                reps, taxes = _ring_outcome(selfs, ring_reads, maps, workspace)
             else:
-                reps, taxes = run_batch(mechanism, selfs, None, r0, sigma_prime, peer_sums=sums)
+                reps, taxes = run_batch(
+                    mechanism, selfs, None, r0, sigma_prime, peer_sums=sums, workspace=workspace
+                )
             yield ProfileDraw(r0, selfs, reps, taxes, sums, ring_reads)
 
     return draw
@@ -977,9 +1000,12 @@ def deviation_report(
     utilities: for the grid's means
     (see :func:`_grid_means`), then per trial at the best and the claimed
     report, whose paired difference gives the gain and its standard error.
-    A ``draw`` from :func:`draw_profile` replaces sampling; it then fixes
-    the profile and the trial count in place of ``others_strategy``,
-    ``trials`` and ``seed``.
+    Grid means within the profitability floor (1e-12 times the larger of 1
+    and the maximum's magnitude) of the maximum count as tied, and the tie
+    nearest the claimed report is the best.  A ``draw`` from
+    :func:`draw_profile` replaces sampling; it then fixes the profile and
+    the trial count in place of ``others_strategy``, ``trials`` and
+    ``seed``.
     """
     if not (0 <= agent_index < env.k):
         raise DimensionMismatch(f"agent_index {agent_index} outside 0..{env.k - 1}")
@@ -1000,7 +1026,12 @@ def deviation_report(
 
     grid_values = np.linspace(0.0, 1.0, grid)
     means = _grid_means(agent, terms, targets, grid_values)
-    best = float(grid_values[int(np.argmax(means))])
+    # Means within the profitability floor of the maximum tie: rounding
+    # noise would otherwise pick among them.  The tie nearest the claimed
+    # report is the best.
+    top = means.max()
+    ties = grid_values[means >= top - 1e-12 * max(1.0, abs(top))]
+    best = float(ties[np.argmin(np.abs(ties - claimed))])
     # The best and the claimed report are two more points of the scan, kept
     # per trial; their means are summed as the grid's are.
     utils = np.empty((2, trials))

@@ -55,6 +55,7 @@ from replab.simulator import (
 )
 from replab.strategies import (
     aggregate_sigma_prime,
+    draw_profile,
     pr_optimal_self_report,
     resolve_self_reports,
 )
@@ -128,17 +129,19 @@ def test_all_truth_scoring_is_exact():
     assert np.all(np.abs(stats.per_agent_utility_mean) < 0.01)
 
 
+def _stats_bytes(stats: SimStats) -> list[bytes]:
+    return [np.asarray(getattr(stats, f.name)).tobytes() for f in dataclasses.fields(stats)]
+
+
 def test_same_seed_any_worker_count_is_bit_identical():
+    # Each worker thread draws into its own workspace; the batches, their
+    # substreams and the reduction order do not depend on which thread ran
+    # them.
     env = _truth_env([0.2, 0.5, 0.8, 0.4, 0.6])
     config = ScenarioConfig(env=env, mechanism=SimpleAveraging(), trials=3_000, seed=11)
     one = run_trials(config, workers=1)
-    eight = run_trials(config, workers=8)
-    assert one.mae_mean == eight.mae_mean
-    assert one.mae_stderr == eight.mae_stderr
-    assert np.array_equal(one.per_agent_reputation_mean, eight.per_agent_reputation_mean)
-    assert np.array_equal(one.per_agent_utility_mean, eight.per_agent_utility_mean)
-    assert one.budget_mean == eight.budget_mean
-    assert one.budget_max_abs == eight.budget_max_abs
+    for workers in (2, 8):
+        assert _stats_bytes(run_trials(config, workers=workers)) == _stats_bytes(one), workers
     different = run_trials(
         ScenarioConfig(env=env, mechanism=SimpleAveraging(), trials=3_000, seed=12)
     )
@@ -404,6 +407,41 @@ def test_compact_stream_bits_are_pinned():
     assert (stats.budget_mean, stats.budget_max_abs) == (9.87751547221194e-19, 1.1102230246251565e-16)
 
 
+@pytest.mark.parametrize(
+    "mechanism", [AS(), PR(a=1.5), _SecretRings(layers=2)], ids=["as", "pr", "secret-rings"]
+)
+def test_batches_after_the_first_reuse_their_workspace(mechanism):
+    # The reducer keeps every batch's arrays alive, so a batch that made new
+    # arrays could not land on the memory of an earlier one; the workspace
+    # hands the same buffers to every batch.
+    env = _truth_env([0.2, 0.5, 0.8, 0.4, 0.6])
+    kept = []
+
+    def reduce(system_obs, selfs, reps, taxes) -> dict:
+        kept.append((reps, taxes))
+        return {}
+
+    simulate(env, mechanism, 4 * simulator.BATCH_TRIALS, 3, reduce, workers=1)
+    pointers = [tuple(a.__array_interface__["data"][0] for a in arrays) for arrays in kept]
+    assert len(pointers) == 4
+    assert len(set(pointers[1:])) == 1, pointers
+
+
+@pytest.mark.parametrize(
+    "mechanism", [AS(), PR(a=1.5), ExtendedAS(layers=2)], ids=lambda m: type(m).__name__
+)
+def test_a_profile_draw_owns_its_arrays(mechanism):
+    # An audit replays its draw for every agent, so a later engine run on
+    # the same thread, of the same shape, must leave it as it was.
+    env = _truth_env([0.2, 0.5, 0.8, 0.4, 0.6])
+    draw = draw_profile(env, mechanism, trials=simulator.BATCH_TRIALS, seed=5)
+    held = [draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ())]
+    before = [None if a is None else a.copy() for a in held]
+    run_trials(ScenarioConfig(env=env, mechanism=mechanism, trials=3_000, seed=5))
+    for old, arr in zip(before, held):
+        assert (old is None and arr is None) or old.tobytes() == arr.tobytes()
+
+
 def test_compact_path_memory_stays_bounded_at_k_2000():
     k = 2_000
     agents = tuple(
@@ -411,13 +449,18 @@ def test_compact_path_memory_stays_bounded_at_k_2000():
         for i in range(k)
     )
     env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
+    config = ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_048, seed=9)
     tracemalloc.start()
     try:
-        stats = run_trials(ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_048, seed=9))
+        # Each worker thread holds a workspace of (batch, K) buffers.
+        runs = {workers: run_trials(config, workers) for workers in (1, 2, 8)}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    stats = runs[1]
     assert stats.trials == 2_048 and stats.budget_max_abs == 0.0
+    for workers in (2, 8):
+        assert _stats_bytes(runs[workers]) == _stats_bytes(stats), workers
     # The dense path would allocate trials * K^2 * 8 bytes (32 GB) per batch.
     assert peak < 256 * 2**20, peak
 
@@ -760,6 +803,40 @@ def test_collusion_scenario_is_deterministic():
     assert a == b
     two = run_collusion_scenario(env, {0, 3}, layers=1, trials=2_000, seed=12, workers=2)
     assert two == a
+
+
+def test_twelve_agent_secret_rings_keep_their_bits():
+    # From K=8 a row sum rounds by memory order: per-trial rings make the
+    # second layer's gathered discrepancies F-ordered, and their totals add
+    # sequentially over the agents where a C-ordered array adds pairwise.
+    # A buffer that made them C-ordered would move this record, pinned at
+    # one and two workers.
+    env = _truth_env([0.15, 0.62, 0.33, 0.48, 0.71, 0.27, 0.56, 0.4, 0.84, 0.22, 0.67, 0.51])
+    # (mae, clique_utility, clique_tax, budget_max_abs) per arm; no outsider
+    # is misreported in any arm.
+    expected = {
+        "one_layer": (
+            1.6000000000000003, -0.8956127863267419, 0.2837461196600752, 1.1379786002407855e-15
+        ),
+        "one_layer_honest": (
+            0.0, 0.0006727213376432514, -0.0006727213376432514, 5.273559366969494e-16
+        ),
+        "two_layer": (
+            1.6000000000000003, -0.9342847810102549, 0.32241811434358814, 1.6653345369377348e-15
+        ),
+        "two_layer_honest": (
+            0.0, 0.001038457943402559, -0.001038457943402559, 9.71445146547012e-16
+        ),
+    }
+    for workers in (1, 2):
+        record = run_collusion_scenario(
+            env, {2, 7, 10}, layers=2, trials=4_096, seed=2027, workers=workers
+        )
+        for arm, values in expected.items():
+            keys = ("mae", "clique_utility", "clique_tax", "budget_max_abs")
+            got = tuple(record[arm][key] for key in keys)
+            assert got == values, (workers, arm)
+            assert record[arm]["outsider_mae"] == 0.0
 
 
 def test_collusion_guards():

@@ -463,14 +463,43 @@ def test_deviation_report_flags_profitable_deviation():
 def test_rounding_noise_is_not_a_profitable_deviation():
     # Under weighted punish-reward a truth sender's self-report moves only
     # its own reputation, which it does not value: every grid point and the
-    # claimed report take the same accuracy from the one base run, so the
-    # paired gain is exactly 0.
+    # claimed report take the same accuracy from the one base run, so all
+    # grid points tie, the best is the one nearest the claimed report, and
+    # the paired gain is exactly 0.
     env = _truth_env([0.35, 0.55, 0.45])
     mechanism = WeightedPR(a=2.0, weights=(1.0, 2.0, 3.0))
     rep = deviation_report(0, mechanism, env, trials=2_000, grid=41, seed=1)
-    assert abs(rep.best - rep.claimed) > rep.grid_step
+    assert abs(rep.best - rep.claimed) <= rep.grid_step / 2
     assert (rep.gain, rep.gain_stderr) == (0.0, 0.0)
     assert not rep.profitable
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flat_grid_means_pick_the_tie_nearest_the_claimed_report(seed):
+    # An image sender with a linear payoff under ring validation gains x and
+    # pays |x - v1| for every report x above all of its predecessor's reads
+    # v1, so its mean utility is flat there and the grid means tie up to
+    # rounding.  The best is the lowest tied point, the one nearest the
+    # truthful claim, whatever the rounding.
+    qualities = [0.3, 0.5, 0.7, 0.4]
+    agents = [_agent(0, 0.3, Image(), 0.0, obs=NormalParams(0.0, 0.02))]
+    agents += [
+        _agent(i, r, Truth(), 1.0, obs=NormalParams(0.0, 0.02))
+        for i, r in enumerate(qualities[1:], 1)
+    ]
+    env = Environment(agents=tuple(agents), system_obs=NormalParams(0.0, 0.02))
+    mechanism = ExtendedAS()
+    draw = draw_profile(env, mechanism, trials=2_000, seed=seed)
+    grid = 201
+    values = np.linspace(0.0, 1.0, grid)
+    means = _scan_means(mechanism, env, draw, 0, values)
+    top_read = draw.ring_reads[0][:, 0].max()
+    flat = values >= top_read
+    # The flat stretch ties to within rounding, and far below the grid step.
+    assert np.ptp(means[flat]) < 1e-12
+    rep = deviation_report(0, mechanism, env, grid=grid, draw=draw)
+    assert rep.claimed == 0.3
+    assert rep.best == values[flat][0]
 
 
 def test_noise_sized_gain_under_the_floor_is_not_profitable():
@@ -727,14 +756,17 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
         dense, oracle = _dense_oracle(i, mechanism, env, profile, trials, grid, seed)
         np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
         report = deviation_report(i, mechanism, env, grid=grid, draw=draw)
-        at_best = means[int(np.argmax(means))]
+        # The scan's ties with its maximum, and the one nearest the claim.
+        scan_ties = np.flatnonzero(means >= means.max() - 1e-12 * max(1.0, abs(means.max())))
+        best_index = scan_ties[np.argmin(np.abs(values[scan_ties] - report.claimed))]
+        at_best = means[best_index]
         if moments:
             assert abs(report.best_mean - at_best) <= 1e-12, (case, i)
         else:
             assert report.best_mean == at_best, (case, i)
         ties = np.flatnonzero(dense >= dense.max() - 1e-12)
         if ties.size == 1:
-            assert int(np.argmax(means)) == ties[0], (case, i)
+            assert best_index == ties[0], (case, i)
             _assert_same_report(report, oracle)
         else:
             # Several grid points share the maximum up to rounding: the
@@ -742,9 +774,8 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
             # sender's self-report under punish-reward, an image sender's
             # cross-reports under averaging, or a linear image gain cancelled
             # by a ring-validation charge).  The dense argmax among them is
-            # rounding noise; the scan must land on one of them, and the
-            # report must agree with the dense one at that point.
-            best_index = int(np.argmax(means))
+            # rounding noise; the scan's tie nearest the claim must be one
+            # of them, and the report must agree with the dense one there.
             assert best_index in ties, (case, i)
             _, tied = _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index)
             _assert_same_report(report, tied)
