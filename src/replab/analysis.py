@@ -29,6 +29,7 @@ from .core import (
     Linear,
     MaliciousRandom,
     Truth,
+    Workspace,
     batch_true_utilities,
 )
 from .numerics import (
@@ -258,14 +259,19 @@ def participation_utilities(
     clamped exactly when the environment clamps.
     """
     lam = np.array([ag.utility.truth_weight for ag in env.agents])
+    scratch = Workspace.per_thread()
 
-    def reduce(system_obs, selfs, reps, taxes) -> dict:
-        return {
-            "utils": batch_true_utilities(reps, taxes, env).sum(axis=0),
-            "image": np.array(
-                [ag.utility.g(system_obs[:, i]).sum() for i, ag in enumerate(env.agents)]
-            ),
-        }
+    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+        utils = batch_true_utilities(reps, taxes, env, workspace=scratch())
+        # Each agent's payoff once over the run; a linear one is a view.
+        images = [ag.utility.g(system_obs[:, i]) for i, ag in enumerate(env.agents)]
+        return [
+            {
+                "utils": utils[rows].sum(axis=0),
+                "image": np.array([image[rows].sum() for image in images]),
+            }
+            for rows in batches
+        ]
 
     totals = simulate(env, AS(), trials, seed, reduce)
     accuracy = np.array([_stay_out_loss(ag, env) for ag in env.agents])

@@ -423,16 +423,17 @@ MechanismSpec = Union[AS, ExtendedAS, FR, SimpleAveraging, PR, WeightedPR, Direc
 
 
 class Workspace:
-    """Arrays that one thread reuses from batch to batch, kept by name.
+    """Arrays that one thread reuses from run to run, kept by name.
 
-    Each method hands out a view of the buffer kept under ``name``: its
-    first ``shape[0]`` rows, or one zero row broadcast read-only.  A buffer
-    is made on first use and made again only when a request does not fit
-    it, so a Monte Carlo batch after the first allocates no batch-sized
-    array.  A name's next request overwrites what it held: a view handed
-    out for one batch is valid until the same name is asked for again.
-    Buffers are C-ordered; the engine's arrays are, too, so sums over them
-    round as over new arrays.
+    Each method hands out a view of the buffer kept under ``name``: the
+    first elements of one flat buffer shaped as asked, or one zero row
+    broadcast read-only.  A buffer is made on first use and made again only
+    when a request does not fit it, so a Monte Carlo run after the first
+    allocates no run-sized array.  A name's next request overwrites what it
+    held: a view handed out for one run is valid until the same name is
+    asked for again.  Buffers are C-ordered unless asked for in F order;
+    the engine's arrays are laid out as new arrays would be, so sums over
+    them round as over new arrays.
 
     ``Workspace(keep=False)`` (:data:`FRESH`) keeps nothing: ``out`` gives
     None, so a ufunc allocates its result in numpy's own layout, and the
@@ -444,32 +445,33 @@ class Workspace:
         self._keep = keep
         self._buffers: dict[str, np.ndarray] = {}
 
-    def _rows(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    def empty(
+        self, name: str, shape: tuple[int, ...], dtype=float, order: str = "C"
+    ) -> np.ndarray:
+        """Uninitialised elements of ``shape`` in ``order``."""
+        if not self._keep:
+            return np.empty(shape, dtype, order)
+        size = math.prod(shape)
         buffer = self._buffers.get(name)
-        if (
-            buffer is None
-            or buffer.dtype != dtype
-            or buffer.shape[1:] != shape[1:]
-            or buffer.shape[0] < shape[0]
-        ):
-            buffer = self._buffers[name] = np.empty(shape, dtype)
-        return buffer[: shape[0]]
+        if buffer is None or buffer.dtype != dtype or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape, order=order)
 
     def out(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray | None:
-        """An ``out=`` for a ufunc: uninitialised rows, or None."""
-        return self._rows(name, shape, dtype) if self._keep else None
+        """An ``out=`` for a ufunc: uninitialised C-ordered elements, or None."""
+        return self.empty(name, shape, dtype) if self._keep else None
 
     def empty_like(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Uninitialised rows of ``array``'s shape and type."""
+        """Uninitialised elements of ``array``'s shape and type."""
         if not self._keep:
             return np.empty_like(array)
-        return self._rows(name, array.shape, array.dtype)
+        return self.empty(name, array.shape, array.dtype)
 
     def copy(self, name: str, array: np.ndarray) -> np.ndarray:
         """A C-ordered copy of ``array``."""
         if not self._keep:
             return array.copy()
-        rows = self._rows(name, array.shape, array.dtype)
+        rows = self.empty(name, array.shape, array.dtype)
         np.copyto(rows, array)
         return rows
 
@@ -478,7 +480,7 @@ class Workspace:
         ``writable``, else one zero row broadcast read-only to ``shape``."""
         if not self._keep:
             return np.zeros(shape)
-        rows = self._rows(name, shape if writable else (1, *shape[1:]), float)
+        rows = self.empty(name, shape if writable else (1, *shape[1:]))
         rows.fill(0.0)
         return rows if writable else np.broadcast_to(rows, shape)
 

@@ -144,19 +144,69 @@ def _aggregate(
 # ---------------------------------------------------------------------------
 
 
-def _ring_maps(rings: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+def _order(array: np.ndarray) -> str:
+    """The layout a new array made like ``array`` gets: F when only F fits."""
+    return "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+
+
+def _take(flat: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = flat[index]`` without a temporary.
+
+    ``out`` has ``index``'s shape and layout, C or F, which ``np.take``
+    reads as C through the transposes.  Indices are in range, so the clip
+    mode changes no value and spares ``np.take`` its copy.
+    """
+    if index.flags.c_contiguous:
+        return np.take(flat, index, out=out, mode="clip")
+    np.take(flat, index.T, out=out.T, mode="clip")
+    return out
+
+
+def _ring_gather(
+    values: np.ndarray,
+    rows: slice | np.ndarray,
+    cols: np.ndarray,
+    name: str,
+    workspace: Workspace = FRESH,
+    order: str = "C",
+) -> np.ndarray:
+    """``values[rows, cols]`` for a map of :func:`_ring_maps`, as a
+    ``workspace`` buffer laid out in ``order``.  Row totals over the result
+    add in that layout's order."""
+    n, k = values.shape
+    trials = np.arange(n)[:, None] if isinstance(rows, slice) else rows
+    source = _order(values)
+    # Each entry's flat position in the source's memory order.
+    index = workspace.empty("indices", (n, k), np.intp, order)
+    if source == "C":
+        np.add(cols, trials * k, out=index)
+    else:
+        np.multiply(cols, n, out=index)
+        index += trials
+    out = workspace.empty(name, (n, k), values.dtype, order)
+    return _take(values.ravel(order=source), index, out)
+
+
+def _ring_maps(
+    rings: np.ndarray, workspace: Workspace = FRESH, name: str = "ring"
+) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
     """Trials index and predecessor/successor maps for one cyclic order per row.
 
     ``rings`` is (B, K) with one visit order per trial, or (1, K) for a
     fixed ring shared by all trials.  Gathers index the trials axis with the
     returned index and the agent axes with the maps: a fixed ring gives a
-    slice and (K,) maps, so its gathers stay plain column selections.
+    slice and (K,) maps, so its gathers stay plain column selections.  The
+    maps are C-ordered ``workspace`` buffers kept under ``name``.
     """
     rows = np.arange(rings.shape[0])[:, None]
-    pred = np.empty_like(rings)
-    succ = np.empty_like(rings)
-    succ[rows, rings] = np.roll(rings, -1, axis=1)
-    pred[rows, rings] = np.roll(rings, 1, axis=1)
+    pred = workspace.empty(name + " predecessors", rings.shape, rings.dtype)
+    succ = workspace.empty(name + " successors", rings.shape, rings.dtype)
+    # Each visited agent's neighbours along its row, as np.roll by one place
+    # either way would list them.
+    succ[rows, rings[:, :-1]] = rings[:, 1:]
+    succ[rows, rings[:, -1:]] = rings[:, :1]
+    pred[rows, rings[:, 1:]] = rings[:, :-1]
+    pred[rows, rings[:, :1]] = rings[:, -1:]
     if rings.shape[0] == 1:
         return slice(None), pred[0], succ[0]
     return rows, pred, succ
@@ -179,6 +229,7 @@ def _validation_layer(
     rows: slice | np.ndarray,
     succ: np.ndarray,
     out: np.ndarray | None = None,
+    workspace: Workspace = FRESH,
 ) -> np.ndarray:
     """Charge each agent its discrepancy, redistribute everyone else's.
 
@@ -190,7 +241,7 @@ def _validation_layer(
     """
     k = discrepancy.shape[1]
     shares = np.subtract(discrepancy.sum(axis=1, keepdims=True), discrepancy, out=out)
-    shares -= discrepancy[rows, succ]
+    shares -= _ring_gather(discrepancy, rows, succ, "gathered", workspace)
     shares /= k - 2
     return np.subtract(discrepancy, shares, out=shares)
 
@@ -212,11 +263,21 @@ def _ring_layers(rings: list[np.ndarray]) -> tuple[list[tuple], list[np.ndarray]
     pred2(pred2(i)) for layer 2, as (K,) maps for a fixed ring or (B, K)
     maps for per-trial rings.
     """
-    maps = [_ring_maps(r) for r in rings]
+    return _ring_readers([_ring_maps(r) for r in rings])
+
+
+def _ring_readers(
+    maps: list[tuple], workspace: Workspace = FRESH
+) -> tuple[list[tuple], list[np.ndarray]]:
+    """:func:`_ring_layers` of the layers' maps (:func:`_ring_maps`); a
+    per-trial pred2(pred2(i)) is a ``workspace`` buffer."""
     readers = [maps[0][1]]
     if len(maps) == 2:
-        pred2 = maps[1][1]
-        readers += [pred2, np.take_along_axis(pred2, pred2, axis=-1)]
+        rows, pred2, _ = maps[1]
+        if isinstance(rows, slice):
+            readers += [pred2, pred2[pred2]]
+        else:
+            readers += [pred2, _ring_gather(pred2, rows, pred2, "second predecessors", workspace)]
     return maps, readers
 
 
@@ -261,14 +322,16 @@ def _ring_outcome(
     rows, _, succ = maps[0]
     charges = np.subtract(self_reports, reads[0], out=workspace.out("charges", shape))
     np.abs(charges, out=charges)
-    taxes = _validation_layer(charges, rows, succ, workspace.out("taxes", shape))
+    taxes = _validation_layer(charges, rows, succ, workspace.out("taxes", shape), workspace)
     if len(maps) == 2:
         rows, _, succ = maps[1]
         gaps = np.subtract(reads[1], reads[2], out=charges)
         np.abs(gaps, out=gaps)
-        # The gather is a new array in the order of the maps: per-trial rings
-        # make it F-ordered, and its row totals add in that order.
-        taxes += _validation_layer(gaps[rows, succ], rows, succ, charges)
+        # F-ordered, as a column selection and as the gather of rings drawn
+        # by permuting a broadcast row lay it out; its row totals add in
+        # that order.
+        gathered = _ring_gather(gaps, rows, succ, "second-layer gaps", workspace, "F")
+        taxes += _validation_layer(gathered, rows, succ, charges, workspace)
     return workspace.copy("reputations", self_reports), taxes
 
 

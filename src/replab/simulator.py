@@ -1,7 +1,7 @@
 """Seeded Monte Carlo engine for configured reporting scenarios.
 
-Every simulated result goes through :func:`simulate`.  Trials are processed
-in fixed batches of 1024.  Batch ``b`` draws from
+Every simulated result goes through :func:`simulate`.  Trials are drawn in
+fixed batches of 1024.  Batch ``b`` draws from
 ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` in one
 fixed order, draw stream :data:`STREAM` = 4, taking only what its mechanism
 reads (``mechanisms.cross_reads``), so a batch holds O(batch * K) numbers.
@@ -12,20 +12,31 @@ nothing more.  The peer-sum families draw each subject's peer sum
 (``strategies.sample_peer_sums``).  Ring validation draws the collusion
 scenario's secret rings, one permutation per layer, then the at most 3
 reports per subject the rings read (``strategies.sample_ring_reads``).
-That order, and the mechanism's run on the batch, live in one batch source,
+That order, and the mechanism's run, live in one batch source,
 ``strategies._batch_source``; a deviation audit's draw
-(``strategies.draw_profile``) is one batch of it.  Streams 1 to 3 drew some
-or all batches as a dense (batch, K, K) cross matrix.
+(``strategies.draw_profile``) is a run of one batch of it.  Streams 1 to 3
+drew some or all batches as a dense (batch, K, K) cross matrix.
 
-The caller's reducer condenses each batch.  Worker threads may compute
-batches in any order; partial results are reduced in batch order with
-compensated summation, so results are byte-identical for any worker count.
-Each worker thread draws and runs its batches in a workspace of (batch, K)
-buffers (``core.Workspace``) that lives as long as the ``simulate`` call,
-so after its first batch a worker allocates no batch-sized array.  The
-arrays a reducer sees belong to that workspace and are overwritten by the
-worker's next batch: a reducer copies anything it keeps, and it may not
-write into them.
+A worker thread computes a *run*: consecutive whole batches holding at most
+:data:`RUN_CELLS` trial-K cells, and never less than one batch, so at
+K >= 12 a run is one batch.  Each batch of the run draws from its own
+generator into its own rows of the run's (run trials, K) arrays; the
+scaling, shifting and clipping that follow the draws, the mechanism, the
+utilities and the reducer then run once over the whole run, which spares
+the Python and thread hand-off costs of many small batches.  The budget
+was measured on the mc_scenarios benchmark: 2^15 and 2^16 cells ran no
+faster than 2^14 and raised the peak resident memory by several MB, since
+each worker's buffers grow with the run.
+
+The caller's reducer takes the run's arrays and the row slice of each of
+its batches and returns one partial per batch, computed on that batch's
+rows.  Partials are reduced in batch order with compensated summation, so
+results are byte-identical for any worker count and any run length.  Each
+worker thread draws and runs its runs in a workspace of (run, K) buffers
+(``core.Workspace``) that lives as long as the ``simulate`` call, so after
+its first run a worker allocates no run-sized array.  The arrays a reducer
+sees belong to that workspace and are overwritten by the worker's next
+run: a reducer copies anything it keeps, and it may not write into them.
 Strategy constants are resolved once per scenario; only uniform-random
 reporters draw fresh messages.
 
@@ -34,7 +45,7 @@ draw (common random numbers).  Arms may share a draw when they differ only
 in what their agents send: constant self-reports (truth, image or mixed
 constants) and, except under the peer-sum families, colluders' messages.
 Their qualities, noise levels, clamping and uniform-random reporters must
-match.  The batch is drawn once, then each arm in turn applies its own
+match.  The run is drawn once, then each arm in turn applies its own
 self-reports and colluder messages (``strategies.ring_messages``) and runs
 the mechanism, and its reducer runs before the next arm is made.  Every
 arm's totals equal, bit for bit, those of the arm simulated alone.  The
@@ -92,6 +103,10 @@ __all__ = [
 
 BATCH_TRIALS = 1024
 
+# Trial-K cells one run of batches holds at most; a run never holds less
+# than one batch.  Chosen by measurement, see the module docstring.
+RUN_CELLS = 2**14
+
 # Version of the draw order documented above; output manifests record it.
 STREAM = 4
 
@@ -102,9 +117,17 @@ class CliqueTooLarge(ValueError):
     """Raised when a clique leaves fewer than two honest outsiders."""
 
 
-# ---------------------------------------------------------------------------
-# Configuration and aggregates
-# ---------------------------------------------------------------------------
+def _check_counts(trials, seed, workers=1) -> None:
+    """Reject a trial count, seed or worker count that is not a plain integer
+    in range; each message opens with the argument's name."""
+    for name, value, valid, bounds in (
+        ("trials", trials, lambda v: v >= 1, ">= 1"),
+        ("seed", seed, lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+        ("workers", workers, lambda v: v >= 1, ">= 1"),
+    ):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer or not valid(value):
+            raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +159,7 @@ class ScenarioConfig:
             unknown = set(self.strategy_mode) - ids
             if unknown:
                 raise ValueError(f"strategy profile names unknown agents {sorted(unknown)}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_counts(self.trials, self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +197,27 @@ def _batch_plan(trials: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _map_batches(worker, plan, workers: int) -> list:
-    """Evaluate ``worker(batch_index, size)`` for every planned batch.
+def _run_plan(trials: int, k: int) -> list[tuple[int, int]]:
+    """(first batch, trials in run) pairs: runs of whole consecutive batches
+    covering ``trials``, each holding at most :data:`RUN_CELLS` trial-K
+    cells and never less than one batch."""
+    per_run = max(1, RUN_CELLS // (BATCH_TRIALS * k))
+    span = per_run * BATCH_TRIALS
+    return [(start // BATCH_TRIALS, min(span, trials - start)) for start in range(0, trials, span)]
 
-    Results are returned in batch order regardless of scheduling, so any
+
+def _run_batches(first: int, size: int) -> list[tuple[int, slice]]:
+    """Each batch of the run ``(first, size)``: its index and its rows."""
+    return [
+        (first + n, slice(start, min(start + BATCH_TRIALS, size)))
+        for n, start in enumerate(range(0, size, BATCH_TRIALS))
+    ]
+
+
+def _map_batches(worker, plan, workers: int) -> list:
+    """Evaluate ``worker(first_batch, trials_in_run)`` for every planned run.
+
+    Results are returned in plan order regardless of scheduling, so any
     downstream reduction is deterministic.
     """
     if workers <= 1 or len(plan) == 1:
@@ -195,7 +232,10 @@ def _map_batches(worker, plan, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-Reducer = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], dict]
+# reduce(system_obs, selfs, reps, taxes, batches) -> one dict per batch.
+Reducer = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequence[slice]], Sequence[dict]
+]
 
 
 def _combine(key: str, values: list) -> float | np.ndarray:
@@ -260,13 +300,19 @@ def simulate(
 ) -> dict | list[dict]:
     """Simulate ``trials`` rounds and total what ``reduce`` extracts from them.
 
-    ``reduce(system_obs, self_reports, reputations, taxes)`` sees one batch,
-    each array (batch, K), and returns a dict of floats and vectors.  Every
-    entry is summed over the batches, vectors per component, in batch order
-    with ``math.fsum``; entries whose key ends in ``_max`` take the maximum
-    instead.  ``strategy_mode`` is as in :class:`ScenarioConfig`.
-    Deterministic for fixed arguments: the per-batch substream split makes
-    the worker count irrelevant to the result.
+    The trials are drawn in 1024-trial batches, each from its own substream,
+    and computed in runs of consecutive batches (see the module docstring).
+    ``reduce(system_obs, selfs, reps, taxes, batches)`` sees one run: each
+    array is (run trials, K), and ``batches`` holds the row slice of each
+    batch of the run, in order.  It returns one dict of floats and vectors
+    per batch, computed on that batch's rows.  Every entry is summed over
+    the batches, vectors per component, in batch order with ``math.fsum``;
+    entries whose key ends in ``_max`` take the maximum instead.
+    ``strategy_mode`` is as in :class:`ScenarioConfig`.  Deterministic for
+    fixed arguments: the per-batch substreams and partials make the worker
+    count and the run length irrelevant to the result.  ``trials``,
+    ``seed`` and ``workers`` must be integers, as :class:`ScenarioConfig`
+    checks them.
 
     Several arms can share each batch's draw (common random numbers):
     ``env`` and ``reduce`` are then equal-length sequences, arm m being
@@ -277,13 +323,10 @@ def simulate(
     would make two arms draw differently.
 
     A reducer's arrays belong to its worker thread's workspace: the later
-    arms and the worker's next batch overwrite them.  A reducer must copy
+    arms and the worker's next run overwrite them.  A reducer must copy
     anything it keeps, and it must not write into them.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_counts(trials, seed, workers)
     single = isinstance(env, Environment)
     envs = [env] if single else list(env)
     reduces = [reduce] if single else list(reduce)
@@ -298,20 +341,22 @@ def simulate(
     source = _batch_source(envs, mechanism, strategy_mode)
     workspace = Workspace.per_thread()
 
-    def one_batch(batch_index: int, size: int) -> list[dict]:
+    def one_run(first_batch: int, size: int) -> list[list[dict]]:
+        batches = _run_batches(first_batch, size)
+        rows = [trials for _, trials in batches]
+        arms = source([(_batch_rng(seed, b), trials) for b, trials in batches], workspace())
         # zip takes each arm from the source only after the previous arm's
         # reducer has run, as the shared draw requires.
-        arms = source(_batch_rng(seed, batch_index), size, workspace())
         return [
-            arm_reduce(arm.r0, arm.selfs, arm.reps, arm.taxes)
+            arm_reduce(arm.r0, arm.selfs, arm.reps, arm.taxes, rows)
             for arm_reduce, arm in zip(reduces, arms)
         ]
 
-    partials = _map_batches(one_batch, _batch_plan(trials), workers)
-    totals = [
-        {key: _combine(key, [p[m][key] for p in partials]) for key in partials[0][m]}
-        for m in range(len(envs))
-    ]
+    runs = _map_batches(one_run, _run_plan(trials, first.k), workers)
+    totals = []
+    for m in range(len(envs)):
+        partials = [partial for run in runs for partial in run[m]]
+        totals.append({key: _combine(key, [p[key] for p in partials]) for key in partials[0]})
     return totals[0] if single else totals
 
 
@@ -322,19 +367,23 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
     # The reducer's temporaries, one workspace per worker thread.
     scratch = Workspace.per_thread()
 
-    def reduce(system_obs, selfs, reps, taxes) -> dict:
+    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
         workspace = scratch()
         errors = np.subtract(reps, targets[None, :], out=workspace.out("errors", reps.shape))
         mae = np.abs(errors, out=errors).sum(axis=1)
         budgets = taxes.sum(axis=1)
-        return {
-            "mae": float(mae.sum()),
-            "mae_sq": float((mae * mae).sum()),
-            "reps": reps.sum(axis=0),
-            "utils": batch_true_utilities(reps, taxes, env, workspace=workspace).sum(axis=0),
-            "budget": float(budgets.sum()),
-            "budget_abs_max": float(np.abs(budgets).max()),
-        }
+        utils = batch_true_utilities(reps, taxes, env, workspace=workspace)
+        return [
+            {
+                "mae": float(mae[rows].sum()),
+                "mae_sq": float((mae[rows] * mae[rows]).sum()),
+                "reps": reps[rows].sum(axis=0),
+                "utils": utils[rows].sum(axis=0),
+                "budget": float(budgets[rows].sum()),
+                "budget_abs_max": float(np.abs(budgets[rows]).max()),
+            }
+            for rows in batches
+        ]
 
     totals = simulate(
         env,
@@ -530,18 +579,28 @@ def run_collusion_scenario(
     outsiders = np.array(
         [i for i, a in enumerate(env.agents) if a.id not in clique], dtype=int
     )
+    scratch = Workspace.per_thread()
+
     def reducer(arm_env: Environment) -> Reducer:
-        def reduce(system_obs, selfs, reps, taxes) -> dict:
-            mae = np.abs(reps - targets[None, :]).sum(axis=1)
-            outsider_mae = np.abs(reps[:, outsiders] - targets[None, outsiders]).sum(axis=1)
-            utilities = batch_true_utilities(reps, taxes, arm_env)
-            return {
-                "mae": float(mae.sum()),
-                "outsider_mae": float(outsider_mae.sum()),
-                "clique_utility": float(utilities[:, members].sum()),
-                "clique_tax": float(taxes[:, members].sum()),
-                "budget_abs_max": float(np.abs(taxes.sum(axis=1)).max()),
-            }
+        def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+            workspace = scratch()
+            # batch_true_utilities overwrites the errors, so they are read first.
+            errors = np.subtract(reps, targets[None, :], out=workspace.out("errors", reps.shape))
+            np.abs(errors, out=errors)
+            mae = errors.sum(axis=1)
+            outsider_mae = errors[:, outsiders].sum(axis=1)
+            budgets = taxes.sum(axis=1)
+            utilities = batch_true_utilities(reps, taxes, arm_env, workspace=workspace)
+            return [
+                {
+                    "mae": float(mae[rows].sum()),
+                    "outsider_mae": float(outsider_mae[rows].sum()),
+                    "clique_utility": float(utilities[rows][:, members].sum()),
+                    "clique_tax": float(taxes[rows][:, members].sum()),
+                    "budget_abs_max": float(np.abs(budgets[rows]).max()),
+                }
+                for rows in batches
+            ]
 
         return reduce
 
@@ -627,12 +686,26 @@ def run_malicious_scenario(
         [i for i, agent in enumerate(env.agents) if agent.id in malicious], dtype=int
     )
 
-    def reduce(system_obs, selfs, reps, taxes) -> dict:
-        return {"mae": float(np.abs(reps - targets[None, :]).sum(axis=1).sum())}
+    scratch = Workspace.per_thread()
 
-    def reduce_charged(system_obs, selfs, reps, taxes) -> dict:
-        gaps = selfs[:, slot_idx] - system_obs[:, slot_idx]
-        return {**reduce(system_obs, selfs, reps, taxes), "charge": float((gaps**2).sum())}
+    def errors(reps, batches) -> list[float]:
+        diffs = np.subtract(reps, targets[None, :], out=scratch().out("errors", reps.shape))
+        mae = np.abs(diffs, out=diffs).sum(axis=1)
+        return [float(mae[rows].sum()) for rows in batches]
+
+    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+        return [{"mae": mae} for mae in errors(reps, batches)]
+
+    def reduce_charged(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+        return [
+            {
+                "mae": mae,
+                "charge": float(
+                    ((selfs[rows][:, slot_idx] - system_obs[rows][:, slot_idx]) ** 2).sum()
+                ),
+            }
+            for mae, rows in zip(errors(reps, batches), batches)
+        ]
 
     charged = slot_idx.size > 0
     mechanism = AS()

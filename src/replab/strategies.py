@@ -36,7 +36,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -66,8 +66,11 @@ from .core import (
 from .mechanisms import (
     PEER_SUMS,
     RING,
-    _ring_layers,
+    _order,
+    _take,
+    _ring_maps,
     _ring_outcome,
+    _ring_readers,
     _ring_setup,
     _shares,
     cross_reads,
@@ -372,26 +375,38 @@ def _driven(agent: Agent, truth: bool) -> Agent:
     )
 
 
+# The batches of one run: each batch's generator and its rows of the run's
+# arrays, in batch order.  Each batch draws from its own generator in the
+# order of draw stream 4; the arithmetic that follows the draws runs once
+# over the whole run.
+Batches = Sequence[tuple["np.random.Generator", slice]]
+
+
+def _run_shape(env: Environment, batches: Batches) -> tuple[int, int]:
+    return batches[-1][1].stop, env.k
+
+
 def sample_sparse(
     env: Environment,
-    rng: np.random.Generator,
-    trials: int,
+    batches: Batches,
     self_reports: Mapping[int, float],
     workspace: Workspace = FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """System observations and self-reports (trials, K) without cross reports.
 
-    Draws the system observations (clamped to [0, 1] when the environment
-    clamps), then, in agent order, the uniform self-reports of the agents
-    ``self_reports`` does not list.  When it lists every agent, the
-    self-reports are a read-only view of one row, so a batch of constants
+    Each batch draws its system observations (clamped to [0, 1] when the
+    environment clamps), then, in agent order, the uniform self-reports of
+    the agents ``self_reports`` does not list.  When it lists every agent,
+    the self-reports are a read-only view of one row, so a run of constants
     allocates nothing.  A mechanism that reads cross reports draws them
     afterwards, as peer sums (:func:`sample_peer_sums`) or as ring reads
     (:func:`sample_ring_reads`).  The drawn arrays are ``workspace``
     buffers.
     """
-    shape = (trials, env.k)
-    r0 = rng.standard_normal(shape, out=workspace.out("system observations", shape))
+    shape = _run_shape(env, batches)
+    r0 = workspace.empty("system observations", shape)
+    for rng, rows in batches:
+        rng.standard_normal(out=r0[rows])
     r0 *= env.system_obs.std
     r0 += env.qualities[None, :] + env.system_obs.mean
     if env.clamp_observations:
@@ -400,10 +415,11 @@ def sample_sparse(
     if len(self_reports) == env.k:
         return r0, np.broadcast_to(row, shape)
     selfs = workspace.copy("self-reports", np.broadcast_to(row, shape))
-    for i, agent in enumerate(env.agents):
-        if i not in self_reports:
-            kind = agent.agent_type
-            selfs[:, i] = rng.uniform(kind.low, kind.high, size=trials)
+    for rng, rows in batches:
+        for i, agent in enumerate(env.agents):
+            if i not in self_reports:
+                kind = agent.agent_type
+                selfs[rows, i] = rng.uniform(kind.low, kind.high, size=rows.stop - rows.start)
     return r0, selfs
 
 
@@ -482,8 +498,7 @@ def _peer_sum_tables(env: Environment, weights: np.ndarray) -> _PeerSumTables:
 
 def sample_peer_sums(
     env: Environment,
-    rng: np.random.Generator,
-    trials: int,
+    batches: Batches,
     tables: _PeerSumTables,
     workspace: Workspace = FRESH,
 ) -> np.ndarray:
@@ -497,14 +512,17 @@ def sample_peer_sums(
     draws one (trials, K) block, clipped and weighted, in agent order.  The
     colluders' constants (:func:`_sent_constants`) are added exactly, then
     each uniform-random reporter, in agent order, draws one uniform per
-    entry.  No (trials, K, K) array is made, and every reporter's (trials,
+    entry.  Each batch of ``batches`` draws its rows of every block in that
+    order.  No (trials, K, K) array is made, and every reporter's (trials,
     K) block is drawn into one ``workspace`` buffer.
     """
-    shape = (trials, env.k)
+    shape = _run_shape(env, batches)
     if tables.normal is None:
         sums = workspace.zeros("peer sums", shape, writable=True)
         for std, centre, weight in tables.relayers:
-            block = rng.standard_normal(shape, out=workspace.out("reporter block", shape))
+            block = workspace.empty("reporter block", shape)
+            for rng, rows in batches:
+                rng.standard_normal(out=block[rows])
             block *= std
             block += centre
             np.clip(block, 0.0, 1.0, out=block)
@@ -512,7 +530,9 @@ def sample_peer_sums(
             sums += block
     else:
         mean, std = tables.normal
-        sums = rng.standard_normal(shape, out=workspace.out("peer sums", shape))
+        sums = workspace.empty("peer sums", shape)
+        for rng, rows in batches:
+            rng.standard_normal(out=sums[rows])
         sums *= std
         sums += mean
     if tables.constants is not None:
@@ -520,7 +540,9 @@ def sample_peer_sums(
     for j in tables.randoms:
         kind = env.agents[j].agent_type
         # low + (high - low) u, as Generator.uniform computes it.
-        noise = rng.random(shape, out=workspace.out("reporter block", shape))
+        noise = workspace.empty("reporter block", shape)
+        for rng, rows in batches:
+            rng.random(out=noise[rows])
         noise *= kind.high - kind.low
         noise += kind.low
         noise *= tables.weights[j]
@@ -529,10 +551,17 @@ def sample_peer_sums(
     return sums
 
 
+def _reader_values(
+    table: np.ndarray, reader: np.ndarray, name: str, workspace: Workspace
+) -> np.ndarray:
+    """``table[reader]``, as a ``workspace`` buffer in the reader map's layout."""
+    out = workspace.empty(name, reader.shape, table.dtype, _order(reader))
+    return _take(table, reader, out)
+
+
 def sample_ring_reads(
     env: Environment,
-    rng: np.random.Generator,
-    trials: int,
+    batches: Batches,
     readers: list[np.ndarray],
     workspace: Workspace = FRESH,
 ) -> list[np.ndarray]:
@@ -541,35 +570,54 @@ def sample_ring_reads(
     ``readers[m][., i]`` is the reporter of read m about subject i, as a
     (K,) map shared by all trials or a (trials, K) one.  Returns one
     (trials, K) array per map.  An entry whose reporter an earlier map
-    already names is the same report and is drawn once.  The entries drawn
-    take one N(0, 1) each, map by map in (trial, subject) order, scaled and
-    shifted by the reporter's noise and bias around the subject's quality
-    and clamped when the environment clamps.  Then a uniform-random
-    reporter sends one uniform draw per entry drawn, again map by map.
-    Colluders' entries hold their observations: their messages
-    (:func:`ring_messages`) draw nothing, so arms that differ only in them
-    can share one draw.  The reads are ``workspace`` buffers.
+    already names is the same report and is drawn once.  Each batch of
+    ``batches`` draws its entries, one N(0, 1) each, map by map in (trial,
+    subject) order; they are scaled and shifted by the reporter's noise and
+    bias around the subject's quality and clamped when the environment
+    clamps.  Then a uniform-random reporter sends one uniform draw per entry
+    drawn, again batch by batch and map by map.  Colluders' entries hold
+    their observations: their messages (:func:`ring_messages`) draw
+    nothing, so arms that differ only in them can share one draw.  The
+    reads, the masks and the reader gathers are ``workspace`` buffers.
     """
-    k = env.k
-    shape = (trials, k)
+    shape = _run_shape(env, batches)
     stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
     kinds = [agent.agent_type for agent in env.agents]
     random_ = np.array([isinstance(t, MaliciousRandom) for t in kinds])
-    # same[m]: where each earlier map names the same reporter as map m.
-    same = [
-        [np.broadcast_to(reader == earlier, shape) for earlier in readers[:m]]
-        for m, reader in enumerate(readers)
-    ]
-    fresh = [~np.logical_or.reduce(masks) if masks else None for masks in same]
+    # same[m]: where each earlier map names the same reporter as map m, and
+    # fresh[m]: where no earlier map does, in the maps' own shape.
+    same, fresh = [], []
+    for m, reader in enumerate(readers):
+        masks = []
+        for e, earlier in enumerate(readers[:m]):
+            where = np.broadcast_shapes(reader.shape, earlier.shape)
+            masks.append(
+                np.equal(reader, earlier, out=workspace.out(f"same reporter {m} {e}", where, bool))
+            )
+        new = None
+        if masks:
+            new = workspace.copy(f"fresh reads {m}", masks[0])
+            for extra in masks[1:]:
+                new |= extra
+            np.logical_not(new, out=new)
+        same.append(masks)
+        fresh.append(new)
     reads = []
     for m, (reader, new) in enumerate(zip(readers, fresh)):
         if new is None:
-            values = rng.standard_normal(shape, out=workspace.out(f"ring read {m}", shape))
+            values = workspace.empty(f"ring read {m}", shape)
+            for rng, rows in batches:
+                rng.standard_normal(out=values[rows])
         else:
             values = workspace.zeros(f"ring read {m}", shape, writable=True)
-            values[new] = rng.standard_normal(int(np.count_nonzero(new)))
-        values *= stds[reader]
-        values += qualities + biases[reader]
+            drawn = np.broadcast_to(new, shape)
+            for rng, rows in batches:
+                where = drawn[rows]
+                values[rows][where] = rng.standard_normal(int(np.count_nonzero(where)))
+        values *= _reader_values(stds, reader, "gathered", workspace)
+        shift = _reader_values(biases, reader, "gathered", workspace)
+        shift += qualities
+        values += shift
         if env.clamp_observations:
             np.clip(values, 0.0, 1.0, out=values)
         reads.append(values)
@@ -577,11 +625,14 @@ def sample_ring_reads(
         low = np.array([t.low if isinstance(t, MaliciousRandom) else 0.0 for t in kinds])
         high = np.array([t.high if isinstance(t, MaliciousRandom) else 0.0 for t in kinds])
         for reader, new, values in zip(readers, fresh, reads):
-            hit = np.broadcast_to(random_[reader], shape)
+            hit = random_[reader]
             if new is not None:
                 hit = hit & new
-            who = np.broadcast_to(reader, shape)[hit]
-            values[hit] = rng.uniform(low[who], high[who])
+            hit, reporters = np.broadcast_to(hit, shape), np.broadcast_to(reader, shape)
+            for rng, rows in batches:
+                where = hit[rows]
+                who = reporters[rows][where]
+                values[rows][where] = rng.uniform(low[who], high[who])
     for values, masks in zip(reads, same):
         for earlier, where in zip(reads, masks):
             np.copyto(values, earlier, where=where)
@@ -593,26 +644,33 @@ def ring_messages(
     readers: list[np.ndarray],
     sent: np.ndarray | None,
     in_place: bool,
+    workspace: Workspace = FRESH,
 ) -> list[np.ndarray]:
     """The ring reads of :func:`sample_ring_reads` as the colluders send them.
 
     ``sent`` is the colluders' table (:func:`_sent_constants`), or None when
     nobody colludes: a colluder sends ``inflate`` about a clique-mate and
     ``bash`` (when set) about an outsider.  Writes into ``reads`` when
-    ``in_place``, and otherwise returns new arrays, leaving the draw for
-    other arms.
+    ``in_place``, and otherwise into ``workspace`` copies, leaving the draw
+    for other arms.
     """
     if sent is None:
         return reads
-    subjects = np.arange(sent.shape[0])
+    k = sent.shape[0]
     sent_reads = []
-    for reader, values in zip(readers, reads):
-        message = sent[reader, subjects]
-        relayed = np.isnan(message)
-        if in_place:
-            np.copyto(values, message, where=~relayed)
-        else:
-            values = np.where(relayed, values, message)
+    for m, (reader, values) in enumerate(zip(readers, reads)):
+        # sent[reader, subject], read at its flat position in the table.
+        order = _order(reader)
+        index = workspace.empty("indices", reader.shape, np.intp, order)
+        np.multiply(reader, k, out=index)
+        index += np.arange(k)
+        message = workspace.empty("gathered", reader.shape, float, order)
+        _take(sent.ravel(), index, message)
+        sends = np.isnan(message, out=workspace.empty("sends", reader.shape, bool, order))
+        np.logical_not(sends, out=sends)
+        if not in_place:
+            values = workspace.copy(f"sent read {m}", values)
+        np.copyto(values, message, where=sends)
         sent_reads.append(values)
     return sent_reads
 
@@ -685,15 +743,15 @@ class DeviationReport:
 
 @dataclass(frozen=True)
 class ProfileDraw:
-    """One batch of sampled rounds and the mechanism's outcome on them.
+    """One run of sampled rounds and the mechanism's outcome on them.
 
     ``r0`` holds the system priors and ``selfs`` the self-reports, both
     (trials, K).  The cross reports are held as the mechanism reads them:
     ``peer_sums``, (trials, K), for the peer-sum families, or
     ``ring_reads``, the (trials, K) ring reads, for ring validation.
     ``reps`` and ``taxes`` are the mechanism's (trials, K) outcome.  The
-    engine reduces these per batch; a deviation audit replays them at every
-    grid point.
+    engine reduces these per run, a partial per batch; a deviation audit
+    draws one batch and replays it at every grid point.
     """
 
     r0: np.ndarray
@@ -722,29 +780,30 @@ def _batch_source(
     mechanism: MechanismSpec,
     strategy_mode: str | Mapping[int, float],
 ) -> Callable[..., Iterator[ProfileDraw]]:
-    """The draw of one batch and the mechanism's outcome on it, per arm.
+    """The draw of one run of batches and the mechanism's outcome on it, per arm.
 
     Resolves the arms' constant self-reports and what ``mechanism`` reads
-    once.  The returned ``draw(rng, size, workspace=FRESH)`` draws ``size``
-    rounds from ``rng`` in the order of draw stream 4: the system
-    observations and uniform self-reports (:func:`sample_sparse`), then the
-    peer sums (:func:`sample_peer_sums`), or the secret rings of
-    :class:`_SecretRings` and the ring reads (:func:`sample_ring_reads`).
-    It then yields one :class:`ProfileDraw` per arm, in order: the arm's
+    once.  The returned ``draw(batches, workspace=FRESH)`` draws a run of
+    batches (:data:`Batches`), each batch from its own generator in the
+    order of draw stream 4: the system observations and uniform
+    self-reports (:func:`sample_sparse`), then the peer sums
+    (:func:`sample_peer_sums`), or the secret rings of :class:`_SecretRings`
+    and the ring reads (:func:`sample_ring_reads`).  It then yields one
+    :class:`ProfileDraw` of the whole run per arm, in order: the arm's
     constants in place of the previous arm's (:func:`_with_row`), its
     colluders' ring messages (:func:`ring_messages`) and the mechanism's
-    outcome.  The arms share the draw, and a later arm writes into the
-    arrays an earlier one was given, so each arm must be consumed before
-    the next is produced.  The arrays are ``workspace`` buffers, which the
-    workspace's next batch overwrites; with no workspace they are new, and
-    the draw owns them.
+    outcome, each computed once over the run.  The arms share the draw, and
+    a later arm writes into the arrays an earlier one was given, so each
+    arm must be consumed before the next is produced.  The arrays are
+    ``workspace`` buffers, which the workspace's next run overwrites; with
+    no workspace they are new, and the draw owns them.
     """
     first = envs[0]
     k = first.k
     reads = cross_reads(mechanism)
     sigma_prime = aggregate_sigma_prime(first)
     reports = [resolve_self_reports(e, mechanism, strategy_mode) for e in envs]
-    rows = [np.array([r.get(i, np.nan) for i in range(k)]) for r in reports]
+    constants = [np.array([r.get(i, np.nan) for i in range(k)]) for r in reports]
     tables = sent = ring = None
     if reads == PEER_SUMS:
         tables = _peer_sum_tables(first, peer_weights(mechanism, k))
@@ -753,28 +812,35 @@ def _batch_source(
         ring = _ring_setup(mechanism, k)
     last = len(envs) - 1
 
-    def draw(
-        rng: np.random.Generator, size: int, workspace: Workspace = FRESH
-    ) -> Iterator[ProfileDraw]:
-        r0, selfs = sample_sparse(first, rng, size, reports[0], workspace)
-        # A workspace hands out a new view per batch, so the buffer itself
-        # stays writable for the next batch's draw.
+    def draw(batches: Batches, workspace: Workspace = FRESH) -> Iterator[ProfileDraw]:
+        r0, selfs = sample_sparse(first, batches, reports[0], workspace)
+        # A workspace hands out a new view per run, so the buffer itself
+        # stays writable for the next run's draw.
         r0.setflags(write=False)
         if reads == RING:
             maps, readers = ring
             if isinstance(mechanism, _SecretRings):
+                # Layer by layer into the index scratch, each batch drawing
+                # both layers in turn.  F-ordered, so the maps' column
+                # slices are contiguous.
+                order = workspace.empty("indices", selfs.shape, np.intp, "F")
                 base = np.broadcast_to(np.arange(k), selfs.shape)
-                maps, readers = _ring_layers(
-                    [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
-                )
-            drawn = sample_ring_reads(first, rng, size, readers, workspace)
-        sums = None if tables is None else sample_peer_sums(first, rng, size, tables, workspace)
+                layers = []
+                for m in range(mechanism.layers):
+                    for rng, rows in batches:
+                        rng.permuted(base[rows], axis=1, out=order[rows])
+                    layers.append(_ring_maps(order, workspace, f"layer {m + 1} ring"))
+                maps, readers = _ring_readers(layers, workspace)
+            drawn = sample_ring_reads(first, batches, readers, workspace)
+        sums = None if tables is None else sample_peer_sums(first, batches, tables, workspace)
         ring_reads = None
         for m in range(len(envs)):
             if m:
-                selfs = _with_row(selfs, rows[m])
+                selfs = _with_row(selfs, constants[m])
             if reads == RING:
-                ring_reads = tuple(ring_messages(drawn, readers, sent[m], in_place=m == last))
+                ring_reads = tuple(
+                    ring_messages(drawn, readers, sent[m], m == last, workspace)
+                )
                 reps, taxes = _ring_outcome(selfs, ring_reads, maps, workspace)
             else:
                 reps, taxes = run_batch(
@@ -797,10 +863,10 @@ def draw_profile(
     ``others_strategy`` is ``"truthful"`` (every agent relays its
     observations and reports its quality), ``"equilibrium"`` or a mapping
     of constant self-reports (:func:`resolve_self_reports`).  The draw is
-    one engine batch (:func:`_batch_source`) of ``trials`` rounds from the
-    Philox substream ``(seed, spawn_key=(0,))``, so the mechanism runs once
-    per draw.  The draw does not depend on the deviator, so all agents'
-    audits of one profile share it; its arrays are read-only.
+    a run of one engine batch (:func:`_batch_source`) of ``trials`` rounds
+    from the Philox substream ``(seed, spawn_key=(0,))``, so the mechanism
+    runs once per draw.  The draw does not depend on the deviator, so all
+    agents' audits of one profile share it; its arrays are read-only.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -809,7 +875,7 @@ def draw_profile(
         env = dataclasses.replace(env, agents=tuple(_driven(a, True) for a in env.agents))
         others_strategy = "equilibrium"
     source = _batch_source([env], mechanism, others_strategy)
-    draw = next(source(_batch_rng(seed, 0), trials))
+    draw = next(source([(_batch_rng(seed, 0), slice(0, trials))]))
     held = (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ()))
     for arr in held:
         if arr is not None:

@@ -87,7 +87,8 @@ def dense_simulate(
     env, mechanism, trials, seed, reduce, workers=1, *, strategy_mode="equilibrium"
 ) -> dict:
     """``simulator.simulate`` on the dense draw, over the same batch plan,
-    substreams and reduction; ``workers`` is accepted and ignored."""
+    substreams and reduction, each batch a run of its own; ``workers`` is
+    accepted and ignored."""
     sigma_prime = aggregate_sigma_prime(env)
     profile = resolve_self_reports(env, mechanism, strategy_mode)
     partials = []
@@ -103,5 +104,5 @@ def dense_simulate(
             reps, taxes = _ring_outcome(selfs, _gather(cross, readers), maps)
         else:
             reps, taxes = run_batch(mechanism, selfs, cross, r0, sigma_prime)
-        partials.append(reduce(r0, selfs, reps, taxes))
+        partials.extend(reduce(r0, selfs, reps, taxes, [slice(0, size)]))
     return {key: _combine(key, [p[key] for p in partials]) for key in partials[0]}

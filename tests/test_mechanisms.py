@@ -463,7 +463,9 @@ def _gathered_kernel(selfs, cross, rings1, rings2, layers):
     if layers == 2:
         rows2, pred2, succ2 = _ring_maps(rings2)
         reporters = np.arange(k)
-        d2 = np.abs(cross[rows2, reporters, succ2] - cross[rows2, pred2, succ2])
+        # F-ordered, as the dense gather over the engine's permuted rings
+        # laid it out; the row totals add in that order.
+        d2 = np.asfortranarray(np.abs(cross[rows2, reporters, succ2] - cross[rows2, pred2, succ2]))
         taxes = taxes + _validation_layer(d2, rows2, succ2)
     return d1, taxes
 

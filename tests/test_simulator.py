@@ -8,6 +8,7 @@ errors.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -411,17 +412,18 @@ def test_compact_stream_bits_are_pinned():
     "mechanism", [AS(), PR(a=1.5), _SecretRings(layers=2)], ids=["as", "pr", "secret-rings"]
 )
 def test_batches_after_the_first_reuse_their_workspace(mechanism):
-    # The reducer keeps every batch's arrays alive, so a batch that made new
+    # The reducer keeps every run's arrays alive, so a run that made new
     # arrays could not land on the memory of an earlier one; the workspace
-    # hands the same buffers to every batch.
+    # hands the same buffers to every run.
     env = _truth_env([0.2, 0.5, 0.8, 0.4, 0.6])
+    span = simulator._run_plan(10**6, env.k)[0][1]
     kept = []
 
-    def reduce(system_obs, selfs, reps, taxes) -> dict:
+    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
         kept.append((reps, taxes))
-        return {}
+        return [{} for _ in batches]
 
-    simulate(env, mechanism, 4 * simulator.BATCH_TRIALS, 3, reduce, workers=1)
+    simulate(env, mechanism, 4 * span, 3, reduce, workers=1)
     pointers = [tuple(a.__array_interface__["data"][0] for a in arrays) for arrays in kept]
     assert len(pointers) == 4
     assert len(set(pointers[1:])) == 1, pointers
@@ -504,6 +506,20 @@ def _adversarial_env(population, clamp):
     )
 
 
+def _per_batch(reduce_batch):
+    """A reducer that applies ``reduce_batch(system_obs, selfs, reps,
+    taxes)`` to each batch's rows of the run."""
+
+    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+        return [
+            reduce_batch(system_obs[rows], selfs[rows], reps[rows], taxes[rows])
+            for rows in batches
+        ]
+
+    return reduce
+
+
+@_per_batch
 def _moments(system_obs, selfs, reps, taxes):
     return {
         "tax": taxes.sum(axis=0),
@@ -516,6 +532,7 @@ def _moments(system_obs, selfs, reps, taxes):
 
 
 def _peer_sum_moments(targets):
+    @_per_batch
     def reduce(system_obs, selfs, reps, taxes):
         mae = np.abs(reps - targets[None, :]).sum(axis=1)
         return {
@@ -614,12 +631,11 @@ def _retyped(population, clamp, kinds):
     return dataclasses.replace(env, agents=tuple(agents))
 
 
-def _arm_moments(system_obs, selfs, reps, taxes):
-    return {
-        **_moments(system_obs, selfs, reps, taxes),
-        "self": selfs.sum(axis=0),
-        "obs": system_obs.sum(axis=0),
-    }
+def _arm_moments(system_obs, selfs, reps, taxes, batches):
+    return [
+        {**moments, "self": selfs[rows].sum(axis=0), "obs": system_obs[rows].sum(axis=0)}
+        for moments, rows in zip(_moments(system_obs, selfs, reps, taxes, batches), batches)
+    ]
 
 
 _NARROW = MaliciousRandom(0.2, 0.8)
@@ -683,12 +699,136 @@ def test_arms_that_would_draw_differently_are_refused():
 
 def test_simulate_rejects_fewer_than_one_worker():
     env = _truth_env([0.2, 0.5, 0.8])
-    reduce = lambda system_obs, selfs, reps, taxes: {"mae": float(reps.sum())}
+    reduce = _per_batch(lambda system_obs, selfs, reps, taxes: {"mae": float(reps.sum())})
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             simulate(env, AS(), 100, 0, reduce, workers)
         with pytest.raises(ValueError, match="workers"):
             run_trials(ScenarioConfig(env=env, mechanism=AS(), trials=100), workers=workers)
+
+
+@pytest.mark.parametrize(
+    "argument, value, bounds",
+    [
+        ("trials", 1.5, ">= 1"),
+        ("trials", 0, ">= 1"),
+        ("trials", True, ">= 1"),
+        ("seed", -1, "in [0, 2**64)"),
+        ("seed", 2**64, "in [0, 2**64)"),
+        ("seed", 2**70, "in [0, 2**64)"),
+        ("seed", 3.0, "in [0, 2**64)"),
+        ("workers", 2.5, ">= 1"),
+        ("workers", 0, ">= 1"),
+        ("workers", "2", ">= 1"),
+    ],
+)
+def test_simulate_checks_its_arguments_as_scenario_config_does(argument, value, bounds):
+    env = _truth_env([0.2, 0.5, 0.8])
+    reduce = _per_batch(lambda system_obs, selfs, reps, taxes: {"mae": float(reps.sum())})
+    given = {"trials": 100, "seed": 0, "workers": 1, argument: value}
+    message = re.escape(f"{argument} must be an integer {bounds}, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate(env, AS(), given["trials"], given["seed"], reduce, given["workers"])
+    if argument == "workers":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_trials(ScenarioConfig(env=env, mechanism=AS(), trials=100), workers=value)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScenarioConfig(env=env, mechanism=AS(), **{argument: value})
+
+
+# ---------------------------------------------------------------------------
+# Runs of batches
+# ---------------------------------------------------------------------------
+
+_DEFAULT_RUN_CELLS = simulator.RUN_CELLS
+
+
+def test_run_plan_covers_the_batches_within_the_budget():
+    for k in (2, 3, 5, 8, 12, 40, 100, 2_000):
+        for trials in (1, 1_023, 1_024, 1_025, 5_000, 65_536, 100_003):
+            plan = simulator._run_plan(trials, k)
+            batches = [
+                (b, rows.stop - rows.start)
+                for first, size in plan
+                for b, rows in simulator._run_batches(first, size)
+            ]
+            assert batches == _batch_plan(trials), (k, trials)
+            cap = max(simulator.BATCH_TRIALS * k, simulator.RUN_CELLS)
+            assert all(size * k <= cap for _, size in plan), (k, trials)
+    # At K = 2000 one batch already exceeds the budget: a run is one batch.
+    plan = simulator._run_plan(10_000, 2_000)
+    assert plan == [(b, size) for b, size in _batch_plan(10_000)]
+
+
+def _population_of_twelve():
+    """Twelve reporters with their own noise and bias: two colluders, one of
+    them bashing outsiders, and a uniform-random reporter."""
+    kinds = {3: Colluder(0, 0.9), 7: Colluder(0, 0.9, bash=0.1), 10: MaliciousRandom(0.2, 0.8)}
+    agents = tuple(
+        Agent(
+            id=i,
+            quality=Quality(0.2 + 0.05 * i),
+            agent_type=kinds.get(i, Truth()),
+            utility=UtilitySpec(f=AbsPower(2.0), g=Linear(), truth_weight=1.0),
+            cross_obs=NormalParams(0.01 * (i % 3) - 0.01, 0.08 + 0.01 * (i % 4)),
+        )
+        for i in range(12)
+    )
+    return Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
+
+
+# Each case: the population and the mechanism of one run_trials config.
+_RUN_CASES = {
+    "as": (lambda: _adversarial_env("malicious", False), AS()),
+    "extended_as-fixed-ring": (
+        lambda: _adversarial_env("mixed", True),
+        ExtendedAS(ring=(3, 0, 5, 1, 4, 2), layers=2, second_ring=(1, 3, 0, 2, 5, 4)),
+    ),
+    "secret-rings-1": (_population_of_twelve, _SecretRings(layers=1)),
+    "secret-rings-2": (_population_of_twelve, _SecretRings(layers=2)),
+    "fr": (lambda: _adversarial_env("malicious", True), FR()),
+    "simple_averaging": (lambda: _adversarial_env("mixed", False), SimpleAveraging()),
+    "pr": (lambda: _adversarial_env("bashing", True), PR(a=1.7)),
+    "weighted_pr": (
+        lambda: _adversarial_env("mixed", False),
+        WeightedPR(a=1.7, weights=(0.5, 1.5, 1.0, 2.0, 0.8, 1.2)),
+    ),
+    "direct": (lambda: _adversarial_env("malicious", False), DirectObservation()),
+}
+
+
+def _at_every_budget(monkeypatch, compute) -> None:
+    """``compute(workers)`` gives the same bytes with runs of one batch, at
+    the default budget and at a budget of several K=12 batches, at 1, 2, 4
+    and 8 workers."""
+    monkeypatch.setattr(simulator, "RUN_CELLS", 1)
+    want = compute(1)
+    for cells in (1, _DEFAULT_RUN_CELLS, 2**16):
+        monkeypatch.setattr(simulator, "RUN_CELLS", cells)
+        for workers in (1, 2, 4, 8):
+            assert compute(workers) == want, (cells, workers)
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_runs_of_batches_keep_the_one_batch_totals(case, monkeypatch):
+    make_env, mechanism = _RUN_CASES[case]
+    # Three whole batches and a partial one, which ends a run of several.
+    config = ScenarioConfig(make_env(), mechanism, trials=3 * simulator.BATCH_TRIALS + 500, seed=29)
+    _at_every_budget(monkeypatch, lambda workers: _stats_bytes(run_trials(config, workers)))
+
+
+def test_runs_of_batches_keep_the_scenario_records(monkeypatch):
+    twelve = _truth_env([0.2 + 0.05 * i for i in range(12)])
+    mixed = _adversarial_env("truthful", False)
+
+    def records(workers):
+        return [
+            run_collusion_scenario(twelve, {1, 4, 9}, 2, 2_600, 31, workers),
+            run_malicious_scenario(mixed, {1, 4}, 3_600, 37, workers),
+        ]
+
+    _at_every_budget(monkeypatch, records)
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,8 @@ def test_sample_peer_sums_match_the_normal_moments():
     )
     env = Environment(agents=agents)
     n = 200_000
-    sums = sample_peer_sums(env, np.random.default_rng(61), n, _peer_sum_tables(env, weights))
+    batches = [(np.random.default_rng(61), slice(0, n))]
+    sums = sample_peer_sums(env, batches, _peer_sum_tables(env, weights))
     assert sums.shape == (n, 5)
     for i in range(5):
         others = [j for j in range(5) if j != i]
