@@ -66,8 +66,6 @@ from .core import (
 from .mechanisms import (
     PEER_SUMS,
     RING,
-    _order,
-    _take,
     _ring_maps,
     _ring_outcome,
     _ring_readers,
@@ -382,10 +380,6 @@ def _driven(agent: Agent, truth: bool) -> Agent:
 Batches = Sequence[tuple["np.random.Generator", slice]]
 
 
-def _run_shape(env: Environment, batches: Batches) -> tuple[int, int]:
-    return batches[-1][1].stop, env.k
-
-
 def sample_sparse(
     env: Environment,
     batches: Batches,
@@ -403,7 +397,7 @@ def sample_sparse(
     (:func:`sample_ring_reads`).  The drawn arrays are ``workspace``
     buffers.
     """
-    shape = _run_shape(env, batches)
+    shape = (batches[-1][1].stop, env.k)
     r0 = workspace.empty("system observations", shape)
     for rng, rows in batches:
         rng.standard_normal(out=r0[rows])
@@ -516,7 +510,7 @@ def sample_peer_sums(
     order.  No (trials, K, K) array is made, and every reporter's (trials,
     K) block is drawn into one ``workspace`` buffer.
     """
-    shape = _run_shape(env, batches)
+    shape = (batches[-1][1].stop, env.k)
     if tables.normal is None:
         sums = workspace.zeros("peer sums", shape, writable=True)
         for std, centre, weight in tables.relayers:
@@ -554,9 +548,10 @@ def sample_peer_sums(
 def _reader_values(
     table: np.ndarray, reader: np.ndarray, name: str, workspace: Workspace
 ) -> np.ndarray:
-    """``table[reader]``, as a ``workspace`` buffer in the reader map's layout."""
-    out = workspace.empty(name, reader.shape, table.dtype, _order(reader))
-    return _take(table, reader, out)
+    """``table[reader]``, as a ``workspace`` buffer.  The reporters are in
+    range, so the clip mode changes no value and spares ``np.take`` a copy."""
+    out = workspace.empty(name, reader.shape, table.dtype)
+    return np.take(table, reader, out=out, mode="clip")
 
 
 def sample_ring_reads(
@@ -580,7 +575,7 @@ def sample_ring_reads(
     nothing, so arms that differ only in them can share one draw.  The
     reads, the masks and the reader gathers are ``workspace`` buffers.
     """
-    shape = _run_shape(env, batches)
+    shape = (batches[-1][1].stop, env.k)
     stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
     kinds = [agent.agent_type for agent in env.agents]
     random_ = np.array([isinstance(t, MaliciousRandom) for t in kinds])
@@ -660,13 +655,12 @@ def ring_messages(
     sent_reads = []
     for m, (reader, values) in enumerate(zip(readers, reads)):
         # sent[reader, subject], read at its flat position in the table.
-        order = _order(reader)
-        index = workspace.empty("indices", reader.shape, np.intp, order)
-        np.multiply(reader, k, out=index)
+        index = np.multiply(reader, k, out=workspace.empty("indices", reader.shape, np.intp))
         index += np.arange(k)
-        message = workspace.empty("gathered", reader.shape, float, order)
-        _take(sent.ravel(), index, message)
-        sends = np.isnan(message, out=workspace.empty("sends", reader.shape, bool, order))
+        message = np.take(
+            sent.ravel(), index, out=workspace.empty("gathered", reader.shape), mode="clip"
+        )
+        sends = np.isnan(message, out=workspace.empty("sends", reader.shape, bool))
         np.logical_not(sends, out=sends)
         if not in_place:
             values = workspace.copy(f"sent read {m}", values)
