@@ -24,9 +24,10 @@ generator into its own rows of the run's (run trials, K) arrays; the
 scaling, shifting and clipping that follow the draws, the mechanism, the
 utilities and the reducer then run once over the whole run, which spares
 the Python and thread hand-off costs of many small batches.  The budget
-was measured on the mc_scenarios benchmark: 2^15 and 2^16 cells ran no
-faster than 2^14 and raised the peak resident memory by several MB, since
-each worker's buffers grow with the run.
+was measured on the mc_scenarios benchmark: 2^15 and 2^16 cells, which
+make K=12 runs of two and five batches, ran faster still but raised the
+peak resident memory by about 4 and 15 MB, since each worker's buffers
+grow with the run; 2^14 keeps the rise under 1 MB.
 
 The caller's reducer takes the run's arrays and the row slice of each of
 its batches and returns one partial per batch, computed on that batch's
@@ -342,13 +343,12 @@ def simulate(
     workspace = Workspace.per_thread()
 
     def one_run(first_batch: int, size: int) -> list[list[dict]]:
-        batches = _run_batches(first_batch, size)
-        rows = [trials for _, trials in batches]
-        arms = source([(_batch_rng(seed, b), trials) for b, trials in batches], workspace())
+        batches = [(_batch_rng(seed, b), rows) for b, rows in _run_batches(first_batch, size)]
+        arms = source(batches, workspace())
         # zip takes each arm from the source only after the previous arm's
         # reducer has run, as the shared draw requires.
         return [
-            arm_reduce(arm.r0, arm.selfs, arm.reps, arm.taxes, rows)
+            arm_reduce(arm.r0, arm.selfs, arm.reps, arm.taxes, [rows for _, rows in batches])
             for arm_reduce, arm in zip(reduces, arms)
         ]
 

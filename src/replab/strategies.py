@@ -585,10 +585,10 @@ def sample_ring_reads(
     for m, reader in enumerate(readers):
         masks = []
         for e, earlier in enumerate(readers[:m]):
-            where = np.broadcast_shapes(reader.shape, earlier.shape)
-            masks.append(
-                np.equal(reader, earlier, out=workspace.out(f"same reporter {m} {e}", where, bool))
+            mask = workspace.out(
+                f"same reporter {m} {e}", np.broadcast_shapes(reader.shape, earlier.shape), bool
             )
+            masks.append(np.equal(reader, earlier, out=mask))
         new = None
         if masks:
             new = workspace.copy(f"fresh reads {m}", masks[0])
