@@ -327,9 +327,8 @@ def _ring_outcome(
         rows, _, succ = maps[1]
         gaps = np.subtract(reads[1], reads[2], out=charges)
         np.abs(gaps, out=gaps)
-        # F-ordered, as a column selection and as the gather of rings drawn
-        # by permuting a broadcast row lay it out; its row totals add in
-        # that order.
+        # F-ordered, so its row totals add column by column: the rounding
+        # the engine's outputs have always had, pinned by the tests.
         gathered = _ring_gather(gaps, rows, succ, "second-layer gaps", workspace, "F")
         taxes += _validation_layer(gathered, rows, succ, charges, workspace)
     return workspace.copy("reputations", self_reports), taxes

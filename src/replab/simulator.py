@@ -18,8 +18,8 @@ That order, and the mechanism's run, live in one batch source,
 drew some or all batches as a dense (batch, K, K) cross matrix.
 
 A worker thread computes a *run*: consecutive whole batches holding at most
-:data:`RUN_CELLS` trial-K cells, and never less than one batch, so at
-K >= 12 a run is one batch.  Each batch of the run draws from its own
+:data:`RUN_CELLS` trial-K cells, and never less than one batch, so from
+K = 9 up a run is one batch.  Each batch of the run draws from its own
 generator into its own rows of the run's (run trials, K) arrays; the
 scaling, shifting and clipping that follow the draws, the mechanism, the
 utilities and the reducer then run once over the whole run, which spares
