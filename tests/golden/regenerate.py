@@ -114,6 +114,7 @@ def entries() -> dict[str, str]:
             found[f"stats/{config.stem}/w{workers}"] = _stats(config, workers)
     for parameter, config, grid in (
         ("pr_a", "pr_k7", "1.0,1.7,2.5"),
+        ("sigma", "simple_averaging_k8", "0.05,0.1,0.2"),
         ("rho", "as_k5", "0:1:3"),
     ):
         for workers in (1, 4):
