@@ -39,7 +39,7 @@ from .numerics import (
     normal_cdf,
     normal_pdf,
 )
-from .simulator import simulate
+from .simulator import Arm, simulate
 from .strategies import (
     expected_pr_reputation,
     pr_mae,
@@ -250,7 +250,7 @@ def participation_utilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every agent's (u_in, u_out) under scoring at equilibrium play, two (K,) arrays.
 
-    Both come from one ``simulate(env, AS(), trials, seed, ...)`` call.
+    Both come from one engine call, ``simulate`` of one scoring arm.
     ``u_in`` is the mean realized utility inside the system, as
     ``run_trials`` reports it.  ``u_out`` is the utility of staying out,
     -lambda_i * sum_{j != i} E f_i(|R_ij - r_j|) + (1 - lambda_i) * E g_i(R_i):
@@ -273,7 +273,7 @@ def participation_utilities(
             for rows in batches
         ]
 
-    totals = simulate(env, AS(), trials, seed, reduce)
+    (totals,) = simulate([Arm(env, AS(), reduce)], trials, seed)
     accuracy = np.array([_stay_out_loss(ag, env) for ag in env.agents])
     return totals["utils"] / trials, -lam * accuracy + (1.0 - lam) * (totals["image"] / trials)
 

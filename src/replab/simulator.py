@@ -38,20 +38,18 @@ worker thread draws and runs its runs in a workspace of (run, K) buffers
 its first run a worker allocates no run-sized array.  The arrays a reducer
 sees belong to that workspace and are overwritten by the worker's next
 run: a reducer copies anything it keeps, and it may not write into them.
-Strategy constants are resolved once per scenario; only uniform-random
+Strategy constants are resolved once per call; only uniform-random
 reporters draw fresh messages.
 
-Several arms, each an (environment, reducer) pair, can share every batch's
-draw (common random numbers).  Arms may share a draw when they differ only
-in what their agents send: constant self-reports (truth, image or mixed
-constants) and, except under the peer-sum families, colluders' messages.
-Their qualities, noise levels, clamping and uniform-random reporters must
-match.  The run is drawn once, then each arm in turn applies its own
+One call takes a list of arms, each an environment, a mechanism, a
+strategy profile and a reducer, and groups the arms that draw alike
+(``strategies._draw_key``).  Each group draws every batch once from
+``_batch_rng(seed, b)``, then each arm in turn applies its own
 self-reports and colluder messages (``strategies.ring_messages``) and runs
-the mechanism, and its reducer runs before the next arm is made.  Every
-arm's totals equal, bit for bit, those of the arm simulated alone.  The
-collusion scenario compares its manipulated and honest arms this way, and
-the malicious scenario its image-driven and baseline arms.
+its own mechanism, and its reducer runs before the next arm is made
+(common random numbers).  Every arm's totals equal, bit for bit, those of
+the arm simulated alone.  A sweep's grid points and each scenario's arms
+go in one call.
 """
 
 from __future__ import annotations
@@ -77,16 +75,17 @@ from .core import (
     centralized_solution,
 )
 from .numerics import NormalParams
-from .mechanisms import PEER_SUMS, cross_reads
 from .strategies import (
     UnsupportedCombination,
     _band_curves,
     _batch_rng,
     _batch_source,
+    _check_counts,
+    _draw_key,
     _driven,
     _SecretRings,
-    _sent_constants,
     aggregate_sigma_prime,
+    resolve_self_reports,
 )
 
 __all__ = [
@@ -95,6 +94,7 @@ __all__ = [
     "UnsupportedCombination",
     "ScenarioConfig",
     "SimStats",
+    "Arm",
     "simulate",
     "run_trials",
     "sweep",
@@ -116,19 +116,6 @@ SWEEP_PARAMETERS = ("pr_a", "sigma", "rho")
 
 class CliqueTooLarge(ValueError):
     """Raised when a clique leaves fewer than two honest outsiders."""
-
-
-def _check_counts(trials, seed, workers=1) -> None:
-    """Reject a trial count, seed or worker count that is not a plain integer
-    in range; each message opens with the argument's name."""
-    for name, value, valid, bounds in (
-        ("trials", trials, lambda v: v >= 1, ">= 1"),
-        ("seed", seed, lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
-        ("workers", workers, lambda v: v >= 1, ">= 1"),
-    ):
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not integer or not valid(value):
-            raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -248,124 +235,86 @@ def _combine(key: str, values: list) -> float | np.ndarray:
     return math.fsum(values)
 
 
-def _random_ranges(env: Environment) -> list[tuple[float, float] | None]:
-    """Each uniform-random reporter's range, None for everyone else."""
-    kinds = [agent.agent_type for agent in env.agents]
-    return [(t.low, t.high) if isinstance(t, MaliciousRandom) else None for t in kinds]
+@dataclass(frozen=True)
+class Arm:
+    """One arm of an engine call: a population, the mechanism it runs, the
+    reducer of its runs and its strategy profile, as in
+    :class:`ScenarioConfig`."""
+
+    env: Environment
+    mechanism: MechanismSpec
+    reduce: Reducer
+    strategy_mode: str | Mapping[int, float] = "equilibrium"
 
 
-def _same_sent(env: Environment, other: Environment) -> bool:
-    """Whether the colluders of both environments send the same constants."""
-    sent, other_sent = _sent_constants(env), _sent_constants(other)
-    if sent is None or other_sent is None:
-        return sent is other_sent
-    return np.array_equal(sent, other_sent, equal_nan=True)
-
-
-def _draw_difference(env: Environment, other: Environment, reads: str) -> str | None:
-    """What ``other`` would draw differently from ``env`` under a mechanism
-    that reads ``reads`` of the cross reports, or None when they draw alike.
-
-    Constant self-reports and the colluders' ring messages draw nothing.
-    Under the peer-sum families a colluder's constants take the place of
-    relayed reports inside the drawn sums, so colluders must match there.
-    """
-    checks = (
-        ("their agent counts differ", env.k == other.k),
-        ("their qualities differ", np.array_equal(env.qualities, other.qualities)),
-        (
-            "their noise levels differ",
-            env.system_obs == other.system_obs
-            and np.array_equal(env.cross_stds, other.cross_stds)
-            and np.array_equal(env.cross_biases, other.cross_biases),
-        ),
-        ("their clamping differs", env.clamp_observations == other.clamp_observations),
-        ("their uniform-random reporters differ", _random_ranges(env) == _random_ranges(other)),
-        (
-            "their colluders differ, and colluders' constants enter the drawn peer sums",
-            reads != PEER_SUMS or _same_sent(env, other),
-        ),
-    )
-    return next((name for name, alike in checks if not alike), None)
-
-
-def simulate(
-    env: Environment | Sequence[Environment],
-    mechanism: MechanismSpec,
-    trials: int,
-    seed: int,
-    reduce: Reducer | Sequence[Reducer],
-    workers: int = 1,
-    *,
-    strategy_mode: str | Mapping[int, float] = "equilibrium",
-) -> dict | list[dict]:
-    """Simulate ``trials`` rounds and total what ``reduce`` extracts from them.
+def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> list[dict]:
+    """Simulate ``trials`` rounds of every arm; one dict of totals per arm.
 
     The trials are drawn in 1024-trial batches, each from its own substream,
     and computed in runs of consecutive batches (see the module docstring).
-    ``reduce(system_obs, selfs, reps, taxes, batches)`` sees one run: each
-    array is (run trials, K), and ``batches`` holds the row slice of each
-    batch of the run, in order.  It returns one dict of floats and vectors
-    per batch, computed on that batch's rows.  Every entry is summed over
-    the batches, vectors per component, in batch order with ``math.fsum``;
-    entries whose key ends in ``_max`` take the maximum instead.
-    ``strategy_mode`` is as in :class:`ScenarioConfig`.  Deterministic for
-    fixed arguments: the per-batch substreams and partials make the worker
-    count and the run length irrelevant to the result.  ``trials``,
-    ``seed`` and ``workers`` must be integers, as :class:`ScenarioConfig`
-    checks them.
+    An arm's ``reduce(system_obs, selfs, reps, taxes, batches)`` sees one
+    run: each array is (run trials, K), and ``batches`` holds the row slice
+    of each batch of the run, in order.  It returns one dict of floats and
+    vectors per batch, computed on that batch's rows.  Every entry is summed
+    over the batches, vectors per component, in batch order with
+    ``math.fsum``; entries whose key ends in ``_max`` take the maximum
+    instead.  Deterministic for fixed arguments: the per-batch substreams
+    and partials make the worker count and the run length irrelevant to
+    the result.  ``trials``, ``seed`` and ``workers`` must be integers, as
+    :class:`ScenarioConfig` checks them.
 
-    Several arms can share each batch's draw (common random numbers):
-    ``env`` and ``reduce`` are then equal-length sequences, arm m being
-    ``(env[m], reduce[m])``, and one dict of totals is returned per arm,
-    each equal bit for bit to that arm simulated alone.  Arms may differ
-    only in what their agents send, that is their constant self-reports
-    and colluders; a :class:`ValueError` names the first difference that
-    would make two arms draw differently.
+    The arms are grouped by their draw (see the module docstring), and
+    every arm's totals equal, bit for bit, those of the arm simulated
+    alone.  The arms must have one agent count; a :class:`ValueError`
+    names the counts otherwise.
 
     A reducer's arrays belong to its worker thread's workspace: the later
     arms and the worker's next run overwrite them.  A reducer must copy
     anything it keeps, and it must not write into them.
     """
     _check_counts(trials, seed, workers)
-    single = isinstance(env, Environment)
-    envs = [env] if single else list(env)
-    reduces = [reduce] if single else list(reduce)
-    if not envs or len(envs) != len(reduces):
-        raise ValueError(f"need one reducer per arm, got {len(envs)} arms and {len(reduces)} reducers")
-    first = envs[0]
-    reads = cross_reads(mechanism)
-    for m, arm_env in enumerate(envs[1:], 1):
-        difference = _draw_difference(first, arm_env, reads)
-        if difference is not None:
-            raise ValueError(f"arm {m} would draw differently from arm 0: {difference}")
-    source = _batch_source(envs, mechanism, strategy_mode)
+    if not arms:
+        raise ValueError("simulate needs at least one arm")
+    counts = sorted({arm.env.k for arm in arms})
+    if len(counts) > 1:
+        raise ValueError(f"the arms must have one agent count, got K = {counts}")
+    resolved = [
+        (arm.env, arm.mechanism, resolve_self_reports(arm.env, arm.mechanism, arm.strategy_mode))
+        for arm in arms
+    ]
+    groups: dict[tuple, list[int]] = {}
+    for m, source_arm in enumerate(resolved):
+        groups.setdefault(_draw_key(*source_arm), []).append(m)
+    sources = [
+        (members, _batch_source([resolved[m] for m in members])) for members in groups.values()
+    ]
     workspace = Workspace.per_thread()
 
     def one_run(first_batch: int, size: int) -> list[list[dict]]:
-        batches = [(_batch_rng(seed, b), rows) for b, rows in _run_batches(first_batch, size)]
-        arms = source(batches, workspace())
-        # zip takes each arm from the source only after the previous arm's
-        # reducer has run, as the shared draw requires.
-        return [
-            arm_reduce(arm.r0, arm.selfs, arm.reps, arm.taxes, [rows for _, rows in batches])
-            for arm_reduce, arm in zip(reduces, arms)
-        ]
+        plan = _run_batches(first_batch, size)
+        rows = [batch_rows for _, batch_rows in plan]
+        partials: list = [None] * len(arms)
+        for members, source in sources:
+            batches = [(_batch_rng(seed, b), batch_rows) for b, batch_rows in plan]
+            # zip takes each arm from the source only after the previous arm's
+            # reducer has run, as the shared draw requires.
+            for m, draw in zip(members, source(batches, workspace())):
+                partials[m] = arms[m].reduce(draw.r0, draw.selfs, draw.reps, draw.taxes, rows)
+        return partials
 
-    runs = _map_batches(one_run, _run_plan(trials, first.k), workers)
+    runs = _map_batches(one_run, _run_plan(trials, counts[0]), workers)
     totals = []
-    for m in range(len(envs)):
+    for m in range(len(arms)):
         partials = [partial for run in runs for partial in run[m]]
         totals.append({key: _combine(key, [p[key] for p in partials]) for key in partials[0]})
-    return totals[0] if single else totals
+    return totals
 
 
-def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
-    """Simulate the configured scenario and aggregate outcome statistics."""
+def _stats_arm(config: ScenarioConfig, scratch: Callable[[], Workspace]) -> Arm:
+    """The arm of ``config`` whose totals :func:`_stats` reads; its reducer
+    keeps its temporaries in the per-thread workspaces of ``scratch``."""
     env = config.env
     targets = centralized_solution(env)
-    # The reducer's temporaries, one workspace per worker thread.
-    scratch = Workspace.per_thread()
 
     def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
         workspace = scratch()
@@ -385,16 +334,11 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
             for rows in batches
         ]
 
-    totals = simulate(
-        env,
-        config.mechanism,
-        config.trials,
-        config.seed,
-        reduce,
-        workers,
-        strategy_mode=config.strategy_mode,
-    )
-    t = config.trials
+    return Arm(env, config.mechanism, reduce, config.strategy_mode)
+
+
+def _stats(totals: dict, t: int) -> SimStats:
+    """The outcome statistics of a :func:`_stats_arm`'s totals over ``t`` trials."""
     mae_mean = totals["mae"] / t
     if t > 1:
         variance = max(0.0, (totals["mae_sq"] - t * mae_mean * mae_mean) / (t - 1))
@@ -410,6 +354,13 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
         budget_max_abs=totals["budget_abs_max"],
         trials=t,
     )
+
+
+def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
+    """Simulate the configured scenario and aggregate outcome statistics."""
+    arm = _stats_arm(config, Workspace.per_thread())
+    (totals,) = simulate([arm], config.trials, config.seed, workers)
+    return _stats(totals, config.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +427,16 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
 
+    with_value = {"pr_a": _with_pr_a, "sigma": _with_sigma, "rho": _with_rho}[parameter]
+    points = [with_value(config, value) for value in values]
+    # Every point in one engine call: the points that draw alike share
+    # each batch's draw, and the reducers share their workspaces.
+    scratch = Workspace.per_thread()
+    arms = [_stats_arm(point, scratch) for point in points]
+    results = simulate(arms, config.trials, config.seed, workers)
     rows = []
-    for value in values:
-        if parameter == "pr_a":
-            point = _with_pr_a(config, value)
-        elif parameter == "sigma":
-            point = _with_sigma(config, value)
-        else:
-            point = _with_rho(config, value)
-        stats = run_trials(point, workers=workers)
+    for value, point, totals in zip(values, points, results):
+        stats = _stats(totals, config.trials)
         sigma_prime = aggregate_sigma_prime(point.env)
         row = {
             "parameter": parameter,
@@ -556,10 +508,10 @@ def run_collusion_scenario(
     truth-tellers under the same seed, so every difference is attributable
     to the manipulation.  Rings are redrawn secretly every trial.  The
     record carries both the 1-layer and 2-layer arms regardless of
-    ``layers``, which only selects the headline arm.  The honest and the
-    manipulated arm of a layer count differ only in the clique's messages,
-    so they share one engine call and each batch's draw (rings, ring reads
-    and observations).
+    ``layers``, which only selects the headline arm.  All four arms go in
+    one engine call; the honest and the manipulated arm of a layer count
+    differ only in the clique's messages, so they share each batch's draw
+    (rings, ring reads and observations).
     """
     if layers not in (1, 2):
         raise ValueError(f"layers must be 1 or 2, got {layers}")
@@ -615,23 +567,25 @@ def run_collusion_scenario(
             "budget_max_abs": totals["budget_abs_max"],
         }
 
-    # The honest arm goes first, so the manipulated arm, last, writes its
-    # messages into the shared draw instead of a copy.
-    arms = (_retype_clique(env, clique, honest=True), _retype_clique(env, clique, honest=False))
-    reducers = [reducer(arm_env) for arm_env in arms]
-    record = {
+    # One group per layer count.  The honest arm goes first, so the
+    # manipulated arm, last, writes its messages into the shared draw
+    # instead of a copy.
+    arms = [
+        Arm(arm_env, _SecretRings(layers=n_layers), reducer(arm_env))
+        for n_layers in (1, 2)
+        for arm_env in (_retype_clique(env, clique, True), _retype_clique(env, clique, False))
+    ]
+    one_honest, one, two_honest, two = simulate(arms, trials, seed, workers)
+    return {
         "clique": sorted(clique),
         "layers": layers,
         "trials": trials,
         "seed": seed,
+        "one_layer": summary(one, 1),
+        "one_layer_honest": summary(one_honest, 1),
+        "two_layer": summary(two, 2),
+        "two_layer_honest": summary(two_honest, 2),
     }
-    for n_layers, key in ((1, "one_layer"), (2, "two_layer")):
-        honest, manipulated = simulate(
-            arms, _SecretRings(layers=n_layers), trials, seed, reducers, workers
-        )
-        record[key] = summary(manipulated, n_layers)
-        record[key + "_honest"] = summary(honest, n_layers)
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +624,10 @@ def run_malicious_scenario(
     mechanism); the baseline runs the environment as given.  The record
     also carries the malicious agents' mean own validation charge
     (self-report versus the system observation, before redistribution).
-    Arms that draw alike share one engine call and each batch's draw: the
-    image-driven and baseline arms, whose agents differ only in constant
-    self-reports, unless the slots already hold uniform-random reporters.
-    The malicious arm draws uniforms for its slots, so it runs alone.
+    The three arms go in one engine call.  The image-driven and baseline
+    arms, whose agents differ only in constant self-reports, share each
+    batch's draw unless the baseline's slots hold uniform-random reporters;
+    the malicious arm draws uniforms for its slots, so it draws apart.
     """
     ids = {agent.id for agent in env.agents}
     malicious = set(malicious)
@@ -708,28 +662,14 @@ def run_malicious_scenario(
         ]
 
     charged = slot_idx.size > 0
-    mechanism = AS()
-    envs = (
-        _retype_slots(env, malicious, "malicious"),
-        _retype_slots(env, malicious, "image"),
-        env,
-    )
-    reducers = (reduce_charged if charged else reduce, reduce, reduce)
-    calls: list[list[int]] = []
-    for m, arm_env in enumerate(envs):
-        for call in calls:
-            if _draw_difference(envs[call[0]], arm_env, cross_reads(mechanism)) is None:
-                call.append(m)
-                break
-        else:
-            calls.append([m])
-    totals = {}
-    for call in calls:
-        results = simulate(
-            [envs[m] for m in call], mechanism, trials, seed, [reducers[m] for m in call], workers
-        )
-        totals.update(zip(call, results))
-    malicious_arm, image_arm, baseline_arm = totals[0], totals[1], totals[2]
+    arms = [
+        Arm(
+            _retype_slots(env, malicious, "malicious"), AS(), reduce_charged if charged else reduce
+        ),
+        Arm(_retype_slots(env, malicious, "image"), AS(), reduce),
+        Arm(env, AS(), reduce),
+    ]
+    malicious_arm, image_arm, baseline_arm = simulate(arms, trials, seed, workers)
     return {
         "malicious": sorted(malicious),
         "trials": trials,

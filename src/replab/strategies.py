@@ -13,8 +13,9 @@ Three kinds of results live here:
    the samplers, which draw only what a mechanism reads
    (``sample_sparse``, then ``sample_peer_sums``, or ``sample_ring_reads``
    and the colluders' ``ring_messages``), and the one batch source that
-   calls them in the engine's order and runs the mechanism on each batch
-   (``_batch_source``), for the engine and the audits' ``draw_profile``.
+   calls them in the engine's order and runs each arm's mechanism on the
+   draw (``_batch_source``; arms with one ``_draw_key`` share it), for the
+   engine and the audits' ``draw_profile``.
    Pairs without an analytical best response raise
    :class:`UnsupportedCombination` rather than inventing behavior.
 3. A brute-force numerical oracle (``deviation_report``) that grids a
@@ -64,6 +65,7 @@ from .core import (
     centralized_solution,
 )
 from .mechanisms import (
+    NO_CROSS,
     PEER_SUMS,
     RING,
     _ring_maps,
@@ -355,6 +357,19 @@ def _equilibrium_self_report(
     raise UnsupportedCombination(
         f"no equilibrium self-report for {type(kind).__name__} under {type(spec).__name__}"
     )
+
+
+def _check_counts(trials, seed, workers=1) -> None:
+    """Reject a trial count, seed or worker count that is not a plain integer
+    in range; each message opens with the argument's name."""
+    for name, value, valid, bounds in (
+        ("trials", trials, lambda v: v >= 1, ">= 1"),
+        ("seed", seed, lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+        ("workers", workers, lambda v: v >= 1, ">= 1"),
+    ):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer or not valid(value):
+            raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -769,66 +784,105 @@ def _with_row(selfs: np.ndarray, row: np.ndarray) -> np.ndarray:
     return selfs
 
 
-def _batch_source(
-    envs: list[Environment],
-    mechanism: MechanismSpec,
-    strategy_mode: str | Mapping[int, float],
-) -> Callable[..., Iterator[ProfileDraw]]:
-    """The draw of one run of batches and the mechanism's outcome on it, per arm.
+def _draw_key(env: Environment, mechanism: MechanismSpec, reports: Mapping[int, float]) -> tuple:
+    """What fixes an arm's draw: arms with equal keys draw every batch alike,
+    bit for bit, so one :func:`_batch_source` can serve them all.
 
-    Resolves the arms' constant self-reports and what ``mechanism`` reads
-    once.  The returned ``draw(batches, workspace=FRESH)`` draws a run of
-    batches (:data:`Batches`), each batch from its own generator in the
-    order of draw stream 4: the system observations and uniform
-    self-reports (:func:`sample_sparse`), then the peer sums
-    (:func:`sample_peer_sums`), or the secret rings of :class:`_SecretRings`
-    and the ring reads (:func:`sample_ring_reads`).  It then yields one
-    :class:`ProfileDraw` of the whole run per arm, in order: the arm's
-    constants in place of the previous arm's (:func:`_with_row`), its
-    colluders' ring messages (:func:`ring_messages`) and the mechanism's
-    outcome, each computed once over the run.  The arms share the draw, and
-    a later arm writes into the arrays an earlier one was given, so each
-    arm must be consumed before the next is produced.  The arrays are
-    ``workspace`` buffers, which the workspace's next run overwrites; with
-    no workspace they are new, and the draw owns them.
+    The key holds K, what the mechanism reads (``cross_reads``), the
+    qualities, the noise, the clamping and the agents whose self-reports
+    are drawn, those the resolved ``reports`` leave out: a profile that
+    fixes a uniform-random reporter's report draws no uniforms for it.
+    Under the peer-sum families it adds the uniform-random senders of
+    cross reports, the reporter weights and the colluders' constants,
+    which enter the drawn sums; under ring validation the random senders
+    and the mechanism itself, whose rings pick the reads.
     """
-    first = envs[0]
-    k = first.k
+    k = env.k
     reads = cross_reads(mechanism)
+    kinds = [agent.agent_type for agent in env.agents]
+    key = (
+        k,
+        reads,
+        env.qualities.tobytes(),
+        env.system_obs,
+        env.cross_stds.tobytes(),
+        env.cross_biases.tobytes(),
+        env.clamp_observations,
+        tuple((i, kinds[i].low, kinds[i].high) for i in range(k) if i not in reports),
+    )
+    if reads == NO_CROSS:
+        return key
+    senders = tuple((t.low, t.high) if isinstance(t, MaliciousRandom) else None for t in kinds)
+    if reads == PEER_SUMS:
+        sent = _sent_constants(env)
+        table = None if sent is None else sent.tobytes()
+        return key + (senders, peer_weights(mechanism, k).tobytes(), table)
+    return key + (senders, mechanism)
+
+
+def _batch_source(
+    arms: Sequence[tuple[Environment, MechanismSpec, Mapping[int, float]]],
+) -> Callable[..., Iterator[ProfileDraw]]:
+    """The draw of one run of batches and each arm's outcome on it.
+
+    Each arm is a population, its mechanism and its constant self-reports
+    (:func:`resolve_self_reports`); the arms must have one
+    :func:`_draw_key`.  Resolves what the first arm's mechanism reads once.
+    The returned ``draw(batches, workspace=FRESH)`` draws a run of batches
+    (:data:`Batches`), each batch from its own generator in the order of
+    draw stream 4: the system observations and uniform self-reports
+    (:func:`sample_sparse`), then the peer sums (:func:`sample_peer_sums`),
+    or the secret rings of :class:`_SecretRings` and the ring reads
+    (:func:`sample_ring_reads`).  The observations and peer sums are
+    read-only.  It then yields one :class:`ProfileDraw` of the whole run
+    per arm, in order: the arm's constants in place of the previous arm's
+    (:func:`_with_row`), its colluders' ring messages
+    (:func:`ring_messages`) and its own mechanism's outcome, each computed
+    once over the run; so punish-reward arms of different band multipliers
+    share one draw.  A later arm writes into the arrays an earlier one was
+    given, so each arm must be consumed before the next is produced.  The
+    arrays are ``workspace`` buffers, which the workspace's next run
+    overwrites; with no workspace they are new, and the draw owns them.
+    """
+    first, first_mechanism, first_reports = arms[0]
+    k = first.k
+    reads = cross_reads(first_mechanism)
     sigma_prime = aggregate_sigma_prime(first)
-    reports = [resolve_self_reports(e, mechanism, strategy_mode) for e in envs]
-    constants = [np.array([r.get(i, np.nan) for i in range(k)]) for r in reports]
+    constants = [np.array([r.get(i, np.nan) for i in range(k)]) for _, _, r in arms]
     tables = sent = ring = None
     if reads == PEER_SUMS:
-        tables = _peer_sum_tables(first, peer_weights(mechanism, k))
+        tables = _peer_sum_tables(first, peer_weights(first_mechanism, k))
     elif reads == RING:
-        sent = [_sent_constants(e) for e in envs]
-        ring = _ring_setup(mechanism, k)
-    last = len(envs) - 1
+        sent = [_sent_constants(env) for env, _, _ in arms]
+        ring = _ring_setup(first_mechanism, k)
+    last = len(arms) - 1
 
     def draw(batches: Batches, workspace: Workspace = FRESH) -> Iterator[ProfileDraw]:
-        r0, selfs = sample_sparse(first, batches, reports[0], workspace)
+        r0, selfs = sample_sparse(first, batches, first_reports, workspace)
         # A workspace hands out a new view per run, so the buffer itself
         # stays writable for the next run's draw.
         r0.setflags(write=False)
         if reads == RING:
             maps, readers = ring
-            if isinstance(mechanism, _SecretRings):
+            if isinstance(first_mechanism, _SecretRings):
                 # Layer by layer into the index scratch, each batch drawing
                 # both layers in turn.  F-ordered, so the maps' column
                 # slices are contiguous.
                 order = workspace.empty("indices", selfs.shape, np.intp, "F")
                 base = np.broadcast_to(np.arange(k), selfs.shape)
                 layers = []
-                for m in range(mechanism.layers):
+                for m in range(first_mechanism.layers):
                     for rng, rows in batches:
                         rng.permuted(base[rows], axis=1, out=order[rows])
                     layers.append(_ring_maps(order, workspace, f"layer {m + 1} ring"))
                 maps, readers = _ring_readers(layers, workspace)
             drawn = sample_ring_reads(first, batches, readers, workspace)
-        sums = None if tables is None else sample_peer_sums(first, batches, tables, workspace)
+        sums = None
+        if tables is not None:
+            sums = sample_peer_sums(first, batches, tables, workspace)
+            sums.setflags(write=False)
         ring_reads = None
-        for m in range(len(envs)):
+        for m, (_, mechanism, _) in enumerate(arms):
             if m:
                 selfs = _with_row(selfs, constants[m])
             if reads == RING:
@@ -861,14 +915,15 @@ def draw_profile(
     from the Philox substream ``(seed, spawn_key=(0,))``, so the mechanism
     runs once per draw.  The draw does not depend on the deviator, so all
     agents' audits of one profile share it; its arrays are read-only.
+    ``trials`` and ``seed`` must be integers, as the engine checks them.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_counts(trials, seed)
     if others_strategy == "truthful":
         # Drawn from truth-tellers; the utilities still use the real agents.
         env = dataclasses.replace(env, agents=tuple(_driven(a, True) for a in env.agents))
         others_strategy = "equilibrium"
-    source = _batch_source([env], mechanism, others_strategy)
+    reports = resolve_self_reports(env, mechanism, others_strategy)
+    source = _batch_source([(env, mechanism, reports)])
     draw = next(source([(_batch_rng(seed, 0), slice(0, trials))]))
     held = (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ()))
     for arr in held:
@@ -1069,8 +1124,7 @@ def deviation_report(
     """
     if not (0 <= agent_index < env.k):
         raise DimensionMismatch(f"agent_index {agent_index} outside 0..{env.k - 1}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_counts(trials, seed)
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     if isinstance(mechanism, DirectObservation):

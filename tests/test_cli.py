@@ -883,7 +883,7 @@ def test_report_makes_one_engine_call(runner, tmp_path, monkeypatch, text):
     engine = analysis.simulate
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return engine(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "simulate", counting)

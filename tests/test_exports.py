@@ -1,6 +1,7 @@
 """Each module's ``__all__`` matches the public names it defines, only the
 engine and the audit seed random streams, only the one batch source runs
-the mechanism kernels, and only the kernels redistribute charges."""
+the mechanism kernels, only the kernels redistribute charges, and each
+command's simulated work is one engine call."""
 
 import ast
 import importlib
@@ -60,18 +61,24 @@ RNG_CONSTRUCTORS = {
 }
 
 
+def _calls(node: ast.AST, names: set[str]) -> list[ast.Call]:
+    """The calls of one of ``names`` inside ``node``."""
+    found = []
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append(call)
+    return found
+
+
 def _callers(path: Path, names: set[str]) -> set[tuple[str, str]]:
     """(module, top-level definition) pairs whose code calls one of ``names``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = set()
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in names:
-                    found.add((path.stem, getattr(top, "name", "<module>")))
-    return found
+    return {
+        (path.stem, getattr(top, "name", "<module>")) for top in tree.body if _calls(top, names)
+    }
 
 
 def _callers_in_src(names: set[str]) -> set[tuple[str, str]]:
@@ -108,3 +115,33 @@ def test_the_kernels_alone_hold_the_redistribution_rules():
 def test_only_the_engine_and_the_audit_draw_batches():
     found = _callers_in_src({"_batch_rng"})
     assert found == {("simulator", "simulate"), ("strategies", "draw_profile")}, found
+
+
+def test_only_simulate_maps_batches():
+    assert _callers_in_src({"_map_batches"}) == {("simulator", "simulate")}
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        ("simulator", "run_trials"),
+        ("simulator", "sweep"),
+        ("simulator", "run_collusion_scenario"),
+        ("simulator", "run_malicious_scenario"),
+        ("analysis", "participation_utilities"),
+    ],
+)
+def test_each_command_makes_one_engine_call(module, function):
+    # simulate groups the arms by their draw itself, so a command hands it
+    # every arm at once instead of calling it per point or per group.
+    path = Path(replab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (top,) = [node for node in tree.body if getattr(node, "name", None) == function]
+    assert len(_calls(top, {"simulate"})) == 1
+    looped = [
+        node for node in ast.walk(top) if isinstance(node, LOOPS) and _calls(node, {"simulate"})
+    ]
+    assert not looped, f"{module}.{function} calls simulate in a loop"

@@ -43,7 +43,7 @@ from replab.mechanisms import (
     deviation_terms,
     run_batch,
 )
-from replab.simulator import _SecretRings, simulate
+from replab.simulator import Arm, _SecretRings, simulate
 from replab.strategies import ProfileDraw
 
 
@@ -443,8 +443,9 @@ def test_per_trial_rings_budget_balance_random_rings():
 
 def test_per_trial_rings_too_few_agents():
     agents = tuple(Agent(id=i, quality=Quality(0.5), agent_type=Truth()) for i in range(2))
+    arm = Arm(Environment(agents=agents), _SecretRings(layers=1), lambda *arrays: {})
     with pytest.raises(TooFewAgents):
-        simulate(Environment(agents=agents), _SecretRings(layers=1), 4, 0, lambda *arrays: {})
+        simulate([arm], 4, 0)
 
 
 # ---------------------------------------------------------------------------

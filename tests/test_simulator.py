@@ -35,12 +35,14 @@ from replab.core import (
     Truth,
     UtilitySpec,
     WeightedPR,
+    Workspace,
     centralized_solution,
 )
 from replab import simulator
 from replab.mechanisms import TooFewAgents, run_batch
 from replab.numerics import NormalParams
 from replab.simulator import (
+    Arm,
     CliqueTooLarge,
     ScenarioConfig,
     SimStats,
@@ -54,7 +56,9 @@ from replab.simulator import (
     simulate,
     sweep,
 )
+from replab import strategies
 from replab.strategies import (
+    _draw_key,
     aggregate_sigma_prime,
     draw_profile,
     pr_optimal_self_report,
@@ -75,6 +79,22 @@ def _agent(i, r, kind=None, lam=1.0, sigma=0.1):
         utility=UtilitySpec(f=AbsPower(2.0), g=Linear(), truth_weight=lam),
         cross_obs=NormalParams(0.0, sigma),
     )
+
+
+def _alone(env, mechanism, trials, seed, reduce, workers=1, strategy_mode="equilibrium"):
+    """The totals of ``simulate`` called with the one arm of these arguments."""
+    (totals,) = simulate([Arm(env, mechanism, reduce, strategy_mode)], trials, seed, workers)
+    return totals
+
+
+def _dense_engine(arms, trials, seed, workers=1):
+    """``simulate`` on the dense reference draw, one arm at a time."""
+    return [
+        dense_simulate(
+            arm.env, arm.mechanism, trials, seed, arm.reduce, strategy_mode=arm.strategy_mode
+        )
+        for arm in arms
+    ]
 
 
 def _truth_env(qualities, sigma=0.1, scheme="absolute"):
@@ -237,7 +257,7 @@ def test_engine_output_bits_are_pinned(monkeypatch):
     env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
     config = ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_500, seed=3)
     with monkeypatch.context() as patch:
-        patch.setattr(simulator, "simulate", dense_simulate)
+        patch.setattr(simulator, "simulate", _dense_engine)
         stats = run_trials(config)
     assert stats.mae_mean == 0.4358448981248392
     assert stats.mae_stderr == 0.004668970049604167
@@ -423,10 +443,23 @@ def test_batches_after_the_first_reuse_their_workspace(mechanism):
         kept.append((reps, taxes))
         return [{} for _ in batches]
 
-    simulate(env, mechanism, 4 * span, 3, reduce, workers=1)
+    _alone(env, mechanism, 4 * span, 3, reduce)
     pointers = [tuple(a.__array_interface__["data"][0] for a in arrays) for arrays in kept]
     assert len(pointers) == 4
     assert len(set(pointers[1:])) == 1, pointers
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+def test_the_engine_hands_out_a_read_only_shared_draw(clamp):
+    # Every arm of a group reads the same observations and peer sums, so a
+    # kernel or reducer that wrote into them would move the later arms.
+    env = _adversarial_env("mixed", clamp)
+    source = strategies._batch_source([(env, PR(a=1.7), resolve_self_reports(env, PR(a=1.7)))] * 2)
+    workspace = Workspace()
+    for draw in source([(_batch_rng(0, 0), slice(0, 300))], workspace):
+        assert not draw.r0.flags.writeable and not draw.peer_sums.flags.writeable
+    # The next run's buffers are writable again.
+    assert workspace.empty("peer sums", (300, env.k)).flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -560,7 +593,7 @@ def _assert_moments_agree(
     mean squared tax and mean reputation) agrees with the dense oracle over
     the same batch plan within 4 stderr of the difference, the stderr taken
     from ``square``.  Returns both sides' totals."""
-    sparse = simulate(env, mechanism, trials, seed, reduce)
+    sparse = _alone(env, mechanism, trials, seed, reduce)
     dense = dense_simulate(env, mechanism, trials, seed, reduce)
     for key, square in pairs:
         means, variances = [], []
@@ -656,45 +689,95 @@ _SHARED_ARMS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
-@pytest.mark.parametrize("case", sorted(_SHARED_ARMS))
-def test_shared_arms_equal_their_one_arm_runs_bit_for_bit(case, clamp, workers):
-    mechanism, arms = _SHARED_ARMS[case]
-    envs = [_retyped(population, clamp, kinds) for population, kinds in arms]
-    shared = simulate(envs, mechanism, 2_500, 41, [_arm_moments] * len(envs), workers)
-    assert len(shared) == len(envs)
-    for env, totals in zip(envs, shared):
-        alone = simulate(env, mechanism, 2_500, 41, _arm_moments, workers)
+def _assert_each_arm_equals_its_one_arm_run(arms, workers, trials=2_500, seed=41):
+    """One call of all ``arms`` gives each arm's one-arm totals, bit for bit."""
+    shared = simulate(arms, trials, seed, workers)
+    assert len(shared) == len(arms)
+    for arm, totals in zip(arms, shared):
+        alone = _alone(arm.env, arm.mechanism, trials, seed, arm.reduce, workers, arm.strategy_mode)
         assert totals.keys() == alone.keys()
         for key, value in alone.items():
             assert np.asarray(totals[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
-def test_arms_that_would_draw_differently_are_refused():
+def _groups(arms):
+    """How many draws one call of ``arms`` makes per batch."""
+    keys = set()
+    for arm in arms:
+        reports = resolve_self_reports(arm.env, arm.mechanism, arm.strategy_mode)
+        keys.add(_draw_key(arm.env, arm.mechanism, reports))
+    return len(keys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+@pytest.mark.parametrize("case", sorted(_SHARED_ARMS))
+def test_shared_arms_equal_their_one_arm_runs_bit_for_bit(case, clamp, workers):
+    mechanism, arms = _SHARED_ARMS[case]
+    arms = [
+        Arm(_retyped(population, clamp, kinds), mechanism, _arm_moments)
+        for population, kinds in arms
+    ]
+    assert _groups(arms) == 1
+    _assert_each_arm_equals_its_one_arm_run(arms, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_arms_that_draw_differently_run_as_separate_groups(workers):
+    # Arms that once had to go in separate calls: each pair draws apart, so
+    # the call draws each batch once per group.
     truthful = _adversarial_env("truthful", False)
     moved = dataclasses.replace(
         truthful,
         agents=(dataclasses.replace(truthful.agents[0], quality=Quality(0.35)),)
         + truthful.agents[1:],
     )
-    cases = [
-        (AS(), [truthful, moved], "qualities"),
-        (_SecretRings(layers=1), [truthful, _adversarial_env("malicious", False)], "uniform-random"),
-        # The same random reporters, but agent 1 draws from another range.
-        (
-            AS(),
-            [_adversarial_env("malicious", False), _retyped("malicious", False, {1: _NARROW})],
-            "uniform-random",
-        ),
-        (PR(a=1.7), [truthful, _adversarial_env("colluders", False)], "colluders"),
-        (AS(), [truthful, _adversarial_env("truthful", True)], "clamping"),
+    malicious = _adversarial_env("malicious", False)
+    pairs = [
+        (AS(), [truthful, moved]),  # qualities
+        (_SecretRings(layers=1), [truthful, malicious]),  # uniform-random reporters
+        (AS(), [malicious, _retyped("malicious", False, {1: _NARROW})]),  # their ranges
+        (PR(a=1.7), [truthful, _adversarial_env("colluders", False)]),  # colluders in peer sums
+        (AS(), [truthful, _adversarial_env("truthful", True)]),  # clamping
     ]
-    for mechanism, envs, named in cases:
-        with pytest.raises(ValueError, match=f"arm 1 would draw differently from arm 0: .*{named}"):
-            simulate(envs, mechanism, 100, 0, [_arm_moments] * 2)
-    with pytest.raises(ValueError, match="one reducer per arm"):
-        simulate([truthful, truthful], AS(), 100, 0, [_arm_moments])
+    arms = []
+    for mechanism, envs in pairs:
+        pair = [Arm(env, mechanism, _arm_moments) for env in envs]
+        assert _groups(pair) == 2
+        arms += pair
+    # Other mechanisms: another band multiplier and simple averaging share
+    # the punish-reward arm's peer-sum draw, fixed rings draw apart.
+    arms += [
+        Arm(truthful, PR(a=2.5), _arm_moments),
+        Arm(truthful, ExtendedAS(layers=1), _arm_moments),
+        Arm(truthful, SimpleAveraging(), _arm_moments),
+    ]
+    assert _groups(arms) == 10
+    _assert_each_arm_equals_its_one_arm_run(arms, workers)
+
+
+@pytest.mark.parametrize(
+    "mechanism", [PR(a=1.7), _SecretRings(layers=2)], ids=["pr", "secret-rings"]
+)
+def test_a_fixed_random_report_draws_apart(mechanism):
+    # Fixing a uniform-random reporter's self-report draws no uniforms for
+    # it, which shifts every later draw of the batch: the draw key reads
+    # the resolved profile, not the agent types.
+    env = _adversarial_env("malicious", False)
+    arms = [Arm(env, mechanism, _arm_moments), Arm(env, mechanism, _arm_moments, {1: 0.5})]
+    assert _groups(arms) == 2
+    _assert_each_arm_equals_its_one_arm_run(arms, workers=1)
+
+
+def test_simulate_needs_arms_of_one_agent_count():
+    arms = [
+        Arm(_truth_env([0.2, 0.5, 0.8, 0.4]), AS(), _arm_moments),
+        Arm(_truth_env([0.2, 0.5, 0.8]), AS(), _arm_moments),
+    ]
+    with pytest.raises(ValueError, match=re.escape("one agent count, got K = [3, 4]")):
+        simulate(arms, 100, 0)
+    with pytest.raises(ValueError, match="at least one arm"):
+        simulate([], 100, 0)
 
 
 def test_simulate_rejects_fewer_than_one_worker():
@@ -702,7 +785,7 @@ def test_simulate_rejects_fewer_than_one_worker():
     reduce = _per_batch(lambda system_obs, selfs, reps, taxes: {"mae": float(reps.sum())})
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
-            simulate(env, AS(), 100, 0, reduce, workers)
+            _alone(env, AS(), 100, 0, reduce, workers)
         with pytest.raises(ValueError, match="workers"):
             run_trials(ScenarioConfig(env=env, mechanism=AS(), trials=100), workers=workers)
 
@@ -728,7 +811,7 @@ def test_simulate_checks_its_arguments_as_scenario_config_does(argument, value, 
     given = {"trials": 100, "seed": 0, "workers": 1, argument: value}
     message = re.escape(f"{argument} must be an integer {bounds}, got {value!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        simulate(env, AS(), given["trials"], given["seed"], reduce, given["workers"])
+        _alone(env, AS(), given["trials"], given["seed"], reduce, given["workers"])
     if argument == "workers":
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_trials(ScenarioConfig(env=env, mechanism=AS(), trials=100), workers=value)
@@ -868,6 +951,42 @@ def test_sweep_monte_carlo_tracks_closed_column():
     )
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list of its calls'
+    first arguments."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return wrapped(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_band_multiplier_sweep_draws_each_batch_once(monkeypatch):
+    # 30 grid points at K=20, half image-driven: one engine call whose
+    # points share every batch's draw, as each point alone would draw it.
+    agents = tuple(
+        _agent(i, 0.2 + 0.03 * i, Image() if i % 2 else None, 0.0 if i % 2 else 1.0)
+        for i in range(20)
+    )
+    env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
+    trials = 4 * simulator.BATCH_TRIALS + 300
+    config = ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=trials, seed=9)
+    grid = np.linspace(1.0, 3.0, 30)
+    engine = _counting(monkeypatch, simulator, "simulate")
+    samples = _counting(monkeypatch, strategies, "sample_sparse")
+    rows = sweep(config, "pr_a", grid)
+    assert [len(arms) for arms in engine] == [30]
+    assert len(samples) == len(_batch_plan(config.trials)) == 5
+    for row, a in zip(rows[::29], grid[::29]):
+        point = dataclasses.replace(config, mechanism=PR(a=float(a)))
+        stats = run_trials(point)
+        assert (row["mae_mean"], row["mae_stderr"]) == (stats.mae_mean, stats.mae_stderr)
+
+
 def test_sweep_sigma_scales_averaging_error():
     env = _truth_env([0.3, 0.5, 0.7])
     config = ScenarioConfig(env=env, mechanism=SimpleAveraging(), trials=20_000, seed=8)
@@ -943,6 +1062,12 @@ def test_collusion_scenario_is_deterministic():
     assert a == b
     two = run_collusion_scenario(env, {0, 3}, layers=1, trials=2_000, seed=12, workers=2)
     assert two == a
+
+
+def test_collusion_scenario_makes_one_engine_call(monkeypatch):
+    engine = _counting(monkeypatch, simulator, "simulate")
+    run_collusion_scenario(_truth_env([0.3, 0.4, 0.5, 0.6, 0.45]), {0, 3}, 1, 1_500, 12)
+    assert [len(arms) for arms in engine] == [4]
 
 
 def test_twelve_agent_secret_rings_keep_their_bits():
@@ -1037,6 +1162,12 @@ def test_malicious_scenario_deterministic_and_guarded():
         run_malicious_scenario(env, {7}, trials=100, seed=0)
     with pytest.raises(ValueError):
         run_malicious_scenario(env, set(), trials=0, seed=0)
+
+
+def test_malicious_scenario_makes_one_engine_call(monkeypatch):
+    engine = _counting(monkeypatch, simulator, "simulate")
+    run_malicious_scenario(_truth_env([0.2, 0.5, 0.8]), {1}, 1_500, 15)
+    assert [len(arms) for arms in engine] == [3]
 
 
 def test_malicious_keeps_custom_random_ranges():

@@ -8,6 +8,7 @@ share-of-total deviation formulas against direct mechanism evaluation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from replab.mechanisms import (
     run_batch,
 )
 from replab.numerics import NoRoot, NormalParams, find_root, integrate, normal_cdf
-from replab.simulator import simulate
+from replab.simulator import Arm, simulate
 from replab.strategies import (
     DeviationReport,
     PrEquilibrium,
@@ -309,7 +310,7 @@ def test_unknown_strategy_strings_raise():
     # read it, or any other string, as the equilibrium profile.
     env = Environment(agents=(_agent(0, 0.2, Truth(), 1.0), _agent(1, 0.3, Image(), 0.0)))
     with pytest.raises(ValueError, match="'truthful'"):
-        simulate(env, AS(), 10, 0, lambda *arrays: {}, strategy_mode="truthful")
+        simulate([Arm(env, AS(), lambda *arrays: {}, "truthful")], 10, 0)
     with pytest.raises(ValueError, match="'bogus'"):
         resolve_self_reports(env, AS(), "bogus")
 
@@ -530,6 +531,28 @@ def test_best_response_deterministic_and_guards():
         deviation_report(0, DirectObservation(), env, trials=2_000, grid=51)
     with pytest.raises(ValueError):
         deviation_report(0, AS(), env, "bogus", trials=100, grid=11)
+
+
+@pytest.mark.parametrize(
+    "argument, value, bounds",
+    [
+        ("trials", 1.5, ">= 1"),
+        ("trials", 0, ">= 1"),
+        ("trials", True, ">= 1"),
+        ("seed", -1, "in [0, 2**64)"),
+        ("seed", 2**64, "in [0, 2**64)"),
+        ("seed", 2**70, "in [0, 2**64)"),
+        ("seed", 3.0, "in [0, 2**64)"),
+    ],
+)
+def test_audits_check_their_arguments_as_the_engine_does(argument, value, bounds):
+    env = _truth_env([0.2, 0.5, 0.9])
+    given = {"trials": 100, "seed": 0, argument: value}
+    message = re.escape(f"{argument} must be an integer {bounds}, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw_profile(env, AS(), trials=given["trials"], seed=given["seed"])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        deviation_report(0, AS(), env, trials=given["trials"], grid=11, seed=given["seed"])
 
 
 # ---------------------------------------------------------------------------
