@@ -6,6 +6,8 @@ full precision.  The configs under ``configs/`` cover every mechanism kind,
 fixed rings, colluders, uniform-random reporters, clamping and K from 3 to
 12, with trial counts that are not multiples of the engine's 1,024-trial
 batch; the collusion records add secret rings with 1 and 2 layers.  The
+deviation audits (``check-equilibrium``) of three configs and the
+participation ``report`` of one pin the audit draw and the scoring run.  The
 CLI rounds its outputs to 12 significant digits, so every ``run`` config
 also gets a ``stats`` entry that digests ``run_trials``' aggregates at full
 precision.
@@ -124,6 +126,11 @@ def entries() -> dict[str, str]:
                     "--grid", grid, "--out", "out", "--workers", str(workers),
                 ]
             )
+    for config in ("as_k5", "extended_as_k6_rings", "fr_k4"):
+        found[f"check-equilibrium/{config}"] = _cli(
+            ["check-equilibrium", str(CONFIGS / f"{config}.ini"), "--grid", "51", "--trials", "3000"]
+        )
+    found["report/as_k5"] = _cli(["report", str(CONFIGS / "as_k5.ini"), "--trials", "7000"])
     for workers in (1, 2):
         for layers in (1, 2):
             record = run_collusion_scenario(_population(12, False), {2, 5, 9}, layers, 2_500, 13, workers)
