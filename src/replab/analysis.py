@@ -262,7 +262,10 @@ def participation_utilities(
     scratch = Workspace.per_thread()
 
     def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
-        utils = batch_true_utilities(reps, taxes, env, workspace=scratch())
+        workspace = scratch()
+        utils = batch_true_utilities(
+            reps, taxes, env, workspace=workspace, out=workspace.out("scratch 1", reps.shape)
+        )
         # Each agent's payoff once over the run; a linear one is a view.
         images = [ag.utility.g(system_obs[:, i]) for i, ag in enumerate(env.agents)]
         return [
@@ -273,7 +276,7 @@ def participation_utilities(
             for rows in batches
         ]
 
-    (totals,) = simulate([Arm(env, AS(), reduce)], trials, seed)
+    (totals,) = simulate([Arm(env, AS(), reduce)], trials, seed, workspace=scratch)
     accuracy = np.array([_stay_out_loss(ag, env) for ag in env.agents])
     return totals["utils"] / trials, -lam * accuracy + (1.0 - lam) * (totals["image"] / trials)
 

@@ -435,6 +435,12 @@ class Workspace:
     the engine's arrays are laid out as new arrays would be, so sums over
     them round as over new arrays.
 
+    Buffers named ``"scratch 0"``, ``"scratch 1"`` and so on hold one
+    call's temporaries: a function is done with its scratch when it
+    returns, except the ``out`` it was handed.  The kernels keep their
+    temporaries in scratch, so a reducer that shares the engine's
+    workspace puts its own in the memory the kernel left dead.
+
     ``Workspace(keep=False)`` (:data:`FRESH`) keeps nothing: ``out`` gives
     None, so a ufunc allocates its result in numpy's own layout, and the
     other methods return new arrays.  Functions that take a workspace use
@@ -545,6 +551,7 @@ def batch_true_utilities(
     env: Environment,
     *,
     workspace: Workspace = FRESH,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Realized utilities over a batch of outcomes.
 
@@ -554,7 +561,9 @@ def batch_true_utilities(
     (frozen) losses give equal arrays.  Each run of adjacent agents that
     share (f, g) is computed in one pass over its columns, in the order of
     :func:`agent_utility`, so every entry rounds as that formula does.  The
-    result and the temporaries are ``workspace`` buffers.
+    errors are a temporary in scratch 0 of ``workspace``.  The result goes
+    into ``out`` when given, a C-ordered (trials, K) array other than
+    scratch 0, and otherwise into a ``workspace`` buffer.
     """
     if reputations.shape != taxes.shape or reputations.shape[1] != env.k:
         raise DimensionMismatch(
@@ -562,7 +571,7 @@ def batch_true_utilities(
         )
     shape = reputations.shape
     errors = np.subtract(
-        reputations, centralized_solution(env)[None, :], out=workspace.out("errors", shape)
+        reputations, centralized_solution(env)[None, :], out=workspace.out("scratch 0", shape)
     )
     np.abs(errors, out=errors)
     payoffs = [(agent.utility.f, agent.utility.g) for agent in env.agents]
@@ -574,7 +583,8 @@ def batch_true_utilities(
         floss = f(errors, out=errors if last else workspace.out(f"loss{n}", shape))
         losses[f] = (floss, floss.sum(axis=1, keepdims=True))
     lam = np.array([agent.utility.truth_weight for agent in env.agents])
-    out = workspace.empty_like("utilities", reputations)
+    if out is None:
+        out = workspace.empty_like("utilities", reputations)
     start = 0
     for stop in range(1, env.k + 1):
         if stop < env.k and payoffs[stop] == payoffs[start]:

@@ -181,7 +181,7 @@ def _ring_gather(
     if source == "C":
         np.add(cols, trials * k, out=index)
     else:
-        np.multiply(cols, n, out=index)
+        np.multiply(cols, n, out=index, dtype=np.intp)
         index += trials
     out = workspace.empty(name, (n, k), values.dtype, order)
     return _take(values.ravel(order=source), index, out)
@@ -196,11 +196,12 @@ def _ring_maps(
     fixed ring shared by all trials.  Gathers index the trials axis with the
     returned index and the agent axes with the maps: a fixed ring gives a
     slice and (K,) maps, so its gathers stay plain column selections.  The
-    maps are C-ordered ``workspace`` buffers kept under ``name``.
+    maps are C-ordered int32 ``workspace`` buffers kept under ``name``, half
+    the size of index arrays.
     """
     rows = np.arange(rings.shape[0])[:, None]
-    pred = workspace.empty(name + " predecessors", rings.shape, rings.dtype)
-    succ = workspace.empty(name + " successors", rings.shape, rings.dtype)
+    pred = workspace.empty(name + " predecessors", rings.shape, np.int32)
+    succ = workspace.empty(name + " successors", rings.shape, np.int32)
     # Each visited agent's neighbours along its row, as np.roll by one place
     # either way would list them.
     succ[rows, rings[:, :-1]] = rings[:, 1:]
@@ -212,16 +213,23 @@ def _ring_maps(
     return rows, pred, succ
 
 
+def _published(selfs: np.ndarray) -> np.ndarray:
+    """The self-reports as the published reputations: a read-only view."""
+    reps = selfs.view()
+    reps.flags.writeable = False
+    return reps
+
+
 def _as_kernel(
     selfs: np.ndarray, r0: np.ndarray, workspace: Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     shape = selfs.shape
-    d = np.subtract(selfs, r0, out=workspace.out("charges", shape))
+    d = np.subtract(selfs, r0, out=workspace.out("scratch 0", shape))
     np.square(d, out=d)
     taxes = np.subtract(d.sum(axis=1, keepdims=True), d, out=workspace.out("taxes", shape))
     taxes /= shape[1] - 1
     np.subtract(d, taxes, out=taxes)
-    return workspace.copy("reputations", selfs), taxes
+    return _published(selfs), taxes
 
 
 def _validation_layer(
@@ -241,7 +249,7 @@ def _validation_layer(
     """
     k = discrepancy.shape[1]
     shares = np.subtract(discrepancy.sum(axis=1, keepdims=True), discrepancy, out=out)
-    shares -= _ring_gather(discrepancy, rows, succ, "gathered", workspace)
+    shares -= _ring_gather(discrepancy, rows, succ, "scratch 1", workspace)
     shares /= k - 2
     return np.subtract(discrepancy, shares, out=shares)
 
@@ -320,7 +328,7 @@ def _ring_outcome(
     """
     shape = self_reports.shape
     rows, _, succ = maps[0]
-    charges = np.subtract(self_reports, reads[0], out=workspace.out("charges", shape))
+    charges = np.subtract(self_reports, reads[0], out=workspace.out("scratch 0", shape))
     np.abs(charges, out=charges)
     taxes = _validation_layer(charges, rows, succ, workspace.out("taxes", shape), workspace)
     if len(maps) == 2:
@@ -329,9 +337,9 @@ def _ring_outcome(
         np.abs(gaps, out=gaps)
         # F-ordered, so its row totals add column by column: the rounding
         # the engine's outputs have always had, pinned by the tests.
-        gathered = _ring_gather(gaps, rows, succ, "second-layer gaps", workspace, "F")
+        gathered = _ring_gather(gaps, rows, succ, "scratch 2", workspace, "F")
         taxes += _validation_layer(gathered, rows, succ, charges, workspace)
-    return workspace.copy("reputations", self_reports), taxes
+    return _published(self_reports), taxes
 
 
 def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarray:
@@ -402,9 +410,11 @@ def run_batch(
     ``ring_reads``, the (trials, K) reads of the spec's fixed rings
     (:func:`_ring_outcome`), when given and otherwise gathers them from
     ``cross_reports``.  Returns (reputations, taxes), each (trials, K).
-    They and the kernel's temporaries are ``workspace`` buffers, which the
-    workspace's next batch overwrites; zero taxes are a read-only view.
-    Without a workspace every call returns new arrays.
+    They and the kernel's temporaries, its scratch, are ``workspace``
+    buffers, which the workspace's next batch overwrites; zero taxes are a
+    read-only view, and so are the reputations of scoring and ring
+    validation, which publish the self-reports.  Without a workspace every
+    call returns new arrays, those reputations aside.
     """
     if not math.isfinite(sigma_prime) or sigma_prime < 0.0:
         raise ValueError(f"sigma_prime must be finite and >= 0, got {sigma_prime!r}")

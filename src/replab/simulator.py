@@ -19,15 +19,21 @@ drew some or all batches as a dense (batch, K, K) cross matrix.
 
 A worker thread computes a *run*: consecutive whole batches holding at most
 :data:`RUN_CELLS` trial-K cells, and never less than one batch, so from
-K = 9 up a run is one batch.  Each batch of the run draws from its own
-generator into its own rows of the run's (run trials, K) arrays; the
-scaling, shifting and clipping that follow the draws, the mechanism, the
-utilities and the reducer then run once over the whole run, which spares
-the Python and thread hand-off costs of many small batches.  The budget
-was measured on the mc_scenarios benchmark: 2^15 and 2^16 cells, which
-make K=12 runs of two and five batches, ran faster still but raised the
-peak resident memory by about 4 and 15 MB, since each worker's buffers
-grow with the run; 2^14 keeps the rise under 1 MB.
+K = 17 up a run is one batch (K = 12: two batches, K = 8: four, K = 5:
+six).  Each batch of the run draws from its own generator into its own
+rows of the run's (run trials, K) arrays; the scaling, shifting and
+clipping that follow the draws, the mechanism, the utilities and the
+reducer then run once over the whole run, which spares the Python and
+thread hand-off costs of many small batches.  Each worker's buffers grow
+with the run, so the budget was measured on the benchmark (2-CPU host):
+against 2^14, 2^15 cells raise mc_scenarios' throughput about x1.2 and
+its peak resident memory by about 1.1 MB, and closed_form's by about
+0.5 MB (its K=5 ``report`` runs six batches at a time); mc_large_k and
+audit do not move.  That holds because the ring path keeps few run-sized
+buffers: int32 ring maps, the self-reports published as a view under
+scoring and ring validation, and reducers that keep their temporaries in
+the kernel's dead scratch leave a K=12 two-layer secret-ring run 12.25
+(run, K) float64 buffers' worth per worker, where it held 17.75.
 
 The caller's reducer takes the run's arrays and the row slice of each of
 its batches and returns one partial per batch, computed on that batch's
@@ -38,6 +44,8 @@ worker thread draws and runs its runs in a workspace of (run, K) buffers
 its first run a worker allocates no run-sized array.  The arrays a reducer
 sees belong to that workspace and are overwritten by the worker's next
 run: a reducer copies anything it keeps, and it may not write into them.
+A caller that hands ``simulate`` the workspaces its reducers use lets them
+keep their temporaries in the scratch the kernel left dead.
 Strategy constants are resolved once per call; only uniform-random
 reporters draw fresh messages.
 
@@ -81,6 +89,7 @@ from .strategies import (
     _batch_rng,
     _batch_source,
     _check_counts,
+    _check_profile,
     _draw_key,
     _driven,
     _SecretRings,
@@ -105,8 +114,9 @@ __all__ = [
 BATCH_TRIALS = 1024
 
 # Trial-K cells one run of batches holds at most; a run never holds less
-# than one batch.  Chosen by measurement, see the module docstring.
-RUN_CELLS = 2**14
+# than one batch, so from K = 17 up a run is one batch.  Chosen by
+# measurement, see the module docstring.
+RUN_CELLS = 2**15
 
 # Version of the draw order documented above; output manifests record it.
 STREAM = 4
@@ -136,17 +146,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.strategy_mode, str):
-            if self.strategy_mode != "equilibrium":
-                raise ValueError(
-                    f"strategy_mode must be 'equilibrium' or a mapping, "
-                    f"got {self.strategy_mode!r}"
-                )
-        else:
-            ids = {agent.id for agent in self.env.agents}
-            unknown = set(self.strategy_mode) - ids
-            if unknown:
-                raise ValueError(f"strategy profile names unknown agents {sorted(unknown)}")
+        _check_profile(self.env, self.strategy_mode)
         _check_counts(self.trials, self.seed)
 
 
@@ -247,7 +247,14 @@ class Arm:
     strategy_mode: str | Mapping[int, float] = "equilibrium"
 
 
-def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> list[dict]:
+def simulate(
+    arms: Sequence[Arm],
+    trials: int,
+    seed: int,
+    workers: int = 1,
+    *,
+    workspace: Callable[[], Workspace] | None = None,
+) -> list[dict]:
     """Simulate ``trials`` rounds of every arm; one dict of totals per arm.
 
     The trials are drawn in 1024-trial batches, each from its own substream,
@@ -270,7 +277,11 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
 
     A reducer's arrays belong to its worker thread's workspace: the later
     arms and the worker's next run overwrite them.  A reducer must copy
-    anything it keeps, and it must not write into them.
+    anything it keeps, and it must not write into them.  ``workspace``
+    gives each thread's workspace (:meth:`Workspace.per_thread`), new ones
+    by default.  A reducer that keeps its temporaries in the same
+    workspaces, in scratch buffers only, reuses the memory of the kernel's
+    scratch, which is dead when the reducer runs.
     """
     _check_counts(trials, seed, workers)
     if not arms:
@@ -288,7 +299,8 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     sources = [
         (members, _batch_source([resolved[m] for m in members])) for members in groups.values()
     ]
-    workspace = Workspace.per_thread()
+    if workspace is None:
+        workspace = Workspace.per_thread()
 
     def one_run(first_batch: int, size: int) -> list[list[dict]]:
         plan = _run_batches(first_batch, size)
@@ -312,16 +324,19 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
 
 def _stats_arm(config: ScenarioConfig, scratch: Callable[[], Workspace]) -> Arm:
     """The arm of ``config`` whose totals :func:`_stats` reads; its reducer
-    keeps its temporaries in the per-thread workspaces of ``scratch``."""
+    keeps its temporaries in scratch 0 and 1 of the per-thread workspaces
+    of ``scratch``."""
     env = config.env
     targets = centralized_solution(env)
 
     def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
         workspace = scratch()
-        errors = np.subtract(reps, targets[None, :], out=workspace.out("errors", reps.shape))
+        errors = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
         mae = np.abs(errors, out=errors).sum(axis=1)
         budgets = taxes.sum(axis=1)
-        utils = batch_true_utilities(reps, taxes, env, workspace=workspace)
+        utils = batch_true_utilities(
+            reps, taxes, env, workspace=workspace, out=workspace.out("scratch 1", reps.shape)
+        )
         return [
             {
                 "mae": float(mae[rows].sum()),
@@ -358,8 +373,9 @@ def _stats(totals: dict, t: int) -> SimStats:
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
     """Simulate the configured scenario and aggregate outcome statistics."""
-    arm = _stats_arm(config, Workspace.per_thread())
-    (totals,) = simulate([arm], config.trials, config.seed, workers)
+    scratch = Workspace.per_thread()
+    arm = _stats_arm(config, scratch)
+    (totals,) = simulate([arm], config.trials, config.seed, workers, workspace=scratch)
     return _stats(totals, config.trials)
 
 
@@ -430,10 +446,10 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
     with_value = {"pr_a": _with_pr_a, "sigma": _with_sigma, "rho": _with_rho}[parameter]
     points = [with_value(config, value) for value in values]
     # Every point in one engine call: the points that draw alike share
-    # each batch's draw, and the reducers share their workspaces.
+    # each batch's draw, and the reducers share the engine's workspaces.
     scratch = Workspace.per_thread()
     arms = [_stats_arm(point, scratch) for point in points]
-    results = simulate(arms, config.trials, config.seed, workers)
+    results = simulate(arms, config.trials, config.seed, workers, workspace=scratch)
     rows = []
     for value, point, totals in zip(values, points, results):
         stats = _stats(totals, config.trials)
@@ -537,21 +553,22 @@ def run_collusion_scenario(
         def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
             workspace = scratch()
             # batch_true_utilities overwrites the errors, so they are read first.
-            errors = np.subtract(reps, targets[None, :], out=workspace.out("errors", reps.shape))
+            errors = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
             np.abs(errors, out=errors)
             mae = errors.sum(axis=1)
-            outsider_mae = errors[:, outsiders].sum(axis=1)
+            outsider_mae = [float(errors[rows][:, outsiders].sum(axis=1).sum()) for rows in batches]
             budgets = taxes.sum(axis=1)
-            utilities = batch_true_utilities(reps, taxes, arm_env, workspace=workspace)
+            out = workspace.out("scratch 1", reps.shape)
+            utilities = batch_true_utilities(reps, taxes, arm_env, workspace=workspace, out=out)
             return [
                 {
                     "mae": float(mae[rows].sum()),
-                    "outsider_mae": float(outsider_mae[rows].sum()),
+                    "outsider_mae": outsider,
                     "clique_utility": float(utilities[rows][:, members].sum()),
                     "clique_tax": float(taxes[rows][:, members].sum()),
                     "budget_abs_max": float(np.abs(budgets[rows]).max()),
                 }
-                for rows in batches
+                for rows, outsider in zip(batches, outsider_mae)
             ]
 
         return reduce
@@ -575,7 +592,7 @@ def run_collusion_scenario(
         for n_layers in (1, 2)
         for arm_env in (_retype_clique(env, clique, True), _retype_clique(env, clique, False))
     ]
-    one_honest, one, two_honest, two = simulate(arms, trials, seed, workers)
+    one_honest, one, two_honest, two = simulate(arms, trials, seed, workers, workspace=scratch)
     return {
         "clique": sorted(clique),
         "layers": layers,
@@ -643,7 +660,7 @@ def run_malicious_scenario(
     scratch = Workspace.per_thread()
 
     def errors(reps, batches) -> list[float]:
-        diffs = np.subtract(reps, targets[None, :], out=scratch().out("errors", reps.shape))
+        diffs = np.subtract(reps, targets[None, :], out=scratch().out("scratch 0", reps.shape))
         mae = np.abs(diffs, out=diffs).sum(axis=1)
         return [float(mae[rows].sum()) for rows in batches]
 
@@ -669,7 +686,9 @@ def run_malicious_scenario(
         Arm(_retype_slots(env, malicious, "image"), AS(), reduce),
         Arm(env, AS(), reduce),
     ]
-    malicious_arm, image_arm, baseline_arm = simulate(arms, trials, seed, workers)
+    malicious_arm, image_arm, baseline_arm = simulate(
+        arms, trials, seed, workers, workspace=scratch
+    )
     return {
         "malicious": sorted(malicious),
         "trials": trials,

@@ -372,6 +372,20 @@ def _check_counts(trials, seed, workers=1) -> None:
             raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+def _check_profile(env: Environment, strategy_mode: str | Mapping[int, float]) -> None:
+    """Reject a strategy mode that is neither ``"equilibrium"`` nor a mapping
+    over agent ids of ``env``."""
+    if isinstance(strategy_mode, str):
+        if strategy_mode != "equilibrium":
+            raise ValueError(
+                f"strategy_mode must be 'equilibrium' or a mapping, got {strategy_mode!r}"
+            )
+        return
+    unknown = set(strategy_mode) - {agent.id for agent in env.agents}
+    if unknown:
+        raise ValueError(f"strategy profile names unknown agents {sorted(unknown)}")
+
+
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     """The Philox substream ``(seed, spawn_key=(batch_index,))`` of one batch."""
     return np.random.Generator(
@@ -409,8 +423,8 @@ def sample_sparse(
     the self-reports are a read-only view of one row, so a run of constants
     allocates nothing.  A mechanism that reads cross reports draws them
     afterwards, as peer sums (:func:`sample_peer_sums`) or as ring reads
-    (:func:`sample_ring_reads`).  The drawn arrays are ``workspace``
-    buffers.
+    (:func:`sample_ring_reads`).  The drawn arrays and the constant row are
+    ``workspace`` buffers.
     """
     shape = (batches[-1][1].stop, env.k)
     r0 = workspace.empty("system observations", shape)
@@ -420,7 +434,8 @@ def sample_sparse(
     r0 += env.qualities[None, :] + env.system_obs.mean
     if env.clamp_observations:
         np.clip(r0, 0.0, 1.0, out=r0)
-    row = np.array([self_reports.get(i, np.nan) for i in range(env.k)])
+    row = workspace.empty("constant self-reports", (1, env.k))
+    row[0] = [self_reports.get(i, np.nan) for i in range(env.k)]
     if len(self_reports) == env.k:
         return r0, np.broadcast_to(row, shape)
     selfs = workspace.copy("self-reports", np.broadcast_to(row, shape))
@@ -560,13 +575,11 @@ def sample_peer_sums(
     return sums
 
 
-def _reader_values(
-    table: np.ndarray, reader: np.ndarray, name: str, workspace: Workspace
-) -> np.ndarray:
-    """``table[reader]``, as a ``workspace`` buffer.  The reporters are in
-    range, so the clip mode changes no value and spares ``np.take`` a copy."""
-    out = workspace.empty(name, reader.shape, table.dtype)
-    return np.take(table, reader, out=out, mode="clip")
+def _reader_values(table: np.ndarray, index: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """``table[index]``, in scratch 1.  The reporters are in range, so the
+    clip mode changes no value and spares ``np.take`` a copy."""
+    out = workspace.empty("scratch 1", index.shape, table.dtype)
+    return np.take(table, index, out=out, mode="clip")
 
 
 def sample_ring_reads(
@@ -624,8 +637,11 @@ def sample_ring_reads(
             for rng, rows in batches:
                 where = drawn[rows]
                 values[rows][where] = rng.standard_normal(int(np.count_nonzero(where)))
-        values *= _reader_values(stds, reader, "gathered", workspace)
-        shift = _reader_values(biases, reader, "gathered", workspace)
+        # The int32 maps as the index arrays np.take would otherwise copy.
+        index = workspace.empty("indices", reader.shape, np.intp)
+        np.copyto(index, reader)
+        values *= _reader_values(stds, index, workspace)
+        shift = _reader_values(biases, index, workspace)
         shift += qualities
         values += shift
         if env.clamp_observations:
@@ -670,10 +686,11 @@ def ring_messages(
     sent_reads = []
     for m, (reader, values) in enumerate(zip(readers, reads)):
         # sent[reader, subject], read at its flat position in the table.
-        index = np.multiply(reader, k, out=workspace.empty("indices", reader.shape, np.intp))
+        index = workspace.empty("indices", reader.shape, np.intp)
+        np.multiply(reader, k, out=index, dtype=np.intp)
         index += np.arange(k)
         message = np.take(
-            sent.ravel(), index, out=workspace.empty("gathered", reader.shape), mode="clip"
+            sent.ravel(), index, out=workspace.empty("scratch 1", reader.shape), mode="clip"
         )
         sends = np.isnan(message, out=workspace.empty("sends", reader.shape, bool))
         np.logical_not(sends, out=sends)
@@ -693,13 +710,13 @@ def resolve_self_reports(
 
     ``strategy_mode`` is ``"equilibrium"`` or a mapping of agent ids to
     custom constants; every agent the mapping does not cover plays its
-    equilibrium report.  Any other string raises :class:`ValueError`.
-    Raises :class:`UnsupportedCombination` at once when an uncovered agent
-    has no equilibrium report under the mechanism.  Uniform-random
-    reporters stay unlisted: they draw fresh reports every trial.
+    equilibrium report.  Any other string, or a mapping that names an id
+    the environment lacks, raises :class:`ValueError`.  Raises
+    :class:`UnsupportedCombination` at once when an uncovered agent has no
+    equilibrium report under the mechanism.  Uniform-random reporters stay
+    unlisted: they draw fresh reports every trial.
     """
-    if isinstance(strategy_mode, str) and strategy_mode != "equilibrium":
-        raise ValueError(f"strategy_mode must be 'equilibrium' or a mapping, got {strategy_mode!r}")
+    _check_profile(env, strategy_mode)
     custom = {} if isinstance(strategy_mode, str) else dict(strategy_mode)
     sigma_prime = aggregate_sigma_prime(env)
     reports: dict[int, float] = {}

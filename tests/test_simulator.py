@@ -87,8 +87,9 @@ def _alone(env, mechanism, trials, seed, reduce, workers=1, strategy_mode="equil
     return totals
 
 
-def _dense_engine(arms, trials, seed, workers=1):
-    """``simulate`` on the dense reference draw, one arm at a time."""
+def _dense_engine(arms, trials, seed, workers=1, workspace=None):
+    """``simulate`` on the dense reference draw, one arm at a time; the
+    workers and the workspace are accepted and ignored."""
     return [
         dense_simulate(
             arm.env, arm.mechanism, trials, seed, arm.reduce, strategy_mode=arm.strategy_mode
@@ -447,6 +448,27 @@ def test_batches_after_the_first_reuse_their_workspace(mechanism):
     pointers = [tuple(a.__array_interface__["data"][0] for a in arrays) for arrays in kept]
     assert len(pointers) == 4
     assert len(set(pointers[1:])) == 1, pointers
+
+
+def test_the_ring_path_holds_few_run_sized_buffers(monkeypatch):
+    # A K=12 two-layer secret-ring collusion run on one worker.  Its
+    # workspaces hold the draw, the int32 maps, the masks, the kernel's
+    # scratch and the reducers' temporaries, which reuse that scratch:
+    # 9.19 units of RUN_CELLS * 8 bytes.  One more (run, K) float buffer
+    # adds 0.75 units and an int32 one 0.375, so either fails here.
+    made = []
+    init = Workspace.__init__
+
+    def recording(self, keep=True):
+        init(self, keep)
+        made.append(self)
+
+    monkeypatch.setattr(Workspace, "__init__", recording)
+    env = _truth_env([0.2 + 0.05 * i for i in range(12)])
+    span = simulator._run_plan(10**6, env.k)[0][1]
+    run_collusion_scenario(env, {2, 5, 9}, 2, 4 * span, 3, workers=1)
+    held = sum(b.nbytes for w in made for b in w._buffers.values()) / (simulator.RUN_CELLS * 8)
+    assert held <= 9.5, held
 
 
 @pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])

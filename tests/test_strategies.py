@@ -49,7 +49,7 @@ from replab.mechanisms import (
     run_batch,
 )
 from replab.numerics import NoRoot, NormalParams, find_root, integrate, normal_cdf
-from replab.simulator import Arm, simulate
+from replab.simulator import Arm, ScenarioConfig, simulate
 from replab.strategies import (
     DeviationReport,
     PrEquilibrium,
@@ -553,6 +553,46 @@ def test_audits_check_their_arguments_as_the_engine_does(argument, value, bounds
         draw_profile(env, AS(), trials=given["trials"], seed=given["seed"])
     with pytest.raises(ValueError, match=f"^{message}$"):
         deviation_report(0, AS(), env, trials=given["trials"], grid=11, seed=given["seed"])
+
+
+def test_a_profile_naming_unknown_agents_is_refused():
+    # resolve_self_reports holds the one check, so library callers get the
+    # message a ScenarioConfig gives instead of an equilibrium run.
+    env = _truth_env([0.2, 0.5, 0.9])
+    profile = {0: 0.3, 99: 0.5, 7: 0.1}
+    message = re.escape("strategy profile names unknown agents [7, 99]")
+
+    def reduce(system_obs, selfs, reps, taxes, batches):
+        return [{} for _ in batches]
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate([Arm(env, AS(), reduce, profile)], 100, 0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw_profile(env, AS(), profile, trials=100)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        deviation_report(0, AS(), env, profile, trials=100, grid=11)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        resolve_self_reports(env, AS(), profile)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScenarioConfig(env=env, mechanism=AS(), strategy_mode=profile)
+
+
+@pytest.mark.parametrize("k", [3, 12, 200])
+def test_ring_draws_do_not_depend_on_the_index_dtype(k):
+    # The ring maps are int32 and the rings are drawn into the intp index
+    # scratch: a ring drawn into either type must be the same permutation
+    # and leave the generator at the same point.
+    drawn = []
+    for dtype in (np.intp, np.int32):
+        rng = strategies._batch_rng(7, 2)
+        out = np.empty((300, k), dtype, order="F")
+        base = np.broadcast_to(np.arange(k, dtype=dtype), out.shape)
+        rng.permuted(base, axis=1, out=out)
+        drawn.append((out.astype(np.intp), rng.random(4).tolist()))
+    (wide, after_wide), (narrow, after_narrow) = drawn
+    assert np.array_equal(np.sort(wide, axis=1), np.broadcast_to(np.arange(k), wide.shape))
+    assert np.array_equal(wide, narrow)
+    assert after_wide == after_narrow
 
 
 # ---------------------------------------------------------------------------
