@@ -26,14 +26,15 @@ clipping that follow the draws, the mechanism, the utilities and the
 reducer then run once over the whole run, which spares the Python and
 thread hand-off costs of many small batches.  Each worker's buffers grow
 with the run, so the budget was measured on the benchmark (2-CPU host):
-against 2^14, 2^15 cells raise mc_scenarios' throughput about x1.2 and
-its peak resident memory by about 1.1 MB, and closed_form's by about
-0.5 MB (its K=5 ``report`` runs six batches at a time); mc_large_k and
-audit do not move.  That holds because the ring path keeps few run-sized
-buffers: int32 ring maps, the self-reports published as a view under
-scoring and ring validation, and reducers that keep their temporaries in
-the kernel's dead scratch leave a K=12 two-layer secret-ring run 12.25
-(run, K) float64 buffers' worth per worker, where it held 17.75.
+against 2^14, 2^15 cells raise mc_scenarios' throughput x1.26 and its
+peak resident memory by 1.3 MB, and closed_form's by 0.55 MB (its K=5
+``report`` runs six batches at a time); mc_large_k, whose K=100 runs are
+one batch either way, does not move.  The rise stays that small because
+the ring path keeps few run-sized buffers: int32 ring maps, the
+self-reports published as a view under scoring and ring validation, and
+reducers that keep their temporaries in the kernel's dead scratch leave
+a K=12 two-layer secret-ring run 12.25 (run, K) float64 buffers' worth
+per worker, where it held 17.75.
 
 The caller's reducer takes the run's arrays and the row slice of each of
 its batches and returns one partial per batch, computed on that batch's
