@@ -29,7 +29,6 @@ from .core import (
     Linear,
     MaliciousRandom,
     Truth,
-    Workspace,
     batch_true_utilities,
 )
 from .numerics import (
@@ -259,13 +258,9 @@ def participation_utilities(
     clamped exactly when the environment clamps.
     """
     lam = np.array([ag.utility.truth_weight for ag in env.agents])
-    scratch = Workspace.per_thread()
 
-    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
-        workspace = scratch()
-        utils = batch_true_utilities(
-            reps, taxes, env, workspace=workspace, out=workspace.out("scratch 1", reps.shape)
-        )
+    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
+        utils = batch_true_utilities(reps, taxes, env, workspace=workspace)
         # Each agent's payoff once over the run; a linear one is a view.
         images = [ag.utility.g(system_obs[:, i]) for i, ag in enumerate(env.agents)]
         return [
@@ -276,7 +271,7 @@ def participation_utilities(
             for rows in batches
         ]
 
-    (totals,) = simulate([Arm(env, AS(), reduce)], trials, seed, workspace=scratch)
+    (totals,) = simulate([Arm(env, AS(), reduce, scratch=True)], trials, seed)
     accuracy = np.array([_stay_out_loss(ag, env) for ag in env.agents])
     return totals["utils"] / trials, -lam * accuracy + (1.0 - lam) * (totals["image"] / trials)
 

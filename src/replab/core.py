@@ -437,9 +437,9 @@ class Workspace:
 
     Buffers named ``"scratch 0"``, ``"scratch 1"`` and so on hold one
     call's temporaries: a function is done with its scratch when it
-    returns, except the ``out`` it was handed.  The kernels keep their
-    temporaries in scratch, so a reducer that shares the engine's
-    workspace puts its own in the memory the kernel left dead.
+    returns, except the result it returns there.  The kernels keep their
+    temporaries in scratch, so a reducer handed the engine's workspace puts
+    its own in the memory the kernel left dead.
 
     ``Workspace(keep=False)`` (:data:`FRESH`) keeps nothing: ``out`` gives
     None, so a ufunc allocates its result in numpy's own layout, and the
@@ -467,12 +467,6 @@ class Workspace:
         """An ``out=`` for a ufunc: uninitialised C-ordered elements, or None."""
         return self.empty(name, shape, dtype) if self._keep else None
 
-    def empty_like(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Uninitialised elements of ``array``'s shape and type."""
-        if not self._keep:
-            return np.empty_like(array)
-        return self.empty(name, array.shape, array.dtype)
-
     def copy(self, name: str, array: np.ndarray) -> np.ndarray:
         """A C-ordered copy of ``array``."""
         if not self._keep:
@@ -480,6 +474,15 @@ class Workspace:
         rows = self.empty(name, array.shape, array.dtype)
         np.copyto(rows, array)
         return rows
+
+    def view(self, array: np.ndarray) -> np.ndarray:
+        """``array`` as a result: a read-only view when kept, which lives as
+        long as ``array`` does, else a new array."""
+        if not self._keep:
+            return array.copy()
+        view = array.view()
+        view.flags.writeable = False
+        return view
 
     def zeros(self, name: str, shape: tuple[int, ...], writable: bool = False) -> np.ndarray:
         """Zeros.  When kept: a buffer cleared on every request if
@@ -551,7 +554,6 @@ def batch_true_utilities(
     env: Environment,
     *,
     workspace: Workspace = FRESH,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Realized utilities over a batch of outcomes.
 
@@ -561,9 +563,8 @@ def batch_true_utilities(
     (frozen) losses give equal arrays.  Each run of adjacent agents that
     share (f, g) is computed in one pass over its columns, in the order of
     :func:`agent_utility`, so every entry rounds as that formula does.  The
-    errors are a temporary in scratch 0 of ``workspace``.  The result goes
-    into ``out`` when given, a C-ordered (trials, K) array other than
-    scratch 0, and otherwise into a ``workspace`` buffer.
+    errors and the result are scratch 0 and scratch 1 of ``workspace``, the
+    losses other ``workspace`` buffers.
     """
     if reputations.shape != taxes.shape or reputations.shape[1] != env.k:
         raise DimensionMismatch(
@@ -583,8 +584,7 @@ def batch_true_utilities(
         floss = f(errors, out=errors if last else workspace.out(f"loss{n}", shape))
         losses[f] = (floss, floss.sum(axis=1, keepdims=True))
     lam = np.array([agent.utility.truth_weight for agent in env.agents])
-    if out is None:
-        out = workspace.empty_like("utilities", reputations)
+    out = workspace.empty("scratch 1", shape)
     start = 0
     for stop in range(1, env.k + 1):
         if stop < env.k and payoffs[stop] == payoffs[start]:

@@ -213,13 +213,6 @@ def _ring_maps(
     return rows, pred, succ
 
 
-def _published(selfs: np.ndarray) -> np.ndarray:
-    """The self-reports as the published reputations: a read-only view."""
-    reps = selfs.view()
-    reps.flags.writeable = False
-    return reps
-
-
 def _as_kernel(
     selfs: np.ndarray, r0: np.ndarray, workspace: Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +222,7 @@ def _as_kernel(
     taxes = np.subtract(d.sum(axis=1, keepdims=True), d, out=workspace.out("taxes", shape))
     taxes /= shape[1] - 1
     np.subtract(d, taxes, out=taxes)
-    return _published(selfs), taxes
+    return workspace.view(selfs), taxes
 
 
 def _validation_layer(
@@ -339,7 +332,7 @@ def _ring_outcome(
         # the engine's outputs have always had, pinned by the tests.
         gathered = _ring_gather(gaps, rows, succ, "scratch 2", workspace, "F")
         taxes += _validation_layer(gathered, rows, succ, charges, workspace)
-    return _published(self_reports), taxes
+    return workspace.view(self_reports), taxes
 
 
 def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarray:
@@ -414,7 +407,7 @@ def run_batch(
     buffers, which the workspace's next batch overwrites; zero taxes are a
     read-only view, and so are the reputations of scoring and ring
     validation, which publish the self-reports.  Without a workspace every
-    call returns new arrays, those reputations aside.
+    call returns new arrays.
     """
     if not math.isfinite(sigma_prime) or sigma_prime < 0.0:
         raise ValueError(f"sigma_prime must be finite and >= 0, got {sigma_prime!r}")

@@ -45,8 +45,8 @@ worker thread draws and runs its runs in a workspace of (run, K) buffers
 its first run a worker allocates no run-sized array.  The arrays a reducer
 sees belong to that workspace and are overwritten by the worker's next
 run: a reducer copies anything it keeps, and it may not write into them.
-A caller that hands ``simulate`` the workspaces its reducers use lets them
-keep their temporaries in the scratch the kernel left dead.
+An arm may ask for the workspace too, so that its reducer keeps its
+temporaries in the scratch the kernel left dead.
 Strategy constants are resolved once per call; only uniform-random
 reporters draw fresh messages.
 
@@ -221,7 +221,8 @@ def _map_batches(worker, plan, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-# reduce(system_obs, selfs, reps, taxes, batches) -> one dict per batch.
+# reduce(system_obs, selfs, reps, taxes, batches) -> one dict per batch;
+# an Arm with ``scratch`` set adds the worker's workspace as a sixth argument.
 Reducer = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequence[slice]], Sequence[dict]
 ]
@@ -240,22 +241,19 @@ def _combine(key: str, values: list) -> float | np.ndarray:
 class Arm:
     """One arm of an engine call: a population, the mechanism it runs, the
     reducer of its runs and its strategy profile, as in
-    :class:`ScenarioConfig`."""
+    :class:`ScenarioConfig`.  With ``scratch`` set the engine hands the
+    reducer its worker thread's workspace as a sixth argument; the reducer
+    may keep temporaries in that workspace's scratch buffers, which the
+    kernel left dead, and names no other buffer of it."""
 
     env: Environment
     mechanism: MechanismSpec
     reduce: Reducer
     strategy_mode: str | Mapping[int, float] = "equilibrium"
+    scratch: bool = False
 
 
-def simulate(
-    arms: Sequence[Arm],
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    *,
-    workspace: Callable[[], Workspace] | None = None,
-) -> list[dict]:
+def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> list[dict]:
     """Simulate ``trials`` rounds of every arm; one dict of totals per arm.
 
     The trials are drawn in 1024-trial batches, each from its own substream,
@@ -278,11 +276,8 @@ def simulate(
 
     A reducer's arrays belong to its worker thread's workspace: the later
     arms and the worker's next run overwrite them.  A reducer must copy
-    anything it keeps, and it must not write into them.  ``workspace``
-    gives each thread's workspace (:meth:`Workspace.per_thread`), new ones
-    by default.  A reducer that keeps its temporaries in the same
-    workspaces, in scratch buffers only, reuses the memory of the kernel's
-    scratch, which is dead when the reducer runs.
+    anything it keeps, and it must not write into them.  An arm with
+    ``scratch`` set gets that workspace as well (:class:`Arm`).
     """
     _check_counts(trials, seed, workers)
     if not arms:
@@ -300,8 +295,7 @@ def simulate(
     sources = [
         (members, _batch_source([resolved[m] for m in members])) for members in groups.values()
     ]
-    if workspace is None:
-        workspace = Workspace.per_thread()
+    workspace = Workspace.per_thread()
 
     def one_run(first_batch: int, size: int) -> list[list[dict]]:
         plan = _run_batches(first_batch, size)
@@ -311,8 +305,11 @@ def simulate(
             batches = [(_batch_rng(seed, b), batch_rows) for b, batch_rows in plan]
             # zip takes each arm from the source only after the previous arm's
             # reducer has run, as the shared draw requires.
-            for m, draw in zip(members, source(batches, workspace())):
-                partials[m] = arms[m].reduce(draw.r0, draw.selfs, draw.reps, draw.taxes, rows)
+            buffers = workspace()
+            for m, draw in zip(members, source(batches, buffers)):
+                arrays = (draw.r0, draw.selfs, draw.reps, draw.taxes, rows)
+                reduce = arms[m].reduce
+                partials[m] = reduce(*arrays, buffers) if arms[m].scratch else reduce(*arrays)
         return partials
 
     runs = _map_batches(one_run, _run_plan(trials, counts[0]), workers)
@@ -323,21 +320,17 @@ def simulate(
     return totals
 
 
-def _stats_arm(config: ScenarioConfig, scratch: Callable[[], Workspace]) -> Arm:
+def _stats_arm(config: ScenarioConfig) -> Arm:
     """The arm of ``config`` whose totals :func:`_stats` reads; its reducer
-    keeps its temporaries in scratch 0 and 1 of the per-thread workspaces
-    of ``scratch``."""
+    keeps its temporaries in the engine's scratch."""
     env = config.env
     targets = centralized_solution(env)
 
-    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
-        workspace = scratch()
+    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
         errors = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
         mae = np.abs(errors, out=errors).sum(axis=1)
         budgets = taxes.sum(axis=1)
-        utils = batch_true_utilities(
-            reps, taxes, env, workspace=workspace, out=workspace.out("scratch 1", reps.shape)
-        )
+        utils = batch_true_utilities(reps, taxes, env, workspace=workspace)
         return [
             {
                 "mae": float(mae[rows].sum()),
@@ -350,7 +343,7 @@ def _stats_arm(config: ScenarioConfig, scratch: Callable[[], Workspace]) -> Arm:
             for rows in batches
         ]
 
-    return Arm(env, config.mechanism, reduce, config.strategy_mode)
+    return Arm(env, config.mechanism, reduce, config.strategy_mode, scratch=True)
 
 
 def _stats(totals: dict, t: int) -> SimStats:
@@ -374,9 +367,7 @@ def _stats(totals: dict, t: int) -> SimStats:
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
     """Simulate the configured scenario and aggregate outcome statistics."""
-    scratch = Workspace.per_thread()
-    arm = _stats_arm(config, scratch)
-    (totals,) = simulate([arm], config.trials, config.seed, workers, workspace=scratch)
+    (totals,) = simulate([_stats_arm(config)], config.trials, config.seed, workers)
     return _stats(totals, config.trials)
 
 
@@ -447,10 +438,9 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
     with_value = {"pr_a": _with_pr_a, "sigma": _with_sigma, "rho": _with_rho}[parameter]
     points = [with_value(config, value) for value in values]
     # Every point in one engine call: the points that draw alike share
-    # each batch's draw, and the reducers share the engine's workspaces.
-    scratch = Workspace.per_thread()
-    arms = [_stats_arm(point, scratch) for point in points]
-    results = simulate(arms, config.trials, config.seed, workers, workspace=scratch)
+    # each batch's draw.
+    arms = [_stats_arm(point) for point in points]
+    results = simulate(arms, config.trials, config.seed, workers)
     rows = []
     for value, point, totals in zip(values, points, results):
         stats = _stats(totals, config.trials)
@@ -548,19 +538,16 @@ def run_collusion_scenario(
     outsiders = np.array(
         [i for i, a in enumerate(env.agents) if a.id not in clique], dtype=int
     )
-    scratch = Workspace.per_thread()
 
     def reducer(arm_env: Environment) -> Reducer:
-        def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
-            workspace = scratch()
+        def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
             # batch_true_utilities overwrites the errors, so they are read first.
             errors = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
             np.abs(errors, out=errors)
             mae = errors.sum(axis=1)
             outsider_mae = [float(errors[rows][:, outsiders].sum(axis=1).sum()) for rows in batches]
             budgets = taxes.sum(axis=1)
-            out = workspace.out("scratch 1", reps.shape)
-            utilities = batch_true_utilities(reps, taxes, arm_env, workspace=workspace, out=out)
+            utilities = batch_true_utilities(reps, taxes, arm_env, workspace=workspace)
             return [
                 {
                     "mae": float(mae[rows].sum()),
@@ -589,11 +576,11 @@ def run_collusion_scenario(
     # manipulated arm, last, writes its messages into the shared draw
     # instead of a copy.
     arms = [
-        Arm(arm_env, _SecretRings(layers=n_layers), reducer(arm_env))
+        Arm(arm_env, _SecretRings(layers=n_layers), reducer(arm_env), scratch=True)
         for n_layers in (1, 2)
         for arm_env in (_retype_clique(env, clique, True), _retype_clique(env, clique, False))
     ]
-    one_honest, one, two_honest, two = simulate(arms, trials, seed, workers, workspace=scratch)
+    one_honest, one, two_honest, two = simulate(arms, trials, seed, workers)
     return {
         "clique": sorted(clique),
         "layers": layers,
@@ -658,17 +645,15 @@ def run_malicious_scenario(
         [i for i, agent in enumerate(env.agents) if agent.id in malicious], dtype=int
     )
 
-    scratch = Workspace.per_thread()
-
-    def errors(reps, batches) -> list[float]:
-        diffs = np.subtract(reps, targets[None, :], out=scratch().out("scratch 0", reps.shape))
+    def errors(reps, batches, workspace) -> list[float]:
+        diffs = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
         mae = np.abs(diffs, out=diffs).sum(axis=1)
         return [float(mae[rows].sum()) for rows in batches]
 
-    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
-        return [{"mae": mae} for mae in errors(reps, batches)]
+    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
+        return [{"mae": mae} for mae in errors(reps, batches, workspace)]
 
-    def reduce_charged(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+    def reduce_charged(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
         return [
             {
                 "mae": mae,
@@ -676,20 +661,21 @@ def run_malicious_scenario(
                     ((selfs[rows][:, slot_idx] - system_obs[rows][:, slot_idx]) ** 2).sum()
                 ),
             }
-            for mae, rows in zip(errors(reps, batches), batches)
+            for mae, rows in zip(errors(reps, batches, workspace), batches)
         ]
 
     charged = slot_idx.size > 0
     arms = [
         Arm(
-            _retype_slots(env, malicious, "malicious"), AS(), reduce_charged if charged else reduce
+            _retype_slots(env, malicious, "malicious"),
+            AS(),
+            reduce_charged if charged else reduce,
+            scratch=True,
         ),
-        Arm(_retype_slots(env, malicious, "image"), AS(), reduce),
-        Arm(env, AS(), reduce),
+        Arm(_retype_slots(env, malicious, "image"), AS(), reduce, scratch=True),
+        Arm(env, AS(), reduce, scratch=True),
     ]
-    malicious_arm, image_arm, baseline_arm = simulate(
-        arms, trials, seed, workers, workspace=scratch
-    )
+    malicious_arm, image_arm, baseline_arm = simulate(arms, trials, seed, workers)
     return {
         "malicious": sorted(malicious),
         "trials": trials,

@@ -25,6 +25,7 @@ from replab.core import (
     SimpleAveraging,
     Truth,
     WeightedPR,
+    Workspace,
 )
 from replab.mechanisms import (
     NO_CROSS,
@@ -376,6 +377,25 @@ def test_run_batch_dispatch():
         _one(AS(), r0=[0.1, 0.2])
     with pytest.raises(DimensionMismatch):
         run_batch(DirectObservation(), None, None, None)
+
+
+@pytest.mark.parametrize("spec", [AS(), ExtendedAS(layers=2)], ids=["as", "extended-as"])
+def test_published_self_reports_are_views_only_of_a_kept_workspace(spec):
+    # Scoring and ring validation publish the self-reports.  With a kept
+    # workspace the reputations are a read-only view of them, so a caller
+    # that rewrites its self-reports rewrites what it was handed; without
+    # one every call returns new arrays.
+    rng = np.random.default_rng(5)
+    selfs, r0 = rng.uniform(size=(20, 4)), rng.uniform(size=(20, 4))
+    cross = rng.uniform(size=(20, 4, 4))
+    kept, _ = run_batch(spec, selfs, cross, r0, workspace=Workspace())
+    assert not kept.flags.writeable
+    assert np.shares_memory(kept, selfs)
+    assert np.array_equal(kept, selfs)
+    fresh, _ = run_batch(spec, selfs, cross, r0)
+    assert fresh.flags.writeable
+    assert not np.shares_memory(fresh, selfs)
+    assert np.array_equal(fresh, selfs)
 
 
 @pytest.mark.parametrize(

@@ -87,12 +87,18 @@ def _alone(env, mechanism, trials, seed, reduce, workers=1, strategy_mode="equil
     return totals
 
 
-def _dense_engine(arms, trials, seed, workers=1, workspace=None):
-    """``simulate`` on the dense reference draw, one arm at a time; the
-    workers and the workspace are accepted and ignored."""
+def _dense_engine(arms, trials, seed, workers=1):
+    """``simulate`` on the dense reference draw, one arm at a time."""
     return [
         dense_simulate(
-            arm.env, arm.mechanism, trials, seed, arm.reduce, strategy_mode=arm.strategy_mode
+            arm.env,
+            arm.mechanism,
+            trials,
+            seed,
+            (lambda *arrays, arm=arm: arm.reduce(*arrays, Workspace()))
+            if arm.scratch
+            else arm.reduce,
+            strategy_mode=arm.strategy_mode,
         )
         for arm in arms
     ]

@@ -33,6 +33,7 @@ from replab.core import (
     Truth,
     UtilitySpec,
     WeightedPR,
+    Workspace,
     batch_true_utilities,
     centralized_solution,
 )
@@ -42,7 +43,10 @@ from replab.mechanisms import (
     RING,
     _gather,
     _peer_sums,
+    _ring_gather,
     _ring_layers,
+    _ring_maps,
+    _ring_readers,
     _spec_rings,
     cross_reads,
     deviation_terms,
@@ -579,9 +583,10 @@ def test_a_profile_naming_unknown_agents_is_refused():
 
 @pytest.mark.parametrize("k", [3, 12, 200])
 def test_ring_draws_do_not_depend_on_the_index_dtype(k):
-    # The ring maps are int32 and the rings are drawn into the intp index
-    # scratch: a ring drawn into either type must be the same permutation
-    # and leave the generator at the same point.
+    # The rings are drawn into the intp index scratch and their maps are
+    # stored as int32.  A ring drawn into either type must be the same
+    # permutation and leave the generator at the same point, and the int32
+    # maps must gather what intp maps of the same rings gather.
     drawn = []
     for dtype in (np.intp, np.int32):
         rng = strategies._batch_rng(7, 2)
@@ -593,6 +598,25 @@ def test_ring_draws_do_not_depend_on_the_index_dtype(k):
     assert np.array_equal(np.sort(wide, axis=1), np.broadcast_to(np.arange(k), wide.shape))
     assert np.array_equal(wide, narrow)
     assert after_wide == after_narrow
+
+    # Each agent's neighbours in intp: the ring rolled by one place either
+    # way, read at the agent's position.
+    position = np.argsort(wide, axis=1)
+    pred = np.take_along_axis(np.roll(wide, 1, axis=1), position, axis=1)
+    succ = np.take_along_axis(np.roll(wide, -1, axis=1), position, axis=1)
+    rows = np.arange(wide.shape[0])[:, None]
+    maps = _ring_maps(wide, Workspace())
+    assert maps[1].dtype == maps[2].dtype == np.int32
+    assert np.array_equal(maps[1], pred) and np.array_equal(maps[2], succ)
+    values = np.random.default_rng(k).random(wide.shape)
+    for source in (values, np.asfortranarray(values)):
+        for order in "CF":
+            gathered = _ring_gather(source, maps[0], maps[2], "g", Workspace(), order)
+            assert np.array_equal(gathered, values[rows, succ])
+    _, readers = _ring_readers([maps, maps], Workspace())
+    assert np.array_equal(readers[2], pred[rows, pred])
+    fixed = _ring_maps(wide[:1], Workspace())
+    assert np.array_equal(values[fixed[0], fixed[2]], values[:, succ[0]])
 
 
 # ---------------------------------------------------------------------------
