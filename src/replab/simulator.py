@@ -26,8 +26,8 @@ clipping that follow the draws, the mechanism, the utilities and the
 reducer then run once over the whole run, which spares the Python and
 thread hand-off costs of many small batches.  Each worker's buffers grow
 with the run, so the budget was measured on the benchmark (2-CPU host):
-against 2^14, 2^15 cells raise mc_scenarios' throughput x1.26 and its
-peak resident memory by 1.3 MB, and closed_form's by 0.55 MB (its K=5
+against 2^14, 2^15 cells raise mc_scenarios' throughput x1.27 and its
+peak resident memory by 1.3 MB, and closed_form's by 0.7 MB (its K=5
 ``report`` runs six batches at a time); mc_large_k, whose K=100 runs are
 one batch either way, does not move.  The rise stays that small because
 the ring path keeps few run-sized buffers: int32 ring maps, the
