@@ -5,12 +5,16 @@ output, exit code and output files, or of one scenario record written at
 full precision.  The configs under ``configs/`` cover every mechanism kind,
 fixed rings, colluders, uniform-random reporters, clamping and K from 3 to
 12, with trial counts that are not multiples of the engine's 1,024-trial
-batch; the collusion records add secret rings with 1 and 2 layers.  The
+batch, and three K=100 populations (half truth-, half image-driven) under
+the punish-reward family and simple averaging; ``pr_k100.json`` mirrors
+``pr_k100.ini`` and must give the same ``run`` digest.  The collusion
+records add secret rings with 1 and 2 layers.  The
 deviation audits (``check-equilibrium``) of three configs and the
 participation ``report`` of one pin the audit draw and the scoring run.  The
 CLI rounds its outputs to 12 significant digits, so every ``run`` config
 also gets a ``stats`` entry that digests ``run_trials``' aggregates at full
-precision.
+precision.  The ``error`` entries digest the standard error and exit code of
+``run`` on invalid configs, so a change to the parser keeps its messages.
 
 Floating-point results may differ between Python or numpy versions, so the
 file records both and ``tests/test_golden.py`` fails on a mismatch.
@@ -68,6 +72,38 @@ def _cli(args: list[str]) -> str:
     return _sha(*parts)
 
 
+# Invalid configs by name: (file name, text).  Each is written into the
+# command's empty directory, so its messages name no machine path.
+_AGENTS = "[agents]\nagent0 = quality=0.3\nagent1 = quality=0.6 type=image\n"
+ERRORS = {
+    "bad_float": ("c.ini", "[agents]\nagent0 = quality=0.3\nagent1 = quality=high\n"),
+    "unknown_type": ("c.ini", "[agents]\nagent0 = quality=0.3\nagent1 = quality=0.6 type=robot\n"),
+    "field_for_type": ("c.ini", "[agents]\nagent0 = quality=0.3 low=0.1\nagent1 = quality=0.6\n"),
+    "quality_range": ("c.ini", "[agents]\nagent0 = quality=1.5\nagent1 = quality=0.6\n"),
+    "bad_payoff": ("c.ini", "[agents]\nagent0 = quality=0.3\nagent1 = quality=0.6 g=cubic\n"),
+    "bad_weights": ("c.ini", _AGENTS + "[mechanism]\nkind = weighted_pr\nweights = 1 2 3\n"),
+    "bad_ring": ("c.ini", _AGENTS + "agent2 = quality=0.5\n[mechanism]\nkind = extended_as\nring = 0 x 2\n"),
+    "bad_clique": ("c.ini", _AGENTS + "agent2 = quality=0.5 type=colluder clique=1.5\n"),
+    "unknown_key": ("c.ini", "[environment]\nnoise = 0.1\n" + _AGENTS),
+    "json_type": (
+        "c.json",
+        '{"agents": [{"quality": 0.3}, {"quality": 0.6}], "environment": {"clamp": 1}}',
+    ),
+    "json_syntax": ("c.json", '{"agents": [}'),
+}
+
+
+def _error(name: str) -> str:
+    """Digest of ``run`` on the invalid config ``name``: its standard error
+    and exit code."""
+    file_name, text = ERRORS[name]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path(file_name).write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["run", file_name, "--out", "out"])
+        return _sha(result.stderr.encode(), str(result.exit_code).encode())
+
+
 def _full(value) -> bytes:
     """JSON with every float at full precision (``repr``)."""
 
@@ -114,6 +150,9 @@ def entries() -> dict[str, str]:
                 ["run", str(config), "--out", "out", "--workers", str(workers)]
             )
             found[f"stats/{config.stem}/w{workers}"] = _stats(config, workers)
+    found["run/pr_k100/json"] = _cli(["run", str(CONFIGS / "pr_k100.json"), "--out", "out"])
+    for name in ERRORS:
+        found[f"error/{name}"] = _error(name)
     for parameter, config, grid in (
         ("pr_a", "pr_k7", "1.0,1.7,2.5"),
         ("sigma", "simple_averaging_k8", "0.05,0.1,0.2"),

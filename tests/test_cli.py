@@ -164,6 +164,52 @@ def test_ini_and_json_configs_are_equivalent(runner, tmp_path, mechanism_ini, me
     assert _read_bytes(out_a) == _read_bytes(out_b)
 
 
+# A number's text in per_agent.csv (and on stdout) and in stats.json: CSV
+# writes 12 significant digits, JSON the float those digits spell, as repr
+# writes it.  The two forms differ for large magnitudes, signed zeros and
+# integral values.
+_RENDERINGS = [
+    (1234567890123.0, "1.23456789012e+12", "1234567890120.0"),
+    (1e12, "1e+12", "1000000000000.0"),
+    (-2e16 / 3, "-6.66666666667e+15", "-6666666666670000.0"),
+    (1e-05, "1e-05", "1e-05"),
+    (-0.0, "-0", "-0.0"),
+    (3.0, "3", "3.0"),
+    (0.1 + 0.2, "0.3", "0.3"),
+    (np.float64(2.0) / 3.0, "0.666666666667", "0.666666666667"),
+    (np.int64(7), "7", "7.0"),
+]
+
+
+@pytest.mark.parametrize("value,csv_text,json_text", _RENDERINGS)
+def test_run_renders_numbers_in_csv_and_json_forms(
+    runner, tmp_path, monkeypatch, value, csv_text, json_text
+):
+    from replab import cli
+    from replab.simulator import SimStats
+
+    def fake_run_trials(config, workers=1):
+        means = np.array([value] * config.env.k)
+        scalar = float(value)
+        return SimStats(scalar, 0.0, means, means.copy(), scalar, 0.0, np.int64(config.trials))
+
+    monkeypatch.setattr(cli, "run_trials", fake_run_trials)
+    cfg = _write(tmp_path, "c.ini", BASIC_INI)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith(f"(1000 trials, mae {csv_text})\n")
+    rows = (out / "per_agent.csv").read_text().splitlines()
+    assert rows[1] == f"0,0.3,{csv_text},{csv_text}"
+    stats = (out / "stats.json").read_text()
+    for key in ("mae_mean", "budget_mean"):
+        assert f'"{key}": {json_text},' in stats
+    listed = ",\n    ".join([json_text] * 5)
+    for key in ("per_agent_reputation_mean", "per_agent_utility_mean"):
+        assert f'"{key}": [\n    {listed}\n  ]' in stats
+    assert '"trials": 1000\n' in stats
+
+
 def test_rerun_is_byte_identical(runner, tmp_path):
     config = _write(tmp_path, "basic.ini", BASIC_INI)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

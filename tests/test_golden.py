@@ -20,5 +20,6 @@ def test_golden_digests_are_unchanged():
         )
     found = entries()
     assert found.keys() == recorded["digests"].keys()
+    assert found["run/pr_k100/json"] == found["run/pr_k100/w1"], "a JSON mirror must give its INI config's outputs"
     moved = sorted(key for key, digest in found.items() if recorded["digests"][key] != digest)
     assert not moved, f"outputs moved: {moved}"
