@@ -29,6 +29,7 @@ from .core import (
     Linear,
     MaliciousRandom,
     Truth,
+    absolute_errors,
     batch_true_utilities,
 )
 from .numerics import (
@@ -260,7 +261,8 @@ def participation_utilities(
     lam = np.array([ag.utility.truth_weight for ag in env.agents])
 
     def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
-        utils = batch_true_utilities(reps, taxes, env, workspace=workspace)
+        errors = absolute_errors(reps, env, workspace=workspace)
+        utils = batch_true_utilities(reps, errors, taxes, env, workspace=workspace)
         # Each agent's payoff once over the run; a linear one is a view.
         images = [ag.utility.g(system_obs[:, i]) for i, ag in enumerate(env.agents)]
         return [

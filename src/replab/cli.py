@@ -88,25 +88,10 @@ def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _round12(value):
-    """Round floats to 12 significant digits for JSON payloads."""
-    if isinstance(value, float):
-        return float(_fmt(value))
-    if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_round12(float(v)) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return _round12(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def _write_json(path: Path, payload) -> None:
-    text = json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
+    """``payload`` as indented JSON.  Floats are written as given: a caller
+    rounds each to 12 significant digits first, as ``float(_fmt(v))``."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path.write_text(text, encoding="ascii", newline="\n")
 
 
@@ -114,7 +99,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(
-            ",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+            ",".join([_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row])
         )
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
@@ -264,70 +249,100 @@ def _from_json(kind, value):
     return value
 
 
-def _coerce(section: str, key: str, raw, kind):
-    """``raw``, INI text or a JSON value, as a ``kind``; failures name the key.
+def _reader(kind):
+    """The function that types one raw value, INI text or a JSON value, as
+    ``kind``; it raises TypeError, ValueError or OverflowError on a bad value.
 
     A string is read as INI text, and a list key splits it on commas and
     whitespace.  Any other value must already have the key's type: no bool
     stands for a number, no non-integral number for an int, and a list key
     takes an array.
     """
-    item = typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
-    try:
-        if item is None:
-            return _from_text(kind, raw) if isinstance(raw, str) else _from_json(kind, raw)
+    if typing.get_origin(kind) is not list:
+        return lambda raw: _from_text(kind, raw) if isinstance(raw, str) else _from_json(kind, raw)
+    (item,) = typing.get_args(kind)
+
+    def read(raw):
         if isinstance(raw, str):
             return [_from_text(item, token) for token in raw.replace(",", " ").split()]
         if isinstance(raw, list):
             return [_from_json(item, value) for value in raw]
         raise TypeError(raw)
+
+    return read
+
+
+# Each key type's reader, resolved once from the types of _KEYS.
+_READERS = {kind: _reader(kind) for keys in _KEYS.values() for kind in keys.values()}
+
+
+def _coerce(section: str, key: str, raw, kind):
+    """``raw`` as a ``kind`` of :data:`_KEYS`; failures name the key."""
+    try:
+        return _READERS[kind](raw)
     except (TypeError, ValueError, OverflowError):
         name = kind.__name__ if isinstance(kind, type) else str(kind)
         raise ConfigError(f"[{section}] {key}: expected {name}, got {raw!r}") from None
 
 
-def _typed(section: str, raw: dict, prefix: str = "") -> dict:
+def _typed(section: str, raw: dict) -> dict:
     """The values of a raw section typed by :data:`_KEYS`; unknown keys fail."""
     keys = _KEYS[section]
     unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"[{section}]: unknown keys {sorted(unknown)}")
-    return {key: _coerce(section, prefix + key, value, keys[key]) for key, value in raw.items()}
+    return {key: _coerce(section, key, value, keys[key]) for key, value in raw.items()}
 
 
-def _parse_agent_spec(key: str, raw: dict, defaults: dict) -> dict:
-    """Type one agent's raw fields and complete them into a canonical dict."""
-    where = f"[agents] {key}"
-    if "quality" not in raw:
-        raise ConfigError(f"{where}: missing required field 'quality'")
-    kind = _coerce("agents", f"{key}.type", raw.get("type", "truth"), str)
-    if kind not in _AGENT_TYPES:
-        raise ConfigError(
-            f"{where}: unknown type {kind!r}; expected one of {_AGENT_TYPES}"
-        )
-    allowed = {"type", "quality", "weight", "sigma", "bias", "p", "g"} | {
-        "malicious": {"low", "high"},
-        "colluder": {"clique", "inflate", "bash"},
-    }.get(kind, set())
-    for field in raw:
-        if field not in allowed:
+# The fields each agent type takes, and the defaults each type gives the
+# fields that do not default to the environment's or to every type's value.
+_COMMON_FIELDS = {"type", "quality", "weight", "sigma", "bias", "p", "g"}
+_AGENT_FIELDS = {
+    "truth": _COMMON_FIELDS,
+    "image": _COMMON_FIELDS,
+    "mixed": _COMMON_FIELDS,
+    "malicious": _COMMON_FIELDS | {"low", "high"},
+    "colluder": _COMMON_FIELDS | {"clique", "inflate", "bash"},
+}
+_AGENT_DEFAULTS = {
+    "truth": {"weight": 1.0},
+    "image": {"weight": 0.0},
+    "mixed": {"weight": 1.0},
+    "malicious": {"weight": 1.0, "low": 0.0, "high": 1.0},
+    "colluder": {"weight": 1.0, "clique": 0, "inflate": 1.0},
+}
+
+
+def _parse_agent_specs(raw_agents: list[dict], defaults: dict) -> list[dict]:
+    """Type each agent's raw fields and complete them into a canonical dict.
+
+    ``defaults`` holds the fields every type shares: the observation channel
+    of the environment, the accuracy-loss exponent and the image payoff.
+    """
+    keys = _KEYS["agents"]
+    specs = []
+    for index, raw in enumerate(raw_agents):
+        prefix = f"agent{index}."
+        if "quality" not in raw:
+            raise ConfigError(f"[agents] agent{index}: missing required field 'quality'")
+        kind = _coerce("agents", prefix + "type", raw.get("type", "truth"), str)
+        if kind not in _AGENT_TYPES:
             raise ConfigError(
-                f"{where}: field {field!r} not valid for type {kind!r}"
+                f"[agents] agent{index}: unknown type {kind!r}; expected one of {_AGENT_TYPES}"
             )
-    out = {**_typed("agents", raw, f"{key}."), "type": kind}
-    out.setdefault("sigma", defaults["cross_std"])
-    out.setdefault("bias", defaults["cross_mean"])
-    out.setdefault("p", 2.0)
-    out.setdefault("g", "linear")
-    # Agent checks the weight against the type.
-    out.setdefault("weight", 0.0 if kind == "image" else 1.0)
-    if kind == "malicious":
-        out.setdefault("low", 0.0)
-        out.setdefault("high", 1.0)
-    elif kind == "colluder":
-        out.setdefault("clique", 0)
-        out.setdefault("inflate", 1.0)
-    return out
+        allowed = _AGENT_FIELDS[kind]
+        for field in raw:
+            if field not in allowed:
+                raise ConfigError(
+                    f"[agents] agent{index}: field {field!r} not valid for type {kind!r}"
+                )
+        # Agent checks the weight against the type.
+        spec = {**defaults, **_AGENT_DEFAULTS[kind], "type": kind}
+        for field, value in raw.items():
+            if field != "type":
+                spec[field] = _coerce("agents", prefix + field, value, keys[field])
+        specs.append(spec)
+    return specs
 
 
 def _build_payoff(key: str, g_text: str):
@@ -340,34 +355,57 @@ def _build_payoff(key: str, g_text: str):
     )
 
 
-def _build_agent(index: int, spec: dict) -> Agent:
-    """An agent from a spec that :func:`_parse_agent_spec` has completed."""
-    key = f"agent{index}"
-    kind_name = spec["type"]
-    try:
-        if kind_name == "malicious":
-            agent_type = MaliciousRandom(low=spec["low"], high=spec["high"])
-        elif kind_name == "colluder":
-            agent_type = Colluder(
-                clique_id=spec["clique"], inflate=spec["inflate"], bash=spec.get("bash")
+def _build_agents(specs: list[dict]) -> tuple[Agent, ...]:
+    """The agents of specs that :func:`_parse_agent_specs` has completed.
+
+    Agents with equal preferences share one frozen :class:`UtilitySpec`,
+    and agents with equal observation channels one :class:`NormalParams`:
+    each distinct one is built, and checked, once per call.
+    """
+    utilities: dict[tuple, UtilitySpec] = {}
+    channels: dict[tuple, NormalParams] = {}
+    plain = {"truth": Truth(), "image": Image(), "mixed": Mixed()}
+    agents = []
+    for index, spec in enumerate(specs):
+        kind_name = spec["type"]
+        try:
+            if kind_name == "malicious":
+                agent_type = MaliciousRandom(low=spec["low"], high=spec["high"])
+            elif kind_name == "colluder":
+                agent_type = Colluder(
+                    clique_id=spec["clique"], inflate=spec["inflate"], bash=spec.get("bash")
+                )
+            else:
+                agent_type = plain[kind_name]
+            quality = Quality(spec["quality"])
+            # Keyed by sign as well, as 0.0 == -0.0.
+            weight, bias, sigma = spec["weight"], spec["bias"], spec["sigma"]
+            preferences = (spec["g"], spec["p"], weight, math.copysign(1.0, weight))
+            utility = utilities.get(preferences)
+            if utility is None:
+                utility = utilities[preferences] = UtilitySpec(
+                    f=AbsPower(spec["p"]),
+                    g=_build_payoff(f"agent{index}", spec["g"]),
+                    truth_weight=weight,
+                )
+            observation = (bias, sigma, math.copysign(1.0, bias), math.copysign(1.0, sigma))
+            channel = channels.get(observation)
+            if channel is None:
+                channel = channels[observation] = NormalParams(bias, sigma)
+            agents.append(
+                Agent(
+                    id=index,
+                    quality=quality,
+                    agent_type=agent_type,
+                    utility=utility,
+                    cross_obs=channel,
+                )
             )
-        else:
-            agent_type = {"truth": Truth, "image": Image, "mixed": Mixed}[kind_name]()
-        return Agent(
-            id=index,
-            quality=Quality(spec["quality"]),
-            agent_type=agent_type,
-            utility=UtilitySpec(
-                f=AbsPower(spec["p"]),
-                g=_build_payoff(key, spec["g"]),
-                truth_weight=spec["weight"],
-            ),
-            cross_obs=NormalParams(spec["bias"], spec["sigma"]),
-        )
-    except ConfigError:
-        raise  # _build_payoff's errors already name the agent
-    except ValueError as exc:
-        raise ConfigError(f"[agents] {key}: {exc}") from None
+        except ConfigError:
+            raise  # _build_payoff's errors already name the agent
+        except ValueError as exc:
+            raise ConfigError(f"[agents] agent{index}: {exc}") from None
+    return tuple(agents)
 
 
 def _build_mechanism(raw: dict) -> tuple[MechanismSpec, dict]:
@@ -426,12 +464,23 @@ def _check_sections(names) -> None:
         raise ConfigError(f"[{unknown[0]}]: unknown section; expected one of {', '.join(_KEYS)}")
 
 
-def _sections_from_ini(path: Path) -> dict:
-    """The sections of an INI config, their values kept as raw text."""
-    parser = configparser.ConfigParser()
+def _read_text(path: Path) -> str:
+    """The text of a config file; a file that cannot be read or is not
+    UTF-8 fails naming the path."""
     try:
-        with path.open(encoding="utf-8") as handle:
-            parser.read_file(handle, source=str(path))
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from None
+
+
+def _sections_from_ini(path: Path) -> dict:
+    """The sections of an INI config, their values kept as raw text.  Values
+    are read literally: a '%' is a percent sign, not an interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(_read_text(path), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
     _check_sections(parser.sections())
@@ -442,25 +491,24 @@ def _sections_from_ini(path: Path) -> dict:
     }
     agents = []
     if parser.has_section("agents"):
-        keys = sorted(
-            parser.options("agents"),
-            key=lambda name: (len(name), name),
-        )
-        expected = [f"agent{i}" for i in range(len(keys))]
-        if keys != expected:
+        lines = dict(parser.items("agents"))
+        expected = [f"agent{i}" for i in range(len(lines))]
+        if lines.keys() != set(expected):
+            keys = sorted(lines, key=lambda name: (len(name), name))
             raise ConfigError(
                 "[agents]: entries must be named agent0, agent1, ... without gaps; "
                 f"got {keys}"
             )
-        for key in keys:
+        for key in expected:
             tokens = {}
-            for token in parser.get("agents", key).split():
-                if "=" not in token:
+            # split() leaves no whitespace in a token.
+            for token in lines[key].split():
+                field, equals, raw = token.partition("=")
+                if not equals:
                     raise ConfigError(
                         f"[agents] {key}: malformed token {token!r}; expected field=value"
                     )
-                field, raw = token.split("=", 1)
-                tokens[field.strip().lower()] = raw.strip()
+                tokens[field.lower()] = raw
             agents.append(tokens)
     sections["agents"] = agents
 
@@ -476,7 +524,7 @@ def _sections_from_ini(path: Path) -> dict:
 def _sections_from_json(path: Path) -> dict:
     """The sections of a JSON config, their values kept as JSON values."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(payload, dict):
@@ -531,10 +579,14 @@ def parse_config(
     raw_agents = sections["agents"]
     if len(raw_agents) < 2:
         raise ConfigError(f"[agents]: need at least 2 agents, got {len(raw_agents)}")
-    agent_specs = [
-        _parse_agent_spec(f"agent{i}", entry, env_defaults) for i, entry in enumerate(raw_agents)
-    ]
-    agents = tuple(_build_agent(i, spec) for i, spec in enumerate(agent_specs))
+    shared = {
+        "sigma": env_defaults["cross_std"],
+        "bias": env_defaults["cross_mean"],
+        "p": 2.0,
+        "g": "linear",
+    }
+    agent_specs = _parse_agent_specs(raw_agents, shared)
+    agents = _build_agents(agent_specs)
     try:
         env = Environment(
             agents=agents,
@@ -674,17 +726,21 @@ def cmd_run(config_path, out_dir, seed, trials, workers):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # Each mean is formatted once: the CSV writes the text, and stats.json
+    # the float it spells.
+    reputations = [_fmt(v) for v in stats.per_agent_reputation_mean.tolist()]
+    utilities = [_fmt(v) for v in stats.per_agent_utility_mean.tolist()]
     stats_path = out / "stats.json"
     _write_json(
         stats_path,
         {
-            "mae_mean": stats.mae_mean,
-            "mae_stderr": stats.mae_stderr,
-            "budget_mean": stats.budget_mean,
-            "budget_max_abs": stats.budget_max_abs,
-            "trials": stats.trials,
-            "per_agent_reputation_mean": stats.per_agent_reputation_mean,
-            "per_agent_utility_mean": stats.per_agent_utility_mean,
+            "mae_mean": float(_fmt(stats.mae_mean)),
+            "mae_stderr": float(_fmt(stats.mae_stderr)),
+            "budget_mean": float(_fmt(stats.budget_mean)),
+            "budget_max_abs": float(_fmt(stats.budget_max_abs)),
+            "trials": int(stats.trials),
+            "per_agent_reputation_mean": [float(v) for v in reputations],
+            "per_agent_utility_mean": [float(v) for v in utilities],
         },
     )
     agent_csv = out / "per_agent.csv"
@@ -692,13 +748,8 @@ def cmd_run(config_path, out_dir, seed, trials, workers):
         agent_csv,
         ["agent_id", "quality", "reputation_mean", "utility_mean"],
         [
-            [
-                agent.id,
-                float(agent.quality),
-                stats.per_agent_reputation_mean[i],
-                stats.per_agent_utility_mean[i],
-            ]
-            for i, agent in enumerate(parsed.env.agents)
+            [agent.id, float(agent.quality), reputation, utility]
+            for agent, reputation, utility in zip(parsed.env.agents, reputations, utilities)
         ],
     )
     schema = _write_schema(

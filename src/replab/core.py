@@ -68,6 +68,7 @@ __all__ = [
     "Workspace",
     "FRESH",
     "agent_utility",
+    "absolute_errors",
     "batch_true_utilities",
     "centralized_solution",
 ]
@@ -548,8 +549,24 @@ def agent_utility(
     return -lam * accuracy + (1.0 - lam) * agent.utility.g(own_reputation) - own_tax
 
 
+def absolute_errors(
+    reputations: np.ndarray, env: Environment, *, workspace: Workspace = FRESH
+) -> np.ndarray:
+    """|reputation - target| over a (trials, K) batch, in scratch 0 of
+    ``workspace``; the targets are :func:`centralized_solution`'s."""
+    if reputations.ndim != 2 or reputations.shape[1] != env.k:
+        raise DimensionMismatch(f"expected (trials, {env.k}) reputations, got {reputations.shape}")
+    errors = np.subtract(
+        reputations,
+        centralized_solution(env)[None, :],
+        out=workspace.out("scratch 0", reputations.shape),
+    )
+    return np.abs(errors, out=errors)
+
+
 def batch_true_utilities(
     reputations: np.ndarray,
+    errors: np.ndarray,
     taxes: np.ndarray,
     env: Environment,
     *,
@@ -557,24 +574,21 @@ def batch_true_utilities(
 ) -> np.ndarray:
     """Realized utilities over a batch of outcomes.
 
-    ``reputations`` and ``taxes`` have shape (trials, K); returns (trials, K)
-    utilities computed per agent with that agent's own f, g and truth weight.
-    f(errors) and its row sums are computed once per distinct loss: equal
-    (frozen) losses give equal arrays.  Each run of adjacent agents that
-    share (f, g) is computed in one pass over its columns, in the order of
-    :func:`agent_utility`, so every entry rounds as that formula does.  The
-    errors and the result are scratch 0 and scratch 1 of ``workspace``, the
+    ``reputations``, their :func:`absolute_errors` and ``taxes`` have shape
+    (trials, K); returns (trials, K) utilities computed per agent with that
+    agent's own f, g and truth weight.  f(errors) and its row sums are
+    computed once per distinct loss: equal (frozen) losses give equal
+    arrays.  Each run of adjacent agents that share (f, g) is computed in
+    one pass over its columns, in the order of :func:`agent_utility`, so
+    every entry rounds as that formula does.  ``errors`` is overwritten, so
+    a caller reads it first.  The result is scratch 1 of ``workspace``, the
     losses other ``workspace`` buffers.
     """
-    if reputations.shape != taxes.shape or reputations.shape[1] != env.k:
-        raise DimensionMismatch(
-            f"expected (trials, {env.k}) arrays, got {reputations.shape} and {taxes.shape}"
-        )
     shape = reputations.shape
-    errors = np.subtract(
-        reputations, centralized_solution(env)[None, :], out=workspace.out("scratch 0", shape)
-    )
-    np.abs(errors, out=errors)
+    if errors.shape != shape or taxes.shape != shape or shape[1] != env.k:
+        raise DimensionMismatch(
+            f"expected (trials, {env.k}) arrays, got {shape}, {errors.shape} and {taxes.shape}"
+        )
     payoffs = [(agent.utility.f, agent.utility.g) for agent in env.agents]
     distinct = list(dict.fromkeys(f for f, _ in payoffs))
     losses: dict[AbsPower, tuple[np.ndarray, np.ndarray]] = {}

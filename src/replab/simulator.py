@@ -80,8 +80,8 @@ from .core import (
     PR,
     WeightedPR,
     Workspace,
+    absolute_errors,
     batch_true_utilities,
-    centralized_solution,
 )
 from .numerics import NormalParams
 from .strategies import (
@@ -324,13 +324,12 @@ def _stats_arm(config: ScenarioConfig) -> Arm:
     """The arm of ``config`` whose totals :func:`_stats` reads; its reducer
     keeps its temporaries in the engine's scratch."""
     env = config.env
-    targets = centralized_solution(env)
 
     def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
-        errors = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
-        mae = np.abs(errors, out=errors).sum(axis=1)
+        errors = absolute_errors(reps, env, workspace=workspace)
+        mae = errors.sum(axis=1)
         budgets = taxes.sum(axis=1)
-        utils = batch_true_utilities(reps, taxes, env, workspace=workspace)
+        utils = batch_true_utilities(reps, errors, taxes, env, workspace=workspace)
         return [
             {
                 "mae": float(mae[rows].sum()),
@@ -533,7 +532,6 @@ def run_collusion_scenario(
             "fewer than two honest outsiders to validate against"
         )
 
-    targets = centralized_solution(env)
     members = np.array([i for i, a in enumerate(env.agents) if a.id in clique], dtype=int)
     outsiders = np.array(
         [i for i, a in enumerate(env.agents) if a.id not in clique], dtype=int
@@ -542,12 +540,11 @@ def run_collusion_scenario(
     def reducer(arm_env: Environment) -> Reducer:
         def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
             # batch_true_utilities overwrites the errors, so they are read first.
-            errors = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
-            np.abs(errors, out=errors)
+            errors = absolute_errors(reps, arm_env, workspace=workspace)
             mae = errors.sum(axis=1)
             outsider_mae = [float(errors[rows][:, outsiders].sum(axis=1).sum()) for rows in batches]
             budgets = taxes.sum(axis=1)
-            utilities = batch_true_utilities(reps, taxes, arm_env, workspace=workspace)
+            utilities = batch_true_utilities(reps, errors, taxes, arm_env, workspace=workspace)
             return [
                 {
                     "mae": float(mae[rows].sum()),
@@ -640,14 +637,12 @@ def run_malicious_scenario(
     if unknown:
         raise ValueError(f"malicious set names unknown agents {sorted(unknown)}")
 
-    targets = centralized_solution(env)
     slot_idx = np.array(
         [i for i, agent in enumerate(env.agents) if agent.id in malicious], dtype=int
     )
 
     def errors(reps, batches, workspace) -> list[float]:
-        diffs = np.subtract(reps, targets[None, :], out=workspace.out("scratch 0", reps.shape))
-        mae = np.abs(diffs, out=diffs).sum(axis=1)
+        mae = absolute_errors(reps, env, workspace=workspace).sum(axis=1)
         return [float(mae[rows].sum()) for rows in batches]
 
     def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:

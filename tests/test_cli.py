@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from replab.cli import main
+from replab.cli import main, parse_config
 from replab import analysis
+from replab.numerics import NormalParams
 
 # ---------------------------------------------------------------------------
 # Config fixtures
@@ -412,6 +415,56 @@ def test_missing_config_file_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "not found" in result.stderr
+
+
+def test_percent_sign_in_an_ini_value_is_literal(runner, tmp_path):
+    # configparser's interpolation would raise on a bare '%'; values are
+    # read literally, so the bad number is reported against its key.
+    config = _write(
+        tmp_path, "pct.ini", "[agents]\nagent0 = quality=0.5%\nagent1 = quality=0.4\n"
+    )
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr == "error: [agents] agent0.quality: expected float, got '0.5%'\n"
+    # A '%' where text is expected is kept as text.
+    config = _write(tmp_path, "pct2.ini", "[environment]\nindex_scheme = 100%\n" + _truth_agents(2))
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "index_scheme" in result.stderr and "'100%'" in result.stderr
+
+
+@pytest.mark.parametrize("suffix", [".ini", ".json"])
+def test_unreadable_config_exits_2_naming_the_path(runner, tmp_path, suffix):
+    folder = tmp_path / f"folder{suffix}"
+    folder.mkdir()
+    result = runner.invoke(main, ["run", str(folder), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {folder}: cannot read config")
+
+    binary = tmp_path / f"latin1{suffix}"
+    binary.write_bytes("[agents]\nagent0 = quality=0.5 type=truth ; caf\xe9\n".encode("latin-1"))
+    result = runner.invoke(main, ["run", str(binary), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {binary}: not UTF-8 text (")
+
+
+def _readme_ini() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, "the README holds one INI example"
+    return blocks[0]
+
+
+def test_readme_ini_example_parses_and_runs(runner, tmp_path):
+    config = _write(tmp_path, "readme.ini", _readme_ini())
+    parsed = parse_config(config)
+    assert parsed.env.system_obs == NormalParams(0.0, 0.1)
+    assert parsed.trials == 10_000 and parsed.seed == 7
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config), "--out", str(out), "--trials", "2000"])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "stats.json").read_text())["trials"] == 2000
 
 
 def _truth_agents(k):

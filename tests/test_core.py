@@ -28,6 +28,7 @@ from replab.core import (
     WeightedPR,
     ZeroTotalQuality,
     agent_utility,
+    absolute_errors,
     batch_true_utilities,
     centralized_solution,
 )
@@ -194,7 +195,7 @@ def test_true_utility_hand_computed():
     env = Environment(agents=agents)
     reps = np.array([[0.3, 0.5, 0.8]])
     taxes = np.array([[0.01, -0.02, 0.01]])
-    utils = batch_true_utilities(reps, taxes, env)[0]
+    utils = batch_true_utilities(reps, absolute_errors(reps, env), taxes, env)[0]
     # errors: (0.1, 0.0, 0.1) against targets (0.2, 0.5, 0.9)
     assert utils[0] == pytest.approx(-(0.0 + 0.01) - 0.01)
     assert utils[1] == pytest.approx(0.5 + 0.02)
@@ -203,8 +204,13 @@ def test_true_utility_hand_computed():
 
 def test_true_utility_dimension_guard():
     env = _env([0.2, 0.5, 0.9])
+    reps = np.array([[0.1, 0.2]])
     with pytest.raises(DimensionMismatch):
-        batch_true_utilities(np.array([[0.1, 0.2]]), np.zeros((1, 2)), env)
+        absolute_errors(reps, env)
+    with pytest.raises(DimensionMismatch):
+        batch_true_utilities(reps, np.zeros((1, 2)), np.zeros((1, 2)), env)
+    with pytest.raises(DimensionMismatch):
+        batch_true_utilities(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 3)), env)
 
 
 def _scalar_utility(agent, reps, taxes, targets):
@@ -227,14 +233,14 @@ def test_batch_utilities_match_scalar():
     rng = np.random.default_rng(7)
     reps = rng.uniform(-0.2, 1.2, size=(40, 3))
     taxes = rng.normal(0.0, 0.05, size=(40, 3))
-    batch = batch_true_utilities(reps, taxes, env)
+    batch = batch_true_utilities(reps, absolute_errors(reps, env), taxes, env)
     targets = centralized_solution(env)
     for t in (0, 13, 39):
         for i, agent in enumerate(env.agents):
             expected = _scalar_utility(agent, reps[t], taxes[t], targets)
             assert batch[t, i] == pytest.approx(expected, abs=1e-12)
     with pytest.raises(DimensionMismatch):
-        batch_true_utilities(reps[:, :2], taxes[:, :2], env)
+        batch_true_utilities(reps[:, :2], np.zeros((40, 2)), taxes[:, :2], env)
 
 
 def test_batch_true_utilities_equals_a_per_agent_loop_bit_for_bit():
@@ -256,7 +262,7 @@ def test_batch_true_utilities_equals_a_per_agent_loop_bit_for_bit():
         lam = agent.utility.truth_weight
         accuracy = floss.sum(axis=1) - floss[:, i]
         expected[:, i] = -lam * accuracy + (1.0 - lam) * agent.utility.g(reps[:, i]) - taxes[:, i]
-    assert (batch_true_utilities(reps, taxes, env) == expected).all()
+    assert (batch_true_utilities(reps, absolute_errors(reps, env), taxes, env) == expected).all()
 
 
 def test_batch_true_utilities_runs_of_shared_payoffs_round_as_agent_utility():
@@ -289,4 +295,5 @@ def test_batch_true_utilities_runs_of_shared_payoffs_round_as_agent_utility():
         floss = agent.utility.f(errors)
         accuracy = floss.sum(axis=1) - floss[:, i]
         expected[:, i] = agent_utility(agent, accuracy, reps[:, i], taxes[:, i])
-    assert batch_true_utilities(reps, taxes, env).tobytes() == expected.tobytes()
+    utilities = batch_true_utilities(reps, absolute_errors(reps, env), taxes, env)
+    assert utilities.tobytes() == expected.tobytes()

@@ -34,6 +34,7 @@ from replab.core import (
     UtilitySpec,
     WeightedPR,
     Workspace,
+    absolute_errors,
     batch_true_utilities,
     centralized_solution,
 )
@@ -649,7 +650,7 @@ def test_fr_deviation_loss_matches_mechanism_evaluation():
 
     def utility(selfs):
         reps, taxes = run_batch(FR(), selfs[None, :], None, np.zeros((1, 3)))
-        return batch_true_utilities(reps, taxes, env)[0, 0]
+        return batch_true_utilities(reps, absolute_errors(reps, env), taxes, env)[0, 0]
 
     base = utility(truths)
     for x in np.linspace(0.0, 1.0, 21):
@@ -770,7 +771,7 @@ def _dense_utilities(i, mechanism, env, arrays, value):
     else:
         selfs[:, i] = value
     reps, taxes = run_batch(mechanism, selfs, cross, r0, aggregate_sigma_prime(env))
-    return batch_true_utilities(reps, taxes, env)[:, i]
+    return batch_true_utilities(reps, absolute_errors(reps, env), taxes, env)[:, i]
 
 
 def _sparse_draw(mechanism, env, arrays):
