@@ -249,37 +249,32 @@ def _from_json(kind, value):
     return value
 
 
-def _reader(kind):
-    """The function that types one raw value, INI text or a JSON value, as
-    ``kind``; it raises TypeError, ValueError or OverflowError on a bad value.
+# The item type of each list key, resolved once from the types of _KEYS.
+_LIST_ITEMS = {
+    kind: typing.get_args(kind)[0]
+    for keys in _KEYS.values()
+    for kind in keys.values()
+    if typing.get_origin(kind) is list
+}
+
+
+def _coerce(section: str, key: str, raw, kind):
+    """``raw``, INI text or a JSON value, as a ``kind``; failures name the key.
 
     A string is read as INI text, and a list key splits it on commas and
     whitespace.  Any other value must already have the key's type: no bool
     stands for a number, no non-integral number for an int, and a list key
     takes an array.
     """
-    if typing.get_origin(kind) is not list:
-        return lambda raw: _from_text(kind, raw) if isinstance(raw, str) else _from_json(kind, raw)
-    (item,) = typing.get_args(kind)
-
-    def read(raw):
+    item = _LIST_ITEMS.get(kind)
+    try:
+        if item is None:
+            return _from_text(kind, raw) if isinstance(raw, str) else _from_json(kind, raw)
         if isinstance(raw, str):
             return [_from_text(item, token) for token in raw.replace(",", " ").split()]
         if isinstance(raw, list):
             return [_from_json(item, value) for value in raw]
         raise TypeError(raw)
-
-    return read
-
-
-# Each key type's reader, resolved once from the types of _KEYS.
-_READERS = {kind: _reader(kind) for keys in _KEYS.values() for kind in keys.values()}
-
-
-def _coerce(section: str, key: str, raw, kind):
-    """``raw`` as a ``kind`` of :data:`_KEYS`; failures name the key."""
-    try:
-        return _READERS[kind](raw)
     except (TypeError, ValueError, OverflowError):
         name = kind.__name__ if isinstance(kind, type) else str(kind)
         raise ConfigError(f"[{section}] {key}: expected {name}, got {raw!r}") from None
