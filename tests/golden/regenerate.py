@@ -8,13 +8,15 @@ fixed rings, colluders, uniform-random reporters, clamping and K from 3 to
 batch, and three K=100 populations (half truth-, half image-driven) under
 the punish-reward family and simple averaging; ``pr_k100.json`` mirrors
 ``pr_k100.ini`` and must give the same ``run`` digest.  The collusion
-records add secret rings with 1 and 2 layers.  The
-deviation audits (``check-equilibrium``) of three configs and the
-participation ``report`` of one pin the audit draw and the scoring run.  The
-CLI rounds its outputs to 12 significant digits, so every ``run`` config
-also gets a ``stats`` entry that digests ``run_trials``' aggregates at full
-precision.  The ``error`` entries digest the standard error and exit code of
-``run`` on invalid configs, so a change to the parser keeps its messages.
+records add secret rings with 1 and 2 layers.  The deviation audits
+(``check-equilibrium``) of six configs, one per mechanism family but direct
+observation, pin the audit draw; the participation ``report`` of one config
+pins the scoring run, and the default ``figures`` the closed-form design
+curves.  The CLI rounds its outputs to 12 significant digits, so every
+``run`` config also gets a ``stats`` entry that digests ``run_trials``'
+aggregates at full precision.  The ``error`` entries digest the standard
+error and exit code of ``run`` on invalid configs, so a change to the
+parser keeps its messages.
 
 Floating-point results may differ between Python or numpy versions, so the
 file records both and ``tests/test_golden.py`` fails on a mismatch.
@@ -165,10 +167,13 @@ def entries() -> dict[str, str]:
                     "--grid", grid, "--out", "out", "--workers", str(workers),
                 ]
             )
-    for config in ("as_k5", "extended_as_k6_rings", "fr_k4"):
+    for config in (
+        "as_k5", "extended_as_k6_rings", "fr_k4", "pr_k7", "simple_averaging_k8", "weighted_pr_k10"
+    ):
         found[f"check-equilibrium/{config}"] = _cli(
             ["check-equilibrium", str(CONFIGS / f"{config}.ini"), "--grid", "51", "--trials", "3000"]
         )
+    found["figures"] = _cli(["figures", "--out", "out"])
     found["report/as_k5"] = _cli(["report", str(CONFIGS / "as_k5.ini"), "--trials", "7000"])
     for workers in (1, 2):
         for layers in (1, 2):
