@@ -273,7 +273,7 @@ def participation_utilities(
             for rows in batches
         ]
 
-    (totals,) = simulate([Arm(env, AS(), reduce, scratch=True)], trials, seed)
+    (totals,) = simulate([Arm(env, AS(), reduce)], trials, seed)
     accuracy = np.array([_stay_out_loss(ag, env) for ag in env.agents])
     return totals["utils"] / trials, -lam * accuracy + (1.0 - lam) * (totals["image"] / trials)
 

@@ -657,18 +657,18 @@ def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"grid {text!r}: expected lo:hi:count")
+            raise ConfigError(f"--grid {text!r}: expected lo:hi:count")
         try:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise ConfigError(f"grid {text!r}: expected lo:hi:count") from None
+            raise ConfigError(f"--grid {text!r}: expected lo:hi:count") from None
         if count < 1:
-            raise ConfigError(f"grid {text!r}: count must be >= 1")
+            raise ConfigError(f"--grid {text!r}: count must be >= 1")
         return [float(v) for v in np.linspace(lo, hi, count)]
     try:
         return [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"grid {text!r}: expected numbers") from None
+        raise ConfigError(f"--grid {text!r}: expected numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +775,14 @@ def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers)
     """Run a scenario across a parameter grid; write sweep.csv."""
     parsed = parse_config(config_path, seed=seed, trials=trials)
     grid = _parse_grid(grid_text)
-    rows = run_sweep(parsed, parameter, grid, workers=workers)
+    try:
+        rows = run_sweep(parsed, parameter, grid, workers=workers)
+    except ValueError as exc:
+        # run_sweep's messages open with the argument it rejects.
+        name = str(exc).partition(" ")[0]
+        if name not in ("parameter", "grid"):
+            raise
+        raise ConfigError(f"--{name}: {exc}") from None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

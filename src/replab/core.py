@@ -66,7 +66,6 @@ __all__ = [
     "DirectObservation",
     "MechanismSpec",
     "Workspace",
-    "FRESH",
     "agent_utility",
     "absolute_errors",
     "batch_true_utilities",
@@ -440,56 +439,35 @@ class Workspace:
     call's temporaries: a function is done with its scratch when it
     returns, except the result it returns there.  The kernels keep their
     temporaries in scratch, so a reducer handed the engine's workspace puts
-    its own in the memory the kernel left dead.
+    its own in the memory the kernel left dead.  Within one call no name is
+    asked for twice while both views are live.
 
-    ``Workspace(keep=False)`` (:data:`FRESH`) keeps nothing: ``out`` gives
-    None, so a ufunc allocates its result in numpy's own layout, and the
-    other methods return new arrays.  Functions that take a workspace use
-    it when given none, and then compute exactly as without buffers.
+    A public function that takes a workspace makes its own ``Workspace()``
+    when given none, so its results are new arrays that nothing else holds.
     """
 
-    def __init__(self, keep: bool = True) -> None:
-        self._keep = keep
+    def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
     def empty(
         self, name: str, shape: tuple[int, ...], dtype=float, order: str = "C"
     ) -> np.ndarray:
         """Uninitialised elements of ``shape`` in ``order``."""
-        if not self._keep:
-            return np.empty(shape, dtype, order)
         size = math.prod(shape)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.dtype != dtype or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size, dtype)
         return buffer[:size].reshape(shape, order=order)
 
-    def out(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray | None:
-        """An ``out=`` for a ufunc: uninitialised C-ordered elements, or None."""
-        return self.empty(name, shape, dtype) if self._keep else None
-
     def copy(self, name: str, array: np.ndarray) -> np.ndarray:
         """A C-ordered copy of ``array``."""
-        if not self._keep:
-            return array.copy()
         rows = self.empty(name, array.shape, array.dtype)
         np.copyto(rows, array)
         return rows
 
-    def view(self, array: np.ndarray) -> np.ndarray:
-        """``array`` as a result: a read-only view when kept, which lives as
-        long as ``array`` does, else a new array."""
-        if not self._keep:
-            return array.copy()
-        view = array.view()
-        view.flags.writeable = False
-        return view
-
     def zeros(self, name: str, shape: tuple[int, ...], writable: bool = False) -> np.ndarray:
-        """Zeros.  When kept: a buffer cleared on every request if
-        ``writable``, else one zero row broadcast read-only to ``shape``."""
-        if not self._keep:
-            return np.zeros(shape)
+        """Zeros: a buffer cleared on every request if ``writable``, else
+        one zero row broadcast read-only to ``shape``."""
         rows = self.empty(name, shape if writable else (1, *shape[1:]))
         rows.fill(0.0)
         return rows if writable else np.broadcast_to(rows, shape)
@@ -507,10 +485,6 @@ class Workspace:
             return workspace
 
         return current
-
-
-# The workspace of calls given none: it keeps nothing, so threads share it.
-FRESH = Workspace(keep=False)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +524,7 @@ def agent_utility(
 
 
 def absolute_errors(
-    reputations: np.ndarray, env: Environment, *, workspace: Workspace = FRESH
+    reputations: np.ndarray, env: Environment, *, workspace: Workspace | None = None
 ) -> np.ndarray:
     """|reputation - target| over a (trials, K) batch, in scratch 0 of
     ``workspace``; the targets are :func:`centralized_solution`'s."""
@@ -559,7 +533,7 @@ def absolute_errors(
     errors = np.subtract(
         reputations,
         centralized_solution(env)[None, :],
-        out=workspace.out("scratch 0", reputations.shape),
+        out=(workspace or Workspace()).empty("scratch 0", reputations.shape),
     )
     return np.abs(errors, out=errors)
 
@@ -570,7 +544,7 @@ def batch_true_utilities(
     taxes: np.ndarray,
     env: Environment,
     *,
-    workspace: Workspace = FRESH,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Realized utilities over a batch of outcomes.
 
@@ -589,13 +563,14 @@ def batch_true_utilities(
         raise DimensionMismatch(
             f"expected (trials, {env.k}) arrays, got {shape}, {errors.shape} and {taxes.shape}"
         )
+    workspace = workspace or Workspace()
     payoffs = [(agent.utility.f, agent.utility.g) for agent in env.agents]
     distinct = list(dict.fromkeys(f for f, _ in payoffs))
     losses: dict[AbsPower, tuple[np.ndarray, np.ndarray]] = {}
     for n, f in enumerate(distinct):
         # The last loss overwrites the errors, which nothing reads after it.
         last = n == len(distinct) - 1
-        floss = f(errors, out=errors if last else workspace.out(f"loss{n}", shape))
+        floss = f(errors, out=errors if last else workspace.empty(f"loss{n}", shape))
         losses[f] = (floss, floss.sum(axis=1, keepdims=True))
     lam = np.array([agent.utility.truth_weight for agent in env.agents])
     out = workspace.empty("scratch 1", shape)

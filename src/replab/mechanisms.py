@@ -32,7 +32,6 @@ from .core import (
     DirectObservation,
     ExtendedAS,
     FR,
-    FRESH,
     MechanismSpec,
     PR,
     SimpleAveraging,
@@ -78,7 +77,7 @@ def cross_reads(spec: MechanismSpec) -> str:
     each subject's peer reports only through one (weighted) sum,
     ``sum_{j != i} w_j R_ji`` with :func:`peer_weights`.  :data:`RING`:
     ring validation reads at most three entries per subject, its ring reads
-    (:func:`run_batch`'s ``ring_reads``).
+    (:func:`_ring_outcome`'s ``reads``).
     """
     if isinstance(spec, (AS, FR, DirectObservation)):
         return NO_CROSS
@@ -167,7 +166,7 @@ def _ring_gather(
     rows: slice | np.ndarray,
     cols: np.ndarray,
     name: str,
-    workspace: Workspace = FRESH,
+    workspace: Workspace,
     order: str = "C",
 ) -> np.ndarray:
     """``values[rows, cols]`` for a map of :func:`_ring_maps`, as a
@@ -188,7 +187,7 @@ def _ring_gather(
 
 
 def _ring_maps(
-    rings: np.ndarray, workspace: Workspace = FRESH, name: str = "ring"
+    rings: np.ndarray, workspace: Workspace, name: str = "ring"
 ) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
     """Trials index and predecessor/successor maps for one cyclic order per row.
 
@@ -213,32 +212,40 @@ def _ring_maps(
     return rows, pred, succ
 
 
+def _published(selfs: np.ndarray) -> np.ndarray:
+    """The self-reports as published reputations: a read-only view, which
+    lives as long as ``selfs`` does."""
+    view = selfs.view()
+    view.flags.writeable = False
+    return view
+
+
 def _as_kernel(
     selfs: np.ndarray, r0: np.ndarray, workspace: Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     shape = selfs.shape
-    d = np.subtract(selfs, r0, out=workspace.out("scratch 0", shape))
+    d = np.subtract(selfs, r0, out=workspace.empty("scratch 0", shape))
     np.square(d, out=d)
-    taxes = np.subtract(d.sum(axis=1, keepdims=True), d, out=workspace.out("taxes", shape))
+    taxes = np.subtract(d.sum(axis=1, keepdims=True), d, out=workspace.empty("taxes", shape))
     taxes /= shape[1] - 1
     np.subtract(d, taxes, out=taxes)
-    return workspace.view(selfs), taxes
+    return _published(selfs), taxes
 
 
 def _validation_layer(
     discrepancy: np.ndarray,
     rows: slice | np.ndarray,
     succ: np.ndarray,
-    out: np.ndarray | None = None,
-    workspace: Workspace = FRESH,
+    out: np.ndarray,
+    workspace: Workspace,
 ) -> np.ndarray:
     """Charge each agent its discrepancy, redistribute everyone else's.
 
     Agent i receives a 1/(K-2) share of every charge except its own and its
     ring-successor's, which makes the layer sum to zero for any inputs.
-    Writes into ``out`` when given, which must not be ``discrepancy``.
-    The row totals add in ``discrepancy``'s memory order, so its layout
-    fixes their rounding.
+    Writes into ``out``, which must not be ``discrepancy``.  The row totals
+    add in ``discrepancy``'s memory order, so its layout fixes their
+    rounding.
     """
     k = discrepancy.shape[1]
     shares = np.subtract(discrepancy.sum(axis=1, keepdims=True), discrepancy, out=out)
@@ -262,13 +269,16 @@ def _ring_layers(rings: list[np.ndarray]) -> tuple[list[tuple], list[np.ndarray]
 
     The reporters of subject i are pred1(i) for layer 1, then pred2(i) and
     pred2(pred2(i)) for layer 2, as (K,) maps for a fixed ring or (B, K)
-    maps for per-trial rings.
+    maps for per-trial rings, in a workspace of the call's own.
     """
-    return _ring_readers([_ring_maps(r) for r in rings])
+    workspace = Workspace()
+    return _ring_readers(
+        [_ring_maps(r, workspace, f"layer {m + 1} ring") for m, r in enumerate(rings)], workspace
+    )
 
 
 def _ring_readers(
-    maps: list[tuple], workspace: Workspace = FRESH
+    maps: list[tuple], workspace: Workspace
 ) -> tuple[list[tuple], list[np.ndarray]]:
     """:func:`_ring_layers` of the layers' maps (:func:`_ring_maps`); a
     per-trial pred2(pred2(i)) is a ``workspace`` buffer."""
@@ -308,7 +318,7 @@ def _ring_outcome(
     self_reports: np.ndarray,
     reads: list[np.ndarray],
     maps: list[tuple],
-    workspace: Workspace = FRESH,
+    workspace: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reputations and taxes of ring validation on its ring reads.
 
@@ -321,9 +331,9 @@ def _ring_outcome(
     """
     shape = self_reports.shape
     rows, _, succ = maps[0]
-    charges = np.subtract(self_reports, reads[0], out=workspace.out("scratch 0", shape))
+    charges = np.subtract(self_reports, reads[0], out=workspace.empty("scratch 0", shape))
     np.abs(charges, out=charges)
-    taxes = _validation_layer(charges, rows, succ, workspace.out("taxes", shape), workspace)
+    taxes = _validation_layer(charges, rows, succ, workspace.empty("taxes", shape), workspace)
     if len(maps) == 2:
         rows, _, succ = maps[1]
         gaps = np.subtract(reads[1], reads[2], out=charges)
@@ -332,7 +342,7 @@ def _ring_outcome(
         # the engine's outputs have always had, pinned by the tests.
         gathered = _ring_gather(gaps, rows, succ, "scratch 2", workspace, "F")
         taxes += _validation_layer(gathered, rows, succ, charges, workspace)
-    return workspace.view(self_reports), taxes
+    return _published(self_reports), taxes
 
 
 def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarray:
@@ -349,7 +359,7 @@ def _shares(selfs: np.ndarray, totals: np.ndarray, k: int, out=None) -> np.ndarr
 def _fr_kernel(selfs: np.ndarray, workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
     shape = selfs.shape
     totals = selfs.sum(axis=1, keepdims=True)
-    shares = _shares(selfs, totals, shape[1], out=workspace.out("reputations", shape))
+    shares = _shares(selfs, totals, shape[1], out=workspace.empty("reputations", shape))
     return shares, workspace.zeros("no taxes", shape)
 
 
@@ -357,7 +367,7 @@ def _pr_branch(
     selfs: np.ndarray,
     aggregate: np.ndarray,
     eps: float,
-    workspace: Workspace = FRESH,
+    workspace: Workspace,
     midpoints: np.ndarray | None = None,
 ) -> np.ndarray:
     """Punish-reward's published reputations: the midpoint of self-report
@@ -366,9 +376,9 @@ def _pr_branch(
     ``aggregate`` itself: it is read for the last time before they are
     written."""
     shape = np.broadcast_shapes(selfs.shape, aggregate.shape)
-    reps = np.subtract(selfs, aggregate, out=workspace.out("reputations", shape))
+    reps = np.subtract(selfs, aggregate, out=workspace.empty("reputations", shape))
     gap = np.abs(reps, out=reps)
-    inside = np.less_equal(gap, eps, out=workspace.out("band", shape, bool))
+    inside = np.less_equal(gap, eps, out=workspace.empty("band", shape, bool))
     np.subtract(aggregate, gap, out=reps)
     mid = np.add(selfs, aggregate, out=midpoints)
     mid *= 0.5
@@ -389,8 +399,7 @@ def run_batch(
     sigma_prime: float = 0.0,
     *,
     peer_sums: np.ndarray | None = None,
-    ring_reads: list[np.ndarray] | None = None,
-    workspace: Workspace = FRESH,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a mechanism over a batch of rounds.
 
@@ -399,15 +408,14 @@ def run_batch(
     mechanism does not use may be None; the supplied ones must agree on
     trials and K, and ``sigma_prime`` must be finite and >= 0.  A
     :data:`PEER_SUMS` family reads ``peer_sums`` (trials, K) when given and
-    otherwise reduces ``cross_reports`` to them; ring validation reads
-    ``ring_reads``, the (trials, K) reads of the spec's fixed rings
-    (:func:`_ring_outcome`), when given and otherwise gathers them from
-    ``cross_reports``.  Returns (reputations, taxes), each (trials, K).
-    They and the kernel's temporaries, its scratch, are ``workspace``
-    buffers, which the workspace's next batch overwrites; zero taxes are a
-    read-only view, and so are the reputations of scoring and ring
-    validation, which publish the self-reports.  Without a workspace every
-    call returns new arrays.
+    otherwise reduces ``cross_reports`` to them; ring validation gathers
+    the reads of the spec's fixed rings from ``cross_reports``.  Returns
+    (reputations, taxes), each (trials, K).  They and the kernel's
+    temporaries, its scratch, are ``workspace`` buffers, which the
+    workspace's next batch overwrites; without a workspace they are new
+    buffers of the call's own.  Zero taxes are one zero row broadcast
+    read-only, and the reputations of scoring and ring validation, which
+    publish the self-reports, a read-only view of ``self_reports``.
     """
     if not math.isfinite(sigma_prime) or sigma_prime < 0.0:
         raise ValueError(f"sigma_prime must be finite and >= 0, got {sigma_prime!r}")
@@ -421,7 +429,6 @@ def run_batch(
         ("cross_reports", cross_reports, (trials, k, k)),
         ("system_obs", system_obs, (trials, k)),
         ("peer_sums", peer_sums, (trials, k)),
-        *(("ring_reads", read, (trials, k)) for read in ring_reads or ()),
     ):
         if arr is not None and arr.shape != shape:
             raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
@@ -432,6 +439,7 @@ def run_batch(
         return arr
 
     shape = (trials, k)
+    workspace = workspace or Workspace()
     if isinstance(spec, AS):
         if k < 2:
             raise TooFewAgents(f"absolute scoring needs K >= 2, got {k}")
@@ -439,9 +447,8 @@ def run_batch(
         return _as_kernel(selfs, r0, workspace)
     if isinstance(spec, ExtendedAS):
         maps, readers = _ring_setup(spec, k)
-        if ring_reads is None:
-            ring_reads = _gather(need("cross_reports", cross_reports), readers)
-        return _ring_outcome(need("self_reports", self_reports), ring_reads, maps, workspace)
+        reads = _gather(need("cross_reports", cross_reports), readers)
+        return _ring_outcome(need("self_reports", self_reports), reads, maps, workspace)
     if isinstance(spec, FR):
         return _fr_kernel(need("self_reports", self_reports), workspace)
     if cross_reads(spec) == PEER_SUMS:
@@ -449,7 +456,7 @@ def run_batch(
         if peer_sums is None:
             peer_sums = _peer_sums(spec, need("cross_reports", cross_reports))
         # The drawn peer sums stay as they are: later arms read them.
-        aggregate = workspace.out("aggregate", shape)
+        aggregate = workspace.empty("aggregate", shape)
         aggregate = np.divide(*_aggregate(spec, peer_sums, r0, out=aggregate), out=aggregate)
         if isinstance(spec, SimpleAveraging):
             return aggregate, workspace.zeros("no taxes", shape)
@@ -550,4 +557,4 @@ def deviation_terms(
         return reps, np.ascontiguousarray(numerator.T), move_average
     aggregate = (numerator / divisor)[:, i]
     eps = spec.a * sigma_prime
-    return reps, None, lambda x, rows: (_pr_branch(x, aggregate[rows], eps), 0.0, None)
+    return reps, None, lambda x, rows: (_pr_branch(x, aggregate[rows], eps, Workspace()), 0.0, None)

@@ -45,8 +45,8 @@ worker thread draws and runs its runs in a workspace of (run, K) buffers
 its first run a worker allocates no run-sized array.  The arrays a reducer
 sees belong to that workspace and are overwritten by the worker's next
 run: a reducer copies anything it keeps, and it may not write into them.
-An arm may ask for the workspace too, so that its reducer keeps its
-temporaries in the scratch the kernel left dead.
+The reducer is handed the workspace too, and keeps its temporaries in the
+scratch the kernel left dead.
 Strategy constants are resolved once per call; only uniform-random
 reporters draw fresh messages.
 
@@ -221,10 +221,10 @@ def _map_batches(worker, plan, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-# reduce(system_obs, selfs, reps, taxes, batches) -> one dict per batch;
-# an Arm with ``scratch`` set adds the worker's workspace as a sixth argument.
+# reduce(system_obs, selfs, reps, taxes, batches, workspace) -> one dict per batch.
 Reducer = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequence[slice]], Sequence[dict]
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequence[slice], Workspace],
+    Sequence[dict],
 ]
 
 
@@ -241,16 +241,12 @@ def _combine(key: str, values: list) -> float | np.ndarray:
 class Arm:
     """One arm of an engine call: a population, the mechanism it runs, the
     reducer of its runs and its strategy profile, as in
-    :class:`ScenarioConfig`.  With ``scratch`` set the engine hands the
-    reducer its worker thread's workspace as a sixth argument; the reducer
-    may keep temporaries in that workspace's scratch buffers, which the
-    kernel left dead, and names no other buffer of it."""
+    :class:`ScenarioConfig`."""
 
     env: Environment
     mechanism: MechanismSpec
     reduce: Reducer
     strategy_mode: str | Mapping[int, float] = "equilibrium"
-    scratch: bool = False
 
 
 def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> list[dict]:
@@ -258,9 +254,9 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
 
     The trials are drawn in 1024-trial batches, each from its own substream,
     and computed in runs of consecutive batches (see the module docstring).
-    An arm's ``reduce(system_obs, selfs, reps, taxes, batches)`` sees one
-    run: each array is (run trials, K), and ``batches`` holds the row slice
-    of each batch of the run, in order.  It returns one dict of floats and
+    An arm's ``reduce(system_obs, selfs, reps, taxes, batches, workspace)``
+    sees one run: each array is (run trials, K), and ``batches`` holds the
+    row slice of each batch of the run, in order.  It returns one dict of floats and
     vectors per batch, computed on that batch's rows.  Every entry is summed
     over the batches, vectors per component, in batch order with
     ``math.fsum``; entries whose key ends in ``_max`` take the maximum
@@ -274,10 +270,11 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     alone.  The arms must have one agent count; a :class:`ValueError`
     names the counts otherwise.
 
-    A reducer's arrays belong to its worker thread's workspace: the later
-    arms and the worker's next run overwrite them.  A reducer must copy
-    anything it keeps, and it must not write into them.  An arm with
-    ``scratch`` set gets that workspace as well (:class:`Arm`).
+    A reducer's arrays belong to its worker thread's workspace, which is
+    its sixth argument: the later arms and the worker's next run overwrite
+    them.  A reducer must copy anything it keeps, and it must not write
+    into them.  It may keep temporaries in the workspace's scratch buffers,
+    which the kernel left dead, and names no other buffer of it.
     """
     _check_counts(trials, seed, workers)
     if not arms:
@@ -307,9 +304,9 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
             # reducer has run, as the shared draw requires.
             buffers = workspace()
             for m, draw in zip(members, source(batches, buffers)):
-                arrays = (draw.r0, draw.selfs, draw.reps, draw.taxes, rows)
-                reduce = arms[m].reduce
-                partials[m] = reduce(*arrays, buffers) if arms[m].scratch else reduce(*arrays)
+                partials[m] = arms[m].reduce(
+                    draw.r0, draw.selfs, draw.reps, draw.taxes, rows, buffers
+                )
         return partials
 
     runs = _map_batches(one_run, _run_plan(trials, counts[0]), workers)
@@ -321,8 +318,7 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
 
 
 def _stats_arm(config: ScenarioConfig) -> Arm:
-    """The arm of ``config`` whose totals :func:`_stats` reads; its reducer
-    keeps its temporaries in the engine's scratch."""
+    """The arm of ``config`` whose totals :func:`_stats` reads."""
     env = config.env
 
     def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
@@ -342,7 +338,7 @@ def _stats_arm(config: ScenarioConfig) -> Arm:
             for rows in batches
         ]
 
-    return Arm(env, config.mechanism, reduce, config.strategy_mode, scratch=True)
+    return Arm(env, config.mechanism, reduce, config.strategy_mode)
 
 
 def _stats(totals: dict, t: int) -> SimStats:
@@ -376,8 +372,6 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
 
 
 def _with_pr_a(config: ScenarioConfig, a: float) -> ScenarioConfig:
-    if not isinstance(config.mechanism, (PR, WeightedPR)):
-        raise ValueError("pr_a sweeps require a punish-reward mechanism")
     return dataclasses.replace(
         config, mechanism=dataclasses.replace(config.mechanism, a=a)
     )
@@ -422,20 +416,27 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
     the closed-form columns ``y`` (band offset), ``e_m`` (expected
     mechanism error), and ``expected_reputation`` (published reputation of
     a representative sender at the optimal self-report); ``averaging_mae``
-    gives the simple-averaging error for the row's noise level.
+    gives the simple-averaging error for the row's noise level.  A
+    :class:`ValueError` opens with the argument it rejects, ``parameter``
+    or ``grid``.
     """
     if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(
-            f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
-        )
+        raise ValueError(f"parameter {parameter!r} is not one of {SWEEP_PARAMETERS}")
+    if parameter == "pr_a" and not isinstance(config.mechanism, (PR, WeightedPR)):
+        raise ValueError("parameter pr_a sweeps require a punish-reward mechanism")
     values = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
     if not values:
-        raise ValueError("sweep grid must be nonempty")
+        raise ValueError("grid must be nonempty")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("sweep grid must be strictly increasing")
+        raise ValueError("grid must be strictly increasing")
 
     with_value = {"pr_a": _with_pr_a, "sigma": _with_sigma, "rho": _with_rho}[parameter]
-    points = [with_value(config, value) for value in values]
+    points = []
+    for value in values:
+        try:
+            points.append(with_value(config, value))
+        except ValueError as exc:
+            raise ValueError(f"grid value {value}: {exc}") from None
     # Every point in one engine call: the points that draw alike share
     # each batch's draw.
     arms = [_stats_arm(point) for point in points]
@@ -573,7 +574,7 @@ def run_collusion_scenario(
     # manipulated arm, last, writes its messages into the shared draw
     # instead of a copy.
     arms = [
-        Arm(arm_env, _SecretRings(layers=n_layers), reducer(arm_env), scratch=True)
+        Arm(arm_env, _SecretRings(layers=n_layers), reducer(arm_env))
         for n_layers in (1, 2)
         for arm_env in (_retype_clique(env, clique, True), _retype_clique(env, clique, False))
     ]
@@ -662,13 +663,10 @@ def run_malicious_scenario(
     charged = slot_idx.size > 0
     arms = [
         Arm(
-            _retype_slots(env, malicious, "malicious"),
-            AS(),
-            reduce_charged if charged else reduce,
-            scratch=True,
+            _retype_slots(env, malicious, "malicious"), AS(), reduce_charged if charged else reduce
         ),
-        Arm(_retype_slots(env, malicious, "image"), AS(), reduce, scratch=True),
-        Arm(env, AS(), reduce, scratch=True),
+        Arm(_retype_slots(env, malicious, "image"), AS(), reduce),
+        Arm(env, AS(), reduce),
     ]
     malicious_arm, image_arm, baseline_arm = simulate(arms, trials, seed, workers)
     return {

@@ -50,7 +50,6 @@ from .core import (
     DirectObservation,
     Environment,
     ExtendedAS,
-    FRESH,
     Image,
     Linear,
     MaliciousRandom,
@@ -413,7 +412,7 @@ def sample_sparse(
     env: Environment,
     batches: Batches,
     self_reports: Mapping[int, float],
-    workspace: Workspace = FRESH,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """System observations and self-reports (trials, K) without cross reports.
 
@@ -427,6 +426,7 @@ def sample_sparse(
     ``workspace`` buffers.
     """
     shape = (batches[-1][1].stop, env.k)
+    workspace = workspace or Workspace()
     r0 = workspace.empty("system observations", shape)
     for rng, rows in batches:
         rng.standard_normal(out=r0[rows])
@@ -524,7 +524,7 @@ def sample_peer_sums(
     env: Environment,
     batches: Batches,
     tables: _PeerSumTables,
-    workspace: Workspace = FRESH,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Draw each subject's weighted peer-report sum ``sum_{j != i} w_j R_ji``.
 
@@ -541,6 +541,7 @@ def sample_peer_sums(
     K) block is drawn into one ``workspace`` buffer.
     """
     shape = (batches[-1][1].stop, env.k)
+    workspace = workspace or Workspace()
     if tables.normal is None:
         sums = workspace.zeros("peer sums", shape, writable=True)
         for std, centre, weight in tables.relayers:
@@ -586,7 +587,7 @@ def sample_ring_reads(
     env: Environment,
     batches: Batches,
     readers: list[np.ndarray],
-    workspace: Workspace = FRESH,
+    workspace: Workspace | None = None,
 ) -> list[np.ndarray]:
     """Draw only the cross reports a validation ring reads.
 
@@ -604,6 +605,7 @@ def sample_ring_reads(
     reads, the masks and the reader gathers are ``workspace`` buffers.
     """
     shape = (batches[-1][1].stop, env.k)
+    workspace = workspace or Workspace()
     stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
     kinds = [agent.agent_type for agent in env.agents]
     random_ = np.array([isinstance(t, MaliciousRandom) for t in kinds])
@@ -613,7 +615,7 @@ def sample_ring_reads(
     for m, reader in enumerate(readers):
         masks = []
         for e, earlier in enumerate(readers[:m]):
-            mask = workspace.out(
+            mask = workspace.empty(
                 f"same reporter {m} {e}", np.broadcast_shapes(reader.shape, earlier.shape), bool
             )
             masks.append(np.equal(reader, earlier, out=mask))
@@ -670,7 +672,7 @@ def ring_messages(
     readers: list[np.ndarray],
     sent: np.ndarray | None,
     in_place: bool,
-    workspace: Workspace = FRESH,
+    workspace: Workspace | None = None,
 ) -> list[np.ndarray]:
     """The ring reads of :func:`sample_ring_reads` as the colluders send them.
 
@@ -682,6 +684,7 @@ def ring_messages(
     """
     if sent is None:
         return reads
+    workspace = workspace or Workspace()
     k = sent.shape[0]
     sent_reads = []
     for m, (reader, values) in enumerate(zip(readers, reads)):
@@ -845,7 +848,7 @@ def _batch_source(
     Each arm is a population, its mechanism and its constant self-reports
     (:func:`resolve_self_reports`); the arms must have one
     :func:`_draw_key`.  Resolves what the first arm's mechanism reads once.
-    The returned ``draw(batches, workspace=FRESH)`` draws a run of batches
+    The returned ``draw(batches, workspace)`` draws a run of batches
     (:data:`Batches`), each batch from its own generator in the order of
     draw stream 4: the system observations and uniform self-reports
     (:func:`sample_sparse`), then the peer sums (:func:`sample_peer_sums`),
@@ -859,7 +862,8 @@ def _batch_source(
     share one draw.  A later arm writes into the arrays an earlier one was
     given, so each arm must be consumed before the next is produced.  The
     arrays are ``workspace`` buffers, which the workspace's next run
-    overwrites; with no workspace they are new, and the draw owns them.
+    overwrites, or read-only views of them: under scoring and ring
+    validation the reputations are the self-reports.
     """
     first, first_mechanism, first_reports = arms[0]
     k = first.k
@@ -874,7 +878,7 @@ def _batch_source(
         ring = _ring_setup(first_mechanism, k)
     last = len(arms) - 1
 
-    def draw(batches: Batches, workspace: Workspace = FRESH) -> Iterator[ProfileDraw]:
+    def draw(batches: Batches, workspace: Workspace) -> Iterator[ProfileDraw]:
         r0, selfs = sample_sparse(first, batches, first_reports, workspace)
         # A workspace hands out a new view per run, so the buffer itself
         # stays writable for the next run's draw.
@@ -931,7 +935,8 @@ def draw_profile(
     a run of one engine batch (:func:`_batch_source`) of ``trials`` rounds
     from the Philox substream ``(seed, spawn_key=(0,))``, so the mechanism
     runs once per draw.  The draw does not depend on the deviator, so all
-    agents' audits of one profile share it; its arrays are read-only.
+    agents' audits of one profile share it.  Its arrays are read-only
+    buffers of a workspace of its own, so no later run overwrites them.
     ``trials`` and ``seed`` must be integers, as the engine checks them.
     """
     _check_counts(trials, seed)
@@ -941,7 +946,7 @@ def draw_profile(
         others_strategy = "equilibrium"
     reports = resolve_self_reports(env, mechanism, others_strategy)
     source = _batch_source([(env, mechanism, reports)])
-    draw = next(source([(_batch_rng(seed, 0), slice(0, trials))]))
+    draw = next(source([(_batch_rng(seed, 0), slice(0, trials))], Workspace()))
     held = (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ()))
     for arr in held:
         if arr is not None:

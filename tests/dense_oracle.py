@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from replab.core import Colluder, Environment, MaliciousRandom
+from replab.core import Colluder, Environment, MaliciousRandom, Workspace
 from replab.mechanisms import _gather, _ring_layers, _ring_outcome, run_batch
 from replab.simulator import _SecretRings, _batch_plan, _batch_rng, _combine
 from replab.strategies import _sent_constants, aggregate_sigma_prime, resolve_self_reports
@@ -87,8 +87,8 @@ def dense_simulate(
     env, mechanism, trials, seed, reduce, workers=1, *, strategy_mode="equilibrium"
 ) -> dict:
     """``simulator.simulate`` on the dense draw, over the same batch plan,
-    substreams and reduction, each batch a run of its own; ``workers`` is
-    accepted and ignored."""
+    substreams and reduction, each batch a run of its own with a new
+    workspace; ``workers`` is accepted and ignored."""
     sigma_prime = aggregate_sigma_prime(env)
     profile = resolve_self_reports(env, mechanism, strategy_mode)
     partials = []
@@ -101,8 +101,8 @@ def dense_simulate(
             maps, readers = _ring_layers(
                 [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
             )
-            reps, taxes = _ring_outcome(selfs, _gather(cross, readers), maps)
+            reps, taxes = _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
         else:
             reps, taxes = run_batch(mechanism, selfs, cross, r0, sigma_prime)
-        partials.extend(reduce(r0, selfs, reps, taxes, [slice(0, size)]))
+        partials.extend(reduce(r0, selfs, reps, taxes, [slice(0, size)], Workspace()))
     return {key: _combine(key, [p[key] for p in partials]) for key in partials[0]}

@@ -759,6 +759,28 @@ def test_sweep_unknown_parameter_is_rejected(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "config, parameter, grid, message",
+    [
+        ("pr", "pr_a", "nan", "--grid: grid value nan: band multiplier a must be positive, got nan"),
+        ("pr", "pr_a", "0.5,0.5", "--grid: grid must be strictly increasing"),
+        ("basic", "pr_a", "1,2", "--parameter: parameter pr_a sweeps require a punish-reward mechanism"),
+        ("pr", "sigma", "nan", "--grid: grid value nan: std must be finite and >= 0, got nan"),
+        ("pr", "rho", "0,1.5", "--grid: grid value 1.5: rho must lie in [0, 1], got 1.5"),
+    ],
+    ids=["pr_a-nan", "not-increasing", "pr_a-without-pr", "sigma-nan", "rho-above-1"],
+)
+def test_sweep_errors_name_their_flag(runner, tmp_path, config, parameter, grid, message):
+    path = _write(tmp_path, f"{config}.ini", {"pr": PR_INI, "basic": BASIC_INI}[config])
+    result = runner.invoke(
+        main,
+        ["sweep", str(path), "--parameter", parameter, "--grid", grid, "--out", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_bad_grid_exits_2(runner, tmp_path):
     config = _write(tmp_path, "pr.ini", PR_INI)
     result = runner.invoke(

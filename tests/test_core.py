@@ -213,6 +213,24 @@ def test_true_utility_dimension_guard():
         batch_true_utilities(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 3)), env)
 
 
+def test_utilities_without_a_workspace_leave_their_inputs_alone():
+    # Each call given no workspace computes in buffers of its own, so the
+    # caller's reputations and taxes come back as they were.
+    agents = (
+        _agent(0, 0.2, Truth(), lam=1.0, p=1.0),
+        _agent(1, 0.5, Image(), lam=0.0, g=Power(0.5)),
+        _agent(2, 0.9, Mixed(), lam=0.25, p=2.0),
+    )
+    env = Environment(agents=agents)
+    rng = np.random.default_rng(11)
+    reps = rng.uniform(-0.2, 1.2, size=(30, 3))
+    taxes = rng.normal(0.0, 0.05, size=(30, 3))
+    before = reps.tobytes(), taxes.tobytes()
+    utilities = batch_true_utilities(reps, absolute_errors(reps, env), taxes, env)
+    assert (reps.tobytes(), taxes.tobytes()) == before
+    assert not np.shares_memory(utilities, reps) and not np.shares_memory(utilities, taxes)
+
+
 def _scalar_utility(agent, reps, taxes, targets):
     """u_i written out term by term, as in the core module docstring."""
     i = agent.id

@@ -1,7 +1,8 @@
 """Each module's ``__all__`` matches the public names it defines, only the
 engine and the audit seed random streams, only the one batch source runs
-the mechanism kernels, only the kernels redistribute charges, and each
-command's simulated work is one engine call."""
+the mechanism kernels, only the kernels redistribute charges, only the
+engine builds per-thread workspaces, and each command's simulated work is
+one engine call."""
 
 import ast
 import importlib
@@ -119,6 +120,12 @@ def test_only_the_engine_and_the_audit_draw_batches():
 
 def test_only_simulate_maps_batches():
     assert _callers_in_src({"_map_batches"}) == {("simulator", "simulate")}
+
+
+def test_only_the_engine_builds_per_thread_workspaces():
+    # The engine alone holds buffers per worker thread; every other call
+    # that needs buffers makes one Workspace of its own.
+    assert _callers_in_src({"per_thread"}) == {("simulator", "simulate")}
 
 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

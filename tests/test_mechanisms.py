@@ -379,23 +379,44 @@ def test_run_batch_dispatch():
         run_batch(DirectObservation(), None, None, None)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AS(),
+        ExtendedAS(layers=2),
+        FR(),
+        SimpleAveraging(),
+        PR(a=1.5),
+        WeightedPR(1.5, (1, 2, 3, 4)),
+        DirectObservation(),
+    ],
+    ids=lambda spec: type(spec).__name__,
+)
+def test_calls_without_a_workspace_share_no_memory(spec):
+    # A call given no workspace makes its own, so two calls on equal inputs
+    # return equal outcomes in memory of their own.
+    rng = np.random.default_rng(9)
+    inputs = rng.uniform(size=(20, 4)), rng.uniform(size=(20, 4, 4)), rng.uniform(size=(20, 4))
+    first = run_batch(spec, *(a.copy() for a in inputs), 0.1)
+    second = run_batch(spec, *(a.copy() for a in inputs), 0.1)
+    for mine, theirs in zip(first, second):
+        assert np.array_equal(mine, theirs)
+    assert not any(np.shares_memory(mine, theirs) for mine in first for theirs in second)
+
+
 @pytest.mark.parametrize("spec", [AS(), ExtendedAS(layers=2)], ids=["as", "extended-as"])
-def test_published_self_reports_are_views_only_of_a_kept_workspace(spec):
-    # Scoring and ring validation publish the self-reports.  With a kept
-    # workspace the reputations are a read-only view of them, so a caller
-    # that rewrites its self-reports rewrites what it was handed; without
-    # one every call returns new arrays.
+def test_published_self_reports_are_read_only_views(spec):
+    # Scoring and ring validation publish the self-reports.  With or
+    # without a workspace the reputations are a read-only view of them, so
+    # a caller that rewrites its self-reports rewrites what it was handed.
     rng = np.random.default_rng(5)
     selfs, r0 = rng.uniform(size=(20, 4)), rng.uniform(size=(20, 4))
     cross = rng.uniform(size=(20, 4, 4))
-    kept, _ = run_batch(spec, selfs, cross, r0, workspace=Workspace())
-    assert not kept.flags.writeable
-    assert np.shares_memory(kept, selfs)
-    assert np.array_equal(kept, selfs)
-    fresh, _ = run_batch(spec, selfs, cross, r0)
-    assert fresh.flags.writeable
-    assert not np.shares_memory(fresh, selfs)
-    assert np.array_equal(fresh, selfs)
+    for workspace in (Workspace(), None):
+        reps, _ = run_batch(spec, selfs, cross, r0, workspace=workspace)
+        assert not reps.flags.writeable
+        assert np.shares_memory(reps, selfs)
+        assert np.array_equal(reps, selfs)
 
 
 @pytest.mark.parametrize(
@@ -429,7 +450,7 @@ def test_each_family_declares_what_it_reads():
 def _per_trial(selfs, cross, rings1, rings2, layers):
     """Ring validation of dense reports over per-trial rings."""
     maps, readers = _ring_layers([rings1, rings2][:layers])
-    return _ring_outcome(selfs, _gather(cross, readers), maps)
+    return _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
 
 
 def test_per_trial_rings_match_fixed_ring_kernel():
@@ -478,16 +499,16 @@ def _gathered_kernel(selfs, cross, rings1, rings2, layers):
     layer 1 gathers the predecessor's report about each subject, layer 2
     each reporter's report about its successor and its predecessor's."""
     k = selfs.shape[1]
-    rows, pred1, succ1 = _ring_maps(rings1)
+    rows, pred1, succ1 = _ring_maps(rings1, Workspace())
     d1 = np.abs(selfs - cross[rows, pred1, np.arange(k)])
-    taxes = _validation_layer(d1, rows, succ1)
+    taxes = _validation_layer(d1, rows, succ1, np.empty_like(d1), Workspace())
     if layers == 2:
-        rows2, pred2, succ2 = _ring_maps(rings2)
+        rows2, pred2, succ2 = _ring_maps(rings2, Workspace())
         reporters = np.arange(k)
         # F-ordered, as the dense gather over the engine's permuted rings
         # laid it out; the row totals add in that order.
         d2 = np.asfortranarray(np.abs(cross[rows2, reporters, succ2] - cross[rows2, pred2, succ2]))
-        taxes = taxes + _validation_layer(d2, rows2, succ2)
+        taxes = taxes + _validation_layer(d2, rows2, succ2, np.empty_like(d2), Workspace())
     return d1, taxes
 
 

@@ -95,9 +95,7 @@ def _dense_engine(arms, trials, seed, workers=1):
             arm.mechanism,
             trials,
             seed,
-            (lambda *arrays, arm=arm: arm.reduce(*arrays, Workspace()))
-            if arm.scratch
-            else arm.reduce,
+            arm.reduce,
             strategy_mode=arm.strategy_mode,
         )
         for arm in arms
@@ -446,7 +444,7 @@ def test_batches_after_the_first_reuse_their_workspace(mechanism):
     span = simulator._run_plan(10**6, env.k)[0][1]
     kept = []
 
-    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
         kept.append((reps, taxes))
         return [{} for _ in batches]
 
@@ -465,8 +463,8 @@ def test_the_ring_path_holds_few_run_sized_buffers(monkeypatch):
     made = []
     init = Workspace.__init__
 
-    def recording(self, keep=True):
-        init(self, keep)
+    def recording(self):
+        init(self)
         made.append(self)
 
     monkeypatch.setattr(Workspace, "__init__", recording)
@@ -571,7 +569,7 @@ def _per_batch(reduce_batch):
     """A reducer that applies ``reduce_batch(system_obs, selfs, reps,
     taxes)`` to each batch's rows of the run."""
 
-    def reduce(system_obs, selfs, reps, taxes, batches) -> list[dict]:
+    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
         return [
             reduce_batch(system_obs[rows], selfs[rows], reps[rows], taxes[rows])
             for rows in batches
@@ -692,10 +690,11 @@ def _retyped(population, clamp, kinds):
     return dataclasses.replace(env, agents=tuple(agents))
 
 
-def _arm_moments(system_obs, selfs, reps, taxes, batches):
+def _arm_moments(system_obs, selfs, reps, taxes, batches, workspace):
+    moments = _moments(system_obs, selfs, reps, taxes, batches, workspace)
     return [
-        {**moments, "self": selfs[rows].sum(axis=0), "obs": system_obs[rows].sum(axis=0)}
-        for moments, rows in zip(_moments(system_obs, selfs, reps, taxes, batches), batches)
+        {**batch, "self": selfs[rows].sum(axis=0), "obs": system_obs[rows].sum(axis=0)}
+        for batch, rows in zip(moments, batches)
     ]
 
 

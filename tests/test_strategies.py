@@ -567,7 +567,7 @@ def test_a_profile_naming_unknown_agents_is_refused():
     profile = {0: 0.3, 99: 0.5, 7: 0.1}
     message = re.escape("strategy profile names unknown agents [7, 99]")
 
-    def reduce(system_obs, selfs, reps, taxes, batches):
+    def reduce(system_obs, selfs, reps, taxes, batches, workspace):
         return [{} for _ in batches]
 
     with pytest.raises(ValueError, match=f"^{message}$"):
