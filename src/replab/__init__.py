@@ -1,7 +1,8 @@
 """Simulation and analysis laboratory for crowd-sourced reputation mechanisms.
 
 The package is organized in layers; each layer only imports from the ones
-below it:
+below it, except that the deviation audits of :mod:`replab.strategies` import
+the engine of :mod:`replab.simulator` when they are called:
 
 - :mod:`replab.numerics` -- special functions, root finding, quadrature
 - :mod:`replab.core` -- agents, environments, mechanism specs, the utility formula

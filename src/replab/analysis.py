@@ -260,11 +260,11 @@ def participation_utilities(
     """
     lam = np.array([ag.utility.truth_weight for ag in env.agents])
 
-    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
-        errors = absolute_errors(reps, env, workspace=workspace)
-        utils = batch_true_utilities(reps, errors, taxes, env, workspace=workspace)
+    def reduce(draw, batches, workspace) -> list[dict]:
+        errors = absolute_errors(draw.reps, env, workspace=workspace)
+        utils = batch_true_utilities(draw.reps, errors, draw.taxes, env, workspace=workspace)
         # Each agent's payoff once over the run; a linear one is a view.
-        images = [ag.utility.g(system_obs[:, i]) for i, ag in enumerate(env.agents)]
+        images = [ag.utility.g(draw.r0[:, i]) for i, ag in enumerate(env.agents)]
         return [
             {
                 "utils": utils[rows].sum(axis=0),

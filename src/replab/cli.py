@@ -66,7 +66,7 @@ from .simulator import (
     run_trials,
     sweep as run_sweep,
 )
-from .strategies import _band_curves, deviation_report, draw_profile
+from .strategies import _band_curves, deviation_reports
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -890,16 +890,21 @@ def cmd_check_equilibrium(config_path, seed, trials, grid_points):
     """
     parsed = parse_config(config_path, seed=seed)
     env, mechanism = parsed.env, parsed.mechanism
-    # One draw; every agent's audit replays it.
-    draw = draw_profile(env, mechanism, parsed.strategy_mode, trials, parsed.seed)
+    skipped = (MaliciousRandom, Colluder)
+    audited = [i for i, a in enumerate(env.agents) if not isinstance(a.agent_type, skipped)]
+    # One audit of every agent not skipped: its engine passes serve them all.
+    found = deviation_reports(
+        mechanism, env, parsed.strategy_mode, trials, grid_points, parsed.seed, audited
+    )
+    reports = dict(zip(audited, found))
 
     any_profitable = False
     click.echo("agent  claimed    best       gain         stderr       verdict")
-    for i, agent in enumerate(env.agents):
-        if isinstance(agent.agent_type, (MaliciousRandom, Colluder)):
+    for i in range(env.k):
+        report = reports.get(i)
+        if report is None:
             click.echo(f"{i:<6d} skipped (randomized/colluding reporter)")
             continue
-        report = deviation_report(i, mechanism, env, grid=grid_points, draw=draw)
         verdict = "DEVIATES" if report.profitable else "ok"
         any_profitable = any_profitable or report.profitable
         click.echo(

@@ -13,9 +13,9 @@ nothing more.  The peer-sum families draw each subject's peer sum
 scenario's secret rings, one permutation per layer, then the at most 3
 reports per subject the rings read (``strategies.sample_ring_reads``).
 That order, and the mechanism's run, live in one batch source,
-``strategies._batch_source``; a deviation audit's draw
-(``strategies.draw_profile``) is a run of one batch of it.  Streams 1 to 3
-drew some or all batches as a dense (batch, K, K) cross matrix.
+``strategies._batch_source``; a deviation audit
+(``strategies.deviation_reports``) is two engine calls of it.  Streams 1
+to 3 drew some or all batches as a dense (batch, K, K) cross matrix.
 
 A worker thread computes a *run*: consecutive whole batches holding at most
 :data:`RUN_CELLS` trial-K cells, and never less than one batch, so from
@@ -36,13 +36,14 @@ reducers that keep their temporaries in the kernel's dead scratch leave
 a K=12 two-layer secret-ring run 12.25 (run, K) float64 buffers' worth
 per worker, where it held 17.75.
 
-The caller's reducer takes the run's arrays and the row slice of each of
-its batches and returns one partial per batch, computed on that batch's
-rows.  Partials are reduced in batch order with compensated summation, so
-results are byte-identical for any worker count and any run length.  Each
-worker thread draws and runs its runs in a workspace of (run, K) buffers
-(``core.Workspace``) that lives as long as the ``simulate`` call, so after
-its first run a worker allocates no run-sized array.  The arrays a reducer
+The caller's reducer takes the run's draw (``strategies.ProfileDraw``)
+and the row slice of each of its batches and returns one partial per
+batch, computed on that batch's rows.  Partials are reduced in batch
+order with compensated summation, so results are byte-identical for any
+worker count and any run length.  Each worker thread draws and runs its
+runs in a workspace of (run, K) buffers (``core.Workspace``) that lives as
+long as the ``simulate`` call, so after its first run a worker allocates
+no run-sized array.  The arrays a reducer
 sees belong to that workspace and are overwritten by the worker's next
 run: a reducer copies anything it keeps, and it may not write into them.
 The reducer is handed the workspace too, and keeps its temporaries in the
@@ -85,6 +86,7 @@ from .core import (
 )
 from .numerics import NormalParams
 from .strategies import (
+    ProfileDraw,
     UnsupportedCombination,
     _band_curves,
     _batch_rng,
@@ -221,11 +223,8 @@ def _map_batches(worker, plan, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-# reduce(system_obs, selfs, reps, taxes, batches, workspace) -> one dict per batch.
-Reducer = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequence[slice], Workspace],
-    Sequence[dict],
-]
+# reduce(draw, batches, workspace) -> one dict per batch.
+Reducer = Callable[[ProfileDraw, Sequence[slice], Workspace], Sequence[dict]]
 
 
 def _combine(key: str, values: list) -> float | np.ndarray:
@@ -254,9 +253,10 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
 
     The trials are drawn in 1024-trial batches, each from its own substream,
     and computed in runs of consecutive batches (see the module docstring).
-    An arm's ``reduce(system_obs, selfs, reps, taxes, batches, workspace)``
-    sees one run: each array is (run trials, K), and ``batches`` holds the
-    row slice of each batch of the run, in order.  It returns one dict of floats and
+    An arm's ``reduce(draw, batches, workspace)`` sees one run: each array
+    of the :class:`~replab.strategies.ProfileDraw` ``draw`` is (run trials,
+    K), and ``batches`` holds the row slice of each batch of the run, in
+    order.  It returns one dict of floats and
     vectors per batch, computed on that batch's rows.  Every entry is summed
     over the batches, vectors per component, in batch order with
     ``math.fsum``; entries whose key ends in ``_max`` take the maximum
@@ -271,7 +271,7 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     names the counts otherwise.
 
     A reducer's arrays belong to its worker thread's workspace, which is
-    its sixth argument: the later arms and the worker's next run overwrite
+    its third argument: the later arms and the worker's next run overwrite
     them.  A reducer must copy anything it keeps, and it must not write
     into them.  It may keep temporaries in the workspace's scratch buffers,
     which the kernel left dead, and names no other buffer of it.
@@ -304,9 +304,7 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
             # reducer has run, as the shared draw requires.
             buffers = workspace()
             for m, draw in zip(members, source(batches, buffers)):
-                partials[m] = arms[m].reduce(
-                    draw.r0, draw.selfs, draw.reps, draw.taxes, rows, buffers
-                )
+                partials[m] = arms[m].reduce(draw, rows, buffers)
         return partials
 
     runs = _map_batches(one_run, _run_plan(trials, counts[0]), workers)
@@ -321,7 +319,8 @@ def _stats_arm(config: ScenarioConfig) -> Arm:
     """The arm of ``config`` whose totals :func:`_stats` reads."""
     env = config.env
 
-    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
+    def reduce(draw, batches, workspace) -> list[dict]:
+        reps, taxes = draw.reps, draw.taxes
         errors = absolute_errors(reps, env, workspace=workspace)
         mae = errors.sum(axis=1)
         budgets = taxes.sum(axis=1)
@@ -539,7 +538,8 @@ def run_collusion_scenario(
     )
 
     def reducer(arm_env: Environment) -> Reducer:
-        def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
+        def reduce(draw, batches, workspace) -> list[dict]:
+            reps, taxes = draw.reps, draw.taxes
             # batch_true_utilities overwrites the errors, so they are read first.
             errors = absolute_errors(reps, arm_env, workspace=workspace)
             mae = errors.sum(axis=1)
@@ -646,10 +646,11 @@ def run_malicious_scenario(
         mae = absolute_errors(reps, env, workspace=workspace).sum(axis=1)
         return [float(mae[rows].sum()) for rows in batches]
 
-    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
-        return [{"mae": mae} for mae in errors(reps, batches, workspace)]
+    def reduce(draw, batches, workspace) -> list[dict]:
+        return [{"mae": mae} for mae in errors(draw.reps, batches, workspace)]
 
-    def reduce_charged(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
+    def reduce_charged(draw, batches, workspace) -> list[dict]:
+        selfs, system_obs = draw.selfs, draw.r0
         return [
             {
                 "mae": mae,
@@ -657,7 +658,7 @@ def run_malicious_scenario(
                     ((selfs[rows][:, slot_idx] - system_obs[rows][:, slot_idx]) ** 2).sum()
                 ),
             }
-            for mae, rows in zip(errors(reps, batches, workspace), batches)
+            for mae, rows in zip(errors(draw.reps, batches, workspace), batches)
         ]
 
     charged = slot_idx.size > 0

@@ -14,14 +14,16 @@ Three kinds of results live here:
    (``sample_sparse``, then ``sample_peer_sums``, or ``sample_ring_reads``
    and the colluders' ``ring_messages``), and the one batch source that
    calls them in the engine's order and runs each arm's mechanism on the
-   draw (``_batch_source``; arms with one ``_draw_key`` share it), for the
-   engine and the audits' ``draw_profile``.
+   draw (``_batch_source``; arms with one ``_draw_key`` share it).
    Pairs without an analytical best response raise
    :class:`UnsupportedCombination` rather than inventing behavior.
-3. A brute-force numerical oracle (``deviation_report``) that grids a
-   deviator's report, replays the same sampled observations at every grid
-   point (common random numbers), and returns the empirical best response
-   and its gain; equilibrium checks compare it against the claimed strategy.
+3. A brute-force numerical oracle (``deviation_reports``, and
+   ``deviation_report`` for one agent) that grids each deviator's report,
+   replays the engine's sampled observations at every grid point (common
+   random numbers), and returns the empirical best response and its gain;
+   equilibrium checks compare it against the claimed strategy.  Its
+   reducers run on ``simulator.simulate``, which it imports when called,
+   since the engine imports this module.
 
 Aggregate noise convention: the punish-reward band is calibrated to
 ``sigma_prime``, the standard deviation of the averaging aggregate.  With a
@@ -37,7 +39,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -95,8 +97,8 @@ __all__ = [
     "sample_ring_reads",
     "ring_messages",
     "ProfileDraw",
-    "draw_profile",
     "deviation_report",
+    "deviation_reports",
     "bayesian_ic_violation",
     "proportional_deviation_profit",
 ]
@@ -779,8 +781,8 @@ class ProfileDraw:
     ``peer_sums``, (trials, K), for the peer-sum families, or
     ``ring_reads``, the (trials, K) ring reads, for ring validation.
     ``reps`` and ``taxes`` are the mechanism's (trials, K) outcome.  The
-    engine reduces these per run, a partial per batch; a deviation audit
-    draws one batch and replays it at every grid point.
+    engine hands one to an arm's reducer per run, which returns a partial
+    per batch; a deviation audit's reducers read it at every grid point.
     """
 
     r0: np.ndarray
@@ -875,7 +877,8 @@ def _batch_source(
         tables = _peer_sum_tables(first, peer_weights(first_mechanism, k))
     elif reads == RING:
         sent = [_sent_constants(env) for env, _, _ in arms]
-        ring = _ring_setup(first_mechanism, k)
+        if not isinstance(first_mechanism, _SecretRings):
+            ring = _ring_setup(first_mechanism, k)
     last = len(arms) - 1
 
     def draw(batches: Batches, workspace: Workspace) -> Iterator[ProfileDraw]:
@@ -884,11 +887,10 @@ def _batch_source(
         # stays writable for the next run's draw.
         r0.setflags(write=False)
         if reads == RING:
-            maps, readers = ring
-            if isinstance(first_mechanism, _SecretRings):
-                # Layer by layer into the index scratch, each batch drawing
-                # both layers in turn.  F-ordered, so the maps' column
-                # slices are contiguous.
+            if ring is None:
+                # Secret rings, layer by layer into the index scratch, each
+                # batch drawing both layers in turn.  F-ordered, so the
+                # maps' column slices are contiguous.
                 order = workspace.empty("indices", selfs.shape, np.intp, "F")
                 base = np.broadcast_to(np.arange(k), selfs.shape)
                 layers = []
@@ -897,6 +899,8 @@ def _batch_source(
                         rng.permuted(base[rows], axis=1, out=order[rows])
                     layers.append(_ring_maps(order, workspace, f"layer {m + 1} ring"))
                 maps, readers = _ring_readers(layers, workspace)
+            else:
+                maps, readers = ring
             drawn = sample_ring_reads(first, batches, readers, workspace)
         sums = None
         if tables is not None:
@@ -917,40 +921,6 @@ def _batch_source(
                 )
             yield ProfileDraw(r0, selfs, reps, taxes, sums, ring_reads)
 
-    return draw
-
-
-def draw_profile(
-    env: Environment,
-    mechanism: MechanismSpec,
-    others_strategy: str | Mapping[int, float] = "truthful",
-    trials: int = 20_000,
-    seed: int = 0,
-) -> ProfileDraw:
-    """Sample the rounds of a deviation audit and run the mechanism on them.
-
-    ``others_strategy`` is ``"truthful"`` (every agent relays its
-    observations and reports its quality), ``"equilibrium"`` or a mapping
-    of constant self-reports (:func:`resolve_self_reports`).  The draw is
-    a run of one engine batch (:func:`_batch_source`) of ``trials`` rounds
-    from the Philox substream ``(seed, spawn_key=(0,))``, so the mechanism
-    runs once per draw.  The draw does not depend on the deviator, so all
-    agents' audits of one profile share it.  Its arrays are read-only
-    buffers of a workspace of its own, so no later run overwrites them.
-    ``trials`` and ``seed`` must be integers, as the engine checks them.
-    """
-    _check_counts(trials, seed)
-    if others_strategy == "truthful":
-        # Drawn from truth-tellers; the utilities still use the real agents.
-        env = dataclasses.replace(env, agents=tuple(_driven(a, True) for a in env.agents))
-        others_strategy = "equilibrium"
-    reports = resolve_self_reports(env, mechanism, others_strategy)
-    source = _batch_source([(env, mechanism, reports)])
-    draw = next(source([(_batch_rng(seed, 0), slice(0, trials))], Workspace()))
-    held = (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ()))
-    for arr in held:
-        if arr is not None:
-            arr.setflags(write=False)
     return draw
 
 
@@ -1087,28 +1057,192 @@ def _scan_blocks(
             yield cols, rows, agent_utility(agent, accuracy, own_rep, own_tax)
 
 
-def _grid_means(
-    agent: Agent,
-    terms: tuple,
-    targets: np.ndarray,
-    values: np.ndarray,
-) -> np.ndarray:
-    """Mean utility of ``agent`` at every deviation value.
-
-    Sums the blocks of :func:`_scan_blocks` over the trials.  Under the
-    quadratic loss f(d) = d^2, a deviation that moves the other subjects'
-    reputations (share-of-total, simple averaging) is summed from per-trial
-    moments instead (:func:`_quadratic_sums`), with no (K, points, trials)
-    block; those means can differ from the block scan's in the last bits.
-    """
+def _batch_terms(terms: tuple, rows: slice) -> tuple:
+    """The ``terms`` of :func:`replab.mechanisms.deviation_terms` on its rows ``rows``."""
     reps, base, move = terms
-    trials = reps.shape[0]
-    if base is not None and agent.utility.f == AbsPower(2.0):
-        return _quadratic_sums(agent, base, move, targets, values) / trials
-    sums = np.zeros(values.size)
+    cut = lambda part: slice(rows.start + part.start, min(rows.start + part.stop, rows.stop))
+    base = None if base is None else base[:, rows]
+    return reps[rows], base, lambda xs, part, **own: move(xs, cut(part), **own)
+
+
+def _utility_sums(
+    agent: Agent, terms: tuple, targets: np.ndarray, values: np.ndarray, batches: Sequence[slice]
+) -> np.ndarray:
+    """Utility sums of ``agent`` at every deviation value, one row per batch
+    of ``batches``, row slices of the trials ``terms`` reads.
+
+    Sums the blocks of :func:`_scan_blocks`, which must take all the trials
+    at once when there are several batches.  Under the quadratic loss f(d)
+    = d^2, a deviation that moves the other subjects' reputations
+    (share-of-total, simple averaging) is summed batch by batch from
+    per-trial moments instead (:func:`_quadratic_sums`), with no (K,
+    points, trials) block; those sums can differ in the last bits.
+    """
+    if terms[1] is not None and agent.utility.f == AbsPower(2.0):
+        moments = [_batch_terms(terms, rows)[1:] for rows in batches]
+        return np.array([_quadratic_sums(agent, *m, targets, values) for m in moments])
+    sums = np.zeros((values.size, len(batches)))
+    starts = [rows.start for rows in batches]
     for points, _, utils in _scan_blocks(agent, terms, targets, values):
-        sums[points] += utils.sum(axis=1)
-    return sums / trials
+        sums[points] += np.add.reduceat(utils, starts, axis=1)
+    return sums.T
+
+
+def _audit_reducer(
+    mechanism: MechanismSpec, env: Environment, agents: Iterable[int], partial: Callable
+) -> Callable:
+    """An engine reducer giving each batch, keyed by each of ``agents``'
+    index, its row of ``partial(agent, terms, batches)``: ``terms`` is the
+    agent's :func:`replab.mechanisms.deviation_terms` on rows of the run,
+    and ``batches`` the slices of its batches there.  The rows are the
+    whole run when :func:`_scan_blocks` takes it at once (two points or
+    more), as long blocks run faster, and each batch alone otherwise; a
+    batch's row is the same either way."""
+    sigma_prime = aggregate_sigma_prime(env)
+
+    def reduce(draw: ProfileDraw, batches: Sequence[slice], workspace: Workspace) -> list[dict]:
+        whole = 16 * draw.reps.shape[1] * batches[-1].stop <= _SCAN_BLOCK_BYTES
+        partials = []
+        for group in [batches] if whole else [[rows] for rows in batches]:
+            span = slice(group[0].start, group[-1].stop)
+            cut = lambda a: None if a is None else a[span]
+            arrays = map(cut, (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums))
+            reads = draw.ring_reads and tuple(map(cut, draw.ring_reads))
+            run = ProfileDraw(*arrays, ring_reads=reads)
+            local = [slice(rows.start - span.start, rows.stop - span.start) for rows in group]
+            found = {}
+            for i in agents:
+                terms = deviation_terms(mechanism, run, sigma_prime, i)
+                found[str(i)] = partial(env.agents[i], terms, local)
+            partials += [{i: rows[b] for i, rows in found.items()} for b in range(len(group))]
+        return partials
+
+    return reduce
+
+
+def _grid_pass(
+    mechanism: MechanismSpec, env: Environment, claimed: Mapping[int, float], values: np.ndarray
+) -> tuple[Callable, Callable]:
+    """The audit's grid pass: a reducer of each agent's utility sums at the
+    grid ``values`` and, last, at its claimed report, and ``report(totals,
+    trials)``, which picks each best.  Grid means within the profitability
+    floor of the maximum tie, as rounding noise would otherwise pick among
+    them, and the tie nearest the claimed report is the best.  The gain is
+    the best's mean less the claimed report's."""
+    targets = centralized_solution(env)
+
+    def partial(agent: Agent, terms: tuple, batches: Sequence[slice]) -> np.ndarray:
+        return _utility_sums(agent, terms, targets, np.append(values, claimed[agent.id]), batches)
+
+    def report(totals: dict, trials: int) -> list[DeviationReport]:
+        reports = []
+        for i, c in claimed.items():
+            means = totals[str(i)] / trials
+            top = means[:-1].max()
+            ties = np.flatnonzero(means[:-1] >= top - 1e-12 * max(1.0, abs(top)))
+            best = ties[np.argmin(np.abs(values[ties] - c))]
+            at_best, at_claimed = float(means[best]), float(means[-1])
+            reports.append(DeviationReport(
+                i, float(c), float(values[best]), at_claimed, at_best, at_best - at_claimed,
+                math.nan, float(values[1] - values[0]),
+            ))
+        return reports
+
+    return _audit_reducer(mechanism, env, claimed, partial), report
+
+
+def _pair_pass(
+    mechanism: MechanismSpec, env: Environment, reports: Sequence[DeviationReport]
+) -> tuple[Callable | None, Callable]:
+    """The audit's paired pass: a reducer of the sums of d and (d - g)^2,
+    d = u_best - u_claimed per trial (two more points of
+    :func:`_scan_blocks`) and g the grid pass's gain, and ``report(totals,
+    trials)``, which gives each report the mean of d and its standard
+    error.  Centring on g keeps the squares from cancelling.  Where the
+    best is the claimed report, d is 0 in every trial: the reducer leaves
+    those agents out, and is None when that leaves none."""
+    targets = centralized_solution(env)
+    moved = {r.agent_index: r for r in reports if r.best != r.claimed}
+
+    def partial(agent: Agent, terms: tuple, batches: Sequence[slice]) -> np.ndarray:
+        report = moved[agent.id]
+        utils = np.empty((2, terms[0].shape[0]))
+        pair = np.array([report.best, report.claimed])
+        for points, rows, block in _scan_blocks(agent, terms, targets, pair):
+            utils[points, rows] = block
+        diff = utils[0] - utils[1]
+        moments = np.stack([diff, np.square(diff - report.gain)])
+        return np.add.reduceat(moments, [rows.start for rows in batches], axis=1).T
+
+    def report(totals: dict, trials: int) -> list[DeviationReport]:
+        paired = []
+        for r in reports:
+            total, spread = totals.get(str(r.agent_index), (0.0, 0.0))
+            gain = total / trials
+            variance = (spread - trials * (gain - r.gain) ** 2) / max(trials - 1, 1)
+            stderr = math.sqrt(max(0.0, variance) / trials)
+            paired.append(dataclasses.replace(r, gain=float(gain), gain_stderr=stderr))
+        return paired
+
+    return (_audit_reducer(mechanism, env, moved, partial) if moved else None), report
+
+
+def deviation_reports(
+    mechanism: MechanismSpec,
+    env: Environment,
+    others_strategy: str | Mapping[int, float] = "truthful",
+    trials: int = 20_000,
+    grid: int = 201,
+    seed: int = 0,
+    agents: Iterable[int] | Mapping[int, float | None] | None = None,
+) -> list[DeviationReport]:
+    """Grid each agent's report and measure the best deviation's payoff.
+
+    ``others_strategy`` is ``"truthful"`` (every agent relays its
+    observations and reports its quality), ``"equilibrium"`` or a mapping
+    of constant self-reports (:func:`resolve_self_reports`).  ``agents``
+    lists the audited agents' indices, all by default; a mapping gives
+    claimed reports in place of the profile's, which an agent that draws
+    its report every trial lacks.  The gridded channel is the self-report,
+    except under simple averaging, where grid value c adds c - 1/2 to the
+    deviator's cross-reports, so that c = 1/2 is truthful and claimed.
+
+    Two engine calls of one arm (:func:`replab.simulator.simulate`) draw
+    the same batches, and their reducers read each audited agent's
+    :func:`replab.mechanisms.deviation_terms` on them (common random
+    numbers): the grid pass (:func:`_grid_pass`) picks each best, and the
+    paired pass (:func:`_pair_pass`) replays the batches for the gains and
+    their standard errors when some best is not the claimed report.
+    """
+    from .simulator import Arm, simulate  # the engine imports this module
+
+    claimed = dict(agents) if isinstance(agents, Mapping) else dict.fromkeys(
+        range(env.k) if agents is None else agents
+    )
+    for i in claimed:
+        if not (0 <= i < env.k):
+            raise DimensionMismatch(f"agent_index {i} outside 0..{env.k - 1}")
+    if grid < 3:
+        raise ValueError("grid must have at least 3 points")
+    if isinstance(mechanism, DirectObservation):
+        raise UnsupportedCombination("direct observation consumes no reports to deviate on")
+    drawn, profile = env, others_strategy
+    if others_strategy == "truthful":
+        # Drawn from truth-tellers; the utilities still use the real agents.
+        drawn = dataclasses.replace(env, agents=tuple(_driven(a, True) for a in env.agents))
+        profile = "equilibrium"
+    reports = resolve_self_reports(drawn, mechanism, profile)
+    if isinstance(mechanism, SimpleAveraging):
+        reports = dict.fromkeys(range(env.k), 0.5)
+    for i in [i for i, c in claimed.items() if c is None]:
+        if i not in reports:
+            raise UnsupportedCombination(f"agent {i} draws its report every trial")
+        claimed[i] = reports[i]
+    reduce, report = _grid_pass(mechanism, env, claimed, np.linspace(0.0, 1.0, grid))
+    (totals,) = simulate([Arm(drawn, mechanism, reduce, profile)], trials, seed)
+    reduce, report = _pair_pass(mechanism, env, report(totals, trials))
+    totals = simulate([Arm(drawn, mechanism, reduce, profile)], trials, seed)[0] if reduce else {}
+    return report(totals, trials)
 
 
 def deviation_report(
@@ -1120,74 +1254,10 @@ def deviation_report(
     grid: int = 201,
     seed: int = 0,
     claimed: float | None = None,
-    draw: ProfileDraw | None = None,
 ) -> DeviationReport:
-    """Grid the deviator's report and measure the best deviation's payoff.
-
-    All grid points are evaluated on the same sampled observations (common
-    random numbers), so the paired gain estimate is tight.  The gridded
-    channel is the self-report for every mechanism except simple averaging,
-    where the self-report is outcome-irrelevant and the strategic channel is
-    the cross-report: grid value c is applied as an additive bias c - 1/2 on
-    the deviator's cross-reports (truthful play sits at c = 1/2).
-
-    The mechanism ran once, on the draw (:func:`draw_profile`);
-    :func:`replab.mechanisms.deviation_terms` reads its reputations as the
-    base, and :func:`_scan_blocks` turns what the deviation moves into
-    utilities: for the grid's means
-    (see :func:`_grid_means`), then per trial at the best and the claimed
-    report, whose paired difference gives the gain and its standard error.
-    Grid means within the profitability floor (1e-12 times the larger of 1
-    and the maximum's magnitude) of the maximum count as tied, and the tie
-    nearest the claimed report is the best.  A ``draw`` from
-    :func:`draw_profile` replaces sampling; it then fixes the profile and
-    the trial count in place of ``others_strategy``, ``trials`` and
-    ``seed``.
-    """
-    if not (0 <= agent_index < env.k):
-        raise DimensionMismatch(f"agent_index {agent_index} outside 0..{env.k - 1}")
-    _check_counts(trials, seed)
-    if grid < 3:
-        raise ValueError("grid must have at least 3 points")
-    if isinstance(mechanism, DirectObservation):
-        raise UnsupportedCombination("direct observation consumes no reports to deviate on")
-    if draw is None:
-        draw = draw_profile(env, mechanism, others_strategy, trials, seed)
-    trials = draw.r0.shape[0]
-    targets = centralized_solution(env)
-    agent = env.agents[agent_index]
-    if claimed is None:
-        claimed = 0.5 if isinstance(mechanism, SimpleAveraging) else float(draw.selfs[0, agent_index])
-    terms = deviation_terms(mechanism, draw, aggregate_sigma_prime(env), agent.id)
-
-    grid_values = np.linspace(0.0, 1.0, grid)
-    means = _grid_means(agent, terms, targets, grid_values)
-    # Means within the profitability floor of the maximum tie: rounding
-    # noise would otherwise pick among them.  The tie nearest the claimed
-    # report is the best.
-    top = means.max()
-    ties = grid_values[means >= top - 1e-12 * max(1.0, abs(top))]
-    best = float(ties[np.argmin(np.abs(ties - claimed))])
-    # The best and the claimed report are two more points of the scan, kept
-    # per trial; their means are summed as the grid's are.
-    utils = np.empty((2, trials))
-    sums = np.zeros(2)
-    for points, rows, block in _scan_blocks(agent, terms, targets, np.array([best, claimed])):
-        utils[points, rows] = block
-        sums[points] += block.sum(axis=1)
-    diff = utils[0] - utils[1]
-    gain = float(diff.mean())
-    gain_stderr = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return DeviationReport(
-        agent_index=agent_index,
-        claimed=float(claimed),
-        best=best,
-        claimed_mean=float(sums[1] / trials),
-        best_mean=float(sums[0] / trials),
-        gain=gain,
-        gain_stderr=gain_stderr,
-        grid_step=float(grid_values[1] - grid_values[0]),
-    )
+    """:func:`deviation_reports` of one agent, claiming ``claimed`` when given."""
+    agents = {agent_index: claimed}
+    return deviation_reports(mechanism, env, others_strategy, trials, grid, seed, agents)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,12 @@ import numpy as np
 from replab.core import Colluder, Environment, MaliciousRandom, Workspace
 from replab.mechanisms import _gather, _ring_layers, _ring_outcome, run_batch
 from replab.simulator import _SecretRings, _batch_plan, _batch_rng, _combine
-from replab.strategies import _sent_constants, aggregate_sigma_prime, resolve_self_reports
+from replab.strategies import (
+    ProfileDraw,
+    _sent_constants,
+    aggregate_sigma_prime,
+    resolve_self_reports,
+)
 
 
 def sample_observations(
@@ -104,5 +109,5 @@ def dense_simulate(
             reps, taxes = _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
         else:
             reps, taxes = run_batch(mechanism, selfs, cross, r0, sigma_prime)
-        partials.extend(reduce(r0, selfs, reps, taxes, [slice(0, size)], Workspace()))
+        partials.extend(reduce(ProfileDraw(r0, selfs, reps, taxes), [slice(0, size)], Workspace()))
     return {key: _combine(key, [p[key] for p in partials]) for key in partials[0]}

@@ -904,7 +904,8 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
         return sample(*args)
 
     monkeypatch.setattr(strategies, "sample_sparse", counting_sample)
-    # The scoring kernel runs once per draw, however many agents are audited.
+    # The scoring kernel runs once per draw, however many agents are
+    # audited: once in the grid pass and once in the paired pass.
     kernel = mechanisms._as_kernel
     kernels = []
 
@@ -917,12 +918,13 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
         main, ["check-equilibrium", str(config), "--trials", "2000", "--grid", "41"]
     )
     assert result.exit_code == 0, result.output
-    assert (len(draws), len(kernels)) == (1, 1)
+    assert (len(draws), len(kernels)) == (2, 2)
     # Every row equals an audit of that agent alone on its own fresh draw.
     parsed = parse_config(str(config))
     env, mechanism = parsed.env, parsed.mechanism
     profile = strategies.resolve_self_reports(env, mechanism, parsed.strategy_mode)
     rows = result.output.splitlines()
+    passes = 0
     for i in (0, 1, 3):
         rep = strategies.deviation_report(
             i, mechanism, env, profile, trials=2000, grid=41, seed=parsed.seed, claimed=profile[i]
@@ -931,7 +933,9 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
             f"{i:<6d} {_fmt(rep.claimed):<10s} {_fmt(rep.best):<10s} "
             f"{_fmt(rep.gain):<12s} {_fmt(rep.gain_stderr):<12s} ok"
         )
-    assert (len(draws), len(kernels)) == (4, 4)
+        # The paired pass runs only when the best is not the claimed report.
+        passes += 1 + (rep.best != rep.claimed)
+    assert 4 < 2 + passes == len(draws) == len(kernels)
 
 
 # ---------------------------------------------------------------------------

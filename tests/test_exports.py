@@ -1,5 +1,5 @@
 """Each module's ``__all__`` matches the public names it defines, only the
-engine and the audit seed random streams, only the one batch source runs
+engine seeds random streams, only the one batch source runs
 the mechanism kernels, only the kernels redistribute charges, only the
 engine builds per-thread workspaces, and each command's simulated work is
 one engine call."""
@@ -87,17 +87,18 @@ def _callers_in_src(names: set[str]) -> set[tuple[str, str]]:
 
 
 def test_only_the_engine_and_the_audit_construct_random_streams():
-    # The determinism contract: simulated numbers come from the engine's
-    # per-batch substreams (seed, b) and audits from draw_profile's
-    # (seed, 0), both built by _batch_rng; no other code seeds a stream.
+    # The determinism contract: simulated numbers, the audits' included,
+    # come from the engine's per-batch substreams (seed, b), built by
+    # _batch_rng; no other code seeds a stream.
     found = _callers_in_src(RNG_CONSTRUCTORS)
     assert found == {("strategies", "_batch_rng")}, found
 
 
 def test_only_the_batch_source_runs_the_kernels():
-    # One batch source: the engine and the audit take each batch's draw and
-    # the mechanism's outcome from strategies._batch_source, and a deviation
-    # audit scans what the deviation moves, never running the kernel again.
+    # One batch source: the engine takes each batch's draw and the
+    # mechanism's outcome from strategies._batch_source, and a deviation
+    # audit's reducers scan what the deviation moves, never running the
+    # kernel again.
     # run_batch dispatches ring validation to _ring_outcome itself.
     assert _callers_in_src({"run_batch"}) == {("strategies", "_batch_source")}
     found = _callers_in_src({"_ring_outcome"})
@@ -107,15 +108,39 @@ def test_only_the_batch_source_runs_the_kernels():
 def test_the_kernels_alone_hold_the_redistribution_rules():
     # Ring validation's redistribution lives in _validation_layer, run by
     # _ring_outcome alone, and its rings are set up only where a batch's
-    # kernel runs.  A deviation audit reads the draw's taxes instead.
+    # kernel runs, and only for fixed rings: the batch source draws secret
+    # rings itself.  A deviation audit reads the draw's taxes instead.
     assert _callers_in_src({"_validation_layer"}) == {("mechanisms", "_ring_outcome")}
     found = _callers_in_src({"_ring_setup"})
     assert found == {("mechanisms", "run_batch"), ("strategies", "_batch_source")}, found
 
 
 def test_only_the_engine_and_the_audit_draw_batches():
-    found = _callers_in_src({"_batch_rng"})
-    assert found == {("simulator", "simulate"), ("strategies", "draw_profile")}, found
+    # The audit draws its batches through the engine.
+    assert _callers_in_src({"_batch_rng"}) == {("simulator", "simulate")}
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _definition(module: str, function: str) -> ast.AST:
+    path = Path(replab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (top,) = [node for node in tree.body if getattr(node, "name", None) == function]
+    return top
+
+
+def _looped(top: ast.AST) -> list[ast.AST]:
+    """The loops inside ``top`` that call ``simulate``."""
+    return [node for node in ast.walk(top) if isinstance(node, LOOPS) and _calls(node, {"simulate"})]
+
+
+def test_an_audit_makes_two_engine_calls():
+    # The grid pass and the paired pass, each one engine call for every
+    # audited agent.
+    top = _definition("strategies", "deviation_reports")
+    assert len(_calls(top, {"simulate"})) == 2
+    assert not _looped(top), "deviation_reports calls simulate in a loop"
 
 
 def test_only_simulate_maps_batches():
@@ -126,9 +151,6 @@ def test_only_the_engine_builds_per_thread_workspaces():
     # The engine alone holds buffers per worker thread; every other call
     # that needs buffers makes one Workspace of its own.
     assert _callers_in_src({"per_thread"}) == {("simulator", "simulate")}
-
-
-LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 @pytest.mark.parametrize(
@@ -144,11 +166,6 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 def test_each_command_makes_one_engine_call(module, function):
     # simulate groups the arms by their draw itself, so a command hands it
     # every arm at once instead of calling it per point or per group.
-    path = Path(replab.__file__).parent / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    (top,) = [node for node in tree.body if getattr(node, "name", None) == function]
+    top = _definition(module, function)
     assert len(_calls(top, {"simulate"})) == 1
-    looped = [
-        node for node in ast.walk(top) if isinstance(node, LOOPS) and _calls(node, {"simulate"})
-    ]
-    assert not looped, f"{module}.{function} calls simulate in a loop"
+    assert not _looped(top), f"{module}.{function} calls simulate in a loop"

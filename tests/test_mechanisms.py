@@ -512,23 +512,51 @@ def _gathered_kernel(selfs, cross, rings1, rings2, layers):
     return d1, taxes
 
 
-def _assert_own_tax_is_the_rerun(spec, draw, cross):
-    """Each deviator's tax from ``deviation_terms``: the draw's own at its
-    drawn self-report, bit for bit, and the dense kernel rerun with its
-    self-report set to x at every other x, up to rounding."""
+def _moved(terms, values, i):
+    """The (G, trials, K) reputations and (G, trials) own taxes that
+    ``deviation_terms``' move gives at ``values``, which broadcast to (G,
+    trials): the others' through its affine map, or as the draw had them."""
+    reps, base, move = terms
+    own_rep, own_tax, others = move(values, slice(None))
+    shape = np.broadcast_shapes(values.shape, reps.shape[:1])
+    moved = np.repeat(reps[None], shape[0], axis=0)
+    if others is not None:
+        add, div = np.broadcast_arrays(*others, values)[:2]
+        k = reps.shape[1]
+        for j in range(k):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                moved[..., j] = np.where(div == 0.0, 1.0 / k, (base[j] + add) / div)
+    moved[..., i] = own_rep
+    return moved, np.broadcast_to(own_tax, shape)
+
+
+def _assert_own_tax_is_the_rerun(spec, draw, cross, sigma_prime=0.0, tol=1e-15):
+    """Each deviator's outcome from ``deviation_terms``: the draw's own at
+    its drawn report (under scoring and ring validation its tax bit for
+    bit), and the dense kernel rerun with its report set to x at every
+    other x, within ``tol``.  The report is the self-report, and under
+    simple averaging a bias x - 1/2 on the deviator's cross-reports."""
     selfs = draw.selfs
     xs = np.linspace(0.0, 1.0, 7)
+    averaging = isinstance(spec, SimpleAveraging)
     for i in range(selfs.shape[1]):
-        _, base, move = deviation_terms(spec, draw, 0.0, i)
-        _, at_drawn, moved = move(selfs[None, :, i], slice(None))
-        assert base is None and moved is None
-        assert (at_drawn[0] == draw.taxes[:, i]).all()
-        _, own_tax, _ = move(xs[:, None], slice(None))
-        for x, got in zip(xs, own_tax):
-            deviated = selfs.copy()
-            deviated[:, i] = x
-            _, want = run_batch(spec, deviated, cross, draw.r0)
-            assert np.max(np.abs(got - want[:, i])) <= 1e-15, (i, x)
+        terms = deviation_terms(spec, draw, sigma_prime, i)
+        drawn = np.array([[0.5]]) if averaging else selfs[None, :, i]
+        reps, taxes = _moved(terms, drawn, i)
+        if terms[1] is None:
+            assert (taxes[0] == draw.taxes[:, i]).all()
+        assert np.max(np.abs(reps[0] - draw.reps)) <= tol, i
+        assert np.max(np.abs(taxes[0] - draw.taxes[:, i])) <= tol, i
+        reps, taxes = _moved(terms, xs[:, None], i)
+        for x, got_reps, got_tax in zip(xs, reps, taxes):
+            deviated, dense = selfs.copy(), None if cross is None else cross.copy()
+            if averaging:
+                dense[:, i, :] += x - 0.5
+            else:
+                deviated[:, i] = x
+            want_reps, want = run_batch(spec, deviated, dense, draw.r0, sigma_prime)
+            assert np.max(np.abs(got_tax - want[:, i])) <= tol, (i, x)
+            assert np.max(np.abs(got_reps - want_reps)) <= tol, (i, x)
 
 
 @pytest.mark.parametrize("k", [3, 5, 12])
@@ -562,6 +590,28 @@ def test_scoring_own_tax_is_the_dense_kernel_rerun(k):
     reps, taxes = run_batch(AS(), selfs, None, r0)
     draw = ProfileDraw(r0=r0, selfs=selfs, reps=reps, taxes=taxes)
     _assert_own_tax_is_the_rerun(AS(), draw, None)
+
+
+@pytest.mark.parametrize("k", [3, 5, 12])
+@pytest.mark.parametrize(
+    "spec",
+    [FR(), SimpleAveraging(), PR(a=1.5), WeightedPR(a=1.5)],
+    ids=["fr", "simple_averaging", "pr", "weighted_pr"],
+)
+def test_affine_deviation_terms_are_the_dense_kernel_rerun(spec, k):
+    # The affine maps of the others' reputations round apart from the
+    # kernels' arithmetic.
+    rng = np.random.default_rng(400 + k)
+    batch = 300
+    selfs = rng.uniform(0.0, 1.0, size=(batch, k))
+    r0 = rng.normal(0.5, 0.2, size=(batch, k))
+    cross = rng.normal(0.5, 0.2, size=(batch, k, k))
+    if isinstance(spec, WeightedPR):
+        spec = WeightedPR(a=1.5, weights=tuple(rng.uniform(0.5, 2.0, k)))
+    reps, taxes = run_batch(spec, selfs, cross, r0, 0.1)
+    peer_sums = _peer_sums(spec, cross) if cross_reads(spec) == PEER_SUMS else None
+    draw = ProfileDraw(r0=r0, selfs=selfs, reps=reps, taxes=taxes, peer_sums=peer_sums)
+    _assert_own_tax_is_the_rerun(spec, draw, cross, 0.1, 1e-12)
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 40])

@@ -60,7 +60,7 @@ from replab import strategies
 from replab.strategies import (
     _draw_key,
     aggregate_sigma_prime,
-    draw_profile,
+    deviation_reports,
     pr_optimal_self_report,
     resolve_self_reports,
 )
@@ -444,8 +444,8 @@ def test_batches_after_the_first_reuse_their_workspace(mechanism):
     span = simulator._run_plan(10**6, env.k)[0][1]
     kept = []
 
-    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
-        kept.append((reps, taxes))
+    def reduce(draw, batches, workspace) -> list[dict]:
+        kept.append((draw.reps, draw.taxes))
         return [{} for _ in batches]
 
     _alone(env, mechanism, 4 * span, 3, reduce)
@@ -486,21 +486,6 @@ def test_the_engine_hands_out_a_read_only_shared_draw(clamp):
         assert not draw.r0.flags.writeable and not draw.peer_sums.flags.writeable
     # The next run's buffers are writable again.
     assert workspace.empty("peer sums", (300, env.k)).flags.writeable
-
-
-@pytest.mark.parametrize(
-    "mechanism", [AS(), PR(a=1.5), ExtendedAS(layers=2)], ids=lambda m: type(m).__name__
-)
-def test_a_profile_draw_owns_its_arrays(mechanism):
-    # An audit replays its draw for every agent, so a later engine run on
-    # the same thread, of the same shape, must leave it as it was.
-    env = _truth_env([0.2, 0.5, 0.8, 0.4, 0.6])
-    draw = draw_profile(env, mechanism, trials=simulator.BATCH_TRIALS, seed=5)
-    held = [draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums, *(draw.ring_reads or ())]
-    before = [None if a is None else a.copy() for a in held]
-    run_trials(ScenarioConfig(env=env, mechanism=mechanism, trials=3_000, seed=5))
-    for old, arr in zip(before, held):
-        assert (old is None and arr is None) or old.tobytes() == arr.tobytes()
 
 
 def test_compact_path_memory_stays_bounded_at_k_2000():
@@ -569,9 +554,9 @@ def _per_batch(reduce_batch):
     """A reducer that applies ``reduce_batch(system_obs, selfs, reps,
     taxes)`` to each batch's rows of the run."""
 
-    def reduce(system_obs, selfs, reps, taxes, batches, workspace) -> list[dict]:
+    def reduce(draw, batches, workspace) -> list[dict]:
         return [
-            reduce_batch(system_obs[rows], selfs[rows], reps[rows], taxes[rows])
+            reduce_batch(draw.r0[rows], draw.selfs[rows], draw.reps[rows], draw.taxes[rows])
             for rows in batches
         ]
 
@@ -690,10 +675,10 @@ def _retyped(population, clamp, kinds):
     return dataclasses.replace(env, agents=tuple(agents))
 
 
-def _arm_moments(system_obs, selfs, reps, taxes, batches, workspace):
-    moments = _moments(system_obs, selfs, reps, taxes, batches, workspace)
+def _arm_moments(draw, batches, workspace):
+    moments = _moments(draw, batches, workspace)
     return [
-        {**batch, "self": selfs[rows].sum(axis=0), "obs": system_obs[rows].sum(axis=0)}
+        {**batch, "self": draw.selfs[rows].sum(axis=0), "obs": draw.r0[rows].sum(axis=0)}
         for batch, rows in zip(moments, batches)
     ]
 
@@ -939,6 +924,26 @@ def test_runs_of_batches_keep_the_scenario_records(monkeypatch):
         ]
 
     _at_every_budget(monkeypatch, records)
+
+
+@pytest.mark.parametrize(
+    "mechanism, profile",
+    [
+        (PR(a=1.7), "equilibrium"),
+        (SimpleAveraging(), "equilibrium"),
+        (FR(), "truthful"),
+        (ExtendedAS(layers=2), "truthful"),
+    ],
+    ids=["pr", "simple_averaging", "fr", "extended_as"],
+)
+def test_runs_of_batches_keep_the_audit_reports(mechanism, profile, monkeypatch):
+    # The audit's reducers sum each batch's rows, so its reports do not
+    # depend on how many batches a run holds.
+    trials = 3 * simulator.BATCH_TRIALS + 500
+    _at_every_budget(
+        monkeypatch,
+        lambda workers: deviation_reports(mechanism, _hetero_env(), profile, trials, 21, 41),
+    )
 
 
 # ---------------------------------------------------------------------------

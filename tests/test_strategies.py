@@ -63,7 +63,7 @@ from replab.strategies import (
     aggregate_sigma_prime,
     bayesian_ic_violation,
     deviation_report,
-    draw_profile,
+    deviation_reports,
     expected_pr_reputation,
     mixed_best_response_as,
     pr_mae,
@@ -73,7 +73,7 @@ from replab.strategies import (
     solve_y,
     proportional_deviation_profit,
 )
-from replab.strategies import _grid_means, _peer_sum_tables, _y_residual
+from replab.strategies import _peer_sum_tables, _utility_sums, _y_residual
 
 from dense_oracle import build_messages, sample_observations
 
@@ -311,7 +311,7 @@ def test_equilibrium_self_reports_per_type():
 
 
 def test_unknown_strategy_strings_raise():
-    # "truthful" names a profile only to draw_profile; the engine must not
+    # "truthful" names a profile only to the audits; the engine must not
     # read it, or any other string, as the equilibrium profile.
     env = Environment(agents=(_agent(0, 0.2, Truth(), 1.0), _agent(1, 0.3, Image(), 0.0)))
     with pytest.raises(ValueError, match="'truthful'"):
@@ -496,7 +496,7 @@ def test_flat_grid_means_pick_the_tie_nearest_the_claimed_report(seed):
     ]
     env = Environment(agents=tuple(agents), system_obs=NormalParams(0.0, 0.02))
     mechanism = ExtendedAS()
-    draw = draw_profile(env, mechanism, trials=2_000, seed=seed)
+    draw = _sparse_draw(mechanism, env, _dense_profile(env, mechanism, "truthful", 2_000, seed))
     grid = 201
     values = np.linspace(0.0, 1.0, grid)
     means = _scan_means(mechanism, env, draw, 0, values)
@@ -504,7 +504,7 @@ def test_flat_grid_means_pick_the_tie_nearest_the_claimed_report(seed):
     flat = values >= top_read
     # The flat stretch ties to within rounding, and far below the grid step.
     assert np.ptp(means[flat]) < 1e-12
-    rep = deviation_report(0, mechanism, env, grid=grid, draw=draw)
+    rep = _one_batch_report(mechanism, env, draw, 0, grid)
     assert rep.claimed == 0.3
     assert rep.best == values[flat][0]
 
@@ -555,8 +555,6 @@ def test_audits_check_their_arguments_as_the_engine_does(argument, value, bounds
     given = {"trials": 100, "seed": 0, argument: value}
     message = re.escape(f"{argument} must be an integer {bounds}, got {value!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        draw_profile(env, AS(), trials=given["trials"], seed=given["seed"])
-    with pytest.raises(ValueError, match=f"^{message}$"):
         deviation_report(0, AS(), env, trials=given["trials"], grid=11, seed=given["seed"])
 
 
@@ -567,13 +565,11 @@ def test_a_profile_naming_unknown_agents_is_refused():
     profile = {0: 0.3, 99: 0.5, 7: 0.1}
     message = re.escape("strategy profile names unknown agents [7, 99]")
 
-    def reduce(system_obs, selfs, reps, taxes, batches, workspace):
+    def reduce(draw, batches, workspace):
         return [{} for _ in batches]
 
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate([Arm(env, AS(), reduce, profile)], 100, 0)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        draw_profile(env, AS(), profile, trials=100)
     with pytest.raises(ValueError, match=f"^{message}$"):
         deviation_report(0, AS(), env, profile, trials=100, grid=11)
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -799,7 +795,23 @@ def _assert_same_report(report, oracle):
 def _scan_means(mechanism, env, draw, i, values):
     """Deviator i's grid means, scanned from one run of the mechanism."""
     terms = deviation_terms(mechanism, draw, aggregate_sigma_prime(env), i)
-    return _grid_means(env.agents[i], terms, centralized_solution(env), values)
+    trials = draw.reps.shape[0]
+    (sums,) = _utility_sums(env.agents[i], terms, centralized_solution(env), values, [slice(0, trials)])
+    return sums / trials
+
+
+def _one_batch_report(mechanism, env, draw, i, grid):
+    """Deviator i's report from the audit's two reducers, each run on
+    ``draw`` as one batch, as ``deviation_reports`` runs them on the engine."""
+    values = np.linspace(0.0, 1.0, grid)
+    claimed = 0.5 if isinstance(mechanism, SimpleAveraging) else float(draw.selfs[0, i])
+    trials = draw.reps.shape[0]
+    batch = ([slice(0, trials)], Workspace())
+    reduce, report = strategies._grid_pass(mechanism, env, {i: claimed}, values)
+    (totals,) = reduce(draw, *batch)
+    reduce, report = strategies._pair_pass(mechanism, env, report(totals, trials))
+    (totals,) = reduce(draw, *batch) if reduce else ({},)
+    return report(totals, trials)[0]
 
 
 def _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index=None):
@@ -844,7 +856,7 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
         means = _scan_means(mechanism, env, draw, i, values)
         dense, oracle = _dense_oracle(i, mechanism, env, profile, trials, grid, seed)
         np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-12)
-        report = deviation_report(i, mechanism, env, grid=grid, draw=draw)
+        report = _one_batch_report(mechanism, env, draw, i, grid)
         # The scan's ties with its maximum, and the one nearest the claim.
         scan_ties = np.flatnonzero(means >= means.max() - 1e-12 * max(1.0, abs(means.max())))
         best_index = scan_ties[np.argmin(np.abs(values[scan_ties] - report.claimed))]
@@ -875,7 +887,7 @@ def _zero_total_scan(p):
     # the shares fall back to 1/K at the first grid point.
     env = _truth_env([0.5, 0.3, 0.2], scheme="relative", p=p)
     profile = {1: 0.0, 2: 0.0}
-    draw = draw_profile(env, FR(), profile, trials=200, seed=4)
+    draw = _sparse_draw(FR(), env, _dense_profile(env, FR(), profile, 200, 4))
     values = np.linspace(0.0, 1.0, 11)
     means = _scan_means(FR(), env, draw, 0, values)
     dense, _ = _dense_oracle(0, FR(), env, profile, 200, 11, 4)
@@ -894,58 +906,52 @@ def test_incremental_scan_share_of_total_with_zero_total_quadratic():
     _zero_total_scan(2.0)
 
 
-def _held(draw):
-    """The arrays a profile draw holds."""
-    extra = () if draw.peer_sums is None else (draw.peer_sums,)
-    return (draw.r0, draw.selfs, draw.reps, draw.taxes, *extra, *(draw.ring_reads or ()))
-
-
-def test_draw_profile_is_shared_across_agents_and_read_only():
+def test_one_audit_of_every_agent_equals_each_agents_audit():
+    # The draws do not depend on the deviator, so auditing every agent in
+    # one call gives each agent's report alone.  The uniform-random
+    # reporter claims no report until it is given one.
     env = _scan_env("absolute", 2.0, Linear())
     for mechanism in (AS(), PR(a=2.0), ExtendedAS(layers=2)):
-        draw = draw_profile(env, mechanism, MAPPING, trials=500, seed=3)
-        # Only what the mechanism reads of the cross reports is drawn.
-        assert (draw.peer_sums is None, draw.ring_reads is None) == (
-            not isinstance(mechanism, PR),
-            not isinstance(mechanism, ExtendedAS),
-        )
-        for arr in _held(draw):
-            assert not arr.flags.writeable
-        before = [arr.copy() for arr in _held(draw)]
-        for i in DEVIATORS:
-            shared = deviation_report(i, mechanism, env, grid=21, draw=draw)
-            fresh = deviation_report(i, mechanism, env, MAPPING, trials=500, grid=21, seed=3)
-            assert shared == fresh
-        for old, arr in zip(before, _held(draw)):
-            assert np.array_equal(old, arr)
+        claimed = {0: None, 1: None, 2: None, 3: None, 4: 0.5}
+        reports = deviation_reports(mechanism, env, MAPPING, 1_500, 21, 3, claimed)
+        assert [report.agent_index for report in reports] == list(claimed)
+        for i, report in zip(claimed, reports):
+            alone = deviation_report(i, mechanism, env, MAPPING, 1_500, 21, 3, claimed[i])
+            assert report == alone, (mechanism, i)
+    with pytest.raises(UnsupportedCombination, match="^agent 4 draws its report every trial$"):
+        deviation_reports(AS(), env, MAPPING, 100, 11)
     with pytest.raises(ValueError):
-        draw_profile(env, AS(), trials=0)
+        deviation_reports(AS(), env, trials=0, agents=[0])
 
 
 @pytest.mark.parametrize(
     "mechanism", [AS(), ExtendedAS(layers=2), FR(), SimpleAveraging()], ids=lambda m: type(m).__name__
 )
 def test_audit_memory_stays_within_its_profile(mechanism):
-    # The audit must never hold a (grid, trials) or (grid, trials, K) array:
-    # at 50k trials and 201 grid points one of those alone is 80 MB, while
-    # one (trials, K) array is 2 MB.  Beyond what the draw holds, the audit
-    # keeps a few (trials, K) arrays.
+    # The audit keeps nothing per trial beyond one run of batches: from 20k
+    # to 80k trials its peak may grow only by the partials the engine holds
+    # per batch, K (G + 1) floats, plus a fixed slack of 1 MiB.  Holding the
+    # (trials, K) draw, as a one-batch audit did, grows it by 2.4 MB per
+    # array.
     import tracemalloc
 
     scheme = "relative" if isinstance(mechanism, FR) else "absolute"
     env = _truth_env([0.3, 0.5, 0.7, 0.4, 0.6], scheme=scheme)
-    trials = 50_000
-    tracemalloc.start()
-    try:
-        draw = draw_profile(env, mechanism, trials=trials, seed=1)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        deviation_report(0, mechanism, env, grid=201, draw=draw)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    block = trials * env.k * 8
-    assert peak - held < 8 * block, f"peak {peak / 1e6:.1f} MB, draw {held / 1e6:.1f} MB"
+    grid = 201
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            deviation_reports(mechanism, env, trials=trials, grid=grid, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # first-call allocations, which are not the audit's own
+    small, large = peak(20_000), peak(80_000)
+    batches = math.ceil(80_000 / 1024) - math.ceil(20_000 / 1024)
+    partials = batches * env.k * (grid + 1) * 8
+    assert large - small <= partials + 2**20, (small, large, partials)
 
 
 def test_all_truth_scoring_audit_at_k_37_draws_no_cross_reports():
