@@ -891,7 +891,7 @@ def cmd_check_equilibrium(config_path, seed, trials, grid_points):
     parsed = parse_config(config_path, seed=seed)
     env, mechanism = parsed.env, parsed.mechanism
     skipped = (MaliciousRandom, Colluder)
-    audited = [i for i, a in enumerate(env.agents) if not isinstance(a.agent_type, skipped)]
+    audited = {i: None for i, a in enumerate(env.agents) if not isinstance(a.agent_type, skipped)}
     # One audit of every agent not skipped: its engine passes serve them all.
     found = deviation_reports(
         mechanism, env, parsed.strategy_mode, trials, grid_points, parsed.seed, audited

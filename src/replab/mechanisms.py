@@ -281,11 +281,8 @@ def _ring_readers(
     maps: list[tuple], workspace: Workspace
 ) -> tuple[list[tuple], list[np.ndarray]]:
     """:func:`_ring_layers` of the layers' maps (:func:`_ring_maps`); a
-    per-trial pred2(pred2(i)) is a ``workspace`` buffer.  Fixed and
-    per-trial rings alike need at least 3 agents."""
+    per-trial pred2(pred2(i)) is a ``workspace`` buffer."""
     readers = [maps[0][1]]
-    if readers[0].shape[-1] < 3:
-        raise TooFewAgents(f"ring validation needs at least 3 agents, got {readers[0].shape[-1]}")
     if len(maps) == 2:
         rows, pred2, _ = maps[1]
         if isinstance(rows, slice):
@@ -309,8 +306,11 @@ def _ring_setup(spec: ExtendedAS, k: int) -> tuple[list[tuple], list[np.ndarray]
     """:func:`_ring_layers` of the spec's fixed rings for K agents.
 
     Rings redrawn every trial, which keep cliques from positioning
-    themselves around a known ring, go to :func:`_ring_readers` directly.
+    themselves around a known ring, go to :func:`_ring_readers` directly
+    once their caller has checked K as this does.
     """
+    if k < 3:
+        raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
     return _ring_layers(_spec_rings(spec, k))
 
 
@@ -483,20 +483,20 @@ def deviation_terms(
     """The reputations of a base profile and the terms one agent's report moves.
 
     ``draw`` is a :class:`replab.strategies.ProfileDraw`: rounds with the
-    cross reports as the engine samples them and the mechanism's outcome
-    on them, such as the rows of one engine run.  Runs no kernel and
-    returns ``(reps, base, move)``, where ``reps`` is ``draw.reps``.  ``move(values, rows)`` takes a
-    (G, 1) column of deviation values and a slice of the trials, and
-    returns ``(own_rep, own_tax, others)`` on those trials: the deviator's reputation and tax,
-    each broadcastable to (G, rows), and how the other subjects'
-    reputations move.  ``others`` is None, and ``base`` is None, when those
-    stay at ``reps``.  Otherwise they are an affine map of per-trial base
-    values: ``others`` is ``(add, div)``, each broadcastable to (G, rows),
-    and subject j's reputation is ``(base[j] + add) / div``, or 1/K where
-    ``div`` is 0, with ``base`` the (K, trials) base values, subjects first
-    (the deviator's row is not read).  Such a ``move`` also takes ``own=False``,
-    which may return None for the deviator's reputation when the caller does
-    not read it.
+    cross reports as the engine samples them and the mechanism's outcome on
+    them, such as one engine run.  Runs no kernel and returns ``(reps, base,
+    move)``, where ``reps`` is ``draw.reps``.  ``move(values, rows)`` takes
+    a (G, 1) column of deviation values and a slice of the trials, and
+    returns ``(own_rep, own_tax, others)`` on those trials: the deviator's
+    reputation and tax, each broadcastable to (G, rows), and how the other
+    subjects' reputations move.  ``others`` is None, and ``base`` is None,
+    when those stay at ``reps``.  Otherwise they are an affine map of
+    per-trial base values: ``others`` is ``(add, div)``, each broadcastable
+    to (G, rows), and subject j's reputation is ``(base[j] + add) / div``,
+    or 1/K where ``div`` is 0, with ``base`` the (K, trials) base values,
+    subjects first (the deviator's row is not read).  Such a ``move`` also
+    takes ``own=False``, which may return None for the deviator's reputation
+    when the caller does not read it.
 
     The deviated channel is the self-report, except under simple averaging,
     where value c adds c - 1/2 to the deviator's cross-reports.  Each

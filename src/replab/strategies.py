@@ -35,6 +35,7 @@ channel), which reduces to sigma/sqrt(K) in the homogeneous case.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -69,6 +70,7 @@ from .mechanisms import (
     NO_CROSS,
     PEER_SUMS,
     RING,
+    TooFewAgents,
     _ring_maps,
     _ring_outcome,
     _ring_readers,
@@ -876,6 +878,8 @@ def _batch_source(
     if reads == PEER_SUMS:
         tables = _peer_sum_tables(first, peer_weights(first_mechanism, k))
     elif reads == RING:
+        if k < 3:
+            raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
         sent = [_sent_constants(env) for env, _, _ in arms]
         if not isinstance(first_mechanism, _SecretRings):
             ring = _ring_setup(first_mechanism, k)
@@ -955,10 +959,11 @@ def _quadratic_sums(
     move: Callable[[np.ndarray, slice], tuple],
     targets: np.ndarray,
     values: np.ndarray,
+    batch: slice,
 ) -> np.ndarray:
-    """Utility sums over the trials at every deviation value, under f(d) = d^2,
-    for a deviation that moves the other subjects' reputations to ``(base_j +
-    add) / div`` (:func:`replab.mechanisms.deviation_terms`).
+    """Utility sums over the trials ``batch`` at every deviation value, under
+    f(d) = d^2, for a deviation that moves the other subjects' reputations
+    to ``(base_j + add) / div`` (:func:`replab.mechanisms.deviation_terms`).
 
     Subject j's reputation is scale * b_j + shift, with scale = 1/div and
     shift = add/div, or scale = 0 and shift = 1/K where div is 0.  A
@@ -973,8 +978,8 @@ def _quadratic_sums(
     """
     i = agent.id
     lam = agent.utility.truth_weight
-    k, trials = base.shape
-    others = np.delete(base, i, axis=0)
+    others = np.delete(base[:, batch], i, axis=0)
+    k, trials = base.shape[0], others.shape[1]
     t = np.delete(targets, i)
     b1, b2, bt = others.sum(axis=0), np.einsum("jt,jt->t", others, others), t @ others
     t1, t2 = t.sum(), t @ t
@@ -983,13 +988,14 @@ def _quadratic_sums(
     # map that is the same in every trial makes no (G, rows) array, so it
     # takes all the trials at once.
     span = max(1, _SCAN_BLOCK_BYTES // (8 * k * values.size))
-    if np.broadcast(*move(xs, slice(0, 2), own=False)[2]).shape[-1:] in ((), (1,)):
+    at = batch.start
+    if np.broadcast(*move(xs, slice(at, at + 2), own=False)[2]).shape[-1:] in ((), (1,)):
         span = trials
     sums = np.zeros(values.size)
     for first in range(0, trials, span):
         rows = slice(first, first + span)
         n = min(span, trials - first)
-        own_rep, own_tax, (add, div) = move(xs, rows, own=lam != 1.0)
+        own_rep, own_tax, (add, div) = move(xs, slice(at + first, at + first + n), own=lam != 1.0)
         zero = np.equal(div, 0.0)
         if zero.any():
             scale = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, div))
@@ -1057,34 +1063,30 @@ def _scan_blocks(
             yield cols, rows, agent_utility(agent, accuracy, own_rep, own_tax)
 
 
-def _batch_terms(terms: tuple, rows: slice) -> tuple:
-    """The ``terms`` of :func:`replab.mechanisms.deviation_terms` on its rows ``rows``."""
-    reps, base, move = terms
-    cut = lambda part: slice(rows.start + part.start, min(rows.start + part.stop, rows.stop))
-    base = None if base is None else base[:, rows]
-    return reps[rows], base, lambda xs, part, **own: move(xs, cut(part), **own)
-
-
 def _utility_sums(
     agent: Agent, terms: tuple, targets: np.ndarray, values: np.ndarray, batches: Sequence[slice]
 ) -> np.ndarray:
     """Utility sums of ``agent`` at every deviation value, one row per batch
-    of ``batches``, row slices of the trials ``terms`` reads.
+    of ``batches``, consecutive row slices of the trials ``terms`` reads.
 
-    Sums the blocks of :func:`_scan_blocks`, which must take all the trials
-    at once when there are several batches.  Under the quadratic loss f(d)
-    = d^2, a deviation that moves the other subjects' reputations
-    (share-of-total, simple averaging) is summed batch by batch from
-    per-trial moments instead (:func:`_quadratic_sums`), with no (K,
-    points, trials) block; those sums can differ in the last bits.
+    Adds each block of :func:`_scan_blocks` into the batches its rows
+    overlap.  Under the quadratic loss f(d) = d^2, a deviation that moves
+    the other subjects' reputations (share-of-total, simple averaging) is
+    summed batch by batch from per-trial moments instead
+    (:func:`_quadratic_sums`), with no (K, points, trials) block; those sums
+    can differ in the last bits.
     """
     if terms[1] is not None and agent.utility.f == AbsPower(2.0):
-        moments = [_batch_terms(terms, rows)[1:] for rows in batches]
-        return np.array([_quadratic_sums(agent, *m, targets, values) for m in moments])
+        return np.array([_quadratic_sums(agent, *terms[1:], targets, values, b) for b in batches])
     sums = np.zeros((values.size, len(batches)))
     starts = [rows.start for rows in batches]
-    for points, _, utils in _scan_blocks(agent, terms, targets, values):
-        sums[points] += np.add.reduceat(utils, starts, axis=1)
+    for points, rows, utils in _scan_blocks(agent, terms, targets, values):
+        # The batches from the one holding the block's first trial to the
+        # last that starts before its end.
+        first = bisect.bisect_right(starts, rows.start) - 1
+        end = bisect.bisect_left(starts, rows.start + utils.shape[1])
+        cuts = [max(0, start - rows.start) for start in starts[first:end]]
+        sums[points, first:end] += np.add.reduceat(utils, cuts, axis=1)
     return sums.T
 
 
@@ -1093,29 +1095,16 @@ def _audit_reducer(
 ) -> Callable:
     """An engine reducer giving each batch, keyed by each of ``agents``'
     index, its row of ``partial(agent, terms, batches)``: ``terms`` is the
-    agent's :func:`replab.mechanisms.deviation_terms` on rows of the run,
-    and ``batches`` the slices of its batches there.  The rows are the
-    whole run when :func:`_scan_blocks` takes it at once (two points or
-    more), as long blocks run faster, and each batch alone otherwise; a
-    batch's row is the same either way."""
+    agent's :func:`replab.mechanisms.deviation_terms` on the run, and
+    ``batches`` the slices of its batches."""
     sigma_prime = aggregate_sigma_prime(env)
 
     def reduce(draw: ProfileDraw, batches: Sequence[slice], workspace: Workspace) -> list[dict]:
-        whole = 16 * draw.reps.shape[1] * batches[-1].stop <= _SCAN_BLOCK_BYTES
-        partials = []
-        for group in [batches] if whole else [[rows] for rows in batches]:
-            span = slice(group[0].start, group[-1].stop)
-            cut = lambda a: None if a is None else a[span]
-            arrays = map(cut, (draw.r0, draw.selfs, draw.reps, draw.taxes, draw.peer_sums))
-            reads = draw.ring_reads and tuple(map(cut, draw.ring_reads))
-            run = ProfileDraw(*arrays, ring_reads=reads)
-            local = [slice(rows.start - span.start, rows.stop - span.start) for rows in group]
-            found = {}
-            for i in agents:
-                terms = deviation_terms(mechanism, run, sigma_prime, i)
-                found[str(i)] = partial(env.agents[i], terms, local)
-            partials += [{i: rows[b] for i, rows in found.items()} for b in range(len(group))]
-        return partials
+        found = {
+            str(i): partial(env.agents[i], deviation_terms(mechanism, draw, sigma_prime, i), batches)
+            for i in agents
+        }
+        return [{i: rows[b] for i, rows in found.items()} for b in range(len(batches))]
 
     return reduce
 
@@ -1194,18 +1183,19 @@ def deviation_reports(
     trials: int = 20_000,
     grid: int = 201,
     seed: int = 0,
-    agents: Iterable[int] | Mapping[int, float | None] | None = None,
+    agents: Mapping[int, float | None] | None = None,
 ) -> list[DeviationReport]:
     """Grid each agent's report and measure the best deviation's payoff.
 
     ``others_strategy`` is ``"truthful"`` (every agent relays its
     observations and reports its quality), ``"equilibrium"`` or a mapping
     of constant self-reports (:func:`resolve_self_reports`).  ``agents``
-    lists the audited agents' indices, all by default; a mapping gives
-    claimed reports in place of the profile's, which an agent that draws
-    its report every trial lacks.  The gridded channel is the self-report,
-    except under simple averaging, where grid value c adds c - 1/2 to the
-    deviator's cross-reports, so that c = 1/2 is truthful and claimed.
+    maps each audited agent's index to its claimed report, or to None for
+    the profile's, which an agent that draws its report every trial lacks;
+    by default every agent claims the profile's.  The gridded channel is
+    the self-report, except under simple averaging, where grid value c
+    adds c - 1/2 to the deviator's cross-reports, so that c = 1/2 is
+    truthful and claimed.
 
     Two engine calls of one arm (:func:`replab.simulator.simulate`) draw
     the same batches, and their reducers read each audited agent's
@@ -1216,9 +1206,7 @@ def deviation_reports(
     """
     from .simulator import Arm, simulate  # the engine imports this module
 
-    claimed = dict(agents) if isinstance(agents, Mapping) else dict.fromkeys(
-        range(env.k) if agents is None else agents
-    )
+    claimed = dict(dict.fromkeys(range(env.k)) if agents is None else agents)
     for i in claimed:
         if not (0 <= i < env.k):
             raise DimensionMismatch(f"agent_index {i} outside 0..{env.k - 1}")

@@ -45,7 +45,7 @@ from replab.mechanisms import (
     run_batch,
 )
 from replab.simulator import Arm, _SecretRings, simulate
-from replab.strategies import ProfileDraw
+from replab.strategies import ProfileDraw, _batch_source
 
 
 def _one(spec, selfs=None, cross=None, r0=None, sigma_prime=0.0):
@@ -487,6 +487,14 @@ def test_per_trial_rings_too_few_agents():
     arm = Arm(Environment(agents=agents), _SecretRings(layers=1), lambda *arrays: {})
     with pytest.raises(TooFewAgents):
         simulate([arm], 4, 0)
+    # Refused before anything is drawn, and before a fixed ring's length is
+    # read: K comes first for both ring kinds.
+    env = Environment(agents=agents)
+    for spec in (_SecretRings(layers=1), ExtendedAS(ring=(0, 1, 2))):
+        with pytest.raises(TooFewAgents):
+            _batch_source([(env, spec, {})])
+    with pytest.raises(TooFewAgents):
+        run_batch(ExtendedAS(ring=(0, 1, 2)), np.zeros((1, 2)), np.zeros((1, 2, 2)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -882,6 +882,29 @@ def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
             _assert_same_report(report, tied)
 
 
+@pytest.mark.parametrize("block_bytes", [None, 8 * 5 * 97], ids=["default-blocks", "split-trials"])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_sums_each_batch_of_a_run(case, block_bytes, monkeypatch):
+    # A run of several batches, whose blocks (all the trials at once, or
+    # 97-trial slices) straddle the batch edges: each batch's row is the
+    # dense kernel's sum over that batch's trials.
+    if block_bytes is not None:
+        monkeypatch.setattr(strategies, "_SCAN_BLOCK_BYTES", block_bytes)
+    mechanism, scheme, profile, p, g = SCAN_CASES[case]
+    env = _scan_env(scheme, p, g)
+    arrays = _dense_profile(env, mechanism, profile, 900, 5)
+    draw = _sparse_draw(mechanism, env, arrays)
+    values = np.linspace(0.0, 1.0, 7)
+    batches = [slice(0, 250), slice(250, 251), slice(251, 700), slice(700, 900)]
+    i = DEVIATORS[-1]
+    terms = deviation_terms(mechanism, draw, aggregate_sigma_prime(env), i)
+    sums = _utility_sums(env.agents[i], terms, centralized_solution(env), values, batches)
+    dense = np.array([_dense_utilities(i, mechanism, env, arrays, v) for v in values])
+    for rows, row in zip(batches, sums):
+        n = rows.stop - rows.start
+        np.testing.assert_allclose(row / n, dense[:, rows].mean(axis=1), rtol=0.0, atol=1e-12)
+
+
 def _zero_total_scan(p):
     # Everyone else reports 0, so a zero self-report leaves a zero total and
     # the shares fall back to 1/K at the first grid point.
@@ -921,7 +944,7 @@ def test_one_audit_of_every_agent_equals_each_agents_audit():
     with pytest.raises(UnsupportedCombination, match="^agent 4 draws its report every trial$"):
         deviation_reports(AS(), env, MAPPING, 100, 11)
     with pytest.raises(ValueError):
-        deviation_reports(AS(), env, trials=0, agents=[0])
+        deviation_reports(AS(), env, trials=0, agents={0: None})
 
 
 @pytest.mark.parametrize(
