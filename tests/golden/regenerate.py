@@ -3,16 +3,17 @@
 Each entry of ``digests.json`` is the sha256 of one command's standard
 output, exit code and output files, or of one scenario record written at
 full precision.  The configs under ``configs/`` cover every mechanism kind,
-fixed rings, colluders, uniform-random reporters, clamping and K from 3 to
+fixed rings, colluders, uniform-random reporters, clamping and K from 2 to
 12, with trial counts that are not multiples of the engine's 1,024-trial
 batch, and three K=100 populations (half truth-, half image-driven) under
 the punish-reward family and simple averaging; ``pr_k100.json`` mirrors
 ``pr_k100.ini`` and must give the same ``run`` digest.  The collusion
-records add secret rings with 1 and 2 layers.  The deviation audits
-(``check-equilibrium``) of six configs, one per mechanism family but direct
-observation, pin the audit draw; the participation ``report`` of one config
-pins the scoring run, and the default ``figures`` the closed-form design
-curves.  The CLI rounds its outputs to 12 significant digits, so every
+records add secret rings with 1 and 2 layers, and two layers at K=3, the
+smallest ring.  The deviation audits (``check-equilibrium``) of seven
+configs, one per mechanism family but direct observation and one of the
+benchmark's audit shape, pin the audit draw; the participation ``report``
+of one config pins the scoring run, and the default ``figures`` the
+closed-form design curves.  The CLI rounds its outputs to 12 significant digits, so every
 ``run`` config also gets a ``stats`` entry that digests ``run_trials``'
 aggregates at full precision.  The ``error`` entries digest the standard
 error and exit code of ``run`` on invalid configs, so a change to the
@@ -168,7 +169,8 @@ def entries() -> dict[str, str]:
                 ]
             )
     for config in (
-        "as_k5", "extended_as_k6_rings", "fr_k4", "pr_k7", "simple_averaging_k8", "weighted_pr_k10"
+        "as_k5", "audit_extended_as_k5", "extended_as_k6_rings", "fr_k4", "pr_k7",
+        "simple_averaging_k8", "weighted_pr_k10",
     ):
         found[f"check-equilibrium/{config}"] = _cli(
             ["check-equilibrium", str(CONFIGS / f"{config}.ini"), "--grid", "51", "--trials", "3000"]
@@ -179,6 +181,8 @@ def entries() -> dict[str, str]:
         for layers in (1, 2):
             record = run_collusion_scenario(_population(12, False), {2, 5, 9}, layers, 2_500, 13, workers)
             found[f"collusion/layers{layers}/w{workers}"] = _sha(_full(record))
+        record = run_collusion_scenario(_population(3, False), {0}, 2, 2_500, 13, workers)
+        found[f"collusion/k3_layers2/w{workers}"] = _sha(_full(record))
         record = run_malicious_scenario(_population(8, True), {1, 6}, 2_500, 19, workers)
         found[f"malicious/w{workers}"] = _sha(_full(record))
     return found
