@@ -22,7 +22,7 @@ dispatches on the mechanism spec, and a single round is a batch of one.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -254,34 +254,33 @@ def _validation_layer(
     return np.subtract(discrepancy, shares, out=shares)
 
 
-def _spec_rings(spec: ExtendedAS, k: int) -> list[np.ndarray]:
-    """The spec's fixed rings as (1, K) rows, one per layer."""
+def _spec_rings(spec: ExtendedAS, k: int) -> Iterator[np.ndarray]:
+    """The spec's fixed rings as (1, K) rows, one per layer, checked
+    against K when the first is read."""
     ring = spec.ring if spec.ring is not None else tuple(range(k))
     ring2 = spec.second_ring if spec.second_ring is not None else ring
     for order in (ring, ring2):
         if len(order) != k:
             raise DimensionMismatch(f"ring covers {len(order)} agents, profile has {k}")
-    return [np.array([ring]), np.array([ring2])][: spec.layers]
+    yield from [np.array([ring]), np.array([ring2])][: spec.layers]
 
 
-def _ring_layers(rings: list[np.ndarray]) -> tuple[list[tuple], list[np.ndarray]]:
+def _ring_setup(
+    k: int, rings: Iterable[np.ndarray], workspace: Workspace
+) -> tuple[list[tuple], list[np.ndarray]]:
     """The maps of each validation layer and the reporters of its ring reads.
 
+    ``rings`` yields one layer's ring rows at a time, (1, K) for a fixed
+    ring (:func:`_spec_rings`) or (B, K) for rings redrawn every trial,
+    which keep cliques from positioning themselves around a known ring; each
+    is read before the next is asked for, so they may share one buffer.
     The reporters of subject i are pred1(i) for layer 1, then pred2(i) and
     pred2(pred2(i)) for layer 2, as (K,) maps for a fixed ring or (B, K)
-    maps for per-trial rings, in a workspace of the call's own.
+    ``workspace`` buffers for per-trial rings (:func:`_ring_maps`).
     """
-    workspace = Workspace()
-    return _ring_readers(
-        [_ring_maps(r, workspace, f"layer {m + 1} ring") for m, r in enumerate(rings)], workspace
-    )
-
-
-def _ring_readers(
-    maps: list[tuple], workspace: Workspace
-) -> tuple[list[tuple], list[np.ndarray]]:
-    """:func:`_ring_layers` of the layers' maps (:func:`_ring_maps`); a
-    per-trial pred2(pred2(i)) is a ``workspace`` buffer."""
+    if k < 3:
+        raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
+    maps = [_ring_maps(r, workspace, f"layer {m + 1} ring") for m, r in enumerate(rings)]
     readers = [maps[0][1]]
     if len(maps) == 2:
         rows, pred2, _ = maps[1]
@@ -302,18 +301,6 @@ def _gather(cross: np.ndarray, readers: list[np.ndarray]) -> list[np.ndarray]:
     ]
 
 
-def _ring_setup(spec: ExtendedAS, k: int) -> tuple[list[tuple], list[np.ndarray]]:
-    """:func:`_ring_layers` of the spec's fixed rings for K agents.
-
-    Rings redrawn every trial, which keep cliques from positioning
-    themselves around a known ring, go to :func:`_ring_readers` directly
-    once their caller has checked K as this does.
-    """
-    if k < 3:
-        raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
-    return _ring_layers(_spec_rings(spec, k))
-
-
 def _ring_outcome(
     self_reports: np.ndarray,
     reads: list[np.ndarray],
@@ -323,7 +310,7 @@ def _ring_outcome(
     """Reputations and taxes of ring validation on its ring reads.
 
     ``reads`` holds the (B, K) reports of ``readers[m][., i]`` about each
-    subject i (:func:`_ring_layers`).  Layer 1 checks each self-report
+    subject i (:func:`_ring_setup`).  Layer 1 checks each self-report
     against the ring-predecessor's report about the same subject, v1.
     Layer 2 checks each reporter j's report about its successor s =
     succ2(j), which is v2 at s, against pred2(j)'s report about s, which is
@@ -446,7 +433,7 @@ def run_batch(
         selfs, r0 = need("self_reports", self_reports), need("system_obs", system_obs)
         return _as_kernel(selfs, r0, workspace)
     if isinstance(spec, ExtendedAS):
-        maps, readers = _ring_setup(spec, k)
+        maps, readers = _ring_setup(k, _spec_rings(spec, k), workspace)
         reads = _gather(need("cross_reports", cross_reports), readers)
         return _ring_outcome(need("self_reports", self_reports), reads, maps, workspace)
     if isinstance(spec, FR):

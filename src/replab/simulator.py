@@ -175,19 +175,6 @@ class SimStats:
 # ---------------------------------------------------------------------------
 
 
-def _batch_plan(trials: int) -> list[tuple[int, int]]:
-    """(batch index, batch size) pairs covering ``trials``."""
-    plan = []
-    done = 0
-    index = 0
-    while done < trials:
-        size = min(BATCH_TRIALS, trials - done)
-        plan.append((index, size))
-        done += size
-        index += 1
-    return plan
-
-
 def _run_plan(trials: int, k: int) -> list[tuple[int, int]]:
     """(first batch, trials in run) pairs: runs of whole consecutive batches
     covering ``trials``, each holding at most :data:`RUN_CELLS` trial-K
@@ -232,7 +219,7 @@ def _combine(key: str, values: list) -> float | np.ndarray:
     if key.endswith("_max"):
         return max(values)
     if isinstance(values[0], np.ndarray):
-        return np.array([math.fsum(column) for column in np.stack(values).T.tolist()])
+        return np.array([math.fsum(column.tolist()) for column in np.stack(values).T])
     return math.fsum(values)
 
 

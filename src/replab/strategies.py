@@ -71,11 +71,10 @@ from .mechanisms import (
     PEER_SUMS,
     RING,
     TooFewAgents,
-    _ring_maps,
     _ring_outcome,
-    _ring_readers,
     _ring_setup,
     _shares,
+    _spec_rings,
     cross_reads,
     deviation_terms,
     peer_weights,
@@ -597,40 +596,30 @@ def sample_ring_reads(
 
     ``readers[m][., i]`` is the reporter of read m about subject i, as a
     (K,) map shared by all trials or a (trials, K) one.  Returns one
-    (trials, K) array per map.  An entry whose reporter an earlier map
-    already names is the same report and is drawn once.  Each batch of
-    ``batches`` draws its entries, one N(0, 1) each, map by map in (trial,
-    subject) order; they are scaled and shifted by the reporter's noise and
-    bias around the subject's quality and clamped when the environment
-    clamps.  Then a uniform-random reporter sends one uniform draw per entry
-    drawn, again batch by batch and map by map.  Colluders' entries hold
-    their observations: their messages (:func:`ring_messages`) draw
-    nothing, so arms that differ only in them can share one draw.  The
-    reads, the masks and the reader gathers are ``workspace`` buffers.
+    (trials, K) array per map.  An entry whose reporter map 0 names is the
+    same report and is drawn once; the maps of :func:`_ring_setup` repeat
+    no other.  Each batch of ``batches`` draws its entries, one N(0, 1)
+    each, map by map in (trial, subject) order; they are scaled and shifted
+    by the reporter's noise and bias around the subject's quality and
+    clamped when the environment clamps.  Then a uniform-random reporter
+    sends one uniform draw per entry drawn, again batch by batch and map by
+    map.  Colluders' entries hold their observations: their messages
+    (:func:`ring_messages`) draw nothing, so arms that differ only in them
+    can share one draw.  The reads, the masks and the reader gathers are
+    ``workspace`` buffers.
     """
     shape = (batches[-1][1].stop, env.k)
     workspace = workspace or Workspace()
     stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
     kinds = [agent.agent_type for agent in env.agents]
     random_ = np.array([isinstance(t, MaliciousRandom) for t in kinds])
-    # same[m]: where each earlier map names the same reporter as map m, and
-    # fresh[m]: where no earlier map does, in the maps' own shape.
-    same, fresh = [], []
-    for m, reader in enumerate(readers):
-        masks = []
-        for e, earlier in enumerate(readers[:m]):
-            mask = workspace.empty(
-                f"same reporter {m} {e}", np.broadcast_shapes(reader.shape, earlier.shape), bool
-            )
-            masks.append(np.equal(reader, earlier, out=mask))
-        new = None
-        if masks:
-            new = workspace.copy(f"fresh reads {m}", masks[0])
-            for extra in masks[1:]:
-                new |= extra
-            np.logical_not(new, out=new)
-        same.append(masks)
-        fresh.append(new)
+    # fresh[m]: where map m names another reporter than map 0.  Only map 0's
+    # can repeat: pred2(pred2(i)) = pred2(i) would make i a ring's fixed
+    # point.
+    fresh = [None]
+    for m, reader in enumerate(readers[1:], 1):
+        new = workspace.empty(f"fresh reads {m}", reader.shape, bool)
+        fresh.append(np.not_equal(reader, readers[0], out=new))
     reads = []
     for m, (reader, new) in enumerate(zip(readers, fresh)):
         if new is None:
@@ -665,9 +654,8 @@ def sample_ring_reads(
                 where = hit[rows]
                 who = reporters[rows][where]
                 values[rows][where] = rng.uniform(low[who], high[who])
-    for values, masks in zip(reads, same):
-        for earlier, where in zip(reads, masks):
-            np.copyto(values, earlier, where=where)
+    for values, new in zip(reads[1:], fresh[1:]):
+        np.copyto(values, reads[0], where=np.logical_not(new, out=new))
     return reads
 
 
@@ -882,8 +870,19 @@ def _batch_source(
             raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
         sent = [_sent_constants(env) for env, _, _ in arms]
         if not isinstance(first_mechanism, _SecretRings):
-            ring = _ring_setup(first_mechanism, k)
+            ring = _ring_setup(k, _spec_rings(first_mechanism, k), Workspace())
     last = len(arms) - 1
+
+    def secret_rings(batches: Batches, workspace: Workspace) -> Iterator[np.ndarray]:
+        # Layer by layer into the index scratch, each batch drawing both
+        # layers in turn.  F-ordered, so the maps' column slices are
+        # contiguous.
+        order = workspace.empty("indices", (batches[-1][1].stop, k), np.intp, "F")
+        base = np.broadcast_to(np.arange(k), order.shape)
+        for _ in range(first_mechanism.layers):
+            for rng, rows in batches:
+                rng.permuted(base[rows], axis=1, out=order[rows])
+            yield order
 
     def draw(batches: Batches, workspace: Workspace) -> Iterator[ProfileDraw]:
         r0, selfs = sample_sparse(first, batches, first_reports, workspace)
@@ -891,20 +890,7 @@ def _batch_source(
         # stays writable for the next run's draw.
         r0.setflags(write=False)
         if reads == RING:
-            if ring is None:
-                # Secret rings, layer by layer into the index scratch, each
-                # batch drawing both layers in turn.  F-ordered, so the
-                # maps' column slices are contiguous.
-                order = workspace.empty("indices", selfs.shape, np.intp, "F")
-                base = np.broadcast_to(np.arange(k), selfs.shape)
-                layers = []
-                for m in range(first_mechanism.layers):
-                    for rng, rows in batches:
-                        rng.permuted(base[rows], axis=1, out=order[rows])
-                    layers.append(_ring_maps(order, workspace, f"layer {m + 1} ring"))
-                maps, readers = _ring_readers(layers, workspace)
-            else:
-                maps, readers = ring
+            maps, readers = ring or _ring_setup(k, secret_rings(batches, workspace), workspace)
             drawn = sample_ring_reads(first, batches, readers, workspace)
         sums = None
         if tables is not None:

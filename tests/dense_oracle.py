@@ -18,8 +18,8 @@ from typing import Mapping
 import numpy as np
 
 from replab.core import Colluder, Environment, MaliciousRandom, Workspace
-from replab.mechanisms import _gather, _ring_layers, _ring_outcome, run_batch
-from replab.simulator import _SecretRings, _batch_plan, _batch_rng, _combine
+from replab.mechanisms import _gather, _ring_outcome, _ring_setup, run_batch
+from replab.simulator import BATCH_TRIALS, _SecretRings, _batch_rng, _combine
 from replab.strategies import (
     ProfileDraw,
     _sent_constants,
@@ -88,6 +88,13 @@ def build_messages(
     return selfs, cross
 
 
+def batch_plan(trials: int) -> list[tuple[int, int]]:
+    """(batch index, batch size) pairs covering ``trials``, in batches of
+    ``BATCH_TRIALS``: the engine's batches, one after another."""
+    starts = range(0, trials, BATCH_TRIALS)
+    return [(b, min(BATCH_TRIALS, trials - start)) for b, start in enumerate(starts)]
+
+
 def dense_simulate(
     env, mechanism, trials, seed, reduce, workers=1, *, strategy_mode="equilibrium"
 ) -> dict:
@@ -97,14 +104,14 @@ def dense_simulate(
     sigma_prime = aggregate_sigma_prime(env)
     profile = resolve_self_reports(env, mechanism, strategy_mode)
     partials = []
-    for b, size in _batch_plan(trials):
+    for b, size in batch_plan(trials):
         rng = _batch_rng(seed, b)
         r0, cross_obs = sample_observations(env, rng, size)
         selfs, cross = build_messages(env, cross_obs, rng, profile)
         if isinstance(mechanism, _SecretRings):
             base = np.broadcast_to(np.arange(env.k), selfs.shape)
-            maps, readers = _ring_layers(
-                [rng.permuted(base, axis=1) for _ in range(mechanism.layers)]
+            maps, readers = _ring_setup(
+                env.k, [rng.permuted(base, axis=1) for _ in range(mechanism.layers)], Workspace()
             )
             reps, taxes = _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
         else:

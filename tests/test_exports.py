@@ -107,10 +107,11 @@ def test_only_the_batch_source_runs_the_kernels():
 
 def test_the_kernels_alone_hold_the_redistribution_rules():
     # Ring validation's redistribution lives in _validation_layer, run by
-    # _ring_outcome alone, and its rings are set up only where a batch's
-    # kernel runs, and only for fixed rings: the batch source draws secret
-    # rings itself.  A deviation audit reads the draw's taxes instead.
+    # _ring_outcome alone, and its rings, fixed or secret, are set up by
+    # _ring_setup alone, only where a batch's kernel runs.  A deviation
+    # audit reads the draw's taxes instead.
     assert _callers_in_src({"_validation_layer"}) == {("mechanisms", "_ring_outcome")}
+    assert _callers_in_src({"_ring_maps"}) == {("mechanisms", "_ring_setup")}
     found = _callers_in_src({"_ring_setup"})
     assert found == {("mechanisms", "run_batch"), ("strategies", "_batch_source")}, found
 

@@ -35,16 +35,17 @@ from replab.mechanisms import (
     ZeroWeightSum,
     _gather,
     _peer_sums,
-    _ring_layers,
     _ring_maps,
     _ring_outcome,
     _ring_setup,
+    _spec_rings,
     _validation_layer,
     cross_reads,
     deviation_terms,
     run_batch,
 )
 from replab.simulator import Arm, _SecretRings, simulate
+from replab import strategies
 from replab.strategies import ProfileDraw, _batch_source
 
 
@@ -449,7 +450,7 @@ def test_each_family_declares_what_it_reads():
 
 def _per_trial(selfs, cross, rings1, rings2, layers):
     """Ring validation of dense reports over per-trial rings."""
-    maps, readers = _ring_layers([rings1, rings2][:layers])
+    maps, readers = _ring_setup(selfs.shape[1], [rings1, rings2][:layers], Workspace())
     return _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
 
 
@@ -495,6 +496,97 @@ def test_per_trial_rings_too_few_agents():
             _batch_source([(env, spec, {})])
     with pytest.raises(TooFewAgents):
         run_batch(ExtendedAS(ring=(0, 1, 2)), np.zeros((1, 2)), np.zeros((1, 2, 2)), None)
+
+
+# ---------------------------------------------------------------------------
+# Relabelling: ring validation does not care what the agents are called
+# ---------------------------------------------------------------------------
+
+
+def _relabelled(perm, selfs, cross):
+    """The reports with agent a renamed perm[a]."""
+    inv = np.argsort(perm)
+    return selfs[:, inv], cross[:, inv][:, :, inv]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.integers(1, 2), st.booleans())
+def test_relabelling_agents_and_fixed_rings_permutes_ring_validation(seed, k, layers, own_second):
+    rng = np.random.default_rng(seed)
+    perm, ring, second = rng.permutation(k), rng.permutation(k), rng.permutation(k)
+    selfs = rng.uniform(-0.5, 1.5, size=(16, k))
+    cross = rng.uniform(-0.5, 1.5, size=(16, k, k))
+
+    def spec(relabel):
+        named = lambda order: tuple(relabel[order].tolist())
+        return ExtendedAS(
+            ring=named(ring),
+            layers=layers,
+            second_ring=named(second) if own_second and layers == 2 else None,
+        )
+
+    reps, taxes = run_batch(spec(np.arange(k)), selfs, cross, None)
+    inv = np.argsort(perm)
+    moved_reps, moved_taxes = run_batch(spec(perm), *_relabelled(perm, selfs, cross), None)
+    assert np.max(np.abs(moved_reps - reps[:, inv])) <= 1e-12
+    assert np.max(np.abs(moved_taxes - taxes[:, inv])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.integers(1, 2))
+def test_relabelling_agents_and_per_trial_rings_permutes_ring_validation(seed, k, layers):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(k)
+    base = np.broadcast_to(np.arange(k), (16, k))
+    rings = [rng.permuted(base, axis=1) for _ in range(layers)]
+    selfs = rng.uniform(-0.5, 1.5, size=(16, k))
+    cross = rng.uniform(-0.5, 1.5, size=(16, k, k))
+
+    def outcome(rings, selfs, cross):
+        maps, readers = _ring_setup(k, rings, Workspace())
+        return _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
+
+    reps, taxes = outcome(rings, selfs, cross)
+    inv = np.argsort(perm)
+    moved_reps, moved_taxes = outcome([perm[r] for r in rings], *_relabelled(perm, selfs, cross))
+    assert np.max(np.abs(moved_reps - reps[:, inv])) <= 1e-12
+    assert np.max(np.abs(moved_taxes - taxes[:, inv])) <= 1e-12
+
+
+def test_layer_two_reads_never_name_one_reporter(monkeypatch):
+    # sample_ring_reads draws a layer-2 read again only where its reporter
+    # is not layer 1's: it relies on pred2(i) and pred2(pred2(i)) never
+    # being one agent.  The readers are those the engine sets up, for a
+    # fixed ring and for secret rings, each checked against its ring.
+    seen = []
+
+    def spy(k, rings, workspace):
+        maps, readers = _ring_setup(k, rings, workspace)
+        seen.append([r.copy() for r in readers])
+        return maps, readers
+
+    monkeypatch.setattr(strategies, "_ring_setup", spy)
+    k = 7
+    agents = tuple(Agent(id=i, quality=Quality(0.1 * (i + 1)), agent_type=Truth()) for i in range(k))
+    env = Environment(agents=agents)
+    keep = lambda draw, batches, workspace: [{"n": 0.0}] * len(batches)
+    ring, second = (3, 1, 6, 0, 5, 2, 4), (2, 4, 1, 6, 3, 0, 5)
+    for spec in (ExtendedAS(ring=ring, layers=2, second_ring=second), _SecretRings(layers=2)):
+        seen.clear()
+        simulate([Arm(env, spec, keep)], 3_000, 5)
+        ((first, pred2, pred22),) = seen
+        subjects = np.arange(k)
+        if isinstance(spec, _SecretRings):
+            rows = np.arange(pred2.shape[0])[:, None]
+            assert pred2.shape == (3_000, k)
+            assert (np.sort(pred2, axis=1) == subjects).all() and (pred2 != subjects).all()
+            assert (pred22 == pred2[rows, pred2]).all()
+        else:
+            position = np.argsort(second)
+            assert (first == np.array(ring)[(np.argsort(ring) - 1) % k]).all()
+            assert (pred2 == np.array(second)[(position - 1) % k]).all()
+            assert (pred22 == np.array(second)[(position - 2) % k]).all()
+        assert (pred22 != pred2).all() and (pred22 != subjects).all()
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +676,7 @@ def test_ring_reads_keep_the_dense_kernel_bit_for_bit(k, layers, rings):
     order2 = order if second is None else np.array([second])
     reps, taxes = run_batch(spec, selfs, cross, None)
     assert (taxes == _gathered_kernel(selfs, cross, order, order2, layers)[1]).all()
-    reads = _gather(cross, _ring_setup(spec, k)[1])
+    reads = _gather(cross, _ring_setup(k, _spec_rings(spec, k), Workspace())[1])
     draw = ProfileDraw(r0=None, selfs=selfs, reps=reps, taxes=taxes, ring_reads=reads)
     _assert_own_tax_is_the_rerun(spec, draw, cross)
 

@@ -48,7 +48,6 @@ from replab.simulator import (
     SimStats,
     UnsupportedCombination,
     _SecretRings,
-    _batch_plan,
     _batch_rng,
     run_collusion_scenario,
     run_malicious_scenario,
@@ -66,7 +65,7 @@ from replab.strategies import (
 )
 from replab.strategies import expected_pr_reputation
 
-from dense_oracle import build_messages, dense_simulate, sample_observations
+from dense_oracle import batch_plan, build_messages, dense_simulate, sample_observations
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -354,7 +353,7 @@ def _dense_reference(env, mechanism, mode, trials, seed):
     profile = resolve_self_reports(env, mechanism, mode)
     targets = centralized_solution(env)
     maes, reps_all, budget_sums, budget_maxes = [], [], [], []
-    for b, size in _batch_plan(trials):
+    for b, size in batch_plan(trials):
         rng = _batch_rng(seed, b)
         r0, cross_obs = sample_observations(env, rng, size)
         selfs, cross = build_messages(env, cross_obs, rng, profile)
@@ -848,12 +847,12 @@ def test_run_plan_covers_the_batches_within_the_budget():
                 for first, size in plan
                 for b, rows in simulator._run_batches(first, size)
             ]
-            assert batches == _batch_plan(trials), (k, trials)
+            assert batches == batch_plan(trials), (k, trials)
             cap = max(simulator.BATCH_TRIALS * k, simulator.RUN_CELLS)
             assert all(size * k <= cap for _, size in plan), (k, trials)
     # At K = 2000 one batch already exceeds the budget: a run is one batch.
     plan = simulator._run_plan(10_000, 2_000)
-    assert plan == [(b, size) for b, size in _batch_plan(10_000)]
+    assert plan == batch_plan(10_000)
 
 
 def _population_of_twelve():
@@ -1012,7 +1011,7 @@ def test_a_band_multiplier_sweep_draws_each_batch_once(monkeypatch):
     samples = _counting(monkeypatch, strategies, "sample_sparse")
     rows = sweep(config, "pr_a", grid)
     assert [len(arms) for arms in engine] == [30]
-    assert len(samples) == len(_batch_plan(config.trials)) == 5
+    assert len(samples) == len(batch_plan(config.trials)) == 5
     for row, a in zip(rows[::29], grid[::29]):
         point = dataclasses.replace(config, mechanism=PR(a=float(a)))
         stats = run_trials(point)

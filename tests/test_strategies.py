@@ -45,9 +45,8 @@ from replab.mechanisms import (
     _gather,
     _peer_sums,
     _ring_gather,
-    _ring_layers,
     _ring_maps,
-    _ring_readers,
+    _ring_setup,
     _spec_rings,
     cross_reads,
     deviation_terms,
@@ -610,7 +609,7 @@ def test_ring_draws_do_not_depend_on_the_index_dtype(k):
         for order in "CF":
             gathered = _ring_gather(source, maps[0], maps[2], "g", Workspace(), order)
             assert np.array_equal(gathered, values[rows, succ])
-    _, readers = _ring_readers([maps, maps], Workspace())
+    _, readers = _ring_setup(k, [wide, wide], Workspace())
     assert np.array_equal(readers[2], pred[rows, pred])
     fixed = _ring_maps(wide[:1], Workspace())
     assert np.array_equal(values[fixed[0], fixed[2]], values[:, succ[0]])
@@ -778,7 +777,8 @@ def _sparse_draw(mechanism, env, arrays):
     peer_sums = _peer_sums(mechanism, cross) if reads == PEER_SUMS else None
     ring_reads = None
     if reads == RING:
-        ring_reads = tuple(_gather(cross, _ring_layers(_spec_rings(mechanism, env.k))[1]))
+        readers = _ring_setup(env.k, _spec_rings(mechanism, env.k), Workspace())[1]
+        ring_reads = tuple(_gather(cross, readers))
     reps, taxes = run_batch(mechanism, selfs, cross, r0, aggregate_sigma_prime(env))
     return ProfileDraw(r0, selfs, reps, taxes, peer_sums=peer_sums, ring_reads=ring_reads)
 
