@@ -95,16 +95,16 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(text, encoding="ascii", newline="\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
+def _write_table(csv_path: Path, columns: dict[str, str], rows) -> list[Path]:
+    """``rows``, mappings over the ``columns``, as CSV, and beside it the
+    schema naming and describing each column; returns both paths."""
+    lines = [",".join(columns)]
     for row in rows:
+        values = [row[c] for c in columns]
         lines.append(
-            ",".join([_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row])
+            ",".join([_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in values])
         )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-
-
-def _write_schema(csv_path: Path, columns: dict[str, str]) -> Path:
+    csv_path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
     schema_path = csv_path.with_suffix(".schema.json")
     _write_json(
         schema_path,
@@ -113,28 +113,12 @@ def _write_schema(csv_path: Path, columns: dict[str, str]) -> Path:
             "columns": [{"name": k, "description": v} for k, v in columns.items()],
         },
     )
-    return schema_path
+    return [csv_path, schema_path]
 
 
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written beside every file-producing command.
-
-    ``stream`` is the simulator's draw-order version (``simulator.STREAM``):
-    equal configs, seeds and streams give equal outputs.
-    """
-
-    command: str
-    config_digest: str
-    seed: int
-    tool_version: str
-    output_paths: list[str]
-    stream: int
 
 
 def _digest(canonical: dict) -> str:
@@ -145,15 +129,20 @@ def _digest(canonical: dict) -> str:
 def _write_manifest(
     out_dir: Path, command: str, canonical: dict, seed: int, paths: list[Path]
 ) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_digest=_digest(canonical),
-        seed=seed,
-        tool_version=__version__,
-        output_paths=sorted(p.name for p in paths),
-        stream=STREAM,
-    )
-    _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
+    """The provenance record written beside every file-producing command.
+
+    ``stream`` is the simulator's draw-order version (``simulator.STREAM``):
+    equal configs, seeds and streams give equal outputs.
+    """
+    manifest = {
+        "command": command,
+        "config_digest": _digest(canonical),
+        "seed": seed,
+        "tool_version": __version__,
+        "output_paths": sorted(p.name for p in paths),
+        "stream": STREAM,
+    }
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -738,27 +727,25 @@ def cmd_run(config_path, out_dir, seed, trials, workers):
             "per_agent_utility_mean": [float(v) for v in utilities],
         },
     )
-    agent_csv = out / "per_agent.csv"
-    _write_csv(
-        agent_csv,
-        ["agent_id", "quality", "reputation_mean", "utility_mean"],
-        [
-            [agent.id, float(agent.quality), reputation, utility]
-            for agent, reputation, utility in zip(parsed.env.agents, reputations, utilities)
-        ],
-    )
-    schema = _write_schema(
-        agent_csv,
+    tables = _write_table(
+        out / "per_agent.csv",
         {
             "agent_id": "Agent identifier (row order matches the config)",
             "quality": "True quality from the config",
             "reputation_mean": "Mean published reputation over all trials",
             "utility_mean": "Mean realized utility over all trials",
         },
+        [
+            {
+                "agent_id": agent.id,
+                "quality": float(agent.quality),
+                "reputation_mean": reputation,
+                "utility_mean": utility,
+            }
+            for agent, reputation, utility in zip(parsed.env.agents, reputations, utilities)
+        ],
     )
-    _write_manifest(
-        out, "run", parsed.canonical, parsed.seed, [stats_path, agent_csv, schema]
-    )
+    _write_manifest(out, "run", parsed.canonical, parsed.seed, [stats_path, *tables])
     click.echo(f"wrote {stats_path} ({stats.trials} trials, mae {_fmt(stats.mae_mean)})")
 
 
@@ -786,9 +773,6 @@ def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    columns = [key for key in rows[0] if key != "parameter"]
-    csv_path = out / "sweep.csv"
-    _write_csv(csv_path, columns, [[row[c] for c in columns] for row in rows])
     descriptions = {
         "value": f"Swept value of {parameter}",
         "mae_mean": "Mean total absolute error across trials",
@@ -801,10 +785,11 @@ def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers)
         "e_m": "Closed-form expected mechanism error per agent",
         "expected_reputation": "Closed-form mean published reputation of the representative sender",
     }
-    schema = _write_schema(csv_path, {c: descriptions[c] for c in columns})
+    columns = {key: descriptions[key] for key in rows[0] if key != "parameter"}
+    paths = _write_table(out / "sweep.csv", columns, rows)
     canonical = {**parsed.canonical, "sweep": {"parameter": parameter, "grid": grid}}
-    _write_manifest(out, "sweep", canonical, parsed.seed, [csv_path, schema])
-    click.echo(f"wrote {csv_path} ({len(rows)} grid points)")
+    _write_manifest(out, "sweep", canonical, parsed.seed, paths)
+    click.echo(f"wrote {paths[0]} ({len(rows)} grid points)")
 
 
 # The design curves of ``figures``: each table's columns and their descriptions.
@@ -865,9 +850,7 @@ def cmd_figures(out_dir, sigma_prime, r_value, points):
         )
     paths = []
     for name, columns in _FIGURES.items():
-        path = out / f"{name}.csv"
-        _write_csv(path, list(columns), [[row[c] for c in columns] for row in table])
-        paths += [path, _write_schema(path, columns)]
+        paths += _write_table(out / f"{name}.csv", columns, table)
     canonical = {
         "figures": {"sigma_prime": sigma_prime, "quality": r_value, "grid": grid}
     }

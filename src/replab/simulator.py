@@ -68,12 +68,13 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     AS,
+    Agent,
     Colluder,
     Environment,
     MaliciousRandom,
@@ -302,9 +303,10 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     return totals
 
 
-def _stats_arm(config: ScenarioConfig) -> Arm:
-    """The arm of ``config`` whose totals :func:`_stats` reads."""
-    env = config.env
+def _stats_arm(
+    env: Environment, mechanism: MechanismSpec, strategy_mode: str | Mapping[int, float]
+) -> Arm:
+    """The arm whose totals :func:`_stats` reads."""
 
     def reduce(draw, batches, workspace) -> list[dict]:
         reps, taxes = draw.reps, draw.taxes
@@ -324,7 +326,7 @@ def _stats_arm(config: ScenarioConfig) -> Arm:
             for rows in batches
         ]
 
-    return Arm(env, config.mechanism, reduce, config.strategy_mode)
+    return Arm(env, mechanism, reduce, strategy_mode)
 
 
 def _stats(totals: dict, t: int) -> SimStats:
@@ -348,49 +350,52 @@ def _stats(totals: dict, t: int) -> SimStats:
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
     """Simulate the configured scenario and aggregate outcome statistics."""
-    (totals,) = simulate([_stats_arm(config)], config.trials, config.seed, workers)
+    arm = _stats_arm(config.env, config.mechanism, config.strategy_mode)
+    (totals,) = simulate([arm], config.trials, config.seed, workers)
     return _stats(totals, config.trials)
 
 
 # ---------------------------------------------------------------------------
-# Parameter sweeps
+# Populations and parameter sweeps
 # ---------------------------------------------------------------------------
 
 
-def _with_pr_a(config: ScenarioConfig, a: float) -> ScenarioConfig:
+def _with_agents(
+    env: Environment, ids: Container[int], make: Callable[[Agent], Agent]
+) -> Environment:
+    """``env`` with each agent whose id is in ``ids`` replaced by ``make(agent)``:
+    every sweep point and scenario arm is a population built this way."""
     return dataclasses.replace(
-        config, mechanism=dataclasses.replace(config.mechanism, a=a)
+        env, agents=tuple(make(agent) if agent.id in ids else agent for agent in env.agents)
     )
 
 
-def _with_sigma(config: ScenarioConfig, sigma: float) -> ScenarioConfig:
-    """Homogeneous observation-noise level: every channel gets std sigma."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    env = config.env
-    agents = tuple(
-        dataclasses.replace(agent, cross_obs=NormalParams(agent.cross_obs.mean, sigma))
-        for agent in env.agents
-    )
-    new_env = dataclasses.replace(
-        env,
-        agents=agents,
-        system_obs=NormalParams(env.system_obs.mean, sigma),
-    )
-    return dataclasses.replace(config, env=new_env)
+def _sweep_arm(config: ScenarioConfig, parameter: str, value: float) -> Arm:
+    """The stats arm of ``config`` at one grid point.
 
-
-def _with_rho(config: ScenarioConfig, rho: float) -> ScenarioConfig:
-    """Image-driven fraction: the last round(rho*(K-1)) agents become
-    image-driven (truth weight 0), everyone else truth-driven."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    env = config.env
-    n_image = round(rho * (env.k - 1))
-    agents = [_driven(agent, i < env.k - n_image) for i, agent in enumerate(env.agents)]
-    return dataclasses.replace(
-        config, env=dataclasses.replace(env, agents=tuple(agents))
-    )
+    ``pr_a`` sets the band multiplier; ``sigma`` gives every observation
+    channel std ``value``; ``rho`` makes the last round(rho*(K-1)) agents
+    image-driven (truth weight 0) and everyone else truth-driven.  The
+    point's self-reports are resolved here, so a point without them fails
+    before anything is drawn.
+    """
+    env, mechanism = config.env, config.mechanism
+    if parameter == "pr_a":
+        mechanism = dataclasses.replace(mechanism, a=value)
+    elif parameter == "sigma":
+        env = _with_agents(
+            dataclasses.replace(env, system_obs=NormalParams(env.system_obs.mean, value)),
+            range(env.k),
+            lambda agent: dataclasses.replace(
+                agent, cross_obs=NormalParams(agent.cross_obs.mean, value)
+            ),
+        )
+    else:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"rho must lie in [0, 1], got {value}")
+        truth = env.k - round(value * (env.k - 1))
+        env = _with_agents(env, range(env.k), lambda agent: _driven(agent, agent.id < truth))
+    return _stats_arm(env, mechanism, resolve_self_reports(env, mechanism, config.strategy_mode))
 
 
 def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> list[dict]:
@@ -416,21 +421,19 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("grid must be strictly increasing")
 
-    with_value = {"pr_a": _with_pr_a, "sigma": _with_sigma, "rho": _with_rho}[parameter]
-    points = []
+    arms = []
     for value in values:
         try:
-            points.append(with_value(config, value))
-        except ValueError as exc:
-            raise ValueError(f"grid value {value}: {exc}") from None
+            arms.append(_sweep_arm(config, parameter, value))
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"grid value {value}: {exc}") from None
     # Every point in one engine call: the points that draw alike share
     # each batch's draw.
-    arms = [_stats_arm(point) for point in points]
     results = simulate(arms, config.trials, config.seed, workers)
     rows = []
-    for value, point, totals in zip(values, points, results):
+    for value, arm, totals in zip(values, arms, results):
         stats = _stats(totals, config.trials)
-        sigma_prime = aggregate_sigma_prime(point.env)
+        sigma_prime = aggregate_sigma_prime(arm.env)
         row = {
             "parameter": parameter,
             "value": value,
@@ -442,7 +445,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
             "averaging_mae": math.sqrt(2.0 / math.pi) * sigma_prime,
         }
         if parameter == "pr_a":
-            r_bar = float(point.env.qualities.mean())
+            r_bar = float(arm.env.qualities.mean())
             row["y"], row["e_m"], row["expected_reputation"] = _band_curves(
                 value, r_bar, sigma_prime
             )
@@ -453,37 +456,6 @@ def sweep(config: ScenarioConfig, parameter: str, grid, workers: int = 1) -> lis
 # ---------------------------------------------------------------------------
 # Collusion scenario
 # ---------------------------------------------------------------------------
-
-
-def _retype_clique(env: Environment, clique: set[int], honest: bool) -> Environment:
-    """Clique members become mutual inflaters (or truth-tellers when honest)."""
-    fresh_id = (
-        max(
-            (
-                agent.agent_type.clique_id
-                for agent in env.agents
-                if isinstance(agent.agent_type, Colluder)
-            ),
-            default=-1,
-        )
-        + 1
-    )
-    agents = []
-    for agent in env.agents:
-        if agent.id in clique:
-            if honest:
-                agents.append(_driven(agent, True))
-            elif isinstance(agent.agent_type, Colluder):
-                agents.append(agent)
-            else:
-                agents.append(
-                    dataclasses.replace(
-                        agent, agent_type=Colluder(clique_id=fresh_id, inflate=1.0)
-                    )
-                )
-        else:
-            agents.append(agent)
-    return dataclasses.replace(env, agents=tuple(agents))
 
 
 def run_collusion_scenario(
@@ -519,10 +491,8 @@ def run_collusion_scenario(
             "fewer than two honest outsiders to validate against"
         )
 
-    members = np.array([i for i, a in enumerate(env.agents) if a.id in clique], dtype=int)
-    outsiders = np.array(
-        [i for i, a in enumerate(env.agents) if a.id not in clique], dtype=int
-    )
+    members = np.array(sorted(clique), dtype=int)
+    outsiders = np.array(sorted(ids - clique), dtype=int)
 
     def reducer(arm_env: Environment) -> Reducer:
         def reduce(draw, batches, workspace) -> list[dict]:
@@ -557,13 +527,23 @@ def run_collusion_scenario(
             "budget_max_abs": totals["budget_abs_max"],
         }
 
+    # Members already in a clique keep it; the others join a fresh one.
+    cliques = [a.agent_type.clique_id for a in env.agents if isinstance(a.agent_type, Colluder)]
+    fresh = Colluder(clique_id=max(cliques, default=-1) + 1, inflate=1.0)
+
+    def inflater(agent: Agent) -> Agent:
+        colluding = isinstance(agent.agent_type, Colluder)
+        return agent if colluding else dataclasses.replace(agent, agent_type=fresh)
+
     # One group per layer count.  The honest arm goes first, so the
     # manipulated arm, last, writes its messages into the shared draw
     # instead of a copy.
+    honest = _with_agents(env, clique, lambda agent: _driven(agent, True))
+    envs = (honest, _with_agents(env, clique, inflater))
     arms = [
         Arm(arm_env, _SecretRings(layers=n_layers), reducer(arm_env))
         for n_layers in (1, 2)
-        for arm_env in (_retype_clique(env, clique, True), _retype_clique(env, clique, False))
+        for arm_env in envs
     ]
     one_honest, one, two_honest, two = simulate(arms, trials, seed, workers)
     return {
@@ -581,23 +561,6 @@ def run_collusion_scenario(
 # ---------------------------------------------------------------------------
 # Malicious-reporting scenario
 # ---------------------------------------------------------------------------
-
-
-def _retype_slots(env: Environment, slots: set[int], kind: str) -> Environment:
-    agents = []
-    for agent in env.agents:
-        if agent.id not in slots:
-            agents.append(agent)
-        elif kind == "malicious":
-            if isinstance(agent.agent_type, MaliciousRandom):
-                agents.append(agent)
-            else:
-                agents.append(
-                    dataclasses.replace(agent, agent_type=MaliciousRandom(0.0, 1.0))
-                )
-        else:
-            agents.append(_driven(agent, False))
-    return dataclasses.replace(env, agents=tuple(agents))
 
 
 def run_malicious_scenario(
@@ -625,9 +588,7 @@ def run_malicious_scenario(
     if unknown:
         raise ValueError(f"malicious set names unknown agents {sorted(unknown)}")
 
-    slot_idx = np.array(
-        [i for i, agent in enumerate(env.agents) if agent.id in malicious], dtype=int
-    )
+    slot_idx = np.array(sorted(malicious), dtype=int)
 
     def errors(reps, batches, workspace) -> list[float]:
         mae = absolute_errors(reps, env, workspace=workspace).sum(axis=1)
@@ -648,12 +609,14 @@ def run_malicious_scenario(
             for mae, rows in zip(errors(draw.reps, batches, workspace), batches)
         ]
 
+    def randomizer(agent: Agent) -> Agent:
+        drawn = isinstance(agent.agent_type, MaliciousRandom)
+        return agent if drawn else dataclasses.replace(agent, agent_type=MaliciousRandom(0.0, 1.0))
+
     charged = slot_idx.size > 0
     arms = [
-        Arm(
-            _retype_slots(env, malicious, "malicious"), AS(), reduce_charged if charged else reduce
-        ),
-        Arm(_retype_slots(env, malicious, "image"), AS(), reduce),
+        Arm(_with_agents(env, malicious, randomizer), AS(), reduce_charged if charged else reduce),
+        Arm(_with_agents(env, malicious, lambda agent: _driven(agent, False)), AS(), reduce),
         Arm(env, AS(), reduce),
     ]
     malicious_arm, image_arm, baseline_arm = simulate(arms, trials, seed, workers)

@@ -1188,7 +1188,8 @@ def deviation_reports(
     :func:`replab.mechanisms.deviation_terms` on them (common random
     numbers): the grid pass (:func:`_grid_pass`) picks each best, and the
     paired pass (:func:`_pair_pass`) replays the batches for the gains and
-    their standard errors when some best is not the claimed report.
+    their standard errors when some best is not the claimed report.  With
+    no agent to audit, nothing is simulated.
     """
     from .simulator import Arm, simulate  # the engine imports this module
 
@@ -1212,6 +1213,8 @@ def deviation_reports(
         if i not in reports:
             raise UnsupportedCombination(f"agent {i} draws its report every trial")
         claimed[i] = reports[i]
+    if not claimed:
+        return []
     reduce, report = _grid_pass(mechanism, env, claimed, np.linspace(0.0, 1.0, grid))
     (totals,) = simulate([Arm(drawn, mechanism, reduce, profile)], trials, seed)
     reduce, report = _pair_pass(mechanism, env, report(totals, trials))

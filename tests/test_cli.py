@@ -767,8 +767,10 @@ def test_sweep_unknown_parameter_is_rejected(runner, tmp_path):
         ("basic", "pr_a", "1,2", "--parameter: parameter pr_a sweeps require a punish-reward mechanism"),
         ("pr", "sigma", "nan", "--grid: grid value nan: std must be finite and >= 0, got nan"),
         ("pr", "rho", "0,1.5", "--grid: grid value 1.5: rho must lie in [0, 1], got 1.5"),
+        # Image-driven senders have no band offset without noise.
+        ("pr", "sigma", "0,0.1", "--grid: grid value 0.0: sigma_prime must be positive, got 0.0"),
     ],
-    ids=["pr_a-nan", "not-increasing", "pr_a-without-pr", "sigma-nan", "rho-above-1"],
+    ids=["pr_a-nan", "not-increasing", "pr_a-without-pr", "sigma-nan", "rho-above-1", "sigma-0"],
 )
 def test_sweep_errors_name_their_flag(runner, tmp_path, config, parameter, grid, message):
     path = _write(tmp_path, f"{config}.ini", {"pr": PR_INI, "basic": BASIC_INI}[config])
@@ -778,6 +780,21 @@ def test_sweep_errors_name_their_flag(runner, tmp_path, config, parameter, grid,
     )
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_point_without_an_equilibrium_names_its_grid_value(runner, tmp_path):
+    # At rho = 1 every agent but one is image-driven, and ring validation
+    # has no equilibrium report for them: a runtime failure, exit 3.
+    path = _write(tmp_path, "eas.ini", BASIC_INI.replace("kind = as", "kind = extended_as"))
+    result = runner.invoke(
+        main,
+        ["sweep", str(path), "--parameter", "rho", "--grid", "0,1", "--out", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 3, result.output
+    assert result.stderr == (
+        "error: grid value 1.0: no equilibrium self-report for Image under ExtendedAS\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -883,6 +900,26 @@ def test_check_equilibrium_skips_randomized_reporters(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "skipped" in result.output
+
+
+def test_check_equilibrium_of_only_skipped_agents_simulates_nothing(runner, tmp_path, monkeypatch):
+    from replab import simulator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no agent is audited, so nothing is simulated")
+
+    monkeypatch.setattr(simulator, "simulate", refuse)
+    config = _write(
+        tmp_path,
+        "skipped.ini",
+        "[agents]\nagent0 = quality=0.5 type=malicious\n"
+        "agent1 = quality=0.4 type=colluder\nagent2 = quality=0.6 type=malicious\n\n"
+        "[mechanism]\nkind = as\n",
+    )
+    result = runner.invoke(main, ["check-equilibrium", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("skipped") == 3
+    assert "no profitable deviation" in result.output
 
 
 def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeypatch):

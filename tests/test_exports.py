@@ -1,8 +1,9 @@
 """Each module's ``__all__`` matches the public names it defines, only the
 engine seeds random streams, only the one batch source runs
 the mechanism kernels, only the kernels redistribute charges, only the
-engine builds per-thread workspaces, and each command's simulated work is
-one engine call."""
+engine builds per-thread workspaces, each command's simulated work is
+one engine call, one helper builds the simulator's populations and one
+writer writes the command-line tables."""
 
 import ast
 import importlib
@@ -170,3 +171,26 @@ def test_each_command_makes_one_engine_call(module, function):
     top = _definition(module, function)
     assert len(_calls(top, {"simulate"})) == 1
     assert not _looped(top), f"{module}.{function} calls simulate in a loop"
+
+
+def _passing(module: str, keyword: str) -> set[str]:
+    """The top-level definitions of ``module`` that pass ``keyword=`` to a call."""
+    path = Path(replab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        if any(isinstance(node, ast.keyword) and node.arg == keyword for node in ast.walk(top))
+    }
+
+
+def test_one_helper_builds_populations_and_one_writer_writes_tables():
+    # Every sweep point and scenario arm retypes or re-channels agents
+    # through _with_agents, so no per-parameter or per-scenario builder
+    # makes an agent tuple of its own.
+    assert _passing("simulator", "agents") == {"_with_agents"}
+    # A table's CSV and its schema are written together, by _write_table;
+    # every other file the commands write is JSON.
+    cli = Path(replab.__file__).parent / "cli.py"
+    found = _callers(cli, {"write_text", "write_bytes", "open"})
+    assert found == {("cli", "_write_json"), ("cli", "_write_table")}, found

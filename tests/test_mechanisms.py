@@ -590,6 +590,57 @@ def test_layer_two_reads_never_name_one_reporter(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Translation, scale and linearity: what scoring, share-of-total and
+# averaging must keep on any draw
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(-2.0, 2.0))
+def test_translating_reports_and_observations_shifts_scoring_reputations(seed, k, c):
+    # Absolute scoring charges the gap between self-report and system
+    # observation, which a common shift leaves as it is.
+    rng = np.random.default_rng(seed)
+    selfs, r0 = rng.uniform(-0.5, 1.5, size=(2, 16, k))
+    reps, taxes = run_batch(AS(), selfs, None, r0)
+    moved_reps, moved_taxes = run_batch(AS(), selfs + c, None, r0 + c)
+    assert np.max(np.abs(moved_reps - (reps + c))) <= 1e-12
+    assert np.max(np.abs(moved_taxes - taxes)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(1e-3, 1e3), st.booleans()
+)
+def test_scaling_self_reports_keeps_the_shares(seed, k, scale, zero_round):
+    # A share is a self-report over its round's total; a round of zero
+    # reports gives 1/K to all, at any scale.
+    rng = np.random.default_rng(seed)
+    selfs = rng.uniform(0.01, 1.0, size=(16, k))
+    if zero_round:
+        selfs[3] = 0.0
+    shares, taxes = run_batch(FR(), selfs, None, None)
+    moved_shares, moved_taxes = run_batch(FR(), scale * selfs, None, None)
+    assert np.max(np.abs(moved_shares - shares)) <= 1e-12
+    assert not taxes.any() and not moved_taxes.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_averaging_reputations_are_linear_in_peer_sums_and_prior(seed, k, alpha, beta):
+    rng = np.random.default_rng(seed)
+    sums = rng.uniform(-0.5, 1.5, size=(2, 16, k)) * (k - 1)
+    r0 = rng.uniform(-0.5, 1.5, size=(2, 16, k))
+
+    def reps(peer_sums, prior):
+        return run_batch(SimpleAveraging(), None, None, prior, peer_sums=peer_sums)[0]
+
+    mixed = reps(alpha * sums[0] + beta * sums[1], alpha * r0[0] + beta * r0[1])
+    combined = alpha * reps(sums[0], r0[0]) + beta * reps(sums[1], r0[1])
+    assert np.max(np.abs(mixed - combined)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Ring reads: the dense gathers they replaced, as the oracle
 # ---------------------------------------------------------------------------
 
