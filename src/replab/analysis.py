@@ -40,11 +40,7 @@ from .numerics import (
     normal_pdf,
 )
 from .simulator import Arm, simulate
-from .strategies import (
-    expected_pr_reputation,
-    pr_mae,
-    pr_optimal_self_report,
-)
+from .strategies import _band_curves, mixed_best_response_as, pr_mae
 
 __all__ = [
     "ParticipationReport",
@@ -115,9 +111,8 @@ def pr_mutual_benefit_region(sigma_prime: float, a_grid) -> set:
         a = float(a)
         if a <= 0.0:
             raise ValueError(f"band sizes must be positive, got {a}")
-        eq = pr_optimal_self_report(0.0, sigma_prime, a)
-        inflation = expected_pr_reputation(eq.x_star, 0.0, sigma_prime, a * sigma_prime)
-        if inflation > 0.0 and pr_mae(a, sigma_prime) < averaging_mae:
+        _, e_m, inflation = _band_curves(a, 0.0, sigma_prime)
+        if inflation > 0.0 and e_m < averaging_mae:
             region.add(a)
     return region
 
@@ -220,9 +215,8 @@ def _census(env: Environment, focal_id: int) -> tuple[list[Agent], float, float]
 
 def _equilibrium_inflation(agent: Agent) -> float:
     """Equilibrium self-report overshoot min(r + (1-lambda)/2, 1) - r."""
-    w = 1.0 - agent.utility.truth_weight
     r = float(agent.quality)
-    return min(r + 0.5 * w, 1.0) - r
+    return mixed_best_response_as(Linear(), r, 1.0 - agent.utility.truth_weight) - r
 
 
 def closed_forms_apply(env: Environment, agent: Agent) -> bool:

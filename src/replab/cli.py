@@ -247,6 +247,21 @@ _LIST_ITEMS = {
 }
 
 
+class _Repeated(str):
+    """The key a JSON object gives twice, in any case, standing for the
+    object; a str, so a reader checks for it before it reads text."""
+
+
+def _json_object(pairs: list) -> dict | _Repeated:
+    """A JSON object as a dict, or as the first key it repeats."""
+    seen = set()
+    for key, _ in pairs:
+        if key.lower() in seen:
+            return _Repeated(key)
+        seen.add(key.lower())
+    return dict(pairs)
+
+
 def _coerce(section: str, key: str, raw, kind):
     """``raw``, INI text or a JSON value, as a ``kind``; failures name the key.
 
@@ -255,6 +270,8 @@ def _coerce(section: str, key: str, raw, kind):
     stands for a number, no non-integral number for an int, and a list key
     takes an array.
     """
+    if isinstance(raw, _Repeated):
+        raise ConfigError(f"[{section}] {key}: {raw!r} given twice")
     item = _LIST_ITEMS.get(kind)
     try:
         if item is None:
@@ -297,14 +314,31 @@ _AGENT_DEFAULTS = {
 }
 
 
-def _parse_agent_specs(raw_agents: list[dict], defaults: dict) -> list[dict]:
-    """Type each agent's raw fields and complete them into a canonical dict.
+def _build_payoff(key: str, g_text: str):
+    if g_text == "linear":
+        return Linear()
+    if g_text.startswith("power:"):
+        return Power(q=_coerce("agents", f"{key}.g", g_text.split(":", 1)[1], float))
+    raise ConfigError(
+        f"[agents] {key}: image payoff must be 'linear' or 'power:<q>', got {g_text!r}"
+    )
+
+
+def _build_agents(raw_agents: list[dict], defaults: dict) -> tuple[list[dict], tuple[Agent, ...]]:
+    """Each agent's canonical dict, its raw fields typed and completed, and
+    the agents built from them, one agent at a time.
 
     ``defaults`` holds the fields every type shares: the observation channel
     of the environment, the accuracy-loss exponent and the image payoff.
+    Agents with equal preferences share one frozen :class:`UtilitySpec`,
+    and agents with equal observation channels one :class:`NormalParams`:
+    each distinct one is built, and checked, once per call.
     """
     keys = _KEYS["agents"]
-    specs = []
+    utilities: dict[tuple, UtilitySpec] = {}
+    channels: dict[tuple, NormalParams] = {}
+    plain = {"truth": Truth(), "image": Image(), "mixed": Mixed()}
+    specs, agents = [], []
     for index, raw in enumerate(raw_agents):
         prefix = f"agent{index}."
         if "quality" not in raw:
@@ -326,41 +360,15 @@ def _parse_agent_specs(raw_agents: list[dict], defaults: dict) -> list[dict]:
             if field != "type":
                 spec[field] = _coerce("agents", prefix + field, value, keys[field])
         specs.append(spec)
-    return specs
-
-
-def _build_payoff(key: str, g_text: str):
-    if g_text == "linear":
-        return Linear()
-    if g_text.startswith("power:"):
-        return Power(q=_coerce("agents", f"{key}.g", g_text.split(":", 1)[1], float))
-    raise ConfigError(
-        f"[agents] {key}: image payoff must be 'linear' or 'power:<q>', got {g_text!r}"
-    )
-
-
-def _build_agents(specs: list[dict]) -> tuple[Agent, ...]:
-    """The agents of specs that :func:`_parse_agent_specs` has completed.
-
-    Agents with equal preferences share one frozen :class:`UtilitySpec`,
-    and agents with equal observation channels one :class:`NormalParams`:
-    each distinct one is built, and checked, once per call.
-    """
-    utilities: dict[tuple, UtilitySpec] = {}
-    channels: dict[tuple, NormalParams] = {}
-    plain = {"truth": Truth(), "image": Image(), "mixed": Mixed()}
-    agents = []
-    for index, spec in enumerate(specs):
-        kind_name = spec["type"]
         try:
-            if kind_name == "malicious":
+            if kind == "malicious":
                 agent_type = MaliciousRandom(low=spec["low"], high=spec["high"])
-            elif kind_name == "colluder":
+            elif kind == "colluder":
                 agent_type = Colluder(
                     clique_id=spec["clique"], inflate=spec["inflate"], bash=spec.get("bash")
                 )
             else:
-                agent_type = plain[kind_name]
+                agent_type = plain[kind]
             quality = Quality(spec["quality"])
             # Keyed by sign as well, as 0.0 == -0.0.
             weight, bias, sigma = spec["weight"], spec["bias"], spec["sigma"]
@@ -389,7 +397,7 @@ def _build_agents(specs: list[dict]) -> tuple[Agent, ...]:
             raise  # _build_payoff's errors already name the agent
         except ValueError as exc:
             raise ConfigError(f"[agents] agent{index}: {exc}") from None
-    return tuple(agents)
+    return specs, tuple(agents)
 
 
 def _build_mechanism(raw: dict) -> tuple[MechanismSpec, dict]:
@@ -492,6 +500,8 @@ def _sections_from_ini(path: Path) -> dict:
                     raise ConfigError(
                         f"[agents] {key}: malformed token {token!r}; expected field=value"
                     )
+                if field.lower() in tokens:
+                    raise ConfigError(f"[agents] {key}: {field!r} given twice")
                 tokens[field.lower()] = raw
             agents.append(tokens)
     sections["agents"] = agents
@@ -508,9 +518,11 @@ def _sections_from_ini(path: Path) -> dict:
 def _sections_from_json(path: Path) -> dict:
     """The sections of a JSON config, their values kept as JSON values."""
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(_read_text(path), object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    if isinstance(payload, _Repeated):
+        raise ConfigError(f"[{payload}]: section given twice")
     if not isinstance(payload, dict):
         raise ConfigError(f"{path.name}: top level must be an object of sections")
     _check_sections(payload)
@@ -519,6 +531,8 @@ def _sections_from_json(path: Path) -> dict:
         raise ConfigError("[agents]: must be a list of agent objects")
 
     def keys(where: str, section) -> dict:
+        if isinstance(section, _Repeated):
+            raise ConfigError(f"{where}: {section!r} given twice")
         if not isinstance(section, dict):
             raise ConfigError(f"{where}: expected an object of keys, got {section!r}")
         # Case-blind, as configparser makes the keys of an INI file.
@@ -569,8 +583,7 @@ def parse_config(
         "p": 2.0,
         "g": "linear",
     }
-    agent_specs = _parse_agent_specs(raw_agents, shared)
-    agents = _build_agents(agent_specs)
+    agent_specs, agents = _build_agents(raw_agents, shared)
     try:
         env = Environment(
             agents=agents,
@@ -593,6 +606,8 @@ def parse_config(
             raise ConfigError(f"[simulation] {key}: overrides must be named override<agent-id>")
         if int(agent_id) >= env.k:
             raise ConfigError(f"[simulation] {key}: no such agent; the agents are 0 to {env.k - 1}")
+        if int(agent_id) in overrides:
+            raise ConfigError(f"[simulation] {key}: agent {int(agent_id)} overridden twice")
         value = _coerce("simulation", key, raw, float)
         if not math.isfinite(value):
             raise ConfigError(f"[simulation] {key}: expected a finite report, got {value}")
@@ -665,6 +680,17 @@ def _parse_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _out_dir(path: str) -> Path:
+    """The directory ``--out`` names, checked before any work: it, or its
+    nearest ancestor that exists or is a link, must be a directory.
+    Commands make it only when they write, so one that fails leaves none."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
+    return out
+
+
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -706,9 +732,9 @@ def main() -> None:
 def cmd_run(config_path, out_dir, seed, trials, workers):
     """Simulate one scenario; write stats.json and per_agent.csv."""
     parsed = parse_config(config_path, seed=seed, trials=trials)
+    out = _out_dir(out_dir)
     stats = run_trials(parsed, workers=workers)
 
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Each mean is formatted once: the CSV writes the text, and stats.json
     # the float it spells.
@@ -762,6 +788,7 @@ def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers)
     """Run a scenario across a parameter grid; write sweep.csv."""
     parsed = parse_config(config_path, seed=seed, trials=trials)
     grid = _parse_grid(grid_text)
+    out = _out_dir(out_dir)
     try:
         rows = run_sweep(parsed, parameter, grid, workers=workers)
     except ValueError as exc:
@@ -771,7 +798,6 @@ def cmd_sweep(config_path, parameter, grid_text, out_dir, seed, trials, workers)
             raise
         raise ConfigError(f"--{name}: {exc}") from None
 
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     descriptions = {
         "value": f"Swept value of {parameter}",
@@ -833,7 +859,7 @@ def cmd_figures(out_dir, sigma_prime, r_value, points):
     grid = [float(a) for a in np.linspace(0.5, 5.0, points)]
     averaging = math.sqrt(2.0 / math.pi) * sigma_prime
 
-    out = Path(out_dir)
+    out = _out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = []
     for a in grid:

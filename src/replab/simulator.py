@@ -590,32 +590,25 @@ def run_malicious_scenario(
 
     slot_idx = np.array(sorted(malicious), dtype=int)
 
-    def errors(reps, batches, workspace) -> list[float]:
-        mae = absolute_errors(reps, env, workspace=workspace).sum(axis=1)
-        return [float(mae[rows].sum()) for rows in batches]
-
     def reduce(draw, batches, workspace) -> list[dict]:
-        return [{"mae": mae} for mae in errors(draw.reps, batches, workspace)]
-
-    def reduce_charged(draw, batches, workspace) -> list[dict]:
+        mae = absolute_errors(draw.reps, env, workspace=workspace).sum(axis=1)
         selfs, system_obs = draw.selfs, draw.r0
         return [
             {
-                "mae": mae,
+                "mae": float(mae[rows].sum()),
                 "charge": float(
                     ((selfs[rows][:, slot_idx] - system_obs[rows][:, slot_idx]) ** 2).sum()
                 ),
             }
-            for mae, rows in zip(errors(draw.reps, batches, workspace), batches)
+            for rows in batches
         ]
 
     def randomizer(agent: Agent) -> Agent:
         drawn = isinstance(agent.agent_type, MaliciousRandom)
         return agent if drawn else dataclasses.replace(agent, agent_type=MaliciousRandom(0.0, 1.0))
 
-    charged = slot_idx.size > 0
     arms = [
-        Arm(_with_agents(env, malicious, randomizer), AS(), reduce_charged if charged else reduce),
+        Arm(_with_agents(env, malicious, randomizer), AS(), reduce),
         Arm(_with_agents(env, malicious, lambda agent: _driven(agent, False)), AS(), reduce),
         Arm(env, AS(), reduce),
     ]
@@ -628,6 +621,6 @@ def run_malicious_scenario(
         "image_mae": image_arm["mae"] / trials,
         "baseline_mae": baseline_arm["mae"] / trials,
         "malicious_own_charge": (
-            malicious_arm["charge"] / (trials * slot_idx.size) if charged else None
+            malicious_arm["charge"] / (trials * slot_idx.size) if slot_idx.size else None
         ),
     }

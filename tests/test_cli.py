@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from replab.cli import main, parse_config
-from replab import analysis
+from replab import analysis, cli
 from replab.numerics import NormalParams
 
 # ---------------------------------------------------------------------------
@@ -380,6 +380,19 @@ def test_bad_agent_exits_2_naming_the_agent_once(runner, tmp_path, fields, messa
     assert result.stderr.count("[agents]") == 1, result.stderr
 
 
+def test_agent_errors_are_reported_in_agent_order(runner, tmp_path):
+    # Each agent is typed and built before the next is read, so agent 0's
+    # weight is judged before agent 1's malformed quality.
+    config = _write(
+        tmp_path,
+        "bad.ini",
+        "[agents]\nagent0 = quality=0.5 type=truth weight=0.5\nagent1 = quality=high\n",
+    )
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: [agents] agent0: truth agents need truth_weight 1, got 0.5\n"
+
+
 @pytest.mark.parametrize("suffix", [".ini", ".json"])
 @pytest.mark.parametrize(
     "strategy, agent, where",
@@ -578,6 +591,71 @@ def test_unknown_section_exits_2_naming_it(runner, tmp_path, suffix):
     result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: [simulaton]:"), result.stderr
+
+
+_TWO_AGENTS = '[{"quality": 0.3}, {"quality": 0.5}]'
+
+_REPEATS = [
+    (
+        "agent.ini",
+        "[agents]\nagent0 = quality=0.3 quality=0.9\nagent1 = quality=0.5\n",
+        "[agents] agent0: 'quality' given twice",
+    ),
+    (
+        "agent_case.ini",
+        "[agents]\nagent0 = quality=0.3\nagent1 = Quality=0.5 QUALITY=0.9\n",
+        "[agents] agent1: 'QUALITY' given twice",
+    ),
+    (
+        "agent.json",
+        '{"agents": [{"quality": 0.3, "quality": 0.9}, {"quality": 0.5}]}',
+        "[agents] agent0: 'quality' given twice",
+    ),
+    (
+        "agent_case.json",
+        '{"agents": [{"quality": 0.3}, {"quality": 0.5, "Quality": 0.9}]}',
+        "[agents] agent1: 'Quality' given twice",
+    ),
+    (
+        "environment_case.json",
+        '{"environment": {"system_std": 0.1, "SYSTEM_STD": 0.5}, "agents": %s}' % _TWO_AGENTS,
+        "[environment]: 'SYSTEM_STD' given twice",
+    ),
+    (
+        "overrides.json",
+        '{"agents": %s, "simulation": {"strategy": "custom", '
+        '"overrides": {"0": 0.4, "0": 0.6}}}' % _TWO_AGENTS,
+        "[simulation] overrides: '0' given twice",
+    ),
+    (
+        "override_alias.ini",
+        "[agents]\nagent0 = quality=0.3\nagent1 = quality=0.5\n\n"
+        "[simulation]\nstrategy = custom\noverride0 = 0.4\noverride00 = 0.9\n",
+        "[simulation] override00: agent 0 overridden twice",
+    ),
+    (
+        "override_alias.json",
+        '{"agents": %s, "simulation": {"strategy": "custom", '
+        '"overrides": {"1": 0.4, "01": 0.6}}}' % _TWO_AGENTS,
+        "[simulation] override01: agent 1 overridden twice",
+    ),
+    (
+        "section.json",
+        '{"agents": %s, "mechanism": {"kind": "as"}, "mechanism": {"kind": "fr"}}'
+        % _TWO_AGENTS,
+        "[mechanism]: section given twice",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, text, message", _REPEATS, ids=[case[0] for case in _REPEATS])
+def test_repeated_key_exits_2_naming_it(runner, tmp_path, name, text, message):
+    # Read as its last value, a repeat would let one config run under the
+    # digest of another.
+    config = _write(tmp_path, name, text)
+    result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -852,6 +930,28 @@ def test_figures_rejects_nonfinite_sigma_at_the_flag(runner, tmp_path, value):
     assert result.exit_code == 2, result.output
     assert "--sigma-prime" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "figures"])
+def test_out_naming_a_file_exits_2_before_any_work(runner, tmp_path, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--out is checked before any work")
+
+    for engine in ("run_trials", "run_sweep", "_band_curves"):
+        monkeypatch.setattr(cli, engine, refuse)
+    config = _write(tmp_path, "pr.ini", PR_INI)
+    args = {
+        "run": ["run", str(config)],
+        "sweep": ["sweep", str(config), "--parameter", "pr_a", "--grid", "1,2"],
+        "figures": ["figures"],
+    }[command]
+    taken = _write(tmp_path, "taken", "")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    for out, culprit in ((taken, taken), (taken / "below", taken), (dangling, dangling)):
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: --out {out}: {culprit} is not a directory\n"
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,37 @@ def test_relabelling_agents_and_per_trial_rings_permutes_ring_validation(seed, k
     assert np.max(np.abs(moved_taxes - taxes[:, inv])) <= 1e-12
 
 
+_FAMILIES = {
+    "as": lambda weights: AS(),
+    "fr": lambda weights: FR(),
+    "simple_averaging": lambda weights: SimpleAveraging(),
+    "pr": lambda weights: PR(a=1.5),
+    "weighted_pr": lambda weights: WeightedPR(a=1.5, weights=tuple(weights.tolist())),
+    "direct": lambda weights: DirectObservation(),
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12))
+def test_relabelling_agents_permutes_every_other_family(family, seed, k):
+    # Weighted punish-reward's weights are the reporters', so they move
+    # with the agents.
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(k)
+    inv = np.argsort(perm)
+    selfs, r0 = rng.uniform(0.0, 1.0, size=(2, 16, k))
+    cross = rng.uniform(0.0, 1.0, size=(16, k, k))
+    weights = rng.uniform(0.1, 2.0, size=k)
+    spec = _FAMILIES[family]
+    reps, taxes = run_batch(spec(weights), selfs, cross, r0, 0.1)
+    moved_reps, moved_taxes = run_batch(
+        spec(weights[inv]), *_relabelled(perm, selfs, cross), r0[:, inv], 0.1
+    )
+    assert np.max(np.abs(moved_reps - reps[:, inv])) <= 1e-12
+    assert np.max(np.abs(moved_taxes - taxes[:, inv])) <= 1e-12
+
+
 def test_layer_two_reads_never_name_one_reporter(monkeypatch):
     # sample_ring_reads draws a layer-2 read again only where its reporter
     # is not layer 1's: it relies on pred2(i) and pred2(pred2(i)) never
@@ -590,8 +621,8 @@ def test_layer_two_reads_never_name_one_reporter(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Translation, scale and linearity: what scoring, share-of-total and
-# averaging must keep on any draw
+# Translation, scale, linearity and the band: what scoring, share-of-total,
+# averaging and punish-reward must keep on any draw
 # ---------------------------------------------------------------------------
 
 
@@ -638,6 +669,51 @@ def test_averaging_reputations_are_linear_in_peer_sums_and_prior(seed, k, alpha,
     mixed = reps(alpha * sums[0] + beta * sums[1], alpha * r0[0] + beta * r0[1])
     combined = alpha * reps(sums[0], r0[0]) + beta * reps(sums[1], r0[1])
     assert np.max(np.abs(mixed - combined)) <= 1e-12
+
+
+def _band_draw(family, seed, k):
+    """A punish-reward spec, peer sums and priors, and the aggregate each
+    subject's self-report is compared with, as ``_aggregate`` defines it."""
+    rng = np.random.default_rng(seed)
+    sums = rng.uniform(0.0, 1.0, size=(16, k)) * (k - 1)
+    r0 = rng.uniform(0.0, 1.0, size=(16, k))
+    if family == "pr":
+        return PR(a=1.5), sums, r0, (sums + r0) / k, rng
+    weights = rng.uniform(0.1, 2.0, size=k)
+    spec = WeightedPR(a=1.5, weights=tuple(weights.tolist()))
+    return spec, sums, r0, sums / (weights.sum() - weights), rng
+
+
+@pytest.mark.parametrize("family", ["pr", "weighted_pr"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12))
+def test_a_move_inside_the_band_moves_only_that_reputation_by_half(family, seed, k):
+    # Inside the band x is published as (x + aggregate) / 2, so moving x by
+    # delta there moves its own reputation by delta / 2 and no other.
+    spec, sums, r0, aggregate, rng = _band_draw(family, seed, k)
+    eps = spec.a * 0.1
+    before = aggregate + rng.uniform(-0.9, 0.9, size=(16, k)) * eps
+    moved = rng.random((16, k)) < 0.5
+    after = np.where(moved, aggregate + rng.uniform(-0.9, 0.9, size=(16, k)) * eps, before)
+
+    def reps(selfs):
+        return run_batch(spec, selfs, None, r0, 0.1, peer_sums=sums)[0]
+
+    shift = reps(after) - reps(before)
+    assert np.max(np.abs(shift - (after - before) / 2)) <= 1e-12
+    assert (shift[~moved] == 0.0).all()
+
+
+@pytest.mark.parametrize("family", ["pr", "weighted_pr"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12))
+def test_a_report_below_the_band_is_published_as_it_is(family, seed, k):
+    # An aggregate above x + a * sigma' leaves the aggregate less the gap,
+    # which is x itself.
+    spec, sums, r0, aggregate, rng = _band_draw(family, seed, k)
+    selfs = aggregate - spec.a * 0.1 * rng.uniform(1.05, 3.0, size=(16, k))
+    reps, _ = run_batch(spec, selfs, None, r0, 0.1, peer_sums=sums)
+    assert np.max(np.abs(reps - selfs)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
