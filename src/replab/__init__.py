@@ -1,16 +1,15 @@
 """Simulation and analysis laboratory for crowd-sourced reputation mechanisms.
 
 The package is organized in layers; each layer only imports from the ones
-below it, except that the deviation audits of :mod:`replab.strategies` import
-the engine of :mod:`replab.simulator` when they are called:
+above it in this list:
 
 - :mod:`replab.numerics` -- special functions, root finding, quadrature
 - :mod:`replab.core` -- agents, environments, mechanism specs, the utility formula
 - :mod:`replab.mechanisms` -- batched reputation/tax rules mapping reports to outcomes
-- :mod:`replab.strategies` -- best responses, equilibrium self-reports, band error,
-  observation sampling, deviation audits
-- :mod:`replab.simulator` -- the seeded Monte Carlo engine and its scenarios
-- :mod:`replab.analysis` -- closed-form accuracy and participation results
+- :mod:`replab.strategies` -- best responses, equilibrium self-reports, band error
+- :mod:`replab.simulator` -- the seeded Monte Carlo engine, its draw and its scenarios
+- :mod:`replab.analysis` -- closed-form accuracy and participation results,
+  deviation audits
 - :mod:`replab.cli` -- the ``replab`` command line front end
 """
 

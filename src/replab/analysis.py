@@ -10,12 +10,19 @@ Closed forms are used exactly where the derivations hold (quadratic
 accuracy loss, linear image payoff, unbiased unclamped channels); every
 other configuration compares the utilities of :func:`participation_utilities`,
 which come from one call of the Monte Carlo engine ``simulator.simulate``.
+
+The deviation audit (:func:`deviation_reports`) grids each deviator's report
+on the engine's draw (common random numbers) and returns the empirical best
+response and its gain over the claimed report.
 """
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,13 +32,20 @@ from .core import (
     Agent,
     Colluder,
     DimensionMismatch,
+    DirectObservation,
     Environment,
     Linear,
     MaliciousRandom,
+    MechanismSpec,
+    SimpleAveraging,
     Truth,
+    Workspace,
     absolute_errors,
+    agent_utility,
     batch_true_utilities,
+    centralized_solution,
 )
+from .mechanisms import _shares, deviation_terms
 from .numerics import (
     TAIL_SIGMAS,
     folded_normal_mean,
@@ -39,11 +53,19 @@ from .numerics import (
     normal_cdf,
     normal_pdf,
 )
-from .simulator import Arm, simulate
-from .strategies import _band_curves, mixed_best_response_as, pr_mae
+from .simulator import Arm, ProfileDraw, _driven, simulate
+from .strategies import (
+    UnsupportedCombination,
+    _band_curves,
+    aggregate_sigma_prime,
+    mixed_best_response_as,
+    pr_mae,
+    resolve_self_reports,
+)
 
 __all__ = [
     "ParticipationReport",
+    "DeviationReport",
     "pr_mae",
     "pr_mutual_benefit_region",
     "as_ir_gain",
@@ -54,6 +76,8 @@ __all__ = [
     "hetero_system_gain",
     "collusion_expected_tax",
     "weighted_variance_check",
+    "deviation_reports",
+    "deviation_report",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -426,3 +450,362 @@ def weighted_variance_check(weights, sigmas) -> bool:
     return math.fsum((w * w * s * s).tolist()) <= math.fsum(
         (uniform * uniform * s * s).tolist()
     )
+
+
+# ---------------------------------------------------------------------------
+# Numerical best-response oracle
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DeviationReport:
+    """Outcome of a gridded deviation scan for one agent.
+
+    ``gain`` is the common-random-numbers estimate of the mean utility
+    improvement of the best grid point over the claimed report;
+    ``gain_stderr`` is the standard error of that paired difference.  The
+    deviation counts as profitable only when it clears both the grid
+    resolution and three standard errors, and exceeds a floor of 1e-12
+    times the larger utility magnitude (at least 1): a report that moves
+    nothing the deviator values leaves only rounding noise in the gain,
+    and that noise can clear three standard errors of itself.
+    """
+
+    agent_index: int
+    claimed: float
+    best: float
+    claimed_mean: float
+    best_mean: float
+    gain: float
+    gain_stderr: float
+    grid_step: float
+
+    @property
+    def profitable(self) -> bool:
+        floor = 1e-12 * max(1.0, abs(self.claimed_mean), abs(self.best_mean))
+        return (
+            abs(self.best - self.claimed) > self.grid_step + 1e-12
+            and self.gain > max(3.0 * self.gain_stderr, floor)
+        )
+
+
+# Bytes per block of the incremental scan.  A block's (K, points, trials)
+# arrays, or the (points, trials) arrays of the moment sums, stay near cache
+# size instead of streaming through memory, and the scan's working set does
+# not grow with the grid or the trial count.
+_SCAN_BLOCK_BYTES = 1 << 19
+
+
+def _trial_sum(a: float | np.ndarray, n: int) -> float | np.ndarray:
+    """The sum over n trials of ``a``, which broadcasts to (G, n)."""
+    a = np.asarray(a)
+    if a.shape[-1:] == (n,):
+        return a.sum(axis=-1)
+    return n * (a[..., 0] if a.ndim else a)
+
+
+def _trial_dot(a: float | np.ndarray, moment: np.ndarray) -> float | np.ndarray:
+    """The sum over the trials of ``a * moment``, ``a`` broadcasting to
+    (G, n) and ``moment`` (n,): one matrix-vector product when ``a`` varies
+    by trial, one product with the summed moment when it does not."""
+    a = np.asarray(a)
+    if a.shape[-1:] == moment.shape:
+        return a @ moment
+    return (a[..., 0] if a.ndim else a) * moment.sum()
+
+
+def _quadratic_sums(
+    agent: Agent,
+    base: np.ndarray,
+    move: Callable[[np.ndarray, slice], tuple],
+    targets: np.ndarray,
+    values: np.ndarray,
+    batch: slice,
+) -> np.ndarray:
+    """Utility sums over the trials ``batch`` at every deviation value, under
+    f(d) = d^2, for a deviation that moves the other subjects' reputations
+    to ``(base_j + add) / div`` (:func:`replab.mechanisms.deviation_terms`).
+
+    Subject j's reputation is scale * b_j + shift, with scale = 1/div and
+    shift = add/div, or scale = 0 and shift = 1/K where div is 0.  A
+    trial's accuracy loss sum_{j != i} (scale b_j + shift - t_j)^2 is then
+    a quadratic in the trial's sums of b_j, b_j^2 and b_j t_j over j != i.
+    Simple averaging's scale and shift are the same in every trial, so its
+    moments are summed over the trials first, at O(trials + G) cost;
+    share-of-total's scale varies by trial and costs a few flops per grid
+    point and trial, in slices of trials whose (G, rows) arrays fit the
+    scan's byte budget.  The image term is left out at truth weight 1,
+    where it is exactly 0, and so is the deviator's own reputation.
+    """
+    i = agent.id
+    lam = agent.utility.truth_weight
+    others = np.delete(base[:, batch], i, axis=0)
+    k, trials = base.shape[0], others.shape[1]
+    t = np.delete(targets, i)
+    b1, b2, bt = others.sum(axis=0), np.einsum("jt,jt->t", others, others), t @ others
+    t1, t2 = t.sum(), t @ t
+    xs = values[:, None]
+    # As the block scan's tiles: K (G, rows) arrays fit the byte budget.  A
+    # map that is the same in every trial makes no (G, rows) array, so it
+    # takes all the trials at once.
+    span = max(1, _SCAN_BLOCK_BYTES // (8 * k * values.size))
+    at = batch.start
+    if np.broadcast(*move(xs, slice(at, at + 2), own=False)[2]).shape[-1:] in ((), (1,)):
+        span = trials
+    sums = np.zeros(values.size)
+    for first in range(0, trials, span):
+        rows = slice(first, first + span)
+        n = min(span, trials - first)
+        own_rep, own_tax, (add, div) = move(xs, slice(at + first, at + first + n), own=lam != 1.0)
+        zero = np.equal(div, 0.0)
+        if zero.any():
+            scale = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, div))
+            shift = np.where(zero, 1.0 / k, add * scale)
+        else:
+            scale = np.divide(1.0, div)
+            shift = add * scale if np.any(add) else 0.0
+        accuracy = n * t2 - 2.0 * _trial_dot(scale, bt[rows])
+        if np.any(shift):
+            accuracy = accuracy + 2.0 * _trial_dot(scale * shift, b1[rows])
+            accuracy = accuracy + _trial_sum(shift * ((k - 1) * shift - 2.0 * t1), n)
+        scale *= scale
+        accuracy = accuracy + _trial_dot(scale, b2[rows])
+        utils = -lam * accuracy
+        if lam != 1.0:
+            utils = utils + (1.0 - lam) * _trial_sum(agent.utility.g(own_rep), n)
+        sums += utils - _trial_sum(own_tax, n)
+    return sums
+
+
+def _scan_blocks(
+    agent: Agent,
+    terms: tuple,
+    targets: np.ndarray,
+    values: np.ndarray,
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Per-trial utilities of ``agent`` at each of ``values``, block by block.
+
+    ``terms`` is the agent's ``(reps, base, move)`` from
+    :func:`replab.mechanisms.deviation_terms`.  Yields ``(points, rows,
+    utils)``: slices of ``values`` and of the trials, and the (points, rows)
+    utilities there.  A block holds as many points as the byte budget fits
+    at trials x K; when one point does not fit, the trials are split too.
+    """
+    reps, base, move = terms
+    i = agent.id
+    f = agent.utility.f
+    trials, k = reps.shape
+    if base is None:
+        base_floss = f(np.abs(reps - targets[None, :]))
+        base_accuracy = base_floss.sum(axis=1) - base_floss[:, i]
+    points = max(1, _SCAN_BLOCK_BYTES // (8 * trials * k))
+    span = trials if points > 1 else max(1, _SCAN_BLOCK_BYTES // (8 * k))
+    for start in range(0, values.size, points):
+        cols = slice(start, start + points)
+        xs = values[cols, None]
+        for first in range(0, trials, span):
+            rows = slice(first, first + span)
+            own_rep, own_tax, others = move(xs, rows)
+            if others is None:
+                accuracy = base_accuracy[rows]
+            else:
+                add, div = others
+                by_subject = base[:, None, rows]
+                block = np.broadcast(by_subject, add, div).shape
+                moved = np.add(by_subject, add, out=np.empty(block))
+                _shares(moved, div, k, out=moved)
+                # The deviator's entry as the kernel has it, so the sum over
+                # subjects less that entry rounds as the dense kernel's.
+                moved[i] = own_rep
+                # In place, so few block-sized arrays are freed and re-faulted.
+                np.subtract(moved, targets[:, None, None], out=moved)
+                floss = f(np.abs(moved, out=moved))
+                accuracy = floss.sum(axis=0) - floss[i]
+            yield cols, rows, agent_utility(agent, accuracy, own_rep, own_tax)
+
+
+def _utility_sums(
+    agent: Agent, terms: tuple, targets: np.ndarray, values: np.ndarray, batches: Sequence[slice]
+) -> np.ndarray:
+    """Utility sums of ``agent`` at every deviation value, one row per batch
+    of ``batches``, consecutive row slices of the trials ``terms`` reads.
+
+    Adds each block of :func:`_scan_blocks` into the batches its rows
+    overlap.  Under the quadratic loss f(d) = d^2, a deviation that moves
+    the other subjects' reputations (share-of-total, simple averaging) is
+    summed batch by batch from per-trial moments instead
+    (:func:`_quadratic_sums`), with no (K, points, trials) block; those sums
+    can differ in the last bits.
+    """
+    if terms[1] is not None and agent.utility.f == AbsPower(2.0):
+        return np.array([_quadratic_sums(agent, *terms[1:], targets, values, b) for b in batches])
+    sums = np.zeros((values.size, len(batches)))
+    starts = [rows.start for rows in batches]
+    for points, rows, utils in _scan_blocks(agent, terms, targets, values):
+        # The batches from the one holding the block's first trial to the
+        # last that starts before its end.
+        first = bisect.bisect_right(starts, rows.start) - 1
+        end = bisect.bisect_left(starts, rows.start + utils.shape[1])
+        cuts = [max(0, start - rows.start) for start in starts[first:end]]
+        sums[points, first:end] += np.add.reduceat(utils, cuts, axis=1)
+    return sums.T
+
+
+def _audit_reducer(
+    mechanism: MechanismSpec, env: Environment, agents: Iterable[int], partial: Callable
+) -> Callable:
+    """An engine reducer giving each batch, keyed by each of ``agents``'
+    index, its row of ``partial(agent, terms, batches)``: ``terms`` is the
+    agent's :func:`replab.mechanisms.deviation_terms` on the run, and
+    ``batches`` the slices of its batches."""
+    sigma_prime = aggregate_sigma_prime(env)
+
+    def reduce(draw: ProfileDraw, batches: Sequence[slice], workspace: Workspace) -> list[dict]:
+        found = {
+            str(i): partial(env.agents[i], deviation_terms(mechanism, draw, sigma_prime, i), batches)
+            for i in agents
+        }
+        return [{i: rows[b] for i, rows in found.items()} for b in range(len(batches))]
+
+    return reduce
+
+
+def _grid_pass(
+    mechanism: MechanismSpec, env: Environment, claimed: Mapping[int, float], values: np.ndarray
+) -> tuple[Callable, Callable]:
+    """The audit's grid pass: a reducer of each agent's utility sums at the
+    grid ``values`` and, last, at its claimed report, and ``report(totals,
+    trials)``, which picks each best.  Grid means within the profitability
+    floor of the maximum tie, as rounding noise would otherwise pick among
+    them, and the tie nearest the claimed report is the best.  The gain is
+    the best's mean less the claimed report's."""
+    targets = centralized_solution(env)
+
+    def partial(agent: Agent, terms: tuple, batches: Sequence[slice]) -> np.ndarray:
+        return _utility_sums(agent, terms, targets, np.append(values, claimed[agent.id]), batches)
+
+    def report(totals: dict, trials: int) -> list[DeviationReport]:
+        reports = []
+        for i, c in claimed.items():
+            means = totals[str(i)] / trials
+            top = means[:-1].max()
+            ties = np.flatnonzero(means[:-1] >= top - 1e-12 * max(1.0, abs(top)))
+            best = ties[np.argmin(np.abs(values[ties] - c))]
+            at_best, at_claimed = float(means[best]), float(means[-1])
+            reports.append(DeviationReport(
+                i, float(c), float(values[best]), at_claimed, at_best, at_best - at_claimed,
+                math.nan, float(values[1] - values[0]),
+            ))
+        return reports
+
+    return _audit_reducer(mechanism, env, claimed, partial), report
+
+
+def _pair_pass(
+    mechanism: MechanismSpec, env: Environment, reports: Sequence[DeviationReport]
+) -> tuple[Callable | None, Callable]:
+    """The audit's paired pass: a reducer of the sums of d and (d - g)^2,
+    d = u_best - u_claimed per trial (two more points of
+    :func:`_scan_blocks`) and g the grid pass's gain, and ``report(totals,
+    trials)``, which gives each report the mean of d and its standard
+    error.  Centring on g keeps the squares from cancelling.  Where the
+    best is the claimed report, d is 0 in every trial: the reducer leaves
+    those agents out, and is None when that leaves none."""
+    targets = centralized_solution(env)
+    moved = {r.agent_index: r for r in reports if r.best != r.claimed}
+
+    def partial(agent: Agent, terms: tuple, batches: Sequence[slice]) -> np.ndarray:
+        report = moved[agent.id]
+        utils = np.empty((2, terms[0].shape[0]))
+        pair = np.array([report.best, report.claimed])
+        for points, rows, block in _scan_blocks(agent, terms, targets, pair):
+            utils[points, rows] = block
+        diff = utils[0] - utils[1]
+        moments = np.stack([diff, np.square(diff - report.gain)])
+        return np.add.reduceat(moments, [rows.start for rows in batches], axis=1).T
+
+    def report(totals: dict, trials: int) -> list[DeviationReport]:
+        paired = []
+        for r in reports:
+            total, spread = totals.get(str(r.agent_index), (0.0, 0.0))
+            gain = total / trials
+            variance = (spread - trials * (gain - r.gain) ** 2) / max(trials - 1, 1)
+            stderr = math.sqrt(max(0.0, variance) / trials)
+            paired.append(dataclasses.replace(r, gain=float(gain), gain_stderr=stderr))
+        return paired
+
+    return (_audit_reducer(mechanism, env, moved, partial) if moved else None), report
+
+
+def deviation_reports(
+    mechanism: MechanismSpec,
+    env: Environment,
+    others_strategy: str | Mapping[int, float] = "truthful",
+    trials: int = 20_000,
+    grid: int = 201,
+    seed: int = 0,
+    agents: Mapping[int, float | None] | None = None,
+) -> list[DeviationReport]:
+    """Grid each agent's report and measure the best deviation's payoff.
+
+    ``others_strategy`` is ``"truthful"`` (every agent relays its
+    observations and reports its quality), ``"equilibrium"`` or a mapping
+    of constant self-reports (:func:`replab.strategies.resolve_self_reports`).
+    ``agents``
+    maps each audited agent's index to its claimed report, or to None for
+    the profile's, which an agent that draws its report every trial lacks;
+    by default every agent claims the profile's.  The gridded channel is
+    the self-report, except under simple averaging, where grid value c
+    adds c - 1/2 to the deviator's cross-reports, so that c = 1/2 is
+    truthful and claimed.
+
+    Two engine calls of one arm (:func:`replab.simulator.simulate`) draw
+    the same batches, and their reducers read each audited agent's
+    :func:`replab.mechanisms.deviation_terms` on them (common random
+    numbers): the grid pass (:func:`_grid_pass`) picks each best, and the
+    paired pass (:func:`_pair_pass`) replays the batches for the gains and
+    their standard errors when some best is not the claimed report.  With
+    no agent to audit, nothing is simulated.
+    """
+    claimed = dict(dict.fromkeys(range(env.k)) if agents is None else agents)
+    for i in claimed:
+        if not (0 <= i < env.k):
+            raise DimensionMismatch(f"agent_index {i} outside 0..{env.k - 1}")
+    if grid < 3:
+        raise ValueError("grid must have at least 3 points")
+    if isinstance(mechanism, DirectObservation):
+        raise UnsupportedCombination("direct observation consumes no reports to deviate on")
+    drawn, profile = env, others_strategy
+    if others_strategy == "truthful":
+        # Drawn from truth-tellers; the utilities still use the real agents.
+        drawn = dataclasses.replace(env, agents=tuple(_driven(a, True) for a in env.agents))
+        profile = "equilibrium"
+    reports = resolve_self_reports(drawn, mechanism, profile)
+    if isinstance(mechanism, SimpleAveraging):
+        reports = dict.fromkeys(range(env.k), 0.5)
+    for i in [i for i, c in claimed.items() if c is None]:
+        if i not in reports:
+            raise UnsupportedCombination(f"agent {i} draws its report every trial")
+        claimed[i] = reports[i]
+    if not claimed:
+        return []
+    reduce, report = _grid_pass(mechanism, env, claimed, np.linspace(0.0, 1.0, grid))
+    (totals,) = simulate([Arm(drawn, mechanism, reduce, profile)], trials, seed)
+    reduce, report = _pair_pass(mechanism, env, report(totals, trials))
+    totals = simulate([Arm(drawn, mechanism, reduce, profile)], trials, seed)[0] if reduce else {}
+    return report(totals, trials)
+
+
+def deviation_report(
+    agent_index: int,
+    mechanism: MechanismSpec,
+    env: Environment,
+    others_strategy: str | Mapping[int, float] = "truthful",
+    trials: int = 20_000,
+    grid: int = 201,
+    seed: int = 0,
+    claimed: float | None = None,
+) -> DeviationReport:
+    """:func:`deviation_reports` of one agent, claiming ``claimed`` when given."""
+    agents = {agent_index: claimed}
+    return deviation_reports(mechanism, env, others_strategy, trials, grid, seed, agents)[0]

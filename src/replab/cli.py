@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     closed_forms_apply,
+    deviation_reports,
     hetero_image_participation,
     hetero_system_gain,
     hetero_truth_participation,
@@ -66,7 +67,7 @@ from .simulator import (
     run_trials,
     sweep as run_sweep,
 )
-from .strategies import _band_curves, deviation_reports
+from .strategies import _band_curves
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -706,6 +707,8 @@ def _guarded(fn):
             _fail(EXIT_CONFIG, str(exc))
         except RuntimeError as exc:
             _fail(EXIT_RUNTIME, str(exc))
+        except ArithmeticError as exc:
+            _fail(EXIT_RUNTIME, f"{type(exc).__name__}: {exc}")
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -860,7 +863,6 @@ def cmd_figures(out_dir, sigma_prime, r_value, points):
     averaging = math.sqrt(2.0 / math.pi) * sigma_prime
 
     out = _out_dir(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = []
     for a in grid:
         y, e_m, reputation = _band_curves(a, r_value, sigma_prime)
@@ -874,6 +876,7 @@ def cmd_figures(out_dir, sigma_prime, r_value, points):
                 "baseline_r": r_value,
             }
         )
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, columns in _FIGURES.items():
         paths += _write_table(out / f"{name}.csv", columns, table)

@@ -469,7 +469,7 @@ def deviation_terms(
 ) -> tuple[np.ndarray, np.ndarray | None, Callable[[np.ndarray, slice], tuple]]:
     """The reputations of a base profile and the terms one agent's report moves.
 
-    ``draw`` is a :class:`replab.strategies.ProfileDraw`: rounds with the
+    ``draw`` is a :class:`replab.simulator.ProfileDraw`: rounds with the
     cross reports as the engine samples them and the mechanism's outcome on
     them, such as one engine run.  Runs no kernel and returns ``(reps, base,
     move)``, where ``reps`` is ``draw.reps``.  ``move(values, rows)`` takes

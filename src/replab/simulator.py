@@ -6,15 +6,15 @@ fixed batches of 1024.  Batch ``b`` draws from
 fixed order, draw stream :data:`STREAM` = 4, taking only what its mechanism
 reads (``mechanisms.cross_reads``), so a batch holds O(batch * K) numbers.
 It draws the system observations, then the uniform self-reports of random
-senders (``strategies.sample_sparse``); the other self-reports are the
+senders (:func:`sample_sparse`); the other self-reports are the
 resolved constants.  Scoring, share-of-total and direct observation draw
 nothing more.  The peer-sum families draw each subject's peer sum
-(``strategies.sample_peer_sums``).  Ring validation draws the collusion
+(:func:`sample_peer_sums`).  Ring validation draws the collusion
 scenario's secret rings, one permutation per layer, then the at most 3
-reports per subject the rings read (``strategies.sample_ring_reads``).
+reports per subject the rings read (:func:`sample_ring_reads`).
 That order, and the mechanism's run, live in one batch source,
-``strategies._batch_source``; a deviation audit
-(``strategies.deviation_reports``) is two engine calls of it.  Streams 1
+:func:`_batch_source`; a deviation audit
+(``analysis.deviation_reports``) is two engine calls of it.  Streams 1
 to 3 drew some or all batches as a dense (batch, K, K) cross matrix.
 
 A worker thread computes a *run*: consecutive whole batches holding at most
@@ -36,7 +36,7 @@ reducers that keep their temporaries in the kernel's dead scratch leave
 a K=12 two-layer secret-ring run 12.25 (run, K) float64 buffers' worth
 per worker, where it held 17.75.
 
-The caller's reducer takes the run's draw (``strategies.ProfileDraw``)
+The caller's reducer takes the run's draw (:class:`ProfileDraw`)
 and the row slice of each of its batches and returns one partial per
 batch, computed on that batch's rows.  Partials are reduced in batch
 order with compensated summation, so results are byte-identical for any
@@ -53,9 +53,9 @@ reporters draw fresh messages.
 
 One call takes a list of arms, each an environment, a mechanism, a
 strategy profile and a reducer, and groups the arms that draw alike
-(``strategies._draw_key``).  Each group draws every batch once from
+(:func:`_draw_key`).  Each group draws every batch once from
 ``_batch_rng(seed, b)``, then each arm in turn applies its own
-self-reports and colluder messages (``strategies.ring_messages``) and runs
+self-reports and colluder messages (:func:`ring_messages`) and runs
 its own mechanism, and its reducer runs before the next arm is made
 (common random numbers).  Every arm's totals equal, bit for bit, those of
 the arm simulated alone.  A sweep's grid points and each scenario's arms
@@ -68,7 +68,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Container, Mapping, Sequence
+from typing import Callable, Container, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,26 +77,34 @@ from .core import (
     Agent,
     Colluder,
     Environment,
+    ExtendedAS,
+    Image,
     MaliciousRandom,
     MechanismSpec,
     PR,
+    Truth,
     WeightedPR,
     Workspace,
     absolute_errors,
     batch_true_utilities,
 )
+from .mechanisms import (
+    NO_CROSS,
+    PEER_SUMS,
+    RING,
+    TooFewAgents,
+    _ring_outcome,
+    _ring_setup,
+    _spec_rings,
+    cross_reads,
+    peer_weights,
+    run_batch,
+)
 from .numerics import NormalParams
 from .strategies import (
-    ProfileDraw,
     UnsupportedCombination,
     _band_curves,
-    _batch_rng,
-    _batch_source,
-    _check_counts,
     _check_profile,
-    _draw_key,
-    _driven,
-    _SecretRings,
     aggregate_sigma_prime,
     resolve_self_reports,
 )
@@ -108,9 +116,14 @@ __all__ = [
     "ScenarioConfig",
     "SimStats",
     "Arm",
+    "ProfileDraw",
     "simulate",
     "run_trials",
     "sweep",
+    "sample_sparse",
+    "sample_peer_sums",
+    "sample_ring_reads",
+    "ring_messages",
     "run_collusion_scenario",
     "run_malicious_scenario",
 ]
@@ -176,6 +189,26 @@ class SimStats:
 # ---------------------------------------------------------------------------
 
 
+def _check_counts(trials, seed, workers=1) -> None:
+    """Reject a trial count, seed or worker count that is not a plain integer
+    in range; each message opens with the argument's name."""
+    for name, value, valid, bounds in (
+        ("trials", trials, lambda v: v >= 1, ">= 1"),
+        ("seed", seed, lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+        ("workers", workers, lambda v: v >= 1, ">= 1"),
+    ):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer or not valid(value):
+            raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """The Philox substream ``(seed, spawn_key=(batch_index,))`` of one batch."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+    )
+
+
 def _run_plan(trials: int, k: int) -> list[tuple[int, int]]:
     """(first batch, trials in run) pairs: runs of whole consecutive batches
     covering ``trials``, each holding at most :data:`RUN_CELLS` trial-K
@@ -204,6 +237,455 @@ def _map_batches(worker, plan, workers: int) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, b, size) for b, size in plan]
         return [f.result() for f in futures]
+
+
+# ---------------------------------------------------------------------------
+# The draw of one run
+# ---------------------------------------------------------------------------
+
+
+# The batches of one run: each batch's generator and its rows of the run's
+# arrays, in batch order.  Each batch draws from its own generator in the
+# order of draw stream 4; the arithmetic that follows the draws runs once
+# over the whole run.
+Batches = Sequence[tuple["np.random.Generator", slice]]
+
+
+def sample_sparse(
+    env: Environment,
+    batches: Batches,
+    self_reports: Mapping[int, float],
+    workspace: Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """System observations and self-reports (trials, K) without cross reports.
+
+    Each batch draws its system observations (clamped to [0, 1] when the
+    environment clamps), then, in agent order, the uniform self-reports of
+    the agents ``self_reports`` does not list.  When it lists every agent,
+    the self-reports are a read-only view of one row, so a run of constants
+    allocates nothing.  A mechanism that reads cross reports draws them
+    afterwards, as peer sums (:func:`sample_peer_sums`) or as ring reads
+    (:func:`sample_ring_reads`).  The drawn arrays and the constant row are
+    ``workspace`` buffers.
+    """
+    shape = (batches[-1][1].stop, env.k)
+    workspace = workspace or Workspace()
+    r0 = workspace.empty("system observations", shape)
+    for rng, rows in batches:
+        rng.standard_normal(out=r0[rows])
+    r0 *= env.system_obs.std
+    r0 += env.qualities[None, :] + env.system_obs.mean
+    if env.clamp_observations:
+        np.clip(r0, 0.0, 1.0, out=r0)
+    row = workspace.empty("constant self-reports", (1, env.k))
+    row[0] = [self_reports.get(i, np.nan) for i in range(env.k)]
+    if len(self_reports) == env.k:
+        return r0, np.broadcast_to(row, shape)
+    selfs = workspace.copy("self-reports", np.broadcast_to(row, shape))
+    for rng, rows in batches:
+        for i, agent in enumerate(env.agents):
+            if i not in self_reports:
+                kind = agent.agent_type
+                selfs[rows, i] = rng.uniform(kind.low, kind.high, size=rows.stop - rows.start)
+    return r0, selfs
+
+
+def _sent_constants(env: Environment) -> np.ndarray | None:
+    """(K, K) table of the constant each colluder sends about each subject:
+    ``inflate`` about a clique-mate, ``bash`` (when set) about an outsider,
+    NaN where the reporter relays its observation.  None without colluders."""
+    kinds = [agent.agent_type for agent in env.agents]
+    colluder = np.array([isinstance(t, Colluder) for t in kinds])
+    if not colluder.any():
+        return None
+    clique = np.array([t.clique_id if isinstance(t, Colluder) else 0 for t in kinds])
+    inflate = np.array([t.inflate if isinstance(t, Colluder) else np.nan for t in kinds])
+    bash = np.array(
+        [t.bash if isinstance(t, Colluder) and t.bash is not None else np.nan for t in kinds]
+    )
+    table = np.full((env.k, env.k), np.nan)
+    table[colluder] = bash[colluder, None]
+    mates = np.outer(colluder, colluder) & (clique[:, None] == clique[None, :])
+    table[mates] = np.broadcast_to(inflate[:, None], table.shape)[mates]
+    return table
+
+
+@dataclass(frozen=True)
+class _PeerSumTables:
+    """What :func:`sample_peer_sums` draws with, resolved once per scenario.
+
+    ``normal`` is each subject's (mean, std) of the relayed sum when the
+    environment does not clamp; ``relayers`` holds, when it clamps, each
+    relaying reporter's noise scale, its (K,) centres and its (K,) weights
+    over the subjects it relays.  ``constants`` is the colluders' weighted
+    constants per subject, and ``randoms`` the uniform-random reporters.
+    """
+
+    weights: np.ndarray
+    normal: tuple[np.ndarray, np.ndarray] | None
+    relayers: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    constants: np.ndarray | None
+    randoms: tuple[int, ...]
+
+
+def _peer_sum_tables(env: Environment, weights: np.ndarray) -> _PeerSumTables:
+    """Resolve the reporter mix of :func:`sample_peer_sums` for ``env``."""
+    k = env.k
+    stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
+    sent = _sent_constants(env)
+    random_ = np.array([isinstance(agent.agent_type, MaliciousRandom) for agent in env.agents])
+    # relays[j, i]: reporter j sends its own observation of subject i.
+    relays = ~np.eye(k, dtype=bool) & ~random_[:, None]
+    if sent is not None:
+        relays &= np.isnan(sent)
+    normal, relayers = None, ()
+    if env.clamp_observations:
+        relayers = tuple(
+            (stds[j], qualities + biases[j], weights[j] * relays[j])
+            for j in np.flatnonzero(relays.any(axis=1))
+        )
+    else:
+        # Totals over every reporter but the subject, less the pairs that do
+        # not relay: when all relay, this is exactly the all-relay arithmetic.
+        lost = ~(relays | np.eye(k, dtype=bool))
+        senders = lost.any(axis=1)
+        w_var = weights * weights * stds**2
+        w_bias = weights * biases
+        w_lost, b_lost, v_lost = np.stack([weights, w_bias, w_var])[:, senders] @ lost[senders]
+        mean = qualities * (weights.sum() - weights - w_lost) + (weights @ biases - w_bias - b_lost)
+        std = np.sqrt(np.maximum(w_var.sum() - w_var - v_lost, 0.0))
+        normal = (mean[None, :], std[None, :])
+    constants = None
+    if sent is not None:
+        constants = np.nan_to_num(sent, nan=0.0)
+        np.fill_diagonal(constants, 0.0)
+        constants = weights @ constants
+    return _PeerSumTables(weights, normal, relayers, constants, tuple(np.flatnonzero(random_)))
+
+
+def sample_peer_sums(
+    env: Environment,
+    batches: Batches,
+    tables: _PeerSumTables,
+    workspace: Workspace | None = None,
+) -> np.ndarray:
+    """Draw each subject's weighted peer-report sum ``sum_{j != i} w_j R_ji``.
+
+    Returns (trials, K).  ``tables`` is :func:`_peer_sum_tables` of ``env``
+    and the weights.  The reports relayed by the pairs (j, i) in which j
+    sends its own observation of i come first: unclamped, they sum to one
+    Normal per entry, with mean ``sum w_j (r_i + b_j)`` and variance ``sum
+    w_j^2 sigma_j^2`` over those pairs only; clamped, each relaying reporter
+    draws one (trials, K) block, clipped and weighted, in agent order.  The
+    colluders' constants (:func:`_sent_constants`) are added exactly, then
+    each uniform-random reporter, in agent order, draws one uniform per
+    entry.  Each batch of ``batches`` draws its rows of every block in that
+    order.  No (trials, K, K) array is made, and every reporter's (trials,
+    K) block is drawn into one ``workspace`` buffer.
+    """
+    shape = (batches[-1][1].stop, env.k)
+    workspace = workspace or Workspace()
+    if tables.normal is None:
+        sums = workspace.zeros("peer sums", shape, writable=True)
+        for std, centre, weight in tables.relayers:
+            block = workspace.empty("reporter block", shape)
+            for rng, rows in batches:
+                rng.standard_normal(out=block[rows])
+            block *= std
+            block += centre
+            np.clip(block, 0.0, 1.0, out=block)
+            block *= weight
+            sums += block
+    else:
+        mean, std = tables.normal
+        sums = workspace.empty("peer sums", shape)
+        for rng, rows in batches:
+            rng.standard_normal(out=sums[rows])
+        sums *= std
+        sums += mean
+    if tables.constants is not None:
+        sums += tables.constants
+    for j in tables.randoms:
+        kind = env.agents[j].agent_type
+        # low + (high - low) u, as Generator.uniform computes it.
+        noise = workspace.empty("reporter block", shape)
+        for rng, rows in batches:
+            rng.random(out=noise[rows])
+        noise *= kind.high - kind.low
+        noise += kind.low
+        noise *= tables.weights[j]
+        noise[:, j] = 0.0
+        sums += noise
+    return sums
+
+
+def _reader_values(table: np.ndarray, index: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """``table[index]``, in scratch 1.  The reporters are in range, so the
+    clip mode changes no value and spares ``np.take`` a copy."""
+    out = workspace.empty("scratch 1", index.shape, table.dtype)
+    return np.take(table, index, out=out, mode="clip")
+
+
+def sample_ring_reads(
+    env: Environment,
+    batches: Batches,
+    readers: list[np.ndarray],
+    workspace: Workspace | None = None,
+) -> list[np.ndarray]:
+    """Draw only the cross reports a validation ring reads.
+
+    ``readers[m][., i]`` is the reporter of read m about subject i, as a
+    (K,) map shared by all trials or a (trials, K) one.  Returns one
+    (trials, K) array per map.  An entry whose reporter map 0 names is the
+    same report and is drawn once; the maps of :func:`_ring_setup` repeat
+    no other.  Each batch of ``batches`` draws its entries, one N(0, 1)
+    each, map by map in (trial, subject) order; they are scaled and shifted
+    by the reporter's noise and bias around the subject's quality and
+    clamped when the environment clamps.  Then a uniform-random reporter
+    sends one uniform draw per entry drawn, again batch by batch and map by
+    map.  Colluders' entries hold their observations: their messages
+    (:func:`ring_messages`) draw nothing, so arms that differ only in them
+    can share one draw.  The reads, the masks and the reader gathers are
+    ``workspace`` buffers.
+    """
+    shape = (batches[-1][1].stop, env.k)
+    workspace = workspace or Workspace()
+    stds, biases, qualities = env.cross_stds, env.cross_biases, env.qualities
+    kinds = [agent.agent_type for agent in env.agents]
+    random_ = np.array([isinstance(t, MaliciousRandom) for t in kinds])
+    # fresh[m]: where map m names another reporter than map 0.  Only map 0's
+    # can repeat: pred2(pred2(i)) = pred2(i) would make i a ring's fixed
+    # point.
+    fresh = [None]
+    for m, reader in enumerate(readers[1:], 1):
+        new = workspace.empty(f"fresh reads {m}", reader.shape, bool)
+        fresh.append(np.not_equal(reader, readers[0], out=new))
+    reads = []
+    for m, (reader, new) in enumerate(zip(readers, fresh)):
+        if new is None:
+            values = workspace.empty(f"ring read {m}", shape)
+            for rng, rows in batches:
+                rng.standard_normal(out=values[rows])
+        else:
+            values = workspace.zeros(f"ring read {m}", shape, writable=True)
+            drawn = np.broadcast_to(new, shape)
+            for rng, rows in batches:
+                where = drawn[rows]
+                values[rows][where] = rng.standard_normal(int(np.count_nonzero(where)))
+        # The int32 maps as the index arrays np.take would otherwise copy.
+        index = workspace.empty("indices", reader.shape, np.intp)
+        np.copyto(index, reader)
+        values *= _reader_values(stds, index, workspace)
+        shift = _reader_values(biases, index, workspace)
+        shift += qualities
+        values += shift
+        if env.clamp_observations:
+            np.clip(values, 0.0, 1.0, out=values)
+        reads.append(values)
+    if random_.any():
+        low = np.array([t.low if isinstance(t, MaliciousRandom) else 0.0 for t in kinds])
+        high = np.array([t.high if isinstance(t, MaliciousRandom) else 0.0 for t in kinds])
+        for reader, new, values in zip(readers, fresh, reads):
+            hit = random_[reader]
+            if new is not None:
+                hit = hit & new
+            hit, reporters = np.broadcast_to(hit, shape), np.broadcast_to(reader, shape)
+            for rng, rows in batches:
+                where = hit[rows]
+                who = reporters[rows][where]
+                values[rows][where] = rng.uniform(low[who], high[who])
+    for values, new in zip(reads[1:], fresh[1:]):
+        np.copyto(values, reads[0], where=np.logical_not(new, out=new))
+    return reads
+
+
+def ring_messages(
+    reads: list[np.ndarray],
+    readers: list[np.ndarray],
+    sent: np.ndarray | None,
+    in_place: bool,
+    workspace: Workspace | None = None,
+) -> list[np.ndarray]:
+    """The ring reads of :func:`sample_ring_reads` as the colluders send them.
+
+    ``sent`` is the colluders' table (:func:`_sent_constants`), or None when
+    nobody colludes: a colluder sends ``inflate`` about a clique-mate and
+    ``bash`` (when set) about an outsider.  Writes into ``reads`` when
+    ``in_place``, and otherwise into ``workspace`` copies, leaving the draw
+    for other arms.
+    """
+    if sent is None:
+        return reads
+    workspace = workspace or Workspace()
+    k = sent.shape[0]
+    sent_reads = []
+    for m, (reader, values) in enumerate(zip(readers, reads)):
+        # sent[reader, subject], read at its flat position in the table.
+        index = workspace.empty("indices", reader.shape, np.intp)
+        np.multiply(reader, k, out=index, dtype=np.intp)
+        index += np.arange(k)
+        message = np.take(
+            sent.ravel(), index, out=workspace.empty("scratch 1", reader.shape), mode="clip"
+        )
+        sends = np.isnan(message, out=workspace.empty("sends", reader.shape, bool))
+        np.logical_not(sends, out=sends)
+        if not in_place:
+            values = workspace.copy(f"sent read {m}", values)
+        np.copyto(values, message, where=sends)
+        sent_reads.append(values)
+    return sent_reads
+
+
+@dataclass(frozen=True)
+class ProfileDraw:
+    """One run of sampled rounds and the mechanism's outcome on them.
+
+    ``r0`` holds the system priors and ``selfs`` the self-reports, both
+    (trials, K).  The cross reports are held as the mechanism reads them:
+    ``peer_sums``, (trials, K), for the peer-sum families, or
+    ``ring_reads``, the (trials, K) ring reads, for ring validation.
+    ``reps`` and ``taxes`` are the mechanism's (trials, K) outcome.  The
+    engine hands one to an arm's reducer per run, which returns a partial
+    per batch; a deviation audit's reducers read it at every grid point.
+    """
+
+    r0: np.ndarray
+    selfs: np.ndarray
+    reps: np.ndarray
+    taxes: np.ndarray
+    peer_sums: np.ndarray | None = None
+    ring_reads: tuple[np.ndarray, ...] | None = None
+
+
+class _SecretRings(ExtendedAS):
+    """Ring validation whose rings are redrawn secretly on every trial."""
+
+
+def _with_row(selfs: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The batch's self-reports with an arm's constants ``row`` (NaN where
+    the reports are drawn) in place of the previous arm's."""
+    if not np.isnan(row).any():
+        return np.broadcast_to(row, selfs.shape)
+    np.copyto(selfs, row, where=~np.isnan(row))
+    return selfs
+
+
+def _draw_key(env: Environment, mechanism: MechanismSpec, reports: Mapping[int, float]) -> tuple:
+    """What fixes an arm's draw: arms with equal keys draw every batch alike,
+    bit for bit, so one :func:`_batch_source` can serve them all.
+
+    The key holds K, what the mechanism reads (``cross_reads``), the
+    qualities, the noise, the clamping and the agents whose self-reports
+    are drawn, those the resolved ``reports`` leave out: a profile that
+    fixes a uniform-random reporter's report draws no uniforms for it.
+    Under the peer-sum families it adds the uniform-random senders of
+    cross reports, the reporter weights and the colluders' constants,
+    which enter the drawn sums; under ring validation the random senders
+    and the mechanism itself, whose rings pick the reads.
+    """
+    k = env.k
+    reads = cross_reads(mechanism)
+    kinds = [agent.agent_type for agent in env.agents]
+    key = (
+        k,
+        reads,
+        env.qualities.tobytes(),
+        env.system_obs,
+        env.cross_stds.tobytes(),
+        env.cross_biases.tobytes(),
+        env.clamp_observations,
+        tuple((i, kinds[i].low, kinds[i].high) for i in range(k) if i not in reports),
+    )
+    if reads == NO_CROSS:
+        return key
+    senders = tuple((t.low, t.high) if isinstance(t, MaliciousRandom) else None for t in kinds)
+    if reads == PEER_SUMS:
+        sent = _sent_constants(env)
+        table = None if sent is None else sent.tobytes()
+        return key + (senders, peer_weights(mechanism, k).tobytes(), table)
+    return key + (senders, mechanism)
+
+
+def _batch_source(
+    arms: Sequence[tuple[Environment, MechanismSpec, Mapping[int, float]]],
+) -> Callable[..., Iterator[ProfileDraw]]:
+    """The draw of one run of batches and each arm's outcome on it.
+
+    Each arm is a population, its mechanism and its constant self-reports
+    (:func:`replab.strategies.resolve_self_reports`); the arms must have one
+    :func:`_draw_key`.  Resolves what the first arm's mechanism reads once.
+    The returned ``draw(batches, workspace)`` draws a run of batches
+    (:data:`Batches`), each batch from its own generator in the order of
+    draw stream 4: the system observations and uniform self-reports
+    (:func:`sample_sparse`), then the peer sums (:func:`sample_peer_sums`),
+    or the secret rings of :class:`_SecretRings` and the ring reads
+    (:func:`sample_ring_reads`).  The observations and peer sums are
+    read-only.  It then yields one :class:`ProfileDraw` of the whole run
+    per arm, in order: the arm's constants in place of the previous arm's
+    (:func:`_with_row`), its colluders' ring messages
+    (:func:`ring_messages`) and its own mechanism's outcome, each computed
+    once over the run; so punish-reward arms of different band multipliers
+    share one draw.  A later arm writes into the arrays an earlier one was
+    given, so each arm must be consumed before the next is produced.  The
+    arrays are ``workspace`` buffers, which the workspace's next run
+    overwrites, or read-only views of them: under scoring and ring
+    validation the reputations are the self-reports.
+    """
+    first, first_mechanism, first_reports = arms[0]
+    k = first.k
+    reads = cross_reads(first_mechanism)
+    sigma_prime = aggregate_sigma_prime(first)
+    constants = [np.array([r.get(i, np.nan) for i in range(k)]) for _, _, r in arms]
+    tables = sent = ring = None
+    if reads == PEER_SUMS:
+        tables = _peer_sum_tables(first, peer_weights(first_mechanism, k))
+    elif reads == RING:
+        if k < 3:
+            raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
+        sent = [_sent_constants(env) for env, _, _ in arms]
+        if not isinstance(first_mechanism, _SecretRings):
+            ring = _ring_setup(k, _spec_rings(first_mechanism, k), Workspace())
+    last = len(arms) - 1
+
+    def secret_rings(batches: Batches, workspace: Workspace) -> Iterator[np.ndarray]:
+        # Layer by layer into the index scratch, each batch drawing both
+        # layers in turn.  F-ordered, so the maps' column slices are
+        # contiguous.
+        order = workspace.empty("indices", (batches[-1][1].stop, k), np.intp, "F")
+        base = np.broadcast_to(np.arange(k), order.shape)
+        for _ in range(first_mechanism.layers):
+            for rng, rows in batches:
+                rng.permuted(base[rows], axis=1, out=order[rows])
+            yield order
+
+    def draw(batches: Batches, workspace: Workspace) -> Iterator[ProfileDraw]:
+        r0, selfs = sample_sparse(first, batches, first_reports, workspace)
+        # A workspace hands out a new view per run, so the buffer itself
+        # stays writable for the next run's draw.
+        r0.setflags(write=False)
+        if reads == RING:
+            maps, readers = ring or _ring_setup(k, secret_rings(batches, workspace), workspace)
+            drawn = sample_ring_reads(first, batches, readers, workspace)
+        sums = None
+        if tables is not None:
+            sums = sample_peer_sums(first, batches, tables, workspace)
+            sums.setflags(write=False)
+        ring_reads = None
+        for m, (_, mechanism, _) in enumerate(arms):
+            if m:
+                selfs = _with_row(selfs, constants[m])
+            if reads == RING:
+                ring_reads = tuple(
+                    ring_messages(drawn, readers, sent[m], m == last, workspace)
+                )
+                reps, taxes = _ring_outcome(selfs, ring_reads, maps, workspace)
+            else:
+                reps, taxes = run_batch(
+                    mechanism, selfs, None, r0, sigma_prime, peer_sums=sums, workspace=workspace
+                )
+            yield ProfileDraw(r0, selfs, reps, taxes, sums, ring_reads)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +724,7 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     The trials are drawn in 1024-trial batches, each from its own substream,
     and computed in runs of consecutive batches (see the module docstring).
     An arm's ``reduce(draw, batches, workspace)`` sees one run: each array
-    of the :class:`~replab.strategies.ProfileDraw` ``draw`` is (run trials,
+    of the :class:`ProfileDraw` ``draw`` is (run trials,
     K), and ``batches`` holds the row slice of each batch of the run, in
     order.  It returns one dict of floats and
     vectors per batch, computed on that batch's rows.  Every entry is summed
@@ -358,6 +840,15 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> SimStats:
 # ---------------------------------------------------------------------------
 # Populations and parameter sweeps
 # ---------------------------------------------------------------------------
+
+
+def _driven(agent: Agent, truth: bool) -> Agent:
+    """``agent`` as a truth-driven (weight 1) or image-driven (weight 0) type."""
+    return dataclasses.replace(
+        agent,
+        agent_type=Truth() if truth else Image(),
+        utility=dataclasses.replace(agent.utility, truth_weight=1.0 if truth else 0.0),
+    )
 
 
 def _with_agents(

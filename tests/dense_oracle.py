@@ -19,13 +19,15 @@ import numpy as np
 
 from replab.core import Colluder, Environment, MaliciousRandom, Workspace
 from replab.mechanisms import _gather, _ring_outcome, _ring_setup, run_batch
-from replab.simulator import BATCH_TRIALS, _SecretRings, _batch_rng, _combine
-from replab.strategies import (
+from replab.simulator import (
+    BATCH_TRIALS,
     ProfileDraw,
+    _SecretRings,
+    _batch_rng,
+    _combine,
     _sent_constants,
-    aggregate_sigma_prime,
-    resolve_self_reports,
 )
+from replab.strategies import aggregate_sigma_prime, resolve_self_reports
 
 
 def sample_observations(

@@ -27,6 +27,7 @@ from replab.analysis import (
     hetero_image_participation,
     hetero_system_gain,
     hetero_truth_participation,
+    deviation_report,
     pr_mae,
 )
 from replab.cli import main
@@ -48,7 +49,6 @@ from replab.mechanisms import run_batch
 from replab.numerics import NormalParams, minimize_1d
 from replab.strategies import (
     _y_residual,
-    deviation_report,
     expected_pr_reputation,
     pr_optimal_self_report,
     proportional_deviation_profit,

@@ -692,6 +692,31 @@ def test_unsupported_strategy_combination_exits_3(runner, tmp_path):
     assert "Image" in result.stderr and "FR" in result.stderr
 
 
+def _single_error_line(result, code):
+    """The command exited ``code`` itself, printing one ``error:`` line."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize("std", ["1e200", "1e154"])
+def test_a_noise_scale_that_overflows_exits_3(runner, tmp_path, std):
+    # At 1e200 a variance overflows; at 1e154 the three variances' sum does.
+    config = _write(
+        tmp_path,
+        "huge.ini",
+        f"[environment]\nsystem_std = {std}\ncross_std = {std}\n\n"
+        "[agents]\nagent0 = quality=0.5 type=truth\n"
+        "agent1 = quality=0.4 type=truth\nagent2 = quality=0.6 type=image\n\n"
+        "[mechanism]\nkind = pr\n",
+    )
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["run", str(config), "--out", str(out)])
+    _single_error_line(result, 3)
+    assert "OverflowError" in result.stderr
+    assert not out.exists()
+
+
 def _spread_truth_config(tmp_path, kind, k, extra=""):
     agents = "\n".join(
         f"agent{i} = quality={0.2 + 0.6 * i / (k - 1):.6f} type=truth" for i in range(k)
@@ -932,6 +957,14 @@ def test_figures_rejects_nonfinite_sigma_at_the_flag(runner, tmp_path, value):
     assert not out.exists()
 
 
+def test_figures_whose_curves_overflow_exit_3_and_leave_no_directory(runner, tmp_path):
+    out = tmp_path / "f"
+    result = runner.invoke(main, ["figures", "--out", str(out), "--sigma-prime", "1e155"])
+    _single_error_line(result, 3)
+    assert "OverflowError" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "figures"])
 def test_out_naming_a_file_exits_2_before_any_work(runner, tmp_path, monkeypatch, command):
     def refuse(*args, **kwargs):
@@ -1003,12 +1036,11 @@ def test_check_equilibrium_skips_randomized_reporters(runner, tmp_path):
 
 
 def test_check_equilibrium_of_only_skipped_agents_simulates_nothing(runner, tmp_path, monkeypatch):
-    from replab import simulator
-
+    # The audit calls the engine through the name analysis bound at import.
     def refuse(*args, **kwargs):
         raise AssertionError("no agent is audited, so nothing is simulated")
 
-    monkeypatch.setattr(simulator, "simulate", refuse)
+    monkeypatch.setattr(analysis, "simulate", refuse)
     config = _write(
         tmp_path,
         "skipped.ini",
@@ -1023,7 +1055,7 @@ def test_check_equilibrium_of_only_skipped_agents_simulates_nothing(runner, tmp_
 
 
 def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeypatch):
-    from replab import mechanisms, strategies
+    from replab import mechanisms, simulator, strategies
     from replab.cli import _fmt, parse_config
 
     config = _write(
@@ -1033,14 +1065,14 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
         "agent2 = quality=0.4 type=malicious\nagent3 = quality=0.6 type=truth\n\n"
         "[mechanism]\nkind = as\n\n[simulation]\nseed = 11\n",
     )
-    sample = strategies.sample_sparse
+    sample = simulator.sample_sparse
     draws = []
 
     def counting_sample(*args):
         draws.append(args)
         return sample(*args)
 
-    monkeypatch.setattr(strategies, "sample_sparse", counting_sample)
+    monkeypatch.setattr(simulator, "sample_sparse", counting_sample)
     # The scoring kernel runs once per draw, however many agents are
     # audited: once in the grid pass and once in the paired pass.
     kernel = mechanisms._as_kernel
@@ -1063,7 +1095,7 @@ def test_check_equilibrium_samples_once_for_all_agents(runner, tmp_path, monkeyp
     rows = result.output.splitlines()
     passes = 0
     for i in (0, 1, 3):
-        rep = strategies.deviation_report(
+        rep = analysis.deviation_report(
             i, mechanism, env, profile, trials=2000, grid=41, seed=parsed.seed, claimed=profile[i]
         )
         assert rows[1 + i] == (

@@ -1,5 +1,6 @@
-"""Each module's ``__all__`` matches the public names it defines, only the
-engine seeds random streams, only the one batch source runs
+"""Each module's ``__all__`` matches the public names it defines, each
+module imports only the layers the package docstring lists above it, only
+the engine seeds and draws random streams, only the one batch source runs
 the mechanism kernels, only the kernels redistribute charges, only the
 engine builds per-thread workspaces, each command's simulated work is
 one engine call, one helper builds the simulator's populations and one
@@ -9,6 +10,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -92,18 +94,71 @@ def test_only_the_engine_and_the_audit_construct_random_streams():
     # come from the engine's per-batch substreams (seed, b), built by
     # _batch_rng; no other code seeds a stream.
     found = _callers_in_src(RNG_CONSTRUCTORS)
-    assert found == {("strategies", "_batch_rng")}, found
+    assert found == {("simulator", "_batch_rng")}, found
+
+
+# Generator methods that draw numbers.
+RNG_DRAWS = {
+    "standard_normal",
+    "normal",
+    "random",
+    "uniform",
+    "integers",
+    "choice",
+    "permutation",
+    "permuted",
+    "shuffle",
+    "exponential",
+    "standard_exponential",
+    "binomial",
+    "poisson",
+    "multivariate_normal",
+}
+
+
+def test_only_the_engine_draws_random_numbers():
+    # Draw stream 4's order lives in one module: the samplers and the
+    # secret rings of simulator's batch source.
+    found = {
+        path.stem
+        for path in Path(replab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in RNG_DRAWS
+    }
+    assert found == {"simulator"}, found
+
+
+def test_each_module_imports_only_the_layers_above_it():
+    # The package docstring lists the layers in order; an import at any
+    # depth, a call-time one included, names only a module listed before
+    # the importer.  ``from . import __version__`` reads the package itself.
+    order = re.findall(r"^- :mod:`replab\.(\w+)`", replab.__doc__, re.MULTILINE)
+    src = Path(replab.__file__).parent
+    assert sorted(order) == sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    wrong = []
+    for module in order:
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                name = node.module if node.level else node.module.removeprefix("replab.")
+                if (node.level or node.module.startswith("replab.")) and (
+                    name not in order[: order.index(module)]
+                ):
+                    wrong.append((module, node.lineno, name))
+    assert not wrong, wrong
 
 
 def test_only_the_batch_source_runs_the_kernels():
     # One batch source: the engine takes each batch's draw and the
-    # mechanism's outcome from strategies._batch_source, and a deviation
+    # mechanism's outcome from simulator._batch_source, and a deviation
     # audit's reducers scan what the deviation moves, never running the
     # kernel again.
     # run_batch dispatches ring validation to _ring_outcome itself.
-    assert _callers_in_src({"run_batch"}) == {("strategies", "_batch_source")}
+    assert _callers_in_src({"run_batch"}) == {("simulator", "_batch_source")}
     found = _callers_in_src({"_ring_outcome"})
-    assert found == {("strategies", "_batch_source"), ("mechanisms", "run_batch")}, found
+    assert found == {("simulator", "_batch_source"), ("mechanisms", "run_batch")}, found
 
 
 def test_the_kernels_alone_hold_the_redistribution_rules():
@@ -114,7 +169,7 @@ def test_the_kernels_alone_hold_the_redistribution_rules():
     assert _callers_in_src({"_validation_layer"}) == {("mechanisms", "_ring_outcome")}
     assert _callers_in_src({"_ring_maps"}) == {("mechanisms", "_ring_setup")}
     found = _callers_in_src({"_ring_setup"})
-    assert found == {("mechanisms", "run_batch"), ("strategies", "_batch_source")}, found
+    assert found == {("mechanisms", "run_batch"), ("simulator", "_batch_source")}, found
 
 
 def test_only_the_engine_and_the_audit_draw_batches():
@@ -140,7 +195,7 @@ def _looped(top: ast.AST) -> list[ast.AST]:
 def test_an_audit_makes_two_engine_calls():
     # The grid pass and the paired pass, each one engine call for every
     # audited agent.
-    top = _definition("strategies", "deviation_reports")
+    top = _definition("analysis", "deviation_reports")
     assert len(_calls(top, {"simulate"})) == 2
     assert not _looped(top), "deviation_reports calls simulate in a loop"
 

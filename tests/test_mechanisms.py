@@ -44,9 +44,8 @@ from replab.mechanisms import (
     deviation_terms,
     run_batch,
 )
-from replab.simulator import Arm, _SecretRings, simulate
-from replab import strategies
-from replab.strategies import ProfileDraw, _batch_source
+from replab import simulator
+from replab.simulator import Arm, ProfileDraw, _SecretRings, _batch_source, simulate
 
 
 def _one(spec, selfs=None, cross=None, r0=None, sigma_prime=0.0):
@@ -596,7 +595,7 @@ def test_layer_two_reads_never_name_one_reporter(monkeypatch):
         seen.append([r.copy() for r in readers])
         return maps, readers
 
-    monkeypatch.setattr(strategies, "_ring_setup", spy)
+    monkeypatch.setattr(simulator, "_ring_setup", spy)
     k = 7
     agents = tuple(Agent(id=i, quality=Quality(0.1 * (i + 1)), agent_type=Truth()) for i in range(k))
     env = Environment(agents=agents)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from replab.analysis import pr_mae
+from replab.analysis import deviation_reports, pr_mae
 from replab.core import (
     AS,
     AbsPower,
@@ -49,17 +49,16 @@ from replab.simulator import (
     UnsupportedCombination,
     _SecretRings,
     _batch_rng,
+    _batch_source,
+    _draw_key,
     run_collusion_scenario,
     run_malicious_scenario,
     run_trials,
     simulate,
     sweep,
 )
-from replab import strategies
 from replab.strategies import (
-    _draw_key,
     aggregate_sigma_prime,
-    deviation_reports,
     pr_optimal_self_report,
     resolve_self_reports,
 )
@@ -479,7 +478,7 @@ def test_the_engine_hands_out_a_read_only_shared_draw(clamp):
     # Every arm of a group reads the same observations and peer sums, so a
     # kernel or reducer that wrote into them would move the later arms.
     env = _adversarial_env("mixed", clamp)
-    source = strategies._batch_source([(env, PR(a=1.7), resolve_self_reports(env, PR(a=1.7)))] * 2)
+    source = _batch_source([(env, PR(a=1.7), resolve_self_reports(env, PR(a=1.7)))] * 2)
     workspace = Workspace()
     for draw in source([(_batch_rng(0, 0), slice(0, 300))], workspace):
         assert not draw.r0.flags.writeable and not draw.peer_sums.flags.writeable
@@ -1008,7 +1007,7 @@ def test_a_band_multiplier_sweep_draws_each_batch_once(monkeypatch):
     config = ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=trials, seed=9)
     grid = np.linspace(1.0, 3.0, 30)
     engine = _counting(monkeypatch, simulator, "simulate")
-    samples = _counting(monkeypatch, strategies, "sample_sparse")
+    samples = _counting(monkeypatch, simulator, "sample_sparse")
     rows = sweep(config, "pr_a", grid)
     assert [len(arms) for arms in engine] == [30]
     assert len(samples) == len(batch_plan(config.trials)) == 5

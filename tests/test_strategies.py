@@ -38,7 +38,8 @@ from replab.core import (
     batch_true_utilities,
     centralized_solution,
 )
-from replab import strategies
+from replab import analysis, simulator, strategies
+from replab.analysis import DeviationReport, _utility_sums, deviation_report, deviation_reports
 from replab.mechanisms import (
     PEER_SUMS,
     RING,
@@ -53,26 +54,28 @@ from replab.mechanisms import (
     run_batch,
 )
 from replab.numerics import NoRoot, NormalParams, find_root, integrate, normal_cdf
-from replab.simulator import Arm, ScenarioConfig, simulate
-from replab.strategies import (
-    DeviationReport,
-    PrEquilibrium,
+from replab.simulator import (
+    Arm,
     ProfileDraw,
+    ScenarioConfig,
+    _peer_sum_tables,
+    sample_peer_sums,
+    simulate,
+)
+from replab.strategies import (
+    PrEquilibrium,
     UnsupportedCombination,
     aggregate_sigma_prime,
     bayesian_ic_violation,
-    deviation_report,
-    deviation_reports,
     expected_pr_reputation,
     mixed_best_response_as,
     pr_mae,
     pr_optimal_self_report,
     resolve_self_reports,
-    sample_peer_sums,
     solve_y,
     proportional_deviation_profit,
 )
-from replab.strategies import _peer_sum_tables, _utility_sums, _y_residual
+from replab.strategies import _y_residual
 
 from dense_oracle import build_messages, sample_observations
 
@@ -585,7 +588,7 @@ def test_ring_draws_do_not_depend_on_the_index_dtype(k):
     # maps must gather what intp maps of the same rings gather.
     drawn = []
     for dtype in (np.intp, np.int32):
-        rng = strategies._batch_rng(7, 2)
+        rng = simulator._batch_rng(7, 2)
         out = np.empty((300, k), dtype, order="F")
         base = np.broadcast_to(np.arange(k, dtype=dtype), out.shape)
         rng.permuted(base, axis=1, out=out)
@@ -807,9 +810,9 @@ def _one_batch_report(mechanism, env, draw, i, grid):
     claimed = 0.5 if isinstance(mechanism, SimpleAveraging) else float(draw.selfs[0, i])
     trials = draw.reps.shape[0]
     batch = ([slice(0, trials)], Workspace())
-    reduce, report = strategies._grid_pass(mechanism, env, {i: claimed}, values)
+    reduce, report = analysis._grid_pass(mechanism, env, {i: claimed}, values)
     (totals,) = reduce(draw, *batch)
-    reduce, report = strategies._pair_pass(mechanism, env, report(totals, trials))
+    reduce, report = analysis._pair_pass(mechanism, env, report(totals, trials))
     (totals,) = reduce(draw, *batch) if reduce else ({},)
     return report(totals, trials)[0]
 
@@ -843,7 +846,7 @@ def _dense_oracle(i, mechanism, env, profile, trials, grid, seed, best_index=Non
 def test_incremental_scan_matches_dense_oracle(case, block_bytes, monkeypatch):
     if block_bytes is not None:
         # One grid point per block and 97 trials per slice, the last slice short.
-        monkeypatch.setattr(strategies, "_SCAN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(analysis, "_SCAN_BLOCK_BYTES", block_bytes)
     mechanism, scheme, profile, p, g = SCAN_CASES[case]
     env = _scan_env(scheme, p, g)
     trials, grid, seed = 1500, 41, 23
@@ -889,7 +892,7 @@ def test_scan_sums_each_batch_of_a_run(case, block_bytes, monkeypatch):
     # 97-trial slices) straddle the batch edges: each batch's row is the
     # dense kernel's sum over that batch's trials.
     if block_bytes is not None:
-        monkeypatch.setattr(strategies, "_SCAN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(analysis, "_SCAN_BLOCK_BYTES", block_bytes)
     mechanism, scheme, profile, p, g = SCAN_CASES[case]
     env = _scan_env(scheme, p, g)
     arrays = _dense_profile(env, mechanism, profile, 900, 5)
