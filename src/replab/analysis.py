@@ -386,25 +386,29 @@ def hetero_image_participation(
     )
 
 
+def _gain_terms(env: Environment) -> tuple[float, float]:
+    """The two sides :func:`hetero_system_gain` compares: the image-driven
+    slopes sum_i g_i'(r_i) / (K - 1) and the budget 2*sqrt(2/pi)*sigma."""
+    slopes = math.fsum(
+        ag.utility.g.derivative(float(ag.quality))
+        for ag in env.agents
+        if ag.utility.truth_weight < 1.0
+    )
+    return slopes / (env.k - 1), 2.0 * _SQRT_2_OVER_PI * env.system_obs.std
+
+
 def hetero_system_gain(env: Environment) -> bool:
     """Whether scoring-backed reporting beats the platform observing alone.
 
-    Equilibrium inflation of each image-driven agent contributes about
-    g'(r)/2 of error, while direct observation costs sqrt(2/pi)*sigma per
-    agent.  With linear image payoffs the comparison is the literal
-    fraction test rho < 2*sqrt(2/pi)*sigma; for general g the derivative
-    sum is compared against the same budget, sum g'(r_i) <
-    2*sqrt(2/pi)*K*sigma.
+    Equilibrium inflation of each image-driven agent (truth weight below 1)
+    contributes about g'(r)/2 of error, while direct observation costs
+    sqrt(2/pi)*sigma per agent.  The one rule is
+    sum_i g_i'(r_i) / (K - 1) < 2*sqrt(2/pi)*sigma over the image-driven
+    agents.  A linear payoff has slope 1, so with linear payoffs the left
+    side is the image-driven fraction rho, the paper's test.
     """
-    image_driven = [ag for ag in env.agents if ag.utility.truth_weight < 1.0]
-    sigma = env.system_obs.std
-    if all(isinstance(ag.utility.g, Linear) for ag in image_driven):
-        rho = len(image_driven) / (env.k - 1)
-        return rho < 2.0 * _SQRT_2_OVER_PI * sigma
-    total = math.fsum(
-        ag.utility.g.derivative(float(ag.quality)) for ag in image_driven
-    )
-    return total < 2.0 * _SQRT_2_OVER_PI * env.k * sigma
+    rho, budget = _gain_terms(env)
+    return rho < budget
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _gain_terms,
     closed_forms_apply,
     deviation_reports,
     hetero_image_participation,
@@ -938,7 +939,6 @@ def cmd_report(config_path, seed, trials):
     """Participation thresholds per agent plus the system-gain verdict."""
     parsed = parse_config(config_path, seed=seed)
     env = parsed.env
-    k = env.k
     # One engine pass gives every agent's Monte Carlo columns; the closed
     # columns repeat them wherever the closed rules do not apply.
     mc_in, mc_out = participation_utilities(env, trials, parsed.seed)
@@ -982,9 +982,7 @@ def cmd_report(config_path, seed, trials):
         )
 
     gains = hetero_system_gain(env)
-    image_count = sum(1 for ag in env.agents if ag.utility.truth_weight < 1.0)
-    rho = image_count / (k - 1)
-    budget = 2.0 * math.sqrt(2.0 / math.pi) * env.system_obs.std
+    rho, budget = _gain_terms(env)
     click.echo(
         f"system gain: {'yes' if gains else 'no'} "
         f"(rho {_fmt(rho)} vs 2*sqrt(2/pi)*sigma {_fmt(budget)})"

@@ -33,9 +33,8 @@ batches of reports to reputations and taxes live in :mod:`replab.mechanisms`.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -471,20 +470,6 @@ class Workspace:
         rows = self.empty(name, shape if writable else (1, *shape[1:]))
         rows.fill(0.0)
         return rows if writable else np.broadcast_to(rows, shape)
-
-    @staticmethod
-    def per_thread() -> Callable[[], "Workspace"]:
-        """A function returning the calling thread's workspace, one per thread
-        that calls it, all freed with the function."""
-        local = threading.local()
-
-        def current() -> Workspace:
-            workspace = getattr(local, "workspace", None)
-            if workspace is None:
-                workspace = local.workspace = Workspace()
-            return workspace
-
-        return current
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ nothing more.  The peer-sum families draw each subject's peer sum
 (:func:`sample_peer_sums`).  Ring validation draws the collusion
 scenario's secret rings, one permutation per layer, then the at most 3
 reports per subject the rings read (:func:`sample_ring_reads`).
-That order, and the mechanism's run, live in one batch source,
-:func:`_batch_source`; a deviation audit
+That order, the mechanism's run and each arm's reducer live in one batch
+source, :func:`_batch_source`; a deviation audit
 (``analysis.deviation_reports``) is two engine calls of it.  Streams 1
 to 3 drew some or all batches as a dense (batch, K, K) cross matrix.
 
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Container, Iterator, Mapping, Sequence
@@ -96,6 +97,7 @@ from .mechanisms import (
     _ring_outcome,
     _ring_setup,
     _spec_rings,
+    _take,
     cross_reads,
     peer_weights,
     run_batch,
@@ -419,13 +421,6 @@ def sample_peer_sums(
     return sums
 
 
-def _reader_values(table: np.ndarray, index: np.ndarray, workspace: Workspace) -> np.ndarray:
-    """``table[index]``, in scratch 1.  The reporters are in range, so the
-    clip mode changes no value and spares ``np.take`` a copy."""
-    out = workspace.empty("scratch 1", index.shape, table.dtype)
-    return np.take(table, index, out=out, mode="clip")
-
-
 def sample_ring_reads(
     env: Environment,
     batches: Batches,
@@ -475,8 +470,8 @@ def sample_ring_reads(
         # The int32 maps as the index arrays np.take would otherwise copy.
         index = workspace.empty("indices", reader.shape, np.intp)
         np.copyto(index, reader)
-        values *= _reader_values(stds, index, workspace)
-        shift = _reader_values(biases, index, workspace)
+        values *= _take(stds, index, workspace.empty("scratch 1", index.shape))
+        shift = _take(biases, index, workspace.empty("scratch 1", index.shape))
         shift += qualities
         values += shift
         if env.clamp_observations:
@@ -524,9 +519,7 @@ def ring_messages(
         index = workspace.empty("indices", reader.shape, np.intp)
         np.multiply(reader, k, out=index, dtype=np.intp)
         index += np.arange(k)
-        message = np.take(
-            sent.ravel(), index, out=workspace.empty("scratch 1", reader.shape), mode="clip"
-        )
+        message = _take(sent.ravel(), index, workspace.empty("scratch 1", reader.shape))
         sends = np.isnan(message, out=workspace.empty("sends", reader.shape, bool))
         np.logical_not(sends, out=sends)
         if not in_place:
@@ -607,42 +600,42 @@ def _draw_key(env: Environment, mechanism: MechanismSpec, reports: Mapping[int, 
 
 
 def _batch_source(
-    arms: Sequence[tuple[Environment, MechanismSpec, Mapping[int, float]]],
-) -> Callable[..., Iterator[ProfileDraw]]:
-    """The draw of one run of batches and each arm's outcome on it.
+    arms: Sequence[tuple[Arm, Mapping[int, float]]],
+) -> Callable[[Batches, Workspace], list]:
+    """Each arm's partials on one shared draw of a run of batches.
 
-    Each arm is a population, its mechanism and its constant self-reports
+    Each arm comes with its constant self-reports
     (:func:`replab.strategies.resolve_self_reports`); the arms must have one
     :func:`_draw_key`.  Resolves what the first arm's mechanism reads once.
-    The returned ``draw(batches, workspace)`` draws a run of batches
+    The returned ``run(batches, workspace)`` draws a run of batches
     (:data:`Batches`), each batch from its own generator in the order of
     draw stream 4: the system observations and uniform self-reports
     (:func:`sample_sparse`), then the peer sums (:func:`sample_peer_sums`),
     or the secret rings of :class:`_SecretRings` and the ring reads
     (:func:`sample_ring_reads`).  The observations and peer sums are
-    read-only.  It then yields one :class:`ProfileDraw` of the whole run
-    per arm, in order: the arm's constants in place of the previous arm's
-    (:func:`_with_row`), its colluders' ring messages
-    (:func:`ring_messages`) and its own mechanism's outcome, each computed
-    once over the run; so punish-reward arms of different band multipliers
-    share one draw.  A later arm writes into the arrays an earlier one was
-    given, so each arm must be consumed before the next is produced.  The
-    arrays are ``workspace`` buffers, which the workspace's next run
-    overwrites, or read-only views of them: under scoring and ring
-    validation the reputations are the self-reports.
+    read-only.  Then, arm by arm, it applies the arm's constants in place of
+    the previous arm's (:func:`_with_row`) and its colluders' ring messages
+    (:func:`ring_messages`), runs the arm's own mechanism once over the run
+    and hands the :class:`ProfileDraw` to the arm's reducer, so punish-reward
+    arms of different band multipliers share one draw.  It returns each
+    arm's partials, in arm order.  The draw's arrays are ``workspace``
+    buffers, which the next arm and the workspace's next run overwrite, or
+    read-only views of them: under scoring and ring validation the
+    reputations are the self-reports.
     """
-    first, first_mechanism, first_reports = arms[0]
-    k = first.k
+    first, first_reports = arms[0]
+    env, first_mechanism = first.env, first.mechanism
+    k = env.k
     reads = cross_reads(first_mechanism)
-    sigma_prime = aggregate_sigma_prime(first)
-    constants = [np.array([r.get(i, np.nan) for i in range(k)]) for _, _, r in arms]
+    sigma_prime = aggregate_sigma_prime(env)
+    constants = [np.array([r.get(i, np.nan) for i in range(k)]) for _, r in arms]
     tables = sent = ring = None
     if reads == PEER_SUMS:
-        tables = _peer_sum_tables(first, peer_weights(first_mechanism, k))
+        tables = _peer_sum_tables(env, peer_weights(first_mechanism, k))
     elif reads == RING:
         if k < 3:
             raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
-        sent = [_sent_constants(env) for env, _, _ in arms]
+        sent = [_sent_constants(arm.env) for arm, _ in arms]
         if not isinstance(first_mechanism, _SecretRings):
             ring = _ring_setup(k, _spec_rings(first_mechanism, k), Workspace())
     last = len(arms) - 1
@@ -658,20 +651,22 @@ def _batch_source(
                 rng.permuted(base[rows], axis=1, out=order[rows])
             yield order
 
-    def draw(batches: Batches, workspace: Workspace) -> Iterator[ProfileDraw]:
-        r0, selfs = sample_sparse(first, batches, first_reports, workspace)
+    def run(batches: Batches, workspace: Workspace) -> list:
+        r0, selfs = sample_sparse(env, batches, first_reports, workspace)
         # A workspace hands out a new view per run, so the buffer itself
         # stays writable for the next run's draw.
         r0.setflags(write=False)
         if reads == RING:
             maps, readers = ring or _ring_setup(k, secret_rings(batches, workspace), workspace)
-            drawn = sample_ring_reads(first, batches, readers, workspace)
+            drawn = sample_ring_reads(env, batches, readers, workspace)
         sums = None
         if tables is not None:
-            sums = sample_peer_sums(first, batches, tables, workspace)
+            sums = sample_peer_sums(env, batches, tables, workspace)
             sums.setflags(write=False)
+        rows = [batch_rows for _, batch_rows in batches]
         ring_reads = None
-        for m, (_, mechanism, _) in enumerate(arms):
+        partials = []
+        for m, (arm, _) in enumerate(arms):
             if m:
                 selfs = _with_row(selfs, constants[m])
             if reads == RING:
@@ -681,11 +676,13 @@ def _batch_source(
                 reps, taxes = _ring_outcome(selfs, ring_reads, maps, workspace)
             else:
                 reps, taxes = run_batch(
-                    mechanism, selfs, None, r0, sigma_prime, peer_sums=sums, workspace=workspace
+                    arm.mechanism, selfs, None, r0, sigma_prime, peer_sums=sums, workspace=workspace
                 )
-            yield ProfileDraw(r0, selfs, reps, taxes, sums, ring_reads)
+            draw = ProfileDraw(r0, selfs, reps, taxes, sums, ring_reads)
+            partials.append(arm.reduce(draw, rows, workspace))
+        return partials
 
-    return draw
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -752,29 +749,26 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     counts = sorted({arm.env.k for arm in arms})
     if len(counts) > 1:
         raise ValueError(f"the arms must have one agent count, got K = {counts}")
-    resolved = [
-        (arm.env, arm.mechanism, resolve_self_reports(arm.env, arm.mechanism, arm.strategy_mode))
-        for arm in arms
-    ]
+    reports = [resolve_self_reports(arm.env, arm.mechanism, arm.strategy_mode) for arm in arms]
     groups: dict[tuple, list[int]] = {}
-    for m, source_arm in enumerate(resolved):
-        groups.setdefault(_draw_key(*source_arm), []).append(m)
+    for m, arm in enumerate(arms):
+        groups.setdefault(_draw_key(arm.env, arm.mechanism, reports[m]), []).append(m)
     sources = [
-        (members, _batch_source([resolved[m] for m in members])) for members in groups.values()
+        (members, _batch_source([(arms[m], reports[m]) for m in members]))
+        for members in groups.values()
     ]
-    workspace = Workspace.per_thread()
+    # One workspace per worker thread, freed with this call.
+    local = threading.local()
 
     def one_run(first_batch: int, size: int) -> list[list[dict]]:
+        if not hasattr(local, "workspace"):
+            local.workspace = Workspace()
         plan = _run_batches(first_batch, size)
-        rows = [batch_rows for _, batch_rows in plan]
         partials: list = [None] * len(arms)
-        for members, source in sources:
-            batches = [(_batch_rng(seed, b), batch_rows) for b, batch_rows in plan]
-            # zip takes each arm from the source only after the previous arm's
-            # reducer has run, as the shared draw requires.
-            buffers = workspace()
-            for m, draw in zip(members, source(batches, buffers)):
-                partials[m] = arms[m].reduce(draw, rows, buffers)
+        for members, run in sources:
+            batches = [(_batch_rng(seed, b), rows) for b, rows in plan]
+            for m, partial in zip(members, run(batches, local.workspace)):
+                partials[m] = partial
         return partials
 
     runs = _map_batches(one_run, _run_plan(trials, counts[0]), workers)

@@ -7,6 +7,7 @@ the participation closed forms against both hand substitution and the
 module's own Monte Carlo fallback path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -420,18 +421,41 @@ def test_system_gain_no_image_users():
     assert hetero_system_gain(env)
 
 
-def test_system_gain_curved_payoff():
-    # One image user with g(x) = sqrt(x) at r = 0.25: g'(r) = 1.
-    def env_with(sigma0):
-        agents = (
-            _agent(0, 0.25, Image(), 0.0, g=Power(0.5)),
-            _agent(1, 0.5, Truth(), 1.0),
-            _agent(2, 0.6, Truth(), 1.0),
-        )
-        return Environment(agents=agents, system_obs=NormalParams(0.0, sigma0))
+def _one_image_user(g, sigma0, r=0.25):
+    """K = 3: one image user at quality ``r`` with payoff ``g``, two truth-tellers."""
+    agents = (
+        _agent(0, r, Image(), 0.0, g=g),
+        _agent(1, 0.5, Truth(), 1.0),
+        _agent(2, 0.6, Truth(), 1.0),
+    )
+    return Environment(agents=agents, system_obs=NormalParams(0.0, sigma0))
 
-    assert hetero_system_gain(env_with(0.25))  # 1 < 2 sqrt(2/pi) * 3 * 0.25
-    assert not hetero_system_gain(env_with(0.2))  # 1 > 0.957
+
+def test_system_gain_curved_payoff():
+    # g(x) = sqrt(x) at r = 0.25: g'(r) = 1, so the slopes over K - 1 are
+    # 0.5 against 2 sqrt(2/pi) sigma0, which passes 0.5 at sigma0 = 0.313.
+    assert hetero_system_gain(_one_image_user(Power(0.5), 0.35))  # 0.5 < 0.559
+    assert not hetero_system_gain(_one_image_user(Power(0.5), 0.3))  # 0.5 > 0.479
+    # g'(0) is infinite: an image user of quality 0 with a curved payoff
+    # inflates without bound, and no noise level makes the system gain.
+    assert Power(0.5).derivative(0.0) == math.inf
+    assert not hetero_system_gain(_one_image_user(Power(0.5), 100.0, r=0.0))
+
+
+@pytest.mark.parametrize("sigma0, gains", [(0.25, False), (0.35, True)])
+def test_system_gain_of_power_one_is_the_linear_verdict(sigma0, gains):
+    # g(x) = x**1 is the linear payoff, so both sides of the bound
+    # 2 sqrt(2/pi) sigma0 = 0.5 (sigma0 = 0.313) give one verdict.
+    linear, power = (_one_image_user(g, sigma0) for g in (Linear(), Power(1.0)))
+    assert hetero_system_gain(linear) is hetero_system_gain(power) is gains
+
+
+def test_a_curved_image_payoff_declines_the_closed_rules_for_everyone():
+    env = _mixed_population(n_truth=3, n_image=2)
+    assert all(closed_forms_apply(env, agent) for agent in env.agents)
+    curved = _agent(4, 0.25, Image(), 0.0, g=Power(0.5), sigma=0.3)
+    env = dataclasses.replace(env, agents=env.agents[:4] + (curved,))
+    assert not any(closed_forms_apply(env, agent) for agent in env.agents)
 
 
 # ---------------------------------------------------------------------------

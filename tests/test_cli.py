@@ -126,6 +126,16 @@ def test_run_writes_stats_csv_schema_and_manifest(runner, tmp_path):
     assert len(manifest["config_digest"]) == 64
 
 
+def test_one_trial_run_writes_zero_stderr(runner, tmp_path):
+    # One trial has no spread to estimate, so the standard error is 0.
+    config = _write(tmp_path, "basic.ini", BASIC_INI)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config), "--out", str(out), "--trials", "1"])
+    assert result.exit_code == 0, result.output
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["trials"] == 1 and stats["mae_stderr"] == 0.0
+
+
 def test_run_image_agent_inflates_reputation(runner, tmp_path):
     config = _write(tmp_path, "basic.ini", BASIC_INI)
     out = tmp_path / "out"
@@ -677,6 +687,72 @@ def test_bad_trials_or_seed_names_its_key_or_flag(runner, tmp_path, suffix, simu
     result = runner.invoke(main, ["run", str(config), "--out", str(tmp_path / "o"), *flags])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith(f"error: {where}"), result.stderr
+
+
+_FIRST_AGENT = "agent0 = quality=0.3 type=truth"
+_SWEEP = ["sweep", "--parameter", "sigma", "--grid"]
+
+
+@pytest.mark.parametrize(
+    "text, suffix, command, fragment",
+    [
+        (BASIC_INI, ".ini", [*_SWEEP, "1:2"], "expected lo:hi:count"),
+        (BASIC_INI, ".ini", [*_SWEEP, "0:1:0"], "count must be >= 1"),
+        (BASIC_INI, ".ini", [*_SWEEP, "a,b"], "expected numbers"),
+        (None, None, ["figures", "--quality", "1.5"], "--quality must lie in [0, 1]"),
+        (None, None, ["figures", "--points", "1"], "--points must be >= 2"),
+        (BASIC_INI.replace(_FIRST_AGENT, "agent0 = quality"), ".ini", ["run"], "malformed token"),
+        (
+            BASIC_INI.replace(_FIRST_AGENT, "agent0 = type=truth"),
+            ".ini",
+            ["run"],
+            "missing required field 'quality'",
+        ),
+        (
+            BASIC_INI.replace("kind = as", "kind = pr\nring = 0 1"),
+            ".ini",
+            ["run"],
+            "keys ['ring'] not valid for kind 'pr'",
+        ),
+        (BASIC_INI + "strategy = best\n", ".ini", ["run"], "[simulation] strategy"),
+        (
+            BASIC_INI + "strategy = custom\noverridex = 0.5\n",
+            ".ini",
+            ["run"],
+            "overrides must be named override<agent-id>",
+        ),
+        (BASIC_INI.replace("cross_std = 0.1", "cross_std 0.1"), ".ini", ["run"], "parsing errors"),
+        ("[]", ".json", ["run"], "top level must be an object of sections"),
+        ('{"agents": {}}', ".json", ["run"], "must be a list of agent objects"),
+    ],
+    ids=[
+        "grid-two-fields",
+        "grid-count-0",
+        "grid-not-numbers",
+        "figures-quality",
+        "figures-points",
+        "ini-malformed-token",
+        "ini-missing-quality",
+        "ini-key-of-another-kind",
+        "ini-strategy",
+        "ini-override-name",
+        "ini-line-without-equals",
+        "json-top-level-list",
+        "json-agents-object",
+    ],
+)
+def test_usage_errors_exit_2_naming_their_flag_or_key(
+    runner, tmp_path, text, suffix, command, fragment
+):
+    args = [command[0]]
+    if text is not None:
+        args.append(str(_write(tmp_path, "bad" + suffix, text)))
+    result = runner.invoke(main, [*args, *command[1:], "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert fragment in result.stderr, result.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_unsupported_strategy_combination_exits_3(runner, tmp_path):

@@ -1,10 +1,12 @@
 """Each module's ``__all__`` matches the public names it defines, each
 module imports only the layers the package docstring lists above it, only
 the engine seeds and draws random streams, only the one batch source runs
-the mechanism kernels, only the kernels redistribute charges, only the
-engine builds per-thread workspaces, each command's simulated work is
-one engine call, one helper builds the simulator's populations and one
-writer writes the command-line tables."""
+the mechanism kernels and calls the arms' reducers, only the kernels
+redistribute charges, only the engine builds per-thread workspaces (one
+``threading.local`` in ``simulate``), only ``mechanisms._take`` calls
+``np.take``, each command's simulated work is one engine call, one helper
+builds the simulator's populations and one writer writes the command-line
+tables."""
 
 import ast
 import importlib
@@ -205,9 +207,23 @@ def test_only_simulate_maps_batches():
 
 
 def test_only_the_engine_builds_per_thread_workspaces():
-    # The engine alone holds buffers per worker thread; every other call
-    # that needs buffers makes one Workspace of its own.
-    assert _callers_in_src({"per_thread"}) == {("simulator", "simulate")}
+    # The engine alone holds buffers per worker thread, in a thread-local of
+    # its call; every other call that needs buffers makes one Workspace of
+    # its own.
+    assert _callers_in_src({"local"}) == {("simulator", "simulate")}
+
+
+def test_only_the_batch_source_calls_the_reducers():
+    # The batch source runs each arm's kernel and reducer in turn, so the
+    # next arm, which writes into the shared draw, is built only after the
+    # reducer has read it.
+    assert _callers_in_src({"reduce"}) == {("simulator", "_batch_source")}
+
+
+def test_only_one_helper_gathers_with_take():
+    # np.take in clip mode, with its index and output layouts, lives in
+    # mechanisms._take; the kernels and the ring samplers gather through it.
+    assert _callers_in_src({"take"}) == {("mechanisms", "_take")}
 
 
 @pytest.mark.parametrize(

@@ -492,7 +492,7 @@ def test_per_trial_rings_too_few_agents():
     env = Environment(agents=agents)
     for spec in (_SecretRings(layers=1), ExtendedAS(ring=(0, 1, 2))):
         with pytest.raises(TooFewAgents):
-            _batch_source([(env, spec, {})])
+            _batch_source([(Arm(env, spec, lambda *arrays: {}), {})])
     with pytest.raises(TooFewAgents):
         run_batch(ExtendedAS(ring=(0, 1, 2)), np.zeros((1, 2)), np.zeros((1, 2, 2)), None)
 

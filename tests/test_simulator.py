@@ -478,10 +478,21 @@ def test_the_engine_hands_out_a_read_only_shared_draw(clamp):
     # Every arm of a group reads the same observations and peer sums, so a
     # kernel or reducer that wrote into them would move the later arms.
     env = _adversarial_env("mixed", clamp)
-    source = _batch_source([(env, PR(a=1.7), resolve_self_reports(env, PR(a=1.7)))] * 2)
+    seen = []
+
+    def reduce(draw, batches, workspace):
+        for shared in (draw.r0, draw.peer_sums):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 0.0
+        seen.append(batches)
+        return [{}]
+
+    arm = Arm(env, PR(a=1.7), reduce)
+    run = _batch_source([(arm, resolve_self_reports(env, PR(a=1.7)))] * 2)
     workspace = Workspace()
-    for draw in source([(_batch_rng(0, 0), slice(0, 300))], workspace):
-        assert not draw.r0.flags.writeable and not draw.peer_sums.flags.writeable
+    assert run([(_batch_rng(0, 0), slice(0, 300))], workspace) == [[{}], [{}]]
+    assert seen == [[slice(0, 300)]] * 2
     # The next run's buffers are writable again.
     assert workspace.empty("peer sums", (300, env.k)).flags.writeable
 

@@ -265,6 +265,9 @@ def test_image_best_response_power_matches_grid():
     objective = g(xs) - (xs - r) ** 2  # E[(x-R_0)^2] minus the constant sigma0^2
     oracle = float(xs[np.argmax(objective)])
     assert mixed_best_response_as(g, r, 1.0) == pytest.approx(oracle, abs=2e-6)
+    # At r = 0.95 the first-order condition 0.5 - 2 (1 - r) is still
+    # positive at the top of the message space.
+    assert mixed_best_response_as(g, 0.95, 1.0) == 1.0
 
 
 def test_mixed_best_response_interpolates():
