@@ -40,7 +40,6 @@ from .core import (
     SimpleAveraging,
     Truth,
     Workspace,
-    absolute_errors,
     agent_utility,
     batch_true_utilities,
     centralized_solution,
@@ -53,7 +52,7 @@ from .numerics import (
     normal_cdf,
     normal_pdf,
 )
-from .simulator import Arm, ProfileDraw, _driven, simulate
+from .simulator import Arm, ProfileDraw, _driven, _errors, simulate
 from .strategies import (
     UnsupportedCombination,
     _band_curves,
@@ -279,8 +278,8 @@ def participation_utilities(
     lam = np.array([ag.utility.truth_weight for ag in env.agents])
 
     def reduce(draw, batches, workspace) -> list[dict]:
-        errors = absolute_errors(draw.reps, env, workspace=workspace)
-        utils = batch_true_utilities(draw.reps, errors, draw.taxes, env, workspace=workspace)
+        distinct, errors, _ = _errors(draw.reps, env, workspace)
+        utils = batch_true_utilities(distinct, errors, draw.taxes, env, workspace=workspace)
         # Each agent's payoff once over the run; a linear one is a view.
         images = [ag.utility.g(draw.r0[:, i]) for i, ag in enumerate(env.agents)]
         return [

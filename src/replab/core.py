@@ -533,18 +533,27 @@ def batch_true_utilities(
 ) -> np.ndarray:
     """Realized utilities over a batch of outcomes.
 
-    ``reputations``, their :func:`absolute_errors` and ``taxes`` have shape
-    (trials, K); returns (trials, K) utilities computed per agent with that
-    agent's own f, g and truth weight.  f(errors) and its row sums are
-    computed once per distinct loss: equal (frozen) losses give equal
-    arrays.  Each run of adjacent agents that share (f, g) is computed in
-    one pass over its columns, in the order of :func:`agent_utility`, so
-    every entry rounds as that formula does.  ``errors`` is overwritten, so
-    a caller reads it first.  The result is scratch 1 of ``workspace``, the
-    losses other ``workspace`` buffers.
+    ``taxes`` has shape (trials, K); ``reputations`` and their
+    :func:`absolute_errors` have that shape too, or (1, K) when every
+    trial publishes the same reputations.  Returns (trials, K) utilities
+    computed per agent with that agent's own f, g and truth weight.
+    f(errors) and its row sums are computed once per distinct loss: equal
+    (frozen) losses give equal arrays.  Each run of adjacent agents that
+    share (f, g) is computed in one pass over its columns, in the order of
+    :func:`agent_utility`, and the taxes are subtracted last, so every entry
+    rounds as that formula does and a (1, K) row gives the utilities of its
+    (trials, K) broadcast bit for bit.  ``errors`` is overwritten, so a
+    caller reads it first.  The result is scratch 1 of ``workspace``, the
+    losses and a (1, K) row's accuracy and image terms other ``workspace``
+    buffers.
     """
     shape = reputations.shape
-    if errors.shape != shape or taxes.shape != shape or shape[1] != env.k:
+    if (
+        errors.shape != shape
+        or shape[0] not in (1, taxes.shape[0])
+        or taxes.shape[1:] != (env.k,)
+        or shape[1] != env.k
+    ):
         raise DimensionMismatch(
             f"expected (trials, {env.k}) arrays, got {shape}, {errors.shape} and {taxes.shape}"
         )
@@ -558,7 +567,8 @@ def batch_true_utilities(
         floss = f(errors, out=errors if last else workspace.empty(f"loss{n}", shape))
         losses[f] = (floss, floss.sum(axis=1, keepdims=True))
     lam = np.array([agent.utility.truth_weight for agent in env.agents])
-    out = workspace.empty("scratch 1", shape)
+    out = workspace.empty("scratch 1", taxes.shape)
+    head = out if shape == taxes.shape else workspace.empty("utility row", shape)
     start = 0
     for stop in range(1, env.k + 1):
         if stop < env.k and payoffs[stop] == payoffs[start]:
@@ -566,11 +576,10 @@ def batch_true_utilities(
         f, g = payoffs[start]
         cols = slice(start, stop)
         floss, total = losses[f]
-        block = out[:, cols]
+        block = head[:, cols]
         np.subtract(total, floss[:, cols], out=block)
         block *= -lam[cols]
         # Only these columns read these losses, so they take the image term.
         block += np.multiply(1.0 - lam[cols], g(reputations[:, cols]), out=floss[:, cols])
-        block -= taxes[:, cols]
         start = stop
-    return out
+    return np.subtract(head, taxes, out=out)

@@ -779,6 +779,24 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     return totals
 
 
+def _errors(
+    reps: np.ndarray, env: Environment, workspace: Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draw's distinct reputations, their :func:`absolute_errors` and
+    each trial's total error, (trials,).
+
+    Under scoring and ring validation with constant self-reports the
+    reputations are one row broadcast over the trials (a stride-0 view);
+    then the distinct reputations and their errors are that (1, K) row, and
+    the totals its one sum broadcast, which
+    :func:`replab.core.batch_true_utilities` and the per-batch sums read as
+    they read the full arrays, bit for bit.
+    """
+    distinct = reps[:1] if reps.strides[0] == 0 else reps
+    errors = absolute_errors(distinct, env, workspace=workspace)
+    return distinct, errors, np.broadcast_to(errors.sum(axis=1), reps.shape[:1])
+
+
 def _stats_arm(
     env: Environment, mechanism: MechanismSpec, strategy_mode: str | Mapping[int, float]
 ) -> Arm:
@@ -786,10 +804,9 @@ def _stats_arm(
 
     def reduce(draw, batches, workspace) -> list[dict]:
         reps, taxes = draw.reps, draw.taxes
-        errors = absolute_errors(reps, env, workspace=workspace)
-        mae = errors.sum(axis=1)
+        distinct, errors, mae = _errors(reps, env, workspace)
         budgets = taxes.sum(axis=1)
-        utils = batch_true_utilities(reps, errors, taxes, env, workspace=workspace)
+        utils = batch_true_utilities(distinct, errors, taxes, env, workspace=workspace)
         return [
             {
                 "mae": float(mae[rows].sum()),
@@ -981,22 +998,21 @@ def run_collusion_scenario(
 
     def reducer(arm_env: Environment) -> Reducer:
         def reduce(draw, batches, workspace) -> list[dict]:
-            reps, taxes = draw.reps, draw.taxes
+            taxes = draw.taxes
+            distinct, errors, mae = _errors(draw.reps, arm_env, workspace)
             # batch_true_utilities overwrites the errors, so they are read first.
-            errors = absolute_errors(reps, arm_env, workspace=workspace)
-            mae = errors.sum(axis=1)
-            outsider_mae = [float(errors[rows][:, outsiders].sum(axis=1).sum()) for rows in batches]
+            outsider_mae = np.broadcast_to(errors[:, outsiders].sum(axis=1), mae.shape)
             budgets = taxes.sum(axis=1)
-            utilities = batch_true_utilities(reps, errors, taxes, arm_env, workspace=workspace)
+            utilities = batch_true_utilities(distinct, errors, taxes, arm_env, workspace=workspace)
             return [
                 {
                     "mae": float(mae[rows].sum()),
-                    "outsider_mae": outsider,
+                    "outsider_mae": float(outsider_mae[rows].sum()),
                     "clique_utility": float(utilities[rows][:, members].sum()),
                     "clique_tax": float(taxes[rows][:, members].sum()),
                     "budget_abs_max": float(np.abs(budgets[rows]).max()),
                 }
-                for rows, outsider in zip(batches, outsider_mae)
+                for rows in batches
             ]
 
         return reduce
@@ -1076,7 +1092,7 @@ def run_malicious_scenario(
     slot_idx = np.array(sorted(malicious), dtype=int)
 
     def reduce(draw, batches, workspace) -> list[dict]:
-        mae = absolute_errors(draw.reps, env, workspace=workspace).sum(axis=1)
+        mae = _errors(draw.reps, env, workspace)[2]
         selfs, system_obs = draw.selfs, draw.r0
         return [
             {

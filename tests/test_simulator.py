@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from replab import analysis
 from replab.analysis import deviation_reports, pr_mae
 from replab.core import (
     AS,
@@ -30,6 +31,7 @@ from replab.core import (
     MaliciousRandom,
     Mixed,
     PR,
+    Power,
     Quality,
     SimpleAveraging,
     Truth,
@@ -1143,6 +1145,74 @@ def test_twelve_agent_secret_rings_keep_their_bits():
             got = tuple(record[arm][key] for key in keys)
             assert got == values, (workers, arm)
             assert record[arm]["outsider_mae"] == 0.0
+
+
+def _checked_reducers(monkeypatch):
+    """Make every engine call's reducers also reduce each draw with its
+    reputations copied C-contiguous, on a workspace of their own, and assert
+    that the two give the same partials bit for bit.  Returns, per reduced
+    draw, whether its reputations were one row broadcast (stride 0)."""
+    constant_rows = []
+    engine = simulator.simulate
+
+    def checked(reduce):
+        def run(draw, batches, workspace):
+            dense = dataclasses.replace(draw, reps=np.ascontiguousarray(draw.reps))
+            expected = reduce(dense, batches, Workspace())
+            partials = reduce(draw, batches, workspace)
+            constant_rows.append(draw.reps.strides[0] == 0)
+            assert len(partials) == len(expected)
+            for got, want in zip(partials, expected):
+                assert got.keys() == want.keys()
+                for key in got:
+                    assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+            return partials
+
+        return run
+
+    def checking(arms, *args, **kwargs):
+        arms = [dataclasses.replace(arm, reduce=checked(arm.reduce)) for arm in arms]
+        return engine(arms, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "simulate", checking)
+    monkeypatch.setattr(analysis, "simulate", checking)
+    return constant_rows
+
+
+def _mixed_payoffs_env():
+    """_hetero_env with three (f, g) pairs, so utilities come in column runs."""
+    env = _hetero_env()
+    payoffs = {1: UtilitySpec(AbsPower(2.0), Power(0.5), 0.0), 2: UtilitySpec(AbsPower(1.0), Linear(), 0.5)}
+    agents = tuple(
+        dataclasses.replace(agent, utility=payoffs.get(agent.id, agent.utility)) for agent in env.agents
+    )
+    return dataclasses.replace(env, agents=agents)
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [AS(), ExtendedAS(ring=(2, 0, 4, 1, 3), layers=2, second_ring=(1, 3, 0, 4, 2))],
+    ids=["as", "extended-as"],
+)
+def test_stats_reducer_reads_a_constant_row_as_its_dense_copy(monkeypatch, mechanism):
+    constant_rows = _checked_reducers(monkeypatch)
+    env = _mixed_payoffs_env()
+    mode = {0: 0.31, 1: 0.74, 2: 0.5, 3: 0.66, 4: 0.28}
+    run_trials(ScenarioConfig(env=env, mechanism=mechanism, strategy_mode=mode, trials=2_500, seed=9))
+    assert constant_rows and all(constant_rows)
+
+
+def test_scenario_reducers_read_a_constant_row_as_their_dense_copy(monkeypatch):
+    constant_rows = _checked_reducers(monkeypatch)
+    run_collusion_scenario(_truth_env([0.3, 0.4, 0.5, 0.6, 0.45]), {0, 3}, 2, 2_500, 12)
+    assert all(constant_rows)
+    constant_rows.clear()
+    run_malicious_scenario(_hetero_env(), {1, 3}, 2_500, 15)
+    # The malicious arm draws its slots' self-reports; the other two do not.
+    assert any(constant_rows) and not all(constant_rows)
+    constant_rows.clear()
+    analysis.participation_utilities(_mixed_payoffs_env(), 2_500, 4)
+    assert constant_rows and all(constant_rows)
 
 
 def test_collusion_guards():
