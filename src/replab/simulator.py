@@ -2,8 +2,8 @@
 
 Every simulated result goes through :func:`simulate`.  Trials are drawn in
 fixed batches of 1024.  Batch ``b`` draws from
-``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(b,))))`` in one
-fixed order, draw stream :data:`STREAM` = 4, taking only what its mechanism
+``Generator(SFC64(SeedSequence(entropy=seed, spawn_key=(b,))))`` in one
+fixed order, draw stream :data:`STREAM` = 5, taking only what its mechanism
 reads (``mechanisms.cross_reads``), so a batch holds O(batch * K) numbers.
 It draws the system observations, then the uniform self-reports of random
 senders (:func:`sample_sparse`); the other self-reports are the
@@ -16,6 +16,8 @@ That order, the mechanism's run and each arm's reducer live in one batch
 source, :func:`_batch_source`; a deviation audit
 (``analysis.deviation_reports``) is two engine calls of it.  Streams 1
 to 3 drew some or all batches as a dense (batch, K, K) cross matrix.
+Stream 4 made the same draws, in the same order and counts, from Philox
+substreams of the same keys; SFC64 makes them faster.
 
 A worker thread computes a *run*: consecutive whole batches holding at most
 :data:`RUN_CELLS` trial-K cells, and never less than one batch, so from
@@ -39,8 +41,8 @@ per worker, where it held 17.75.
 The caller's reducer takes the run's draw (:class:`ProfileDraw`)
 and the row slice of each of its batches and returns one partial per
 batch, computed on that batch's rows.  Partials are reduced in batch
-order with compensated summation, so results are byte-identical for any
-worker count and any run length.  Each worker thread draws and runs its
+order, sums with compensated summation, so results are byte-identical for
+any worker count and any run length.  Each worker thread draws and runs its
 runs in a workspace of (run, K) buffers (``core.Workspace``) that lives as
 long as the ``simulate`` call, so after its first run a worker allocates
 no run-sized array.  The arrays a reducer
@@ -137,8 +139,8 @@ BATCH_TRIALS = 1024
 # measurement, see the module docstring.
 RUN_CELLS = 2**15
 
-# Version of the draw order documented above; output manifests record it.
-STREAM = 4
+# Version of the draw documented above; output manifests record it.
+STREAM = 5
 
 SWEEP_PARAMETERS = ("pr_a", "sigma", "rho")
 
@@ -205,9 +207,10 @@ def _check_counts(trials, seed, workers=1) -> None:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    """The Philox substream ``(seed, spawn_key=(batch_index,))`` of one batch."""
+    """The SFC64 substream ``(seed, spawn_key=(batch_index,))`` of one batch:
+    draw stream 5's bit generator."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
     )
 
 
@@ -248,7 +251,7 @@ def _map_batches(worker, plan, workers: int) -> list:
 
 # The batches of one run: each batch's generator and its rows of the run's
 # arrays, in batch order.  Each batch draws from its own generator in the
-# order of draw stream 4; the arithmetic that follows the draws runs once
+# order of draw stream 5; the arithmetic that follows the draws runs once
 # over the whole run.
 Batches = Sequence[tuple["np.random.Generator", slice]]
 
@@ -609,7 +612,7 @@ def _batch_source(
     :func:`_draw_key`.  Resolves what the first arm's mechanism reads once.
     The returned ``run(batches, workspace)`` draws a run of batches
     (:data:`Batches`), each batch from its own generator in the order of
-    draw stream 4: the system observations and uniform self-reports
+    draw stream 5: the system observations and uniform self-reports
     (:func:`sample_sparse`), then the peer sums (:func:`sample_peer_sums`),
     or the secret rings of :class:`_SecretRings` and the ring reads
     (:func:`sample_ring_reads`).  The observations and peer sums are
@@ -694,10 +697,33 @@ def _batch_source(
 Reducer = Callable[[ProfileDraw, Sequence[slice], Workspace], Sequence[dict]]
 
 
-def _combine(key: str, values: list) -> float | np.ndarray:
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean) of one batch's
+    values, centred on its first value, so that a batch of equal values
+    gives exactly that value and 0.0."""
+    shifted = values - values[0]
+    offset = shifted.sum() / values.size
+    return values.size, float(values[0] + offset), float(((shifted - offset) ** 2).sum())
+
+
+def _join_moments(a: tuple, b: tuple) -> tuple[int, float, float]:
+    """The :func:`_moments` of two samples together, by the pairwise update
+    of Chan, Golub and LeVeque: no difference of large sums cancels."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
+def _combine(key: str, values: list) -> float | np.ndarray | tuple:
     """Reduce one reducer entry over the batches, in batch order."""
     if key.endswith("_max"):
         return max(values)
+    if key.endswith("_moments"):
+        joined = values[0]
+        for batch in values[1:]:
+            joined = _join_moments(joined, batch)
+        return joined
     if isinstance(values[0], np.ndarray):
         return np.array([math.fsum(column.tolist()) for column in np.stack(values).T])
     return math.fsum(values)
@@ -727,9 +753,11 @@ def simulate(arms: Sequence[Arm], trials: int, seed: int, workers: int = 1) -> l
     vectors per batch, computed on that batch's rows.  Every entry is summed
     over the batches, vectors per component, in batch order with
     ``math.fsum``; entries whose key ends in ``_max`` take the maximum
-    instead.  Deterministic for fixed arguments: the per-batch substreams
-    and partials make the worker count and the run length irrelevant to
-    the result.  ``trials``, ``seed`` and ``workers`` must be integers, as
+    instead, and entries whose key ends in ``_moments``, each a batch's
+    :func:`_moments`, are joined in batch order (:func:`_join_moments`).
+    Deterministic for fixed arguments: the per-batch substreams and
+    partials make the worker count and the run length irrelevant to the
+    result.  ``trials``, ``seed`` and ``workers`` must be integers, as
     :class:`ScenarioConfig` checks them.
 
     The arms are grouped by their draw (see the module docstring), and
@@ -810,7 +838,7 @@ def _stats_arm(
         return [
             {
                 "mae": float(mae[rows].sum()),
-                "mae_sq": float((mae[rows] * mae[rows]).sum()),
+                "mae_moments": _moments(mae[rows]),
                 "reps": reps[rows].sum(axis=0),
                 "utils": utils[rows].sum(axis=0),
                 "budget": float(budgets[rows].sum()),
@@ -824,15 +852,10 @@ def _stats_arm(
 
 def _stats(totals: dict, t: int) -> SimStats:
     """The outcome statistics of a :func:`_stats_arm`'s totals over ``t`` trials."""
-    mae_mean = totals["mae"] / t
-    if t > 1:
-        variance = max(0.0, (totals["mae_sq"] - t * mae_mean * mae_mean) / (t - 1))
-        mae_stderr = math.sqrt(variance / t)
-    else:
-        mae_stderr = 0.0
+    squares = totals["mae_moments"][2]
     return SimStats(
-        mae_mean=mae_mean,
-        mae_stderr=mae_stderr,
+        mae_mean=totals["mae"] / t,
+        mae_stderr=math.sqrt(squares / (t - 1) / t) if t > 1 else 0.0,
         per_agent_reputation_mean=totals["reps"] / t,
         per_agent_utility_mean=totals["utils"] / t,
         budget_mean=totals["budget"] / t,

@@ -120,7 +120,7 @@ def test_run_writes_stats_csv_schema_and_manifest(runner, tmp_path):
         "output_paths",
         "stream",
     }
-    assert manifest["stream"] == 4
+    assert manifest["stream"] == 5
     assert manifest["command"] == "run"
     assert manifest["seed"] == 7
     assert len(manifest["config_digest"]) == 64

@@ -119,8 +119,8 @@ RNG_DRAWS = {
 
 
 def test_only_the_engine_draws_random_numbers():
-    # Draw stream 4's order lives in one module: the samplers and the
-    # secret rings of simulator's batch source.
+    # Draw stream 5's order, on SFC64 substreams, lives in one module: the
+    # samplers and the secret rings of simulator's batch source.
     found = {
         path.stem
         for path in Path(replab.__file__).parent.glob("*.py")

@@ -10,12 +10,14 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from replab import analysis
 from replab.analysis import deviation_reports, pr_mae
+from replab.cli import parse_config
 from replab.core import (
     AS,
     AbsPower,
@@ -250,9 +252,10 @@ def test_custom_profile_overrides_self_reports():
 
 
 def test_engine_output_bits_are_pinned(monkeypatch):
-    # Literals recorded before the trial loops were folded into one engine,
-    # when this PR run was a dense batch; the test-side dense reference
-    # must reproduce them bit for bit.
+    # Literals of the test-side dense reference on draw stream 5's
+    # substreams, with the engine's reducer; first recorded (on stream 1)
+    # before the trial loops were folded into one engine, when this PR run
+    # was a dense batch.
     agents = (
         _agent(0, 0.3),
         _agent(1, 0.6, Image(), lam=0.0),
@@ -264,31 +267,31 @@ def test_engine_output_bits_are_pinned(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(simulator, "simulate", _dense_engine)
         stats = run_trials(config)
-    assert stats.mae_mean == 0.4358448981248392
-    assert stats.mae_stderr == 0.004668970049604167
+    assert stats.mae_mean == 0.4426695568662879
+    assert stats.mae_stderr == 0.004674293472676122
     assert stats.per_agent_reputation_mean.tolist() == [
-        0.2925417268525755, 0.5289798626742519, 0.45638470286354293, 0.1470674615094853
+        0.29159840508962775, 0.524916355458766, 0.45660389751489666, 0.14376269801129457
     ]
     assert stats.per_agent_utility_mean.tolist() == [
-        -0.13193871053481315, 0.5289798626742519, -0.12282773280550173, -0.0370922147709451
+        -0.1362759522919964, 0.524916355458766, -0.12763481077363245, -0.037985541994448105
     ]
     assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
 
-    # The same run under draw stream 4: the random sender's uniforms are
+    # The same run under draw stream 5: the random sender's uniforms are
     # added to the relayed reports' Normal peer sums.
     stats = run_trials(config)
-    assert stats.mae_mean == 0.4444273000601958
-    assert stats.mae_stderr == 0.004763017512621471
+    assert stats.mae_mean == 0.4435837746618289
+    assert stats.mae_stderr == 0.004730397106673109
     assert stats.per_agent_reputation_mean.tolist() == [
-        0.29220590916476297, 0.5217773200583433, 0.46031056886393934, 0.14140357579909882
+        0.2920219117269937, 0.5221666784910205, 0.4601438248758104, 0.1435506229903341
     ]
     assert stats.per_agent_utility_mean.tolist() == [
-        -0.1372929232088201, 0.5217773200583433, -0.1290891386387423, -0.037980242234001045
+        -0.13606757580439052, 0.5221666784910205, -0.12814872665466592, -0.03828572324943711
     ]
     assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
 
-    # The collusion and malicious records were re-captured under draw
-    # stream 3, which draws only the ring reads and no cross report for
+    # The collusion and malicious records under draw stream 5, which, as
+    # since stream 3, draws only the ring reads and no cross report for
     # scoring.
     collusion = run_collusion_scenario(
         _truth_env([0.3, 0.4, 0.5, 0.6, 0.45]), {0, 3}, layers=2, trials=2_500, seed=12
@@ -297,31 +300,31 @@ def test_engine_output_bits_are_pinned(monkeypatch):
         "clique": [0, 3], "layers": 2, "trials": 2500, "seed": 12,
         "one_layer": {
             "layers": 1, "mae": 1.0999999999999999, "outsider_mae": 0.0,
-            "clique_utility": -0.5418194297724691, "clique_tax": 0.2168194297724691,
+            "clique_utility": -0.534196024587517, "clique_tax": 0.2091960245875171,
             "budget_max_abs": 5.551115123125783e-16,
         },
         "one_layer_honest": {
             "layers": 1, "mae": 0.0, "outsider_mae": 0.0,
-            "clique_utility": 0.0008986363805740251, "clique_tax": -0.0008986363805740251,
-            "budget_max_abs": 2.3592239273284576e-16,
+            "clique_utility": 0.0008287923668627103, "clique_tax": -0.0008287923668627103,
+            "budget_max_abs": 2.498001805406602e-16,
         },
         "two_layer": {
             "layers": 2, "mae": 1.0999999999999999, "outsider_mae": 0.0,
-            "clique_utility": -0.5813784513193304, "clique_tax": 0.2563784513193305,
-            "budget_max_abs": 8.326672684688674e-16,
+            "clique_utility": -0.5701201832553128, "clique_tax": 0.24512018325531282,
+            "budget_max_abs": 7.771561172376096e-16,
         },
         "two_layer_honest": {
             "layers": 2, "mae": 0.0, "outsider_mae": 0.0,
-            "clique_utility": -0.001227129171995062, "clique_tax": 0.001227129171995062,
-            "budget_max_abs": 4.163336342344337e-16,
+            "clique_utility": 0.002041836599571078, "clique_tax": -0.002041836599571078,
+            "budget_max_abs": 4.440892098500626e-16,
         },
     }
 
     malicious = run_malicious_scenario(_truth_env([0.2, 0.5, 0.8]), {1}, trials=2_500, seed=15)
     assert malicious == {
         "malicious": [1], "trials": 2500, "seed": 15,
-        "malicious_mae": 0.25114612613077814, "image_mae": 0.5, "baseline_mae": 0.0,
-        "malicious_own_charge": 0.09440957070278469,
+        "malicious_mae": 0.24651364208700244, "image_mae": 0.5, "baseline_mae": 0.0,
+        "malicious_own_charge": 0.09175562433687232,
     }
 
 
@@ -395,6 +398,27 @@ def test_compact_path_agrees_with_the_dense_oracle(mechanism, mode):
     assert (stats.budget_mean, stats.budget_max_abs) == (budget_mean, budget_max)
 
 
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
+
+
+@pytest.mark.parametrize("name", ["as_k2", "extended_as_k3"])
+def test_a_run_whose_mae_never_varies_has_zero_mae_stderr(name):
+    # Both publish constant self-reports: every trial has the same MAE.
+    for workers in (1, 4):
+        assert run_trials(parse_config(GOLDEN_CONFIGS / f"{name}.ini"), workers).mae_stderr == 0.0
+
+
+def test_mae_stderr_matches_a_two_pass_computation_over_the_dense_draw(monkeypatch):
+    config = parse_config(GOLDEN_CONFIGS / "pr_k7.ini")
+    maes = _dense_reference(
+        config.env, config.mechanism, config.strategy_mode, config.trials, config.seed
+    )[0]
+    monkeypatch.setattr(simulator, "simulate", _dense_engine)
+    stats = run_trials(config)
+    expected = maes.std(ddof=1) / math.sqrt(config.trials)
+    assert stats.mae_stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_compact_path_checks_weights_before_sampling():
     env = _truth_env([0.2, 0.5, 0.8])
     with pytest.raises(DimensionMismatch, match="2 weights for 3 agents"):
@@ -402,8 +426,8 @@ def test_compact_path_checks_weights_before_sampling():
 
 
 def test_compact_stream_bits_are_pinned():
-    # Literals of stream 2's compact draw: system observations, then the
-    # Normal peer sums.
+    # Literals of the compact draw on stream 5: system observations, then
+    # the Normal peer sums, as since stream 2.
     agents = (
         _agent(0, 0.3),
         _agent(1, 0.6, Image(), lam=0.0),
@@ -412,13 +436,13 @@ def test_compact_stream_bits_are_pinned():
     )
     env = Environment(agents=agents, system_obs=NormalParams(0.0, 0.1))
     stats = run_trials(ScenarioConfig(env=env, mechanism=PR(a=1.7), trials=2_500, seed=3))
-    assert stats.mae_mean == 0.10825121547081405
-    assert stats.mae_stderr == 0.00179831567990781
+    assert stats.mae_mean == 0.10625430931279857
+    assert stats.mae_stderr == 0.00178354967900184
     assert stats.per_agent_reputation_mean.tolist() == [
-        0.28924254306831965, 0.5948013987194944, 0.4922143143938167, 0.3909862405329587
+        0.2921708125448492, 0.5949421744148213, 0.49101443972166864, 0.3905794554234297
     ]
     assert stats.per_agent_utility_mean.tolist() == [
-        -0.008416973220175185, 0.5948013987194944, -0.009191266880360774, -0.008772954686725423
+        -0.008674673172744014, 0.5949421744148213, -0.00857390663374279, -0.008176350916579363
     ]
     assert (stats.budget_mean, stats.budget_max_abs, stats.trials) == (0.0, 0.0, 2_500)
 
@@ -428,9 +452,9 @@ def test_compact_stream_bits_are_pinned():
         0.3000000000000045, 1.0, 0.5, 0.39999999999999564
     ]
     assert stats.per_agent_utility_mean.tolist() == [
-        -0.10712873822570543, 0.8399232644278661, -0.10590539860922156, -0.10688912759293939
+        -0.10633022888208875, 0.83944716625832, -0.10642121121869445, -0.10669572615753736
     ]
-    assert (stats.budget_mean, stats.budget_max_abs) == (9.87751547221194e-19, 1.1102230246251565e-16)
+    assert (stats.budget_mean, stats.budget_max_abs) == (3.927413949611491e-19, 8.326672684688674e-17)
 
 
 @pytest.mark.parametrize(
@@ -1124,16 +1148,16 @@ def test_twelve_agent_secret_rings_keep_their_bits():
     # is misreported in any arm.
     expected = {
         "one_layer": (
-            1.6000000000000003, -0.8956127863267419, 0.2837461196600752, 1.1379786002407855e-15
+            1.6000000000000003, -0.8969561401654612, 0.28508947349879454, 1.0547118733938987e-15
         ),
         "one_layer_honest": (
-            0.0, 0.0006727213376432514, -0.0006727213376432514, 5.273559366969494e-16
+            0.0, -0.00019043874088415169, 0.00019043874088415169, 5.828670879282072e-16
         ),
         "two_layer": (
-            1.6000000000000003, -0.9342847810102549, 0.32241811434358814, 1.6653345369377348e-15
+            1.6000000000000003, -0.937877271664035, 0.3260106049973682, 1.4432899320127035e-15
         ),
         "two_layer_honest": (
-            0.0, 0.001038457943402559, -0.001038457943402559, 9.71445146547012e-16
+            0.0, -0.00028126254435369423, 0.00028126254435369423, 9.298117831235686e-16
         ),
     }
     for workers in (1, 2):
