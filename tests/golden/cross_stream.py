@@ -79,10 +79,10 @@ class Comparison:
 def summarize(values: Sequence[float]) -> tuple[float, float]:
     """The mean of one quantity's per-seed values and its standard error;
     0.0 exactly when every value is the same."""
+    if all(v == values[0] for v in values):
+        return values[0], 0.0
     n = len(values)
     mean = math.fsum(values) / n
-    if n < 2 or all(v == values[0] for v in values):
-        return (values[0] if n else mean), 0.0
     variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(variance / n)
 

@@ -1206,9 +1206,13 @@ def _checked_reducers(monkeypatch):
 def _mixed_payoffs_env():
     """_hetero_env with three (f, g) pairs, so utilities come in column runs."""
     env = _hetero_env()
-    payoffs = {1: UtilitySpec(AbsPower(2.0), Power(0.5), 0.0), 2: UtilitySpec(AbsPower(1.0), Linear(), 0.5)}
+    payoffs = {
+        1: UtilitySpec(AbsPower(2.0), Power(0.5), 0.0),
+        2: UtilitySpec(AbsPower(1.0), Linear(), 0.5),
+    }
     agents = tuple(
-        dataclasses.replace(agent, utility=payoffs.get(agent.id, agent.utility)) for agent in env.agents
+        dataclasses.replace(agent, utility=payoffs.get(agent.id, agent.utility))
+        for agent in env.agents
     )
     return dataclasses.replace(env, agents=agents)
 
@@ -1222,7 +1226,7 @@ def test_stats_reducer_reads_a_constant_row_as_its_dense_copy(monkeypatch, mecha
     constant_rows = _checked_reducers(monkeypatch)
     env = _mixed_payoffs_env()
     mode = {0: 0.31, 1: 0.74, 2: 0.5, 3: 0.66, 4: 0.28}
-    run_trials(ScenarioConfig(env=env, mechanism=mechanism, strategy_mode=mode, trials=2_500, seed=9))
+    run_trials(ScenarioConfig(env, mechanism, mode, trials=2_500, seed=9))
     assert constant_rows and all(constant_rows)
 
 
