@@ -851,7 +851,14 @@ def _stats_arm(
 
 
 def _stats(totals: dict, t: int) -> SimStats:
-    """The outcome statistics of a :func:`_stats_arm`'s totals over ``t`` trials."""
+    """The outcome statistics of a :func:`_stats_arm`'s totals over ``t`` trials.
+
+    ``mae_mean`` is the fsum'd ``mae`` over ``t``, not the mean of the
+    joined ``mae_moments``: the sum of the batch sums is rounded once, as
+    every other mean of the engine is (the reputations, utilities, budget,
+    and the collusion and malicious MAE), while each join of the moments
+    rounds its mean again.  The moments give only the spread.
+    """
     squares = totals["mae_moments"][2]
     return SimStats(
         mae_mean=totals["mae"] / t,

@@ -90,16 +90,15 @@ def summarize(values: Sequence[float]) -> tuple[float, float]:
 def compare(
     a: Mapping[str, tuple[float, float]],
     b: Mapping[str, tuple[float, float]],
-    alpha: float = ALPHA,
 ) -> list[Comparison]:
     """Compare two sides' (mean, stderr) summaries, quantity by quantity.
 
     Both sides must name the same quantities.  A quantity with zero
     stderr on both sides is flagged when its means differ at all; the rest
     get ``z = |mean_a - mean_b| / sqrt(stderr_a^2 + stderr_b^2)`` and are
-    flagged by Holm's step-down procedure at family-wise level ``alpha``:
+    flagged by Holm's step-down procedure at family-wise level ``ALPHA``:
     sorted by p-value, the quantity of rank r (from 0) is flagged while
-    every p-value up to it lies at or below ``alpha / (m - r)``, m being
+    every p-value up to it lies at or below ``ALPHA / (m - r)``, m being
     the number of tested quantities.  Returned in ``a``'s order.
     """
     if a.keys() != b.keys():
@@ -119,7 +118,7 @@ def compare(
     tested.sort(key=lambda name: scores[name][1])
     stepping = True
     for rank, name in enumerate(tested):
-        stepping = stepping and scores[name][1] <= alpha / (len(tested) - rank)
+        stepping = stepping and scores[name][1] <= ALPHA / (len(tested) - rank)
         flagged[name] = stepping
     return [
         Comparison(name, *a[name], *b[name], *scores[name], flagged[name]) for name in a
