@@ -155,7 +155,7 @@ class Power:
         return x**self.q if x > 0.0 else 0.0
 
     def derivative(self, x: float) -> float:
-        if x <= 0.0:
+        if x <= 0.0 and self.q < 1.0:
             return math.inf
         return self.q * x ** (self.q - 1.0)
 
@@ -310,7 +310,7 @@ class Environment:
             ("cross_biases", [a.cross_obs.mean for a in self.agents]),
             ("cross_stds", [a.cross_obs.std for a in self.agents]),
         ):
-            array = np.array(values)
+            array = np.array(values, dtype=float)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -430,9 +430,9 @@ class Workspace:
     when a request does not fit it, so a Monte Carlo run after the first
     allocates no run-sized array.  A name's next request overwrites what it
     held: a view handed out for one run is valid until the same name is
-    asked for again.  Buffers are C-ordered unless asked for in F order;
-    the engine's arrays are laid out as new arrays would be, so sums over
-    them round as over new arrays.
+    asked for again.  Buffers are C-ordered, as new arrays are, so sums over
+    them round as over new arrays; only the secret rings are drawn into an
+    F-ordered buffer, so that their column slices are contiguous.
 
     Buffers named ``"scratch 0"``, ``"scratch 1"`` and so on hold one
     call's temporaries: a function is done with its scratch when it

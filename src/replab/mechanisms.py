@@ -143,60 +143,39 @@ def _aggregate(
 # ---------------------------------------------------------------------------
 
 
-def _order(array: np.ndarray) -> str:
-    """The layout a new array made like ``array`` gets: F when only F fits."""
-    return "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
-
-
 def _take(flat: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[...] = flat[index]`` without a temporary.
 
-    ``out`` has ``index``'s shape and layout, C or F, which ``np.take``
-    reads as C through the transposes.  Indices are in range, so the clip
-    mode changes no value and spares ``np.take`` its copy.
+    Indices are in range, so the clip mode changes no value and spares
+    ``np.take`` its copy.
     """
-    if index.flags.c_contiguous:
-        return np.take(flat, index, out=out, mode="clip")
-    np.take(flat, index.T, out=out.T, mode="clip")
-    return out
+    return np.take(flat, index, out=out, mode="clip")
 
 
 def _ring_gather(
-    values: np.ndarray,
-    rows: slice | np.ndarray,
-    cols: np.ndarray,
-    name: str,
-    workspace: Workspace,
-    order: str = "C",
+    values: np.ndarray, cols: np.ndarray, name: str, workspace: Workspace
 ) -> np.ndarray:
-    """``values[rows, cols]`` for a map of :func:`_ring_maps`, as a
-    ``workspace`` buffer laid out in ``order``.  Row totals over the result
-    add in that layout's order."""
+    """``values[t, cols[t]]`` for each trial t of a map of :func:`_ring_maps`,
+    (trials, K) or a (K,) one shared by all trials, as a ``workspace``
+    buffer."""
     n, k = values.shape
-    trials = np.arange(n)[:, None] if isinstance(rows, slice) else rows
-    source = _order(values)
-    # Each entry's flat position in the source's memory order.
-    index = workspace.empty("indices", (n, k), np.intp, order)
-    if source == "C":
-        np.add(cols, trials * k, out=index)
-    else:
-        np.multiply(cols, n, out=index, dtype=np.intp)
-        index += trials
-    out = workspace.empty(name, (n, k), values.dtype, order)
-    return _take(values.ravel(order=source), index, out)
+    # Each entry's flat position in the C-ordered values: cols + K t.
+    index = workspace.empty("indices", (n, k), np.intp)
+    np.add(cols, np.arange(0, n * k, k)[:, None], out=index)
+    out = workspace.empty(name, (n, k), values.dtype)
+    return _take(values.ravel(), index, out)
 
 
 def _ring_maps(
     rings: np.ndarray, workspace: Workspace, name: str = "ring"
-) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
-    """Trials index and predecessor/successor maps for one cyclic order per row.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predecessor and successor maps for one cyclic order per row.
 
     ``rings`` is (B, K) with one visit order per trial, or (1, K) for a
-    fixed ring shared by all trials.  Gathers index the trials axis with the
-    returned index and the agent axes with the maps: a fixed ring gives a
-    slice and (K,) maps, so its gathers stay plain column selections.  The
-    maps are C-ordered int32 ``workspace`` buffers kept under ``name``, half
-    the size of index arrays.
+    fixed ring shared by all trials, which gives (K,) maps, so its gathers
+    stay plain column selections.  The maps are C-ordered int32
+    ``workspace`` buffers kept under ``name``, half the size of index
+    arrays.
     """
     rows = np.arange(rings.shape[0])[:, None]
     pred = workspace.empty(name + " predecessors", rings.shape, np.int32)
@@ -208,8 +187,8 @@ def _ring_maps(
     pred[rows, rings[:, 1:]] = rings[:, :-1]
     pred[rows, rings[:, :1]] = rings[:, -1:]
     if rings.shape[0] == 1:
-        return slice(None), pred[0], succ[0]
-    return rows, pred, succ
+        return pred[0], succ[0]
+    return pred, succ
 
 
 def _published(selfs: np.ndarray) -> np.ndarray:
@@ -233,23 +212,17 @@ def _as_kernel(
 
 
 def _validation_layer(
-    discrepancy: np.ndarray,
-    rows: slice | np.ndarray,
-    succ: np.ndarray,
-    out: np.ndarray,
-    workspace: Workspace,
+    discrepancy: np.ndarray, succ: np.ndarray, out: np.ndarray, workspace: Workspace
 ) -> np.ndarray:
     """Charge each agent its discrepancy, redistribute everyone else's.
 
     Agent i receives a 1/(K-2) share of every charge except its own and its
     ring-successor's, which makes the layer sum to zero for any inputs.
-    Writes into ``out``, which must not be ``discrepancy``.  The row totals
-    add in ``discrepancy``'s memory order, so its layout fixes their
-    rounding.
+    Writes into ``out``, which must not be ``discrepancy``.
     """
     k = discrepancy.shape[1]
     shares = np.subtract(discrepancy.sum(axis=1, keepdims=True), discrepancy, out=out)
-    shares -= _ring_gather(discrepancy, rows, succ, "scratch 1", workspace)
+    shares -= _ring_gather(discrepancy, succ, "scratch 1", workspace)
     shares /= k - 2
     return np.subtract(discrepancy, shares, out=shares)
 
@@ -267,8 +240,9 @@ def _spec_rings(spec: ExtendedAS, k: int) -> Iterator[np.ndarray]:
 
 def _ring_setup(
     k: int, rings: Iterable[np.ndarray], workspace: Workspace
-) -> tuple[list[tuple], list[np.ndarray]]:
-    """The maps of each validation layer and the reporters of its ring reads.
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The successor map of each validation layer and the reporters of its
+    ring reads.
 
     ``rings`` yields one layer's ring rows at a time, (1, K) for a fixed
     ring (:func:`_spec_rings`) or (B, K) for rings redrawn every trial,
@@ -281,14 +255,14 @@ def _ring_setup(
     if k < 3:
         raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
     maps = [_ring_maps(r, workspace, f"layer {m + 1} ring") for m, r in enumerate(rings)]
-    readers = [maps[0][1]]
+    readers = [maps[0][0]]
     if len(maps) == 2:
-        rows, pred2, _ = maps[1]
-        if isinstance(rows, slice):
+        pred2 = maps[1][0]
+        if pred2.ndim == 1:
             readers += [pred2, pred2[pred2]]
         else:
-            readers += [pred2, _ring_gather(pred2, rows, pred2, "second predecessors", workspace)]
-    return maps, readers
+            readers += [pred2, _ring_gather(pred2, pred2, "second predecessors", workspace)]
+    return [succ for _, succ in maps], readers
 
 
 def _gather(cross: np.ndarray, readers: list[np.ndarray]) -> list[np.ndarray]:
@@ -304,31 +278,28 @@ def _gather(cross: np.ndarray, readers: list[np.ndarray]) -> list[np.ndarray]:
 def _ring_outcome(
     self_reports: np.ndarray,
     reads: list[np.ndarray],
-    maps: list[tuple],
+    succs: list[np.ndarray],
     workspace: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reputations and taxes of ring validation on its ring reads.
 
     ``reads`` holds the (B, K) reports of ``readers[m][., i]`` about each
-    subject i (:func:`_ring_setup`).  Layer 1 checks each self-report
-    against the ring-predecessor's report about the same subject, v1.
-    Layer 2 checks each reporter j's report about its successor s =
-    succ2(j), which is v2 at s, against pred2(j)'s report about s, which is
-    v3 at s; it reads cross-reports only.
+    subject i, and ``succs`` each layer's successor map
+    (:func:`_ring_setup`).  Layer 1 checks each self-report against the
+    ring-predecessor's report about the same subject, v1.  Layer 2 checks
+    each reporter j's report about its successor s = succ2(j), which is v2
+    at s, against pred2(j)'s report about s, which is v3 at s; it reads
+    cross-reports only.
     """
     shape = self_reports.shape
-    rows, _, succ = maps[0]
     charges = np.subtract(self_reports, reads[0], out=workspace.empty("scratch 0", shape))
     np.abs(charges, out=charges)
-    taxes = _validation_layer(charges, rows, succ, workspace.empty("taxes", shape), workspace)
-    if len(maps) == 2:
-        rows, _, succ = maps[1]
+    taxes = _validation_layer(charges, succs[0], workspace.empty("taxes", shape), workspace)
+    if len(succs) == 2:
         gaps = np.subtract(reads[1], reads[2], out=charges)
         np.abs(gaps, out=gaps)
-        # F-ordered, so its row totals add column by column: the rounding
-        # the engine's outputs have always had, pinned by the tests.
-        gathered = _ring_gather(gaps, rows, succ, "scratch 2", workspace, "F")
-        taxes += _validation_layer(gathered, rows, succ, charges, workspace)
+        gathered = _ring_gather(gaps, succs[1], "scratch 2", workspace)
+        taxes += _validation_layer(gathered, succs[1], charges, workspace)
     return _published(self_reports), taxes
 
 
@@ -433,9 +404,9 @@ def run_batch(
         selfs, r0 = need("self_reports", self_reports), need("system_obs", system_obs)
         return _as_kernel(selfs, r0, workspace)
     if isinstance(spec, ExtendedAS):
-        maps, readers = _ring_setup(k, _spec_rings(spec, k), workspace)
+        succs, readers = _ring_setup(k, _spec_rings(spec, k), workspace)
         reads = _gather(need("cross_reports", cross_reports), readers)
-        return _ring_outcome(need("self_reports", self_reports), reads, maps, workspace)
+        return _ring_outcome(need("self_reports", self_reports), reads, succs, workspace)
     if isinstance(spec, FR):
         return _fr_kernel(need("self_reports", self_reports), workspace)
     if cross_reads(spec) == PEER_SUMS:

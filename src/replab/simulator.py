@@ -660,7 +660,7 @@ def _batch_source(
         # stays writable for the next run's draw.
         r0.setflags(write=False)
         if reads == RING:
-            maps, readers = ring or _ring_setup(k, secret_rings(batches, workspace), workspace)
+            succs, readers = ring or _ring_setup(k, secret_rings(batches, workspace), workspace)
             drawn = sample_ring_reads(env, batches, readers, workspace)
         sums = None
         if tables is not None:
@@ -676,7 +676,7 @@ def _batch_source(
                 ring_reads = tuple(
                     ring_messages(drawn, readers, sent[m], m == last, workspace)
                 )
-                reps, taxes = _ring_outcome(selfs, ring_reads, maps, workspace)
+                reps, taxes = _ring_outcome(selfs, ring_reads, succs, workspace)
             else:
                 reps, taxes = run_batch(
                     arm.mechanism, selfs, None, r0, sigma_prime, peer_sums=sums, workspace=workspace

@@ -112,10 +112,10 @@ def dense_simulate(
         selfs, cross = build_messages(env, cross_obs, rng, profile)
         if isinstance(mechanism, _SecretRings):
             base = np.broadcast_to(np.arange(env.k), selfs.shape)
-            maps, readers = _ring_setup(
+            succs, readers = _ring_setup(
                 env.k, [rng.permuted(base, axis=1) for _ in range(mechanism.layers)], Workspace()
             )
-            reps, taxes = _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
+            reps, taxes = _ring_outcome(selfs, _gather(cross, readers), succs, Workspace())
         else:
             reps, taxes = run_batch(mechanism, selfs, cross, r0, sigma_prime)
         partials.extend(reduce(ProfileDraw(r0, selfs, reps, taxes), [slice(0, size)], Workspace()))

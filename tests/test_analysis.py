@@ -448,6 +448,10 @@ def test_system_gain_of_power_one_is_the_linear_verdict(sigma0, gains):
     # 2 sqrt(2/pi) sigma0 = 0.5 (sigma0 = 0.313) give one verdict.
     linear, power = (_one_image_user(g, sigma0) for g in (Linear(), Power(1.0)))
     assert hetero_system_gain(linear) is hetero_system_gain(power) is gains
+    # Its slope is 1 at quality 0 too, so an image user there moves no
+    # verdict.
+    linear, power = (_one_image_user(g, sigma0, r=0.0) for g in (Linear(), Power(1.0)))
+    assert hetero_system_gain(linear) is hetero_system_gain(power) is gains
 
 
 def test_a_curved_image_payoff_declines_the_closed_rules_for_everyone():

@@ -449,8 +449,8 @@ def test_each_family_declares_what_it_reads():
 
 def _per_trial(selfs, cross, rings1, rings2, layers):
     """Ring validation of dense reports over per-trial rings."""
-    maps, readers = _ring_setup(selfs.shape[1], [rings1, rings2][:layers], Workspace())
-    return _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
+    succs, readers = _ring_setup(selfs.shape[1], [rings1, rings2][:layers], Workspace())
+    return _ring_outcome(selfs, _gather(cross, readers), succs, Workspace())
 
 
 def test_per_trial_rings_match_fixed_ring_kernel():
@@ -542,8 +542,8 @@ def test_relabelling_agents_and_per_trial_rings_permutes_ring_validation(seed, k
     cross = rng.uniform(-0.5, 1.5, size=(16, k, k))
 
     def outcome(rings, selfs, cross):
-        maps, readers = _ring_setup(k, rings, Workspace())
-        return _ring_outcome(selfs, _gather(cross, readers), maps, Workspace())
+        succs, readers = _ring_setup(k, rings, Workspace())
+        return _ring_outcome(selfs, _gather(cross, readers), succs, Workspace())
 
     reps, taxes = outcome(rings, selfs, cross)
     inv = np.argsort(perm)
@@ -591,9 +591,9 @@ def test_layer_two_reads_never_name_one_reporter(monkeypatch):
     seen = []
 
     def spy(k, rings, workspace):
-        maps, readers = _ring_setup(k, rings, workspace)
+        succs, readers = _ring_setup(k, rings, workspace)
         seen.append([r.copy() for r in readers])
-        return maps, readers
+        return succs, readers
 
     monkeypatch.setattr(simulator, "_ring_setup", spy)
     k = 7
@@ -725,16 +725,15 @@ def _gathered_kernel(selfs, cross, rings1, rings2, layers):
     layer 1 gathers the predecessor's report about each subject, layer 2
     each reporter's report about its successor and its predecessor's."""
     k = selfs.shape[1]
-    rows, pred1, succ1 = _ring_maps(rings1, Workspace())
+    rows = np.arange(selfs.shape[0])[:, None]
+    pred1, succ1 = _ring_maps(rings1, Workspace())
     d1 = np.abs(selfs - cross[rows, pred1, np.arange(k)])
-    taxes = _validation_layer(d1, rows, succ1, np.empty_like(d1), Workspace())
+    taxes = _validation_layer(d1, succ1, np.empty_like(d1), Workspace())
     if layers == 2:
-        rows2, pred2, succ2 = _ring_maps(rings2, Workspace())
+        pred2, succ2 = _ring_maps(rings2, Workspace())
         reporters = np.arange(k)
-        # F-ordered, as the dense gather over the engine's permuted rings
-        # laid it out; the row totals add in that order.
-        d2 = np.asfortranarray(np.abs(cross[rows2, reporters, succ2] - cross[rows2, pred2, succ2]))
-        taxes = taxes + _validation_layer(d2, rows2, succ2, np.empty_like(d2), Workspace())
+        d2 = np.ascontiguousarray(np.abs(cross[rows, reporters, succ2] - cross[rows, pred2, succ2]))
+        taxes = taxes + _validation_layer(d2, succ2, np.empty_like(d2), Workspace())
     return d1, taxes
 
 

@@ -1137,12 +1137,39 @@ def test_collusion_scenario_makes_one_engine_call(monkeypatch):
     assert [len(arms) for arms in engine] == [4]
 
 
+def _whole_number_env(k, number):
+    """K truth-tellers at qualities 0 and 1 with unit noise, every
+    parameter given as ``number``, int or float."""
+    agents = tuple(
+        Agent(
+            id=i,
+            quality=Quality(number(i % 2)),
+            agent_type=Truth(),
+            cross_obs=NormalParams(number(0), number(1)),
+        )
+        for i in range(k)
+    )
+    return Environment(agents=agents, system_obs=NormalParams(number(0), number(1)))
+
+
+def test_int_valued_parameters_run_as_their_floats():
+    # The environment holds its qualities, biases and noise levels as
+    # floats, which the ring reads gather into float buffers, so a whole
+    # number given as an int draws exactly what its float draws.
+    runs = []
+    for number in (int, float):
+        env = _whole_number_env(6, number)
+        config = ScenarioConfig(env, ExtendedAS(ring=(3, 1, 5, 0, 4, 2), layers=2), trials=3_000)
+        stats = run_trials(config)
+        record = run_collusion_scenario(env, {1, 4}, 2, 3_000, 4)
+        fields = {n: np.asarray(getattr(stats, n)).tolist() for n in stats.__dataclass_fields__}
+        runs.append((fields, record))
+    assert runs[0] == runs[1]
+
+
 def test_twelve_agent_secret_rings_keep_their_bits():
-    # From K=8 a row sum rounds by memory order: per-trial rings make the
-    # second layer's gathered discrepancies F-ordered, and their totals add
-    # sequentially over the agents where a C-ordered array adds pairwise.
-    # A buffer that made them C-ordered would move this record, pinned at
-    # one and two workers.
+    # From K=8 numpy adds a C-ordered row pairwise, so this record pins the
+    # rounding of both layers' row totals at one and two workers.
     env = _truth_env([0.15, 0.62, 0.33, 0.48, 0.71, 0.27, 0.56, 0.4, 0.84, 0.22, 0.67, 0.51])
     # (mae, clique_utility, clique_tax, budget_max_abs) per arm; no outsider
     # is misreported in any arm.
@@ -1154,10 +1181,10 @@ def test_twelve_agent_secret_rings_keep_their_bits():
             0.0, -0.00019043874088415169, 0.00019043874088415169, 5.828670879282072e-16
         ),
         "two_layer": (
-            1.6000000000000003, -0.937877271664035, 0.3260106049973682, 1.4432899320127035e-15
+            1.6000000000000003, -0.937877271664035, 0.3260106049973683, 1.6653345369377348e-15
         ),
         "two_layer_honest": (
-            0.0, -0.00028126254435369423, 0.00028126254435369423, 9.298117831235686e-16
+            0.0, -0.00028126254435369456, 0.00028126254435369456, 8.881784197001252e-16
         ),
     }
     for workers in (1, 2):
