@@ -431,8 +431,7 @@ class Workspace:
     allocates no run-sized array.  A name's next request overwrites what it
     held: a view handed out for one run is valid until the same name is
     asked for again.  Buffers are C-ordered, as new arrays are, so sums over
-    them round as over new arrays; only the secret rings are drawn into an
-    F-ordered buffer, so that their column slices are contiguous.
+    them round as over new arrays.
 
     Buffers named ``"scratch 0"``, ``"scratch 1"`` and so on hold one
     call's temporaries: a function is done with its scratch when it
@@ -448,15 +447,13 @@ class Workspace:
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
-    def empty(
-        self, name: str, shape: tuple[int, ...], dtype=float, order: str = "C"
-    ) -> np.ndarray:
-        """Uninitialised elements of ``shape`` in ``order``."""
+    def empty(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """Uninitialised elements of ``shape``."""
         size = math.prod(shape)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.dtype != dtype or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape, order=order)
+        return buffer[:size].reshape(shape)
 
     def copy(self, name: str, array: np.ndarray) -> np.ndarray:
         """A C-ordered copy of ``array``."""

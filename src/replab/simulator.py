@@ -645,9 +645,9 @@ def _batch_source(
 
     def secret_rings(batches: Batches, workspace: Workspace) -> Iterator[np.ndarray]:
         # Layer by layer into the index scratch, each batch drawing both
-        # layers in turn.  F-ordered, so the maps' column slices are
+        # layers in turn.  Transposed, so the maps' column slices are
         # contiguous.
-        order = workspace.empty("indices", (batches[-1][1].stop, k), np.intp, "F")
+        order = workspace.empty("indices", (k, batches[-1][1].stop), np.intp).T
         base = np.broadcast_to(np.arange(k), order.shape)
         for _ in range(first_mechanism.layers):
             for rng, rows in batches:

@@ -4,8 +4,7 @@ the engine seeds and draws random streams, only the one batch source runs
 the mechanism kernels and calls the arms' reducers, only the kernels
 redistribute charges, only the engine builds per-thread workspaces (one
 ``threading.local`` in ``simulate``), only ``mechanisms._take`` calls
-``np.take``, only the secret rings ask a workspace for an F-ordered buffer,
-each command's simulated work is one engine call, one helper
+``np.take``, each command's simulated work is one engine call, one helper
 builds the simulator's populations and one writer writes the command-line
 tables."""
 
@@ -225,22 +224,6 @@ def test_only_one_helper_gathers_with_take():
     # np.take in clip mode, with its index and output layouts, lives in
     # mechanisms._take; the kernels and the ring samplers gather through it.
     assert _callers_in_src({"take"}) == {("mechanisms", "_take")}
-
-
-def test_only_the_secret_rings_ask_for_a_memory_order():
-    # The kernels compute in C order, so their row totals round as over
-    # new arrays.  The one F-ordered buffer holds the secret rings, whose
-    # column slices the ring maps read.
-    found = []
-    for path in Path(replab.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for call in _calls(top, {"empty"}):
-                owner = getattr(call.func, "value", None)
-                if getattr(owner, "id", None) == "np":
-                    continue
-                if len(call.args) > 3 or any(kw.arg == "order" for kw in call.keywords):
-                    found.append((path.stem, top.name))
-    assert found == [("simulator", "_batch_source")], found
 
 
 @pytest.mark.parametrize(

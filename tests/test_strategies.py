@@ -611,7 +611,8 @@ def test_ring_draws_do_not_depend_on_the_index_dtype(k):
     assert pred32.dtype == succ32.dtype == np.int32
     assert np.array_equal(pred32, pred) and np.array_equal(succ32, succ)
     values = np.random.default_rng(k).random(wide.shape)
-    assert np.array_equal(_ring_gather(values, succ32, "g", Workspace()), values[rows, succ])
+    for source in (values, np.asfortranarray(values)):
+        assert np.array_equal(_ring_gather(source, succ32, "g", Workspace()), values[rows, succ])
     _, readers = _ring_setup(k, [wide, wide], Workspace())
     assert np.array_equal(readers[2], pred[rows, pred])
     _, fixed = _ring_maps(wide[:1], Workspace())
