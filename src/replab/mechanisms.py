@@ -156,7 +156,7 @@ def _ring_gather(
     values: np.ndarray, cols: np.ndarray, name: str, workspace: Workspace
 ) -> np.ndarray:
     """``values[t, cols[t]]`` for each trial t of a map of :func:`_ring_maps`,
-    (trials, K) or a (K,) one shared by all trials, as a ``workspace``
+    (trials, K) or a (1, K) one shared by all trials, as a ``workspace``
     buffer."""
     n, k = values.shape
     # Each entry's flat position in the C-ordered values: cols + K t.
@@ -172,8 +172,8 @@ def _ring_maps(
     """Predecessor and successor maps for one cyclic order per row.
 
     ``rings`` is (B, K) with one visit order per trial, or (1, K) for a
-    fixed ring shared by all trials, which gives (K,) maps, so its gathers
-    stay plain column selections.  The maps are C-ordered int32
+    fixed ring shared by all trials; the maps have the rings' shape, so a
+    fixed ring's broadcast over the trials.  They are C-ordered int32
     ``workspace`` buffers kept under ``name``, half the size of index
     arrays.
     """
@@ -186,8 +186,6 @@ def _ring_maps(
     succ[rows, rings[:, -1:]] = rings[:, :1]
     pred[rows, rings[:, 1:]] = rings[:, :-1]
     pred[rows, rings[:, :1]] = rings[:, -1:]
-    if rings.shape[0] == 1:
-        return pred[0], succ[0]
     return pred, succ
 
 
@@ -249,8 +247,8 @@ def _ring_setup(
     which keep cliques from positioning themselves around a known ring; each
     is read before the next is asked for, so they may share one buffer.
     The reporters of subject i are pred1(i) for layer 1, then pred2(i) and
-    pred2(pred2(i)) for layer 2, as (K,) maps for a fixed ring or (B, K)
-    ``workspace`` buffers for per-trial rings (:func:`_ring_maps`).
+    pred2(pred2(i)) for layer 2, as ``workspace`` buffers shaped like the
+    rings (:func:`_ring_maps`).
     """
     if k < 3:
         raise TooFewAgents(f"ring validation needs at least 3 agents, got {k}")
@@ -258,21 +256,15 @@ def _ring_setup(
     readers = [maps[0][0]]
     if len(maps) == 2:
         pred2 = maps[1][0]
-        if pred2.ndim == 1:
-            readers += [pred2, pred2[pred2]]
-        else:
-            readers += [pred2, _ring_gather(pred2, pred2, "second predecessors", workspace)]
+        readers += [pred2, _ring_gather(pred2, pred2, "second predecessors", workspace)]
     return [succ for _, succ in maps], readers
 
 
 def _gather(cross: np.ndarray, readers: list[np.ndarray]) -> list[np.ndarray]:
     """The ring reads of dense (B, K, K) reports: reader[., i]'s report about i."""
     batch, k = cross.shape[:2]
-    subjects = np.arange(k)
-    return [
-        cross[slice(None) if r.ndim == 1 else np.arange(batch)[:, None], r, subjects]
-        for r in readers
-    ]
+    trials, subjects = np.arange(batch)[:, None], np.arange(k)
+    return [cross[trials, r, subjects] for r in readers]
 
 
 def _ring_outcome(

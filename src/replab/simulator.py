@@ -433,7 +433,7 @@ def sample_ring_reads(
     """Draw only the cross reports a validation ring reads.
 
     ``readers[m][., i]`` is the reporter of read m about subject i, as a
-    (K,) map shared by all trials or a (trials, K) one.  Returns one
+    (1, K) map shared by all trials or a (trials, K) one.  Returns one
     (trials, K) array per map.  An entry whose reporter map 0 names is the
     same report and is drawn once; the maps of :func:`_ring_setup` repeat
     no other.  Each batch of ``batches`` draws its entries, one N(0, 1)

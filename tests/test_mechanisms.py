@@ -465,6 +465,11 @@ def test_per_trial_rings_match_fixed_ring_kernel():
         reps_fixed, taxes_fixed = run_batch(spec, selfs, cross, None)
         rings1 = np.tile(np.array(ring), (batch, 1))
         rings2 = np.tile(np.array(ring if ring2 is None else ring2), (batch, 1))
+        # A fixed ring's readers are one row that broadcasts over the trials.
+        fixed = _ring_setup(k, _spec_rings(spec, k), Workspace())[1]
+        tiled = _ring_setup(k, [rings1, rings2][:layers], Workspace())[1]
+        assert [r.shape for r in fixed] == [(1, k)] * (2 * layers - 1)
+        assert [r.shape for r in tiled] == [(batch, k)] * (2 * layers - 1)
         reps_pt, taxes_pt = _per_trial(selfs, cross, rings1, rings2, layers)
         assert np.array_equal(reps_fixed, reps_pt)
         assert np.array_equal(taxes_fixed, taxes_pt)

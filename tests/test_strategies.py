@@ -616,6 +616,7 @@ def test_ring_draws_do_not_depend_on_the_index_dtype(k):
     _, readers = _ring_setup(k, [wide, wide], Workspace())
     assert np.array_equal(readers[2], pred[rows, pred])
     _, fixed = _ring_maps(wide[:1], Workspace())
+    assert fixed.shape == (1, k)
     assert np.array_equal(_ring_gather(values, fixed, "g", Workspace()), values[:, succ[0]])
 
 
