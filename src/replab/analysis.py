@@ -126,13 +126,13 @@ def pr_mutual_benefit_region(sigma_prime: float, a_grid) -> set:
     expected absolute error stays below the simple-averaging error
     sqrt(2/pi) * sigma_prime (the platform gains accuracy).
     """
-    if sigma_prime <= 0.0:
+    if not sigma_prime > 0.0:
         raise ValueError(f"sigma_prime must be positive, got {sigma_prime}")
     averaging_mae = _SQRT_2_OVER_PI * sigma_prime
     region = set()
     for a in np.asarray(a_grid, dtype=float):
         a = float(a)
-        if a <= 0.0:
+        if not a > 0.0:
             raise ValueError(f"band sizes must be positive, got {a}")
         _, e_m, inflation = _band_curves(a, 0.0, sigma_prime)
         if inflation > 0.0 and e_m < averaging_mae:
@@ -423,7 +423,7 @@ def collusion_expected_tax(a: float, b: float, r_target, sigma: float) -> float:
     the discrepancy Z = |a*R + b - R'| is folded Normal with mean
     (a-1)*r + b and variance (1 + a^2)*sigma^2.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     r = float(r_target)
     mu_hat = (a - 1.0) * r + b
@@ -443,6 +443,10 @@ def weighted_variance_check(weights, sigmas) -> bool:
         raise DimensionMismatch(
             f"weights shape {w.shape} does not match sigmas shape {s.shape}"
         )
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sigmas must be finite")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     total = math.fsum(w.tolist())

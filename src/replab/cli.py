@@ -710,6 +710,9 @@ def _guarded(fn):
             _fail(EXIT_RUNTIME, str(exc))
         except ArithmeticError as exc:
             _fail(EXIT_RUNTIME, f"{type(exc).__name__}: {exc}")
+        except MemoryError as exc:
+            # numpy's is a private subclass, so the message names the base.
+            _fail(EXIT_RUNTIME, f"MemoryError: {str(exc) or 'out of memory'}")
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__

@@ -134,7 +134,7 @@ def erf(x: float | np.ndarray) -> float | np.ndarray:
 
 def normal_pdf(x: float | np.ndarray, mean: float = 0.0, std: float = 1.0) -> float | np.ndarray:
     """Density of N(mean, std^2); ``std`` must be positive."""
-    if std <= 0.0:
+    if not std > 0.0:
         raise ValueError(f"std must be positive, got {std!r}")
     z = (np.asarray(x, dtype=float) - mean) / std
     out = _INV_SQRT_2PI / std * np.exp(-0.5 * z * z)
@@ -143,7 +143,7 @@ def normal_pdf(x: float | np.ndarray, mean: float = 0.0, std: float = 1.0) -> fl
 
 def normal_cdf(x: float | np.ndarray, mean: float = 0.0, std: float = 1.0) -> float | np.ndarray:
     """Cumulative distribution of N(mean, std^2); ``std`` must be positive."""
-    if std <= 0.0:
+    if not std > 0.0:
         raise ValueError(f"std must be positive, got {std!r}")
     z = (np.asarray(x, dtype=float) - mean) / (std * _SQRT2)
     return 0.5 * (1.0 + erf(z))
@@ -158,7 +158,7 @@ def folded_normal_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> flo
     """
     mu_a = np.asarray(mu, dtype=float)
     sg_a = np.asarray(sigma, dtype=float)
-    if np.any(sg_a < 0.0):
+    if not np.all(sg_a >= 0.0):
         raise ValueError("sigma must be >= 0")
     scalar = mu_a.ndim == 0 and sg_a.ndim == 0
     mu_b, sg_b = np.broadcast_arrays(np.atleast_1d(mu_a), np.atleast_1d(sg_a))
@@ -187,6 +187,13 @@ def folded_normal_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> flo
 _ROOT_STEPS = 200
 
 
+def _finite_bounds(lo: float, hi: float) -> None:
+    """Raise ``ValueError`` naming the first bound that is not finite."""
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
@@ -198,8 +205,10 @@ def find_root(
     The endpoints must bracket a sign change (``f(lo) * f(hi) <= 0``),
     otherwise :class:`NoBracket` is raised.  Terminates when the bracket width
     falls below ``tol`` (or an exact zero is hit) and returns the bracket
-    midpoint.  Deterministic: no randomness, no global state.
+    midpoint.  Deterministic: no randomness, no global state.  Raises
+    ``ValueError`` on a bound that is not finite.
     """
+    _finite_bounds(lo, hi)
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     fa = f(lo)
@@ -252,8 +261,10 @@ def minimize_1d(
     A uniform coarse scan (``scan_points`` samples) selects the best basin;
     golden-section search then shrinks it to width ``tol``.  The scan makes the
     routine robust to multimodal objectives whose basins are wider than the
-    scan spacing; raise ``scan_points`` for narrower features.
+    scan spacing; raise ``scan_points`` for narrower features.  Raises
+    ``ValueError`` on a bound that is not finite.
     """
+    _finite_bounds(lo, hi)
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if scan_points < 3:
@@ -321,6 +332,9 @@ def _adaptive(
     left = _simpson(fa, flm, fm, a, m)
     right = _simpson(fm, frm, fb, m, b)
     err = left + right - whole
+    if not math.isfinite(err):
+        # No refinement makes a non-finite estimate finite.
+        raise ValueError(f"integrand is not finite on [{a!r}, {b!r}]")
     if depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
     half = 0.5 * tol
@@ -340,8 +354,11 @@ def integrate(
     Targets absolute error ``tol`` (Richardson-extrapolated error estimate).
     Reversed bounds negate the result; equal bounds give 0.  Semi-infinite
     integrands over Normal tails should be truncated by the caller at
-    ``TAIL_SIGMAS`` standard deviations (see module docstring).
+    ``TAIL_SIGMAS`` standard deviations (see module docstring).  Raises
+    ``ValueError`` on a bound that is not finite, or once an estimate of
+    the integral is not.
     """
+    _finite_bounds(lo, hi)
     if lo == hi:
         return 0.0
     if hi < lo:

@@ -85,7 +85,7 @@ class PrEquilibrium:
     x_star: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
+        if not self.a > 0.0:
             raise ValueError(f"band multiplier must be positive, got {self.a!r}")
         if not (0.0 < self.y < 1.0):
             raise ValueError(f"normalized offset must lie in (0, 1), got {self.y!r}")
@@ -114,7 +114,7 @@ def solve_y(a: float) -> float:
     The root depends on ``a`` alone, so solved roots are memoized; failures
     are not, and raise again on every call.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"band multiplier must be positive, got {a!r}")
     return _solve_y(float(a))
 
@@ -156,9 +156,9 @@ def expected_pr_reputation(
     in closed form through the antiderivative of the cdf F.  A float ``x``
     gives a float; an array gives the elementwise array.
     """
-    if sigma_prime <= 0.0:
+    if not sigma_prime > 0.0:
         raise ValueError(f"sigma_prime must be positive, got {sigma_prime!r}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"band half-width must be positive, got {eps!r}")
     xs = np.asarray(x, dtype=float)
     f_hi = normal_cdf(xs + eps, mu, sigma_prime)
@@ -175,7 +175,7 @@ def pr_optimal_self_report(mu: float, sigma_prime: float, a: float) -> PrEquilib
     The sender inflates by a fraction ``y`` of the band half-width, strictly
     between staying put and hitting the band edge.
     """
-    if sigma_prime <= 0.0:
+    if not sigma_prime > 0.0:
         raise ValueError(f"sigma_prime must be positive, got {sigma_prime!r}")
     y = solve_y(a)
     return PrEquilibrium(a=a, y=y, x_star=mu + a * sigma_prime * y)
@@ -192,7 +192,7 @@ def pr_mae(a: float, sigma_prime: float) -> float:
     optimal self-report sits at ``x* = a * sigma_prime * y`` with ``y`` from
     the band-offset equation.
     """
-    if sigma_prime <= 0.0:
+    if not sigma_prime > 0.0:
         raise ValueError(f"sigma_prime must be positive, got {sigma_prime}")
     eq = pr_optimal_self_report(0.0, sigma_prime, a)
     x_star = eq.x_star

@@ -53,7 +53,7 @@ from replab.numerics import (
     normal_pdf,
 )
 from replab.simulator import ScenarioConfig, run_trials
-from replab.strategies import pr_optimal_self_report
+from replab.strategies import expected_pr_reputation, pr_optimal_self_report
 
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -134,6 +134,40 @@ def test_pr_mae_scales_linearly_in_noise():
 def test_pr_mae_rejects_bad_noise():
     with pytest.raises(ValueError):
         pr_mae(2.0, 0.0)
+    with pytest.raises(ValueError, match="sigma_prime must be positive"):
+        pr_mae(2.0, math.nan)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: normal_pdf(0.0, 0.0, math.nan), "std must be positive"),
+        (lambda: normal_cdf(0.0, 0.0, math.nan), "std must be positive"),
+        (lambda: folded_normal_mean(0.5, math.nan), "sigma must be >= 0"),
+        (lambda: folded_normal_mean(0.5, [0.1, math.nan]), "sigma must be >= 0"),
+        (lambda: expected_pr_reputation(0.5, 0.5, math.nan, 0.1), "sigma_prime must be positive"),
+        (lambda: expected_pr_reputation(0.5, 0.5, 0.1, math.nan), "band half-width must be positive"),
+        (lambda: pr_optimal_self_report(0.5, math.nan, 2.0), "sigma_prime must be positive"),
+        (lambda: pr_mutual_benefit_region(math.nan, [1.0]), "sigma_prime must be positive"),
+        (lambda: pr_mutual_benefit_region(0.1, [1.0, math.nan]), "band sizes must be positive"),
+    ],
+    ids=[
+        "normal_pdf",
+        "normal_cdf",
+        "folded_normal_mean",
+        "folded_normal_mean-array",
+        "expected_pr_reputation-sigma_prime",
+        "expected_pr_reputation-eps",
+        "pr_optimal_self_report",
+        "pr_mutual_benefit_region-sigma_prime",
+        "pr_mutual_benefit_region-band",
+    ],
+)
+def test_nan_scales_are_rejected(call, message):
+    # NaN compares false both ways, so each scale check must be written to
+    # fail on it rather than to pass on it.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_pr_mutual_benefit_region():
@@ -513,6 +547,8 @@ def test_collusion_tax_symmetric_in_discrepancy_mean():
 def test_collusion_tax_rejects_bad_sigma():
     with pytest.raises(ValueError):
         collusion_expected_tax(1.0, 0.0, 0.3, 0.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        collusion_expected_tax(1.0, 0.2, 0.5, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +563,10 @@ def test_weighted_variance_check_cases():
     assert weighted_variance_check([2.0, 2.0], [0.5, 0.5])  # normalization
     inv_var = [1 / 0.01, 1 / 0.16]
     assert weighted_variance_check(inv_var, [0.1, 0.4])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        weighted_variance_check([1.0, math.nan], [0.1, 0.2])
+    with pytest.raises(ValueError, match="sigmas must be finite"):
+        weighted_variance_check([1.0, 1.0], [0.1, math.nan])
 
 
 def test_weighted_variance_check_guards():

@@ -793,6 +793,26 @@ def test_a_noise_scale_that_overflows_exits_3(runner, tmp_path, std):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, callee", [("figures", "_band_curves"), ("check", "deviation_reports")])
+def test_an_allocation_that_fails_exits_3(runner, tmp_path, monkeypatch, command, callee):
+    # A --points or --grid of 10^12 fails to allocate.  The callee raises as
+    # numpy does then, so the test asks for no such allocation.
+    from replab import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli, callee, out_of_memory)
+    if command == "figures":
+        args = ["figures", "--out", str(tmp_path / "o")]
+    else:
+        args = ["check-equilibrium", str(_write(tmp_path, "basic.ini", BASIC_INI))]
+    result = runner.invoke(main, args)
+    _single_error_line(result, 3)
+    assert result.stderr.startswith("error: MemoryError: Unable to allocate 7.28 TiB")
+    assert not (tmp_path / "o").exists()
+
+
 def _spread_truth_config(tmp_path, kind, k, extra=""):
     agents = "\n".join(
         f"agent{i} = quality={0.2 + 0.6 * i / (k - 1):.6f} type=truth" for i in range(k)

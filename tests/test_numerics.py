@@ -247,3 +247,46 @@ def test_integrate_matches_cdf_difference():
     lo, hi = -0.5, 0.9
     ref = normal_cdf(hi, mu, sigma) - normal_cdf(lo, mu, sigma)
     assert integrate(lambda x: normal_pdf(x, mu, sigma), lo, hi) == pytest.approx(ref, abs=1e-9)
+
+
+def _counted(f, limit=10_000):
+    """``f``, failing the test once it has been called ``limit`` times, so a
+    quadrature that would not return fails fast instead of hanging."""
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise AssertionError(f"integrand called {limit} times without a result")
+        return f(x)
+
+    return counted
+
+
+@pytest.mark.parametrize(
+    "lo, hi, name",
+    [(0.0, math.nan, "hi"), (0.0, math.inf, "hi"), (-math.inf, 0.0, "lo"), (math.nan, 1.0, "lo")],
+)
+def test_integrate_rejects_non_finite_bounds(lo, hi, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        integrate(_counted(math.sin), lo, hi)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: math.nan, lambda x: math.inf if x == 0.5 else 1.0],
+    ids=["nan", "inf-at-midpoint"],
+)
+def test_integrate_rejects_non_finite_integrand(f):
+    with pytest.raises(ValueError, match="integrand is not finite"):
+        integrate(_counted(f), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("solver", [find_root, minimize_1d])
+@pytest.mark.parametrize(
+    "lo, hi, name", [(0.0, math.inf, "hi"), (0.0, math.nan, "hi"), (-math.inf, 1.0, "lo")]
+)
+def test_solvers_reject_non_finite_bounds(solver, lo, hi, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        solver(lambda x: x - 0.3, lo, hi)

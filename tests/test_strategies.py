@@ -117,6 +117,8 @@ def test_solve_y_residual_and_range():
 def test_solve_y_rejects_nonpositive_band():
     with pytest.raises(ValueError):
         solve_y(0.0)
+    with pytest.raises(ValueError, match="band multiplier must be positive"):
+        solve_y(math.nan)
 
 
 def test_solve_y_memoizes_roots_but_not_failures(monkeypatch):
