@@ -187,11 +187,14 @@ def folded_normal_mean(mu: float | np.ndarray, sigma: float | np.ndarray) -> flo
 _ROOT_STEPS = 200
 
 
-def _finite_bounds(lo: float, hi: float) -> None:
-    """Raise ``ValueError`` naming the first bound that is not finite."""
+def _check_interval(lo: float, hi: float, tol: float) -> None:
+    """Raise ``ValueError`` naming a bound that is not finite or a ``tol``
+    that is not positive, with which a solver would never stop."""
     for name, value in (("lo", lo), ("hi", hi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
 
 
 def find_root(
@@ -206,9 +209,10 @@ def find_root(
     otherwise :class:`NoBracket` is raised.  Terminates when the bracket width
     falls below ``tol`` (or an exact zero is hit) and returns the bracket
     midpoint.  Deterministic: no randomness, no global state.  Raises
-    ``ValueError`` on a bound that is not finite.
+    ``ValueError`` on a bound that is not finite or a ``tol`` that is not
+    positive.
     """
-    _finite_bounds(lo, hi)
+    _check_interval(lo, hi, tol)
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     fa = f(lo)
@@ -262,9 +266,10 @@ def minimize_1d(
     golden-section search then shrinks it to width ``tol``.  The scan makes the
     routine robust to multimodal objectives whose basins are wider than the
     scan spacing; raise ``scan_points`` for narrower features.  Raises
-    ``ValueError`` on a bound that is not finite.
+    ``ValueError`` on a bound that is not finite or a ``tol`` that is not
+    positive.
     """
-    _finite_bounds(lo, hi)
+    _check_interval(lo, hi, tol)
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if scan_points < 3:
@@ -355,10 +360,10 @@ def integrate(
     Reversed bounds negate the result; equal bounds give 0.  Semi-infinite
     integrands over Normal tails should be truncated by the caller at
     ``TAIL_SIGMAS`` standard deviations (see module docstring).  Raises
-    ``ValueError`` on a bound that is not finite, or once an estimate of
-    the integral is not.
+    ``ValueError`` on a bound that is not finite or a ``tol`` that is not
+    positive, and once an estimate of the integral is not finite.
     """
-    _finite_bounds(lo, hi)
+    _check_interval(lo, hi, tol)
     if lo == hi:
         return 0.0
     if hi < lo:

@@ -290,3 +290,12 @@ def test_integrate_rejects_non_finite_integrand(f):
 def test_solvers_reject_non_finite_bounds(solver, lo, hi, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         solver(lambda x: x - 0.3, lo, hi)
+
+
+@pytest.mark.parametrize("solver", [find_root, minimize_1d, integrate])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_solvers_reject_a_tolerance_that_is_not_positive(solver, tol):
+    # minimize_1d and integrate would never reach a width or error of at
+    # most 0, or compare true against NaN.
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solver(_counted(lambda x: x - 0.3), 0.0, 1.0, tol=tol)
